@@ -658,7 +658,6 @@ def _entry_eval_fused_loops(
     with the same scalar expressions as the full-assembly kernels."""
     out_m = np.zeros(n_matrix)
     out_v = np.zeros(n_vector)
-    n_gamma = gamma.shape[0]
 
     for t in range(m_ids.shape[0]):
         ap = active_pos[m_elems[t]]
@@ -708,11 +707,7 @@ def _entry_eval_fused_loops(
         if not ghost_flag[g_facets[t]]:
             continue
         coef0 = gamma[0] * h * g_len[t]
-        val = coef0 * (g_jva[t] * g_jvc[t])
-        for k in range(1, n_gamma):
-            coef_k = gamma[k] * h ** (2 * k + 1) * g_len[t]
-            val += coef_k * (0.0 * 0.0)
-        out_m[g_ids[t]] += val
+        out_m[g_ids[t]] += coef0 * (g_jva[t] * g_jvc[t])
 
     for t in range(v_ids.shape[0]):
         ap = active_pos[v_elems[t]]

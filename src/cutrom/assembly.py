@@ -29,7 +29,8 @@ class PhysicsParams:
 
     The Dirichlet datum is g(x, y) = g0 + gx*x + gy*y + gxy*x*y, evaluated
     pointwise at quadrature nodes.  ``gamma[k]`` weights the ghost-penalty
-    term of order k (jumps of (k+1)-th normal derivatives).
+    term of order k (jumps of (k+1)-th normal derivatives).  For P1 elements
+    only ``gamma[0]`` enters: ``gamma[1:]`` is accepted and has no effect.
     """
 
     f_const: float = 20.0
@@ -59,52 +60,33 @@ class SystemPair:
 def _pattern(geom: CutGeometry):
     """Sorted row-major structural pattern and scatter positions.
 
-    Returns (codes, indptr, cols, vol_pos, ghost_pos) where codes are the
-    flattened row*N+col positions of all structurally nonzero entries.
+    Marks the mesh-pattern positions (``BackgroundMesh._build_pattern``) of
+    the active stencils and ghost-facet patches, and renumbers the marked
+    ones by a running count.  Returns (nnz, indptr, cols, vol_pos, ghost_pos).
     """
     mesh = geom.mesh
-    n = mesh.n_vertices
-    act_tris = mesh.triangles[geom.active_elements]
-    vol_rows = np.repeat(act_tris, 3, axis=1)
-    vol_cols = np.tile(act_tris, (1, 3))
-    vol_codes = vol_rows.astype(np.int64) * n + vol_cols
-
-    patch = mesh.facet_patch[geom.ghost_facets]
-    g_rows = np.repeat(patch, 4, axis=1)
-    g_cols = np.tile(patch, (1, 4))
-    ghost_codes = g_rows * n + g_cols
-
-    codes = np.unique(np.concatenate([vol_codes.ravel(), ghost_codes.ravel()]))
-    vol_pos = np.searchsorted(codes, vol_codes)
-    ghost_pos = np.searchsorted(codes, ghost_codes)
-    rows = codes // n
-    cols = codes % n
-    indptr = np.searchsorted(rows, np.arange(n + 1))
-    return codes, indptr, cols, vol_pos, ghost_pos
+    vol = mesh.tri_pattern_pos[geom.active_elements]
+    ghost = mesh.facet_pattern_pos[geom.ghost_facets]
+    used = np.zeros(mesh.pattern_cols.size, dtype=bool)
+    used[vol] = True
+    used[ghost] = True
+    rank = np.zeros(used.size + 1, dtype=np.int64)
+    np.cumsum(used, out=rank[1:])
+    return int(rank[-1]), rank[mesh.pattern_indptr], mesh.pattern_cols[used], rank[vol], rank[ghost]
 
 
 def _ghost_values(geom: CutGeometry, phys: PhysicsParams):
     """Ghost-penalty 4x4 blocks per ghost facet.
 
-    For P1 elements only the k = 0 jump term is nonzero; the k >= 1 terms are
-    still evaluated (with identically vanishing higher-order jumps) and
-    asserted to contribute exact zeros.
+    For P1 elements only the k = 0 jump term exists: the jumps of second and
+    higher normal derivatives vanish identically, so ``gamma[1:]`` has no
+    effect on the matrix.
     """
     mesh = geom.mesh
-    h = mesh.h
     gf = geom.ghost_facets
     jv = mesh.facet_jump[gf]
-    ln = mesh.facet_len[gf]
-    coef0 = phys.gamma[0] * h * ln
-    vals = coef0[:, None, None] * (jv[:, :, None] * jv[:, None, :])
-    hi = np.zeros_like(jv)
-    for k in range(1, len(phys.gamma)):
-        coef_k = phys.gamma[k] * h ** (2 * k + 1) * ln
-        term = coef_k[:, None, None] * (hi[:, :, None] * hi[:, None, :])
-        if term.any():
-            raise AssemblyError("order-%d ghost term must vanish for P1 elements" % k)
-        vals += term
-    return vals
+    coef0 = phys.gamma[0] * mesh.h * mesh.facet_len[gf]
+    return coef0[:, None, None] * (jv[:, :, None] * jv[:, None, :])
 
 
 def _volume_inputs(geom: CutGeometry):
@@ -142,7 +124,7 @@ def assemble_system(geom: CutGeometry, phys: PhysicsParams) -> SystemPair:
     if geom.seg_wts.shape[0] != geom.cut_elements.size:
         raise AssemblyError("every cut element needs a boundary rule")
     n = mesh.n_vertices
-    codes, indptr, cols, vol_pos, ghost_pos = _pattern(geom)
+    nnz, indptr, cols, vol_pos, ghost_pos = _pattern(geom)
     lam_over_h = phys.nitsche_lambda / mesh.h
     g0, gx, gy, gxy = (float(c) for c in phys.g_coeffs)
 
@@ -152,7 +134,7 @@ def assemble_system(geom: CutGeometry, phys: PhysicsParams) -> SystemPair:
     )
     ghost_vals = _ghost_values(geom, phys)
 
-    values = np.zeros(codes.size)
+    values = np.zeros(nnz)
     np.add.at(values, vol_pos.ravel(), a_vol.ravel())
     cut_sel = geom.active_pos[geom.cut_elements]
     np.add.at(values, vol_pos[cut_sel].ravel(), a_nit.ravel())
@@ -171,7 +153,7 @@ def assemble_norm_matrix(geom: CutGeometry, phys: PhysicsParams) -> sp.csr_matri
     domain, scaled boundary mass, and the ghost jump terms."""
     mesh = geom.mesh
     n = mesh.n_vertices
-    codes, indptr, cols, vol_pos, ghost_pos = _pattern(geom)
+    nnz, indptr, cols, vol_pos, ghost_pos = _pattern(geom)
     lam_over_h = phys.nitsche_lambda / mesh.h
     g0, gx, gy, gxy = (float(c) for c in phys.g_coeffs)
 
@@ -181,7 +163,7 @@ def assemble_norm_matrix(geom: CutGeometry, phys: PhysicsParams) -> sp.csr_matri
     )
     ghost_vals = _ghost_values(geom, phys)
 
-    values = np.zeros(codes.size)
+    values = np.zeros(nnz)
     np.add.at(values, vol_pos.ravel(), a_vol.ravel())
     cut_sel = geom.active_pos[geom.cut_elements]
     np.add.at(values, vol_pos[cut_sel].ravel(), pen.ravel())
@@ -360,12 +342,8 @@ def evaluate_entries(geom: CutGeometry, phys: PhysicsParams,
     if plan.g_facets.size:
         keep = geom.ghost_mask[plan.g_facets]
         if keep.any():
-            h = mesh.h
-            coef0 = phys.gamma[0] * h * plan.g_len[keep]
+            coef0 = phys.gamma[0] * mesh.h * plan.g_len[keep]
             vals = coef0 * (plan.g_jva[keep] * plan.g_jvc[keep])
-            for k in range(1, len(phys.gamma)):
-                coef_k = phys.gamma[k] * h ** (2 * k + 1) * plan.g_len[keep]
-                vals += coef_k * (0.0 * 0.0)
             np.add.at(out_m, plan.g_ids[keep], vals)
 
     if plan.v_elems.size:

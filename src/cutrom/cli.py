@@ -69,12 +69,12 @@ def _cmd_verify(args) -> int:
     geom_csv = os.path.join(config.report_dir, "geometry_summary.csv")
     checks = verify_invariants(config, geometry_csv=geom_csv)
     print(f"geometry summary written to {geom_csv}")
-    failed = 0
     for c in checks:
-        status = "PASS" if c.ok else "FAIL"
-        print(f"[{status}] {c.name}: {c.detail}")
-        failed += 0 if c.ok else 1
-    print(f"{len(checks) - failed}/{len(checks)} invariant checks passed")
+        print(f"[{c.status.upper()}] {c.name}: {c.detail}")
+    failed = sum(1 for c in checks if not c.ok)
+    noise = sum(1 for c in checks if c.status == "noise")
+    print(f"{len(checks) - failed}/{len(checks)} invariant checks passed"
+          + (f" ({noise} at the round-off floor)" if noise else ""))
     return 0 if failed == 0 else 1
 
 

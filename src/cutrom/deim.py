@@ -65,14 +65,14 @@ class UnionPattern:
         return sp.csr_matrix((values, self.cols, indptr), shape=(self.n, self.n))
 
 
-def build_union_pattern(systems) -> UnionPattern:
+def build_union_pattern(matrices) -> UnionPattern:
     """Union of the structural patterns of the given stiffness matrices."""
-    if len(systems) < 1:
-        raise DeimError("need at least one system")
+    if len(matrices) < 1:
+        raise DeimError("need at least one matrix")
     code_list = []
     n = None
-    for s in systems:
-        a = s.A.tocsr() if hasattr(s, "A") else sp.csr_matrix(s)
+    for m in matrices:
+        a = sp.csr_matrix(m)
         if n is None:
             n = a.shape[0]
         rows = np.repeat(np.arange(n), np.diff(a.indptr))

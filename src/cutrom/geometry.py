@@ -65,6 +65,7 @@ class BackgroundMesh:
         self.n_triangles = triangles.shape[0]
         self._build_precomputed()
         self._build_facets()
+        self._build_pattern()
         self._vertex_tri = None
         self._vertex_facet = None
 
@@ -134,36 +135,57 @@ class BackgroundMesh:
     def _build_facet_patches(self):
         """Per interior facet: the 4 patch dofs and the normal-derivative jump
         of each patch hat function (both sides are P1, so the jump vector is
-        parameter-independent)."""
+        parameter-independent).  Boundary facets keep -1 patch slots 2-3 and
+        a zero jump."""
         facets = self.facets
-        ftris = self.facet_tris
-        interior = ftris[:, 1] >= 0
         n_f = facets.shape[0]
         patch = np.full((n_f, 4), -1, dtype=np.int64)
         jump = np.zeros((n_f, 4))
         patch[:, 0] = facets[:, 0]
         patch[:, 1] = facets[:, 1]
-        idx = np.flatnonzero(interior)
-        for f in idx:
-            ta, tb = ftris[f]
-            fa, fb = facets[f]
-            opp_a = [v for v in self.triangles[ta] if v != fa and v != fb][0]
-            opp_b = [v for v in self.triangles[tb] if v != fa and v != fb][0]
-            patch[f, 2] = opp_a
-            patch[f, 3] = opp_b
-            n = self.facet_normal[f]
-            for slot, dof in enumerate(patch[f]):
-                da = 0.0
-                db = 0.0
-                loc = np.flatnonzero(self.triangles[ta] == dof)
-                if loc.size:
-                    da = self.bvec[ta, loc[0], 0] * n[0] + self.bvec[ta, loc[0], 1] * n[1]
-                loc = np.flatnonzero(self.triangles[tb] == dof)
-                if loc.size:
-                    db = self.bvec[tb, loc[0], 0] * n[0] + self.bvec[tb, loc[0], 1] * n[1]
-                jump[f, slot] = da - db
+        idx = np.flatnonzero(self.facet_tris[:, 1] >= 0)
+        tri_pair = self.facet_tris[idx]
+        fa = facets[idx, 0:1]
+        fb = facets[idx, 1:2]
+        rows = np.arange(idx.size)
+        for side in (0, 1):
+            tv = self.triangles[tri_pair[:, side]]
+            patch[idx, 2 + side] = tv[rows, np.argmax((tv != fa) & (tv != fb), axis=1)]
+        nrm = self.facet_normal[idx]
+        dn = []
+        for side in (0, 1):
+            ts = tri_pair[:, side]
+            hit = self.triangles[ts][:, None, :] == patch[idx][:, :, None]
+            b = self.bvec[ts[:, None], np.argmax(hit, axis=2)]
+            d = b[:, :, 0] * nrm[:, 0:1] + b[:, :, 1] * nrm[:, 1:2]
+            dn.append(np.where(hit.any(axis=2), d, 0.0))
+        jump[idx] = dn[0] - dn[1]
         self.facet_patch = patch
         self.facet_jump = jump
+
+    def _build_pattern(self):
+        """Sorted row-major codes row*N+col of every entry a stiffness matrix
+        can hold (all triangle stencils and interior-facet patches), with each
+        triangle's 9 and each interior facet's 16 positions in them.
+
+        A parameter's pattern is the subset its active triangles and ghost
+        facets touch, so assembly only marks and renumbers positions.  The 9
+        (16) positions run row-major over the local vertices (patch slots),
+        the order in which the element kernels emit their blocks.
+        """
+        n = self.n_vertices
+        tris = self.triangles
+        tri_codes = np.repeat(tris, 3, axis=1) * n + np.tile(tris, (1, 3))
+        interior = np.flatnonzero(self.facet_tris[:, 1] >= 0)
+        patch = self.facet_patch[interior]
+        facet_codes = np.repeat(patch, 4, axis=1) * n + np.tile(patch, (1, 4))
+        codes = np.unique(np.concatenate([tri_codes.ravel(), facet_codes.ravel()]))
+        self.pattern_cols = codes % n
+        self.pattern_indptr = np.searchsorted(codes // n, np.arange(n + 1))
+        self.tri_pattern_pos = np.searchsorted(codes, tri_codes)
+        facet_pos = np.full((self.facets.shape[0], 16), -1, dtype=np.int64)
+        facet_pos[interior] = np.searchsorted(codes, facet_codes)
+        self.facet_pattern_pos = facet_pos
 
     def vertex_tri_adjacency(self):
         """CSR-style vertex -> triangle adjacency, triangle ids ascending."""
@@ -208,20 +230,14 @@ def build_background_mesh(box, h_target: float) -> BackgroundMesh:
     xg, yg = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([xg.ravel(), yg.ravel()])
 
-    def vid(ix, iy):
-        return iy * (nx + 1) + ix
-
+    iy, ix = np.divmod(np.arange(nx * nx, dtype=np.int64), nx)
+    bl = iy * (nx + 1) + ix
+    br = bl + 1
+    tl = bl + (nx + 1)
+    tr = tl + 1
     tris = np.empty((2 * nx * nx, 3), dtype=np.int64)
-    t = 0
-    for iy in range(nx):
-        for ix in range(nx):
-            bl = vid(ix, iy)
-            br = vid(ix + 1, iy)
-            tr = vid(ix + 1, iy + 1)
-            tl = vid(ix, iy + 1)
-            tris[t] = (bl, br, tr)
-            tris[t + 1] = (bl, tr, tl)
-            t += 2
+    tris[0::2] = np.column_stack([bl, br, tr])
+    tris[1::2] = np.column_stack([bl, tr, tl])
     return BackgroundMesh(vertices, tris, nx, (x0, x1))
 
 

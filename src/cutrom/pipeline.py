@@ -95,11 +95,13 @@ def run_offline(config: Config) -> OfflineArtifacts:
             sol = solve_fom(system)
         except Exception as exc:
             raise PipelineError(f"offline failure at training mu={tuple(train_mu[i])}: {exc}") from exc
-        return system, sol
+        # keep A and f only: holding every training geometry until the DEIM
+        # build would dominate the peak memory of the offline stage
+        return system.A, system.f, sol.u
 
     results = parallel_map(one_snapshot, range(config.n_train))
-    systems = [r[0] for r in results]
-    snapshots = np.column_stack([r[1].u for r in results])
+    matrices = [r[0] for r in results]
+    snapshots = np.column_stack([r[2] for r in results])
     t_fom = time.perf_counter() - t_start
 
     mass = assemble_mass_matrix(mesh)
@@ -116,13 +118,13 @@ def run_offline(config: Config) -> OfflineArtifacts:
     log.debug("pod spectrum head (sigma_k/sigma_1): %s",
               " ".join(f"{v:.3e}" for v in head))
 
-    pattern = build_union_pattern(systems)
+    pattern = build_union_pattern(matrices)
     n2 = mesh.n_vertices ** 2
     log.info("union pattern: %d positions (%.2f%% of N^2)", pattern.size, 100.0 * pattern.size / n2)
-    a_snaps = np.column_stack([pattern.vectorize(s.A) for s in systems])
+    a_snaps = np.column_stack([pattern.vectorize(a) for a in matrices])
     deim_a = build_deim_operator(a_snaps, config.eps_deim_a, config.effective_l_cap,
                                  kind=MATRIX, pattern=pattern)
-    f_snaps = np.column_stack([s.f for s in systems])
+    f_snaps = np.column_stack([r[1] for r in results])
     deim_f = build_deim_operator(f_snaps, config.eps_deim_f, config.effective_l_cap,
                                  kind=VECTOR)
     log.info("deim: l_A=%d (cond %.3e), l_f=%d (cond %.3e)",
@@ -470,9 +472,58 @@ def run_sweep(config: Config, artifact_dir: str | None = None, report_dir: str |
 
 @dataclass
 class CheckResult:
+    """One invariant check.  ``noise_floor`` is set when the check holds only
+    within a round-off floor above its tolerance; the check still passes, with
+    status ``noise`` instead of ``pass``."""
+
     name: str
     ok: bool
     detail: str
+    noise_floor: float | None = None
+
+    @property
+    def status(self) -> str:
+        if not self.ok:
+            return "fail"
+        return "pass" if self.noise_floor is None else "noise"
+
+
+def pod_tail_check(pod, snapshots: np.ndarray, mass) -> CheckResult:
+    """Mode-energy identity: the M-norm training projection error with n modes
+    equals the discarded spectrum sum_{k>n} sigma_k, to 1e-8 relative, for
+    n = 2, 10 and 40 (clipped to the built modes).
+
+    n = 40 probes the spectrum tail, which the eigensolver knows only to about
+    (m - n) eps sigma_1 for m snapshots.  There a mismatch above 1e-8 but
+    within that floor, relative to the tail, is reported as noise; above the
+    floor it fails.  n = 2 and 10 take the plain 1e-8 test, also when n = 40
+    clips onto them.
+    """
+    sigma = pod.sigma
+    plain = {min(2, pod.n_max), min(10, pod.n_max)}
+    ok = True
+    floor_used = None
+    details = []
+    for n_eff in sorted(plain | {min(40, pod.n_max)}):
+        v_n = pod.V[:, :n_eff]
+        proj = v_n @ (v_n.T @ (mass @ snapshots))
+        diff = snapshots - proj
+        lhs = float((diff * (mass @ diff)).sum())
+        rhs = float(sigma[n_eff:].sum())
+        if rhs <= 0:
+            continue
+        mismatch = abs(lhs - rhs) / rhs
+        detail = f"n={n_eff}: {mismatch:.2e}"
+        if mismatch > 1e-8:
+            floor = (sigma.size - n_eff) * np.finfo(float).eps * sigma[0] / rhs
+            if n_eff not in plain and mismatch <= floor:
+                floor_used = floor
+                detail += f" within the eigensolver noise floor {floor:.2e}"
+            else:
+                ok = False
+        details.append(detail)
+    return CheckResult("pod_tail_identity", ok, "; ".join(details),
+                       noise_floor=floor_used if ok else None)
 
 
 def verify_invariants(config: Config, geometry_csv: str | None = None) -> list:
@@ -556,31 +607,8 @@ def verify_invariants(config: Config, geometry_csv: str | None = None) -> list:
     art = run_offline(config)
 
     # 4. energy identity: training projection error equals the spectrum tail
-    mass = assemble_mass_matrix(mesh)
     snapshots = _training_snapshots(art, config)
-    worst_mismatch = 0.0
-    details = []
-    checked = set()
-    for n in (2, 10, 40):
-        n_eff = min(n, art.pod.n_max)
-        if n_eff in checked:
-            continue
-        checked.add(n_eff)
-        v_n = art.pod.V[:, :n_eff]
-        proj = v_n @ (v_n.T @ (mass @ snapshots))
-        diff = snapshots - proj
-        lhs = float((diff * (mass @ diff)).sum())
-        rhs = float(art.pod.sigma[n_eff:].sum())
-        if rhs > 0:
-            mismatch = abs(lhs - rhs) / rhs
-            worst_mismatch = max(worst_mismatch, mismatch)
-            note = ""
-            if rhs <= 1e3 * np.finfo(float).eps * art.pod.sigma[0]:
-                note = ", tail at eigensolver noise level"
-            details.append(f"n={n_eff}: {mismatch:.2e}{note}")
-    checks.append(CheckResult(
-        "pod_tail_identity", worst_mismatch <= 1e-8, "; ".join(details),
-    ))
+    checks.append(pod_tail_check(art.pod, snapshots, assemble_mass_matrix(mesh)))
     del snapshots
 
     # 5. interpolation exactness at selected positions, for fresh parameters

@@ -3,8 +3,10 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cutrom import _kernels
+from cutrom import _kernels, assembly
 from cutrom.assembly import (
     AssemblyError,
     PhysicsParams,
@@ -14,7 +16,7 @@ from cutrom.assembly import (
     evaluate_entries,
 )
 from cutrom.estimators import alpha_star
-from cutrom.geometry import ParameterPoint, build_cut_geometry
+from cutrom.geometry import ParameterPoint, build_background_mesh, build_cut_geometry, level_set
 
 MUS = [ParameterPoint(1.0, 1.0), ParameterPoint(1.07, 1.13), ParameterPoint(1.2, 1.01)]
 
@@ -154,3 +156,51 @@ def test_evaluate_entries_speed(default_mesh, default_phys):
         assemble_system(geom, default_phys)
     t_full = (time.perf_counter() - t0) / reps
     assert t_full / t_eval >= 10.0
+
+
+def _reference_pattern(geom):
+    """Per-parameter pattern from np.unique over the active stencil codes."""
+    mesh = geom.mesh
+    n = mesh.n_vertices
+    act_tris = mesh.triangles[geom.active_elements]
+    vol_codes = np.repeat(act_tris, 3, axis=1).astype(np.int64) * n + np.tile(act_tris, (1, 3))
+    patch = mesh.facet_patch[geom.ghost_facets]
+    ghost_codes = np.repeat(patch, 4, axis=1) * n + np.tile(patch, (1, 4))
+    codes = np.unique(np.concatenate([vol_codes.ravel(), ghost_codes.ravel()]))
+    indptr = np.searchsorted(codes // n, np.arange(n + 1))
+    return (codes.size, indptr, codes % n,
+            np.searchsorted(codes, vol_codes), np.searchsorted(codes, ghost_codes))
+
+
+_PATTERN_MESH = build_background_mesh(((-1.2, 1.2), (-1.2, 1.2)), 0.125)
+
+
+def _assert_csr_equal_to_reference(mu):
+    geom = build_cut_geometry(_PATTERN_MESH, mu)
+    new = assemble_system(geom, PhysicsParams()).A
+    new_norm = assemble_norm_matrix(geom, PhysicsParams())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "_pattern", _reference_pattern)
+        ref = assemble_system(geom, PhysicsParams()).A
+        ref_norm = assemble_norm_matrix(geom, PhysicsParams())
+    for a, b in ((new, ref), (new_norm, ref_norm)):
+        assert a.indptr.dtype == b.indptr.dtype and a.indices.dtype == b.indices.dtype
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
+        assert a.data.tobytes() == b.data.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(r=st.floats(min_value=0.3, max_value=1.44), theta=st.floats(min_value=0.3, max_value=1.44))
+def test_mesh_pattern_matches_unique_pattern_bitwise(r, theta):
+    _assert_csr_equal_to_reference(ParameterPoint(r, theta))
+
+
+def test_mesh_pattern_matches_unique_pattern_on_edge_parameters():
+    # touching the box: semi-axes sqrt(1.44) = 1.2 = half-width
+    _assert_csr_equal_to_reference(ParameterPoint(1.44, 1.44))
+    # a mesh vertex exactly on phi = 0: x^2 / (2 x^2) + y^2 / (2 y^2) - 1 == 0
+    x, y = _PATTERN_MESH.vertices[np.argmin(np.hypot(*(_PATTERN_MESH.vertices - 0.72).T))]
+    mu = ParameterPoint(2.0 * x ** 2, 2.0 * y ** 2)
+    assert level_set(mu, x, y) == 0.0
+    _assert_csr_equal_to_reference(mu)

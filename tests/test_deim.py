@@ -13,15 +13,8 @@ from cutrom.deim import (
 )
 
 
-def _pattern_of(mats):
-    class Sys:
-        def __init__(self, a):
-            self.A = a
-    return build_union_pattern([Sys(m) for m in mats])
-
-
 def test_union_pattern_diagonal():
-    pat = _pattern_of([sp.diags([1.0, 2.0, 3.0]).tocsr()])
+    pat = build_union_pattern([sp.diags([1.0, 2.0, 3.0]).tocsr()])
     assert pat.size == 3
     assert np.array_equal(pat.rows, [0, 1, 2])
     assert np.array_equal(pat.cols, [0, 1, 2])
@@ -34,14 +27,14 @@ def test_union_pattern_is_union():
     a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     b = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
     c = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    pat = _pattern_of([b, c])
+    pat = build_union_pattern([b, c])
     assert pat.size == 4
     vec = pat.vectorize(b)
     assert np.array_equal(vec, [1.0, 0.0, 0.0, 1.0])
     vec = pat.vectorize(a)
     assert np.array_equal(vec, [1.0, 1.0, 1.0, 1.0])
     with pytest.raises(DeimError):
-        _pattern_of([b]).vectorize(c)
+        build_union_pattern([b]).vectorize(c)
 
 
 def test_empty_training_set_rejected():
@@ -122,7 +115,7 @@ def test_matrix_kind_reconstruction_symmetric():
         m = m + m.T
         m[np.abs(m) < 1.2] = 0.0
         mats.append(sp.csr_matrix(m))
-    pat = _pattern_of([m + sp.eye(6) for m in mats])
+    pat = build_union_pattern([m + sp.eye(6) for m in mats])
     snaps = np.column_stack([pat.vectorize((m + sp.eye(6)).tocsr()) for m in mats])
     op = build_deim_operator(snaps, 1e-12, 5, kind=MATRIX, pattern=pat)
     c = deim_coefficients(op, snaps[op.indices, 2])

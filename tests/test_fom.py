@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from cutrom.assembly import assemble_system
 from cutrom.fom import FomError, residual, solve_fom
-from cutrom.geometry import ParameterPoint, build_cut_geometry
+from cutrom.geometry import ParameterPoint, build_background_mesh, build_cut_geometry
 
 
 def test_patch_solution_matches_interpolant(default_mesh, patch_phys):
@@ -55,3 +58,44 @@ def test_dimension_mismatch(default_mesh, default_phys):
     sys_ = assemble_system(geom, default_phys)
     with pytest.raises(FomError):
         residual(sys_, np.zeros(3))
+
+
+def _with_matrix(sys_, edit):
+    """Copy of the system whose stiffness matrix went through ``edit``."""
+    a = sys_.A.copy()
+    edit(a)
+    return dataclasses.replace(sys_, A=a)
+
+
+def test_negated_diagonal_entry_raises(default_mesh, default_phys):
+    sys_ = assemble_system(build_cut_geometry(default_mesh, ParameterPoint(1.07, 1.13)), default_phys)
+    i = sys_.active_dofs[sys_.active_dofs.size // 2]
+
+    def negate(a):
+        k = a.indptr[i] + np.flatnonzero(a.indices[a.indptr[i]:a.indptr[i + 1]] == i)[0]
+        a.data[k] = -a.data[k]
+
+    with pytest.raises(FomError, match="non-positive pivot"):
+        solve_fom(_with_matrix(sys_, negate))
+
+
+def test_zeroed_row_raises(default_mesh, default_phys):
+    sys_ = assemble_system(build_cut_geometry(default_mesh, ParameterPoint(1.07, 1.13)), default_phys)
+    i = sys_.active_dofs[sys_.active_dofs.size // 3]
+
+    def zero_row(a):
+        a.data[a.indptr[i]:a.indptr[i + 1]] = 0.0
+
+    with pytest.raises(FomError):
+        solve_fom(_with_matrix(sys_, zero_row))
+
+
+@pytest.mark.parametrize("h", [0.125, 0.06])
+def test_matches_dense_cholesky(default_phys, h):
+    mesh = build_background_mesh(((-1.2, 1.2), (-1.2, 1.2)), h)
+    for mu in (ParameterPoint(1.0, 1.0), ParameterPoint(1.19, 1.02)):
+        sys_ = assemble_system(build_cut_geometry(mesh, mu), default_phys)
+        act = sys_.active_dofs
+        ref = sla.cho_solve(sla.cho_factor(sys_.A[act][:, act].toarray()), sys_.f[act])
+        u = solve_fom(sys_).u
+        assert np.linalg.norm(u[act] - ref) <= 1e-12 * np.linalg.norm(ref)

@@ -162,3 +162,53 @@ def test_degenerate_cut_reported_and_skipped():
 
 
 _MESH = build_background_mesh(BOX, 0.125)
+
+
+def _reference_triangles(nx):
+    """Triangle table built cell by cell, in the order the mesh promises."""
+    tris = np.empty((2 * nx * nx, 3), dtype=np.int64)
+    t = 0
+    for iy in range(nx):
+        for ix in range(nx):
+            bl = iy * (nx + 1) + ix
+            br, tl = bl + 1, bl + nx + 1
+            tr = tl + 1
+            tris[t] = (bl, br, tr)
+            tris[t + 1] = (bl, tr, tl)
+            t += 2
+    return tris
+
+
+def _reference_facet_patches(mesh):
+    """Facet patches and jumps facet by facet, slot by slot."""
+    n_f = mesh.facets.shape[0]
+    patch = np.full((n_f, 4), -1, dtype=np.int64)
+    jump = np.zeros((n_f, 4))
+    patch[:, :2] = mesh.facets
+    for f in np.flatnonzero(mesh.facet_tris[:, 1] >= 0):
+        ta, tb = mesh.facet_tris[f]
+        fa, fb = mesh.facets[f]
+        patch[f, 2] = [v for v in mesh.triangles[ta] if v != fa and v != fb][0]
+        patch[f, 3] = [v for v in mesh.triangles[tb] if v != fa and v != fb][0]
+        n = mesh.facet_normal[f]
+        for slot, dof in enumerate(patch[f]):
+            da = db = 0.0
+            loc = np.flatnonzero(mesh.triangles[ta] == dof)
+            if loc.size:
+                da = mesh.bvec[ta, loc[0], 0] * n[0] + mesh.bvec[ta, loc[0], 1] * n[1]
+            loc = np.flatnonzero(mesh.triangles[tb] == dof)
+            if loc.size:
+                db = mesh.bvec[tb, loc[0], 0] * n[0] + mesh.bvec[tb, loc[0], 1] * n[1]
+            jump[f, slot] = da - db
+    return patch, jump
+
+
+@pytest.mark.parametrize("nx", [2, 3, 7])
+def test_vectorized_mesh_build_matches_loops_bitwise(nx):
+    mesh = build_background_mesh(BOX, 2.4 / nx)
+    assert mesh.nx == nx
+    assert np.array_equal(mesh.triangles, _reference_triangles(nx))
+    assert mesh.triangles.dtype == np.int64
+    patch, jump = _reference_facet_patches(mesh)
+    assert np.array_equal(mesh.facet_patch, patch)
+    assert mesh.facet_jump.tobytes() == jump.tobytes()

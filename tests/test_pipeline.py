@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from cutrom import cli
+from cutrom.assembly import assemble_mass_matrix
 from cutrom.config import Config
 from cutrom.pipeline import (
     RUN4_COLUMNS,
+    _training_snapshots,
     emit_report,
     load_report,
+    pod_tail_check,
     run_offline,
     run_online_sweep,
     sample_parameters,
@@ -150,6 +153,19 @@ def test_verify_suite_on_small_config(tmp_path):
     assert rows[0][:5] == ["mu_r", "mu_theta", "n_inside", "n_cut", "n_outside"]
     assert len(rows) == 31
     assert all(float(r[-1]) <= 0.02 for r in rows[1:])
+
+
+def test_pod_tail_check_fails_on_corrupted_spectrum(small_run, small_config):
+    art, _ = small_run
+    snaps = _training_snapshots(art, small_config)
+    mass = assemble_mass_matrix(art.mesh)
+    intact = pod_tail_check(art.pod, snaps, mass)
+    assert intact.status in ("pass", "noise"), intact
+    sigma = art.pod.sigma.copy()
+    sigma[art.pod.n_max:] *= 1.0 + 1e-6
+    bad = pod_tail_check(dataclasses.replace(art.pod, sigma=sigma), snaps, mass)
+    assert bad.status == "fail", bad
+    assert bad.noise_floor is None
 
 
 CONFIG_TEXT = """
