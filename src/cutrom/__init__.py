@@ -8,7 +8,6 @@ interpolation), ``rom`` (offline blocks and the online solve), ``estimators``,
 invariant suite).  ``cutrom.cli`` is the command-line front door.
 """
 
-from ._kernels import BACKEND, HAVE_NUMBA, USE_NUMBA
 from .assembly import (
     AssemblyError,
     PhysicsParams,
@@ -46,11 +45,11 @@ from .rom import RomError, RomOffline, RomSolution, build_rom_offline, rom_onlin
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssemblyError", "BACKEND", "BackgroundMesh", "Config", "ConfigError",
-    "CutGeometry", "DeimError", "DeimOperator", "EstimatorRecord", "FitResult",
-    "FomError", "FomSolution", "GeometryError", "HAVE_NUMBA", "ParameterPoint",
-    "PhysicsParams", "PodBasis", "PodError", "RomError", "RomOffline",
-    "RomSolution", "SnapshotSet", "SystemPair", "USE_NUMBA", "UnionPattern",
+    "AssemblyError", "BackgroundMesh", "Config", "ConfigError", "CutGeometry",
+    "DeimError", "DeimOperator", "EstimatorRecord", "FitResult", "FomError",
+    "FomSolution", "GeometryError", "ParameterPoint", "PhysicsParams",
+    "PodBasis", "PodError", "RomError", "RomOffline", "RomSolution",
+    "SnapshotSet", "SystemPair", "UnionPattern",
     "assemble_mass_matrix", "assemble_norm_matrix", "assemble_system",
     "build_background_mesh", "build_cut_geometry", "build_deim_operator",
     "build_pod_basis", "build_rom_offline", "build_union_pattern",

@@ -57,16 +57,16 @@ class SystemPair:
     geom: CutGeometry
 
 
-def _pattern(geom: CutGeometry):
+def _pattern(mesh: BackgroundMesh, triangles: np.ndarray, facets: np.ndarray):
     """Sorted row-major structural pattern and scatter positions.
 
     Marks the mesh-pattern positions (``BackgroundMesh._build_pattern``) of
-    the active stencils and ghost-facet patches, and renumbers the marked
-    ones by a running count.  Returns (nnz, indptr, cols, vol_pos, ghost_pos).
+    the stencils of ``triangles`` and the patches of the interior ``facets``,
+    and renumbers the marked ones by a running count.  Returns (nnz, indptr,
+    cols, vol_pos, ghost_pos).
     """
-    mesh = geom.mesh
-    vol = mesh.tri_pattern_pos[geom.active_elements]
-    ghost = mesh.facet_pattern_pos[geom.ghost_facets]
+    vol = mesh.tri_pattern_pos[triangles]
+    ghost = mesh.facet_pattern_pos[facets]
     used = np.zeros(mesh.pattern_cols.size, dtype=bool)
     used[vol] = True
     used[ghost] = True
@@ -124,7 +124,7 @@ def assemble_system(geom: CutGeometry, phys: PhysicsParams) -> SystemPair:
     if geom.seg_wts.shape[0] != geom.cut_elements.size:
         raise AssemblyError("every cut element needs a boundary rule")
     n = mesh.n_vertices
-    nnz, indptr, cols, vol_pos, ghost_pos = _pattern(geom)
+    nnz, indptr, cols, vol_pos, ghost_pos = _pattern(mesh, geom.active_elements, geom.ghost_facets)
     lam_over_h = phys.nitsche_lambda / mesh.h
     g0, gx, gy, gxy = (float(c) for c in phys.g_coeffs)
 
@@ -153,7 +153,7 @@ def assemble_norm_matrix(geom: CutGeometry, phys: PhysicsParams) -> sp.csr_matri
     domain, scaled boundary mass, and the ghost jump terms."""
     mesh = geom.mesh
     n = mesh.n_vertices
-    nnz, indptr, cols, vol_pos, ghost_pos = _pattern(geom)
+    nnz, indptr, cols, vol_pos, ghost_pos = _pattern(mesh, geom.active_elements, geom.ghost_facets)
     lam_over_h = phys.nitsche_lambda / mesh.h
     g0, gx, gy, gxy = (float(c) for c in phys.g_coeffs)
 
@@ -174,17 +174,14 @@ def assemble_norm_matrix(geom: CutGeometry, phys: PhysicsParams) -> sp.csr_matri
 def assemble_mass_matrix(mesh: BackgroundMesh) -> sp.csr_matrix:
     """Standard P1 mass matrix over the whole background box (parameter-free)."""
     n = mesh.n_vertices
-    tris = mesh.triangles
-    rows = np.repeat(tris, 3, axis=1).astype(np.int64)
-    cols = np.tile(tris, (1, 3)).astype(np.int64)
+    nnz, indptr, cols, vol_pos, _ = _pattern(
+        mesh, np.arange(mesh.n_triangles), np.empty(0, dtype=np.int64)
+    )
     local = np.array([2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0]) / 12.0
     vals = mesh.tri_area[:, None] * local[None, :]
-    codes = np.unique(rows * n + cols)
-    pos = np.searchsorted(codes, rows * n + cols)
-    values = np.zeros(codes.size)
-    np.add.at(values, pos.ravel(), vals.ravel())
-    indptr = np.searchsorted(codes // n, np.arange(n + 1))
-    return sp.csr_matrix((values, codes % n, indptr), shape=(n, n))
+    values = np.zeros(nnz)
+    np.add.at(values, vol_pos.ravel(), vals.ravel())
+    return sp.csr_matrix((values, cols, indptr), shape=(n, n))
 
 
 def _gather_ranges(indptr, indices, keys):
@@ -304,19 +301,6 @@ def evaluate_entries(geom: CutGeometry, phys: PhysicsParams,
     plan = _entry_plan(mesh, m_ent, v_ent)
     lam_over_h = phys.nitsche_lambda / mesh.h
     g0, gx, gy, gxy = (float(c) for c in phys.g_coeffs)
-
-    if _kernels.USE_NUMBA:
-        return _kernels._entry_eval_fused_nb(
-            plan.m_ids, plan.m_elems, plan.m_aloc, plan.m_cloc,
-            plan.m_v0, plan.m_invj, plan.m_b,
-            plan.g_ids, plan.g_facets, plan.g_jva, plan.g_jvc, plan.g_len,
-            plan.v_ids, plan.v_elems, plan.v_aloc, plan.v_v0, plan.v_invj, plan.v_b,
-            geom.active_pos, geom.cut_pos, geom.ghost_mask,
-            geom.vol_pts, geom.vol_wts, geom.seg_pts, geom.seg_wts, geom.seg_normal,
-            lam_over_h, float(phys.f_const), g0, gx, gy, gxy,
-            mesh.h, np.asarray(phys.gamma, dtype=float),
-            plan.n_matrix, plan.n_vector,
-        )
 
     out_m = np.zeros(plan.n_matrix)
     out_v = np.zeros(plan.n_vector)

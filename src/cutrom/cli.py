@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 
-from . import _kernels
 from .artifacts import load_artifacts, save_artifacts
 from .assembly import assemble_system
 from .config import Config, load_config
@@ -91,7 +90,6 @@ def _cmd_fom(args) -> int:
     t_asm = time.perf_counter() - t0
     sol = solve_fom(system)
     res = system.f - system.A @ sol.u
-    print(f"backend            : {_kernels.BACKEND}")
     print(f"dofs               : {mesh.n_vertices} total, {system.active_dofs.size} active")
     print(f"geometry / assembly: {1e3 * t_geom:.2f} ms / {1e3 * t_asm:.2f} ms")
     print(f"solve              : {1e3 * sol.solve_time:.2f} ms")

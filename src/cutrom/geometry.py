@@ -335,15 +335,9 @@ def build_cut_geometry(mesh: BackgroundMesh, mu: ParameterPoint) -> CutGeometry:
             vol_pts[ins_sel, q, 0] = p0[:, 0]
             vol_pts[ins_sel, q, 1] = p0[:, 1]
 
-    # cut part via the backend kernel
-    tri_pts_cut = mesh.vertices[mesh.triangles[cut]]
-    phi_cut = tri_phi[cut]
-    b_cut = mesh.bvec[cut]
+    # cut part: sub-triangle and interface-segment rules
     c_vol_pts, c_vol_wts, seg_pts, seg_wts, seg_nrm, degen = _kernels.cut_rules(
-        np.ascontiguousarray(tri_pts_cut),
-        np.ascontiguousarray(phi_cut),
-        np.ascontiguousarray(b_cut),
-        DEGEN_FACTOR * mesh.h,
+        mesh.vertices[mesh.triangles[cut]], tri_phi[cut], mesh.bvec[cut], DEGEN_FACTOR * mesh.h,
     )
     cut_sel = active_pos[cut]
     vol_pts[cut_sel] = c_vol_pts

@@ -6,9 +6,8 @@ sweep solves every (test parameter, mode count) pair, evaluates the full
 estimator record, and enforces the hard invariants (Rayleigh sandwich,
 active-restriction ordering, combined bound) as it goes.
 
-Snapshot collection and the sweep are parallel maps over independent items;
-set ``CUTROM_THREADS`` to use more than one worker.  Results are aggregated
-in input order, so the emitted numbers do not depend on the thread count.
+Training solves and test parameters are processed one after another, in
+input order.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import csv
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,23 +45,6 @@ RATE_QUANTITIES = ("e_rel", "eta_2a", "eta_2b", "eta_pod", "eta_A", "eta_f")
 
 class PipelineError(RuntimeError):
     pass
-
-
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("CUTROM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Order-preserving map, threaded when CUTROM_THREADS > 1."""
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
 
 
 def sample_parameters(count: int, seed: int, mu_min: float, mu_max: float) -> np.ndarray:
@@ -99,7 +80,7 @@ def run_offline(config: Config) -> OfflineArtifacts:
         # build would dominate the peak memory of the offline stage
         return system.A, system.f, sol.u
 
-    results = parallel_map(one_snapshot, range(config.n_train))
+    results = [one_snapshot(i) for i in range(config.n_train)]
     matrices = [r[0] for r in results]
     snapshots = np.column_stack([r[2] for r in results])
     t_fom = time.perf_counter() - t_start
@@ -302,7 +283,7 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
             ))
         return recs
 
-    per_mu = parallel_map(one_parameter, range(test_mu.shape[0]))
+    per_mu = [one_parameter(i) for i in range(test_mu.shape[0])]
     records = [rec for group in per_mu for rec in group]
     fom_times = [g[0].fom_time for g in per_mu]
     rom_times = [rec.rom_time for rec in records]
@@ -646,10 +627,8 @@ def verify_invariants(config: Config, geometry_csv: str | None = None) -> list:
 
 def _training_snapshots(art: OfflineArtifacts, config: Config) -> np.ndarray:
     """Recompute the training snapshot matrix (deterministic w.r.t. config)."""
-    def one(i):
-        mu = ParameterPoint(*art.train_mu[i])
-        geom = build_cut_geometry(art.mesh, mu)
-        return solve_fom(assemble_system(geom, art.phys)).u
-
-    cols = parallel_map(one, range(art.train_mu.shape[0]))
+    cols = []
+    for mu in art.train_mu:
+        geom = build_cut_geometry(art.mesh, ParameterPoint(*mu))
+        cols.append(solve_fom(assemble_system(geom, art.phys)).u)
     return np.column_stack(cols)

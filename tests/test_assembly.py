@@ -1,12 +1,11 @@
-import time
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutrom import _kernels, assembly
+from cutrom import assembly
 from cutrom.assembly import (
     AssemblyError,
     PhysicsParams,
@@ -137,34 +136,12 @@ def test_evaluate_entries_rejects_out_of_range(default_mesh, default_phys):
         evaluate_entries(geom, default_phys, [], [-1])
 
 
-@pytest.mark.skipif(not _kernels.USE_NUMBA,
-                    reason="timing contract is benchmarked on the default jit backend")
-def test_evaluate_entries_speed(default_mesh, default_phys):
-    geom = build_cut_geometry(default_mesh, ParameterPoint(1.07, 1.13))
-    sys_ = assemble_system(geom, default_phys)
-    coo = sys_.A.tocoo()
-    ent = np.column_stack([coo.row[:200], coo.col[:200]]).astype(np.int64)
-    vent = np.empty(0, dtype=np.int64)
-    evaluate_entries(geom, default_phys, ent, vent)  # warm plan and jit
-    reps = 50
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        evaluate_entries(geom, default_phys, ent, vent)
-    t_eval = (time.perf_counter() - t0) / reps
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        assemble_system(geom, default_phys)
-    t_full = (time.perf_counter() - t0) / reps
-    assert t_full / t_eval >= 10.0
-
-
-def _reference_pattern(geom):
+def _reference_pattern(mesh, triangles, facets):
     """Per-parameter pattern from np.unique over the active stencil codes."""
-    mesh = geom.mesh
     n = mesh.n_vertices
-    act_tris = mesh.triangles[geom.active_elements]
+    act_tris = mesh.triangles[triangles]
     vol_codes = np.repeat(act_tris, 3, axis=1).astype(np.int64) * n + np.tile(act_tris, (1, 3))
-    patch = mesh.facet_patch[geom.ghost_facets]
+    patch = mesh.facet_patch[facets]
     ghost_codes = np.repeat(patch, 4, axis=1) * n + np.tile(patch, (1, 4))
     codes = np.unique(np.concatenate([vol_codes.ravel(), ghost_codes.ravel()]))
     indptr = np.searchsorted(codes // n, np.arange(n + 1))
@@ -204,3 +181,30 @@ def test_mesh_pattern_matches_unique_pattern_on_edge_parameters():
     mu = ParameterPoint(2.0 * x ** 2, 2.0 * y ** 2)
     assert level_set(mu, x, y) == 0.0
     _assert_csr_equal_to_reference(mu)
+
+
+def _reference_mass_matrix(mesh):
+    """P1 mass matrix with its own np.unique pattern over every triangle stencil."""
+    n = mesh.n_vertices
+    tris = mesh.triangles
+    rows = np.repeat(tris, 3, axis=1).astype(np.int64)
+    cols = np.tile(tris, (1, 3)).astype(np.int64)
+    local = np.array([2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0]) / 12.0
+    vals = mesh.tri_area[:, None] * local[None, :]
+    codes = np.unique(rows * n + cols)
+    pos = np.searchsorted(codes, rows * n + cols)
+    values = np.zeros(codes.size)
+    np.add.at(values, pos.ravel(), vals.ravel())
+    indptr = np.searchsorted(codes // n, np.arange(n + 1))
+    return sp.csr_matrix((values, codes % n, indptr), shape=(n, n))
+
+
+@pytest.mark.parametrize("h", [0.5, 0.125, 0.06])
+def test_mass_matrix_matches_unique_pattern_bitwise(h):
+    mesh = build_background_mesh(((-1.2, 1.2), (-1.2, 1.2)), h)
+    new = assemble_mass_matrix(mesh)
+    ref = _reference_mass_matrix(mesh)
+    assert new.indptr.dtype == ref.indptr.dtype and new.indices.dtype == ref.indices.dtype
+    assert new.indptr.tobytes() == ref.indptr.tobytes()
+    assert new.indices.tobytes() == ref.indices.tobytes()
+    assert new.data.tobytes() == ref.data.tobytes()

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from cutrom.assembly import assemble_system
 from cutrom.fom import FomError, residual, solve_fom
@@ -99,3 +100,17 @@ def test_matches_dense_cholesky(default_phys, h):
         ref = sla.cho_solve(sla.cho_factor(sys_.A[act][:, act].toarray()), sys_.f[act])
         u = solve_fom(sys_).u
         assert np.linalg.norm(u[act] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_refinement_step_lowers_active_residual(default_phys):
+    mesh = build_background_mesh(((-1.2, 1.2), (-1.2, 1.2)), 0.06)
+    for mu in (ParameterPoint(1.0, 1.0), ParameterPoint(1.07, 1.13), ParameterPoint(1.19, 1.02)):
+        sys_ = assemble_system(build_cut_geometry(mesh, mu), default_phys)
+        act = sys_.active_dofs
+        a_act = sys_.A[act][:, act].tocsc()
+        f_act = sys_.f[act]
+        lu = spla.splu(a_act, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
+        unrefined = np.linalg.norm(f_act - a_act @ lu.solve(f_act))
+        refined = np.linalg.norm(residual(sys_, solve_fom(sys_).u)[act])
+        assert refined < unrefined

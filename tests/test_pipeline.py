@@ -118,19 +118,6 @@ def test_determinism_bitwise(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
-    cfg = Config(n_train=10, n_test=3, n_list=(1, 2), seed=4).validate()
-    art = run_offline(cfg)
-    serial = run_online_sweep(art, cfg)
-    monkeypatch.setenv("CUTROM_THREADS", "4")
-    art_t = run_offline(cfg)
-    threaded = run_online_sweep(art_t, cfg)
-    assert np.array_equal(art.pod.V, art_t.pod.V)
-    for a, b in zip(serial.records, threaded.records):
-        for field in ("e_rel", "e_T", "eta_2a", "eta_2b", "eta_A", "eta_f", "bound"):
-            assert getattr(a, field) == getattr(b, field)
-
-
 def test_sweep_needs_enough_modes(small_run, small_config):
     art, _ = small_run
     from cutrom.pipeline import PipelineError
