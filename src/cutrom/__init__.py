@@ -10,6 +10,7 @@ invariant suite).  ``cutrom.cli`` is the command-line front door.
 
 from .assembly import (
     AssemblyError,
+    EntryPlan,
     PhysicsParams,
     SystemPair,
     assemble_mass_matrix,
@@ -46,7 +47,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssemblyError", "BackgroundMesh", "Config", "ConfigError", "CutGeometry",
-    "DeimError", "DeimOperator", "EstimatorRecord", "FitResult", "FomError",
+    "DeimError", "DeimOperator", "EntryPlan", "EstimatorRecord", "FitResult", "FomError",
     "FomSolution", "GeometryError", "ParameterPoint", "PhysicsParams",
     "PodBasis", "PodError", "RomError", "RomOffline", "RomSolution",
     "SnapshotSet", "SystemPair", "UnionPattern",

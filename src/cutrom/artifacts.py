@@ -18,7 +18,7 @@ import scipy.linalg as sla
 from .config import Config
 from .deim import COND_LIMIT, MATRIX, VECTOR, DeimError, DeimOperator, UnionPattern
 from .geometry import BackgroundMesh, build_background_mesh
-from .assembly import PhysicsParams
+from .assembly import PhysicsParams, physics_from_config
 from .pod import PodBasis, energy_mode_count
 from .rom import RomOffline
 
@@ -75,7 +75,11 @@ def load_array(path: str) -> np.ndarray:
 
 @dataclass
 class OfflineArtifacts:
-    """Live offline objects plus everything needed to rebuild them from disk."""
+    """Live offline objects plus everything needed to rebuild them from disk.
+
+    ``snapshots`` holds the training solutions of a fresh build, for the
+    mode-energy check; it is never saved, and is None after loading.
+    """
 
     config: Config
     mesh: BackgroundMesh
@@ -86,6 +90,7 @@ class OfflineArtifacts:
     pattern: UnionPattern
     rom: RomOffline
     train_mu: np.ndarray
+    snapshots: np.ndarray | None = None
 
 
 _ARRAYS = (
@@ -175,12 +180,7 @@ def load_artifacts(dirpath: str, config: Config) -> OfflineArtifacts:
     mesh = build_background_mesh(config.box, config.h_target)
     if mesh.n_vertices != int(manifest.get("n_vertices", -1)):
         raise ArtifactError("mesh size does not match manifest")
-    phys = PhysicsParams(
-        f_const=config.f_const,
-        g_coeffs=config.g_coeffs,
-        nitsche_lambda=config.nitsche_lambda,
-        gamma=config.gamma,
-    )
+    phys = physics_from_config(config)
     codes = data["pattern_codes"]
     n = mesh.n_vertices
     pattern = UnionPattern(rows=codes // n, cols=codes % n, codes=codes, n=n)
@@ -199,21 +199,8 @@ def load_artifacts(dirpath: str, config: Config) -> OfflineArtifacts:
         data["deim_f_basis"], data["deim_f_indices"],
         data["deim_f_singular_values"], VECTOR, None,
     )
-    matrix_entries = np.column_stack(
-        [pattern.rows[deim_a.indices], pattern.cols[deim_a.indices]]
-    )
-    rom = RomOffline(
-        pod=pod,
-        deim_a=deim_a,
-        deim_f=deim_f,
-        pattern=pattern,
-        blocks_a=data["blocks_a"],
-        blocks_f=data["blocks_f"],
-        matrix_sample_entries=matrix_entries,
-        vector_sample_entries=deim_f.indices.copy(),
-        mesh=mesh,
-        phys=phys,
-    )
+    rom = RomOffline(pod=pod, deim_a=deim_a, deim_f=deim_f, blocks_a=data["blocks_a"],
+                     blocks_f=data["blocks_f"], mesh=mesh, phys=phys)
     return OfflineArtifacts(
         config=config, mesh=mesh, phys=phys, pod=pod, deim_a=deim_a,
         deim_f=deim_f, pattern=pattern, rom=rom, train_mu=data["train_mu"],

@@ -2,10 +2,10 @@
 
 Matrices are built into a fixed structural pattern (active-element stencils
 plus ghost-facet patches), so rows outside the active dof set are never stored
-and are exactly zero.  ``evaluate_entries`` reproduces individual entries
-bit-identically by replaying the same per-entity contributions in the same
-order as full assembly: volume elements, then interface segments, then ghost
-facets, each in ascending index order.
+and are exactly zero.  ``evaluate_entries`` reproduces the entries an
+``EntryPlan`` requests bit-identically by replaying the same per-entity
+contributions in the same order as full assembly: volume elements, then
+interface segments, then ghost facets, each in ascending index order.
 """
 
 from __future__ import annotations
@@ -45,6 +45,16 @@ class PhysicsParams:
             raise AssemblyError("ghost-penalty coefficients must be non-negative")
         if len(self.g_coeffs) != 4:
             raise AssemblyError("g_coeffs must be (g0, gx, gy, gxy)")
+
+
+def physics_from_config(config) -> PhysicsParams:
+    """The physics of a ``config.Config``."""
+    return PhysicsParams(
+        f_const=config.f_const,
+        g_coeffs=config.g_coeffs,
+        nitsche_lambda=config.nitsche_lambda,
+        gamma=config.gamma,
+    )
 
 
 @dataclass
@@ -201,7 +211,7 @@ def _local_index(tri_rows, targets):
     return np.argmax(tri_rows == targets[:, None], axis=1)
 
 
-class _EntryPlan:
+class EntryPlan:
     """Topology of a sampled-entry request: which elements and facets can
     contribute to each requested entry, with local slot indices and the
     parameter-independent per-candidate mesh data pre-gathered.
@@ -209,10 +219,18 @@ class _EntryPlan:
     Candidates are ordered entry-major with ascending entity indices, the
     same relative order full assembly uses, so replaying them reproduces the
     assembled values bit for bit.  Parameter dependence enters only through
-    the per-call activity masks and quadrature rules.
+    the per-call activity masks and quadrature rules.  The reduced model
+    builds its plan once, beside the sample entries it describes.
     """
 
-    def __init__(self, mesh: BackgroundMesh, m_ent: np.ndarray, v_ent: np.ndarray):
+    def __init__(self, mesh: BackgroundMesh, matrix_entries, vector_entries):
+        m_ent = np.asarray(matrix_entries, dtype=np.int64).reshape(-1, 2)
+        v_ent = np.asarray(vector_entries, dtype=np.int64).reshape(-1)
+        n = mesh.n_vertices
+        if m_ent.size and not ((m_ent >= 0).all() and (m_ent < n).all()):
+            raise AssemblyError("matrix entry index out of range")
+        if v_ent.size and not ((v_ent >= 0).all() and (v_ent < n).all()):
+            raise AssemblyError("vector entry index out of range")
         self.n_matrix = m_ent.shape[0]
         self.n_vector = v_ent.shape[0]
         indptr, indices = mesh.vertex_tri_adjacency()
@@ -264,41 +282,18 @@ class _EntryPlan:
         self.v_b = mesh.bvec[cand]
 
 
-def _entry_plan(mesh: BackgroundMesh, m_ent: np.ndarray, v_ent: np.ndarray) -> _EntryPlan:
-    key = (m_ent.tobytes(), v_ent.tobytes())
-    cache = getattr(mesh, "_entry_plan_cache", None)
-    if cache is None:
-        cache = {}
-        mesh._entry_plan_cache = cache
-    plan = cache.get(key)
-    if plan is None:
-        plan = _EntryPlan(mesh, m_ent, v_ent)
-        if len(cache) >= 16:
-            cache.clear()
-        cache[key] = plan
-    return plan
-
-
-def evaluate_entries(geom: CutGeometry, phys: PhysicsParams,
-                     matrix_entries, vector_entries):
-    """Evaluate selected entries of A and f by local assembly only.
+def evaluate_entries(geom: CutGeometry, phys: PhysicsParams, plan: EntryPlan):
+    """Evaluate the entries of A and f that ``plan`` requests, by local
+    assembly only.
 
     Each requested value is accumulated over exactly the entities whose
     supports contain the involved dofs, in the same order as full assembly,
     and therefore matches ``assemble_system`` bit for bit.  Cost scales with
-    the number of requested entries; the request topology is cached on the
-    mesh so repeated sampling plans pay only for the parameter-dependent part.
+    the number of requested entries: the request topology is in the plan,
+    built once, so each call pays only for the parameter-dependent part.
+    ``geom`` may live on any mesh identical to the one the plan was built on.
     """
     mesh = geom.mesh
-    m_ent = np.ascontiguousarray(np.asarray(matrix_entries, dtype=np.int64).reshape(-1, 2))
-    v_ent = np.ascontiguousarray(np.asarray(vector_entries, dtype=np.int64).reshape(-1))
-    n = mesh.n_vertices
-    if m_ent.size and not ((m_ent >= 0).all() and (m_ent < n).all()):
-        raise AssemblyError("matrix entry index out of range")
-    if v_ent.size and not ((v_ent >= 0).all() and (v_ent < n).all()):
-        raise AssemblyError("vector entry index out of range")
-
-    plan = _entry_plan(mesh, m_ent, v_ent)
     lam_over_h = phys.nitsche_lambda / mesh.h
     g0, gx, gy, gxy = (float(c) for c in phys.g_coeffs)
 

@@ -11,14 +11,13 @@ import time
 import numpy as np
 
 from .artifacts import load_artifacts, save_artifacts
-from .assembly import assemble_system
+from .assembly import assemble_system, physics_from_config
 from .config import Config, load_config
 from .fom import solve_fom
 from .geometry import ParameterPoint, build_background_mesh, build_cut_geometry
 from .pipeline import (
     emit_report,
     load_report,
-    physics_from_config,
     run_offline,
     run_online_sweep,
     run_sweep,

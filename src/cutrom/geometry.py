@@ -66,8 +66,6 @@ class BackgroundMesh:
         self._build_precomputed()
         self._build_facets()
         self._build_pattern()
-        self._vertex_tri = None
-        self._vertex_facet = None
 
     def _build_precomputed(self):
         verts = self.vertices
@@ -189,29 +187,20 @@ class BackgroundMesh:
 
     def vertex_tri_adjacency(self):
         """CSR-style vertex -> triangle adjacency, triangle ids ascending."""
-        if self._vertex_tri is None:
-            tris = self.triangles
-            flat = tris.ravel()
-            tri_of = np.repeat(np.arange(self.n_triangles), 3)
-            order = np.lexsort((tri_of, flat))
-            sorted_v = flat[order]
-            indices = tri_of[order]
-            indptr = np.searchsorted(sorted_v, np.arange(self.n_vertices + 1))
-            self._vertex_tri = (indptr, indices)
-        return self._vertex_tri
+        flat = self.triangles.ravel()
+        tri_of = np.repeat(np.arange(self.n_triangles), 3)
+        order = np.lexsort((tri_of, flat))
+        indptr = np.searchsorted(flat[order], np.arange(self.n_vertices + 1))
+        return indptr, tri_of[order]
 
     def vertex_facet_adjacency(self):
         """Vertex -> interior facets whose 4-dof patch contains the vertex."""
-        if self._vertex_facet is None:
-            interior = np.flatnonzero(self.facet_tris[:, 1] >= 0)
-            dofs = self.facet_patch[interior].ravel()
-            fac_of = np.repeat(interior, 4)
-            order = np.lexsort((fac_of, dofs))
-            sorted_v = dofs[order]
-            indices = fac_of[order]
-            indptr = np.searchsorted(sorted_v, np.arange(self.n_vertices + 1))
-            self._vertex_facet = (indptr, indices)
-        return self._vertex_facet
+        interior = np.flatnonzero(self.facet_tris[:, 1] >= 0)
+        dofs = self.facet_patch[interior].ravel()
+        fac_of = np.repeat(interior, 4)
+        order = np.lexsort((fac_of, dofs))
+        indptr = np.searchsorted(dofs[order], np.arange(self.n_vertices + 1))
+        return indptr, fac_of[order]
 
 
 def build_background_mesh(box, h_target: float) -> BackgroundMesh:

@@ -1,10 +1,13 @@
 """Offline/online orchestration, report emission, and the invariant suite.
 
 The offline phase solves the training set, builds the mode basis and both
-interpolation operators, and precomputes the reduced blocks.  The online
-sweep solves every (test parameter, mode count) pair, evaluates the full
-estimator record, and enforces the hard invariants (Rayleigh sandwich,
-active-restriction ordering, combined bound) as it goes.
+interpolation operators, and precomputes the reduced blocks and the entry
+plan.  The online sweep samples the planned entries once per test parameter
+(``rom.prepare``); the same interpolation coefficients give the DEIM
+indicators and every reduced solve (``rom.solve``, once per mode count).
+Each record gets the full estimator set, and the hard invariants (Rayleigh
+sandwich, active-restriction ordering, combined bound) are enforced as it
+goes.
 
 Training solves and test parameters are processed one after another, in
 input order.
@@ -20,18 +23,23 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from . import estimators as est
 from . import rates
 from .artifacts import OfflineArtifacts, save_artifacts
-from .assembly import PhysicsParams, assemble_mass_matrix, assemble_norm_matrix, assemble_system
+from .assembly import (
+    PhysicsParams,
+    assemble_mass_matrix,
+    assemble_norm_matrix,
+    assemble_system,
+    physics_from_config,
+)
 from .config import Config
-from .deim import MATRIX, VECTOR, build_deim_operator, build_union_pattern, deim_coefficients, reconstruct
+from .deim import MATRIX, VECTOR, build_deim_operator, build_union_pattern, reconstruct
 from .fom import residual, solve_fom
 from .geometry import ParameterPoint, build_background_mesh, build_cut_geometry
 from .pod import SnapshotSet, build_pod_basis, tail_energy
-from .rom import build_rom_offline, rom_online_solve, sample_entries
+from .rom import build_rom_offline, prepare, solve
 
 log = logging.getLogger(__name__)
 
@@ -52,17 +60,10 @@ def sample_parameters(count: int, seed: int, mu_min: float, mu_max: float) -> np
     return mu_min + (mu_max - mu_min) * rng.random((count, 2))
 
 
-def physics_from_config(config: Config) -> PhysicsParams:
-    return PhysicsParams(
-        f_const=config.f_const,
-        g_coeffs=config.g_coeffs,
-        nitsche_lambda=config.nitsche_lambda,
-        gamma=config.gamma,
-    )
-
-
 def run_offline(config: Config) -> OfflineArtifacts:
-    """Training solves, mode basis, interpolation operators, reduced blocks."""
+    """Training solves, mode basis, interpolation operators, reduced blocks.
+
+    The training snapshot matrix stays on the returned artifacts (not saved)."""
     t_start = time.perf_counter()
     mesh = build_background_mesh(config.box, config.h_target)
     phys = physics_from_config(config)
@@ -116,7 +117,7 @@ def run_offline(config: Config) -> OfflineArtifacts:
              time.perf_counter() - t_start, t_fom)
     return OfflineArtifacts(
         config=config, mesh=mesh, phys=phys, pod=pod, deim_a=deim_a,
-        deim_f=deim_f, pattern=pattern, rom=rom, train_mu=train_mu,
+        deim_f=deim_f, pattern=pattern, rom=rom, train_mu=train_mu, snapshots=snapshots,
     )
 
 
@@ -234,9 +235,9 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
         fom_sol = solve_fom(system)
         fom_time = t_asm + fom_sol.solve_time
 
-        a_samp, f_samp = sample_entries(art.rom, geom)
-        a_deim = reconstruct(art.deim_a, deim_coefficients(art.deim_a, a_samp))
-        f_deim = reconstruct(art.deim_f, deim_coefficients(art.deim_f, f_samp))
+        prep = prepare(art.rom, geom)
+        a_deim = reconstruct(art.deim_a, prep.c_a)
+        f_deim = reconstruct(art.deim_f, prep.c_f)
         a_err_abs = est._frobenius(system.A - a_deim)
         f_err_abs = float(np.linalg.norm(system.f - f_deim))
         eta_a = a_err_abs / est._frobenius(system.A)
@@ -246,7 +247,7 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
 
         recs = []
         for n in n_list:
-            rom_sol = rom_online_solve(art.rom, mu, n, geom=geom)
+            rom_sol = solve(art.rom, prep, n)
             r = residual(system, rom_sol.u_lifted)
             eta_2a = est.residual_norm_plain(r)
             eta_2b = est.residual_norm_jacobi(r, diag, config.eps_safe)
@@ -588,9 +589,7 @@ def verify_invariants(config: Config, geometry_csv: str | None = None) -> list:
     art = run_offline(config)
 
     # 4. energy identity: training projection error equals the spectrum tail
-    snapshots = _training_snapshots(art, config)
-    checks.append(pod_tail_check(art.pod, snapshots, assemble_mass_matrix(mesh)))
-    del snapshots
+    checks.append(pod_tail_check(art.pod, art.snapshots, assemble_mass_matrix(mesh)))
 
     # 5. interpolation exactness at selected positions, for fresh parameters
     test_mu = sample_parameters(config.n_test, config.seed + 1, config.mu_min, config.mu_max)
@@ -599,8 +598,7 @@ def verify_invariants(config: Config, geometry_csv: str | None = None) -> list:
         mu = ParameterPoint(*test_mu[i])
         geom = build_cut_geometry(mesh, mu)
         system = assemble_system(geom, art.phys)
-        a_samp, f_samp = sample_entries(art.rom, geom)
-        a_deim = reconstruct(art.deim_a, deim_coefficients(art.deim_a, a_samp))
+        a_deim = reconstruct(art.deim_a, prepare(art.rom, geom).c_a)
         diff = (a_deim - system.A).tocsr()
         rows_sel = art.pattern.rows[art.deim_a.indices]
         cols_sel = art.pattern.cols[art.deim_a.indices]
@@ -623,12 +621,3 @@ def verify_invariants(config: Config, geometry_csv: str | None = None) -> list:
     except PipelineError as exc:
         checks.append(CheckResult("sweep_invariants", False, str(exc)))
     return checks
-
-
-def _training_snapshots(art: OfflineArtifacts, config: Config) -> np.ndarray:
-    """Recompute the training snapshot matrix (deterministic w.r.t. config)."""
-    cols = []
-    for mu in art.train_mu:
-        geom = build_cut_geometry(art.mesh, ParameterPoint(*mu))
-        cols.append(solve_fom(assemble_system(geom, art.phys)).u)
-    return np.column_stack(cols)

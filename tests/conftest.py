@@ -6,12 +6,7 @@ import pytest
 from cutrom.assembly import PhysicsParams, assemble_mass_matrix
 from cutrom.config import Config
 from cutrom.geometry import build_background_mesh
-from cutrom.pipeline import (
-    _training_snapshots,
-    emit_report,
-    run_offline,
-    run_online_sweep,
-)
+from cutrom.pipeline import emit_report, run_offline, run_online_sweep
 
 DEFAULT_BOX = ((-1.2, 1.2), (-1.2, 1.2))
 
@@ -52,7 +47,6 @@ class DefaultRun:
         self.artifacts = run_offline(self.config)
         self.report = run_online_sweep(self.artifacts, self.config)
         self.pipeline_seconds = time.perf_counter() - t0
-        self._snapshots = None
         self._mass = None
 
     @property
@@ -63,9 +57,7 @@ class DefaultRun:
 
     @property
     def snapshots(self):
-        if self._snapshots is None:
-            self._snapshots = _training_snapshots(self.artifacts, self.config)
-        return self._snapshots
+        return self.artifacts.snapshots
 
     def emit(self, dirpath):
         t0 = time.perf_counter()

@@ -8,6 +8,8 @@ from cutrom.artifacts import (
     save_array,
     save_artifacts,
 )
+from cutrom.geometry import ParameterPoint, build_cut_geometry
+from cutrom.rom import sample_entries
 
 
 @pytest.mark.parametrize("arr", [
@@ -73,6 +75,7 @@ def test_artifact_roundtrip_and_hash_guard(tmp_path, small_run, small_config):
     assert np.array_equal(back.rom.blocks_a, art.rom.blocks_a)
     assert np.array_equal(back.rom.blocks_f, art.rom.blocks_f)
     assert np.array_equal(back.train_mu, art.train_mu)
+    assert back.snapshots is None
     # a different configuration must be refused
     with pytest.raises(ArtifactError, match="hash"):
         load_artifacts(str(out), small_config.with_seed(small_config.seed + 5))
@@ -81,3 +84,16 @@ def test_artifact_roundtrip_and_hash_guard(tmp_path, small_run, small_config):
 def test_missing_manifest_rejected(tmp_path, small_config):
     with pytest.raises(ArtifactError, match="manifest"):
         load_artifacts(str(tmp_path), small_config)
+
+
+def test_loaded_model_samples_bitwise_like_the_built_one(tmp_path, small_run, small_config):
+    art, _ = small_run
+    save_artifacts(str(tmp_path), art)
+    back = load_artifacts(str(tmp_path), small_config)
+    assert np.array_equal(back.rom.matrix_sample_entries, art.rom.matrix_sample_entries)
+    assert np.array_equal(back.rom.vector_sample_entries, art.rom.vector_sample_entries)
+    for mu in (ParameterPoint(1.0, 1.0), ParameterPoint(1.13, 1.04)):
+        fresh = sample_entries(art.rom, build_cut_geometry(art.mesh, mu))
+        loaded = sample_entries(back.rom, build_cut_geometry(back.mesh, mu))
+        assert fresh[0].tobytes() == loaded[0].tobytes()
+        assert fresh[1].tobytes() == loaded[1].tobytes()

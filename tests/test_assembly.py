@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cutrom import assembly
 from cutrom.assembly import (
     AssemblyError,
+    EntryPlan,
     PhysicsParams,
     assemble_mass_matrix,
     assemble_norm_matrix,
@@ -115,7 +116,7 @@ def test_evaluate_entries_matches_assembly_bitwise(default_mesh, default_phys, m
     coo = sys_.A.tocoo()
     ent = np.column_stack([coo.row, coo.col]).astype(np.int64)
     vent = np.arange(default_mesh.n_vertices, dtype=np.int64)
-    vals_m, vals_v = evaluate_entries(geom, default_phys, ent, vent)
+    vals_m, vals_v = evaluate_entries(geom, default_phys, EntryPlan(default_mesh, ent, vent))
     ref = np.asarray(sys_.A[ent[:, 0], ent[:, 1]]).ravel()
     assert np.array_equal(vals_m, ref)
     assert np.array_equal(vals_v, sys_.f)
@@ -124,16 +125,15 @@ def test_evaluate_entries_matches_assembly_bitwise(default_mesh, default_phys, m
 def test_evaluate_entries_disjoint_support_zero(default_mesh, default_phys):
     geom = build_cut_geometry(default_mesh, ParameterPoint(1.0, 1.0))
     # opposite corners of the box: never share an element
-    vals_m, _ = evaluate_entries(geom, default_phys, [(0, 440)], [])
+    vals_m, _ = evaluate_entries(geom, default_phys, EntryPlan(default_mesh, [(0, 440)], []))
     assert vals_m[0] == 0.0
 
 
-def test_evaluate_entries_rejects_out_of_range(default_mesh, default_phys):
-    geom = build_cut_geometry(default_mesh, ParameterPoint(1.0, 1.0))
+def test_evaluate_entries_rejects_out_of_range(default_mesh):
     with pytest.raises(AssemblyError):
-        evaluate_entries(geom, default_phys, [(0, 441)], [])
+        EntryPlan(default_mesh, [(0, 441)], [])
     with pytest.raises(AssemblyError):
-        evaluate_entries(geom, default_phys, [], [-1])
+        EntryPlan(default_mesh, [], [-1])
 
 
 def _reference_pattern(mesh, triangles, facets):

@@ -10,7 +10,6 @@ from cutrom.assembly import assemble_mass_matrix
 from cutrom.config import Config
 from cutrom.pipeline import (
     RUN4_COLUMNS,
-    _training_snapshots,
     emit_report,
     load_report,
     pod_tail_check,
@@ -144,7 +143,7 @@ def test_verify_suite_on_small_config(tmp_path):
 
 def test_pod_tail_check_fails_on_corrupted_spectrum(small_run, small_config):
     art, _ = small_run
-    snaps = _training_snapshots(art, small_config)
+    snaps = art.snapshots
     mass = assemble_mass_matrix(art.mesh)
     intact = pod_tail_check(art.pod, snaps, mass)
     assert intact.status in ("pass", "noise"), intact
@@ -214,3 +213,19 @@ def test_cli_fom_default_not_applicable(capsys):
     assert cli.main(["fom", "--r", "1.0", "--theta", "1.0"]) == 0
     out = capsys.readouterr().out
     assert "n/a" in out
+
+
+def test_sweep_samples_entries_once_per_parameter(small_run, small_config, monkeypatch):
+    from cutrom import rom
+
+    art, _ = small_run
+    calls = []
+    original = rom.evaluate_entries
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rom, "evaluate_entries", counting)
+    run_online_sweep(art, small_config)
+    assert len(calls) == small_config.n_test

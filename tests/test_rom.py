@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cutrom.deim import MATRIX, UnionPattern, build_deim_operator
-from cutrom.geometry import ParameterPoint
+from cutrom.geometry import ParameterPoint, build_background_mesh, build_cut_geometry
 from cutrom.pod import PodBasis
-from cutrom.rom import RomError, build_rom_offline, rom_online_solve
+from cutrom.rom import RomError, build_rom_offline, prepare, rom_online_solve, sample_entries, solve
 
 
 def test_identity_basis_matrix_projects_to_gram(default_mesh, default_phys):
@@ -78,3 +78,27 @@ def test_truncation_uses_leading_subblock(small_run):
     a_hat = np.tensordot(c_a, art.rom.blocks_a[:, :n, :n], axes=(0, 0))
     f_hat = c_f @ art.rom.blocks_f[:, :n]
     assert np.array_equal(np.linalg.solve(a_hat, f_hat), rs.u_hat)
+
+
+def test_prepare_then_solve_is_bitwise_the_standalone_query(small_run, small_config):
+    art, _ = small_run
+    mu = ParameterPoint(1.08, 1.16)
+    geom = build_cut_geometry(art.mesh, mu)
+    prep = prepare(art.rom, geom)
+    for n in small_config.n_list:
+        split = solve(art.rom, prep, n)
+        alone = rom_online_solve(art.rom, mu, n, geom=geom)
+        assert np.array_equal(split.u_lifted, alone.u_lifted)
+        assert np.array_equal(split.u_hat, alone.u_hat)
+        assert split.online_time >= prep.time
+
+
+def test_plan_serves_geometry_on_an_identical_mesh(small_run, small_config):
+    art, _ = small_run
+    mu = ParameterPoint(1.02, 1.19)
+    twin = build_background_mesh(small_config.box, small_config.h_target)
+    assert twin is not art.rom.mesh
+    own = sample_entries(art.rom, build_cut_geometry(art.rom.mesh, mu))
+    other = sample_entries(art.rom, build_cut_geometry(twin, mu))
+    assert np.array_equal(own[0], other[0])
+    assert np.array_equal(own[1], other[1])
