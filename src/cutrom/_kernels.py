@@ -26,6 +26,13 @@ GAUSS_T = np.array([0.5 * (1.0 - 1.0 / np.sqrt(3.0)), 0.5 * (1.0 + 1.0 / np.sqrt
 # cut-cell quadrature rules
 # ---------------------------------------------------------------------------
 
+def mapped_points(va, vb, vc):
+    """The 3 reference points mapped to each triangle (va, vb, vc), as a
+    (k, 3, 2) block of va + xi * (vb - va) + eta * (vc - va)."""
+    return (va[:, None, :] + REF_XI[:, None] * (vb - va)[:, None, :]
+            + REF_ETA[:, None] * (vc - va)[:, None, :])
+
+
 def cut_rules(tri_pts, phi, bvec, degen_tol):
     """Quadrature rules on the cut triangles.
 
@@ -76,17 +83,9 @@ def cut_rules(tri_pts, phi, bvec, degen_tol):
             p_ab[:, 1] - va[:, 1]
         ) * (p_ac[:, 0] - va[:, 0])
         area = 0.5 * np.abs(cross)
-        for q in range(3):
-            vol_pts[one, q, 0] = (
-                va[:, 0] + REF_XI[q] * (p_ab[:, 0] - va[:, 0]) + REF_ETA[q] * (p_ac[:, 0] - va[:, 0])
-            )
-            vol_pts[one, q, 1] = (
-                va[:, 1] + REF_XI[q] * (p_ab[:, 1] - va[:, 1]) + REF_ETA[q] * (p_ac[:, 1] - va[:, 1])
-            )
-            vol_wts[one, q] = area / 3.0
-        for q in range(3, 6):
-            vol_pts[one, q, 0] = va[:, 0]
-            vol_pts[one, q, 1] = va[:, 1]
+        vol_pts[one, :3] = mapped_points(va, p_ab, p_ac)
+        vol_pts[one, 3:] = va[:, None, :]
+        vol_wts[one, :3] = (area / 3.0)[:, None]
         q1[one] = p_ab
         q2[one] = p_ac
 
@@ -109,26 +108,14 @@ def cut_rules(tri_pts, phi, bvec, degen_tol):
             vb[:, 1] - va[:, 1]
         ) * (p_bc[:, 0] - va[:, 0])
         area1 = 0.5 * np.abs(cross1)
-        for q in range(3):
-            vol_pts[two, q, 0] = (
-                va[:, 0] + REF_XI[q] * (vb[:, 0] - va[:, 0]) + REF_ETA[q] * (p_bc[:, 0] - va[:, 0])
-            )
-            vol_pts[two, q, 1] = (
-                va[:, 1] + REF_XI[q] * (vb[:, 1] - va[:, 1]) + REF_ETA[q] * (p_bc[:, 1] - va[:, 1])
-            )
-            vol_wts[two, q] = area1 / 3.0
         cross2 = (p_bc[:, 0] - va[:, 0]) * (p_ac[:, 1] - va[:, 1]) - (
             p_bc[:, 1] - va[:, 1]
         ) * (p_ac[:, 0] - va[:, 0])
         area2 = 0.5 * np.abs(cross2)
-        for q in range(3):
-            vol_pts[two, q + 3, 0] = (
-                va[:, 0] + REF_XI[q] * (p_bc[:, 0] - va[:, 0]) + REF_ETA[q] * (p_ac[:, 0] - va[:, 0])
-            )
-            vol_pts[two, q + 3, 1] = (
-                va[:, 1] + REF_XI[q] * (p_bc[:, 1] - va[:, 1]) + REF_ETA[q] * (p_ac[:, 1] - va[:, 1])
-            )
-            vol_wts[two, q + 3] = area2 / 3.0
+        vol_pts[two, :3] = mapped_points(va, vb, p_bc)
+        vol_pts[two, 3:] = mapped_points(va, p_bc, p_ac)
+        vol_wts[two, :3] = (area1 / 3.0)[:, None]
+        vol_wts[two, 3:] = (area2 / 3.0)[:, None]
         q1[two] = p_ac
         q2[two] = p_bc
 

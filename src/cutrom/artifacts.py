@@ -162,7 +162,7 @@ def _rebuild_operator(basis, indices, svals, kind, pattern):
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise DeimError(f"stored interpolation matrix is singular (cond={cond:.3e})")
     return DeimOperator(U=basis, indices=indices, singular_values=svals, kind=kind,
-                        lu=sla.lu_factor(pu), cond=cond, pattern=pattern)
+                        pu=pu, lu=sla.lu_factor(pu), cond=cond, pattern=pattern)
 
 
 def load_artifacts(dirpath: str, config: Config) -> OfflineArtifacts:

@@ -14,7 +14,12 @@ from .artifacts import load_artifacts, save_artifacts
 from .assembly import assemble_system, physics_from_config
 from .config import Config, load_config
 from .fom import solve_fom
-from .geometry import ParameterPoint, build_background_mesh, build_cut_geometry
+from .geometry import (
+    ParameterPoint,
+    build_background_mesh,
+    build_cut_geometry,
+    require_inside_box,
+)
 from .pipeline import (
     emit_report,
     load_report,
@@ -78,9 +83,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_fom(args) -> int:
     config = _load(args)
+    mu = ParameterPoint(args.r, args.theta)
+    require_inside_box(mu, config.box)
     mesh = build_background_mesh(config.box, config.h_target)
     phys = physics_from_config(config)
-    mu = ParameterPoint(args.r, args.theta)
     t0 = time.perf_counter()
     geom = build_cut_geometry(mesh, mu)
     t_geom = time.perf_counter() - t0

@@ -14,6 +14,8 @@ import hashlib
 import io
 from dataclasses import dataclass, field, fields, replace
 
+from .geometry import GeometryError, ParameterPoint, require_inside_box
+
 
 class ConfigError(ValueError):
     pass
@@ -67,6 +69,10 @@ class Config:
             raise ConfigError("n_train and n_test must be at least 1")
         if not (0 < self.mu_min < self.mu_max):
             raise ConfigError("parameter box must satisfy 0 < mu_min < mu_max")
+        try:
+            require_inside_box(ParameterPoint(self.mu_max, self.mu_max), self.box)
+        except GeometryError as exc:
+            raise ConfigError(f"mu_max = {self.mu_max:g} is outside the model: {exc}") from exc
         for name in ("eps_pod", "eps_deim_a", "eps_deim_f", "eps_safe"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")

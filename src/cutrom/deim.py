@@ -9,7 +9,7 @@ tie-breaking (first maximal entry).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -34,6 +34,10 @@ class UnionPattern:
     cols: np.ndarray
     codes: np.ndarray
     n: int
+    indptr: np.ndarray = field(init=False)  # CSR row pointers of the pattern
+
+    def __post_init__(self):
+        self.indptr = np.searchsorted(self.rows, np.arange(self.n + 1))
 
     @property
     def size(self) -> int:
@@ -61,8 +65,7 @@ class UnionPattern:
         return out
 
     def matrix_from_values(self, values: np.ndarray) -> sp.csr_matrix:
-        indptr = np.searchsorted(self.rows, np.arange(self.n + 1))
-        return sp.csr_matrix((values, self.cols, indptr), shape=(self.n, self.n))
+        return sp.csr_matrix((values, self.cols, self.indptr), shape=(self.n, self.n))
 
 
 def build_union_pattern(matrices) -> UnionPattern:
@@ -83,13 +86,14 @@ def build_union_pattern(matrices) -> UnionPattern:
 
 @dataclass
 class DeimOperator:
-    """Left singular basis, greedy interpolation indices, and the precomputed
-    interpolation factorization."""
+    """Left singular basis, greedy interpolation indices, and the
+    interpolation matrix PᵀU = U[indices] with its precomputed factorization."""
 
     U: np.ndarray
     indices: np.ndarray
     singular_values: np.ndarray
     kind: str
+    pu: np.ndarray
     lu: tuple
     cond: float
     pattern: UnionPattern | None = None
@@ -141,7 +145,7 @@ def build_deim_operator(snapshots: np.ndarray, eps: float, l_cap: int,
         raise DeimError(f"interpolation matrix is numerically singular (cond={cond:.3e})")
     lu = sla.lu_factor(pu)
     return DeimOperator(U=u, indices=indices, singular_values=s.copy(), kind=kind,
-                        lu=lu, cond=cond, pattern=pattern)
+                        pu=pu, lu=lu, cond=cond, pattern=pattern)
 
 
 def deim_coefficients(op: DeimOperator, sampled: np.ndarray) -> np.ndarray:
@@ -153,9 +157,8 @@ def deim_coefficients(op: DeimOperator, sampled: np.ndarray) -> np.ndarray:
     sampled = np.asarray(sampled, dtype=float)
     if sampled.shape != (op.l,):
         raise DeimError(f"expected {op.l} sampled values, got {sampled.shape}")
-    pu = op.U[op.indices, :]
     c = sla.lu_solve(op.lu, sampled)
-    c = c + sla.lu_solve(op.lu, sampled - pu @ c)
+    c = c + sla.lu_solve(op.lu, sampled - op.pu @ c)
     return c
 
 

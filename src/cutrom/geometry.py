@@ -42,6 +42,20 @@ class ParameterPoint:
         return np.array([self.r, self.theta])
 
 
+def require_inside_box(mu: ParameterPoint, box) -> None:
+    """Raise GeometryError unless the ellipse of ``mu`` lies strictly inside
+    the box ((x0, x1), (y0, y1)).  An ellipse that reaches the box edge would
+    be solved with that edge acting as a natural boundary."""
+    (x0, x1), (y0, y1) = box
+    half = min(-x0, x1, -y0, y1)
+    semi = max(np.sqrt(mu.r), np.sqrt(mu.theta))
+    if semi >= half:
+        raise GeometryError(
+            f"ellipse {(mu.r, mu.theta)} leaves the background box: semi-axis "
+            f"{semi:.6g} >= distance {half:.6g} from the origin to the box edge"
+        )
+
+
 def level_set(mu: ParameterPoint, x, y):
     """Signed level-set value x^2/r + y^2/theta - 1 (negative inside the ellipse)."""
     return np.asarray(x) ** 2 / mu.r + np.asarray(y) ** 2 / mu.theta - 1.0
@@ -64,6 +78,7 @@ class BackgroundMesh:
         self.n_vertices = vertices.shape[0]
         self.n_triangles = triangles.shape[0]
         self._build_precomputed()
+        self._build_whole_rules()
         self._build_facets()
         self._build_pattern()
 
@@ -92,6 +107,21 @@ class BackgroundMesh:
         self.bvec = bvec
         self.v0 = p0.copy()
 
+    def _build_whole_rules(self):
+        """The mapped 3-point rule of every whole triangle in volume-rule
+        layout: 6 slots, slots 3-5 padded with ``p0`` and zero weight.  An
+        inside element's rule is its row here."""
+        verts = self.vertices
+        tris = self.triangles
+        p0 = verts[tris[:, 0]]
+        pts = np.empty((self.n_triangles, 6, 2))
+        pts[:, :3] = _kernels.mapped_points(p0, verts[tris[:, 1]], verts[tris[:, 2]])
+        pts[:, 3:] = p0[:, None, :]
+        wts = np.zeros((self.n_triangles, 6))
+        wts[:, :3] = (self.tri_area / 3.0)[:, None]
+        self.whole_pts = pts
+        self.whole_wts = wts
+
     def _build_facets(self):
         tris = self.triangles
         nv = self.n_vertices
@@ -106,6 +136,10 @@ class BackgroundMesh:
         code_s = code[order]
         owner_s = owner[order]
         uniq, start = np.unique(code_s, return_index=True)
+        # column k holds the facet of local edge (k, k+1 mod 3)
+        self.tri_facets = np.ascontiguousarray(
+            np.searchsorted(uniq, code).reshape(3, self.n_triangles).T
+        )
         n_f = uniq.shape[0]
         facets = np.empty((n_f, 2), dtype=np.int64)
         facets[:, 0] = uniq // nv
@@ -284,47 +318,20 @@ def build_cut_geometry(mesh: BackgroundMesh, mu: ParameterPoint) -> CutGeometry:
     cut_pos = np.full(mesh.n_triangles, -1, dtype=np.int64)
     cut_pos[cut] = np.arange(cut.size)
 
-    # ghost facets: interior facets of cut elements with both neighbours active
-    ft = mesh.facet_tris
-    interior = ft[:, 1] >= 0
-    cls0 = np.where(interior, elem_class[ft[:, 0]], OUTSIDE)
-    cls1 = np.where(interior, elem_class[np.where(interior, ft[:, 1], 0)], OUTSIDE)
-    ghost_mask = (
-        interior
-        & ((cls0 == CUT) | (cls1 == CUT))
-        & (cls0 != OUTSIDE)
-        & (cls1 != OUTSIDE)
-    )
+    # ghost facets: interior facets of cut elements with both neighbours
+    # active; every ghost facet has a cut neighbour, so the cut band's facets
+    # are the only candidates
+    cand = mesh.tri_facets[cut].ravel()
+    ft = mesh.facet_tris[cand]
+    keep = (ft[:, 1] >= 0) & (elem_class[ft[:, 0]] != OUTSIDE) & (elem_class[ft[:, 1]] != OUTSIDE)
+    ghost_mask = np.zeros(mesh.facets.shape[0], dtype=bool)
+    ghost_mask[cand[keep]] = True
     ghost_facets = np.flatnonzero(ghost_mask)
 
-    # volume rule, inside part: the mapped 3-point rule on the full triangle
-    n_act = active.size
-    vol_pts = np.zeros((n_act, 6, 2))
-    vol_wts = np.zeros((n_act, 6))
-    ins_sel = np.flatnonzero(elem_class[active] == INSIDE)
-    if ins_sel.size:
-        tri_ids = active[ins_sel]
-        p0 = mesh.vertices[mesh.triangles[tri_ids, 0]]
-        p1 = mesh.vertices[mesh.triangles[tri_ids, 1]]
-        p2 = mesh.vertices[mesh.triangles[tri_ids, 2]]
-        area = mesh.tri_area[tri_ids]
-        for q in range(3):
-            vol_pts[ins_sel, q, 0] = (
-                p0[:, 0]
-                + _kernels.REF_XI[q] * (p1[:, 0] - p0[:, 0])
-                + _kernels.REF_ETA[q] * (p2[:, 0] - p0[:, 0])
-            )
-            vol_pts[ins_sel, q, 1] = (
-                p0[:, 1]
-                + _kernels.REF_XI[q] * (p1[:, 1] - p0[:, 1])
-                + _kernels.REF_ETA[q] * (p2[:, 1] - p0[:, 1])
-            )
-            vol_wts[ins_sel, q] = area / 3.0
-        for q in range(3, 6):
-            vol_pts[ins_sel, q, 0] = p0[:, 0]
-            vol_pts[ins_sel, q, 1] = p0[:, 1]
-
-    # cut part: sub-triangle and interface-segment rules
+    # volume rules: the whole-triangle rule of each active element, with the
+    # cut rows replaced by sub-triangle rules
+    vol_pts = mesh.whole_pts[active]
+    vol_wts = mesh.whole_wts[active]
     c_vol_pts, c_vol_wts, seg_pts, seg_wts, seg_nrm, degen = _kernels.cut_rules(
         mesh.vertices[mesh.triangles[cut]], tri_phi[cut], mesh.bvec[cut], DEGEN_FACTOR * mesh.h,
     )
@@ -332,7 +339,9 @@ def build_cut_geometry(mesh: BackgroundMesh, mu: ParameterPoint) -> CutGeometry:
     vol_pts[cut_sel] = c_vol_pts
     vol_wts[cut_sel] = c_vol_wts
 
-    active_dofs = np.unique(mesh.triangles[active].ravel())
+    dof_mark = np.zeros(mesh.n_vertices, dtype=bool)
+    dof_mark[mesh.triangles[active]] = True
+    active_dofs = np.flatnonzero(dof_mark)
     degenerate = [int(cut[i]) for i in np.flatnonzero(degen)]
 
     return CutGeometry(

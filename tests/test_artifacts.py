@@ -71,7 +71,10 @@ def test_artifact_roundtrip_and_hash_guard(tmp_path, small_run, small_config):
     assert back.pod.n_energy == art.pod.n_energy
     assert np.array_equal(back.deim_a.U, art.deim_a.U)
     assert np.array_equal(back.deim_a.indices, art.deim_a.indices)
+    for op_back, op in ((back.deim_a, art.deim_a), (back.deim_f, art.deim_f)):
+        assert op_back.pu.tobytes() == op.pu.tobytes()
     assert np.array_equal(back.pattern.codes, art.pattern.codes)
+    assert back.pattern.indptr.tobytes() == art.pattern.indptr.tobytes()
     assert np.array_equal(back.rom.blocks_a, art.rom.blocks_a)
     assert np.array_equal(back.rom.blocks_f, art.rom.blocks_f)
     assert np.array_equal(back.train_mu, art.train_mu)

@@ -72,3 +72,14 @@ def test_tolerance_validation():
         Config(mu_min=0.0).validate()
     with pytest.raises(ConfigError):
         Config(n_test=0).validate()
+
+
+def test_parameter_box_reaching_the_background_box_rejected():
+    # sqrt(mu_max) must stay below the half-width 1.2 of the default box
+    with pytest.raises(ConfigError, match="mu_max"):
+        parse_config("[sampling]\nmu_max = 2.0\n")
+    with pytest.raises(ConfigError, match="mu_max"):
+        Config(mu_max=1.44).validate()
+    with pytest.raises(ConfigError, match="mu_max"):
+        Config(box_min=-1.0, box_max=1.0, mu_max=1.1).validate()
+    assert Config(mu_max=1.43).validate().mu_max == 1.43

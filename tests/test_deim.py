@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from cutrom.deim import (
@@ -132,3 +133,23 @@ def test_matrix_kind_reconstruction_symmetric():
 def test_all_zero_snapshots_rejected():
     with pytest.raises(DeimError):
         build_deim_operator(np.zeros((4, 3)), 1e-6, 3)
+
+
+
+def test_stored_interpolation_matrix_and_row_pointers():
+    # P^T U and the pattern's CSR row pointers are stored once; both must
+    # give what the per-call expressions gave, bit for bit
+    dense = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [2.0, 0.0, 3.0]])
+    pat = build_union_pattern([sp.csr_matrix(dense)])
+    assert pat.indptr.tobytes() == np.searchsorted(pat.rows, np.arange(pat.n + 1)).tobytes()
+    m = pat.matrix_from_values(np.array([1.5, -2.0, 0.25, 4.0]))
+    assert np.array_equal(m.indptr, [0, 2, 2, 4]) and np.array_equal(m.indices, pat.cols)
+    assert np.array_equal(m.toarray(), [[1.5, 0.0, -2.0], [0.0, 0.0, 0.0], [0.25, 0.0, 4.0]])
+    rng = np.random.default_rng(4)
+    op = build_deim_operator(rng.standard_normal((12, 5)), 1e-12, 5)
+    pu = op.U[op.indices, :]
+    assert op.pu.tobytes() == pu.tobytes()
+    sampled = rng.standard_normal(op.l)
+    c = sla.lu_solve(op.lu, sampled)
+    c = c + sla.lu_solve(op.lu, sampled - pu @ c)
+    assert deim_coefficients(op, sampled).tobytes() == c.tobytes()

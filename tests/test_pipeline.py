@@ -215,6 +215,13 @@ def test_cli_fom_default_not_applicable(capsys):
     assert "n/a" in out
 
 
+@pytest.mark.parametrize("r, theta", [(2.0, 1.0), (1.0, 1.44)])
+def test_cli_fom_rejects_ellipse_leaving_the_box(r, theta, capsys, caplog):
+    assert cli.main(["fom", "--r", str(r), "--theta", str(theta)]) == 2
+    assert "leaves the background box" in caplog.text
+    assert "residual norm" not in capsys.readouterr().out
+
+
 def test_sweep_samples_entries_once_per_parameter(small_run, small_config, monkeypatch):
     from cutrom import rom
 
