@@ -16,7 +16,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from .config import Config
-from .deim import COND_LIMIT, MATRIX, VECTOR, DeimError, DeimOperator, UnionPattern
+from .deim import (
+    COND_LIMIT, MATRIX, VECTOR, DeimError, DeimOperator, UnionPattern, interpolation_conditioning,
+)
 from .geometry import BackgroundMesh, build_background_mesh
 from .assembly import PhysicsParams, physics_from_config
 from .pod import PodBasis, energy_mode_count
@@ -158,11 +160,12 @@ def _read_manifest(dirpath: str) -> dict:
 
 def _rebuild_operator(basis, indices, svals, kind, pattern):
     pu = basis[indices, :]
-    cond = float(np.linalg.cond(pu))
+    cond, lebesgue = interpolation_conditioning(pu)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise DeimError(f"stored interpolation matrix is singular (cond={cond:.3e})")
     return DeimOperator(U=basis, indices=indices, singular_values=svals, kind=kind,
-                        pu=pu, lu=sla.lu_factor(pu), cond=cond, pattern=pattern)
+                        pu=pu, lu=sla.lu_factor(pu), cond=cond, lebesgue=lebesgue,
+                        pattern=pattern)
 
 
 def load_artifacts(dirpath: str, config: Config) -> OfflineArtifacts:

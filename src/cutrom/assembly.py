@@ -2,10 +2,20 @@
 
 Matrices are built into a fixed structural pattern (active-element stencils
 plus ghost-facet patches), so rows outside the active dof set are never stored
-and are exactly zero.  ``evaluate_entries`` reproduces the entries an
-``EntryPlan`` requests bit-identically by replaying the same per-entity
-contributions in the same order as full assembly: volume elements, then
-interface segments, then ghost facets, each in ascending index order.
+and are exactly zero.
+
+Per parameter, only the cut elements need new local terms.  ``_cut_stage``
+computes them once, component-major: per cut element the volume-weight sum,
+the segment weight, and per local vertex the volume load, the barycentrics at
+both Gauss points, the normal derivative and the boundary load.  Full
+assembly builds its cut rows from this stage and its inside rows from the
+mesh's whole-triangle rules.  ``EntryPlan`` stores the value of every inside
+candidate once, computed with the same kernels on the same rule rows, and
+``evaluate_entries`` picks the cut candidates' values from the stage.  Both
+accumulate the same per-entity values in the same order as full assembly
+(volume elements, then interface segments, then ghost facets, each in
+ascending index order), so sampled entries match ``assemble_system`` bit for
+bit.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-from .geometry import BackgroundMesh, CutGeometry
+from .geometry import INSIDE, BackgroundMesh, CutGeometry
 
 
 class AssemblyError(ValueError):
@@ -95,33 +105,69 @@ def _ghost_values(geom: CutGeometry, phys: PhysicsParams):
     mesh = geom.mesh
     gf = geom.ghost_facets
     jv = mesh.facet_jump[gf]
-    coef0 = phys.gamma[0] * mesh.h * mesh.facet_len[gf]
-    return coef0[:, None, None] * (jv[:, :, None] * jv[:, None, :])
+    return _kernels.ghost_penalty(phys.gamma[0], mesh.h, mesh.facet_len[gf][:, None, None],
+                                  jv[:, :, None], jv[:, None, :])
 
 
-def _volume_inputs(geom: CutGeometry):
+# rows of the per-vertex stage: barycentrics at Gauss points 0 and 1, normal
+# derivative, volume load, boundary load
+_BARY, _DN, _F_VOL, _F_BND = slice(0, 2), 2, 3, 4
+
+
+def _cut_stage(geom: CutGeometry, phys: PhysicsParams):
+    """Local terms of every cut element for one parameter, component-major:
+    per-vertex rows (5, 3, k) (see ``_BARY`` ... ``_F_BND``) and per-element
+    rows (2, k): the volume-weight sum and the segment Gauss weight."""
+    rule = geom.cut_rule
+    if rule is None or rule.seg_wts.shape[0] != geom.cut_elements.size:
+        raise AssemblyError("every cut element needs a component-major cut rule")
     mesh = geom.mesh
+    g0, gx, gy, gxy = (float(c) for c in phys.g_coeffs)
+    wsum, f_vol = _kernels.volume_terms(rule.vol_pts, rule.vol_wts, rule.tri, float(phys.f_const))
+    bary, dn, f_bnd = _kernels.boundary_terms(
+        rule.seg_pts, rule.seg_wts, rule.normal, rule.tri,
+        phys.nitsche_lambda / mesh.h, g0, gx, gy, gxy,
+    )
+    vert = np.concatenate([bary, dn[None], f_vol[None], f_bnd[None]])
+    return vert, np.stack([wsum, rule.seg_wts])
+
+
+def _whole_terms(mesh: BackgroundMesh, triangles: np.ndarray, f_const: float):
+    """Volume-weight sums and source loads of ``triangles`` on their
+    whole-triangle rules."""
+    return _kernels.volume_terms(
+        np.take(mesh.whole_pts, triangles, axis=0).transpose(2, 1, 0),
+        np.take(mesh.whole_wts, triangles, axis=0).T,
+        np.take(mesh.tri_comp, triangles, axis=1), f_const,
+    )
+
+
+def _volume_rows(geom: CutGeometry, vert, elem, f_const: float):
+    """Volume-weight sums (n_act,) and source loads (3, n_act) of the active
+    elements: whole-triangle rules inside, the stage on cut rows."""
     act = geom.active_elements
-    return (
-        geom.vol_pts,
-        geom.vol_wts,
-        mesh.v0[act],
-        mesh.inv_j[act],
-        mesh.bvec[act],
-    )
+    ins_sel = np.flatnonzero(geom.elem_class[act] == INSIDE)
+    cut_sel = geom.active_pos[geom.cut_elements]
+    w_in, f_in = _whole_terms(geom.mesh, act[ins_sel], f_const)
+    wsum = np.empty(act.size)
+    wsum[ins_sel] = w_in
+    wsum[cut_sel] = elem[0]
+    f_vol = np.empty((3, act.size))
+    f_vol[:, ins_sel] = f_in
+    f_vol[:, cut_sel] = vert[_F_VOL]
+    return wsum, f_vol, cut_sel
 
 
-def _boundary_inputs(geom: CutGeometry):
+def _assemble_matrix(geom: CutGeometry, phys: PhysicsParams, wsum, boundary_blocks, cut_sel):
     mesh = geom.mesh
-    cut = geom.cut_elements
-    return (
-        geom.seg_pts,
-        geom.seg_wts,
-        geom.seg_normal,
-        mesh.v0[cut],
-        mesh.inv_j[cut],
-        mesh.bvec[cut],
-    )
+    n = mesh.n_vertices
+    nnz, indptr, cols, vol_pos, ghost_pos = _pattern(mesh, geom.active_elements, geom.ghost_facets)
+    a_vol = _kernels.volume_contribs(wsum, np.take(mesh.tri_comp, geom.active_elements, axis=1))
+    values = np.zeros(nnz)
+    np.add.at(values, vol_pos.ravel(), a_vol.ravel())
+    np.add.at(values, vol_pos[cut_sel].ravel(), boundary_blocks.ravel())
+    np.add.at(values, ghost_pos.ravel(), _ghost_values(geom, phys).ravel())
+    return sp.csr_matrix((values, cols, indptr), shape=(n, n))
 
 
 def assemble_system(geom: CutGeometry, phys: PhysicsParams) -> SystemPair:
@@ -131,54 +177,26 @@ def assemble_system(geom: CutGeometry, phys: PhysicsParams) -> SystemPair:
     f_i = int_O f phi_i - int_G (grad phi_i . n) g + (lambda/h) int_G phi_i g.
     """
     mesh = geom.mesh
-    if geom.seg_wts.shape[0] != geom.cut_elements.size:
-        raise AssemblyError("every cut element needs a boundary rule")
-    n = mesh.n_vertices
-    nnz, indptr, cols, vol_pos, ghost_pos = _pattern(mesh, geom.active_elements, geom.ghost_facets)
-    lam_over_h = phys.nitsche_lambda / mesh.h
-    g0, gx, gy, gxy = (float(c) for c in phys.g_coeffs)
+    vert, elem = _cut_stage(geom, phys)
+    wsum, f_vol, cut_sel = _volume_rows(geom, vert, elem, float(phys.f_const))
+    a_nit, _pen = _kernels.boundary_contribs(
+        elem[1], vert[_BARY], vert[_DN], phys.nitsche_lambda / mesh.h)
+    a = _assemble_matrix(geom, phys, wsum, a_nit, cut_sel)
 
-    a_vol, f_vol = _kernels.volume_contribs(*_volume_inputs(geom), float(phys.f_const))
-    a_nit, _pen, f_bnd = _kernels.boundary_contribs(
-        *_boundary_inputs(geom), lam_over_h, g0, gx, gy, gxy
-    )
-    ghost_vals = _ghost_values(geom, phys)
-
-    values = np.zeros(nnz)
-    np.add.at(values, vol_pos.ravel(), a_vol.ravel())
-    cut_sel = geom.active_pos[geom.cut_elements]
-    np.add.at(values, vol_pos[cut_sel].ravel(), a_nit.ravel())
-    np.add.at(values, ghost_pos.ravel(), ghost_vals.ravel())
-
-    f = np.zeros(n)
-    np.add.at(f, mesh.triangles[geom.active_elements].ravel(), f_vol.ravel())
-    np.add.at(f, mesh.triangles[geom.cut_elements].ravel(), f_bnd.ravel())
-
-    a = sp.csr_matrix((values, cols, indptr), shape=(n, n))
+    f = np.zeros(mesh.n_vertices)
+    np.add.at(f, mesh.triangles[geom.active_elements].ravel(), f_vol.T.ravel())
+    np.add.at(f, mesh.triangles[geom.cut_elements].ravel(), vert[_F_BND].T.ravel())
     return SystemPair(A=a, f=f, active_dofs=geom.active_dofs, geom=geom)
 
 
 def assemble_norm_matrix(geom: CutGeometry, phys: PhysicsParams) -> sp.csr_matrix:
     """Matrix of the mesh-dependent energy norm: gradient part on the physical
     domain, scaled boundary mass, and the ghost jump terms."""
-    mesh = geom.mesh
-    n = mesh.n_vertices
-    nnz, indptr, cols, vol_pos, ghost_pos = _pattern(mesh, geom.active_elements, geom.ghost_facets)
-    lam_over_h = phys.nitsche_lambda / mesh.h
-    g0, gx, gy, gxy = (float(c) for c in phys.g_coeffs)
-
-    a_vol, _f_vol = _kernels.volume_contribs(*_volume_inputs(geom), 0.0)
-    _a_nit, pen, _f_bnd = _kernels.boundary_contribs(
-        *_boundary_inputs(geom), lam_over_h, g0, gx, gy, gxy
-    )
-    ghost_vals = _ghost_values(geom, phys)
-
-    values = np.zeros(nnz)
-    np.add.at(values, vol_pos.ravel(), a_vol.ravel())
-    cut_sel = geom.active_pos[geom.cut_elements]
-    np.add.at(values, vol_pos[cut_sel].ravel(), pen.ravel())
-    np.add.at(values, ghost_pos.ravel(), ghost_vals.ravel())
-    return sp.csr_matrix((values, cols, indptr), shape=(n, n))
+    vert, elem = _cut_stage(geom, phys)
+    wsum, _f_vol, cut_sel = _volume_rows(geom, vert, elem, 0.0)
+    _a_nit, pen = _kernels.boundary_contribs(
+        elem[1], vert[_BARY], vert[_DN], phys.nitsche_lambda / geom.mesh.h)
+    return _assemble_matrix(geom, phys, wsum, pen, cut_sel)
 
 
 def assemble_mass_matrix(mesh: BackgroundMesh) -> sp.csr_matrix:
@@ -212,18 +230,20 @@ def _local_index(tri_rows, targets):
 
 
 class EntryPlan:
-    """Topology of a sampled-entry request: which elements and facets can
-    contribute to each requested entry, with local slot indices and the
-    parameter-independent per-candidate mesh data pre-gathered.
+    """A sampled-entry request for one physics: which elements and facets
+    can contribute to each requested entry, with local slot indices, and
+    every parameter-independent value precomputed.
 
     Candidates are ordered entry-major with ascending entity indices, the
     same relative order full assembly uses, so replaying them reproduces the
-    assembled values bit for bit.  Parameter dependence enters only through
-    the per-call activity masks and quadrature rules.  The reduced model
-    builds its plan once, beside the sample entries it describes.
+    assembled values bit for bit.  The plan stores the value of every
+    candidate on its whole-triangle rule (what it contributes while inside)
+    and every ghost value; a parameter enters only through the activity
+    masks and the cut elements' stage.  The reduced model builds its plan
+    once, beside the sample entries it describes.
     """
 
-    def __init__(self, mesh: BackgroundMesh, matrix_entries, vector_entries):
+    def __init__(self, mesh: BackgroundMesh, phys: PhysicsParams, matrix_entries, vector_entries):
         m_ent = np.asarray(matrix_entries, dtype=np.int64).reshape(-1, 2)
         v_ent = np.asarray(vector_entries, dtype=np.int64).reshape(-1)
         n = mesh.n_vertices
@@ -231,8 +251,11 @@ class EntryPlan:
             raise AssemblyError("matrix entry index out of range")
         if v_ent.size and not ((v_ent >= 0).all() and (v_ent < n).all()):
             raise AssemblyError("vector entry index out of range")
+        self.phys = phys
+        self.mesh_shape = (mesh.n_vertices, mesh.n_triangles, mesh.h)
         self.n_matrix = m_ent.shape[0]
         self.n_vector = v_ent.shape[0]
+        f_const = float(phys.f_const)
         indptr, indices = mesh.vertex_tri_adjacency()
 
         owner, cand = _gather_ranges(indptr, indices, m_ent[:, 0]) if m_ent.size else (
@@ -247,9 +270,15 @@ class EntryPlan:
         tri_rows = mesh.triangles[cand]
         self.m_aloc = _local_index(tri_rows, m_ent[owner, 0]) if cand.size else cand
         self.m_cloc = _local_index(tri_rows, m_ent[owner, 1]) if cand.size else cand
-        self.m_v0 = mesh.v0[cand]
-        self.m_invj = mesh.inv_j[cand]
-        self.m_b = mesh.bvec[cand]
+        tri = np.take(mesh.tri_comp, cand, axis=1)
+        rng = np.arange(cand.size)
+        gx = tri[_kernels.GX]
+        gy = tri[_kernels.GY]
+        # (a_x, a_y, c_x, c_y) gradients per candidate
+        self.m_grad = np.stack([gx[self.m_aloc, rng], gy[self.m_aloc, rng],
+                                gx[self.m_cloc, rng], gy[self.m_cloc, rng]])
+        wsum, _loads = _whole_terms(mesh, cand, f_const)
+        self.m_whole = _kernels.stiffness(wsum, *self.m_grad)
 
         f_indptr, f_indices = mesh.vertex_facet_adjacency()
         fowner, fcand = _gather_ranges(f_indptr, f_indices, m_ent[:, 0]) if m_ent.size else (
@@ -267,82 +296,71 @@ class EntryPlan:
         patch_k = mesh.facet_patch[fcand]
         g_aloc = _local_index(patch_k, m_ent[fowner, 0]) if fcand.size else fcand
         g_cloc = _local_index(patch_k, m_ent[fowner, 1]) if fcand.size else fcand
+        jump = mesh.facet_jump[fcand]
         rng = np.arange(fcand.size)
-        self.g_jva = mesh.facet_jump[fcand][rng, g_aloc] if fcand.size else np.empty(0)
-        self.g_jvc = mesh.facet_jump[fcand][rng, g_cloc] if fcand.size else np.empty(0)
-        self.g_len = mesh.facet_len[fcand]
+        self.g_vals = _kernels.ghost_penalty(phys.gamma[0], mesh.h, mesh.facet_len[fcand],
+                                             jump[rng, g_aloc], jump[rng, g_cloc])
 
         owner, cand = _gather_ranges(indptr, indices, v_ent) if v_ent.size else (
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
         self.v_ids = owner
         self.v_elems = cand
         self.v_aloc = _local_index(mesh.triangles[cand], v_ent[owner]) if cand.size else cand
-        self.v_v0 = mesh.v0[cand]
-        self.v_invj = mesh.inv_j[cand]
-        self.v_b = mesh.bvec[cand]
+        _wsum, loads = _whole_terms(mesh, cand, f_const)
+        self.v_whole = loads[self.v_aloc, np.arange(cand.size)]
 
 
-def evaluate_entries(geom: CutGeometry, phys: PhysicsParams, plan: EntryPlan):
-    """Evaluate the entries of A and f that ``plan`` requests, by local
-    assembly only.
+def evaluate_entries(geom: CutGeometry, plan: EntryPlan):
+    """Evaluate the entries of A and f that ``plan`` requests, for the
+    plan's physics, by local assembly only.
 
     Each requested value is accumulated over exactly the entities whose
     supports contain the involved dofs, in the same order as full assembly,
-    and therefore matches ``assemble_system`` bit for bit.  Cost scales with
-    the number of requested entries: the request topology is in the plan,
-    built once, so each call pays only for the parameter-dependent part.
-    ``geom`` may live on any mesh identical to the one the plan was built on.
+    and therefore matches ``assemble_system`` bit for bit.  Inside candidates
+    take the plan's stored values; cut candidates pick theirs from the cut
+    elements' stage with 1-D gathers.  ``geom`` may live on any mesh
+    identical to the one the plan was built on; a mesh of another vertex
+    count, triangle count or ``h`` raises ``AssemblyError``.
     """
     mesh = geom.mesh
-    lam_over_h = phys.nitsche_lambda / mesh.h
-    g0, gx, gy, gxy = (float(c) for c in phys.g_coeffs)
+    shape = (mesh.n_vertices, mesh.n_triangles, mesh.h)
+    if shape != plan.mesh_shape:
+        raise AssemblyError(
+            f"geometry mesh (vertices, triangles, h) = {shape} does not match the "
+            f"plan's {plan.mesh_shape}"
+        )
+    vert, elem = _cut_stage(geom, plan.phys)
+    k = geom.cut_elements.size
+    lam_over_h = plan.phys.nitsche_lambda / mesh.h
 
+    # matrix: volume values of the active candidates, Nitsche values of the
+    # cut ones, then the ghost facets
+    act = geom.active_pos[plan.m_elems] >= 0
+    cpos = geom.cut_pos[plan.m_elems]
+    cut = np.flatnonzero(cpos >= 0)
+    cp = cpos[cut]
+    seg = vert[:3].reshape(3, 3 * k)
+    at_a = seg[:, plan.m_aloc[cut] * k + cp]
+    at_c = seg[:, plan.m_cloc[cut] * k + cp]
+    wsum, w = elem[:, cp]
+    vol = plan.m_whole.copy()
+    vol[cut] = _kernels.stiffness(wsum, *plan.m_grad[:, cut])
+    nit = _kernels.nitsche(w, at_a[_BARY], at_c[_BARY], at_a[_DN], at_c[_DN], lam_over_h)
+    ghost = geom.ghost_mask[plan.g_facets]
     out_m = np.zeros(plan.n_matrix)
+    np.add.at(out_m, np.concatenate([plan.m_ids[act], plan.m_ids[cut], plan.g_ids[ghost]]),
+              np.concatenate([vol[act], nit, plan.g_vals[ghost]]))
+
+    # vector: volume loads of the active candidates, then boundary loads of
+    # the cut ones
+    act = geom.active_pos[plan.v_elems] >= 0
+    cpos = geom.cut_pos[plan.v_elems]
+    cut = np.flatnonzero(cpos >= 0)
+    cp = cpos[cut]
+    loads = vert[_F_VOL:].reshape(2, 3 * k)[:, plan.v_aloc[cut] * k + cp]
+    vol = plan.v_whole.copy()
+    vol[cut] = loads[0]
     out_v = np.zeros(plan.n_vector)
-
-    if plan.m_elems.size:
-        keep = geom.active_pos[plan.m_elems] >= 0
-        if keep.any():
-            apos = geom.active_pos[plan.m_elems[keep]]
-            vals = _kernels.entry_volume_matrix(
-                geom.vol_wts[apos], plan.m_b[keep], plan.m_aloc[keep], plan.m_cloc[keep],
-            )
-            np.add.at(out_m, plan.m_ids[keep], vals)
-        keep = geom.cut_pos[plan.m_elems] >= 0
-        if keep.any():
-            cpos = geom.cut_pos[plan.m_elems[keep]]
-            vals = _kernels.entry_boundary_matrix(
-                geom.seg_pts[cpos], geom.seg_wts[cpos], geom.seg_normal[cpos],
-                plan.m_v0[keep], plan.m_invj[keep], plan.m_b[keep],
-                plan.m_aloc[keep], plan.m_cloc[keep], lam_over_h,
-            )
-            np.add.at(out_m, plan.m_ids[keep], vals)
-
-    if plan.g_facets.size:
-        keep = geom.ghost_mask[plan.g_facets]
-        if keep.any():
-            coef0 = phys.gamma[0] * mesh.h * plan.g_len[keep]
-            vals = coef0 * (plan.g_jva[keep] * plan.g_jvc[keep])
-            np.add.at(out_m, plan.g_ids[keep], vals)
-
-    if plan.v_elems.size:
-        keep = geom.active_pos[plan.v_elems] >= 0
-        if keep.any():
-            apos = geom.active_pos[plan.v_elems[keep]]
-            vals = _kernels.entry_volume_vector(
-                geom.vol_pts[apos], geom.vol_wts[apos],
-                plan.v_v0[keep], plan.v_invj[keep], plan.v_aloc[keep],
-                float(phys.f_const),
-            )
-            np.add.at(out_v, plan.v_ids[keep], vals)
-        keep = geom.cut_pos[plan.v_elems] >= 0
-        if keep.any():
-            cpos = geom.cut_pos[plan.v_elems[keep]]
-            vals = _kernels.entry_boundary_vector(
-                geom.seg_pts[cpos], geom.seg_wts[cpos], geom.seg_normal[cpos],
-                plan.v_v0[keep], plan.v_invj[keep], plan.v_b[keep],
-                plan.v_aloc[keep], lam_over_h, g0, gx, gy, gxy,
-            )
-            np.add.at(out_v, plan.v_ids[keep], vals)
-
+    np.add.at(out_v, np.concatenate([plan.v_ids[act], plan.v_ids[cut]]),
+              np.concatenate([vol[act], loads[1]]))
     return out_m, out_v

@@ -87,7 +87,8 @@ def build_union_pattern(matrices) -> UnionPattern:
 @dataclass
 class DeimOperator:
     """Left singular basis, greedy interpolation indices, and the
-    interpolation matrix PᵀU = U[indices] with its precomputed factorization."""
+    interpolation matrix PᵀU = U[indices] with its precomputed factorization,
+    its 2-norm condition number and its Lebesgue constant ‖(PᵀU)⁻¹‖₂."""
 
     U: np.ndarray
     indices: np.ndarray
@@ -96,11 +97,21 @@ class DeimOperator:
     pu: np.ndarray
     lu: tuple
     cond: float
+    lebesgue: float
     pattern: UnionPattern | None = None
 
     @property
     def l(self) -> int:
         return self.indices.size
+
+
+def interpolation_conditioning(pu: np.ndarray):
+    """Condition number (as ``np.linalg.cond``) and Lebesgue constant
+    ‖(PᵀU)⁻¹‖₂ = 1/σ_min of an interpolation matrix, from one set of
+    singular values."""
+    s = np.linalg.svd(pu, compute_uv=False)
+    with np.errstate(all="ignore"):
+        return float(s[0] / s[-1]), float(1.0 / s[-1])
 
 
 def _greedy_indices(u: np.ndarray) -> np.ndarray:
@@ -140,12 +151,12 @@ def build_deim_operator(snapshots: np.ndarray, eps: float, l_cap: int,
     if np.unique(indices).size != l:
         raise DeimError("greedy selection produced duplicate indices")
     pu = u[indices, :]
-    cond = float(np.linalg.cond(pu))
+    cond, lebesgue = interpolation_conditioning(pu)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise DeimError(f"interpolation matrix is numerically singular (cond={cond:.3e})")
     lu = sla.lu_factor(pu)
     return DeimOperator(U=u, indices=indices, singular_values=s.copy(), kind=kind,
-                        pu=pu, lu=lu, cond=cond, pattern=pattern)
+                        pu=pu, lu=lu, cond=cond, lebesgue=lebesgue, pattern=pattern)
 
 
 def deim_coefficients(op: DeimOperator, sampled: np.ndarray) -> np.ndarray:

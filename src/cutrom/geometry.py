@@ -1,10 +1,17 @@
 """Background mesh, parametric level set, element classification and cut quadrature.
 
 The computational setup is a fixed square background mesh that never changes
-with the parameter.  For each parameter the ellipse level set classifies every
-triangle as inside / cut / outside, and the cut triangles receive sub-triangle
-volume rules for the region where the linear interpolant of the level set is
-non-positive, plus a 2-point Gauss rule on the straight interface segment.
+with the parameter.  The mesh builds its parameter-independent tables once:
+element geometry, facets and patches, the assembly pattern, the rule of every
+whole triangle, and the per-triangle component table ``tri_comp`` (vertex
+coordinates and basis gradients, one contiguous row per component) that the
+kernels read.  For each parameter the ellipse level set classifies every
+triangle as inside / cut / outside, and only the cut triangles get new
+quadrature: sub-triangle volume rules for the region where the linear
+interpolant of the level set is non-positive, plus a 2-point Gauss rule on
+the straight interface segment.  ``CutGeometry`` holds these rules twice:
+element-major for every active element, and component-major for the cut
+elements only (``CutRule``), the layout assembly reads.
 """
 
 from __future__ import annotations
@@ -21,6 +28,9 @@ OUTSIDE = 2
 
 # interface segments shorter than DEGEN_FACTOR * h are skipped (zero weights)
 DEGEN_FACTOR = 1e-14
+
+# element class by the number of vertices with phi <= 0
+_CLASS_BY_COUNT = np.array([OUTSIDE, CUT, CUT, INSIDE], dtype=np.uint8)
 
 
 class GeometryError(ValueError):
@@ -93,19 +103,26 @@ class BackgroundMesh:
         det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         if np.any(det <= 0):
             raise GeometryError("triangle orientation must be counter-clockwise")
+        if np.bincount(tris.ravel(), minlength=self.n_vertices).min(initial=1) == 0:
+            raise GeometryError("every vertex must belong to a triangle")
         self.tri_area = 0.5 * det
-        inv_j = np.empty((self.n_triangles, 2, 2))
-        inv_j[:, 0, 0] = e2[:, 1] / det
-        inv_j[:, 0, 1] = -e2[:, 0] / det
-        inv_j[:, 1, 0] = -e1[:, 1] / det
-        inv_j[:, 1, 1] = e1[:, 0] / det
-        self.inv_j = inv_j
+        # the gradients of hats 1 and 2 are the rows of the inverse Jacobian
         bvec = np.empty((self.n_triangles, 3, 2))
-        bvec[:, 1, :] = inv_j[:, 0, :]
-        bvec[:, 2, :] = inv_j[:, 1, :]
+        bvec[:, 1, 0] = e2[:, 1] / det
+        bvec[:, 1, 1] = -e2[:, 0] / det
+        bvec[:, 2, 0] = -e1[:, 1] / det
+        bvec[:, 2, 1] = e1[:, 0] / det
         bvec[:, 0, :] = -(bvec[:, 1, :] + bvec[:, 2, :])
         self.bvec = bvec
-        self.v0 = p0.copy()
+        # contiguous per-component copies for the per-parameter kernels
+        self.vertices_t = np.ascontiguousarray(verts.T)
+        self.triangles_t = np.ascontiguousarray(tris.T)
+        comp = np.empty((_kernels.N_COMP, self.n_triangles))
+        comp[_kernels.X] = verts[tris.T, 0]
+        comp[_kernels.Y] = verts[tris.T, 1]
+        comp[_kernels.GX] = bvec[:, :, 0].T
+        comp[_kernels.GY] = bvec[:, :, 1].T
+        self.tri_comp = comp
 
     def _build_whole_rules(self):
         """The mapped 3-point rule of every whole triangle in volume-rule
@@ -265,11 +282,27 @@ def build_background_mesh(box, h_target: float) -> BackgroundMesh:
 
 
 @dataclass
+class CutRule:
+    """The cut elements' quadrature in the component-major layout of
+    ``_kernels`` (one row per component, one column per cut element), with
+    the elements' columns of ``BackgroundMesh.tri_comp``.  It holds the same
+    numbers as the cut rows of ``CutGeometry``'s element-major arrays."""
+
+    tri: np.ndarray  # (12, k) per-triangle table columns
+    vol_pts: np.ndarray  # (2, 6, k) by coordinate and slot
+    vol_wts: np.ndarray  # (6, k)
+    seg_pts: np.ndarray  # (2, 2, k) by Gauss point and coordinate
+    seg_wts: np.ndarray  # (k,) weight of each of the two Gauss points
+    normal: np.ndarray  # (2, k)
+
+
+@dataclass
 class CutGeometry:
     """Per-parameter classification and quadrature on the background mesh.
 
     Volume rule arrays are aligned with ``active_elements`` (6 padded slots,
     zero-weight padding); boundary rule arrays with ``cut_elements``.
+    ``cut_rule`` repeats the cut elements' rules component-major.
     """
 
     mu: ParameterPoint
@@ -288,6 +321,7 @@ class CutGeometry:
     active_pos: np.ndarray  # triangle id -> position in active_elements, -1 elsewhere
     ghost_mask: np.ndarray  # facet id -> ghost facet flag
     degenerate_elements: list = field(default_factory=list)
+    cut_rule: CutRule | None = field(default=None, repr=False)
 
     def volume_weight_sum(self) -> float:
         return float(self.vol_wts.sum())
@@ -303,12 +337,10 @@ def build_cut_geometry(mesh: BackgroundMesh, mu: ParameterPoint) -> CutGeometry:
     plain 3-point rule, mixed elements are cut, all-outside elements carry no
     quadrature and are excluded from the active set.
     """
-    phi_v = level_set(mu, mesh.vertices[:, 0], mesh.vertices[:, 1])
-    tri_phi = phi_v[mesh.triangles]
-    n_neg = (tri_phi <= 0.0).sum(axis=1)
-    elem_class = np.full(mesh.n_triangles, CUT, dtype=np.uint8)
-    elem_class[n_neg == 3] = INSIDE
-    elem_class[n_neg == 0] = OUTSIDE
+    phi_v = level_set(mu, *mesh.vertices_t)
+    vertex_in = phi_v <= 0.0
+    corner_in = vertex_in.view(np.uint8)[mesh.triangles_t]
+    elem_class = _CLASS_BY_COUNT[corner_in[0] + corner_in[1] + corner_in[2]]
 
     active = np.flatnonzero(elem_class != OUTSIDE)
     cut = np.flatnonzero(elem_class == CUT)
@@ -328,21 +360,26 @@ def build_cut_geometry(mesh: BackgroundMesh, mu: ParameterPoint) -> CutGeometry:
     ghost_mask[cand[keep]] = True
     ghost_facets = np.flatnonzero(ghost_mask)
 
-    # volume rules: the whole-triangle rule of each active element, with the
-    # cut rows replaced by sub-triangle rules
-    vol_pts = mesh.whole_pts[active]
-    vol_wts = mesh.whole_wts[active]
-    c_vol_pts, c_vol_wts, seg_pts, seg_wts, seg_nrm, degen = _kernels.cut_rules(
-        mesh.vertices[mesh.triangles[cut]], tri_phi[cut], mesh.bvec[cut], DEGEN_FACTOR * mesh.h,
+    cut_vertices = mesh.triangles_t[:, cut]
+    tri = np.take(mesh.tri_comp, cut, axis=1)
+    pts, wts, seg, seg_w, nrm, degen = _kernels.cut_rules(
+        tri, phi_v[cut_vertices], DEGEN_FACTOR * mesh.h,
     )
-    cut_sel = active_pos[cut]
-    vol_pts[cut_sel] = c_vol_pts
-    vol_wts[cut_sel] = c_vol_wts
+    rule = CutRule(tri=tri, vol_pts=pts, vol_wts=wts, seg_pts=seg, seg_wts=seg_w, normal=nrm)
 
-    dof_mark = np.zeros(mesh.n_vertices, dtype=bool)
-    dof_mark[mesh.triangles[active]] = True
+    # element-major volume rules: the whole-triangle rule of each active
+    # element, with the cut rows replaced by sub-triangle rules
+    vol_pts = np.take(mesh.whole_pts, active, axis=0)
+    vol_wts = np.take(mesh.whole_wts, active, axis=0)
+    cut_sel = active_pos[cut]
+    vol_pts[cut_sel] = pts.transpose(2, 1, 0)
+    vol_wts[cut_sel] = wts.T
+
+    # a vertex with phi <= 0 makes all its triangles active (every vertex
+    # has one); any other active vertex belongs to a cut triangle
+    dof_mark = vertex_in.copy()
+    dof_mark[cut_vertices] = True
     active_dofs = np.flatnonzero(dof_mark)
-    degenerate = [int(cut[i]) for i in np.flatnonzero(degen)]
 
     return CutGeometry(
         mu=mu,
@@ -354,11 +391,12 @@ def build_cut_geometry(mesh: BackgroundMesh, mu: ParameterPoint) -> CutGeometry:
         active_dofs=active_dofs,
         vol_pts=vol_pts,
         vol_wts=vol_wts,
-        seg_pts=seg_pts,
-        seg_wts=seg_wts,
-        seg_normal=seg_nrm,
+        seg_pts=np.ascontiguousarray(seg.transpose(2, 0, 1)),
+        seg_wts=np.repeat(seg_w[:, None], 2, axis=1),
+        seg_normal=np.ascontiguousarray(nrm.T),
         cut_pos=cut_pos,
         active_pos=active_pos,
         ghost_mask=ghost_mask,
-        degenerate_elements=degenerate,
+        degenerate_elements=cut[degen].tolist(),
+        cut_rule=rule,
     )

@@ -109,8 +109,8 @@ def run_offline(config: Config) -> OfflineArtifacts:
     f_snaps = np.column_stack([r[1] for r in results])
     deim_f = build_deim_operator(f_snaps, config.eps_deim_f, config.effective_l_cap,
                                  kind=VECTOR)
-    log.info("deim: l_A=%d (cond %.3e), l_f=%d (cond %.3e)",
-             deim_a.l, deim_a.cond, deim_f.l, deim_f.cond)
+    log.info("deim: l_A=%d (cond %.3e, Lebesgue %.4g), l_f=%d (cond %.3e, Lebesgue %.4g)",
+             deim_a.l, deim_a.cond, deim_a.lebesgue, deim_f.l, deim_f.cond, deim_f.lebesgue)
 
     rom = build_rom_offline(pod, deim_a, deim_f, mesh, phys)
     log.info("offline done in %.1f s (training solves %.1f s)",

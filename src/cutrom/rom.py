@@ -52,7 +52,8 @@ class RomOffline:
             [self.pattern.rows[self.deim_a.indices], self.pattern.cols[self.deim_a.indices]]
         )
         self.vector_sample_entries = self.deim_f.indices.copy()
-        self.plan = EntryPlan(self.mesh, self.matrix_sample_entries, self.vector_sample_entries)
+        self.plan = EntryPlan(self.mesh, self.phys, self.matrix_sample_entries,
+                              self.vector_sample_entries)
 
 
 @dataclass
@@ -105,7 +106,7 @@ def build_rom_offline(pod: PodBasis, deim_a: DeimOperator, deim_f: DeimOperator,
 
 def sample_entries(offline: RomOffline, geom: CutGeometry):
     """Evaluate the planned stiffness/load entries for one parameter."""
-    return evaluate_entries(geom, offline.phys, offline.plan)
+    return evaluate_entries(geom, offline.plan)
 
 
 def prepare(offline: RomOffline, geom: CutGeometry) -> OnlinePrep:
@@ -142,7 +143,11 @@ def solve(offline: RomOffline, prep: OnlinePrep, n: int) -> RomSolution:
 
 def rom_online_solve(offline: RomOffline, mu: ParameterPoint, n: int,
                      geom: CutGeometry | None = None) -> RomSolution:
-    """One standalone online query: ``prepare`` and ``solve`` at n modes."""
+    """One standalone online query: ``prepare`` and ``solve`` at n modes.
+
+    A ``geom`` passed in must be the geometry of ``mu``."""
     if geom is None:
         geom = build_cut_geometry(offline.mesh, mu)
+    elif geom.mu != mu:
+        raise RomError(f"geometry was built for mu={geom.mu}, not for the queried mu={mu}")
     return solve(offline, prepare(offline, geom), n)

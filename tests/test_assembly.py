@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutrom import assembly
@@ -116,7 +116,7 @@ def test_evaluate_entries_matches_assembly_bitwise(default_mesh, default_phys, m
     coo = sys_.A.tocoo()
     ent = np.column_stack([coo.row, coo.col]).astype(np.int64)
     vent = np.arange(default_mesh.n_vertices, dtype=np.int64)
-    vals_m, vals_v = evaluate_entries(geom, default_phys, EntryPlan(default_mesh, ent, vent))
+    vals_m, vals_v = evaluate_entries(geom, EntryPlan(default_mesh, default_phys, ent, vent))
     ref = np.asarray(sys_.A[ent[:, 0], ent[:, 1]]).ravel()
     assert np.array_equal(vals_m, ref)
     assert np.array_equal(vals_v, sys_.f)
@@ -125,15 +125,152 @@ def test_evaluate_entries_matches_assembly_bitwise(default_mesh, default_phys, m
 def test_evaluate_entries_disjoint_support_zero(default_mesh, default_phys):
     geom = build_cut_geometry(default_mesh, ParameterPoint(1.0, 1.0))
     # opposite corners of the box: never share an element
-    vals_m, _ = evaluate_entries(geom, default_phys, EntryPlan(default_mesh, [(0, 440)], []))
+    vals_m, _ = evaluate_entries(geom, EntryPlan(default_mesh, default_phys, [(0, 440)], []))
     assert vals_m[0] == 0.0
 
 
-def test_evaluate_entries_rejects_out_of_range(default_mesh):
+def test_evaluate_entries_rejects_out_of_range(default_mesh, default_phys):
     with pytest.raises(AssemblyError):
-        EntryPlan(default_mesh, [(0, 441)], [])
+        EntryPlan(default_mesh, default_phys, [(0, 441)], [])
     with pytest.raises(AssemblyError):
-        EntryPlan(default_mesh, [], [-1])
+        EntryPlan(default_mesh, default_phys, [], [-1])
+
+
+# a physics with every term switched on and no default value
+EDGE_PHYS = PhysicsParams(f_const=-3.7, g_coeffs=(0.2, 1.3, -0.7, 2.1),
+                          nitsche_lambda=23.0, gamma=(0.37, 0.002))
+_EDGE_MESHES = {nx: build_background_mesh(((-1.2, 1.2), (-1.2, 1.2)), 2.4 / nx) for nx in (7, 20, 40)}
+_FULL_PLANS = {}
+
+
+def _full_pattern_plan(nx):
+    """A plan for every entry the mesh pattern can hold and every vertex."""
+    if nx not in _FULL_PLANS:
+        mesh = _EDGE_MESHES[nx]
+        rows = np.repeat(np.arange(mesh.n_vertices), np.diff(mesh.pattern_indptr))
+        ent = np.column_stack([rows, mesh.pattern_cols])
+        _FULL_PLANS[nx] = ent, EntryPlan(mesh, EDGE_PHYS, ent, np.arange(mesh.n_vertices))
+    return _FULL_PLANS[nx]
+
+
+def _assert_entries_bitwise(nx, mu):
+    ent, plan = _full_pattern_plan(nx)
+    geom = build_cut_geometry(_EDGE_MESHES[nx], mu)
+    sys_ = assemble_system(geom, EDGE_PHYS)
+    vals_m, vals_v = evaluate_entries(geom, plan)
+    ref = np.asarray(sys_.A[ent[:, 0], ent[:, 1]]).ravel()
+    assert vals_m.tobytes() == ref.tobytes()
+    assert vals_v.tobytes() == sys_.f.tobytes()
+    return geom
+
+
+@pytest.mark.parametrize("nx", sorted(_EDGE_MESHES))
+@settings(max_examples=15, deadline=None)
+@given(r=st.floats(min_value=0.3, max_value=1.44), theta=st.floats(min_value=0.3, max_value=1.44))
+@example(r=1.44, theta=1.44)
+def test_sampled_entries_match_assembly_on_edge_parameters(nx, r, theta):
+    _assert_entries_bitwise(nx, ParameterPoint(r, theta))
+
+
+@pytest.mark.parametrize("nx", sorted(_EDGE_MESHES))
+def test_sampled_entries_match_assembly_with_a_vertex_on_the_interface(nx):
+    # mu = (2 x^2, 2 y^2) puts the off-axis vertex (x, y) exactly on phi = 0
+    mesh = _EDGE_MESHES[nx]
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    off_axis = np.flatnonzero((x != 0.0) & (y != 0.0))
+    v = off_axis[np.argmin(np.abs(2 * x[off_axis] ** 2 - 0.9) + np.abs(2 * y[off_axis] ** 2 - 0.9))]
+    mu = ParameterPoint(2 * x[v] ** 2, 2 * y[v] ** 2)
+    assert level_set(mu, x, y)[v] == 0.0
+    assert _assert_entries_bitwise(nx, mu).cut_elements.size > 0
+
+
+def _reference_matrices(geom, phys):
+    """A, f and the norm matrix from the element-major rule arrays, slot by
+    slot, with the blockwise element formulas the kernels must reproduce."""
+    mesh = geom.mesh
+    act, cut = geom.active_elements, geom.cut_elements
+    lam = phys.nitsche_lambda / mesh.h
+    g0, gx, gy, gxy = phys.g_coeffs
+
+    def bary(pts, rows):
+        # the gradients of hats 1 and 2 are the rows of the inverse Jacobian
+        v0 = mesh.vertices[mesh.triangles[rows, 0]]
+        inv_j = mesh.bvec[rows, 1:]
+        dx = pts[:, 0] - v0[:, 0]
+        dy = pts[:, 1] - v0[:, 1]
+        xi = inv_j[:, 0, 0] * dx + inv_j[:, 0, 1] * dy
+        eta = inv_j[:, 1, 0] * dx + inv_j[:, 1, 1] * dy
+        return (1.0 - xi - eta, xi, eta)
+
+    b = mesh.bvec[act]
+    wsum = np.zeros(act.size)
+    for q in range(6):
+        wsum = wsum + geom.vol_wts[:, q]
+    a_vol = np.zeros((act.size, 9))
+    f_vol = np.zeros((act.size, 3))
+    for a in range(3):
+        for c in range(3):
+            a_vol[:, 3 * a + c] = wsum * (b[:, a, 0] * b[:, c, 0] + b[:, a, 1] * b[:, c, 1])
+    for q in range(6):
+        p = bary(geom.vol_pts[:, q], act)
+        for a in range(3):
+            f_vol[:, a] += geom.vol_wts[:, q] * phys.f_const * p[a]
+
+    b = mesh.bvec[cut]
+    dn = [b[:, a, 0] * geom.seg_normal[:, 0] + b[:, a, 1] * geom.seg_normal[:, 1] for a in range(3)]
+    a_nit = np.zeros((cut.size, 9))
+    pen = np.zeros((cut.size, 9))
+    f_bnd = np.zeros((cut.size, 3))
+    for q in range(2):
+        w = geom.seg_wts[:, q]
+        x, y = geom.seg_pts[:, q, 0], geom.seg_pts[:, q, 1]
+        p = bary(geom.seg_pts[:, q], cut)
+        g = g0 + gx * x + gy * y + gxy * (x * y)
+        for a in range(3):
+            for c in range(3):
+                pq = lam * (p[a] * p[c])
+                a_nit[:, 3 * a + c] += w * (pq - (dn[c] * p[a] + dn[a] * p[c]))
+                pen[:, 3 * a + c] += w * pq
+            f_bnd[:, a] += w * (lam * (p[a] * g) - dn[a] * g)
+
+    jv = mesh.facet_jump[geom.ghost_facets]
+    coef = phys.gamma[0] * mesh.h * mesh.facet_len[geom.ghost_facets]
+    ghost = coef[:, None, None] * (jv[:, :, None] * jv[:, None, :])
+    nnz, _indptr, _cols, vol_pos, ghost_pos = assembly._pattern(mesh, act, geom.ghost_facets)
+    cut_pos = vol_pos[geom.active_pos[cut]]
+    out = []
+    for boundary in (a_nit, pen):
+        values = np.zeros(nnz)
+        np.add.at(values, vol_pos.ravel(), a_vol.ravel())
+        np.add.at(values, cut_pos.ravel(), boundary.ravel())
+        np.add.at(values, ghost_pos.ravel(), ghost.ravel())
+        out.append(values)
+    f = np.zeros(mesh.n_vertices)
+    np.add.at(f, mesh.triangles[act].ravel(), f_vol.ravel())
+    np.add.at(f, mesh.triangles[cut].ravel(), f_bnd.ravel())
+    return out[0], f, out[1]
+
+
+@pytest.mark.parametrize("nx", [7, 20])
+@settings(max_examples=15, deadline=None)
+@given(r=st.floats(min_value=0.3, max_value=1.44), theta=st.floats(min_value=0.3, max_value=1.44))
+@example(r=1.44, theta=1.44)
+def test_assembly_matches_slotwise_reference_bitwise(nx, r, theta):
+    geom = build_cut_geometry(_EDGE_MESHES[nx], ParameterPoint(r, theta))
+    for phys in (PhysicsParams(), EDGE_PHYS):
+        ref_a, ref_f, ref_norm = _reference_matrices(geom, phys)
+        sys_ = assemble_system(geom, phys)
+        assert sys_.A.data.tobytes() == ref_a.tobytes()
+        assert sys_.f.tobytes() == ref_f.tobytes()
+        assert assemble_norm_matrix(geom, phys).data.tobytes() == ref_norm.tobytes()
+
+
+def test_evaluate_entries_rejects_a_geometry_on_another_mesh(default_mesh, default_phys):
+    plan = EntryPlan(default_mesh, default_phys, [(0, 1)], [0])
+    fine = build_background_mesh(((-1.2, 1.2), (-1.2, 1.2)), 0.06)
+    geom = build_cut_geometry(fine, ParameterPoint(1.0, 1.0))
+    with pytest.raises(AssemblyError, match="does not match"):
+        evaluate_entries(geom, plan)
 
 
 def _reference_pattern(mesh, triangles, facets):

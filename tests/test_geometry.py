@@ -390,6 +390,37 @@ def test_cut_geometry_matches_reference_with_a_vertex_on_the_interface(nx):
     assert _assert_geometry_bitwise(mesh, mu).cut_elements.size > 0
 
 
+@pytest.mark.parametrize("nx", sorted(_LADDER))
+@settings(max_examples=10, deadline=None)
+@given(r=st.floats(min_value=0.3, max_value=1.44), theta=st.floats(min_value=0.3, max_value=1.44))
+@example(r=1.44, theta=1.44)
+def test_component_major_cut_rule_holds_the_cut_rows(nx, r, theta):
+    mesh = _LADDER[nx]
+    geom = build_cut_geometry(mesh, ParameterPoint(r, theta))
+    rule = geom.cut_rule
+    sel = geom.active_pos[geom.cut_elements]
+    assert rule.tri.tobytes() == mesh.tri_comp[:, geom.cut_elements].tobytes()
+    assert rule.vol_pts.transpose(2, 1, 0).tobytes() == geom.vol_pts[sel].tobytes()
+    assert rule.vol_wts.T.tobytes() == geom.vol_wts[sel].tobytes()
+    assert rule.seg_pts.transpose(2, 0, 1).tobytes() == geom.seg_pts.tobytes()
+    assert rule.seg_wts.tobytes() == geom.seg_wts[:, 0].tobytes() == geom.seg_wts[:, 1].tobytes()
+    assert rule.normal.T.tobytes() == geom.seg_normal.tobytes()
+
+
+def test_component_table_matches_mesh_arrays():
+    mesh = _LADDER[7]
+    for a in range(3):
+        assert np.array_equal(mesh.tri_comp[a], mesh.vertices[mesh.triangles[:, a], 0])
+        assert np.array_equal(mesh.tri_comp[3 + a], mesh.vertices[mesh.triangles[:, a], 1])
+        assert np.array_equal(mesh.tri_comp[6 + a], mesh.bvec[:, a, 0])
+        assert np.array_equal(mesh.tri_comp[9 + a], mesh.bvec[:, a, 1])
+    # the kernels read the affine origin and the inverse Jacobian from it
+    p0, p1, p2 = (mesh.vertices[mesh.triangles[:, j]] for j in range(3))
+    jac = np.stack([p1 - p0, p2 - p0], axis=2)
+    assert np.allclose(mesh.tri_comp[[7, 10, 8, 11]].T.reshape(-1, 2, 2) @ jac, np.eye(2), atol=1e-14)
+    assert np.array_equal(mesh.tri_comp[[0, 3]].T, p0)
+
+
 def test_cut_geometry_matches_reference_on_degenerate_segments():
     # (1.44, 1.44) touches the box edge at the four edge midpoints, which are
     # vertices on an even grid; a one-cell mesh with its corner on the ellipse
@@ -456,3 +487,10 @@ def test_tri_facet_map_on_an_unstructured_mesh():
     pts, wts = _reference_whole_rules(mesh)
     assert mesh.whole_pts.tobytes() == pts.tobytes() and mesh.whole_wts.tobytes() == wts.tobytes()
     assert _assert_geometry_bitwise(mesh, ParameterPoint(0.8, 0.6)).ghost_facets.size > 0
+
+
+def test_mesh_with_a_vertex_outside_every_triangle_rejected():
+    # the active-dof marking counts every vertex with phi <= 0 as active
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.2, 0.2]])
+    with pytest.raises(GeometryError, match="every vertex"):
+        BackgroundMesh(vertices, np.array([[0, 1, 2]], dtype=np.int64), 1, (0.0, 1.0))

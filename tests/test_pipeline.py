@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import logging
 import os
 
 import numpy as np
@@ -236,3 +237,16 @@ def test_sweep_samples_entries_once_per_parameter(small_run, small_config, monke
     monkeypatch.setattr(rom, "evaluate_entries", counting)
     run_online_sweep(art, small_config)
     assert len(calls) == small_config.n_test
+
+
+def test_offline_logs_deim_lebesgue_constants(caplog):
+    cfg = Config(n_train=12, n_test=2, n_list=(2, 4), seed=3).validate()
+    with caplog.at_level(logging.INFO, logger="cutrom.pipeline"):
+        art = run_offline(cfg)
+    line = next(r.getMessage() for r in caplog.records if r.getMessage().startswith("deim:"))
+    for op in (art.deim_a, art.deim_f):
+        s = np.linalg.svd(op.pu, compute_uv=False)
+        assert op.lebesgue == 1.0 / s[-1]
+        assert op.cond == np.linalg.cond(op.pu)
+        assert f"Lebesgue {op.lebesgue:.4g}" in line
+        assert f"cond {op.cond:.3e}" in line

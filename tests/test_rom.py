@@ -102,3 +102,12 @@ def test_plan_serves_geometry_on_an_identical_mesh(small_run, small_config):
     other = sample_entries(art.rom, build_cut_geometry(twin, mu))
     assert np.array_equal(own[0], other[0])
     assert np.array_equal(own[1], other[1])
+
+
+def test_query_rejects_a_geometry_of_another_parameter(small_run):
+    art, _ = small_run
+    mu = ParameterPoint(1.02, 1.19)
+    other = ParameterPoint(1.19, 1.02)
+    with pytest.raises(RomError) as info:
+        rom_online_solve(art.rom, mu, 2, geom=build_cut_geometry(art.mesh, other))
+    assert str(mu) in str(info.value) and str(other) in str(info.value)
