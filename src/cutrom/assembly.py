@@ -119,7 +119,7 @@ def _cut_stage(geom: CutGeometry, phys: PhysicsParams):
     per-vertex rows (5, 3, k) (see ``_BARY`` ... ``_F_BND``) and per-element
     rows (2, k): the volume-weight sum and the segment Gauss weight."""
     rule = geom.cut_rule
-    if rule is None or rule.seg_wts.shape[0] != geom.cut_elements.size:
+    if rule.seg_wts.shape[0] != geom.cut_elements.size:
         raise AssemblyError("every cut element needs a component-major cut rule")
     mesh = geom.mesh
     g0, gx, gy, gxy = (float(c) for c in phys.g_coeffs)

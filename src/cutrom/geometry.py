@@ -9,9 +9,9 @@ kernels read.  For each parameter the ellipse level set classifies every
 triangle as inside / cut / outside, and only the cut triangles get new
 quadrature: sub-triangle volume rules for the region where the linear
 interpolant of the level set is non-positive, plus a 2-point Gauss rule on
-the straight interface segment.  ``CutGeometry`` holds these rules twice:
-element-major for every active element, and component-major for the cut
-elements only (``CutRule``), the layout assembly reads.
+the straight interface segment.  ``CutRule`` holds them component-major, the
+layout assembly reads; an inside element's rule is its row of the mesh's
+whole-triangle rules, and an outside element has none.
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ class ParameterPoint:
     def __post_init__(self):
         if not (self.r > 0.0 and self.theta > 0.0):
             raise GeometryError(f"parameter components must be positive, got {(self.r, self.theta)}")
-
-    def as_array(self):
-        return np.array([self.r, self.theta])
 
 
 def require_inside_box(mu: ParameterPoint, box) -> None:
@@ -285,8 +282,8 @@ def build_background_mesh(box, h_target: float) -> BackgroundMesh:
 class CutRule:
     """The cut elements' quadrature in the component-major layout of
     ``_kernels`` (one row per component, one column per cut element), with
-    the elements' columns of ``BackgroundMesh.tri_comp``.  It holds the same
-    numbers as the cut rows of ``CutGeometry``'s element-major arrays."""
+    the elements' columns of ``BackgroundMesh.tri_comp``.  Volume rules have
+    6 slots, zero-weight padding; a degenerate segment has zero weight."""
 
     tri: np.ndarray  # (12, k) per-triangle table columns
     vol_pts: np.ndarray  # (2, 6, k) by coordinate and slot
@@ -300,9 +297,9 @@ class CutRule:
 class CutGeometry:
     """Per-parameter classification and quadrature on the background mesh.
 
-    Volume rule arrays are aligned with ``active_elements`` (6 padded slots,
-    zero-weight padding); boundary rule arrays with ``cut_elements``.
-    ``cut_rule`` repeats the cut elements' rules component-major.
+    ``cut_rule`` is the only per-parameter quadrature, one column per entry
+    of ``cut_elements``; inside elements use ``BackgroundMesh.whole_pts`` /
+    ``whole_wts``.
     """
 
     mu: ParameterPoint
@@ -312,22 +309,22 @@ class CutGeometry:
     cut_elements: np.ndarray
     ghost_facets: np.ndarray
     active_dofs: np.ndarray
-    vol_pts: np.ndarray
-    vol_wts: np.ndarray
-    seg_pts: np.ndarray
-    seg_wts: np.ndarray
-    seg_normal: np.ndarray
+    cut_rule: CutRule = field(repr=False)
     cut_pos: np.ndarray  # triangle id -> position in cut_elements, -1 elsewhere
     active_pos: np.ndarray  # triangle id -> position in active_elements, -1 elsewhere
     ghost_mask: np.ndarray  # facet id -> ghost facet flag
     degenerate_elements: list = field(default_factory=list)
-    cut_rule: CutRule | None = field(default=None, repr=False)
 
     def volume_weight_sum(self) -> float:
-        return float(self.vol_wts.sum())
+        """Quadrature area of the domain: the inside elements' areas plus
+        the cut elements' sub-triangle weights."""
+        inside = self.elem_class == INSIDE
+        return float(self.mesh.tri_area[inside].sum() + self.cut_rule.vol_wts.sum())
 
     def boundary_weight_sum(self) -> float:
-        return float(self.seg_wts.sum())
+        """Quadrature length of the interface: both Gauss points of a
+        segment carry its ``seg_wts`` entry."""
+        return float(2.0 * self.cut_rule.seg_wts.sum())
 
 
 def build_cut_geometry(mesh: BackgroundMesh, mu: ParameterPoint) -> CutGeometry:
@@ -365,15 +362,6 @@ def build_cut_geometry(mesh: BackgroundMesh, mu: ParameterPoint) -> CutGeometry:
     pts, wts, seg, seg_w, nrm, degen = _kernels.cut_rules(
         tri, phi_v[cut_vertices], DEGEN_FACTOR * mesh.h,
     )
-    rule = CutRule(tri=tri, vol_pts=pts, vol_wts=wts, seg_pts=seg, seg_wts=seg_w, normal=nrm)
-
-    # element-major volume rules: the whole-triangle rule of each active
-    # element, with the cut rows replaced by sub-triangle rules
-    vol_pts = np.take(mesh.whole_pts, active, axis=0)
-    vol_wts = np.take(mesh.whole_wts, active, axis=0)
-    cut_sel = active_pos[cut]
-    vol_pts[cut_sel] = pts.transpose(2, 1, 0)
-    vol_wts[cut_sel] = wts.T
 
     # a vertex with phi <= 0 makes all its triangles active (every vertex
     # has one); any other active vertex belongs to a cut triangle
@@ -389,14 +377,9 @@ def build_cut_geometry(mesh: BackgroundMesh, mu: ParameterPoint) -> CutGeometry:
         cut_elements=cut,
         ghost_facets=ghost_facets,
         active_dofs=active_dofs,
-        vol_pts=vol_pts,
-        vol_wts=vol_wts,
-        seg_pts=np.ascontiguousarray(seg.transpose(2, 0, 1)),
-        seg_wts=np.repeat(seg_w[:, None], 2, axis=1),
-        seg_normal=np.ascontiguousarray(nrm.T),
+        cut_rule=CutRule(tri=tri, vol_pts=pts, vol_wts=wts, seg_pts=seg, seg_wts=seg_w, normal=nrm),
         cut_pos=cut_pos,
         active_pos=active_pos,
         ghost_mask=ghost_mask,
         degenerate_elements=cut[degen].tolist(),
-        cut_rule=rule,
     )

@@ -184,11 +184,27 @@ def test_sampled_entries_match_assembly_with_a_vertex_on_the_interface(nx):
     assert _assert_entries_bitwise(nx, mu).cut_elements.size > 0
 
 
+def _element_major_rules(geom):
+    """The rules element-major: the whole-triangle rule of each active
+    element with the cut rows replaced by ``cut_rule``, and the interface
+    rule per cut element and Gauss point."""
+    mesh, rule = geom.mesh, geom.cut_rule
+    vol_pts = mesh.whole_pts[geom.active_elements]
+    vol_wts = mesh.whole_wts[geom.active_elements]
+    cut_sel = geom.active_pos[geom.cut_elements]
+    vol_pts[cut_sel] = rule.vol_pts.transpose(2, 1, 0)
+    vol_wts[cut_sel] = rule.vol_wts.T
+    seg_pts = rule.seg_pts.transpose(2, 0, 1)
+    seg_wts = np.repeat(rule.seg_wts[:, None], 2, axis=1)
+    return vol_pts, vol_wts, seg_pts, seg_wts, rule.normal.T
+
+
 def _reference_matrices(geom, phys):
     """A, f and the norm matrix from the element-major rule arrays, slot by
     slot, with the blockwise element formulas the kernels must reproduce."""
     mesh = geom.mesh
     act, cut = geom.active_elements, geom.cut_elements
+    vol_pts, vol_wts, seg_pts, seg_wts, seg_normal = _element_major_rules(geom)
     lam = phys.nitsche_lambda / mesh.h
     g0, gx, gy, gxy = phys.g_coeffs
 
@@ -205,26 +221,26 @@ def _reference_matrices(geom, phys):
     b = mesh.bvec[act]
     wsum = np.zeros(act.size)
     for q in range(6):
-        wsum = wsum + geom.vol_wts[:, q]
+        wsum = wsum + vol_wts[:, q]
     a_vol = np.zeros((act.size, 9))
     f_vol = np.zeros((act.size, 3))
     for a in range(3):
         for c in range(3):
             a_vol[:, 3 * a + c] = wsum * (b[:, a, 0] * b[:, c, 0] + b[:, a, 1] * b[:, c, 1])
     for q in range(6):
-        p = bary(geom.vol_pts[:, q], act)
+        p = bary(vol_pts[:, q], act)
         for a in range(3):
-            f_vol[:, a] += geom.vol_wts[:, q] * phys.f_const * p[a]
+            f_vol[:, a] += vol_wts[:, q] * phys.f_const * p[a]
 
     b = mesh.bvec[cut]
-    dn = [b[:, a, 0] * geom.seg_normal[:, 0] + b[:, a, 1] * geom.seg_normal[:, 1] for a in range(3)]
+    dn = [b[:, a, 0] * seg_normal[:, 0] + b[:, a, 1] * seg_normal[:, 1] for a in range(3)]
     a_nit = np.zeros((cut.size, 9))
     pen = np.zeros((cut.size, 9))
     f_bnd = np.zeros((cut.size, 3))
     for q in range(2):
-        w = geom.seg_wts[:, q]
-        x, y = geom.seg_pts[:, q, 0], geom.seg_pts[:, q, 1]
-        p = bary(geom.seg_pts[:, q], cut)
+        w = seg_wts[:, q]
+        x, y = seg_pts[:, q, 0], seg_pts[:, q, 1]
+        p = bary(seg_pts[:, q], cut)
         g = g0 + gx * x + gy * y + gxy * (x * y)
         for a in range(3):
             for c in range(3):

@@ -90,8 +90,10 @@ def test_outside_elements_have_no_quadrature(default_mesh):
     geom = build_cut_geometry(default_mesh, ParameterPoint(1.0, 1.0))
     outside = np.flatnonzero(geom.elem_class == OUTSIDE)
     assert np.intersect1d(outside, geom.active_elements).size == 0
-    # weight mass only lives on the active rule arrays, which exclude OUTSIDE
-    assert geom.vol_wts.shape[0] == geom.active_elements.size
+    # per-parameter weights live on the cut rule only, one column per cut element
+    rule = geom.cut_rule
+    assert rule.vol_wts.shape[1] == rule.seg_wts.shape[0] == geom.cut_elements.size
+    assert np.intersect1d(outside, geom.cut_elements).size == 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -127,7 +129,7 @@ def test_ghost_facets_interior_to_active(r, theta):
 @given(r=mu_values, theta=mu_values)
 def test_boundary_normals_unit(r, theta):
     geom = build_cut_geometry(_MESH, ParameterPoint(r, theta))
-    norms = np.hypot(geom.seg_normal[:, 0], geom.seg_normal[:, 1])
+    norms = np.hypot(*geom.cut_rule.normal)
     assert np.abs(norms - 1.0).max() < 1e-12
 
 
@@ -147,11 +149,8 @@ def test_deterministic_rebuild(default_mesh):
     mu = ParameterPoint(1.083, 1.127)
     g1 = build_cut_geometry(default_mesh, mu)
     g2 = build_cut_geometry(default_mesh, mu)
-    assert np.array_equal(g1.vol_pts, g2.vol_pts)
-    assert np.array_equal(g1.vol_wts, g2.vol_wts)
-    assert np.array_equal(g1.seg_pts, g2.seg_pts)
-    assert np.array_equal(g1.seg_wts, g2.seg_wts)
-    assert np.array_equal(g1.seg_normal, g2.seg_normal)
+    for f in dataclasses.fields(g1.cut_rule):
+        assert np.array_equal(getattr(g1.cut_rule, f.name), getattr(g2.cut_rule, f.name)), f.name
     assert np.array_equal(g1.elem_class, g2.elem_class)
     assert np.array_equal(g1.ghost_facets, g2.ghost_facets)
 
@@ -163,7 +162,7 @@ def test_degenerate_cut_reported_and_skipped():
     geom = build_cut_geometry(mesh, ParameterPoint(2.0, 2.0))
     assert (geom.elem_class == CUT).all()
     assert geom.degenerate_elements == [0, 1]
-    assert geom.seg_wts.sum() == 0.0
+    assert geom.cut_rule.seg_wts.sum() == 0.0
     assert geom.volume_weight_sum() == 0.0
 
 
@@ -302,7 +301,10 @@ def _reference_cut_rules(tri_pts, phi, bvec, degen_tol):
 
 def _reference_cut_geometry(mesh, mu):
     """Whole-mesh construction: ghost mask over all facets, inside rules
-    point by point, active dofs by ``np.unique``."""
+    point by point, active dofs by ``np.unique``.  Returns the
+    ``CutGeometry`` fields by name, next to the element-major rule arrays
+    (``vol_pts``/``vol_wts`` per active element, ``seg_pts``/``seg_wts``/
+    ``seg_normal`` per cut element)."""
     phi_v = level_set(mu, mesh.vertices[:, 0], mesh.vertices[:, 1])
     tri_phi = phi_v[mesh.triangles]
     n_neg = (tri_phi <= 0.0).sum(axis=1)
@@ -342,25 +344,43 @@ def _reference_cut_geometry(mesh, mu):
     )
     vol_pts[active_pos[cut]] = c_vol_pts
     vol_wts[active_pos[cut]] = c_vol_wts
-    return CutGeometry(
-        mu=mu, mesh=mesh, elem_class=elem_class, active_elements=active,
-        cut_elements=cut, ghost_facets=np.flatnonzero(ghost_mask),
+    return dict(
+        elem_class=elem_class, active_elements=active, cut_elements=cut,
+        ghost_facets=np.flatnonzero(ghost_mask),
         active_dofs=np.unique(mesh.triangles[active].ravel()),
-        vol_pts=vol_pts, vol_wts=vol_wts, seg_pts=seg_pts, seg_wts=seg_wts,
-        seg_normal=seg_nrm, cut_pos=cut_pos, active_pos=active_pos,
-        ghost_mask=ghost_mask, degenerate_elements=[int(cut[i]) for i in np.flatnonzero(degen)],
+        cut_pos=cut_pos, active_pos=active_pos, ghost_mask=ghost_mask,
+        degenerate_elements=[int(cut[i]) for i in np.flatnonzero(degen)],
+        vol_pts=vol_pts, vol_wts=vol_wts, seg_pts=seg_pts, seg_wts=seg_wts, seg_normal=seg_nrm,
     )
+
+
+def _assert_bytes_equal(a, b, name):
+    assert a.dtype == b.dtype and a.shape == b.shape, name
+    assert a.tobytes() == b.tobytes(), name
 
 
 def _assert_geometry_bitwise(mesh, mu):
     new = build_cut_geometry(mesh, mu)
     ref = _reference_cut_geometry(mesh, mu)
-    for f in dataclasses.fields(ref):
-        a, b = getattr(new, f.name), getattr(ref, f.name)
-        if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and a.shape == b.shape, f.name
-            assert a.tobytes() == b.tobytes(), f.name
-    assert new.degenerate_elements == ref.degenerate_elements
+    for f in dataclasses.fields(CutGeometry):
+        if f.name in ref and isinstance(ref[f.name], np.ndarray):
+            _assert_bytes_equal(getattr(new, f.name), ref[f.name], f.name)
+    assert new.degenerate_elements == ref["degenerate_elements"]
+    # the reference's element-major rules: inside rows are the mesh's
+    # whole-triangle rules, cut rows the component-major cut rule
+    act, cut, rule = new.active_elements, new.cut_elements, new.cut_rule
+    ins_sel = np.flatnonzero(new.elem_class[act] == INSIDE)
+    cut_sel = new.active_pos[cut]
+    assert ins_sel.size + cut_sel.size == act.size
+    _assert_bytes_equal(ref["vol_pts"][ins_sel], mesh.whole_pts[act[ins_sel]], "inside vol_pts")
+    _assert_bytes_equal(ref["vol_wts"][ins_sel], mesh.whole_wts[act[ins_sel]], "inside vol_wts")
+    _assert_bytes_equal(ref["vol_pts"][cut_sel], rule.vol_pts.transpose(2, 1, 0), "cut vol_pts")
+    _assert_bytes_equal(ref["vol_wts"][cut_sel], rule.vol_wts.T, "cut vol_wts")
+    _assert_bytes_equal(ref["seg_pts"], rule.seg_pts.transpose(2, 0, 1), "seg_pts")
+    for q in range(2):
+        _assert_bytes_equal(ref["seg_wts"][:, q], rule.seg_wts, "seg_wts")
+    _assert_bytes_equal(ref["seg_normal"], rule.normal.T, "seg_normal")
+    _assert_bytes_equal(rule.tri, mesh.tri_comp[:, cut], "tri")
     return new
 
 
@@ -394,17 +414,14 @@ def test_cut_geometry_matches_reference_with_a_vertex_on_the_interface(nx):
 @settings(max_examples=10, deadline=None)
 @given(r=st.floats(min_value=0.3, max_value=1.44), theta=st.floats(min_value=0.3, max_value=1.44))
 @example(r=1.44, theta=1.44)
-def test_component_major_cut_rule_holds_the_cut_rows(nx, r, theta):
+def test_weight_sums_match_element_major_reference(nx, r, theta):
     mesh = _LADDER[nx]
-    geom = build_cut_geometry(mesh, ParameterPoint(r, theta))
-    rule = geom.cut_rule
-    sel = geom.active_pos[geom.cut_elements]
-    assert rule.tri.tobytes() == mesh.tri_comp[:, geom.cut_elements].tobytes()
-    assert rule.vol_pts.transpose(2, 1, 0).tobytes() == geom.vol_pts[sel].tobytes()
-    assert rule.vol_wts.T.tobytes() == geom.vol_wts[sel].tobytes()
-    assert rule.seg_pts.transpose(2, 0, 1).tobytes() == geom.seg_pts.tobytes()
-    assert rule.seg_wts.tobytes() == geom.seg_wts[:, 0].tobytes() == geom.seg_wts[:, 1].tobytes()
-    assert rule.normal.T.tobytes() == geom.seg_normal.tobytes()
+    mu = ParameterPoint(r, theta)
+    geom = build_cut_geometry(mesh, mu)
+    ref = _reference_cut_geometry(mesh, mu)
+    for got, want in ((geom.volume_weight_sum(), ref["vol_wts"].sum()),
+                      (geom.boundary_weight_sum(), ref["seg_wts"].sum())):
+        assert abs(got - want) <= 1e-14 * abs(want)
 
 
 def test_component_table_matches_mesh_arrays():

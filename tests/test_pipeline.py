@@ -53,9 +53,7 @@ def test_report_files_and_schemas(tmp_path, small_run, small_config):
         rate_rows = list(csv.reader(fh))
     assert rate_rows[0] == ["quantity", "alpha", "r2_alg", "beta", "r2_exp", "best", "formula"]
     assert [r[0] for r in rate_rows[1:]] == ["e_rel", "eta_2a", "eta_2b", "eta_pod", "eta_A", "eta_f"]
-    for name in ("timings.csv", "records.csv", "fig_solution_errors.csv",
-                 "fig_deim_quality.csv", "fig_residual_tail.csv",
-                 "fig_effectivity.csv", "fig_timing.csv", "report_meta.txt"):
+    for name in ("timings.csv", "records.csv", "fig_timing.csv", "report_meta.txt"):
         assert (out / name).exists()
 
 
@@ -132,7 +130,7 @@ def test_verify_suite_on_small_config(tmp_path):
     checks = verify_invariants(cfg, geometry_csv=str(summary))
     names = {c.name for c in checks}
     assert {"patch_test", "zero_ghost_rows", "spd_coercivity", "pod_tail_identity",
-            "deim_interpolation_exactness"} <= names
+            "deim_interpolation_exactness", "sweep_invariants"} <= names
     failed = [c for c in checks if not c.ok]
     assert not failed, failed
     with open(summary) as fh:
