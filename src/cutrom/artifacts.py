@@ -13,12 +13,9 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .config import Config
-from .deim import (
-    COND_LIMIT, MATRIX, VECTOR, DeimError, DeimOperator, UnionPattern, interpolation_conditioning,
-)
+from .deim import MATRIX, VECTOR, DeimOperator, UnionPattern, deim_operator
 from .geometry import BackgroundMesh, build_background_mesh
 from .assembly import PhysicsParams, physics_from_config
 from .pod import PodBasis, energy_mode_count
@@ -158,16 +155,6 @@ def _read_manifest(dirpath: str) -> dict:
     return out
 
 
-def _rebuild_operator(basis, indices, svals, kind, pattern):
-    pu = basis[indices, :]
-    cond, lebesgue = interpolation_conditioning(pu)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise DeimError(f"stored interpolation matrix is singular (cond={cond:.3e})")
-    return DeimOperator(U=basis, indices=indices, singular_values=svals, kind=kind,
-                        pu=pu, lu=sla.lu_factor(pu), cond=cond, lebesgue=lebesgue,
-                        pattern=pattern)
-
-
 def load_artifacts(dirpath: str, config: Config) -> OfflineArtifacts:
     """Load arrays, verify the config hash, and rebuild the derived objects."""
     manifest = _read_manifest(dirpath)
@@ -194,14 +181,10 @@ def load_artifacts(dirpath: str, config: Config) -> OfflineArtifacts:
         n_max=data["pod_modes"].shape[1],
         n_energy=energy_mode_count(data["pod_sigma"], config.eps_pod),
     )
-    deim_a = _rebuild_operator(
-        data["deim_a_basis"], data["deim_a_indices"],
-        data["deim_a_singular_values"], MATRIX, pattern,
-    )
-    deim_f = _rebuild_operator(
-        data["deim_f_basis"], data["deim_f_indices"],
-        data["deim_f_singular_values"], VECTOR, None,
-    )
+    deim_a = deim_operator(data["deim_a_basis"], data["deim_a_indices"],
+                           data["deim_a_singular_values"], MATRIX, pattern)
+    deim_f = deim_operator(data["deim_f_basis"], data["deim_f_indices"],
+                           data["deim_f_singular_values"], VECTOR)
     rom = RomOffline(pod=pod, deim_a=deim_a, deim_f=deim_f, blocks_a=data["blocks_a"],
                      blocks_f=data["blocks_f"], mesh=mesh, phys=phys)
     return OfflineArtifacts(

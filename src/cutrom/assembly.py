@@ -2,7 +2,11 @@
 
 Matrices are built into a fixed structural pattern (active-element stencils
 plus ghost-facet patches), so rows outside the active dof set are never stored
-and are exactly zero.
+and are exactly zero.  The mesh's slot tables (``tri_pattern_pos``,
+``facet_pattern_pos``) say where each local slot of each triangle and facet
+lands in that pattern; full assembly scatters through them, and an
+``EntryPlan``'s candidates for an entry are the entities whose slots land on
+it.
 
 Per parameter, only the cut elements need new local terms.  ``_cut_stage``
 computes them once, component-major: per cut element the volume-weight sum,
@@ -212,28 +216,45 @@ def assemble_mass_matrix(mesh: BackgroundMesh) -> sp.csr_matrix:
     return sp.csr_matrix((values, cols, indptr), shape=(n, n))
 
 
-def _gather_ranges(indptr, indices, keys):
-    """Flatten indices[indptr[k]:indptr[k+1]] for each key, with owner ids."""
-    counts = indptr[keys + 1] - indptr[keys]
-    total = int(counts.sum())
-    owner = np.repeat(np.arange(keys.size), counts)
-    if total == 0:
-        return owner, np.empty(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    offs = np.arange(total) - np.repeat(ends - counts, counts)
-    vals = indices[np.repeat(indptr[keys], counts) + offs]
-    return owner, vals
+def _pattern_positions(mesh: BackgroundMesh, entries):
+    """Mesh-pattern position of each (i, j) in ``entries``, -1 outside it."""
+    n = mesh.n_vertices
+    codes = np.repeat(np.arange(n), np.diff(mesh.pattern_indptr)) * n + mesh.pattern_cols
+    want = entries[:, 0] * n + entries[:, 1]
+    pos = np.minimum(np.searchsorted(codes, want), codes.size - 1)
+    return np.where(codes[pos] == want, pos, -1)
 
 
-def _local_index(tri_rows, targets):
-    return np.argmax(tri_rows == targets[:, None], axis=1)
+def _slot_holders(pos_table, positions, size: int):
+    """The (entity, slot) pairs of ``pos_table`` that hold each requested
+    position of a pattern of ``size`` positions, as flat arrays (request,
+    entity, slot): request-major, entities ascending within a request, as
+    full assembly visits them.  Position -1 (outside the pattern, or an
+    unused slot of the table) has no holders."""
+    flat = pos_table.ravel()
+    wanted = np.zeros(size + 1, dtype=bool)  # index -1 reads the last, unset flag
+    wanted[positions[positions >= 0]] = True
+    hit = np.flatnonzero(wanted[flat])
+    hit = hit[np.argsort(flat[hit], kind="stable")]
+    hit_pos = flat[hit]
+    lo = np.searchsorted(hit_pos, positions, side="left")
+    counts = np.searchsorted(hit_pos, positions, side="right") - lo
+    request = np.repeat(np.arange(positions.size), counts)
+    first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    entity, slot = np.divmod(hit[np.arange(request.size) + first], pos_table.shape[1])
+    return request, entity, slot
 
 
 class EntryPlan:
-    """A sampled-entry request for one physics: which elements and facets
-    can contribute to each requested entry, with local slot indices, and
-    every parameter-independent value precomputed.
+    """A sampled-entry request for one physics: the elements and facets that
+    contribute to each requested entry, with local slot indices, and every
+    parameter-independent value precomputed.
 
+    The candidates of entry (i, j) are the triangles and interior facets
+    whose stencil slots land on (i, j) in the mesh pattern
+    (``BackgroundMesh.tri_pattern_pos``/``facet_pattern_pos``, the tables
+    full assembly scatters through); a vector entry i is the diagonal
+    position (i, i).  An entry outside the pattern has no candidates.
     Candidates are ordered entry-major with ascending entity indices, the
     same relative order full assembly uses, so replaying them reproduces the
     assembled values bit for bit.  The plan stores the value of every
@@ -256,20 +277,12 @@ class EntryPlan:
         self.n_matrix = m_ent.shape[0]
         self.n_vector = v_ent.shape[0]
         f_const = float(phys.f_const)
-        indptr, indices = mesh.vertex_tri_adjacency()
+        m_pos = _pattern_positions(mesh, m_ent)
+        size = mesh.pattern_cols.size
 
-        owner, cand = _gather_ranges(indptr, indices, m_ent[:, 0]) if m_ent.size else (
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        if cand.size:
-            jrep = m_ent[owner, 1]
-            tri_v = mesh.triangles[cand]
-            has_j = (tri_v[:, 0] == jrep) | (tri_v[:, 1] == jrep) | (tri_v[:, 2] == jrep)
-            owner, cand = owner[has_j], cand[has_j]
-        self.m_ids = owner
+        self.m_ids, cand, slot = _slot_holders(mesh.tri_pattern_pos, m_pos, size)
         self.m_elems = cand
-        tri_rows = mesh.triangles[cand]
-        self.m_aloc = _local_index(tri_rows, m_ent[owner, 0]) if cand.size else cand
-        self.m_cloc = _local_index(tri_rows, m_ent[owner, 1]) if cand.size else cand
+        self.m_aloc, self.m_cloc = np.divmod(slot, 3)
         tri = np.take(mesh.tri_comp, cand, axis=1)
         rng = np.arange(cand.size)
         gx = tri[_kernels.GX]
@@ -280,32 +293,18 @@ class EntryPlan:
         wsum, _loads = _whole_terms(mesh, cand, f_const)
         self.m_whole = _kernels.stiffness(wsum, *self.m_grad)
 
-        f_indptr, f_indices = mesh.vertex_facet_adjacency()
-        fowner, fcand = _gather_ranges(f_indptr, f_indices, m_ent[:, 0]) if m_ent.size else (
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        if fcand.size:
-            jrep = m_ent[fowner, 1]
-            patch = mesh.facet_patch[fcand]
-            has_j = (
-                (patch[:, 0] == jrep) | (patch[:, 1] == jrep)
-                | (patch[:, 2] == jrep) | (patch[:, 3] == jrep)
-            )
-            fowner, fcand = fowner[has_j], fcand[has_j]
-        self.g_ids = fowner
+        self.g_ids, fcand, slot = _slot_holders(mesh.facet_pattern_pos, m_pos, size)
         self.g_facets = fcand
-        patch_k = mesh.facet_patch[fcand]
-        g_aloc = _local_index(patch_k, m_ent[fowner, 0]) if fcand.size else fcand
-        g_cloc = _local_index(patch_k, m_ent[fowner, 1]) if fcand.size else fcand
+        g_aloc, g_cloc = np.divmod(slot, 4)
         jump = mesh.facet_jump[fcand]
         rng = np.arange(fcand.size)
         self.g_vals = _kernels.ghost_penalty(phys.gamma[0], mesh.h, mesh.facet_len[fcand],
                                              jump[rng, g_aloc], jump[rng, g_cloc])
 
-        owner, cand = _gather_ranges(indptr, indices, v_ent) if v_ent.size else (
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        self.v_ids = owner
+        diag = _pattern_positions(mesh, np.column_stack([v_ent, v_ent]))
+        self.v_ids, cand, slot = _slot_holders(mesh.tri_pattern_pos, diag, size)
         self.v_elems = cand
-        self.v_aloc = _local_index(mesh.triangles[cand], v_ent[owner]) if cand.size else cand
+        self.v_aloc = slot // 3
         _wsum, loads = _whole_terms(mesh, cand, f_const)
         self.v_whole = loads[self.v_aloc, np.arange(cand.size)]
 

@@ -114,6 +114,21 @@ def interpolation_conditioning(pu: np.ndarray):
         return float(s[0] / s[-1]), float(1.0 / s[-1])
 
 
+def deim_operator(u: np.ndarray, indices: np.ndarray, singular_values: np.ndarray,
+                  kind: str, pattern: UnionPattern | None = None) -> DeimOperator:
+    """The operator of basis ``u`` interpolated at ``indices``: forms PᵀU,
+    refuses it when its condition number is not finite or exceeds
+    ``COND_LIMIT``, and LU-factors it.  A fresh build and a loaded model
+    both come through here."""
+    pu = u[indices, :]
+    cond, lebesgue = interpolation_conditioning(pu)
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise DeimError(f"interpolation matrix is numerically singular (cond={cond:.3e})")
+    return DeimOperator(U=u, indices=indices, singular_values=singular_values, kind=kind,
+                        pu=pu, lu=sla.lu_factor(pu), cond=cond, lebesgue=lebesgue,
+                        pattern=pattern)
+
+
 def _greedy_indices(u: np.ndarray) -> np.ndarray:
     """Classic greedy selection: p1 = argmax |u1|; then maximize the residual
     of interpolating each next mode at the already selected positions."""
@@ -150,13 +165,7 @@ def build_deim_operator(snapshots: np.ndarray, eps: float, l_cap: int,
     indices = _greedy_indices(u)
     if np.unique(indices).size != l:
         raise DeimError("greedy selection produced duplicate indices")
-    pu = u[indices, :]
-    cond, lebesgue = interpolation_conditioning(pu)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise DeimError(f"interpolation matrix is numerically singular (cond={cond:.3e})")
-    lu = sla.lu_factor(pu)
-    return DeimOperator(U=u, indices=indices, singular_values=s.copy(), kind=kind,
-                        pu=pu, lu=lu, cond=cond, lebesgue=lebesgue, pattern=pattern)
+    return deim_operator(u, indices, s.copy(), kind, pattern)
 
 
 def deim_coefficients(op: DeimOperator, sampled: np.ndarray) -> np.ndarray:

@@ -57,21 +57,23 @@ def _frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def deim_matrix_error(a, a_deim) -> float:
-    """Relative Frobenius error of the interpolated stiffness matrix."""
+def deim_matrix_error(a, a_deim) -> tuple[float, float]:
+    """Absolute and relative Frobenius error of the interpolated stiffness
+    matrix."""
     denom = _frobenius(a)
     if denom == 0.0:
         raise EstimatorError("reference matrix has zero Frobenius norm")
-    diff = a - a_deim
-    return _frobenius(diff) / denom
+    err = _frobenius(a - a_deim)
+    return err, err / denom
 
 
-def deim_vector_error(f, f_deim) -> float:
-    """Relative Euclidean error of the interpolated load vector."""
+def deim_vector_error(f, f_deim) -> tuple[float, float]:
+    """Absolute and relative Euclidean error of the interpolated load vector."""
     denom = float(np.linalg.norm(f))
     if denom == 0.0:
         raise EstimatorError("reference vector has zero norm")
-    return float(np.linalg.norm(np.asarray(f) - np.asarray(f_deim))) / denom
+    err = float(np.linalg.norm(np.asarray(f) - np.asarray(f_deim)))
+    return err, err / denom
 
 
 def residual_norm_plain(r) -> float:

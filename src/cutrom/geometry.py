@@ -217,7 +217,9 @@ class BackgroundMesh:
         A parameter's pattern is the subset its active triangles and ghost
         facets touch, so assembly only marks and renumbers positions.  The 9
         (16) positions run row-major over the local vertices (patch slots),
-        the order in which the element kernels emit their blocks.
+        the order in which the element kernels emit their blocks.  The same
+        slot tables tell ``assembly.EntryPlan`` which triangles and facets
+        contribute to a sampled entry, and at which local slots.
         """
         n = self.n_vertices
         tris = self.triangles
@@ -232,23 +234,6 @@ class BackgroundMesh:
         facet_pos = np.full((self.facets.shape[0], 16), -1, dtype=np.int64)
         facet_pos[interior] = np.searchsorted(codes, facet_codes)
         self.facet_pattern_pos = facet_pos
-
-    def vertex_tri_adjacency(self):
-        """CSR-style vertex -> triangle adjacency, triangle ids ascending."""
-        flat = self.triangles.ravel()
-        tri_of = np.repeat(np.arange(self.n_triangles), 3)
-        order = np.lexsort((tri_of, flat))
-        indptr = np.searchsorted(flat[order], np.arange(self.n_vertices + 1))
-        return indptr, tri_of[order]
-
-    def vertex_facet_adjacency(self):
-        """Vertex -> interior facets whose 4-dof patch contains the vertex."""
-        interior = np.flatnonzero(self.facet_tris[:, 1] >= 0)
-        dofs = self.facet_patch[interior].ravel()
-        fac_of = np.repeat(interior, 4)
-        order = np.lexsort((fac_of, dofs))
-        indptr = np.searchsorted(dofs[order], np.arange(self.n_vertices + 1))
-        return indptr, fac_of[order]
 
 
 def build_background_mesh(box, h_target: float) -> BackgroundMesh:

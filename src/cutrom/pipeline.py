@@ -145,8 +145,7 @@ class SweepReport:
         for n in self.n_list:
             recs = self.records_for_n(n)
             row = {"n": n}
-            for name in ("e_rel", "eta_A", "eta_f", "eta_2a", "eta_2b", "eta_2a_active",
-                         "theta_2a", "theta_2b", "theta_2a_active", "e_T", "bound"):
+            for name in RUN4_COLUMNS[1:]:
                 row[name] = float(np.mean([getattr(r, name) for r in recs]))
             row["eta_pod"] = recs[0].eta_pod
             rows.append(row)
@@ -155,14 +154,7 @@ class SweepReport:
     def fit_table(self):
         """One row per estimator quantity, mirroring the rate-fit report."""
         means = self.mean_rows()
-        series = {
-            "e_rel": [(r["n"], r["e_rel"]) for r in means],
-            "eta_2a": [(r["n"], r["eta_2a"]) for r in means],
-            "eta_2b": [(r["n"], r["eta_2b"]) for r in means],
-            "eta_pod": [(r["n"], r["eta_pod"]) for r in means],
-            "eta_A": [(r["n"], r["eta_A"]) for r in means],
-            "eta_f": [(r["n"], r["eta_f"]) for r in means],
-        }
+        series = {name: [(r["n"], r[name]) for r in means] for name in RATE_QUANTITIES}
         windows = {
             "e_rel": self.fit_n_min_error,
             "eta_2a": self.fit_n_min_error,
@@ -238,10 +230,8 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
         prep = prepare(art.rom, geom)
         a_deim = reconstruct(art.deim_a, prep.c_a)
         f_deim = reconstruct(art.deim_f, prep.c_f)
-        a_err_abs = est._frobenius(system.A - a_deim)
-        f_err_abs = float(np.linalg.norm(system.f - f_deim))
-        eta_a = a_err_abs / est._frobenius(system.A)
-        eta_f_val = f_err_abs / float(np.linalg.norm(system.f))
+        a_err_abs, eta_a = est.deim_matrix_error(system.A, a_deim)
+        f_err_abs, eta_f_val = est.deim_vector_error(system.f, f_deim)
         d_min, d_max = est.active_diagonal_range(system.A, system.active_dofs)
         diag = system.A.diagonal()
 

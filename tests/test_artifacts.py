@@ -8,6 +8,7 @@ from cutrom.artifacts import (
     save_array,
     save_artifacts,
 )
+from cutrom.deim import DeimError
 from cutrom.geometry import ParameterPoint, build_cut_geometry
 from cutrom.rom import sample_entries
 
@@ -82,6 +83,16 @@ def test_artifact_roundtrip_and_hash_guard(tmp_path, small_run, small_config):
     # a different configuration must be refused
     with pytest.raises(ArtifactError, match="hash"):
         load_artifacts(str(out), small_config.with_seed(small_config.seed + 5))
+
+
+def test_repeated_interpolation_index_rejected_on_load(tmp_path, small_run, small_config):
+    art, _ = small_run
+    save_artifacts(str(tmp_path), art)
+    indices = art.deim_a.indices.copy()
+    indices[1] = indices[0]
+    save_array(str(tmp_path / "deim_a_indices.crom"), indices)
+    with pytest.raises(DeimError, match="singular"):
+        load_artifacts(str(tmp_path), small_config)
 
 
 def test_missing_manifest_rejected(tmp_path, small_config):

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cutrom import assembly
+from cutrom import _kernels, assembly
 from cutrom.assembly import (
     AssemblyError,
     EntryPlan,
@@ -361,3 +361,143 @@ def test_mass_matrix_matches_unique_pattern_bitwise(h):
     assert new.indptr.tobytes() == ref.indptr.tobytes()
     assert new.indices.tobytes() == ref.indices.tobytes()
     assert new.data.tobytes() == ref.data.tobytes()
+
+
+# --- the entry plan against an adjacency-based candidate search ---------------
+
+def _vertex_tri_adjacency(mesh):
+    """CSR-style vertex -> triangle adjacency, triangle ids ascending."""
+    flat = mesh.triangles.ravel()
+    tri_of = np.repeat(np.arange(mesh.n_triangles), 3)
+    order = np.lexsort((tri_of, flat))
+    indptr = np.searchsorted(flat[order], np.arange(mesh.n_vertices + 1))
+    return indptr, tri_of[order]
+
+
+def _vertex_facet_adjacency(mesh):
+    """Vertex -> interior facets whose 4-dof patch contains the vertex."""
+    interior = np.flatnonzero(mesh.facet_tris[:, 1] >= 0)
+    dofs = mesh.facet_patch[interior].ravel()
+    fac_of = np.repeat(interior, 4)
+    order = np.lexsort((fac_of, dofs))
+    indptr = np.searchsorted(dofs[order], np.arange(mesh.n_vertices + 1))
+    return indptr, fac_of[order]
+
+
+def _gather_ranges(indptr, indices, keys):
+    """Flatten indices[indptr[k]:indptr[k+1]] for each key, with owner ids."""
+    counts = indptr[keys + 1] - indptr[keys]
+    total = int(counts.sum())
+    owner = np.repeat(np.arange(keys.size), counts)
+    if total == 0:
+        return owner, np.empty(0, dtype=np.int64)
+    ends = np.cumsum(counts)
+    offs = np.arange(total) - np.repeat(ends - counts, counts)
+    vals = indices[np.repeat(indptr[keys], counts) + offs]
+    return owner, vals
+
+
+def _local_index(rows, targets):
+    return np.argmax(rows == targets[:, None], axis=1)
+
+
+def _reference_plan(mesh, phys, matrix_entries, vector_entries):
+    """The 13 plan arrays from vertex adjacency lists: the triangles (interior
+    facets) around i whose vertices (patch) also hold j, with local indices
+    found by search."""
+    m_ent = np.asarray(matrix_entries, dtype=np.int64).reshape(-1, 2)
+    v_ent = np.asarray(vector_entries, dtype=np.int64).reshape(-1)
+    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    f_const = float(phys.f_const)
+    out = {}
+    indptr, indices = _vertex_tri_adjacency(mesh)
+    owner, cand = _gather_ranges(indptr, indices, m_ent[:, 0]) if m_ent.size else empty
+    if cand.size:
+        jrep = m_ent[owner, 1]
+        tri_v = mesh.triangles[cand]
+        has_j = (tri_v[:, 0] == jrep) | (tri_v[:, 1] == jrep) | (tri_v[:, 2] == jrep)
+        owner, cand = owner[has_j], cand[has_j]
+    out["m_ids"], out["m_elems"] = owner, cand
+    tri_rows = mesh.triangles[cand]
+    aloc = _local_index(tri_rows, m_ent[owner, 0]) if cand.size else cand
+    cloc = _local_index(tri_rows, m_ent[owner, 1]) if cand.size else cand
+    out["m_aloc"], out["m_cloc"] = aloc, cloc
+    tri = np.take(mesh.tri_comp, cand, axis=1)
+    rng = np.arange(cand.size)
+    gx = tri[_kernels.GX]
+    gy = tri[_kernels.GY]
+    out["m_grad"] = np.stack([gx[aloc, rng], gy[aloc, rng], gx[cloc, rng], gy[cloc, rng]])
+    wsum, _loads = assembly._whole_terms(mesh, cand, f_const)
+    out["m_whole"] = _kernels.stiffness(wsum, *out["m_grad"])
+
+    f_indptr, f_indices = _vertex_facet_adjacency(mesh)
+    fowner, fcand = _gather_ranges(f_indptr, f_indices, m_ent[:, 0]) if m_ent.size else empty
+    if fcand.size:
+        jrep = m_ent[fowner, 1]
+        patch = mesh.facet_patch[fcand]
+        has_j = ((patch[:, 0] == jrep) | (patch[:, 1] == jrep)
+                 | (patch[:, 2] == jrep) | (patch[:, 3] == jrep))
+        fowner, fcand = fowner[has_j], fcand[has_j]
+    out["g_ids"], out["g_facets"] = fowner, fcand
+    patch_k = mesh.facet_patch[fcand]
+    g_aloc = _local_index(patch_k, m_ent[fowner, 0]) if fcand.size else fcand
+    g_cloc = _local_index(patch_k, m_ent[fowner, 1]) if fcand.size else fcand
+    jump = mesh.facet_jump[fcand]
+    rng = np.arange(fcand.size)
+    out["g_vals"] = _kernels.ghost_penalty(phys.gamma[0], mesh.h, mesh.facet_len[fcand],
+                                           jump[rng, g_aloc], jump[rng, g_cloc])
+
+    owner, cand = _gather_ranges(indptr, indices, v_ent) if v_ent.size else empty
+    out["v_ids"], out["v_elems"] = owner, cand
+    aloc = _local_index(mesh.triangles[cand], v_ent[owner]) if cand.size else cand
+    out["v_aloc"] = aloc
+    _wsum, loads = assembly._whole_terms(mesh, cand, f_const)
+    out["v_whole"] = loads[aloc, np.arange(cand.size)]
+    return out
+
+
+_PLAN_MESHES = {nx: build_background_mesh(((-1.2, 1.2), (-1.2, 1.2)), 2.4 / nx)
+                for nx in (2, 3, 7, 20)}
+
+
+def _assert_plan_matches_reference(mesh, matrix_entries, vector_entries):
+    plan = EntryPlan(mesh, EDGE_PHYS, matrix_entries, vector_entries)
+    ref = _reference_plan(mesh, EDGE_PHYS, matrix_entries, vector_entries)
+    assert len(ref) == 13
+    for name, want in ref.items():
+        got = getattr(plan, name)
+        assert got.dtype == want.dtype, name
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("nx", sorted(_PLAN_MESHES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_entry_plan_matches_adjacency_reference_bitwise(nx, data):
+    mesh = _PLAN_MESHES[nx]
+    n = mesh.n_vertices
+    rows = np.repeat(np.arange(n), np.diff(mesh.pattern_indptr))
+    in_pattern = data.draw(st.lists(st.integers(0, rows.size - 1), max_size=60))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=30))
+    ent = [(int(rows[p]), int(mesh.pattern_cols[p])) for p in in_pattern] + pairs
+    if ent:
+        ent += data.draw(st.lists(st.sampled_from(ent), max_size=10))
+    ent = data.draw(st.permutations(ent))
+    vec = data.draw(st.lists(st.integers(0, n - 1), max_size=30))
+    _assert_plan_matches_reference(mesh, ent, vec)
+
+
+def _small_requests(n):
+    # the last pattern position (n-1, n-1) beside an entry outside the
+    # pattern: opposite corners of the box share no stencil
+    return {"empty": ([], []), "one-entry": ([(0, 1)], []), "one-vector-entry": ([], [0]),
+            "last-position": ([(n - 1, n - 1), (0, n - 1)], [n - 1])}
+
+
+@pytest.mark.parametrize("nx", sorted(_PLAN_MESHES))
+@pytest.mark.parametrize("name", sorted(_small_requests(1)))
+def test_entry_plan_matches_adjacency_reference_on_small_requests(nx, name):
+    mesh = _PLAN_MESHES[nx]
+    _assert_plan_matches_reference(mesh, *_small_requests(mesh.n_vertices)[name])

@@ -1,0 +1,33 @@
+"""The names of the package that the benchmark harness in ``perfbench/``
+reads.  The harness itself runs outside this suite, so a deletion that
+breaks it shows here first.  The test only reads ``perfbench/``."""
+
+import inspect
+import operator
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# attributes of the offline artifacts that ``perfbench/harness.py`` reads
+HARNESS_READS = (
+    "rom.matrix_sample_entries", "rom.vector_sample_entries", "pattern.size",
+    "deim_a.l", "deim_f.l", "pod.n_max", "pod.n_energy", "mesh",
+)
+
+
+def test_benchmark_call_surface_exists(monkeypatch, small_run):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import cutrom._kernels
+    import cutrom.artifacts  # noqa: F401
+    import cutrom.pipeline
+    import cutrom.rom
+    import spans
+
+    # resolves every function the traced run wraps, and raises on a missing one
+    spans.Tracer("t")
+    assert hasattr(cutrom._kernels, "BACKEND")
+    assert hasattr(cutrom.pipeline, "physics_from_config")
+    assert "geom" in inspect.signature(cutrom.rom.rom_online_solve).parameters
+    art, _ = small_run
+    for path in HARNESS_READS:
+        operator.attrgetter(path)(art)

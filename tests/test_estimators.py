@@ -11,16 +11,19 @@ from cutrom import estimators as est
 
 def test_deim_matrix_error_limits():
     a = sp.csr_matrix(np.array([[2.0, 0.0], [0.0, 1.0]]))
-    assert est.deim_matrix_error(a, a) == 0.0
-    assert est.deim_matrix_error(a, a * 0.0) == 1.0
+    assert est.deim_matrix_error(a, a) == (0.0, 0.0)
+    assert est.deim_matrix_error(a, a * 0.0) == (math.sqrt(5.0), 1.0)
+    off = sp.csr_matrix(np.array([[2.0, 0.5], [0.0, 1.0]]))
+    assert est.deim_matrix_error(a, off) == (0.5, 0.5 / math.sqrt(5.0))
     with pytest.raises(est.EstimatorError):
         est.deim_matrix_error(a * 0.0, a)
 
 
 def test_deim_vector_error_limits():
     f = np.array([3.0, 4.0])
-    assert est.deim_vector_error(f, f) == 0.0
-    assert est.deim_vector_error(f, np.zeros(2)) == 1.0
+    assert est.deim_vector_error(f, f) == (0.0, 0.0)
+    assert est.deim_vector_error(f, np.zeros(2)) == (5.0, 1.0)
+    assert est.deim_vector_error(f, np.array([3.0, 2.0])) == (2.0, 0.4)
     with pytest.raises(est.EstimatorError):
         est.deim_vector_error(np.zeros(2), f)
 
