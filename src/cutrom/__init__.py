@@ -3,11 +3,13 @@
 Subpackages follow the processing chain: ``geometry`` (background mesh, level
 set, cut quadrature), ``assembly`` (stiffness / load / norm / mass), ``fom``
 (full-order solves), ``pod`` and ``deim`` (basis construction and operator
-interpolation), ``rom`` (offline blocks and the online solve), ``estimators``,
-``rates`` (decay-model fits) and ``pipeline`` (orchestration, reports, and the
-invariant suite).  ``cutrom.cli`` is the command-line front door.
+interpolation), ``rom`` (reduced blocks and the online solve), ``artifacts``
+(the offline object and its persistence), ``estimators``, ``rates``
+(decay-model fits) and ``pipeline`` (orchestration, reports, and the invariant
+suite).  ``cutrom.cli`` is the command-line front door.
 """
 
+from .artifacts import OfflineArtifacts
 from .assembly import (
     AssemblyError,
     EntryPlan,
@@ -39,18 +41,18 @@ from .geometry import (
     build_cut_geometry,
     level_set,
 )
-from .pod import PodBasis, PodError, SnapshotSet, build_pod_basis, tail_energy
+from .pod import PodBasis, PodError, build_pod_basis, tail_energy
 from .rates import FitResult, fit_algebraic, fit_exponential, select_model
-from .rom import RomError, RomOffline, RomSolution, build_rom_offline, rom_online_solve
+from .rom import RomError, RomSolution, build_rom_offline, rom_online_solve
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssemblyError", "BackgroundMesh", "Config", "ConfigError", "CutGeometry",
     "DeimError", "DeimOperator", "EntryPlan", "EstimatorRecord", "FitResult", "FomError",
-    "FomSolution", "GeometryError", "ParameterPoint", "PhysicsParams",
-    "PodBasis", "PodError", "RomError", "RomOffline", "RomSolution",
-    "SnapshotSet", "SystemPair", "UnionPattern",
+    "FomSolution", "GeometryError", "OfflineArtifacts", "ParameterPoint",
+    "PhysicsParams", "PodBasis", "PodError", "RomError", "RomSolution",
+    "SystemPair", "UnionPattern",
     "assemble_mass_matrix", "assemble_norm_matrix", "assemble_system",
     "build_background_mesh", "build_cut_geometry", "build_deim_operator",
     "build_pod_basis", "build_rom_offline", "build_union_pattern",

@@ -28,27 +28,23 @@ class DeimError(ValueError):
 
 @dataclass
 class UnionPattern:
-    """Sorted row-major union sparsity pattern with a position lookup."""
+    """Sorted row-major union sparsity pattern: position k holds the entry
+    (rows[k], cols[k]) of code rows[k] * n + cols[k]."""
 
-    rows: np.ndarray
-    cols: np.ndarray
     codes: np.ndarray
     n: int
+    rows: np.ndarray = field(init=False)
+    cols: np.ndarray = field(init=False)
     indptr: np.ndarray = field(init=False)  # CSR row pointers of the pattern
 
     def __post_init__(self):
+        self.rows = self.codes // self.n
+        self.cols = self.codes % self.n
         self.indptr = np.searchsorted(self.rows, np.arange(self.n + 1))
 
     @property
     def size(self) -> int:
         return self.codes.size
-
-    def position_of(self, i: int, j: int) -> int:
-        code = i * self.n + j
-        pos = int(np.searchsorted(self.codes, code))
-        if pos >= self.codes.size or self.codes[pos] != code:
-            raise KeyError(f"position ({i}, {j}) not in union pattern")
-        return pos
 
     def vectorize(self, a: sp.csr_matrix) -> np.ndarray:
         """Values of a sparse matrix at the pattern positions (zeros where the
@@ -81,7 +77,7 @@ def build_union_pattern(matrices) -> UnionPattern:
         rows = np.repeat(np.arange(n), np.diff(a.indptr))
         code_list.append(rows.astype(np.int64) * n + a.indices)
     codes = np.unique(np.concatenate(code_list))
-    return UnionPattern(rows=codes // n, cols=codes % n, codes=codes, n=n)
+    return UnionPattern(codes, n)
 
 
 @dataclass

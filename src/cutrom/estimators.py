@@ -10,7 +10,8 @@ tables; the mesh-norm error ``e_T`` is carried alongside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,11 +45,10 @@ class EstimatorRecord:
     fom_time: float = 0.0
     rom_time: float = 0.0
 
-    FIELDS = (
-        "mu_r", "mu_theta", "n", "eta_A", "eta_f", "eta_2a", "eta_2b",
-        "eta_2a_active", "eta_pod", "e_rel", "e_T", "theta_2a", "theta_2b",
-        "theta_2a_active", "bound", "d_min", "d_max", "fom_time", "rom_time",
-    )
+    FIELDS: ClassVar[tuple]  # the field names in order: the records.csv columns
+
+
+EstimatorRecord.FIELDS = tuple(f.name for f in fields(EstimatorRecord))
 
 
 def _frobenius(a) -> float:

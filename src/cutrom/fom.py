@@ -20,7 +20,6 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assembly import SystemPair
-from .geometry import ParameterPoint
 
 
 class FomError(RuntimeError):
@@ -32,7 +31,6 @@ class FomSolution:
     """Full-order solution vector (zero at inactive dofs) and its solve time."""
 
     u: np.ndarray
-    mu: ParameterPoint
     solve_time: float
 
 
@@ -68,7 +66,7 @@ def solve_fom(sys: SystemPair) -> FomSolution:
     dt = time.perf_counter() - t0
     u = np.zeros(sys.f.shape[0])
     u[act] = x
-    return FomSolution(u=u, mu=sys.geom.mu, solve_time=dt)
+    return FomSolution(u=u, solve_time=dt)
 
 
 def residual(sys: SystemPair, u: np.ndarray) -> np.ndarray:

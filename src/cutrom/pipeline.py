@@ -37,8 +37,8 @@ from .assembly import (
 from .config import Config
 from .deim import MATRIX, VECTOR, build_deim_operator, build_union_pattern, reconstruct
 from .fom import residual, solve_fom
-from .geometry import ParameterPoint, build_background_mesh, build_cut_geometry
-from .pod import SnapshotSet, build_pod_basis, tail_energy
+from .geometry import ParameterPoint, build_background_mesh, build_cut_geometry, require_inside_box
+from .pod import build_pod_basis, tail_energy
 from .rom import build_rom_offline, prepare, solve
 
 log = logging.getLogger(__name__)
@@ -87,12 +87,7 @@ def run_offline(config: Config) -> OfflineArtifacts:
     t_fom = time.perf_counter() - t_start
 
     mass = assemble_mass_matrix(mesh)
-    pod = build_pod_basis(
-        SnapshotSet(S=snapshots, training_parameters=list(map(tuple, train_mu)), seed=config.seed),
-        mass,
-        config.eps_pod,
-        min_modes=max(config.n_list),
-    )
+    pod = build_pod_basis(snapshots, mass, config.eps_pod, min_modes=max(config.n_list))
     log.info("pod: built %d modes (energy rule keeps %d of %d), sigma_1=%.6e, tail(n_max)=%.3e",
              pod.n_max, pod.n_energy, pod.sigma.size, pod.sigma[0],
              tail_energy(pod.sigma, pod.n_max))
@@ -112,13 +107,14 @@ def run_offline(config: Config) -> OfflineArtifacts:
     log.info("deim: l_A=%d (cond %.3e, Lebesgue %.4g), l_f=%d (cond %.3e, Lebesgue %.4g)",
              deim_a.l, deim_a.cond, deim_a.lebesgue, deim_f.l, deim_f.cond, deim_f.lebesgue)
 
-    rom = build_rom_offline(pod, deim_a, deim_f, mesh, phys)
+    blocks_a, blocks_f = build_rom_offline(pod, deim_a, deim_f)
+    art = OfflineArtifacts(
+        config=config, mesh=mesh, phys=phys, pod=pod, deim_a=deim_a, deim_f=deim_f,
+        blocks_a=blocks_a, blocks_f=blocks_f, train_mu=train_mu, snapshots=snapshots,
+    )
     log.info("offline done in %.1f s (training solves %.1f s)",
              time.perf_counter() - t_start, t_fom)
-    return OfflineArtifacts(
-        config=config, mesh=mesh, phys=phys, pod=pod, deim_a=deim_a,
-        deim_f=deim_f, pattern=pattern, rom=rom, train_mu=train_mu, snapshots=snapshots,
-    )
+    return art
 
 
 @dataclass
@@ -203,11 +199,17 @@ class SweepReport:
 
 def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) -> SweepReport:
     """Solve FOM and ROM over the test set, evaluate every estimator record,
-    and enforce the hard invariants record by record."""
+    and enforce the hard invariants record by record.
+
+    Raises ``GeometryError`` before any solve when a test ellipse leaves the
+    background box."""
     if test_params is None:
         test_mu = sample_parameters(config.n_test, config.seed + 1, config.mu_min, config.mu_max)
     else:
         test_mu = np.asarray(test_params, dtype=float).reshape(-1, 2)
+    test_points = [ParameterPoint(*m) for m in test_mu]
+    for mu in test_points:
+        require_inside_box(mu, art.config.box)
     n_list = tuple(config.n_list)
     if n_list[-1] > art.pod.n_max:
         raise PipelineError(
@@ -218,8 +220,7 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
     tails = {n: tail_energy(art.pod.sigma, n) for n in n_list}
 
     def one_parameter(i):
-        mu = ParameterPoint(*test_mu[i])
-        geom = build_cut_geometry(art.mesh, mu)
+        geom = build_cut_geometry(art.mesh, test_points[i])
         t0 = time.perf_counter()
         system = assemble_system(geom, art.phys)
         t_asm = time.perf_counter() - t0
@@ -227,7 +228,7 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
         fom_sol = solve_fom(system)
         fom_time = t_asm + fom_sol.solve_time
 
-        prep = prepare(art.rom, geom)
+        prep = prepare(art, geom)
         a_deim = reconstruct(art.deim_a, prep.c_a)
         f_deim = reconstruct(art.deim_f, prep.c_f)
         a_err_abs, eta_a = est.deim_matrix_error(system.A, a_deim)
@@ -237,7 +238,7 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
 
         recs = []
         for n in n_list:
-            rom_sol = solve(art.rom, prep, n)
+            rom_sol = solve(art, prep, n)
             r = residual(system, rom_sol.u_lifted)
             eta_2a = est.residual_norm_plain(r)
             eta_2b = est.residual_norm_jacobi(r, diag, config.eps_safe)
@@ -569,10 +570,9 @@ def verify_invariants(config: Config, geometry_csv: str | None = None) -> list:
         mu = ParameterPoint(*test_mu[i])
         geom = build_cut_geometry(mesh, mu)
         system = assemble_system(geom, art.phys)
-        a_deim = reconstruct(art.deim_a, prepare(art.rom, geom).c_a)
+        a_deim = reconstruct(art.deim_a, prepare(art, geom).c_a)
         diff = (a_deim - system.A).tocsr()
-        rows_sel = art.pattern.rows[art.deim_a.indices]
-        cols_sel = art.pattern.cols[art.deim_a.indices]
+        rows_sel, cols_sel = art.matrix_sample_entries.T
         vals = np.abs(np.asarray(diff[rows_sel, cols_sel])).max()
         worst = max(worst, float(vals))
     checks.append(CheckResult(

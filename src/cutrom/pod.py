@@ -16,28 +16,17 @@ class PodError(ValueError):
 
 
 @dataclass
-class SnapshotSet:
-    """Full-order solutions as columns, extended by zero outside each
-    parameter's active set."""
-
-    S: np.ndarray
-    training_parameters: list
-    seed: int
-
-
-@dataclass
 class PodBasis:
     """Mass-orthonormal mode matrix with the full correlation spectrum.
 
     ``n_energy`` is the smallest mode count whose retained energy fraction
-    reaches 1 - epsilon_pod; ``n_max`` is the number of built modes, which
-    exceeds ``n_energy`` only when the caller asked for extra modes to serve
-    a wider sweep (never past the numerical rank).
+    reaches 1 - eps for the POD tolerance eps; ``n_max`` is the number of
+    built modes, which exceeds ``n_energy`` only when the caller asked for
+    extra modes to serve a wider sweep (never past the numerical rank).
     """
 
     V: np.ndarray
     sigma: np.ndarray
-    epsilon_pod: float
     n_max: int
     n_energy: int
 
@@ -53,10 +42,12 @@ def energy_mode_count(sigma: np.ndarray, eps: float) -> int:
     return min(k, int(np.count_nonzero(sigma > 0.0)))
 
 
-def build_pod_basis(snaps: SnapshotSet, mass: sp.csr_matrix, eps: float,
+def build_pod_basis(s_mat: np.ndarray, mass: sp.csr_matrix, eps: float,
                     min_modes: int = 0) -> PodBasis:
-    """Eigendecompose the mass-weighted correlation matrix S^T M S and form
-    modes S v_k / sqrt(sigma_k), re-orthonormalized in the M inner product.
+    """Eigendecompose the mass-weighted correlation matrix S^T M S of the
+    snapshot columns S (full-order solutions, zero outside each parameter's
+    active set) and form modes S v_k / sqrt(sigma_k), re-orthonormalized in
+    the M inner product.
 
     The re-orthonormalization (Cholesky of the mode Gram matrix) does not
     change mode spans; it removes the round-off loss of orthogonality the
@@ -64,7 +55,6 @@ def build_pod_basis(snaps: SnapshotSet, mass: sp.csr_matrix, eps: float,
     extra well-defined modes beyond the energy cutoff so a sweep can request
     more modes than the tolerance alone would retain.
     """
-    s_mat = snaps.S
     if s_mat.ndim != 2 or s_mat.shape[1] < 1:
         raise PodError("need at least one snapshot column")
     corr = s_mat.T @ (mass @ s_mat)
@@ -85,7 +75,7 @@ def build_pod_basis(snaps: SnapshotSet, mass: sp.csr_matrix, eps: float,
     gram = 0.5 * (gram + gram.T)
     r_fac = sla.cholesky(gram, lower=False)
     v = sla.solve_triangular(r_fac.T, v.T, lower=True).T
-    return PodBasis(V=v, sigma=sigma, epsilon_pod=eps, n_max=n_max, n_energy=n_energy)
+    return PodBasis(V=v, sigma=sigma, n_max=n_max, n_energy=n_energy)
 
 
 def tail_energy(sigma: np.ndarray, n: int) -> float:

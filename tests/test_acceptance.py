@@ -134,7 +134,7 @@ def test_criterion_05_deim_interpolation_exactness(default_run):
         mu = ParameterPoint(*report.test_mu[i])
         geom = build_cut_geometry(art.mesh, mu)
         sys_ = assemble_system(geom, art.phys)
-        a_samp, _ = sample_entries(art.rom, geom)
+        a_samp, _ = sample_entries(art, geom)
         a_deim = reconstruct(art.deim_a, deim_coefficients(art.deim_a, a_samp))
         diff = (a_deim - sys_.A).tocsr()
         rows_sel = art.pattern.rows[art.deim_a.indices]
@@ -304,7 +304,7 @@ def test_criterion_12_determinism_and_persistence(default_run, tmp_path):
     save_artifacts(str(store), default_run.artifacts)
     back = load_artifacts(str(store), config)
     assert np.array_equal(back.pod.V, default_run.artifacts.pod.V)
-    assert np.array_equal(back.rom.blocks_a, default_run.artifacts.rom.blocks_a)
+    assert np.array_equal(back.blocks_a, default_run.artifacts.blocks_a)
     with pytest.raises(ArtifactError):
         load_artifacts(str(store), config.with_seed(config.seed + 1))
     _line(12, "same seed reproduces run4.csv bit for bit; artifact round-trip "

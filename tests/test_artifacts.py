@@ -76,8 +76,8 @@ def test_artifact_roundtrip_and_hash_guard(tmp_path, small_run, small_config):
         assert op_back.pu.tobytes() == op.pu.tobytes()
     assert np.array_equal(back.pattern.codes, art.pattern.codes)
     assert back.pattern.indptr.tobytes() == art.pattern.indptr.tobytes()
-    assert np.array_equal(back.rom.blocks_a, art.rom.blocks_a)
-    assert np.array_equal(back.rom.blocks_f, art.rom.blocks_f)
+    assert np.array_equal(back.blocks_a, art.blocks_a)
+    assert np.array_equal(back.blocks_f, art.blocks_f)
     assert np.array_equal(back.train_mu, art.train_mu)
     assert back.snapshots is None
     # a different configuration must be refused
@@ -95,6 +95,23 @@ def test_repeated_interpolation_index_rejected_on_load(tmp_path, small_run, smal
         load_artifacts(str(tmp_path), small_config)
 
 
+@pytest.mark.parametrize("name, cut", [
+    ("blocks_f", np.s_[:-1]),
+    ("blocks_a", np.s_[:, :-1, :-1]),
+    ("pod_modes", np.s_[:, :-1]),
+    ("deim_a_basis", np.s_[:-1]),
+    ("deim_f_basis", np.s_[:, :-1]),
+], ids=["blocks_f_row", "blocks_a_modes", "pod_modes_column", "deim_a_basis_row",
+        "deim_f_basis_column"])
+def test_array_of_the_wrong_shape_rejected_on_load(tmp_path, small_run, small_config, name, cut):
+    art, _ = small_run
+    save_artifacts(str(tmp_path), art)
+    path = str(tmp_path / f"{name}.crom")
+    save_array(path, load_array(path)[cut])
+    with pytest.raises(ArtifactError, match=f"^{name} has shape"):
+        load_artifacts(str(tmp_path), small_config)
+
+
 def test_missing_manifest_rejected(tmp_path, small_config):
     with pytest.raises(ArtifactError, match="manifest"):
         load_artifacts(str(tmp_path), small_config)
@@ -104,10 +121,10 @@ def test_loaded_model_samples_bitwise_like_the_built_one(tmp_path, small_run, sm
     art, _ = small_run
     save_artifacts(str(tmp_path), art)
     back = load_artifacts(str(tmp_path), small_config)
-    assert np.array_equal(back.rom.matrix_sample_entries, art.rom.matrix_sample_entries)
-    assert np.array_equal(back.rom.vector_sample_entries, art.rom.vector_sample_entries)
+    assert np.array_equal(back.matrix_sample_entries, art.matrix_sample_entries)
+    assert np.array_equal(back.vector_sample_entries, art.vector_sample_entries)
     for mu in (ParameterPoint(1.0, 1.0), ParameterPoint(1.13, 1.04)):
-        fresh = sample_entries(art.rom, build_cut_geometry(art.mesh, mu))
-        loaded = sample_entries(back.rom, build_cut_geometry(back.mesh, mu))
+        fresh = sample_entries(art, build_cut_geometry(art.mesh, mu))
+        loaded = sample_entries(back, build_cut_geometry(back.mesh, mu))
         assert fresh[0].tobytes() == loaded[0].tobytes()
         assert fresh[1].tobytes() == loaded[1].tobytes()

@@ -19,9 +19,7 @@ def test_union_pattern_diagonal():
     assert pat.size == 3
     assert np.array_equal(pat.rows, [0, 1, 2])
     assert np.array_equal(pat.cols, [0, 1, 2])
-    assert pat.position_of(1, 1) == 1
-    with pytest.raises(KeyError):
-        pat.position_of(0, 1)
+    assert np.array_equal(pat.codes, [0, 4, 8])
 
 
 def test_union_pattern_is_union():

@@ -9,6 +9,7 @@ import pytest
 from cutrom import cli
 from cutrom.assembly import assemble_mass_matrix
 from cutrom.config import Config
+from cutrom.geometry import GeometryError
 from cutrom.pipeline import (
     RUN4_COLUMNS,
     emit_report,
@@ -84,6 +85,19 @@ def test_training_subset_reproduction(small_run, small_config):
     report = run_online_sweep(art, cfg, test_params=art.train_mu[:4])
     mean_e = np.mean([r.e_rel for r in report.records])
     assert mean_e <= 1e-2
+
+
+@pytest.mark.parametrize("mu", [(2.0, 1.0), (1.44, 1.44)])
+def test_sweep_rejects_an_ellipse_leaving_the_box(small_run, small_config, mu):
+    art, _ = small_run
+    with pytest.raises(GeometryError, match="leaves the background box"):
+        run_online_sweep(art, small_config, test_params=[[1.1, 1.1], list(mu)])
+
+
+def test_sweep_outside_the_training_box_still_solves(small_run, small_config):
+    art, _ = small_run
+    report = run_online_sweep(art, small_config, test_params=[[1.3, 0.9]])
+    assert len(report.records) == len(small_config.n_list)
 
 
 def test_single_snapshot_pipeline_is_legal():

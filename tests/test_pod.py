@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from cutrom.assembly import assemble_mass_matrix, assemble_system
 from cutrom.fom import solve_fom
 from cutrom.geometry import ParameterPoint, build_cut_geometry
-from cutrom.pod import PodError, SnapshotSet, build_pod_basis, tail_energy
+from cutrom.pod import PodError, build_pod_basis, tail_energy
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +17,7 @@ def small_snapshots(default_mesh, default_phys):
     for r, t in mus:
         geom = build_cut_geometry(default_mesh, ParameterPoint(r, t))
         cols.append(solve_fom(assemble_system(geom, default_phys)).u)
-    return SnapshotSet(S=np.column_stack(cols), training_parameters=[tuple(m) for m in mus], seed=7)
+    return np.column_stack(cols)
 
 
 def test_rank_one_family(default_mesh):
@@ -25,8 +25,7 @@ def test_rank_one_family(default_mesh):
     col = np.zeros(default_mesh.n_vertices)
     col[5] = 2.0
     col[17] = -1.0
-    snaps = SnapshotSet(S=np.column_stack([col] * 6), training_parameters=[], seed=0)
-    pod = build_pod_basis(snaps, mass, 1e-6)
+    pod = build_pod_basis(np.column_stack([col] * 6), mass, 1e-6)
     assert np.count_nonzero(pod.sigma > 0) == 1
     assert pod.n_max == 1 and pod.n_energy == 1
     norm_m = np.sqrt(col @ (mass @ col))
@@ -46,7 +45,7 @@ def test_modes_mass_orthonormal(default_mesh, small_snapshots):
 def test_projection_identity(default_mesh, small_snapshots):
     mass = assemble_mass_matrix(default_mesh)
     pod = build_pod_basis(small_snapshots, mass, 1e-12, min_modes=8)
-    s = small_snapshots.S
+    s = small_snapshots
     for n in (2, 5, 8):
         v_n = pod.V[:, :n]
         proj = v_n @ (v_n.T @ (mass @ s))
@@ -69,9 +68,8 @@ def test_min_modes_extension(default_mesh, small_snapshots):
 
 def test_all_zero_snapshots_rejected(default_mesh):
     mass = assemble_mass_matrix(default_mesh)
-    snaps = SnapshotSet(S=np.zeros((default_mesh.n_vertices, 3)), training_parameters=[], seed=0)
     with pytest.raises(PodError):
-        build_pod_basis(snaps, mass, 1e-6)
+        build_pod_basis(np.zeros((default_mesh.n_vertices, 3)), mass, 1e-6)
 
 
 def test_tail_energy_endpoints():
