@@ -19,7 +19,7 @@ import csv
 import logging
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg as sla
@@ -38,7 +38,7 @@ from .config import Config
 from .deim import MATRIX, VECTOR, build_deim_operator, build_union_pattern, reconstruct
 from .fom import residual, solve_fom
 from .geometry import ParameterPoint, build_background_mesh, build_cut_geometry, require_inside_box
-from .pod import build_pod_basis, tail_energy
+from .pod import build_pod_basis, projection_tail_gap, tail_energy
 from .rom import build_rom_offline, prepare, solve
 
 log = logging.getLogger(__name__)
@@ -49,6 +49,10 @@ RUN4_COLUMNS = (
 )
 
 RATE_QUANTITIES = ("e_rel", "eta_2a", "eta_2b", "eta_pod", "eta_A", "eta_f")
+
+# config fields a sweep may change against its artifacts' config
+SWEEP_ONLY_FIELDS = ("n_list", "n_test", "fit_n_min_error", "fit_n_min_tail",
+                     "artifact_dir", "report_dir")
 
 
 class PipelineError(RuntimeError):
@@ -201,8 +205,16 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
     """Solve FOM and ROM over the test set, evaluate every estimator record,
     and enforce the hard invariants record by record.
 
-    Raises ``GeometryError`` before any solve when a test ellipse leaves the
-    background box."""
+    ``config`` may differ from ``art.config`` only in the sweep and path
+    fields (``SWEEP_ONLY_FIELDS``); any other difference raises
+    ``PipelineError`` naming the field.  Raises ``GeometryError`` before any
+    solve when a test ellipse leaves the background box."""
+    for f in fields(Config):
+        if f.name not in SWEEP_ONLY_FIELDS and getattr(config, f.name) != getattr(art.config, f.name):
+            raise PipelineError(
+                f"sweep config {f.name} = {getattr(config, f.name)!r} differs from the "
+                f"artifacts' {getattr(art.config, f.name)!r}"
+            )
     if test_params is None:
         test_mu = sample_parameters(config.n_test, config.seed + 1, config.mu_min, config.mu_max)
     else:
@@ -215,11 +227,12 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
         raise PipelineError(
             f"sweep needs {n_list[-1]} modes but only {art.pod.n_max} were retained"
         )
-    a_star = est.alpha_star(config.nitsche_lambda, config.c_inv)
+    a_star = est.alpha_star(art.config.nitsche_lambda, art.config.c_inv)
     vn_norm = {n: float(sla.svdvals(art.pod.V[:, :n])[0]) for n in n_list}
     tails = {n: tail_energy(art.pod.sigma, n) for n in n_list}
 
     def one_parameter(i):
+        at = f"mu=({test_mu[i, 0]:.17g}, {test_mu[i, 1]:.17g})"
         geom = build_cut_geometry(art.mesh, test_points[i])
         t0 = time.perf_counter()
         system = assemble_system(geom, art.phys)
@@ -241,18 +254,18 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
             rom_sol = solve(art, prep, n)
             r = residual(system, rom_sol.u_lifted)
             eta_2a = est.residual_norm_plain(r)
-            eta_2b = est.residual_norm_jacobi(r, diag, config.eps_safe)
+            eta_2b = est.residual_norm_jacobi(r, diag, art.config.eps_safe)
             eta_2a_act = est.residual_norm_active(r, system.active_dofs)
             e_rel, e_t = est.true_errors(fom_sol.u, rom_sol.u_lifted, norm_mat)
             check = est.rayleigh_ratio_check(eta_2a, eta_2b, d_min, d_max)
             if not check.ok:
                 raise PipelineError(
-                    f"Rayleigh sandwich violated at mu={tuple(test_mu[i])}, n={n}: "
+                    f"Rayleigh sandwich violated at {at}, n={n}: "
                     f"ratio={check.ratio:.17g} not in [{check.lower:.17g}, {check.upper:.17g}]"
                 )
             if eta_2a_act > eta_2a * (1.0 + 1e-12):
                 raise PipelineError(
-                    f"active residual norm exceeds plain norm at mu={tuple(test_mu[i])}, n={n}"
+                    f"active residual norm exceeds plain norm at {at}, n={n}"
                 )
             bound = est.combined_error_bound(
                 eta_2a_act, a_err_abs, f_err_abs,
@@ -260,7 +273,7 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
             )
             if e_t > bound:
                 raise PipelineError(
-                    f"combined bound violated at mu={tuple(test_mu[i])}, n={n}: "
+                    f"combined bound violated at {at}, n={n}: "
                     f"e_T={e_t:.17g} > bound={bound:.17g}"
                 )
             recs.append(est.EstimatorRecord(
@@ -442,6 +455,54 @@ class CheckResult:
         return "pass" if self.noise_floor is None else "noise"
 
 
+def patch_check(mesh, phys: PhysicsParams, params) -> CheckResult:
+    """Linear patch test: with f = 0 and affine boundary data
+    g0 + gx x + gy y (``phys.g_coeffs``), every active dof reproduces the
+    datum to 1e-10 at each parameter of ``params``."""
+    g0, gx, gy, gxy = phys.g_coeffs
+    if phys.f_const != 0.0 or gxy != 0.0:
+        raise PipelineError("the patch test needs f = 0 and an affine datum (gxy = 0)")
+    exact = g0 + gx * mesh.vertices[:, 0] + gy * mesh.vertices[:, 1]
+    worst = 0.0
+    for mu in params:
+        system = assemble_system(build_cut_geometry(mesh, mu), phys)
+        sol = solve_fom(system)
+        act = system.active_dofs
+        worst = max(worst, float(np.max(np.abs(sol.u[act] - exact[act]))))
+    return CheckResult("patch_test", worst <= 1e-10, f"max dof error {worst:.3e}")
+
+
+def zero_ghost_rows_check(mesh, phys: PhysicsParams, params) -> CheckResult:
+    """Rows of A and entries of f outside the active dofs are exactly 0.0."""
+    worst = 0.0
+    for mu in params:
+        system = assemble_system(build_cut_geometry(mesh, mu), phys)
+        inactive = np.setdiff1d(np.arange(mesh.n_vertices), system.active_dofs)
+        row_mass = np.abs(system.A[inactive]).sum(axis=1).max() if inactive.size else 0.0
+        worst = max(worst, float(row_mass), float(np.abs(system.f[inactive]).max(initial=0.0)))
+    return CheckResult("zero_ghost_rows", worst == 0.0, f"max inactive magnitude {worst:.3e}")
+
+
+def spd_coercivity_check(mesh, phys: PhysicsParams, params, a_star: float) -> CheckResult:
+    """The active block of A is SPD, and its discrete coercivity against the
+    mesh-dependent norm is at least 0.05 (``a_star`` is reported only)."""
+    min_eig = np.inf
+    min_coer = np.inf
+    for mu in params:
+        geom = build_cut_geometry(mesh, mu)
+        system = assemble_system(geom, phys)
+        norm_mat = assemble_norm_matrix(geom, phys)
+        act = system.active_dofs
+        a_act = system.A[act][:, act].toarray()
+        n_act = norm_mat[act][:, act].toarray()
+        min_eig = min(min_eig, float(sla.eigvalsh(a_act)[0]))
+        min_coer = min(min_coer, float(sla.eigh(a_act, n_act, eigvals_only=True)[0]))
+    return CheckResult(
+        "spd_coercivity", (min_eig > 0.0) and (min_coer >= 0.05),
+        f"min eig {min_eig:.3e}, discrete coercivity {min_coer:.4f} (alpha*={a_star:.2f})",
+    )
+
+
 def pod_tail_check(pod, snapshots: np.ndarray, mass) -> CheckResult:
     """Mode-energy identity: the M-norm training projection error with n modes
     equals the discarded spectrum sum_{k>n} sigma_k, to 1e-8 relative, for
@@ -459,17 +520,13 @@ def pod_tail_check(pod, snapshots: np.ndarray, mass) -> CheckResult:
     floor_used = None
     details = []
     for n_eff in sorted(plain | {min(40, pod.n_max)}):
-        v_n = pod.V[:, :n_eff]
-        proj = v_n @ (v_n.T @ (mass @ snapshots))
-        diff = snapshots - proj
-        lhs = float((diff * (mass @ diff)).sum())
-        rhs = float(sigma[n_eff:].sum())
-        if rhs <= 0:
+        tail = float(sigma[n_eff:].sum())
+        if tail <= 0:
             continue
-        mismatch = abs(lhs - rhs) / rhs
+        mismatch = projection_tail_gap(pod, snapshots, mass, n_eff)
         detail = f"n={n_eff}: {mismatch:.2e}"
         if mismatch > 1e-8:
-            floor = (sigma.size - n_eff) * np.finfo(float).eps * sigma[0] / rhs
+            floor = (sigma.size - n_eff) * np.finfo(float).eps * sigma[0] / tail
             if n_eff not in plain and mismatch <= floor:
                 floor_used = floor
                 detail += f" within the eigensolver noise floor {floor:.2e}"
@@ -480,6 +537,33 @@ def pod_tail_check(pod, snapshots: np.ndarray, mass) -> CheckResult:
                        noise_floor=floor_used if ok else None)
 
 
+def deim_exactness_check(art: OfflineArtifacts, params) -> CheckResult:
+    """The interpolated stiffness matrix equals the assembled one to 1e-10 at
+    the selected entries (``art.matrix_sample_entries``) for each parameter."""
+    rows_sel, cols_sel = art.matrix_sample_entries.T
+    worst = 0.0
+    for mu in params:
+        geom = build_cut_geometry(art.mesh, mu)
+        system = assemble_system(geom, art.phys)
+        diff = (reconstruct(art.deim_a, prepare(art, geom).c_a) - system.A).tocsr()
+        worst = max(worst, float(np.abs(np.asarray(diff[rows_sel, cols_sel])).max()))
+    return CheckResult(
+        "deim_interpolation_exactness", worst <= 1e-10, f"max |A_deim - A| at selected {worst:.3e}",
+    )
+
+
+def _geometry_row(mesh, mu: ParameterPoint) -> list:
+    """Class counts and area/perimeter estimates of one parameter's geometry."""
+    geom = build_cut_geometry(mesh, mu)
+    exact_area = np.pi * np.sqrt(mu.r * mu.theta)
+    counts = [int((geom.elem_class == c).sum()) for c in (0, 1, 2)]
+    return [
+        mu.r, mu.theta, *counts,
+        geom.volume_weight_sum(), geom.boundary_weight_sum(), exact_area,
+        abs(geom.volume_weight_sum() - exact_area) / exact_area,
+    ]
+
+
 def verify_invariants(config: Config, geometry_csv: str | None = None) -> list:
     """Run the full invariant suite for a configuration.
 
@@ -488,98 +572,40 @@ def verify_invariants(config: Config, geometry_csv: str | None = None) -> list:
     positions, and one check for the per-record sweep invariants (Rayleigh
     sandwich, active <= plain, combined bound), which the sweep enforces.
     When ``geometry_csv`` is given, a per-parameter geometry summary (class
-    counts, area/perimeter estimates) is written there.
+    counts, area/perimeter estimates) of the zero-row parameters is written
+    there.
     """
-    checks = []
-    geometry_rows = []
     mesh = build_background_mesh(config.box, config.h_target)
     phys = physics_from_config(config)
     rng = np.random.default_rng(config.seed + 10_000)
 
-    # 1. linear patch test: affine boundary data is reproduced exactly
-    patch_phys = PhysicsParams(
-        f_const=0.0, g_coeffs=(1.0, 2.0, 3.0, 0.0),
-        nitsche_lambda=config.nitsche_lambda, gamma=config.gamma,
-    )
-    worst = 0.0
-    for _ in range(5):
-        mu = ParameterPoint(*(config.mu_min + (config.mu_max - config.mu_min) * rng.random(2)))
-        geom = build_cut_geometry(mesh, mu)
-        system = assemble_system(geom, patch_phys)
-        sol = solve_fom(system)
-        exact = 1.0 + 2.0 * mesh.vertices[:, 0] + 3.0 * mesh.vertices[:, 1]
-        err = float(np.max(np.abs(sol.u[system.active_dofs] - exact[system.active_dofs])))
-        worst = max(worst, err)
-    checks.append(CheckResult("patch_test", worst <= 1e-10, f"max dof error {worst:.3e}"))
+    def draw(count):
+        return [ParameterPoint(*(config.mu_min + (config.mu_max - config.mu_min) * rng.random(2)))
+                for _ in range(count)]
 
-    # 2. exact zero rows/entries outside the active set
-    worst = 0.0
-    for _ in range(30):
-        mu = ParameterPoint(*(config.mu_min + (config.mu_max - config.mu_min) * rng.random(2)))
-        geom = build_cut_geometry(mesh, mu)
-        system = assemble_system(geom, phys)
-        inactive = np.setdiff1d(np.arange(mesh.n_vertices), system.active_dofs)
-        row_mass = np.abs(system.A[inactive]).sum(axis=1).max() if inactive.size else 0.0
-        worst = max(worst, float(row_mass), float(np.abs(system.f[inactive]).max(initial=0.0)))
-        exact_area = np.pi * np.sqrt(mu.r * mu.theta)
-        geometry_rows.append([
-            mu.r, mu.theta,
-            int((geom.elem_class == 0).sum()), int((geom.elem_class == 1).sum()),
-            int((geom.elem_class == 2).sum()),
-            geom.volume_weight_sum(), geom.boundary_weight_sum(), exact_area,
-            abs(geom.volume_weight_sum() - exact_area) / exact_area,
-        ])
-    checks.append(CheckResult("zero_ghost_rows", worst == 0.0, f"max inactive magnitude {worst:.3e}"))
+    patch_mu, zero_mu, spd_mu = draw(5), draw(30), draw(3)
     if geometry_csv is not None:
         os.makedirs(os.path.dirname(geometry_csv) or ".", exist_ok=True)
         _write_csv(geometry_csv,
                    ("mu_r", "mu_theta", "n_inside", "n_cut", "n_outside",
                     "volume_sum", "boundary_sum", "exact_area", "area_rel_err"),
-                   geometry_rows)
+                   [_geometry_row(mesh, mu) for mu in zero_mu])
 
-    # 3. SPD on the active block and discrete coercivity vs the mesh norm
-    a_star = est.alpha_star(config.nitsche_lambda, config.c_inv)
-    min_eig = np.inf
-    min_coer = np.inf
-    for _ in range(3):
-        mu = ParameterPoint(*(config.mu_min + (config.mu_max - config.mu_min) * rng.random(2)))
-        geom = build_cut_geometry(mesh, mu)
-        system = assemble_system(geom, phys)
-        norm_mat = assemble_norm_matrix(geom, phys)
-        act = system.active_dofs
-        a_act = system.A[act][:, act].toarray()
-        n_act = norm_mat[act][:, act].toarray()
-        min_eig = min(min_eig, float(sla.eigvalsh(a_act)[0]))
-        min_coer = min(min_coer, float(sla.eigh(a_act, n_act, eigvals_only=True)[0]))
-    ok = (min_eig > 0.0) and (min_coer >= 0.05)
-    checks.append(CheckResult(
-        "spd_coercivity", ok,
-        f"min eig {min_eig:.3e}, discrete coercivity {min_coer:.4f} (alpha*={a_star:.2f})",
-    ))
-
-    # heavy checks need the offline build
+    patch_phys = PhysicsParams(
+        f_const=0.0, g_coeffs=(1.0, 2.0, 3.0, 0.0),
+        nitsche_lambda=config.nitsche_lambda, gamma=config.gamma,
+    )
+    checks = [
+        patch_check(mesh, patch_phys, patch_mu),
+        zero_ghost_rows_check(mesh, phys, zero_mu),
+        spd_coercivity_check(mesh, phys, spd_mu, est.alpha_star(config.nitsche_lambda, config.c_inv)),
+    ]
+    # the remaining checks need the offline build
     art = run_offline(config)
-
-    # 4. energy identity: training projection error equals the spectrum tail
     checks.append(pod_tail_check(art.pod, art.snapshots, assemble_mass_matrix(mesh)))
-
-    # 5. interpolation exactness at selected positions, for fresh parameters
     test_mu = sample_parameters(config.n_test, config.seed + 1, config.mu_min, config.mu_max)
-    worst = 0.0
-    for i in range(test_mu.shape[0]):
-        mu = ParameterPoint(*test_mu[i])
-        geom = build_cut_geometry(mesh, mu)
-        system = assemble_system(geom, art.phys)
-        a_deim = reconstruct(art.deim_a, prepare(art, geom).c_a)
-        diff = (a_deim - system.A).tocsr()
-        rows_sel, cols_sel = art.matrix_sample_entries.T
-        vals = np.abs(np.asarray(diff[rows_sel, cols_sel])).max()
-        worst = max(worst, float(vals))
-    checks.append(CheckResult(
-        "deim_interpolation_exactness", worst <= 1e-10, f"max |A_deim - A| at selected {worst:.3e}",
-    ))
-
-    # 6. per-record sweep invariants: run_online_sweep raises on the first violation
+    checks.append(deim_exactness_check(art, [ParameterPoint(*m) for m in test_mu]))
+    # per-record sweep invariants: run_online_sweep raises on the first violation
     try:
         report = run_online_sweep(art, config)
         checks.append(CheckResult("sweep_invariants", True, f"{len(report.records)} records"))

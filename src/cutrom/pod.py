@@ -78,6 +78,18 @@ def build_pod_basis(s_mat: np.ndarray, mass: sp.csr_matrix, eps: float,
     return PodBasis(V=v, sigma=sigma, n_max=n_max, n_energy=n_energy)
 
 
+def projection_tail_gap(pod: PodBasis, snapshots: np.ndarray, mass, n: int) -> float:
+    """Relative gap between the M-norm projection error of the snapshot
+    columns on the first n modes and the discarded spectrum sum_{k>n} sigma_k.
+
+    The two agree exactly in exact arithmetic (method of snapshots)."""
+    v_n = pod.V[:, :n]
+    diff = snapshots - v_n @ (v_n.T @ (mass @ snapshots))
+    lhs = float((diff * (mass @ diff)).sum())
+    rhs = float(pod.sigma[n:].sum())
+    return abs(lhs - rhs) / rhs
+
+
 def tail_energy(sigma: np.ndarray, n: int) -> float:
     """Discarded energy fraction sum_{k>n} sigma_k / sum_k sigma_k.
 

@@ -2,8 +2,12 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the pass/fail lines.
 
-Three sub-criteria are marked xfail(strict) because they cannot hold on the
-mandated structured background mesh; see notes in the repository docs:
+The invariant criteria (1, 2, 4, 5, 6) call the check functions that
+``cutrom verify`` runs, so each invariant has one implementation.
+
+Five sub-criteria, under criteria 4, 8 and 10, are marked xfail(strict)
+because they cannot hold on the mandated structured background mesh; see
+notes in the repository docs:
 
 * the mode-energy identity at n = 40 (criterion 4): the retained spectrum on
   this mesh decays below the eigensolver noise floor long before n = 40, so a
@@ -12,9 +16,12 @@ mandated structured background mesh; see notes in the repository docs:
   (criterion 8): rows outside the active set vanish exactly (criterion 2), so
   the restricted residual norm equals the plain one identically, and the
   reduced model reaches its floor well below the band;
-* the decay-model orderings (criterion 10): the snapshot spectrum on the
+* the two decay-model orderings (criterion 10): the snapshot spectrum on the
   symmetric structured mesh collapses after ~14 modes, which inverts the
   R-squared contests relative to the reference data.
+
+The sixth strict xfail of the suite, ``test_effectivity_scale_at_eight``, is
+in ``test_sweep_properties.py``.
 """
 
 import time
@@ -24,14 +31,19 @@ import pytest
 import scipy.linalg as sla
 
 from cutrom.artifacts import ArtifactError, load_artifacts, save_artifacts
-from cutrom.assembly import PhysicsParams, assemble_system
-from cutrom.deim import deim_coefficients, reconstruct
-from cutrom.estimators import alpha_star
-from cutrom.fom import solve_fom
+from cutrom.assembly import PhysicsParams
+from cutrom.estimators import alpha_star, rayleigh_ratio_check
 from cutrom.geometry import ParameterPoint, build_background_mesh, build_cut_geometry
-from cutrom.pipeline import emit_report, run_offline, run_online_sweep
+from cutrom.pipeline import (
+    deim_exactness_check,
+    emit_report,
+    patch_check,
+    run_offline,
+    run_online_sweep,
+    zero_ghost_rows_check,
+)
+from cutrom.pod import projection_tail_gap
 from cutrom.rates import ALGEBRAIC, fit_algebraic, fit_exponential
-from cutrom.rom import sample_entries
 
 BOX = ((-1.2, 1.2), (-1.2, 1.2))
 
@@ -44,38 +56,27 @@ def _line(cid, msg):
 
 # 1 ------------------------------------------------------------------------
 
+def _draw(seed, count):
+    rng = np.random.default_rng(seed)
+    return [ParameterPoint(*(1.0 + 0.2 * rng.random(2))) for _ in range(count)]
+
+
 def test_criterion_01_linear_patch(default_mesh):
     phys = PhysicsParams(f_const=0.0, g_coeffs=(1.0, 2.0, 3.0, 0.0))
-    rng = np.random.default_rng(101)
+    params = _draw(101, 5)
     t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(5):
-        mu = ParameterPoint(*(1.0 + 0.2 * rng.random(2)))
-        geom = build_cut_geometry(default_mesh, mu)
-        sys_ = assemble_system(geom, phys)
-        sol = solve_fom(sys_)
-        verts = default_mesh.vertices
-        exact = 1.0 + 2.0 * verts[:, 0] + 3.0 * verts[:, 1]
-        act = sys_.active_dofs
-        worst = max(worst, float(np.abs(sol.u[act] - exact[act]).max()))
+    check = patch_check(default_mesh, phys, params)
     elapsed = time.perf_counter() - t0
-    assert worst <= 1e-10
+    assert check.ok, check
     assert elapsed < 5.0
-    _line(1, f"patch test max dof error {worst:.2e} in {elapsed:.2f} s")
+    _line(1, f"patch test {check.detail} in {elapsed:.2f} s")
 
 
 # 2 ------------------------------------------------------------------------
 
 def test_criterion_02_zero_ghost_rows(default_mesh, default_phys):
-    rng = np.random.default_rng(202)
-    for _ in range(30):
-        mu = ParameterPoint(*(1.0 + 0.2 * rng.random(2)))
-        geom = build_cut_geometry(default_mesh, mu)
-        sys_ = assemble_system(geom, default_phys)
-        inactive = np.setdiff1d(np.arange(default_mesh.n_vertices), sys_.active_dofs)
-        if inactive.size:
-            assert np.abs(sys_.A[inactive]).max() == 0.0
-            assert np.abs(sys_.f[inactive]).max() == 0.0
+    check = zero_ghost_rows_check(default_mesh, default_phys, _draw(202, 30))
+    assert check.ok, check
     _line(2, "rows and loads outside the active set are exactly 0.0 for 30 parameters")
 
 
@@ -111,15 +112,8 @@ def test_criterion_03_geometry_accuracy():
     pytest.param(40, marks=pytest.mark.xfail(strict=True, reason=MESH_NOTE)),
 ])
 def test_criterion_04_pod_tail_identity(default_run, n):
-    art = default_run.artifacts
-    mass = default_run.mass
-    snaps = default_run.snapshots
-    v_n = art.pod.V[:, :n]
-    proj = v_n @ (v_n.T @ (mass @ snaps))
-    diff = snaps - proj
-    lhs = float((diff * (mass @ diff)).sum())
-    rhs = float(art.pod.sigma[n:].sum())
-    mismatch = abs(lhs - rhs) / rhs
+    mismatch = projection_tail_gap(default_run.artifacts.pod, default_run.snapshots,
+                                   default_run.mass, n)
     assert mismatch <= 1e-8
     _line(4, f"projection identity at n={n}: relative mismatch {mismatch:.2e}")
 
@@ -127,27 +121,16 @@ def test_criterion_04_pod_tail_identity(default_run, n):
 # 5 ------------------------------------------------------------------------
 
 def test_criterion_05_deim_interpolation_exactness(default_run):
-    art = default_run.artifacts
     report = default_run.report
-    worst = 0.0
-    for i in range(report.test_mu.shape[0]):
-        mu = ParameterPoint(*report.test_mu[i])
-        geom = build_cut_geometry(art.mesh, mu)
-        sys_ = assemble_system(geom, art.phys)
-        a_samp, _ = sample_entries(art, geom)
-        a_deim = reconstruct(art.deim_a, deim_coefficients(art.deim_a, a_samp))
-        diff = (a_deim - sys_.A).tocsr()
-        rows_sel = art.pattern.rows[art.deim_a.indices]
-        cols_sel = art.pattern.cols[art.deim_a.indices]
-        worst = max(worst, float(np.abs(np.asarray(diff[rows_sel, cols_sel])).max()))
-    assert worst <= 1e-10
+    check = deim_exactness_check(default_run.artifacts,
+                                 [ParameterPoint(*m) for m in report.test_mu])
+    assert check.ok, check
     for n in report.n_list:
         recs = report.records_for_n(n)
         base = report.records_for_n(report.n_list[0])
         assert [r.eta_A for r in recs] == [r.eta_A for r in base]
         assert [r.eta_f for r in recs] == [r.eta_f for r in base]
-    _line(5, f"max |A_deim - A| at selected positions {worst:.2e}; "
-             "eta_A/eta_f bit-identical across the sweep")
+    _line(5, f"{check.detail}; eta_A/eta_f bit-identical across the sweep")
 
 
 # 6 ------------------------------------------------------------------------
@@ -156,8 +139,7 @@ def test_criterion_06_rayleigh_sandwich(default_run):
     records = default_run.report.records
     assert len(records) == 300
     for r in records:
-        ratio = r.eta_2b / r.eta_2a
-        assert 1.0 / np.sqrt(r.d_max) - 1e-12 <= ratio <= 1.0 / np.sqrt(r.d_min) + 1e-12
+        assert rayleigh_ratio_check(r.eta_2a, r.eta_2b, r.d_min, r.d_max).ok, r
     _line(6, "Rayleigh sandwich holds on all 300 records")
 
 

@@ -2,24 +2,33 @@ import csv
 import dataclasses
 import logging
 import os
+import re
 
 import numpy as np
 import pytest
 
-from cutrom import cli
+from cutrom import cli, pipeline
 from cutrom.assembly import assemble_mass_matrix
 from cutrom.config import Config
-from cutrom.geometry import GeometryError
+from cutrom.geometry import GeometryError, ParameterPoint
 from cutrom.pipeline import (
     RUN4_COLUMNS,
+    PipelineError,
+    deim_exactness_check,
     emit_report,
     load_report,
+    patch_check,
     pod_tail_check,
     run_offline,
     run_online_sweep,
     sample_parameters,
+    spd_coercivity_check,
     verify_invariants,
+    zero_ghost_rows_check,
 )
+
+CHECK_NAMES = ["patch_test", "zero_ghost_rows", "spd_coercivity", "pod_tail_identity",
+               "deim_interpolation_exactness", "sweep_invariants"]
 
 
 def test_record_count_and_order(small_run, small_config):
@@ -132,7 +141,6 @@ def test_determinism_bitwise(tmp_path):
 
 def test_sweep_needs_enough_modes(small_run, small_config):
     art, _ = small_run
-    from cutrom.pipeline import PipelineError
     cfg = dataclasses.replace(small_config, n_list=(art.pod.n_max + 3,)).validate()
     with pytest.raises(PipelineError):
         run_online_sweep(art, cfg)
@@ -142,9 +150,7 @@ def test_verify_suite_on_small_config(tmp_path):
     cfg = Config(n_train=25, n_test=4, n_list=(2, 4), seed=0).validate()
     summary = tmp_path / "geometry_summary.csv"
     checks = verify_invariants(cfg, geometry_csv=str(summary))
-    names = {c.name for c in checks}
-    assert {"patch_test", "zero_ghost_rows", "spd_coercivity", "pod_tail_identity",
-            "deim_interpolation_exactness", "sweep_invariants"} <= names
+    assert [c.name for c in checks] == CHECK_NAMES
     failed = [c for c in checks if not c.ok]
     assert not failed, failed
     with open(summary) as fh:
@@ -165,6 +171,126 @@ def test_pod_tail_check_fails_on_corrupted_spectrum(small_run, small_config):
     bad = pod_tail_check(dataclasses.replace(art.pod, sigma=sigma), snaps, mass)
     assert bad.status == "fail", bad
     assert bad.noise_floor is None
+
+
+@pytest.mark.parametrize("field, value", [("eps_safe", 0.5), ("nitsche_lambda", 40.0)])
+def test_sweep_refuses_a_config_that_disagrees_with_its_artifacts(small_run, small_config,
+                                                                  field, value):
+    art, _ = small_run
+    cfg = dataclasses.replace(small_config, **{field: value}).validate()
+    with pytest.raises(PipelineError, match=f"sweep config {field} = "):
+        run_online_sweep(art, cfg)
+
+
+def _first_record_site(small_run, small_config):
+    _, report = small_run
+    mu = report.test_mu[0]
+    return re.escape(f"at mu=({mu[0]:.17g}, {mu[1]:.17g}), n={small_config.n_list[0]}")
+
+
+def test_sweep_raises_on_a_violated_rayleigh_sandwich(small_run, small_config, monkeypatch):
+    original = pipeline.est.rayleigh_ratio_check
+
+    def violated(*args, **kwargs):
+        return dataclasses.replace(original(*args, **kwargs), ok=False)
+
+    monkeypatch.setattr(pipeline.est, "rayleigh_ratio_check", violated)
+    site = _first_record_site(small_run, small_config)
+    with pytest.raises(PipelineError, match="Rayleigh sandwich violated " + site):
+        run_online_sweep(small_run[0], small_config)
+
+
+def test_sweep_raises_when_the_active_norm_exceeds_the_plain_norm(small_run, small_config,
+                                                                  monkeypatch):
+    monkeypatch.setattr(pipeline.est, "residual_norm_active",
+                        lambda r, active: 2.0 * float(np.linalg.norm(r)))
+    site = _first_record_site(small_run, small_config)
+    with pytest.raises(PipelineError, match="active residual norm exceeds plain norm " + site):
+        run_online_sweep(small_run[0], small_config)
+
+
+def test_sweep_raises_on_a_violated_combined_bound(small_run, small_config, monkeypatch):
+    monkeypatch.setattr(pipeline.est, "combined_error_bound", lambda *args: 0.0)
+    site = _first_record_site(small_run, small_config)
+    with pytest.raises(PipelineError, match="combined bound violated " + site):
+        run_online_sweep(small_run[0], small_config)
+
+
+def test_cli_verify_fails_on_a_violated_sweep_invariant(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("[sampling]\nn_train = 25\nn_test = 4\n[sweep]\nn_list = 2,4\n"
+                   f"[paths]\nreport_dir = {tmp_path / 'rep'}\n")
+    monkeypatch.setattr(pipeline.est, "combined_error_bound", lambda *args: 0.0)
+    assert cli.main(["verify", "--config", str(cfg)]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] sweep_invariants: combined bound violated at mu=" in out
+    assert [line.split("]")[1].split(":")[0].strip() for line in out.splitlines()
+            if line.startswith("[")] == CHECK_NAMES
+    assert (tmp_path / "rep" / "geometry_summary.csv").exists()
+
+
+# failure paths of the shared checks: each reports fail on a broken input
+
+def _patched_assembly(monkeypatch, edit):
+    """Make the checks see ``edit(system)`` in place of each assembled system."""
+    original = pipeline.assemble_system
+    monkeypatch.setattr(pipeline, "assemble_system",
+                        lambda geom, phys: edit(original(geom, phys)))
+
+
+CHECK_MUS = [ParameterPoint(1.0, 1.0), ParameterPoint(1.07, 1.13)]
+
+
+def test_zero_ghost_rows_check_fails_on_a_tiny_inactive_load(default_mesh, default_phys,
+                                                             monkeypatch):
+    assert zero_ghost_rows_check(default_mesh, default_phys, CHECK_MUS).ok
+
+    def tiny_load(system):
+        inactive = np.setdiff1d(np.arange(system.f.size), system.active_dofs)
+        f = system.f.copy()
+        f[inactive[0]] = 1e-300
+        return dataclasses.replace(system, f=f)
+
+    _patched_assembly(monkeypatch, tiny_load)
+    bad = zero_ghost_rows_check(default_mesh, default_phys, CHECK_MUS)
+    assert bad.status == "fail", bad
+
+
+def test_patch_check_fails_on_a_perturbed_solution(default_mesh, patch_phys, monkeypatch):
+    assert patch_check(default_mesh, patch_phys, CHECK_MUS).ok
+    original = pipeline.solve_fom
+
+    def perturbed(system):
+        sol = original(system)
+        u = sol.u.copy()
+        u[system.active_dofs[0]] += 1e-9
+        return dataclasses.replace(sol, u=u)
+
+    monkeypatch.setattr(pipeline, "solve_fom", perturbed)
+    bad = patch_check(default_mesh, patch_phys, CHECK_MUS)
+    assert bad.status == "fail", bad
+
+
+def test_patch_check_refuses_a_non_affine_datum(default_mesh, default_phys):
+    with pytest.raises(PipelineError, match="affine datum"):
+        patch_check(default_mesh, default_phys, CHECK_MUS)
+
+
+def test_spd_coercivity_check_fails_on_a_negated_matrix(default_mesh, default_phys, monkeypatch):
+    _patched_assembly(monkeypatch, lambda system: dataclasses.replace(system, A=-system.A))
+    bad = spd_coercivity_check(default_mesh, default_phys, CHECK_MUS, 0.5)
+    assert bad.status == "fail", bad
+
+
+def test_deim_exactness_check_fails_on_a_scaled_matrix(small_run, monkeypatch):
+    art, report = small_run
+    params = [ParameterPoint(*m) for m in report.test_mu]
+    intact = deim_exactness_check(art, params)
+    assert intact.status == "pass", intact
+    _patched_assembly(monkeypatch,
+                      lambda system: dataclasses.replace(system, A=system.A * (1.0 + 1e-8)))
+    bad = deim_exactness_check(art, params)
+    assert bad.status == "fail", bad
 
 
 CONFIG_TEXT = """
