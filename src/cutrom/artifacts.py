@@ -19,6 +19,7 @@ from .deim import MATRIX, VECTOR, DeimOperator, UnionPattern, deim_operator
 from .geometry import BackgroundMesh, build_background_mesh
 from .assembly import EntryPlan, PhysicsParams, physics_from_config
 from .pod import PodBasis, energy_mode_count
+from .rom import packed_upper_index
 
 MAGIC = b"CROM"
 FORMAT_VERSION = 1
@@ -89,7 +90,7 @@ class OfflineArtifacts:
     pod: PodBasis
     deim_a: DeimOperator
     deim_f: DeimOperator
-    blocks_a: np.ndarray  # (l_A, n_max, n_max)
+    blocks_a: np.ndarray  # (n_max (n_max + 1) / 2, l_A), see rom.packed_upper_index
     blocks_f: np.ndarray  # (l_f, n_max)
     train_mu: np.ndarray
     snapshots: np.ndarray | None = None
@@ -97,6 +98,7 @@ class OfflineArtifacts:
     matrix_sample_entries: np.ndarray = field(init=False)  # (l_A, 2) dof pairs
     vector_sample_entries: np.ndarray = field(init=False)  # (l_f,) dof indices
     plan: EntryPlan = field(init=False)
+    packed_index: np.ndarray = field(init=False)  # (n_max, n_max) rows of blocks_a
 
     def __post_init__(self):
         self.pattern = self.deim_a.pattern
@@ -106,6 +108,7 @@ class OfflineArtifacts:
         self.vector_sample_entries = self.deim_f.indices.copy()
         self.plan = EntryPlan(self.mesh, self.phys, self.matrix_sample_entries,
                               self.vector_sample_entries)
+        self.packed_index = packed_upper_index(self.pod.n_max)
 
     @property
     def rom(self) -> OfflineArtifacts:
@@ -200,7 +203,7 @@ def load_artifacts(dirpath: str, config: Config) -> OfflineArtifacts:
         "deim_a_indices": (l_a,),
         "deim_f_basis": (n, l_f),
         "deim_f_indices": (l_f,),
-        "blocks_a": (l_a, n_max, n_max),
+        "blocks_a": (n_max * (n_max + 1) // 2, l_a),
         "blocks_f": (l_f, n_max),
     }
     for name, shape in expected.items():

@@ -23,6 +23,7 @@ from .geometry import (
 from .pipeline import (
     emit_report,
     load_report,
+    patch_check,
     run_offline,
     run_online_sweep,
     run_sweep,
@@ -95,14 +96,14 @@ def _cmd_fom(args) -> int:
     t_asm = time.perf_counter() - t0
     sol = solve_fom(system)
     res = system.f - system.A @ sol.u
-    print(f"dofs               : {mesh.n_vertices} total, {system.active_dofs.size} active")
+    print(f"dofs               : {mesh.n_vertices} total, {system.active_dofs.size} active "
+          f"(bandwidth {sol.bandwidth})")
     print(f"geometry / assembly: {1e3 * t_geom:.2f} ms / {1e3 * t_asm:.2f} ms")
     print(f"solve              : {1e3 * sol.solve_time:.2f} ms")
     print(f"residual norm      : {np.linalg.norm(res[system.active_dofs]):.3e}")
     if config.f_const == 0.0 and config.gxy == 0.0:
-        exact = config.g0 + config.gx * mesh.vertices[:, 0] + config.gy * mesh.vertices[:, 1]
-        err = np.max(np.abs(sol.u[system.active_dofs] - exact[system.active_dofs]))
-        print(f"error vs interpolated boundary datum: {err:.3e} (max norm)")
+        print("error vs interpolated boundary datum: "
+              f"{patch_check(mesh, phys, [mu]).detail} (max norm)")
     else:
         print("error vs interpolated boundary datum: n/a (needs f = 0 and affine datum)")
     return 0

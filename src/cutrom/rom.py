@@ -53,12 +53,35 @@ class RomSolution:
     online_time: float
 
 
+def _upper_entries(n_max: int):
+    """Rows and columns of the upper triangle of an n_max x n_max block in
+    column-major order: (i, j), i <= j, by j, then by i."""
+    cols, rows = np.tril_indices(n_max)
+    return rows, cols
+
+
+def packed_upper_index(n_max: int) -> np.ndarray:
+    """(n_max, n_max) map from an entry (i, j) of a symmetric reduced block to
+    its row in the packed layout: the upper triangle in column-major order,
+    so (i, j) with i <= j sits at row j (j + 1) / 2 + i, and the leading
+    n x n block fills the first n (n + 1) / 2 rows."""
+    rows, cols = _upper_entries(n_max)
+    index = np.empty((n_max, n_max), dtype=np.int64)
+    index[rows, cols] = np.arange(rows.size)
+    index[cols, rows] = np.arange(rows.size)
+    return index
+
+
 def build_rom_offline(pod: PodBasis, deim_a: DeimOperator, deim_f: DeimOperator):
     """Project every interpolation basis matrix/vector onto the mode basis:
-    ``(blocks_a, blocks_f)`` of shapes (l_A, n_max, n_max) and (l_f, n_max).
+    ``(blocks_a, blocks_f)`` of shapes (n_max (n_max + 1) / 2, l_A) and
+    (l_f, n_max).
 
     Matrix basis elements are symmetrized before projection, matching the
-    symmetrization applied by ``deim.reconstruct``.
+    symmetrization applied by ``deim.reconstruct``.  Each projected matrix
+    block is stored packed (``packed_upper_index``), one column per basis
+    element, so the leading n x n blocks of all elements are one contiguous
+    slab and a reduced operator unpacks exactly symmetric.
     """
     if deim_a.pattern is None:
         raise RomError("matrix operator must carry the union pattern")
@@ -67,11 +90,12 @@ def build_rom_offline(pod: PodBasis, deim_a: DeimOperator, deim_f: DeimOperator)
     n_max = pod.n_max
     l_a = deim_a.l
     l_f = deim_f.l
-    blocks_a = np.empty((l_a, n_max, n_max))
+    rows, cols = _upper_entries(n_max)
+    blocks_a = np.empty((rows.size, l_a))
     for j in range(l_a):
         basis_mat = pattern.matrix_from_values(deim_a.U[:, j])
         basis_mat = ((basis_mat + basis_mat.T) * 0.5).tocsr()
-        blocks_a[j] = v.T @ (basis_mat @ v)
+        blocks_a[:, j] = (v.T @ (basis_mat @ v))[rows, cols]
     blocks_f = np.empty((l_f, n_max))
     for j in range(l_f):
         blocks_f[j] = v.T @ deim_f.U[:, j]
@@ -93,6 +117,13 @@ def prepare(art: OfflineArtifacts, geom: CutGeometry) -> OnlinePrep:
     return OnlinePrep(mu=geom.mu, c_a=c_a, c_f=c_f, time=time.perf_counter() - t0)
 
 
+def reduced_operator(art: OfflineArtifacts, c_a: np.ndarray, n: int) -> np.ndarray:
+    """The n x n reduced operator of the matrix coefficients ``c_a``: one
+    product with the first n (n + 1) / 2 packed rows of the blocks, unpacked
+    through ``art.packed_index``, so it is exactly symmetric."""
+    return (art.blocks_a[:n * (n + 1) // 2] @ c_a)[art.packed_index[:n, :n]]
+
+
 def solve(art: OfflineArtifacts, prep: OnlinePrep, n: int) -> RomSolution:
     """Timed per-mode-count step: (iii) dense n x n solve, (iv) lift.
 
@@ -104,7 +135,7 @@ def solve(art: OfflineArtifacts, prep: OnlinePrep, n: int) -> RomSolution:
     if not (1 <= n <= art.pod.n_max):
         raise RomError(f"mode count {n} outside [1, {art.pod.n_max}]")
     t0 = time.perf_counter()
-    a_hat = np.tensordot(prep.c_a, art.blocks_a[:, :n, :n], axes=(0, 0))
+    a_hat = reduced_operator(art, prep.c_a, n)
     f_hat = prep.c_f @ art.blocks_f[:, :n]
     try:
         u_hat = np.linalg.solve(a_hat, f_hat)

@@ -1,14 +1,25 @@
 import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
+import cutrom
 from cutrom.assembly import assemble_system
-from cutrom.fom import FomError, residual, solve_fom
-from cutrom.geometry import ParameterPoint, build_background_mesh, build_cut_geometry
+from cutrom.fom import FomError, active_band, residual, solve_fom
+from cutrom.geometry import (
+    ParameterPoint,
+    build_background_mesh,
+    build_cut_geometry,
+    level_set,
+)
 from cutrom.pipeline import patch_check
+
+BOX = ((-1.2, 1.2), (-1.2, 1.2))
 
 
 def test_patch_solution_matches_interpolant(default_mesh, patch_phys):
@@ -87,6 +98,18 @@ def test_zeroed_row_raises(default_mesh, default_phys):
         solve_fom(_with_matrix(sys_, zero_row))
 
 
+def test_non_finite_entry_raises(default_mesh, default_phys):
+    # LAPACK's banded Cholesky passes a NaN through without a failed pivot
+    sys_ = assemble_system(build_cut_geometry(default_mesh, ParameterPoint(1.07, 1.13)), default_phys)
+    i = sys_.active_dofs[sys_.active_dofs.size // 2]
+
+    def poison(a):
+        a.data[a.indptr[i]] = np.nan
+
+    with pytest.raises(FomError, match="non-finite"):
+        solve_fom(_with_matrix(sys_, poison))
+
+
 @pytest.mark.parametrize("h", [0.125, 0.06])
 def test_matches_dense_cholesky(default_phys, h):
     mesh = build_background_mesh(((-1.2, 1.2), (-1.2, 1.2)), h)
@@ -103,10 +126,70 @@ def test_refinement_step_lowers_active_residual(default_phys):
     for mu in (ParameterPoint(1.0, 1.0), ParameterPoint(1.07, 1.13), ParameterPoint(1.19, 1.02)):
         sys_ = assemble_system(build_cut_geometry(mesh, mu), default_phys)
         act = sys_.active_dofs
-        a_act = sys_.A[act][:, act].tocsc()
-        f_act = sys_.f[act]
-        lu = spla.splu(a_act, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
-        unrefined = np.linalg.norm(f_act - a_act @ lu.solve(f_act))
+        band, pos = active_band(sys_.A, mesh.rcm_rank, act)
+        rhs = np.empty(act.size)
+        rhs[pos] = sys_.f[act]
+        unrefined_u = np.zeros_like(sys_.f)
+        unrefined_u[act] = sla.cho_solve_banded((sla.cholesky_banded(band), False), rhs)[pos]
+        unrefined = np.linalg.norm(residual(sys_, unrefined_u)[act])
         refined = np.linalg.norm(residual(sys_, solve_fom(sys_).u)[act])
         assert refined < unrefined
+
+
+def _rcm_bandwidth(mesh):
+    """Bandwidth of the whole mesh pattern in the mesh's RCM order."""
+    rows = np.repeat(np.arange(mesh.n_vertices), np.diff(mesh.pattern_indptr))
+    return int(np.abs(mesh.rcm_rank[rows] - mesh.rcm_rank[mesh.pattern_cols]).max())
+
+
+# an ellipse through the background vertex (-1.08, 0) of both meshes
+VERTEX_MU = ParameterPoint(1.08 ** 2, 1.1)
+# the four corners of the default parameter box, and VERTEX_MU
+ADVERSARIAL_MU = [ParameterPoint(1.0, 1.0), ParameterPoint(1.0, 1.2), ParameterPoint(1.2, 1.0),
+                  ParameterPoint(1.2, 1.2), VERTEX_MU]
+
+
+@pytest.mark.parametrize("h", [0.125, 0.06])
+@pytest.mark.parametrize("mu", ADVERSARIAL_MU, ids=["corner-lo-lo", "corner-lo-hi",
+                                                    "corner-hi-lo", "corner-hi-hi",
+                                                    "vertex-on-interface"])
+def test_adversarial_mu_matches_dense_cholesky(default_phys, mu, h):
+    mesh = build_background_mesh(BOX, h)
+    if mu == VERTEX_MU:
+        assert (level_set(mu, *mesh.vertices_t) == 0.0).any()
+    sys_ = assemble_system(build_cut_geometry(mesh, mu), default_phys)
+    act = sys_.active_dofs
+    ref = sla.cho_solve(sla.cho_factor(sys_.A[act][:, act].toarray()), sys_.f[act])
+    sol = solve_fom(sys_)
+    assert np.linalg.norm(sol.u[act] - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert 0 < sol.bandwidth <= _rcm_bandwidth(mesh)
+    # the RCM numbering is narrower than the block's natural one
+    a_act = sys_.A[act][:, act].tocoo()
+    assert sol.bandwidth < np.abs(a_act.row - a_act.col).max()
+
+
+_THREAD_PROBE = """
+import hashlib, numpy as np
+from cutrom.assembly import PhysicsParams, assemble_system
+from cutrom.fom import solve_fom
+from cutrom.geometry import ParameterPoint, build_background_mesh, build_cut_geometry
+mesh = build_background_mesh(((-1.2, 1.2), (-1.2, 1.2)), 0.06)
+digest = hashlib.sha256()
+for mu in ((1.0, 1.0), (1.07, 1.13), (1.19, 1.02), (1.2, 1.2)):
+    system = assemble_system(build_cut_geometry(mesh, ParameterPoint(*mu)), PhysicsParams())
+    digest.update(solve_fom(system).u.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_solution_bytes_do_not_depend_on_the_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cutrom.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, check=True,
+                             capture_output=True, text=True, timeout=300)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == len(hashlib.sha256().hexdigest())
+    assert digests[0] == digests[1]

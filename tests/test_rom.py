@@ -4,7 +4,16 @@ import pytest
 from cutrom.deim import MATRIX, UnionPattern, build_deim_operator
 from cutrom.geometry import GeometryError, ParameterPoint, build_background_mesh, build_cut_geometry
 from cutrom.pod import PodBasis
-from cutrom.rom import RomError, build_rom_offline, prepare, rom_online_solve, sample_entries, solve
+from cutrom.rom import (
+    RomError,
+    build_rom_offline,
+    packed_upper_index,
+    prepare,
+    reduced_operator,
+    rom_online_solve,
+    sample_entries,
+    solve,
+)
 
 
 def test_identity_basis_matrix_projects_to_gram(default_mesh):
@@ -19,8 +28,14 @@ def test_identity_basis_matrix_projects_to_gram(default_mesh):
     op = build_deim_operator(snaps, 1e-12, 1, kind=MATRIX, pattern=pattern)
     scale = op.U[0, 0]  # normalized constant mode
     blocks_a, _ = build_rom_offline(pod, op, op)
-    assert blocks_a.shape == (1, 3, 3)
-    assert np.abs(blocks_a[0] / scale - v.T @ v).max() <= 1e-10
+    assert blocks_a.shape == (6, 1)
+    assert np.abs(blocks_a[:, 0][packed_upper_index(3)] / scale - v.T @ v).max() <= 1e-10
+
+
+def test_packed_index_runs_column_major_over_the_upper_triangle():
+    index = packed_upper_index(3)
+    assert np.array_equal(index, [[0, 1, 3], [1, 2, 4], [3, 4, 5]])
+    assert np.array_equal(packed_upper_index(2), index[:2, :2])
 
 
 def test_online_solve_matches_fom_at_training_parameter(small_run):
@@ -55,7 +70,9 @@ def test_mode_count_validation(small_run):
 
 def test_block_counts_match_mode_counts(small_run):
     art, _ = small_run
-    assert art.blocks_a.shape == (art.deim_a.l, art.pod.n_max, art.pod.n_max)
+    n_max = art.pod.n_max
+    assert art.blocks_a.shape == (n_max * (n_max + 1) // 2, art.deim_a.l)
+    assert art.blocks_a.flags.c_contiguous
     assert art.blocks_f.shape == (art.deim_f.l, art.pod.n_max)
     assert art.matrix_sample_entries.shape == (art.deim_a.l, 2)
     assert art.vector_sample_entries.shape == (art.deim_f.l,)
@@ -75,9 +92,28 @@ def test_truncation_uses_leading_subblock(small_run):
     a_samp, f_samp = sample_entries(art, geom)
     c_a = deim_coefficients(art.deim_a, a_samp)
     c_f = deim_coefficients(art.deim_f, f_samp)
-    a_hat = np.tensordot(c_a, art.blocks_a[:, :n, :n], axes=(0, 0))
+    # the leading n x n triangle is the first n (n + 1) / 2 packed rows
+    a_hat = (art.blocks_a[:n * (n + 1) // 2] @ c_a)[packed_upper_index(n)]
     f_hat = c_f @ art.blocks_f[:, :n]
     assert np.array_equal(np.linalg.solve(a_hat, f_hat), rs.u_hat)
+
+
+def test_packed_operator_matches_the_full_block_contraction(small_run, small_config):
+    art, _ = small_run
+    # reference: the unpacked projection V^T B_j V of every symmetrized basis
+    # matrix, contracted over the full (l_A, n, n) sub-blocks
+    v = art.pod.V
+    full = np.empty((art.deim_a.l, art.pod.n_max, art.pod.n_max))
+    for j in range(art.deim_a.l):
+        basis_mat = art.pattern.matrix_from_values(art.deim_a.U[:, j])
+        full[j] = v.T @ (((basis_mat + basis_mat.T) * 0.5) @ v)
+    for mu in (ParameterPoint(1.0, 1.0), ParameterPoint(1.14, 1.03), ParameterPoint(1.2, 1.2)):
+        c_a = prepare(art, build_cut_geometry(art.mesh, mu)).c_a
+        for n in small_config.n_list:
+            a_hat = reduced_operator(art, c_a, n)
+            ref = np.tensordot(c_a, full[:, :n, :n], axes=(0, 0))
+            assert np.linalg.norm(a_hat - ref) <= 1e-13 * np.linalg.norm(ref)
+            assert np.array_equal(a_hat, a_hat.T)
 
 
 def test_prepare_then_solve_is_bitwise_the_standalone_query(small_run, small_config):
