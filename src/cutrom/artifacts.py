@@ -1,16 +1,20 @@
-"""Offline artifact persistence: one binary container per array plus a manifest.
+"""Offline artifact persistence: one numpy ``.npy`` file per array plus a manifest.
 
-Container layout (little endian): magic ``CROM``, format version byte (1),
-dtype code byte (1 = float64, 2 = int64), ndim byte, ndim uint64 shape values,
-then the row-major payload.  The manifest records the config hash; loading
-against a different configuration is refused.
+``_ARRAYS`` lists every saved array once, with its dtype and its shape in the
+model's sizes; the manifest records the format version, the config hash and
+those sizes.  Loading raises ``ArtifactError``, naming the array or the
+manifest, on a different configuration; on an array that is missing,
+unreadable, pickled, or of the wrong dtype or shape; on a union pattern that
+is not strictly increasing inside the mesh's assembly pattern; and on an
+interpolation index out of range.  A save removes the old manifest first and
+writes the new one last, so an interrupted save leaves nothing loadable.
 """
 
 from __future__ import annotations
 
 import os
-import struct
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -21,55 +25,11 @@ from .assembly import EntryPlan, PhysicsParams, physics_from_config
 from .pod import PodBasis, energy_mode_count
 from .rom import packed_upper_index
 
-MAGIC = b"CROM"
-FORMAT_VERSION = 1
-_DTYPE_CODES = {1: np.dtype("<f8"), 2: np.dtype("<i8")}
-_CODE_OF = {np.dtype("float64"): 1, np.dtype("int64"): 2}
+FORMAT_VERSION = 2
 
 
 class ArtifactError(RuntimeError):
     pass
-
-
-def save_array(path: str, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(arr)
-    if arr.dtype not in _CODE_OF:
-        raise ArtifactError(f"unsupported dtype {arr.dtype}")
-    code = _CODE_OF[arr.dtype]
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<BBB", FORMAT_VERSION, code, arr.ndim))
-        for s in arr.shape:
-            fh.write(struct.pack("<Q", s))
-        fh.write(arr.astype(_DTYPE_CODES[code], copy=False).tobytes(order="C"))
-
-
-def load_array(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ArtifactError(f"bad magic in {path!r}: {magic!r}")
-        header = fh.read(3)
-        if len(header) != 3:
-            raise ArtifactError(f"truncated header in {path!r}")
-        version, code, ndim = struct.unpack("<BBB", header)
-        if version != FORMAT_VERSION:
-            raise ArtifactError(f"unsupported format version {version} in {path!r}")
-        if code not in _DTYPE_CODES:
-            raise ArtifactError(f"unknown dtype code {code} in {path!r}")
-        shape = []
-        for _ in range(ndim):
-            raw = fh.read(8)
-            if len(raw) != 8:
-                raise ArtifactError(f"truncated shape in {path!r}")
-            shape.append(struct.unpack("<Q", raw)[0])
-        payload = fh.read()
-    dtype = _DTYPE_CODES[code]
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    if len(payload) != count * dtype.itemsize:
-        raise ArtifactError(f"payload size mismatch in {path!r}")
-    arr = np.frombuffer(payload, dtype=dtype)
-    return arr.reshape(shape).copy()
 
 
 @dataclass
@@ -117,40 +77,43 @@ class OfflineArtifacts:
         return self
 
 
+# name, attribute path on OfflineArtifacts, dtype, shape in the sizes of
+# ``_expected_shapes`` (an integer stands for itself)
 _ARRAYS = (
-    "pod_modes",
-    "pod_sigma",
-    "deim_a_basis",
-    "deim_a_indices",
-    "deim_a_singular_values",
-    "deim_f_basis",
-    "deim_f_indices",
-    "deim_f_singular_values",
-    "pattern_codes",
-    "blocks_a",
-    "blocks_f",
-    "train_mu",
+    ("pod_modes", "pod.V", np.float64, ("n", "n_max")),
+    ("pod_sigma", "pod.sigma", np.float64, ("n_train",)),
+    ("deim_a_basis", "deim_a.U", np.float64, ("pattern_size", "l_a")),
+    ("deim_a_indices", "deim_a.indices", np.int64, ("l_a",)),
+    ("deim_a_singular_values", "deim_a.singular_values", np.float64, ("s_a",)),
+    ("deim_f_basis", "deim_f.U", np.float64, ("n", "l_f")),
+    ("deim_f_indices", "deim_f.indices", np.int64, ("l_f",)),
+    ("deim_f_singular_values", "deim_f.singular_values", np.float64, ("s_f",)),
+    ("pattern_codes", "pattern.codes", np.int64, ("pattern_size",)),
+    ("blocks_a", "blocks_a", np.float64, ("n_packed", "l_a")),  # see rom.packed_upper_index
+    ("blocks_f", "blocks_f", np.float64, ("l_f", "n_max")),
+    ("train_mu", "train_mu", np.float64, ("n_train", 2)),
 )
+_SIZES = ("n_vertices", "n_max", "l_a", "l_f", "pattern_size")
+
+
+def _expected_shapes(config: Config, n: int, n_max: int, l_a: int, l_f: int,
+                     pattern_size: int) -> dict:
+    """Shape of each array for the manifest's sizes.  The POD spectrum has
+    one eigenvalue per training solve; each DEIM SVD of an (m, n_train)
+    snapshot matrix has min(m, n_train) singular values."""
+    sizes = {"n": n, "n_max": n_max, "l_a": l_a, "l_f": l_f, "pattern_size": pattern_size,
+             "n_train": config.n_train, "n_packed": n_max * (n_max + 1) // 2,
+             "s_a": min(pattern_size, config.n_train), "s_f": min(n, config.n_train)}
+    return {name: tuple(sizes.get(d, d) for d in dims) for name, _, _, dims in _ARRAYS}
 
 
 def save_artifacts(dirpath: str, art: OfflineArtifacts) -> None:
     os.makedirs(dirpath, exist_ok=True)
-    arrays = {
-        "pod_modes": art.pod.V,
-        "pod_sigma": art.pod.sigma,
-        "deim_a_basis": art.deim_a.U,
-        "deim_a_indices": art.deim_a.indices,
-        "deim_a_singular_values": art.deim_a.singular_values,
-        "deim_f_basis": art.deim_f.U,
-        "deim_f_indices": art.deim_f.indices,
-        "deim_f_singular_values": art.deim_f.singular_values,
-        "pattern_codes": art.pattern.codes,
-        "blocks_a": art.blocks_a,
-        "blocks_f": art.blocks_f,
-        "train_mu": art.train_mu,
-    }
-    for name in _ARRAYS:
-        save_array(os.path.join(dirpath, name + ".crom"), arrays[name])
+    manifest = os.path.join(dirpath, "manifest.txt")
+    if os.path.exists(manifest):
+        os.remove(manifest)
+    for name, attr, _, _ in _ARRAYS:
+        np.save(os.path.join(dirpath, name + ".npy"), attrgetter(attr)(art))
     lines = [
         f"format_version = {FORMAT_VERSION}",
         f"config_hash = {art.config.hash()}",
@@ -159,9 +122,10 @@ def save_artifacts(dirpath: str, art: OfflineArtifacts) -> None:
         f"n_max = {art.pod.n_max}",
         f"l_a = {art.deim_a.l}",
         f"l_f = {art.deim_f.l}",
-        "arrays = " + ",".join(_ARRAYS),
+        f"pattern_size = {art.pattern.size}",
+        "arrays = " + ",".join(name for name, *_ in _ARRAYS),
     ]
-    with open(os.path.join(dirpath, "manifest.txt"), "w", encoding="utf-8") as fh:
+    with open(manifest, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -180,8 +144,34 @@ def _read_manifest(dirpath: str) -> dict:
     return out
 
 
+def _load_array(dirpath: str, name: str, dtype, shape: tuple) -> np.ndarray:
+    path = os.path.join(dirpath, name + ".npy")
+    try:
+        arr = np.load(path, allow_pickle=False)
+    except (OSError, EOFError, ValueError) as exc:
+        raise ArtifactError(f"{name} cannot be read from {path!r}: {exc}") from None
+    if not isinstance(arr, np.ndarray):
+        raise ArtifactError(f"{name}: {path!r} is an .npz archive, not an .npy file")
+    if arr.dtype != dtype:
+        raise ArtifactError(f"{name} has dtype {arr.dtype}, expected {np.dtype(dtype)}")
+    if arr.shape != shape:
+        raise ArtifactError(f"{name} has shape {arr.shape}, but the manifest "
+                            f"and the mesh give {shape}")
+    return arr
+
+
+def _check_pattern(codes: np.ndarray, mesh: BackgroundMesh) -> None:
+    n = mesh.n_vertices
+    mesh_codes = np.repeat(np.arange(n), np.diff(mesh.pattern_indptr)) * n + mesh.pattern_cols
+    pos = np.minimum(np.searchsorted(mesh_codes, codes), mesh_codes.size - 1)
+    if np.any(np.diff(codes) <= 0) or np.any(mesh_codes[pos] != codes):
+        raise ArtifactError("pattern_codes is not a strictly increasing subset of "
+                            "the mesh's assembly pattern")
+
+
 def load_artifacts(dirpath: str, config: Config) -> OfflineArtifacts:
-    """Load arrays, verify the config hash, and rebuild the derived objects."""
+    """Load and check the arrays, verify the config hash, and rebuild the
+    derived objects."""
     manifest = _read_manifest(dirpath)
     if manifest.get("format_version") != str(FORMAT_VERSION):
         raise ArtifactError(f"unsupported manifest version {manifest.get('format_version')!r}")
@@ -190,26 +180,21 @@ def load_artifacts(dirpath: str, config: Config) -> OfflineArtifacts:
             "artifact config hash mismatch: artifacts were produced by a "
             "different configuration; refusing to load stale artifacts"
         )
-    data = {name: load_array(os.path.join(dirpath, name + ".crom")) for name in _ARRAYS}
-
+    try:
+        n, n_max, l_a, l_f, pattern_size = (int(manifest[key]) for key in _SIZES)
+    except (KeyError, ValueError):
+        raise ArtifactError(f"manifest in {dirpath!r} lacks an integer for one of "
+                            f"{', '.join(_SIZES)}") from None
     mesh = build_background_mesh(config.box, config.h_target)
-    if mesh.n_vertices != int(manifest.get("n_vertices", -1)):
+    if mesh.n_vertices != n:
         raise ArtifactError("mesh size does not match manifest")
-    n = mesh.n_vertices
-    n_max, l_a, l_f = (int(manifest.get(key, -1)) for key in ("n_max", "l_a", "l_f"))
-    expected = {
-        "pod_modes": (n, n_max),
-        "deim_a_basis": (data["pattern_codes"].size, l_a),
-        "deim_a_indices": (l_a,),
-        "deim_f_basis": (n, l_f),
-        "deim_f_indices": (l_f,),
-        "blocks_a": (n_max * (n_max + 1) // 2, l_a),
-        "blocks_f": (l_f, n_max),
-    }
-    for name, shape in expected.items():
-        if data[name].shape != shape:
-            raise ArtifactError(f"{name} has shape {data[name].shape}, but the manifest "
-                                f"and the mesh give {shape}")
+    shapes = _expected_shapes(config, n, n_max, l_a, l_f, pattern_size)
+    data = {name: _load_array(dirpath, name, dtype, shapes[name])
+            for name, _, dtype, _ in _ARRAYS}
+    _check_pattern(data["pattern_codes"], mesh)
+    for name, bound in (("deim_a_indices", pattern_size), ("deim_f_indices", n)):
+        if np.any((data[name] < 0) | (data[name] >= bound)):
+            raise ArtifactError(f"{name} holds an index outside [0, {bound})")
     pattern = UnionPattern(data["pattern_codes"], n)
     pod = PodBasis(
         V=data["pod_modes"],

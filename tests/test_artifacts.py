@@ -1,98 +1,165 @@
+import re
+from operator import attrgetter
+
 import numpy as np
 import pytest
 
-from cutrom.artifacts import (
-    ArtifactError,
-    load_array,
-    load_artifacts,
-    save_array,
-    save_artifacts,
-)
+from cutrom.artifacts import ArtifactError, load_artifacts, save_artifacts
 from cutrom.deim import DeimError
 from cutrom.geometry import ParameterPoint, build_cut_geometry
 from cutrom.rom import sample_entries
 
-
-@pytest.mark.parametrize("arr", [
-    np.linspace(-3.0, 7.0, 17),
-    np.arange(24, dtype=np.int64).reshape(2, 3, 4),
-    np.random.default_rng(0).standard_normal((5, 7)),
-    np.array([np.pi, -0.0, 1e-308, 1e308]),
-], ids=["vector", "int3d", "matrix", "extremes"])
-def test_array_roundtrip_bitexact(tmp_path, arr):
-    path = tmp_path / "a.crom"
-    save_array(str(path), arr)
-    back = load_array(str(path))
-    assert back.dtype == arr.dtype
-    assert back.shape == arr.shape
-    assert np.array_equal(back.view(np.uint8), arr.view(np.uint8))
-
-
-def test_unsupported_dtype_rejected(tmp_path):
-    with pytest.raises(ArtifactError):
-        save_array(str(tmp_path / "x.crom"), np.zeros(3, dtype=np.float32))
+# every saved array: its file name and where it lives on OfflineArtifacts
+SAVED = {
+    "pod_modes": "pod.V",
+    "pod_sigma": "pod.sigma",
+    "deim_a_basis": "deim_a.U",
+    "deim_a_indices": "deim_a.indices",
+    "deim_a_singular_values": "deim_a.singular_values",
+    "deim_f_basis": "deim_f.U",
+    "deim_f_indices": "deim_f.indices",
+    "deim_f_singular_values": "deim_f.singular_values",
+    "pattern_codes": "pattern.codes",
+    "blocks_a": "blocks_a",
+    "blocks_f": "blocks_f",
+    "train_mu": "train_mu",
+}
 
 
-def test_corrupted_magic_rejected(tmp_path):
-    path = tmp_path / "a.crom"
-    save_array(str(path), np.zeros(3))
-    raw = bytearray(path.read_bytes())
-    raw[0] = ord("X")
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ArtifactError, match="magic"):
-        load_array(str(path))
+@pytest.fixture
+def saved(tmp_path, small_run):
+    """A saved copy of the small model, free for each test to damage."""
+    save_artifacts(str(tmp_path), small_run[0])
+    return tmp_path
 
 
-def test_truncated_payload_rejected(tmp_path):
-    path = tmp_path / "a.crom"
-    save_array(str(path), np.zeros(8))
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-8])
-    with pytest.raises(ArtifactError, match="payload"):
-        load_array(str(path))
-
-
-def test_bad_version_rejected(tmp_path):
-    path = tmp_path / "a.crom"
-    save_array(str(path), np.zeros(2))
-    raw = bytearray(path.read_bytes())
-    raw[4] = 99
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ArtifactError, match="version"):
-        load_array(str(path))
+def _rewrite(saved, name, change):
+    path = saved / f"{name}.npy"
+    np.save(path, change(np.load(path, allow_pickle=False)))
 
 
 def test_artifact_roundtrip_and_hash_guard(tmp_path, small_run, small_config):
     art, _ = small_run
     out = tmp_path / "artifacts"
     save_artifacts(str(out), art)
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [f"{name}.npy" for name in SAVED] + ["manifest.txt"])
     back = load_artifacts(str(out), small_config)
-    assert np.array_equal(back.pod.V, art.pod.V)
-    assert np.array_equal(back.pod.sigma, art.pod.sigma)
+    for name, attr in SAVED.items():
+        loaded, built = attrgetter(attr)(back), attrgetter(attr)(art)
+        assert loaded.dtype == built.dtype, name
+        assert loaded.shape == built.shape, name
+        assert loaded.tobytes() == built.tobytes(), name
     assert back.pod.n_energy == art.pod.n_energy
-    assert np.array_equal(back.deim_a.U, art.deim_a.U)
-    assert np.array_equal(back.deim_a.indices, art.deim_a.indices)
     for op_back, op in ((back.deim_a, art.deim_a), (back.deim_f, art.deim_f)):
         assert op_back.pu.tobytes() == op.pu.tobytes()
-    assert np.array_equal(back.pattern.codes, art.pattern.codes)
     assert back.pattern.indptr.tobytes() == art.pattern.indptr.tobytes()
-    assert np.array_equal(back.blocks_a, art.blocks_a)
-    assert np.array_equal(back.blocks_f, art.blocks_f)
-    assert np.array_equal(back.train_mu, art.train_mu)
     assert back.snapshots is None
     # a different configuration must be refused
     with pytest.raises(ArtifactError, match="hash"):
         load_artifacts(str(out), small_config.with_seed(small_config.seed + 5))
 
 
-def test_repeated_interpolation_index_rejected_on_load(tmp_path, small_run, small_config):
-    art, _ = small_run
-    save_artifacts(str(tmp_path), art)
-    indices = art.deim_a.indices.copy()
-    indices[1] = indices[0]
-    save_array(str(tmp_path / "deim_a_indices.crom"), indices)
+def test_bad_version_rejected(saved, small_config):
+    manifest = saved / "manifest.txt"
+    text = manifest.read_text(encoding="utf-8")
+    assert "format_version = 2\n" in text
+    manifest.write_text(text.replace("format_version = 2", "format_version = 1"),
+                        encoding="utf-8")
+    with pytest.raises(ArtifactError, match="manifest version '1'"):
+        load_artifacts(str(saved), small_config)
+
+
+@pytest.mark.parametrize("line, damaged", [
+    (r"^pattern_size = .*$", ""),
+    (r"^n_max = .*$", "n_max = forty"),
+], ids=["missing", "not_an_integer"])
+def test_manifest_without_model_sizes_rejected(saved, small_config, line, damaged):
+    manifest = saved / "manifest.txt"
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(re.sub(line, damaged, text, flags=re.M), encoding="utf-8")
+    with pytest.raises(ArtifactError, match="^manifest .* lacks an integer"):
+        load_artifacts(str(saved), small_config)
+
+
+def test_unsupported_dtype_rejected(saved, small_config):
+    _rewrite(saved, "blocks_a", lambda a: a.astype(np.float32))
+    with pytest.raises(ArtifactError, match="^blocks_a has dtype float32, expected float64"):
+        load_artifacts(str(saved), small_config)
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _old_container(path):
+    path.write_bytes(b"CROM\x01\x02\x01" + bytes(24))
+
+
+def _object_array(path):
+    np.save(path, np.array([3, "x", None], dtype=object))
+
+
+def _npz_archive(path):
+    np.savez(path.with_suffix(".npz"), values=np.zeros(3))
+    path.with_suffix(".npz").replace(path)
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("train_mu", lambda path: path.unlink()),
+    ("blocks_a", _truncate),
+    ("blocks_f", lambda path: path.write_bytes(b"")),
+    ("pattern_codes", _old_container),
+    ("deim_a_indices", _object_array),
+    ("pod_sigma", _npz_archive),
+], ids=["missing", "truncated", "empty", "not_npy", "object", "npz_archive"])
+def test_unreadable_array_file_rejected(saved, small_config, name, damage):
+    damage(saved / f"{name}.npy")
+    with pytest.raises(ArtifactError, match=f"^{name}"):
+        load_artifacts(str(saved), small_config)
+
+
+def test_repeated_interpolation_index_rejected_on_load(saved, small_config):
+    def repeat_first(indices):
+        indices[1] = indices[0]
+        return indices
+
+    _rewrite(saved, "deim_a_indices", repeat_first)
     with pytest.raises(DeimError, match="singular"):
-        load_artifacts(str(tmp_path), small_config)
+        load_artifacts(str(saved), small_config)
+
+
+@pytest.mark.parametrize("name, past_end", [("deim_a_indices", "pattern_size"),
+                                            ("deim_f_indices", "n_vertices")])
+@pytest.mark.parametrize("where", ["negative", "past_end"])
+def test_interpolation_index_out_of_range_rejected_on_load(saved, small_run, small_config,
+                                                           name, past_end, where):
+    art, _ = small_run
+    bound = art.pattern.size if past_end == "pattern_size" else art.mesh.n_vertices
+
+    def put(indices):
+        indices[-1] = -1 if where == "negative" else bound
+        return indices
+
+    _rewrite(saved, name, put)
+    with pytest.raises(ArtifactError, match=rf"^{name} holds an index outside \[0, {bound}\)"):
+        load_artifacts(str(saved), small_config)
+
+
+@pytest.mark.parametrize("tamper", ["swap_sampled_codes", "shift_down_one_row"])
+def test_tampered_union_pattern_rejected_on_load(saved, small_run, small_config, tamper):
+    art, _ = small_run
+    i, j = art.deim_a.indices[:2]
+
+    def change(codes):
+        if tamper == "swap_sampled_codes":
+            codes[[i, j]] = codes[[j, i]]
+            return codes
+        return codes + art.mesh.n_vertices
+
+    _rewrite(saved, "pattern_codes", change)
+    with pytest.raises(ArtifactError, match="^pattern_codes is not a strictly increasing"):
+        load_artifacts(str(saved), small_config)
 
 
 @pytest.mark.parametrize("name, cut", [
@@ -101,15 +168,18 @@ def test_repeated_interpolation_index_rejected_on_load(tmp_path, small_run, smal
     ("pod_modes", np.s_[:, :-1]),
     ("deim_a_basis", np.s_[:-1]),
     ("deim_f_basis", np.s_[:, :-1]),
+    ("pod_sigma", np.s_[:-1]),
+    ("deim_a_singular_values", np.s_[:-1]),
+    ("deim_f_singular_values", np.s_[:-1]),
+    ("pattern_codes", np.s_[:-1]),
+    ("train_mu", np.s_[:, :1]),
 ], ids=["blocks_f_row", "blocks_a_modes", "pod_modes_column", "deim_a_basis_row",
-        "deim_f_basis_column"])
-def test_array_of_the_wrong_shape_rejected_on_load(tmp_path, small_run, small_config, name, cut):
-    art, _ = small_run
-    save_artifacts(str(tmp_path), art)
-    path = str(tmp_path / f"{name}.crom")
-    save_array(path, load_array(path)[cut])
+        "deim_f_basis_column", "pod_sigma_entry", "deim_a_singular_values_entry",
+        "deim_f_singular_values_entry", "pattern_codes_entry", "train_mu_column"])
+def test_array_of_the_wrong_shape_rejected_on_load(saved, small_config, name, cut):
+    _rewrite(saved, name, lambda a: a[cut])
     with pytest.raises(ArtifactError, match=f"^{name} has shape"):
-        load_artifacts(str(tmp_path), small_config)
+        load_artifacts(str(saved), small_config)
 
 
 def test_missing_manifest_rejected(tmp_path, small_config):
@@ -117,10 +187,27 @@ def test_missing_manifest_rejected(tmp_path, small_config):
         load_artifacts(str(tmp_path), small_config)
 
 
-def test_loaded_model_samples_bitwise_like_the_built_one(tmp_path, small_run, small_config):
+def test_interrupted_save_leaves_nothing_loadable(saved, small_run, small_config, monkeypatch):
+    real_save, calls = np.save, []
+
+    def failing_save(path, arr):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        real_save(path, arr)
+
+    monkeypatch.setattr(np, "save", failing_save)
+    with pytest.raises(OSError, match="disk full"):
+        save_artifacts(str(saved), small_run[0])
+    monkeypatch.undo()
+    assert len(calls) == 3
+    with pytest.raises(ArtifactError, match="^no manifest"):
+        load_artifacts(str(saved), small_config)
+
+
+def test_loaded_model_samples_bitwise_like_the_built_one(saved, small_run, small_config):
     art, _ = small_run
-    save_artifacts(str(tmp_path), art)
-    back = load_artifacts(str(tmp_path), small_config)
+    back = load_artifacts(str(saved), small_config)
     assert np.array_equal(back.matrix_sample_entries, art.matrix_sample_entries)
     assert np.array_equal(back.vector_sample_entries, art.vector_sample_entries)
     for mu in (ParameterPoint(1.0, 1.0), ParameterPoint(1.13, 1.04)):
