@@ -107,13 +107,17 @@ def _expected_shapes(config: Config, n: int, n_max: int, l_a: int, l_f: int,
     return {name: tuple(sizes.get(d, d) for d in dims) for name, _, _, dims in _ARRAYS}
 
 
+def _save_array(dirpath: str, name: str, arr: np.ndarray) -> None:
+    np.save(os.path.join(dirpath, name + ".npy"), arr)
+
+
 def save_artifacts(dirpath: str, art: OfflineArtifacts) -> None:
     os.makedirs(dirpath, exist_ok=True)
     manifest = os.path.join(dirpath, "manifest.txt")
     if os.path.exists(manifest):
         os.remove(manifest)
     for name, attr, _, _ in _ARRAYS:
-        np.save(os.path.join(dirpath, name + ".npy"), attrgetter(attr)(art))
+        _save_array(dirpath, name, attrgetter(attr)(art))
     lines = [
         f"format_version = {FORMAT_VERSION}",
         f"config_hash = {art.config.hash()}",

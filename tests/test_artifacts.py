@@ -4,7 +4,13 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
-from cutrom.artifacts import ArtifactError, load_artifacts, save_artifacts
+from cutrom.artifacts import (
+    ArtifactError,
+    _load_array,
+    _save_array,
+    load_artifacts,
+    save_artifacts,
+)
 from cutrom.deim import DeimError
 from cutrom.geometry import ParameterPoint, build_cut_geometry
 from cutrom.rom import sample_entries
@@ -36,6 +42,20 @@ def saved(tmp_path, small_run):
 def _rewrite(saved, name, change):
     path = saved / f"{name}.npy"
     np.save(path, change(np.load(path, allow_pickle=False)))
+
+
+@pytest.mark.parametrize("arr", [
+    np.linspace(-3.0, 7.0, 17),
+    np.arange(24, dtype=np.int64).reshape(2, 3, 4),
+    np.random.default_rng(0).standard_normal((5, 7)),
+    np.array([np.pi, -0.0, 1e-308, 1e308]),
+], ids=["vector", "int3d", "matrix", "extremes"])
+def test_array_roundtrip_bitexact(tmp_path, arr):
+    _save_array(str(tmp_path), "a", arr)
+    back = _load_array(str(tmp_path), "a", arr.dtype, arr.shape)
+    assert back.dtype == arr.dtype
+    assert back.shape == arr.shape
+    assert np.array_equal(back.view(np.uint8), arr.view(np.uint8))
 
 
 def test_artifact_roundtrip_and_hash_guard(tmp_path, small_run, small_config):
