@@ -4,10 +4,11 @@
 model's sizes; the manifest records the format version, the config hash and
 those sizes.  Loading raises ``ArtifactError``, naming the array or the
 manifest, on a different configuration; on an array that is missing,
-unreadable, pickled, or of the wrong dtype or shape; on a union pattern that
-is not strictly increasing inside the mesh's assembly pattern; and on an
-interpolation index out of range.  A save removes the old manifest first and
-writes the new one last, so an interrupted save leaves nothing loadable.
+unreadable, pickled, or of the wrong dtype or shape; on union-pattern
+positions that are not strictly increasing inside the mesh's assembly
+pattern; and on an interpolation index out of range.  A save removes the old
+manifest first and writes the new one last, so an interrupted save leaves
+nothing loadable.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .assembly import EntryPlan, PhysicsParams, physics_from_config
 from .pod import PodBasis, energy_mode_count
 from .rom import packed_upper_index
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class ArtifactError(RuntimeError):
@@ -62,12 +63,12 @@ class OfflineArtifacts:
 
     def __post_init__(self):
         self.pattern = self.deim_a.pattern
+        sampled = self.pattern.positions[self.deim_a.indices]
         self.matrix_sample_entries = np.column_stack(
-            [self.pattern.rows[self.deim_a.indices], self.pattern.cols[self.deim_a.indices]]
+            [self.mesh.pattern_rows[sampled], self.mesh.pattern_cols[sampled]]
         )
         self.vector_sample_entries = self.deim_f.indices.copy()
-        self.plan = EntryPlan(self.mesh, self.phys, self.matrix_sample_entries,
-                              self.vector_sample_entries)
+        self.plan = EntryPlan(self.mesh, self.phys, sampled, self.vector_sample_entries)
         self.packed_index = packed_upper_index(self.pod.n_max)
 
     @property
@@ -88,7 +89,7 @@ _ARRAYS = (
     ("deim_f_basis", "deim_f.U", np.float64, ("n", "l_f")),
     ("deim_f_indices", "deim_f.indices", np.int64, ("l_f",)),
     ("deim_f_singular_values", "deim_f.singular_values", np.float64, ("s_f",)),
-    ("pattern_codes", "pattern.codes", np.int64, ("pattern_size",)),
+    ("pattern_positions", "pattern.positions", np.int64, ("pattern_size",)),
     ("blocks_a", "blocks_a", np.float64, ("n_packed", "l_a")),  # see rom.packed_upper_index
     ("blocks_f", "blocks_f", np.float64, ("l_f", "n_max")),
     ("train_mu", "train_mu", np.float64, ("n_train", 2)),
@@ -164,15 +165,6 @@ def _load_array(dirpath: str, name: str, dtype, shape: tuple) -> np.ndarray:
     return arr
 
 
-def _check_pattern(codes: np.ndarray, mesh: BackgroundMesh) -> None:
-    n = mesh.n_vertices
-    mesh_codes = np.repeat(np.arange(n), np.diff(mesh.pattern_indptr)) * n + mesh.pattern_cols
-    pos = np.minimum(np.searchsorted(mesh_codes, codes), mesh_codes.size - 1)
-    if np.any(np.diff(codes) <= 0) or np.any(mesh_codes[pos] != codes):
-        raise ArtifactError("pattern_codes is not a strictly increasing subset of "
-                            "the mesh's assembly pattern")
-
-
 def load_artifacts(dirpath: str, config: Config) -> OfflineArtifacts:
     """Load and check the arrays, verify the config hash, and rebuild the
     derived objects."""
@@ -195,11 +187,13 @@ def load_artifacts(dirpath: str, config: Config) -> OfflineArtifacts:
     shapes = _expected_shapes(config, n, n_max, l_a, l_f, pattern_size)
     data = {name: _load_array(dirpath, name, dtype, shapes[name])
             for name, _, dtype, _ in _ARRAYS}
-    _check_pattern(data["pattern_codes"], mesh)
-    for name, bound in (("deim_a_indices", pattern_size), ("deim_f_indices", n)):
+    if np.any(np.diff(data["pattern_positions"]) <= 0):
+        raise ArtifactError("pattern_positions is not strictly increasing")
+    for name, bound in (("pattern_positions", mesh.pattern_cols.size),
+                        ("deim_a_indices", pattern_size), ("deim_f_indices", n)):
         if np.any((data[name] < 0) | (data[name] >= bound)):
             raise ArtifactError(f"{name} holds an index outside [0, {bound})")
-    pattern = UnionPattern(data["pattern_codes"], n)
+    pattern = UnionPattern(mesh, data["pattern_positions"])
     pod = PodBasis(
         V=data["pod_modes"],
         sigma=data["pod_sigma"],

@@ -2,7 +2,11 @@
 
 Matrices are built into a fixed structural pattern (active-element stencils
 plus ghost-facet patches), so rows outside the active dof set are never stored
-and are exactly zero.  The mesh's slot tables (``tri_pattern_pos``,
+and are exactly zero.  Sparse entries are addressed by their position in the
+mesh's assembly pattern (``BackgroundMesh._build_pattern``), the one sparse
+index of the package: a ``SystemPair`` carries the position of each stored
+entry of its matrix, and an ``EntryPlan`` takes its matrix entries as
+positions.  The mesh's slot tables (``tri_pattern_pos``,
 ``facet_pattern_pos``) say where each local slot of each triangle and facet
 lands in that pattern; full assembly scatters through them, and an
 ``EntryPlan``'s candidates for an entry are the entities whose slots land on
@@ -73,12 +77,15 @@ def physics_from_config(config) -> PhysicsParams:
 
 @dataclass
 class SystemPair:
-    """Stiffness matrix and load vector on background dofs, plus the active set."""
+    """Stiffness matrix and load vector on background dofs, plus the active
+    set.  ``pattern_pos`` is the mesh-pattern position of each stored entry
+    of ``A``, in storage order."""
 
     A: sp.csr_matrix
     f: np.ndarray
     active_dofs: np.ndarray
     geom: CutGeometry
+    pattern_pos: np.ndarray
 
 
 def _pattern(mesh: BackgroundMesh, triangles: np.ndarray, facets: np.ndarray):
@@ -87,7 +94,8 @@ def _pattern(mesh: BackgroundMesh, triangles: np.ndarray, facets: np.ndarray):
     Marks the mesh-pattern positions (``BackgroundMesh._build_pattern``) of
     the stencils of ``triangles`` and the patches of the interior ``facets``,
     and renumbers the marked ones by a running count.  Returns (nnz, indptr,
-    cols, vol_pos, ghost_pos).
+    cols, vol_pos, ghost_pos, used): ``used`` flags the marked mesh
+    positions, whose order is the storage order.
     """
     vol = mesh.tri_pattern_pos[triangles]
     ghost = mesh.facet_pattern_pos[facets]
@@ -96,7 +104,8 @@ def _pattern(mesh: BackgroundMesh, triangles: np.ndarray, facets: np.ndarray):
     used[ghost] = True
     rank = np.zeros(used.size + 1, dtype=np.int64)
     np.cumsum(used, out=rank[1:])
-    return int(rank[-1]), rank[mesh.pattern_indptr], mesh.pattern_cols[used], rank[vol], rank[ghost]
+    return (int(rank[-1]), rank[mesh.pattern_indptr], mesh.pattern_cols[used], rank[vol],
+            rank[ghost], used)
 
 
 def _ghost_values(geom: CutGeometry, phys: PhysicsParams):
@@ -163,15 +172,17 @@ def _volume_rows(geom: CutGeometry, vert, elem, f_const: float):
 
 
 def _assemble_matrix(geom: CutGeometry, phys: PhysicsParams, wsum, boundary_blocks, cut_sel):
+    """The matrix and the flags of the mesh positions it stores."""
     mesh = geom.mesh
     n = mesh.n_vertices
-    nnz, indptr, cols, vol_pos, ghost_pos = _pattern(mesh, geom.active_elements, geom.ghost_facets)
+    nnz, indptr, cols, vol_pos, ghost_pos, used = _pattern(
+        mesh, geom.active_elements, geom.ghost_facets)
     a_vol = _kernels.volume_contribs(wsum, np.take(mesh.tri_comp, geom.active_elements, axis=1))
     values = np.zeros(nnz)
     np.add.at(values, vol_pos.ravel(), a_vol.ravel())
     np.add.at(values, vol_pos[cut_sel].ravel(), boundary_blocks.ravel())
     np.add.at(values, ghost_pos.ravel(), _ghost_values(geom, phys).ravel())
-    return sp.csr_matrix((values, cols, indptr), shape=(n, n))
+    return sp.csr_matrix((values, cols, indptr), shape=(n, n)), used
 
 
 def assemble_system(geom: CutGeometry, phys: PhysicsParams) -> SystemPair:
@@ -185,12 +196,13 @@ def assemble_system(geom: CutGeometry, phys: PhysicsParams) -> SystemPair:
     wsum, f_vol, cut_sel = _volume_rows(geom, vert, elem, float(phys.f_const))
     a_nit, _pen = _kernels.boundary_contribs(
         elem[1], vert[_BARY], vert[_DN], phys.nitsche_lambda / mesh.h)
-    a = _assemble_matrix(geom, phys, wsum, a_nit, cut_sel)
+    a, used = _assemble_matrix(geom, phys, wsum, a_nit, cut_sel)
 
     f = np.zeros(mesh.n_vertices)
     np.add.at(f, mesh.triangles[geom.active_elements].ravel(), f_vol.T.ravel())
     np.add.at(f, mesh.triangles[geom.cut_elements].ravel(), vert[_F_BND].T.ravel())
-    return SystemPair(A=a, f=f, active_dofs=geom.active_dofs, geom=geom)
+    return SystemPair(A=a, f=f, active_dofs=geom.active_dofs, geom=geom,
+                      pattern_pos=np.flatnonzero(used))
 
 
 def assemble_norm_matrix(geom: CutGeometry, phys: PhysicsParams) -> sp.csr_matrix:
@@ -200,13 +212,13 @@ def assemble_norm_matrix(geom: CutGeometry, phys: PhysicsParams) -> sp.csr_matri
     wsum, _f_vol, cut_sel = _volume_rows(geom, vert, elem, 0.0)
     _a_nit, pen = _kernels.boundary_contribs(
         elem[1], vert[_BARY], vert[_DN], phys.nitsche_lambda / geom.mesh.h)
-    return _assemble_matrix(geom, phys, wsum, pen, cut_sel)
+    return _assemble_matrix(geom, phys, wsum, pen, cut_sel)[0]
 
 
 def assemble_mass_matrix(mesh: BackgroundMesh) -> sp.csr_matrix:
     """Standard P1 mass matrix over the whole background box (parameter-free)."""
     n = mesh.n_vertices
-    nnz, indptr, cols, vol_pos, _ = _pattern(
+    nnz, indptr, cols, vol_pos, _, _ = _pattern(
         mesh, np.arange(mesh.n_triangles), np.empty(0, dtype=np.int64)
     )
     local = np.array([2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0]) / 12.0
@@ -216,24 +228,14 @@ def assemble_mass_matrix(mesh: BackgroundMesh) -> sp.csr_matrix:
     return sp.csr_matrix((values, cols, indptr), shape=(n, n))
 
 
-def _pattern_positions(mesh: BackgroundMesh, entries):
-    """Mesh-pattern position of each (i, j) in ``entries``, -1 outside it."""
-    n = mesh.n_vertices
-    codes = np.repeat(np.arange(n), np.diff(mesh.pattern_indptr)) * n + mesh.pattern_cols
-    want = entries[:, 0] * n + entries[:, 1]
-    pos = np.minimum(np.searchsorted(codes, want), codes.size - 1)
-    return np.where(codes[pos] == want, pos, -1)
-
-
 def _slot_holders(pos_table, positions, size: int):
     """The (entity, slot) pairs of ``pos_table`` that hold each requested
     position of a pattern of ``size`` positions, as flat arrays (request,
     entity, slot): request-major, entities ascending within a request, as
-    full assembly visits them.  Position -1 (outside the pattern, or an
-    unused slot of the table) has no holders."""
+    full assembly visits them."""
     flat = pos_table.ravel()
-    wanted = np.zeros(size + 1, dtype=bool)  # index -1 reads the last, unset flag
-    wanted[positions[positions >= 0]] = True
+    wanted = np.zeros(size + 1, dtype=bool)  # an unused slot (-1) reads the last, unset flag
+    wanted[positions] = True
     hit = np.flatnonzero(wanted[flat])
     hit = hit[np.argsort(flat[hit], kind="stable")]
     hit_pos = flat[hit]
@@ -250,35 +252,34 @@ class EntryPlan:
     contribute to each requested entry, with local slot indices, and every
     parameter-independent value precomputed.
 
-    The candidates of entry (i, j) are the triangles and interior facets
-    whose stencil slots land on (i, j) in the mesh pattern
+    Matrix entries are requested by their mesh-pattern position, vector
+    entries by dof; a vector entry i is the diagonal position
+    (``BackgroundMesh.pattern_diag``).  The candidates of a position are the
+    triangles and interior facets whose stencil slots land on it
     (``BackgroundMesh.tri_pattern_pos``/``facet_pattern_pos``, the tables
-    full assembly scatters through); a vector entry i is the diagonal
-    position (i, i).  An entry outside the pattern has no candidates.
-    Candidates are ordered entry-major with ascending entity indices, the
-    same relative order full assembly uses, so replaying them reproduces the
-    assembled values bit for bit.  The plan stores the value of every
-    candidate on its whole-triangle rule (what it contributes while inside)
-    and every ghost value; a parameter enters only through the activity
-    masks and the cut elements' stage.  The reduced model builds its plan
-    once, beside the sample entries it describes.
+    full assembly scatters through).  Candidates are ordered entry-major
+    with ascending entity indices, the same relative order full assembly
+    uses, so replaying them reproduces the assembled values bit for bit.
+    The plan stores the value of every candidate on its whole-triangle rule
+    (what it contributes while inside) and every ghost value; a parameter
+    enters only through the activity masks and the cut elements' stage.
+    The reduced model builds its plan once, beside the sample entries it
+    describes.
     """
 
-    def __init__(self, mesh: BackgroundMesh, phys: PhysicsParams, matrix_entries, vector_entries):
-        m_ent = np.asarray(matrix_entries, dtype=np.int64).reshape(-1, 2)
+    def __init__(self, mesh: BackgroundMesh, phys: PhysicsParams, matrix_positions, vector_entries):
+        m_pos = np.asarray(matrix_positions, dtype=np.int64).reshape(-1)
         v_ent = np.asarray(vector_entries, dtype=np.int64).reshape(-1)
-        n = mesh.n_vertices
-        if m_ent.size and not ((m_ent >= 0).all() and (m_ent < n).all()):
-            raise AssemblyError("matrix entry index out of range")
-        if v_ent.size and not ((v_ent >= 0).all() and (v_ent < n).all()):
+        size = mesh.pattern_cols.size
+        if m_pos.size and not ((m_pos >= 0).all() and (m_pos < size).all()):
+            raise AssemblyError("matrix entry position outside the mesh pattern")
+        if v_ent.size and not ((v_ent >= 0).all() and (v_ent < mesh.n_vertices).all()):
             raise AssemblyError("vector entry index out of range")
         self.phys = phys
         self.mesh_shape = (mesh.n_vertices, mesh.n_triangles, mesh.h)
-        self.n_matrix = m_ent.shape[0]
-        self.n_vector = v_ent.shape[0]
+        self.n_matrix = m_pos.size
+        self.n_vector = v_ent.size
         f_const = float(phys.f_const)
-        m_pos = _pattern_positions(mesh, m_ent)
-        size = mesh.pattern_cols.size
 
         self.m_ids, cand, slot = _slot_holders(mesh.tri_pattern_pos, m_pos, size)
         self.m_elems = cand
@@ -301,8 +302,7 @@ class EntryPlan:
         self.g_vals = _kernels.ghost_penalty(phys.gamma[0], mesh.h, mesh.facet_len[fcand],
                                              jump[rng, g_aloc], jump[rng, g_cloc])
 
-        diag = _pattern_positions(mesh, np.column_stack([v_ent, v_ent]))
-        self.v_ids, cand, slot = _slot_holders(mesh.tri_pattern_pos, diag, size)
+        self.v_ids, cand, slot = _slot_holders(mesh.tri_pattern_pos, mesh.pattern_diag[v_ent], size)
         self.v_elems = cand
         self.v_aloc = slot // 3
         _wsum, loads = _whole_terms(mesh, cand, f_const)

@@ -13,7 +13,7 @@ import numpy as np
 from .artifacts import load_artifacts, save_artifacts
 from .assembly import assemble_system, physics_from_config
 from .config import Config, load_config
-from .fom import solve_fom
+from .fom import residual, solve_fom
 from .geometry import (
     ParameterPoint,
     build_background_mesh,
@@ -95,7 +95,7 @@ def _cmd_fom(args) -> int:
     system = assemble_system(geom, phys)
     t_asm = time.perf_counter() - t0
     sol = solve_fom(system)
-    res = system.f - system.A @ sol.u
+    res = residual(system, sol.u)
     print(f"dofs               : {mesh.n_vertices} total, {system.active_dofs.size} active "
           f"(bandwidth {sol.bandwidth})")
     print(f"geometry / assembly: {1e3 * t_geom:.2f} ms / {1e3 * t_asm:.2f} ms")

@@ -2,18 +2,22 @@
 
 Matrix snapshots are vectorized over the union of the structural sparsity
 patterns seen in training, which is exact: entries off the union pattern are
-zero for every training parameter.  The greedy index selection and the
-interpolation solve follow the standard algorithm, with deterministic
+zero for every training parameter.  The union is a sorted set of positions in
+the mesh's assembly pattern (``BackgroundMesh._build_pattern``), and a
+snapshot is scattered into it by those positions.  The greedy index selection
+and the interpolation solve follow the standard algorithm, with deterministic
 tie-breaking (first maximal entry).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+
+from .geometry import BackgroundMesh
 
 MATRIX = "matrix"
 VECTOR = "vector"
@@ -30,58 +34,53 @@ class DeimError(ValueError):
     pass
 
 
-@dataclass
 class UnionPattern:
-    """Sorted row-major union sparsity pattern: position k holds the entry
-    (rows[k], cols[k]) of code rows[k] * n + cols[k]."""
+    """Sorted union of mesh-pattern positions: entry k of a vectorized matrix
+    is the entry at mesh position ``positions[k]``, and ``transpose[k]`` is
+    the entry of its transpose.  ``cols``/``indptr`` are the CSR structure of
+    the union; ``_index`` maps a mesh position to its entry, -1 outside the
+    union.  Raises ``DeimError`` when the union is not symmetric."""
 
-    codes: np.ndarray
-    n: int
-    rows: np.ndarray = field(init=False)
-    cols: np.ndarray = field(init=False)
-    indptr: np.ndarray = field(init=False)  # CSR row pointers of the pattern
+    def __init__(self, mesh: BackgroundMesh, positions: np.ndarray):
+        self.positions = positions
+        self.size = positions.size
+        self.n = mesh.n_vertices
+        self.cols = mesh.pattern_cols[positions]
+        self.indptr = np.searchsorted(mesh.pattern_rows[positions], np.arange(self.n + 1))
+        self._index = np.full(mesh.pattern_cols.size, -1, dtype=np.int64)
+        self._index[positions] = np.arange(self.size)
+        self.transpose = self._index[mesh.pattern_transpose[positions]]
+        if np.any(self.transpose < 0):
+            raise DeimError("union pattern is not symmetric: an entry's transpose is missing")
 
-    def __post_init__(self):
-        self.rows = self.codes // self.n
-        self.cols = self.codes % self.n
-        self.indptr = np.searchsorted(self.rows, np.arange(self.n + 1))
-
-    @property
-    def size(self) -> int:
-        return self.codes.size
-
-    def vectorize(self, a: sp.csr_matrix) -> np.ndarray:
-        """Values of a sparse matrix at the pattern positions (zeros where the
-        matrix has no stored entry)."""
-        a = a.tocsr()
-        rows = np.repeat(np.arange(self.n), np.diff(a.indptr))
-        codes = rows * self.n + a.indices
-        pos = np.searchsorted(self.codes, codes)
-        valid = (pos < self.codes.size) & (self.codes[np.minimum(pos, self.codes.size - 1)] == codes)
-        if not valid.all():
+    def vectorize(self, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The matrix with ``values`` at the mesh ``positions`` as a vector
+        over the union (zeros where it has no stored entry)."""
+        at = self._index[positions]
+        if np.any(at < 0):
             raise DeimError("matrix has structural entries outside the union pattern")
-        out = np.zeros(self.codes.size)
-        out[pos] = a.data
+        out = np.zeros(self.size)
+        out[at] = values
         return out
+
+    def symmetrize(self, values: np.ndarray) -> np.ndarray:
+        """Values of the symmetric part (B + Bᵀ) / 2 of the matrix B whose
+        values over the union are ``values``."""
+        return 0.5 * (values + values[self.transpose])
 
     def matrix_from_values(self, values: np.ndarray) -> sp.csr_matrix:
         return sp.csr_matrix((values, self.cols, self.indptr), shape=(self.n, self.n))
 
 
-def build_union_pattern(matrices) -> UnionPattern:
-    """Union of the structural patterns of the given stiffness matrices."""
-    if len(matrices) < 1:
+def build_union_pattern(mesh: BackgroundMesh, position_sets) -> UnionPattern:
+    """Union of the stiffness matrices' structural patterns, each given by
+    its mesh-pattern positions (``assembly.SystemPair.pattern_pos``)."""
+    if len(position_sets) < 1:
         raise DeimError("need at least one matrix")
-    code_list = []
-    n = None
-    for m in matrices:
-        a = sp.csr_matrix(m)
-        if n is None:
-            n = a.shape[0]
-        rows = np.repeat(np.arange(n), np.diff(a.indptr))
-        code_list.append(rows.astype(np.int64) * n + a.indices)
-    codes = np.unique(np.concatenate(code_list))
-    return UnionPattern(codes, n)
+    used = np.zeros(mesh.pattern_cols.size, dtype=bool)
+    for positions in position_sets:
+        used[positions] = True
+    return UnionPattern(mesh, np.flatnonzero(used))
 
 
 @dataclass
@@ -193,5 +192,4 @@ def reconstruct(op: DeimOperator, coefficients: np.ndarray):
         return values
     if op.pattern is None:
         raise DeimError("matrix-kind operator needs a union pattern")
-    b = op.pattern.matrix_from_values(values)
-    return ((b + b.T) * 0.5).tocsr()
+    return op.pattern.matrix_from_values(op.pattern.symmetrize(values))

@@ -171,10 +171,10 @@ def rayleigh_ratio_check(eta_2a: float, eta_2b: float, d_min: float, d_max: floa
     )
 
 
-def active_diagonal_range(a: sp.csr_matrix, active) -> tuple[float, float]:
-    """Min and max of |A_ii| over active dofs (inactive diagonals are exactly
-    zero and would poison the Rayleigh bounds)."""
-    diag = a.diagonal()
+def active_diagonal_range(diag: np.ndarray, active) -> tuple[float, float]:
+    """Min and max of |A_ii| over active dofs, from the diagonal ``diag`` of
+    A (inactive diagonals are exactly zero and would poison the Rayleigh
+    bounds)."""
     act = np.asarray(active, dtype=np.int64)
     vals = np.abs(diag[act])
     if vals.size == 0:

@@ -212,9 +212,13 @@ class BackgroundMesh:
         self.facet_jump = jump
 
     def _build_pattern(self):
-        """Sorted row-major codes row*N+col of every entry a stiffness matrix
-        can hold (all triangle stencils and interior-facet patches), with each
-        triangle's 9 and each interior facet's 16 positions in them.
+        """Every entry a stiffness matrix can hold (all triangle stencils and
+        interior-facet patches), sorted row-major, with each triangle's 9 and
+        each interior facet's 16 positions in it.  A position here is the
+        package's one sparse index; no other code forms row*N+col codes.
+        Position k holds (``pattern_rows[k]``, ``pattern_cols[k]``), its
+        transpose sits at ``pattern_transpose[k]`` (the pattern is
+        symmetric), and (i, i) at ``pattern_diag[i]``.
 
         A parameter's pattern is the subset its active triangles and ghost
         facets touch, so assembly only marks and renumbers positions.  The 9
@@ -235,8 +239,10 @@ class BackgroundMesh:
         patch = self.facet_patch[interior]
         facet_codes = np.repeat(patch, 4, axis=1) * n + np.tile(patch, (1, 4))
         codes = np.unique(np.concatenate([tri_codes.ravel(), facet_codes.ravel()]))
-        self.pattern_cols = codes % n
-        self.pattern_indptr = np.searchsorted(codes // n, np.arange(n + 1))
+        self.pattern_rows, self.pattern_cols = np.divmod(codes, n)
+        self.pattern_indptr = np.searchsorted(self.pattern_rows, np.arange(n + 1))
+        self.pattern_transpose = np.searchsorted(codes, self.pattern_cols * n + self.pattern_rows)
+        self.pattern_diag = np.searchsorted(codes, np.arange(n) * (n + 1))
         graph = sp.csr_matrix((np.ones(codes.size, dtype=np.int8), self.pattern_cols,
                                self.pattern_indptr), shape=(n, n))
         self.rcm_rank = np.empty(n, dtype=np.int64)

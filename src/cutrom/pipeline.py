@@ -81,13 +81,13 @@ def run_offline(config: Config) -> OfflineArtifacts:
             sol = solve_fom(system)
         except Exception as exc:
             raise PipelineError(f"offline failure at training mu={tuple(train_mu[i])}: {exc}") from exc
-        # keep A and f only: holding every training geometry until the DEIM
-        # build would dominate the peak memory of the offline stage
-        return system.A, system.f, sol.u
+        # keep A's positions and values and f only: holding every training
+        # geometry, or A's CSR beside its positions, until the DEIM build
+        # would add to the peak memory of the offline stage
+        return system.pattern_pos, system.A.data, system.f, sol.u
 
     results = [one_snapshot(i) for i in range(config.n_train)]
-    matrices = [r[0] for r in results]
-    snapshots = np.column_stack([r[2] for r in results])
+    snapshots = np.column_stack([r[3] for r in results])
     t_fom = time.perf_counter() - t_start
 
     mass = assemble_mass_matrix(mesh)
@@ -99,13 +99,13 @@ def run_offline(config: Config) -> OfflineArtifacts:
     log.debug("pod spectrum head (sigma_k/sigma_1): %s",
               " ".join(f"{v:.3e}" for v in head))
 
-    pattern = build_union_pattern(matrices)
+    pattern = build_union_pattern(mesh, [r[0] for r in results])
     n2 = mesh.n_vertices ** 2
     log.info("union pattern: %d positions (%.2f%% of N^2)", pattern.size, 100.0 * pattern.size / n2)
-    a_snaps = np.column_stack([pattern.vectorize(a) for a in matrices])
+    a_snaps = np.column_stack([pattern.vectorize(r[0], r[1]) for r in results])
     deim_a = build_deim_operator(a_snaps, config.eps_deim_a, config.effective_l_cap,
                                  kind=MATRIX, pattern=pattern)
-    f_snaps = np.column_stack([r[1] for r in results])
+    f_snaps = np.column_stack([r[2] for r in results])
     deim_f = build_deim_operator(f_snaps, config.eps_deim_f, config.effective_l_cap,
                                  kind=VECTOR)
     log.info("deim: l_A=%d (cond %.3e, Lebesgue %.4g), l_f=%d (cond %.3e, Lebesgue %.4g)",
@@ -246,8 +246,8 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
         f_deim = reconstruct(art.deim_f, prep.c_f)
         a_err_abs, eta_a = est.deim_matrix_error(system.A, a_deim)
         f_err_abs, eta_f_val = est.deim_vector_error(system.f, f_deim)
-        d_min, d_max = est.active_diagonal_range(system.A, system.active_dofs)
         diag = system.A.diagonal()
+        d_min, d_max = est.active_diagonal_range(diag, system.active_dofs)
 
         recs = []
         for n in n_list:

@@ -77,11 +77,12 @@ def build_rom_offline(pod: PodBasis, deim_a: DeimOperator, deim_f: DeimOperator)
     ``(blocks_a, blocks_f)`` of shapes (n_max (n_max + 1) / 2, l_A) and
     (l_f, n_max).
 
-    Matrix basis elements are symmetrized before projection, matching the
-    symmetrization applied by ``deim.reconstruct``.  Each projected matrix
-    block is stored packed (``packed_upper_index``), one column per basis
-    element, so the leading n x n blocks of all elements are one contiguous
-    slab and a reduced operator unpacks exactly symmetric.
+    Matrix basis elements are symmetrized before projection, by the same
+    ``UnionPattern.symmetrize`` that ``deim.reconstruct`` applies.  Each
+    projected matrix block is stored packed (``packed_upper_index``), one
+    column per basis element, so the leading n x n blocks of all elements
+    are one contiguous slab and a reduced operator unpacks exactly
+    symmetric.
     """
     if deim_a.pattern is None:
         raise RomError("matrix operator must carry the union pattern")
@@ -93,8 +94,7 @@ def build_rom_offline(pod: PodBasis, deim_a: DeimOperator, deim_f: DeimOperator)
     rows, cols = _upper_entries(n_max)
     blocks_a = np.empty((rows.size, l_a))
     for j in range(l_a):
-        basis_mat = pattern.matrix_from_values(deim_a.U[:, j])
-        basis_mat = ((basis_mat + basis_mat.T) * 0.5).tocsr()
+        basis_mat = pattern.matrix_from_values(pattern.symmetrize(deim_a.U[:, j]))
         blocks_a[:, j] = (v.T @ (basis_mat @ v))[rows, cols]
     blocks_f = np.empty((l_f, n_max))
     for j in range(l_f):

@@ -25,7 +25,7 @@ SAVED = {
     "deim_f_basis": "deim_f.U",
     "deim_f_indices": "deim_f.indices",
     "deim_f_singular_values": "deim_f.singular_values",
-    "pattern_codes": "pattern.codes",
+    "pattern_positions": "pattern.positions",
     "blocks_a": "blocks_a",
     "blocks_f": "blocks_f",
     "train_mu": "train_mu",
@@ -83,10 +83,11 @@ def test_artifact_roundtrip_and_hash_guard(tmp_path, small_run, small_config):
 def test_bad_version_rejected(saved, small_config):
     manifest = saved / "manifest.txt"
     text = manifest.read_text(encoding="utf-8")
-    assert "format_version = 2\n" in text
-    manifest.write_text(text.replace("format_version = 2", "format_version = 1"),
+    assert "format_version = 3\n" in text
+    # format 2 saved the union pattern as row * N + col codes
+    manifest.write_text(text.replace("format_version = 3", "format_version = 2"),
                         encoding="utf-8")
-    with pytest.raises(ArtifactError, match="manifest version '1'"):
+    with pytest.raises(ArtifactError, match="manifest version '2'"):
         load_artifacts(str(saved), small_config)
 
 
@@ -129,7 +130,7 @@ def _npz_archive(path):
     ("train_mu", lambda path: path.unlink()),
     ("blocks_a", _truncate),
     ("blocks_f", lambda path: path.write_bytes(b"")),
-    ("pattern_codes", _old_container),
+    ("pattern_positions", _old_container),
     ("deim_a_indices", _object_array),
     ("pod_sigma", _npz_archive),
 ], ids=["missing", "truncated", "empty", "not_npy", "object", "npz_archive"])
@@ -166,19 +167,31 @@ def test_interpolation_index_out_of_range_rejected_on_load(saved, small_run, sma
         load_artifacts(str(saved), small_config)
 
 
-@pytest.mark.parametrize("tamper", ["swap_sampled_codes", "shift_down_one_row"])
+@pytest.mark.parametrize("tamper", ["swap_sampled_positions", "past_the_end", "negative",
+                                    "asymmetric"])
 def test_tampered_union_pattern_rejected_on_load(saved, small_run, small_config, tamper):
     art, _ = small_run
-    i, j = art.deim_a.indices[:2]
-
-    def change(codes):
-        if tamper == "swap_sampled_codes":
-            codes[[i, j]] = codes[[j, i]]
-            return codes
-        return codes + art.mesh.n_vertices
-
-    _rewrite(saved, "pattern_codes", change)
-    with pytest.raises(ArtifactError, match="^pattern_codes is not a strictly increasing"):
+    mesh, positions = art.mesh, art.pattern.positions.copy()
+    size = mesh.pattern_cols.size
+    error, message = ArtifactError, rf"^pattern_positions holds an index outside \[0, {size}\)"
+    if tamper == "swap_sampled_positions":
+        i, j = art.deim_a.indices[:2]
+        positions[[i, j]] = positions[[j, i]]
+        message = "^pattern_positions is not strictly increasing"
+    elif tamper == "past_the_end":
+        positions[-1] = size
+    elif tamper == "negative":
+        positions[0] = -1
+    else:
+        # trade an off-diagonal entry for one outside the union: strictly
+        # increasing inside the mesh pattern, but neither entry has its
+        # transpose in the union
+        off = positions[mesh.pattern_rows[positions] != mesh.pattern_cols[positions]][0]
+        outside = np.setdiff1d(np.arange(size), positions)[0]
+        positions = np.union1d(np.setdiff1d(positions, [off]), [outside])
+        error, message = DeimError, "not symmetric"
+    _rewrite(saved, "pattern_positions", lambda _: positions)
+    with pytest.raises(error, match=message):
         load_artifacts(str(saved), small_config)
 
 
@@ -191,11 +204,11 @@ def test_tampered_union_pattern_rejected_on_load(saved, small_run, small_config,
     ("pod_sigma", np.s_[:-1]),
     ("deim_a_singular_values", np.s_[:-1]),
     ("deim_f_singular_values", np.s_[:-1]),
-    ("pattern_codes", np.s_[:-1]),
+    ("pattern_positions", np.s_[:-1]),
     ("train_mu", np.s_[:, :1]),
 ], ids=["blocks_f_row", "blocks_a_modes", "pod_modes_column", "deim_a_basis_row",
         "deim_f_basis_column", "pod_sigma_entry", "deim_a_singular_values_entry",
-        "deim_f_singular_values_entry", "pattern_codes_entry", "train_mu_column"])
+        "deim_f_singular_values_entry", "pattern_positions_entry", "train_mu_column"])
 def test_array_of_the_wrong_shape_rejected_on_load(saved, small_config, name, cut):
     _rewrite(saved, name, lambda a: a[cut])
     with pytest.raises(ArtifactError, match=f"^{name} has shape"):

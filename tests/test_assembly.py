@@ -108,27 +108,20 @@ def test_ghost_order1_term_contributes_exact_zero(default_mesh):
 def test_evaluate_entries_matches_assembly_bitwise(default_mesh, default_phys, mu):
     geom = build_cut_geometry(default_mesh, mu)
     sys_ = assemble_system(geom, default_phys)
-    coo = sys_.A.tocoo()
-    ent = np.column_stack([coo.row, coo.col]).astype(np.int64)
+    pos = sys_.pattern_pos
     vent = np.arange(default_mesh.n_vertices, dtype=np.int64)
-    vals_m, vals_v = evaluate_entries(geom, EntryPlan(default_mesh, default_phys, ent, vent))
-    ref = np.asarray(sys_.A[ent[:, 0], ent[:, 1]]).ravel()
+    vals_m, vals_v = evaluate_entries(geom, EntryPlan(default_mesh, default_phys, pos, vent))
+    ref = np.asarray(sys_.A[default_mesh.pattern_rows[pos], default_mesh.pattern_cols[pos]]).ravel()
     assert np.array_equal(vals_m, ref)
+    assert np.array_equal(vals_m, sys_.A.data)
     assert np.array_equal(vals_v, sys_.f)
 
 
-def test_evaluate_entries_disjoint_support_zero(default_mesh, default_phys):
-    geom = build_cut_geometry(default_mesh, ParameterPoint(1.0, 1.0))
-    # opposite corners of the box: never share an element
-    vals_m, _ = evaluate_entries(geom, EntryPlan(default_mesh, default_phys, [(0, 440)], []))
-    assert vals_m[0] == 0.0
-
-
 def test_evaluate_entries_rejects_out_of_range(default_mesh, default_phys):
-    with pytest.raises(AssemblyError):
-        EntryPlan(default_mesh, default_phys, [(0, 441)], [])
-    with pytest.raises(AssemblyError):
-        EntryPlan(default_mesh, default_phys, [], [-1])
+    size = default_mesh.pattern_cols.size
+    for positions, dofs in (([size], []), ([-1], []), ([], [-1]), ([], [default_mesh.n_vertices])):
+        with pytest.raises(AssemblyError):
+            EntryPlan(default_mesh, default_phys, positions, dofs)
 
 
 # a physics with every term switched on and no default value
@@ -139,21 +132,21 @@ _FULL_PLANS = {}
 
 
 def _full_pattern_plan(nx):
-    """A plan for every entry the mesh pattern can hold and every vertex."""
+    """A plan for every position of the mesh pattern and every vertex."""
     if nx not in _FULL_PLANS:
         mesh = _EDGE_MESHES[nx]
-        rows = np.repeat(np.arange(mesh.n_vertices), np.diff(mesh.pattern_indptr))
-        ent = np.column_stack([rows, mesh.pattern_cols])
-        _FULL_PLANS[nx] = ent, EntryPlan(mesh, EDGE_PHYS, ent, np.arange(mesh.n_vertices))
+        _FULL_PLANS[nx] = EntryPlan(mesh, EDGE_PHYS, np.arange(mesh.pattern_cols.size),
+                                    np.arange(mesh.n_vertices))
     return _FULL_PLANS[nx]
 
 
 def _assert_entries_bitwise(nx, mu):
-    ent, plan = _full_pattern_plan(nx)
-    geom = build_cut_geometry(_EDGE_MESHES[nx], mu)
+    plan = _full_pattern_plan(nx)
+    mesh = _EDGE_MESHES[nx]
+    geom = build_cut_geometry(mesh, mu)
     sys_ = assemble_system(geom, EDGE_PHYS)
     vals_m, vals_v = evaluate_entries(geom, plan)
-    ref = np.asarray(sys_.A[ent[:, 0], ent[:, 1]]).ravel()
+    ref = np.asarray(sys_.A[mesh.pattern_rows, mesh.pattern_cols]).ravel()
     assert vals_m.tobytes() == ref.tobytes()
     assert vals_v.tobytes() == sys_.f.tobytes()
     return geom
@@ -247,7 +240,7 @@ def _reference_matrices(geom, phys):
     jv = mesh.facet_jump[geom.ghost_facets]
     coef = phys.gamma[0] * mesh.h * mesh.facet_len[geom.ghost_facets]
     ghost = coef[:, None, None] * (jv[:, :, None] * jv[:, None, :])
-    nnz, _indptr, _cols, vol_pos, ghost_pos = assembly._pattern(mesh, act, geom.ghost_facets)
+    nnz, _indptr, _cols, vol_pos, ghost_pos, _used = assembly._pattern(mesh, act, geom.ghost_facets)
     cut_pos = vol_pos[geom.active_pos[cut]]
     out = []
     for boundary in (a_nit, pen):
@@ -277,7 +270,7 @@ def test_assembly_matches_slotwise_reference_bitwise(nx, r, theta):
 
 
 def test_evaluate_entries_rejects_a_geometry_on_another_mesh(default_mesh, default_phys):
-    plan = EntryPlan(default_mesh, default_phys, [(0, 1)], [0])
+    plan = EntryPlan(default_mesh, default_phys, [1], [0])
     fine = build_background_mesh(((-1.2, 1.2), (-1.2, 1.2)), 0.06)
     geom = build_cut_geometry(fine, ParameterPoint(1.0, 1.0))
     with pytest.raises(AssemblyError, match="does not match"):
@@ -285,7 +278,8 @@ def test_evaluate_entries_rejects_a_geometry_on_another_mesh(default_mesh, defau
 
 
 def _reference_pattern(mesh, triangles, facets):
-    """Per-parameter pattern from np.unique over the active stencil codes."""
+    """Per-parameter pattern from np.unique over the active stencil codes,
+    with the mesh positions it uses found by code."""
     n = mesh.n_vertices
     act_tris = mesh.triangles[triangles]
     vol_codes = np.repeat(act_tris, 3, axis=1).astype(np.int64) * n + np.tile(act_tris, (1, 3))
@@ -293,8 +287,9 @@ def _reference_pattern(mesh, triangles, facets):
     ghost_codes = np.repeat(patch, 4, axis=1) * n + np.tile(patch, (1, 4))
     codes = np.unique(np.concatenate([vol_codes.ravel(), ghost_codes.ravel()]))
     indptr = np.searchsorted(codes // n, np.arange(n + 1))
+    used = np.isin(mesh.pattern_rows * n + mesh.pattern_cols, codes)
     return (codes.size, indptr, codes % n,
-            np.searchsorted(codes, vol_codes), np.searchsorted(codes, ghost_codes))
+            np.searchsorted(codes, vol_codes), np.searchsorted(codes, ghost_codes), used)
 
 
 _PATTERN_MESH = build_background_mesh(((-1.2, 1.2), (-1.2, 1.2)), 0.125)
@@ -302,17 +297,26 @@ _PATTERN_MESH = build_background_mesh(((-1.2, 1.2), (-1.2, 1.2)), 0.125)
 
 def _assert_csr_equal_to_reference(mu):
     geom = build_cut_geometry(_PATTERN_MESH, mu)
-    new = assemble_system(geom, PhysicsParams()).A
+    new_sys = assemble_system(geom, PhysicsParams())
+    new = new_sys.A
     new_norm = assemble_norm_matrix(geom, PhysicsParams())
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(assembly, "_pattern", _reference_pattern)
-        ref = assemble_system(geom, PhysicsParams()).A
+        ref_sys = assemble_system(geom, PhysicsParams())
+        ref = ref_sys.A
         ref_norm = assemble_norm_matrix(geom, PhysicsParams())
+    assert np.array_equal(new_sys.pattern_pos, ref_sys.pattern_pos)
+    # the mesh positions of A name the (row, col) of every stored entry of A
+    # and of the norm matrix, which has A's pattern
+    pos = new_sys.pattern_pos
     for a, b in ((new, ref), (new_norm, ref_norm)):
         assert a.indptr.dtype == b.indptr.dtype and a.indices.dtype == b.indices.dtype
         assert np.array_equal(a.indptr, b.indptr)
         assert np.array_equal(a.indices, b.indices)
         assert a.data.tobytes() == b.data.tobytes()
+        rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+        assert np.array_equal(_PATTERN_MESH.pattern_rows[pos], rows)
+        assert np.array_equal(_PATTERN_MESH.pattern_cols[pos], a.indices)
 
 
 @settings(max_examples=25, deadline=None)
@@ -455,9 +459,11 @@ _PLAN_MESHES = {nx: build_background_mesh(((-1.2, 1.2), (-1.2, 1.2)), 2.4 / nx)
                 for nx in (2, 3, 7, 20)}
 
 
-def _assert_plan_matches_reference(mesh, matrix_entries, vector_entries):
-    plan = EntryPlan(mesh, EDGE_PHYS, matrix_entries, vector_entries)
-    ref = _reference_plan(mesh, EDGE_PHYS, matrix_entries, vector_entries)
+def _assert_plan_matches_reference(mesh, matrix_positions, vector_entries):
+    plan = EntryPlan(mesh, EDGE_PHYS, matrix_positions, vector_entries)
+    pos = np.asarray(matrix_positions, dtype=np.int64)
+    entries = np.column_stack([mesh.pattern_rows[pos], mesh.pattern_cols[pos]])
+    ref = _reference_plan(mesh, EDGE_PHYS, entries, vector_entries)
     assert len(ref) == 13
     for name, want in ref.items():
         got = getattr(plan, name)
@@ -471,28 +477,23 @@ def _assert_plan_matches_reference(mesh, matrix_entries, vector_entries):
 @given(data=st.data())
 def test_entry_plan_matches_adjacency_reference_bitwise(nx, data):
     mesh = _PLAN_MESHES[nx]
+    pos = data.draw(st.lists(st.integers(0, mesh.pattern_cols.size - 1), max_size=90))
+    if pos:
+        pos += data.draw(st.lists(st.sampled_from(pos), max_size=10))
+    pos = data.draw(st.permutations(pos))
+    vec = data.draw(st.lists(st.integers(0, mesh.n_vertices - 1), max_size=30))
+    _assert_plan_matches_reference(mesh, pos, vec)
+
+
+def _small_requests(mesh):
+    # position 1 is (0, 1); the last position (n-1, n-1) beside the first, (0, 0)
     n = mesh.n_vertices
-    rows = np.repeat(np.arange(n), np.diff(mesh.pattern_indptr))
-    in_pattern = data.draw(st.lists(st.integers(0, rows.size - 1), max_size=60))
-    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                               max_size=30))
-    ent = [(int(rows[p]), int(mesh.pattern_cols[p])) for p in in_pattern] + pairs
-    if ent:
-        ent += data.draw(st.lists(st.sampled_from(ent), max_size=10))
-    ent = data.draw(st.permutations(ent))
-    vec = data.draw(st.lists(st.integers(0, n - 1), max_size=30))
-    _assert_plan_matches_reference(mesh, ent, vec)
-
-
-def _small_requests(n):
-    # the last pattern position (n-1, n-1) beside an entry outside the
-    # pattern: opposite corners of the box share no stencil
-    return {"empty": ([], []), "one-entry": ([(0, 1)], []), "one-vector-entry": ([], [0]),
-            "last-position": ([(n - 1, n - 1), (0, n - 1)], [n - 1])}
+    return {"empty": ([], []), "one-entry": ([1], []), "one-vector-entry": ([], [0]),
+            "last-position": ([mesh.pattern_cols.size - 1, 0], [n - 1])}
 
 
 @pytest.mark.parametrize("nx", sorted(_PLAN_MESHES))
-@pytest.mark.parametrize("name", sorted(_small_requests(1)))
+@pytest.mark.parametrize("name", ["empty", "last-position", "one-entry", "one-vector-entry"])
 def test_entry_plan_matches_adjacency_reference_on_small_requests(nx, name):
     mesh = _PLAN_MESHES[nx]
-    _assert_plan_matches_reference(mesh, *_small_requests(mesh.n_vertices)[name])
+    _assert_plan_matches_reference(mesh, *_small_requests(mesh)[name])

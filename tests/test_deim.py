@@ -1,44 +1,54 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from cutrom.deim import (
     MATRIX,
     VECTOR,
     DeimError,
+    UnionPattern,
     build_deim_operator,
     build_union_pattern,
     deim_coefficients,
     reconstruct,
 )
+from cutrom.geometry import build_background_mesh
+
+# 3 x 3 vertices, 8 triangles: a mesh pattern of 57 positions
+MESH = build_background_mesh(((-1.2, 1.2), (-1.2, 1.2)), 1.2)
+OFF_DIAGONAL = np.flatnonzero(MESH.pattern_rows != MESH.pattern_cols)
 
 
 def test_union_pattern_diagonal():
-    pat = build_union_pattern([sp.diags([1.0, 2.0, 3.0]).tocsr()])
-    assert pat.size == 3
-    assert np.array_equal(pat.rows, [0, 1, 2])
-    assert np.array_equal(pat.cols, [0, 1, 2])
-    assert np.array_equal(pat.codes, [0, 4, 8])
+    n = MESH.n_vertices
+    pat = build_union_pattern(MESH, [MESH.pattern_diag])
+    assert pat.size == n
+    assert np.array_equal(pat.positions, MESH.pattern_diag)
+    assert np.array_equal(pat.cols, np.arange(n))
+    assert np.array_equal(pat.indptr, np.arange(n + 1))
+    assert np.array_equal(pat.transpose, np.arange(n))
 
 
 def test_union_pattern_is_union():
-    a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    b = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    c = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    pat = build_union_pattern([b, c])
-    assert pat.size == 4
-    vec = pat.vectorize(b)
-    assert np.array_equal(vec, [1.0, 0.0, 0.0, 1.0])
-    vec = pat.vectorize(a)
-    assert np.array_equal(vec, [1.0, 1.0, 1.0, 1.0])
-    with pytest.raises(DeimError):
-        build_union_pattern([b]).vectorize(c)
+    size = MESH.pattern_cols.size
+    diag = MESH.pattern_diag
+    pat = build_union_pattern(MESH, [diag, OFF_DIAGONAL])
+    assert np.array_equal(pat.positions, np.arange(size))
+    vec = pat.vectorize(diag, np.arange(1.0, diag.size + 1))
+    assert np.array_equal(vec[diag], np.arange(1.0, diag.size + 1))
+    assert not vec[OFF_DIAGONAL].any()
+    vec = pat.vectorize(np.arange(size), np.ones(size))
+    assert np.array_equal(vec, np.ones(size))
+    with pytest.raises(DeimError, match="outside the union pattern"):
+        build_union_pattern(MESH, [diag]).vectorize(OFF_DIAGONAL, np.ones(OFF_DIAGONAL.size))
+    # one off-diagonal entry without its transpose
+    with pytest.raises(DeimError, match="not symmetric"):
+        UnionPattern(MESH, np.union1d(diag, OFF_DIAGONAL[:1]))
 
 
 def test_empty_training_set_rejected():
     with pytest.raises(DeimError):
-        build_union_pattern([])
+        build_union_pattern(MESH, [])
 
 
 def test_rank_one_operator():
@@ -107,19 +117,21 @@ def test_training_reconstruction_matches_svd_projection():
 
 
 def test_matrix_kind_reconstruction_symmetric():
+    # unsymmetric values on symmetric patterns, so the symmetrization matters
     rng = np.random.default_rng(9)
-    mats = []
+    sets = []
     for _ in range(5):
-        m = rng.standard_normal((6, 6))
-        m = m + m.T
-        m[np.abs(m) < 1.2] = 0.0
-        mats.append(sp.csr_matrix(m))
-    pat = build_union_pattern([m + sp.eye(6) for m in mats])
-    snaps = np.column_stack([pat.vectorize((m + sp.eye(6)).tocsr()) for m in mats])
+        keep = rng.random(MESH.pattern_cols.size) < 0.4
+        keep |= keep[MESH.pattern_transpose]
+        keep[MESH.pattern_diag] = True
+        sets.append(np.flatnonzero(keep))
+    pat = build_union_pattern(MESH, sets)
+    snaps = np.column_stack([pat.vectorize(pos, rng.standard_normal(pos.size)) for pos in sets])
     op = build_deim_operator(snaps, 1e-12, 5, kind=MATRIX, pattern=pat)
-    c = deim_coefficients(op, snaps[op.indices, 2])
-    rec = reconstruct(op, c)
-    assert abs(rec - rec.T).max() == 0.0
+    for c in (deim_coefficients(op, snaps[op.indices, 2]), rng.standard_normal(op.l)):
+        rec = reconstruct(op, c)
+        assert abs(rec - rec.T).max() == 0.0
+        assert rec.toarray().tobytes() == rec.T.toarray().tobytes()
     assert np.abs(reconstruct(op, np.zeros(op.l)).toarray()).max() == 0.0
     ej = np.zeros(op.l)
     ej[0] = 1.0
@@ -137,12 +149,18 @@ def test_all_zero_snapshots_rejected():
 def test_stored_interpolation_matrix_and_row_pointers():
     # P^T U and the pattern's CSR row pointers are stored once; both must
     # give what the per-call expressions gave, bit for bit
-    dense = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [2.0, 0.0, 3.0]])
-    pat = build_union_pattern([sp.csr_matrix(dense)])
-    assert pat.indptr.tobytes() == np.searchsorted(pat.rows, np.arange(pat.n + 1)).tobytes()
-    m = pat.matrix_from_values(np.array([1.5, -2.0, 0.25, 4.0]))
-    assert np.array_equal(m.indptr, [0, 2, 2, 4]) and np.array_equal(m.indices, pat.cols)
-    assert np.array_equal(m.toarray(), [[1.5, 0.0, -2.0], [0.0, 0.0, 0.0], [0.25, 0.0, 4.0]])
+    # the diagonal and the first off-diagonal pair of row 0
+    first = OFF_DIAGONAL[0]
+    positions = np.union1d(MESH.pattern_diag, [first, MESH.pattern_transpose[first]])
+    pat = build_union_pattern(MESH, [positions])
+    rows = MESH.pattern_rows[positions]
+    assert pat.indptr.tobytes() == np.searchsorted(rows, np.arange(pat.n + 1)).tobytes()
+    values = np.arange(1.0, positions.size + 1)
+    m = pat.matrix_from_values(values)
+    assert np.array_equal(m.indices, pat.cols)
+    dense = np.zeros((pat.n, pat.n))
+    dense[rows, MESH.pattern_cols[positions]] = values
+    assert np.array_equal(m.toarray(), dense)
     rng = np.random.default_rng(4)
     op = build_deim_operator(rng.standard_normal((12, 5)), 1e-12, 5)
     pu = op.U[op.indices, :]

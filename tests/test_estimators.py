@@ -129,8 +129,8 @@ def test_rayleigh_sandwich_property(r_vals, d_vals):
 
 
 def test_active_diagonal_range():
-    a = sp.csr_matrix(np.diag([0.0, 2.0, 5.0, 0.0]))
-    d_min, d_max = est.active_diagonal_range(a, [1, 2])
+    diag = np.array([0.0, 2.0, -5.0, 0.0])
+    d_min, d_max = est.active_diagonal_range(diag, [1, 2])
     assert (d_min, d_max) == (2.0, 5.0)
     with pytest.raises(est.EstimatorError):
-        est.active_diagonal_range(a, [])
+        est.active_diagonal_range(diag, [])

@@ -479,10 +479,25 @@ def _reference_whole_rules(mesh):
     return pts, wts
 
 
+def _assert_pattern_maps(mesh):
+    """The assembly pattern is sorted row-major, consistent with its row
+    pointers, and its transpose map is an involution that sends (i, j) to
+    (j, i); ``pattern_diag[i]`` holds (i, i)."""
+    n = mesh.n_vertices
+    rows, cols, t = mesh.pattern_rows, mesh.pattern_cols, mesh.pattern_transpose
+    assert np.all(np.diff(rows * n + cols) > 0)
+    assert np.array_equal(np.repeat(np.arange(n), np.diff(mesh.pattern_indptr)), rows)
+    assert np.array_equal(t[t], np.arange(t.size))
+    assert np.array_equal(rows[t], cols) and np.array_equal(cols[t], rows)
+    assert np.array_equal(rows[mesh.pattern_diag], np.arange(n))
+    assert np.array_equal(cols[mesh.pattern_diag], np.arange(n))
+
+
 @pytest.mark.parametrize("nx", [2, 3, 7])
 def test_mesh_tables_match_loops(nx):
     mesh = build_background_mesh(BOX, 2.4 / nx)
     _assert_tri_facet_map(mesh)
+    _assert_pattern_maps(mesh)
     pts, wts = _reference_whole_rules(mesh)
     assert mesh.whole_pts.shape == pts.shape and mesh.whole_pts.tobytes() == pts.tobytes()
     assert mesh.whole_wts.shape == wts.shape and mesh.whole_wts.tobytes() == wts.tobytes()
@@ -501,6 +516,7 @@ def test_tri_facet_map_on_an_unstructured_mesh():
     mesh = BackgroundMesh(vertices, tris, 2, (-2.0, 2.0))
     assert (mesh.facet_tris[:, 1] >= 0).sum() == 12
     _assert_tri_facet_map(mesh)
+    _assert_pattern_maps(mesh)
     pts, wts = _reference_whole_rules(mesh)
     assert mesh.whole_pts.tobytes() == pts.tobytes() and mesh.whole_wts.tobytes() == wts.tobytes()
     assert _assert_geometry_bitwise(mesh, ParameterPoint(0.8, 0.6)).ghost_facets.size > 0

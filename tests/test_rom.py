@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from cutrom.config import Config
 from cutrom.deim import MATRIX, UnionPattern, build_deim_operator
 from cutrom.geometry import GeometryError, ParameterPoint, build_background_mesh, build_cut_geometry
+from cutrom.pipeline import run_offline, sample_parameters
 from cutrom.pod import PodBasis
 from cutrom.rom import (
     RomError,
@@ -21,8 +25,7 @@ def test_identity_basis_matrix_projects_to_gram(default_mesh):
     rng = np.random.default_rng(2)
     v = rng.standard_normal((n, 3))
     pod = PodBasis(V=v, sigma=np.ones(3), n_max=3, n_energy=3)
-    codes = np.arange(n, dtype=np.int64) * n + np.arange(n)
-    pattern = UnionPattern(codes, n)
+    pattern = UnionPattern(default_mesh, default_mesh.pattern_diag)
     # a single-mode operator whose basis matrix is the identity on the diagonal
     snaps = np.column_stack([np.ones(n), np.ones(n)])
     op = build_deim_operator(snaps, 1e-12, 1, kind=MATRIX, pattern=pattern)
@@ -161,3 +164,21 @@ def test_query_outside_the_training_box_still_solves(small_run):
     mu = ParameterPoint(1.3, 0.9)
     assert mu.r > art.config.mu_max and mu.theta < art.config.mu_min
     assert np.isfinite(rom_online_solve(art, mu, 2).u_lifted).all()
+
+
+def test_reduced_operator_is_indefinite_on_the_fine_mesh():
+    """Witness of a live defect (ROADMAP items 1-2).  With h = 0.06 and 200
+    training solves (the benchmark's ``fine-rom`` model) the matrix DEIM
+    gets too few snapshots, and at this test parameter of the default draw
+    the reduced operator is indefinite: lambda_min is about -79 at n = 10
+    and -279 at n = 40.  ``solve`` still returns a finite answer.  When
+    definiteness is checked, this becomes an expected ``RomError``."""
+    config = replace(Config(), h_target=0.06, n_train=200).validate()
+    mu = (1.0406910481352298, 1.05246266808837)
+    draw = sample_parameters(10, config.seed + 1, config.mu_min, config.mu_max)
+    assert mu in [tuple(m) for m in draw.tolist()]
+    art = run_offline(config)
+    prep = prepare(art, build_cut_geometry(art.mesh, ParameterPoint(*mu)))
+    for n in (10, 40):
+        assert np.linalg.eigvalsh(reduced_operator(art, prep.c_a, n))[0] < 0.0
+        assert np.isfinite(solve(art, prep, n).u_lifted).all()

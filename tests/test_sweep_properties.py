@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from cutrom.geometry import ParameterPoint, level_set
+from cutrom.pipeline import run_online_sweep
+
 
 def test_union_pattern_is_small_fraction(default_run):
     art = default_run.artifacts
@@ -71,3 +74,20 @@ def test_effectivity_scale_before_spectrum_cliff(default_run):
 def test_effectivity_scale_at_eight(default_run):
     vals = [r.theta_2a for r in default_run.report.records_for_n(8)]
     assert 50.0 <= np.mean(vals) <= 2000.0
+
+
+def test_sweep_invariants_hold_on_edge_parameters(small_run, small_config):
+    """The four corners of the parameter box, and two ellipses through the
+    mesh vertex (x, 0) resp. (0, x) with x = 1.08 (to rounding), where the
+    level set is exactly zero.  ``run_online_sweep`` raises on the first
+    record that breaks the Rayleigh sandwich, the active <= plain ordering
+    or the combined bound."""
+    art, _ = small_run
+    lo, hi = small_config.mu_min, small_config.mu_max
+    x = 1.0799999999999998
+    mus = [(lo, lo), (lo, hi), (hi, lo), (hi, hi), (x * x, 1.1), (1.1, x * x)]
+    vx, vy = art.mesh.vertices.T
+    for mu, on_phi0 in zip(mus[4:], ((vx == x) & (vy == 0.0), (vx == 0.0) & (vy == x))):
+        assert level_set(ParameterPoint(*mu), vx[on_phi0], vy[on_phi0]).tolist() == [0.0]
+    report = run_online_sweep(art, small_config, test_params=mus)
+    assert len(report.records) == len(mus) * len(small_config.n_list)
