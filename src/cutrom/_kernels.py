@@ -7,11 +7,17 @@ the per-triangle table ``BackgroundMesh.tri_comp``, whose rows ``X``, ``Y``,
 ``GX`` and ``GY`` hold the three vertex coordinates and the three P1 basis
 gradients.
 
-Each local formula exists once: the volume and boundary terms of a rule
-(``volume_terms``, ``boundary_terms``), and the stiffness, Nitsche, penalty
-and ghost-penalty values of one (a, c) pair (``stiffness``, ``nitsche``,
-``penalty``, ``ghost_penalty``).  Full assembly applies the pair formulas to
-whole 3x3 blocks (``volume_contribs``, ``boundary_contribs``); sampled entry
+Volume integrals are in closed form: the source is constant and the hats are
+linear, so on a straight-sided region S the stiffness weight is |S| and the
+load of hat i is f |S| phi_i(centroid of S).  A whole triangle needs only
+its area; a cut element's region is one or two sub-triangles, each carried
+by its centroid and area.
+
+Each local formula exists once: the volume and boundary terms of a cut
+element (``volume_terms``, ``boundary_terms``), and the stiffness, Nitsche,
+penalty and ghost-penalty values of one (a, c) pair (``stiffness``,
+``nitsche``, ``penalty``, ``ghost_penalty``).  Full assembly applies the pair
+formulas to whole 3x3 blocks (``volume_contribs``, ``boundary_contribs``); sampled entry
 evaluation applies them to the single local slots it needs.  Every kernel
 evaluates the same expression for every element in a fixed order, so the two
 agree bit for bit and results are bit-reproducible.
@@ -24,9 +30,6 @@ import numpy as np
 # name of the kernel implementation, recorded in benchmark run manifests
 BACKEND = "numpy"
 
-# degree-2 rule on the reference triangle (weights are |T|/3 each)
-REF_XI = np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0])
-REF_ETA = np.array([1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0])
 # 2-point Gauss rule on the unit segment
 GAUSS_T = np.array([0.5 * (1.0 - 1.0 / np.sqrt(3.0)), 0.5 * (1.0 + 1.0 / np.sqrt(3.0))])
 
@@ -55,23 +58,16 @@ _ROLE_VERTEX = (_LONE_BY_CODE + np.where(
 # quadrature rules
 # ---------------------------------------------------------------------------
 
-def mapped_points(va, vb, vc):
-    """The 3 reference points mapped to each triangle (va, vb, vc), as a
-    (k, 3, 2) block of va + xi * (vb - va) + eta * (vc - va)."""
-    return (va[:, None, :] + REF_XI[:, None] * (vb - va)[:, None, :]
-            + REF_ETA[:, None] * (vc - va)[:, None, :])
-
-
 def cut_rules(tri, phi, degen_tol):
     """Quadrature rules on the cut triangles, in one pass over all of them.
 
     ``tri`` is the (12, k) table of the cut triangles and ``phi`` the (3, k)
     level-set values at their vertices.  The sub-region {phi_lin <= 0} is
-    split into one or two sub-triangles carrying the mapped 3-point rule
-    (slots 0..5; zero-weight padding at the lone vertex when there is one),
-    and the straight interface segment {phi_lin = 0} carries a 2-point Gauss
-    rule with the outward unit normal grad(phi_lin)/|grad(phi_lin)|.
-    Segments shorter than ``degen_tol`` are flagged degenerate and get zero
+    split into one or two sub-triangles, each carried by its centroid and
+    area (slots 0 and 1; a zero-area slot at the lone vertex when there is
+    one), and the straight interface segment {phi_lin = 0} carries a
+    2-point Gauss rule with the outward unit normal
+    grad(phi_lin)/|grad(phi_lin)|.  Segments shorter than ``degen_tol`` are flagged degenerate and get zero
     weights.
 
     Each triangle is rotated so that its lone vertex (the only one inside,
@@ -81,7 +77,7 @@ def cut_rules(tri, phi, degen_tol):
     towards l, and the region is (m, n, E1) plus (m, E1, E0).  ``np.where``
     only selects the inputs of the shared formulas.
 
-    Returns ``pts`` (2, 6, k) by coordinate and slot, ``wts`` (6, k),
+    Returns ``pts`` (2, 2, k) by coordinate and slot, ``wts`` (2, k),
     ``seg`` (2, 2, k) by Gauss point and coordinate, the Gauss weight
     ``seg_w`` (k,), the normal ``nrm`` (2, k) and the degenerate flags.
     """
@@ -107,9 +103,8 @@ def cut_rules(tri, phi, degen_tol):
     d_b = bc[0:2] - apex
     d_c = bc[2:4] - apex
     cross = d_b[:, 0] * d_c[:, 1] - d_b[:, 1] * d_c[:, 0]
-    wts = np.repeat(0.5 * np.abs(cross) / 3.0, 3, axis=0)
-    pts = (apex[:, None, None, :] + REF_XI[:, None] * d_b.transpose(1, 0, 2)[:, :, None, :]
-           + REF_ETA[:, None] * d_c.transpose(1, 0, 2)[:, :, None, :]).reshape(2, 6, k)
+    wts = 0.5 * np.abs(cross)
+    pts = (apex + (d_b + d_c) / 3.0).transpose(1, 0, 2)
 
     d = edge[1] - edge[0]
     seg_len = np.sqrt(d[0] * d[0] + d[1] * d[1])
@@ -132,8 +127,9 @@ def _reference_coords(pts, tri):
 
 
 def volume_terms(pts, wts, tri, f_const):
-    """Weight sum (k,) and source loads (3, k) of a 6-slot volume rule:
-    ``pts`` (2, 6, k) by coordinate and slot, ``wts`` (6, k)."""
+    """Weight sum (k,) and source loads (3, k) of the cut regions: ``pts``
+    (2, 2, k) sub-triangle centroids by coordinate and slot, ``wts`` (2, k)
+    their areas."""
     xi, eta = _reference_coords(pts, tri)
     wf = wts * f_const
     terms = np.empty((4,) + wts.shape)
@@ -141,7 +137,7 @@ def volume_terms(pts, wts, tri, f_const):
     terms[1] = wf * (1.0 - xi - eta)
     terms[2] = wf * xi
     terms[3] = wf * eta
-    acc = terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3] + terms[:, 4] + terms[:, 5]
+    acc = terms[:, 0] + terms[:, 1]
     return acc[0], acc[1:]
 
 

@@ -16,9 +16,10 @@ Per parameter, only the cut elements need new local terms.  ``_cut_stage``
 computes them once, component-major: per cut element the volume-weight sum,
 the segment weight, and per local vertex the volume load, the barycentrics at
 both Gauss points, the normal derivative and the boundary load.  Full
-assembly builds its cut rows from this stage and its inside rows from the
-mesh's whole-triangle rules.  ``EntryPlan`` stores the value of every inside
-candidate once, computed with the same kernels on the same rule rows, and
+assembly builds its cut rows from this stage and its inside rows in closed
+form: the weight sum of a whole triangle is its area, and each of its loads
+is f |T| / 3 (``_whole_load``).  ``EntryPlan`` stores the value of every
+inside candidate once, from the same closed forms and kernels, and
 ``evaluate_entries`` picks the cut candidates' values from the stage.  Both
 accumulate the same per-entity values in the same order as full assembly
 (volume elements, then interface segments, then ghost facets, each in
@@ -34,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-from .geometry import INSIDE, BackgroundMesh, CutGeometry
+from .geometry import BackgroundMesh, CutGeometry
 
 
 class AssemblyError(ValueError):
@@ -145,30 +146,18 @@ def _cut_stage(geom: CutGeometry, phys: PhysicsParams):
     return vert, np.stack([wsum, rule.seg_wts])
 
 
-def _whole_terms(mesh: BackgroundMesh, triangles: np.ndarray, f_const: float):
-    """Volume-weight sums and source loads of ``triangles`` on their
-    whole-triangle rules."""
-    return _kernels.volume_terms(
-        np.take(mesh.whole_pts, triangles, axis=0).transpose(2, 1, 0),
-        np.take(mesh.whole_wts, triangles, axis=0).T,
-        np.take(mesh.tri_comp, triangles, axis=1), f_const,
-    )
+def _whole_load(area, f_const: float):
+    """Source load of each hat on whole triangles of ``area``."""
+    return f_const * area / 3.0
 
 
-def _volume_rows(geom: CutGeometry, vert, elem, f_const: float):
-    """Volume-weight sums (n_act,) and source loads (3, n_act) of the active
-    elements: whole-triangle rules inside, the stage on cut rows."""
-    act = geom.active_elements
-    ins_sel = np.flatnonzero(geom.elem_class[act] == INSIDE)
+def _volume_rows(geom: CutGeometry, elem):
+    """Volume-weight sums (n_act,) of the active elements (a whole
+    triangle's area, the stage's sum on cut rows) and the cut rows."""
+    wsum = geom.mesh.tri_area[geom.active_elements]
     cut_sel = geom.active_pos[geom.cut_elements]
-    w_in, f_in = _whole_terms(geom.mesh, act[ins_sel], f_const)
-    wsum = np.empty(act.size)
-    wsum[ins_sel] = w_in
     wsum[cut_sel] = elem[0]
-    f_vol = np.empty((3, act.size))
-    f_vol[:, ins_sel] = f_in
-    f_vol[:, cut_sel] = vert[_F_VOL]
-    return wsum, f_vol, cut_sel
+    return wsum, cut_sel
 
 
 def _assemble_matrix(geom: CutGeometry, phys: PhysicsParams, wsum, boundary_blocks, cut_sel):
@@ -192,14 +181,17 @@ def assemble_system(geom: CutGeometry, phys: PhysicsParams) -> SystemPair:
     f_i = int_O f phi_i - int_G (grad phi_i . n) g + (lambda/h) int_G phi_i g.
     """
     mesh = geom.mesh
+    act = geom.active_elements
     vert, elem = _cut_stage(geom, phys)
-    wsum, f_vol, cut_sel = _volume_rows(geom, vert, elem, float(phys.f_const))
+    wsum, cut_sel = _volume_rows(geom, elem)
     a_nit, _pen = _kernels.boundary_contribs(
         elem[1], vert[_BARY], vert[_DN], phys.nitsche_lambda / mesh.h)
     a, used = _assemble_matrix(geom, phys, wsum, a_nit, cut_sel)
 
+    f_vol = np.tile(_whole_load(mesh.tri_area[act], float(phys.f_const)), (3, 1))
+    f_vol[:, cut_sel] = vert[_F_VOL]
     f = np.zeros(mesh.n_vertices)
-    np.add.at(f, mesh.triangles[geom.active_elements].ravel(), f_vol.T.ravel())
+    np.add.at(f, mesh.triangles[act].ravel(), f_vol.T.ravel())
     np.add.at(f, mesh.triangles[geom.cut_elements].ravel(), vert[_F_BND].T.ravel())
     return SystemPair(A=a, f=f, active_dofs=geom.active_dofs, geom=geom,
                       pattern_pos=np.flatnonzero(used))
@@ -209,7 +201,7 @@ def assemble_norm_matrix(geom: CutGeometry, phys: PhysicsParams) -> sp.csr_matri
     """Matrix of the mesh-dependent energy norm: gradient part on the physical
     domain, scaled boundary mass, and the ghost jump terms."""
     vert, elem = _cut_stage(geom, phys)
-    wsum, _f_vol, cut_sel = _volume_rows(geom, vert, elem, 0.0)
+    wsum, cut_sel = _volume_rows(geom, elem)
     _a_nit, pen = _kernels.boundary_contribs(
         elem[1], vert[_BARY], vert[_DN], phys.nitsche_lambda / geom.mesh.h)
     return _assemble_matrix(geom, phys, wsum, pen, cut_sel)[0]
@@ -260,8 +252,8 @@ class EntryPlan:
     full assembly scatters through).  Candidates are ordered entry-major
     with ascending entity indices, the same relative order full assembly
     uses, so replaying them reproduces the assembled values bit for bit.
-    The plan stores the value of every candidate on its whole-triangle rule
-    (what it contributes while inside) and every ghost value; a parameter
+    The plan stores the value of every candidate as a whole triangle (what
+    it contributes while inside) and every ghost value; a parameter
     enters only through the activity masks and the cut elements' stage.
     The reduced model builds its plan once, beside the sample entries it
     describes.
@@ -279,7 +271,6 @@ class EntryPlan:
         self.mesh_shape = (mesh.n_vertices, mesh.n_triangles, mesh.h)
         self.n_matrix = m_pos.size
         self.n_vector = v_ent.size
-        f_const = float(phys.f_const)
 
         self.m_ids, cand, slot = _slot_holders(mesh.tri_pattern_pos, m_pos, size)
         self.m_elems = cand
@@ -291,8 +282,7 @@ class EntryPlan:
         # (a_x, a_y, c_x, c_y) gradients per candidate
         self.m_grad = np.stack([gx[self.m_aloc, rng], gy[self.m_aloc, rng],
                                 gx[self.m_cloc, rng], gy[self.m_cloc, rng]])
-        wsum, _loads = _whole_terms(mesh, cand, f_const)
-        self.m_whole = _kernels.stiffness(wsum, *self.m_grad)
+        self.m_whole = _kernels.stiffness(mesh.tri_area[cand], *self.m_grad)
 
         self.g_ids, fcand, slot = _slot_holders(mesh.facet_pattern_pos, m_pos, size)
         self.g_facets = fcand
@@ -305,8 +295,7 @@ class EntryPlan:
         self.v_ids, cand, slot = _slot_holders(mesh.tri_pattern_pos, mesh.pattern_diag[v_ent], size)
         self.v_elems = cand
         self.v_aloc = slot // 3
-        _wsum, loads = _whole_terms(mesh, cand, f_const)
-        self.v_whole = loads[self.v_aloc, np.arange(cand.size)]
+        self.v_whole = _whole_load(mesh.tri_area[cand], float(phys.f_const))
 
 
 def evaluate_entries(geom: CutGeometry, plan: EntryPlan):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .geometry import GeometryError, ParameterPoint, require_inside_box
@@ -57,6 +58,11 @@ class Config:
     report_dir: str = "report"
 
     def validate(self):
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (val if isinstance(val, tuple) else (val,))):
+                raise ConfigError(f"{f.name} must be finite, got {val}")
         if not self.box_max > self.box_min:
             raise ConfigError("box_max must exceed box_min")
         if not self.h_target > 0:

@@ -8,8 +8,9 @@ factored once by LAPACK's banded Cholesky (``scipy.linalg.cholesky_banded``).
 Only the upper triangle is read, so the block is taken to be exactly
 symmetric, as assembly makes it.  A block that is not positive definite has
 a non-positive pivot; LAPACK stops there, and ``solve_fom`` raises
-``FomError`` naming the parameter.  A non-finite entry raises ``FomError``
-too, before the factorization: LAPACK would pass it into the solution.
+``FomError`` naming the parameter.  A non-finite entry of the matrix or the
+load raises ``FomError`` too, before the factorization: LAPACK would pass it
+into the solution.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ def solve_fom(sys: SystemPair) -> FomSolution:
     One step of iterative refinement, with the same factor, keeps the active
     residual at the round-off level required by the solver contract.
     Inactive dofs are zero-filled.  Raises ``FomError`` when the active
-    block has a non-finite entry or is not positive definite.
+    block or the load has a non-finite entry, or the block is not positive
+    definite.
     """
     act = sys.active_dofs
     if act.size == 0:
@@ -75,6 +77,8 @@ def solve_fom(sys: SystemPair) -> FomSolution:
     t0 = time.perf_counter()
     if not np.isfinite(sys.A.data).all():
         raise FomError(f"non-finite entry in the active block at mu={sys.geom.mu}")
+    if not np.isfinite(sys.f).all():
+        raise FomError(f"non-finite entry in the load at mu={sys.geom.mu}")
     band, pos = active_band(sys.A, sys.geom.mesh.rcm_rank, act)
     try:
         factor = (sla.cholesky_banded(band, overwrite_ab=True, check_finite=False), False)

@@ -2,16 +2,16 @@
 
 The computational setup is a fixed square background mesh that never changes
 with the parameter.  The mesh builds its parameter-independent tables once:
-element geometry, facets and patches, the assembly pattern, the rule of every
-whole triangle, and the per-triangle component table ``tri_comp`` (vertex
-coordinates and basis gradients, one contiguous row per component) that the
-kernels read.  For each parameter the ellipse level set classifies every
-triangle as inside / cut / outside, and only the cut triangles get new
-quadrature: sub-triangle volume rules for the region where the linear
-interpolant of the level set is non-positive, plus a 2-point Gauss rule on
-the straight interface segment.  ``CutRule`` holds them component-major, the
-layout assembly reads; an inside element's rule is its row of the mesh's
-whole-triangle rules, and an outside element has none.
+element areas, facets and patches, the assembly pattern, and the
+per-triangle component table ``tri_comp`` (vertex coordinates and basis
+gradients, one contiguous row per component) that the kernels read.  For
+each parameter the ellipse level set classifies every triangle as inside /
+cut / outside, and only the cut triangles get new quadrature: the centroid
+and area of each sub-triangle of the region where the linear interpolant of
+the level set is non-positive, plus a 2-point Gauss rule on the straight
+interface segment.  ``CutRule`` holds them component-major, the layout
+assembly reads; an inside element needs only its area, and an outside
+element has none.
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ class BackgroundMesh:
         self.n_vertices = vertices.shape[0]
         self.n_triangles = triangles.shape[0]
         self._build_precomputed()
-        self._build_whole_rules()
         self._build_facets()
         self._build_pattern()
 
@@ -105,38 +104,19 @@ class BackgroundMesh:
         if np.bincount(tris.ravel(), minlength=self.n_vertices).min(initial=1) == 0:
             raise GeometryError("every vertex must belong to a triangle")
         self.tri_area = 0.5 * det
-        # the gradients of hats 1 and 2 are the rows of the inverse Jacobian
-        bvec = np.empty((self.n_triangles, 3, 2))
-        bvec[:, 1, 0] = e2[:, 1] / det
-        bvec[:, 1, 1] = -e2[:, 0] / det
-        bvec[:, 2, 0] = -e1[:, 1] / det
-        bvec[:, 2, 1] = e1[:, 0] / det
-        bvec[:, 0, :] = -(bvec[:, 1, :] + bvec[:, 2, :])
-        self.bvec = bvec
         # contiguous per-component copies for the per-parameter kernels
         self.vertices_t = np.ascontiguousarray(verts.T)
         self.triangles_t = np.ascontiguousarray(tris.T)
         comp = np.empty((_kernels.N_COMP, self.n_triangles))
         comp[_kernels.X] = verts[tris.T, 0]
         comp[_kernels.Y] = verts[tris.T, 1]
-        comp[_kernels.GX] = bvec[:, :, 0].T
-        comp[_kernels.GY] = bvec[:, :, 1].T
+        # gradients by coordinate and hat; those of hats 1 and 2 are the
+        # rows of the inverse Jacobian
+        grad = comp[_kernels.GX.start:_kernels.GY.stop].reshape(2, 3, self.n_triangles)
+        grad[:, 1] = e2[:, 1] / det, -e2[:, 0] / det
+        grad[:, 2] = -e1[:, 1] / det, e1[:, 0] / det
+        grad[:, 0] = -(grad[:, 1] + grad[:, 2])
         self.tri_comp = comp
-
-    def _build_whole_rules(self):
-        """The mapped 3-point rule of every whole triangle in volume-rule
-        layout: 6 slots, slots 3-5 padded with ``p0`` and zero weight.  An
-        inside element's rule is its row here."""
-        verts = self.vertices
-        tris = self.triangles
-        p0 = verts[tris[:, 0]]
-        pts = np.empty((self.n_triangles, 6, 2))
-        pts[:, :3] = _kernels.mapped_points(p0, verts[tris[:, 1]], verts[tris[:, 2]])
-        pts[:, 3:] = p0[:, None, :]
-        wts = np.zeros((self.n_triangles, 6))
-        wts[:, :3] = (self.tri_area / 3.0)[:, None]
-        self.whole_pts = pts
-        self.whole_wts = wts
 
     def _build_facets(self):
         tris = self.triangles
@@ -200,12 +180,14 @@ class BackgroundMesh:
             tv = self.triangles[tri_pair[:, side]]
             patch[idx, 2 + side] = tv[rows, np.argmax((tv != fa) & (tv != fb), axis=1)]
         nrm = self.facet_normal[idx]
+        grad_x = self.tri_comp[_kernels.GX]
+        grad_y = self.tri_comp[_kernels.GY]
         dn = []
         for side in (0, 1):
             ts = tri_pair[:, side]
             hit = self.triangles[ts][:, None, :] == patch[idx][:, :, None]
-            b = self.bvec[ts[:, None], np.argmax(hit, axis=2)]
-            d = b[:, :, 0] * nrm[:, 0:1] + b[:, :, 1] * nrm[:, 1:2]
+            at = (np.argmax(hit, axis=2), ts[:, None])
+            d = grad_x[at] * nrm[:, 0:1] + grad_y[at] * nrm[:, 1:2]
             dn.append(np.where(hit.any(axis=2), d, 0.0))
         jump[idx] = dn[0] - dn[1]
         self.facet_patch = patch
@@ -284,12 +266,14 @@ def build_background_mesh(box, h_target: float) -> BackgroundMesh:
 class CutRule:
     """The cut elements' quadrature in the component-major layout of
     ``_kernels`` (one row per component, one column per cut element), with
-    the elements' columns of ``BackgroundMesh.tri_comp``.  Volume rules have
-    6 slots, zero-weight padding; a degenerate segment has zero weight."""
+    the elements' columns of ``BackgroundMesh.tri_comp``.  The volume has
+    one slot per sub-triangle, its centroid and area (a zero-area second
+    slot when the region is one triangle); a degenerate segment has zero
+    weight."""
 
     tri: np.ndarray  # (12, k) per-triangle table columns
-    vol_pts: np.ndarray  # (2, 6, k) by coordinate and slot
-    vol_wts: np.ndarray  # (6, k)
+    vol_pts: np.ndarray  # (2, 2, k) centroids by coordinate and slot
+    vol_wts: np.ndarray  # (2, k) areas
     seg_pts: np.ndarray  # (2, 2, k) by Gauss point and coordinate
     seg_wts: np.ndarray  # (k,) weight of each of the two Gauss points
     normal: np.ndarray  # (2, k)
@@ -300,8 +284,7 @@ class CutGeometry:
     """Per-parameter classification and quadrature on the background mesh.
 
     ``cut_rule`` is the only per-parameter quadrature, one column per entry
-    of ``cut_elements``; inside elements use ``BackgroundMesh.whole_pts`` /
-    ``whole_wts``.
+    of ``cut_elements``; inside elements need only ``BackgroundMesh.tri_area``.
     """
 
     mu: ParameterPoint
@@ -318,8 +301,8 @@ class CutGeometry:
     degenerate_elements: list = field(default_factory=list)
 
     def volume_weight_sum(self) -> float:
-        """Quadrature area of the domain: the inside elements' areas plus
-        the cut elements' sub-triangle weights."""
+        """Area of the domain: the inside elements' areas plus the cut
+        elements' sub-triangle areas."""
         inside = self.elem_class == INSIDE
         return float(self.mesh.tri_area[inside].sum() + self.cut_rule.vol_wts.sum())
 
@@ -332,8 +315,8 @@ class CutGeometry:
 def build_cut_geometry(mesh: BackgroundMesh, mu: ParameterPoint) -> CutGeometry:
     """Classify elements by vertex signs of the level set and build quadrature.
 
-    A vertex with phi <= 0 counts as inside; all-inside elements carry the
-    plain 3-point rule, mixed elements are cut, all-outside elements carry no
+    A vertex with phi <= 0 counts as inside; all-inside elements are
+    integrated whole, mixed elements are cut, all-outside elements carry no
     quadrature and are excluded from the active set.
     """
     phi_v = level_set(mu, *mesh.vertices_t)

@@ -16,7 +16,13 @@ from cutrom.assembly import (
     evaluate_entries,
 )
 from cutrom.estimators import alpha_star
-from cutrom.geometry import ParameterPoint, build_background_mesh, build_cut_geometry, level_set
+from cutrom.geometry import (
+    INSIDE,
+    ParameterPoint,
+    build_background_mesh,
+    build_cut_geometry,
+    level_set,
+)
 from cutrom.pipeline import spd_coercivity_check
 
 MUS = [ParameterPoint(1.0, 1.0), ParameterPoint(1.07, 1.13), ParameterPoint(1.2, 1.01)]
@@ -172,13 +178,59 @@ def test_sampled_entries_match_assembly_with_a_vertex_on_the_interface(nx):
     assert _assert_entries_bitwise(nx, mu).cut_elements.size > 0
 
 
+def _gradients(mesh, rows):
+    """Hat gradients (len(rows), 3, 2) by local vertex and coordinate."""
+    return mesh.tri_comp[6:12, rows].reshape(2, 3, -1).transpose(2, 1, 0)
+
+
+# the source alone: the hats sum to one, so with g = 0 the loads total
+# f |domain|, whole triangles and cut sub-triangles alike
+SOURCE_PHYS = PhysicsParams(f_const=-3.7, g_coeffs=(0.0, 0.0, 0.0, 0.0))
+
+
+def _assert_load_total_is_source_times_area(nx, mu):
+    geom = build_cut_geometry(_EDGE_MESHES[nx], mu)
+    total = assemble_system(geom, SOURCE_PHYS).f.sum()
+    want = SOURCE_PHYS.f_const * geom.volume_weight_sum()
+    assert abs(total - want) <= 1e-13 * abs(want)
+    return geom
+
+
+@pytest.mark.parametrize("nx", [7, 20])
+@settings(max_examples=25, deadline=None)
+@given(r=st.floats(min_value=0.3, max_value=1.44), theta=st.floats(min_value=0.3, max_value=1.44))
+def test_load_total_is_source_times_area(nx, r, theta):
+    _assert_load_total_is_source_times_area(nx, ParameterPoint(r, theta))
+
+
+@pytest.mark.parametrize("nx", [7, 20])
+def test_load_total_is_source_times_area_on_edge_parameters(nx):
+    mesh = _EDGE_MESHES[nx]
+    # the four corners of the default parameter box
+    for mu in ((1.0, 1.0), (1.0, 1.2), (1.2, 1.0), (1.2, 1.2)):
+        _assert_load_total_is_source_times_area(nx, ParameterPoint(*mu))
+    # an ellipse within one cell of the box edge
+    semi = 1.2 - 0.5 * mesh.h
+    _assert_load_total_is_source_times_area(nx, ParameterPoint(semi ** 2, 1.0))
+    # a vertex exactly on phi = 0: degenerate segments
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    off_axis = np.flatnonzero((x != 0.0) & (y != 0.0))
+    v = off_axis[np.argmin(np.abs(2 * x[off_axis] ** 2 - 0.9) + np.abs(2 * y[off_axis] ** 2 - 0.9))]
+    mu = ParameterPoint(2 * x[v] ** 2, 2 * y[v] ** 2)
+    assert level_set(mu, x, y)[v] == 0.0
+    assert len(_assert_load_total_is_source_times_area(nx, mu).degenerate_elements) > 0
+
+
 def _element_major_rules(geom):
-    """The rules element-major: the whole-triangle rule of each active
-    element with the cut rows replaced by ``cut_rule``, and the interface
-    rule per cut element and Gauss point."""
+    """The rules element-major: two volume slots per active element, a
+    whole triangle's area in slot 0 and the cut rule's sub-triangles
+    (centroid, area) on cut rows, and the interface rule per cut element and
+    Gauss point."""
     mesh, rule = geom.mesh, geom.cut_rule
-    vol_pts = mesh.whole_pts[geom.active_elements]
-    vol_wts = mesh.whole_wts[geom.active_elements]
+    act = geom.active_elements
+    vol_pts = np.zeros((act.size, 2, 2))
+    vol_wts = np.zeros((act.size, 2))
+    vol_wts[:, 0] = mesh.tri_area[act]
     cut_sel = geom.active_pos[geom.cut_elements]
     vol_pts[cut_sel] = rule.vol_pts.transpose(2, 1, 0)
     vol_wts[cut_sel] = rule.vol_wts.T
@@ -189,7 +241,8 @@ def _element_major_rules(geom):
 
 def _reference_matrices(geom, phys):
     """A, f and the norm matrix from the element-major rule arrays, slot by
-    slot, with the blockwise element formulas the kernels must reproduce."""
+    slot, with the blockwise element formulas the kernels must reproduce.
+    A whole triangle's loads are f |T| / 3."""
     mesh = geom.mesh
     act, cut = geom.active_elements, geom.cut_elements
     vol_pts, vol_wts, seg_pts, seg_wts, seg_normal = _element_major_rules(geom)
@@ -199,28 +252,30 @@ def _reference_matrices(geom, phys):
     def bary(pts, rows):
         # the gradients of hats 1 and 2 are the rows of the inverse Jacobian
         v0 = mesh.vertices[mesh.triangles[rows, 0]]
-        inv_j = mesh.bvec[rows, 1:]
+        inv_j = _gradients(mesh, rows)[:, 1:]
         dx = pts[:, 0] - v0[:, 0]
         dy = pts[:, 1] - v0[:, 1]
         xi = inv_j[:, 0, 0] * dx + inv_j[:, 0, 1] * dy
         eta = inv_j[:, 1, 0] * dx + inv_j[:, 1, 1] * dy
         return (1.0 - xi - eta, xi, eta)
 
-    b = mesh.bvec[act]
+    b = _gradients(mesh, act)
     wsum = np.zeros(act.size)
-    for q in range(6):
+    for q in range(2):
         wsum = wsum + vol_wts[:, q]
     a_vol = np.zeros((act.size, 9))
     f_vol = np.zeros((act.size, 3))
     for a in range(3):
         for c in range(3):
             a_vol[:, 3 * a + c] = wsum * (b[:, a, 0] * b[:, c, 0] + b[:, a, 1] * b[:, c, 1])
-    for q in range(6):
+    whole = geom.elem_class[act] == INSIDE
+    for q in range(2):
         p = bary(vol_pts[:, q], act)
         for a in range(3):
             f_vol[:, a] += vol_wts[:, q] * phys.f_const * p[a]
+    f_vol[whole] = (phys.f_const * vol_wts[whole, 0] / 3.0)[:, None]
 
-    b = mesh.bvec[cut]
+    b = _gradients(mesh, cut)
     dn = [b[:, a, 0] * seg_normal[:, 0] + b[:, a, 1] * seg_normal[:, 1] for a in range(3)]
     a_nit = np.zeros((cut.size, 9))
     pen = np.zeros((cut.size, 9))
@@ -426,8 +481,7 @@ def _reference_plan(mesh, phys, matrix_entries, vector_entries):
     gx = tri[_kernels.GX]
     gy = tri[_kernels.GY]
     out["m_grad"] = np.stack([gx[aloc, rng], gy[aloc, rng], gx[cloc, rng], gy[cloc, rng]])
-    wsum, _loads = assembly._whole_terms(mesh, cand, f_const)
-    out["m_whole"] = _kernels.stiffness(wsum, *out["m_grad"])
+    out["m_whole"] = _kernels.stiffness(mesh.tri_area[cand], *out["m_grad"])
 
     f_indptr, f_indices = _vertex_facet_adjacency(mesh)
     fowner, fcand = _gather_ranges(f_indptr, f_indices, m_ent[:, 0]) if m_ent.size else empty
@@ -450,8 +504,7 @@ def _reference_plan(mesh, phys, matrix_entries, vector_entries):
     out["v_ids"], out["v_elems"] = owner, cand
     aloc = _local_index(mesh.triangles[cand], v_ent[owner]) if cand.size else cand
     out["v_aloc"] = aloc
-    _wsum, loads = assembly._whole_terms(mesh, cand, f_const)
-    out["v_whole"] = loads[aloc, np.arange(cand.size)]
+    out["v_whole"] = f_const * mesh.tri_area[cand] / 3.0
     return out
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from cutrom.config import Config, ConfigError, parse_config
+from cutrom.config import _SCHEMA, Config, ConfigError, _float, _float_list, parse_config
 
 
 def test_empty_file_gives_paper_defaults():
@@ -83,3 +83,22 @@ def test_parameter_box_reaching_the_background_box_rejected():
     with pytest.raises(ConfigError, match="mu_max"):
         Config(box_min=-1.0, box_max=1.0, mu_max=1.1).validate()
     assert Config(mu_max=1.43).validate().mu_max == 1.43
+
+
+# every float-valued key of the config file, with its config attribute
+FLOAT_KEYS = [(section, key, attr) for section, keys in _SCHEMA.items()
+              for key, (attr, conv) in keys.items() if conv in (_float, _float_list)]
+
+
+def test_float_keys_cover_the_physics_and_tolerances():
+    attrs = {attr for _, _, attr in FLOAT_KEYS}
+    assert {"f_const", "g0", "gx", "gy", "gxy", "gamma", "nitsche_lambda", "h_target",
+            "eps_pod", "eps_deim_a", "eps_deim_f", "eps_safe"} <= attrs
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key, attr", FLOAT_KEYS, ids=[k for _, k, _ in FLOAT_KEYS])
+def test_non_finite_value_rejected_by_name(section, key, attr, value):
+    raw = f"0.1, {value}" if attr == "gamma" else value
+    with pytest.raises(ConfigError, match=f"^{attr} must be finite"):
+        parse_config(f"[{section}]\n{key} = {raw}\n")

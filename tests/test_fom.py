@@ -110,6 +110,13 @@ def test_non_finite_entry_raises(default_mesh, default_phys):
         solve_fom(_with_matrix(sys_, poison))
 
 
+def test_non_finite_load_raises(default_mesh, default_phys):
+    sys_ = assemble_system(build_cut_geometry(default_mesh, ParameterPoint(1.07, 1.13)), default_phys)
+    sys_.f[sys_.active_dofs[0]] = np.nan
+    with pytest.raises(FomError, match="non-finite entry in the load"):
+        solve_fom(sys_)
+
+
 @pytest.mark.parametrize("h", [0.125, 0.06])
 def test_matches_dense_cholesky(default_phys, h):
     mesh = build_background_mesh(((-1.2, 1.2), (-1.2, 1.2)), h)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cutrom._kernels import GAUSS_T, REF_ETA, REF_XI
+from cutrom._kernels import GAUSS_T
 from cutrom.geometry import (
     CUT,
     DEGEN_FACTOR,
@@ -169,6 +169,11 @@ def test_degenerate_cut_reported_and_skipped():
 _MESH = build_background_mesh(BOX, 0.125)
 
 
+def _gradients(mesh):
+    """Hat gradients (n_triangles, 3, 2) by local vertex and coordinate."""
+    return mesh.tri_comp[6:12].reshape(2, 3, -1).transpose(2, 1, 0)
+
+
 def _reference_triangles(nx):
     """Triangle table built cell by cell, in the order the mesh promises."""
     tris = np.empty((2 * nx * nx, 3), dtype=np.int64)
@@ -190,6 +195,7 @@ def _reference_facet_patches(mesh):
     patch = np.full((n_f, 4), -1, dtype=np.int64)
     jump = np.zeros((n_f, 4))
     patch[:, :2] = mesh.facets
+    grad = _gradients(mesh)
     for f in np.flatnonzero(mesh.facet_tris[:, 1] >= 0):
         ta, tb = mesh.facet_tris[f]
         fa, fb = mesh.facets[f]
@@ -200,10 +206,10 @@ def _reference_facet_patches(mesh):
             da = db = 0.0
             loc = np.flatnonzero(mesh.triangles[ta] == dof)
             if loc.size:
-                da = mesh.bvec[ta, loc[0], 0] * n[0] + mesh.bvec[ta, loc[0], 1] * n[1]
+                da = grad[ta, loc[0], 0] * n[0] + grad[ta, loc[0], 1] * n[1]
             loc = np.flatnonzero(mesh.triangles[tb] == dof)
             if loc.size:
-                db = mesh.bvec[tb, loc[0], 0] * n[0] + mesh.bvec[tb, loc[0], 1] * n[1]
+                db = grad[tb, loc[0], 0] * n[0] + grad[tb, loc[0], 1] * n[1]
             jump[f, slot] = da - db
     return patch, jump
 
@@ -223,19 +229,20 @@ def test_vectorized_mesh_build_matches_loops_bitwise(nx):
 # per-parameter geometry against the whole-mesh construction it replaced
 # ---------------------------------------------------------------------------
 
-def _reference_cut_rules(tri_pts, phi, bvec, degen_tol):
-    """Cut rules with one fancy-index store per point column."""
+def _reference_cut_rules(tri_pts, phi, grad, degen_tol):
+    """Cut rules with one fancy-index store per point column: the centroid
+    and area of each sub-triangle."""
     k = tri_pts.shape[0]
-    vol_pts = np.zeros((k, 6, 2))
-    vol_wts = np.zeros((k, 6))
+    vol_pts = np.zeros((k, 2, 2))
+    vol_wts = np.zeros((k, 2))
     seg_pts = np.zeros((k, 2, 2))
     seg_wts = np.zeros((k, 2))
     seg_nrm = np.zeros((k, 2))
     degen = np.zeros(k, dtype=np.uint8)
     if k == 0:
         return vol_pts, vol_wts, seg_pts, seg_wts, seg_nrm, degen
-    gx = bvec[:, 0, 0] * phi[:, 0] + bvec[:, 1, 0] * phi[:, 1] + bvec[:, 2, 0] * phi[:, 2]
-    gy = bvec[:, 0, 1] * phi[:, 0] + bvec[:, 1, 1] * phi[:, 1] + bvec[:, 2, 1] * phi[:, 2]
+    gx = grad[:, 0, 0] * phi[:, 0] + grad[:, 1, 0] * phi[:, 1] + grad[:, 2, 0] * phi[:, 2]
+    gy = grad[:, 0, 1] * phi[:, 0] + grad[:, 1, 1] * phi[:, 1] + grad[:, 2, 1] * phi[:, 2]
     gn = np.sqrt(gx * gx + gy * gy)
     seg_nrm[:, 0] = gx / gn
     seg_nrm[:, 1] = gy / gn
@@ -245,12 +252,9 @@ def _reference_cut_rules(tri_pts, phi, bvec, degen_tol):
     q2 = np.zeros((k, 2))
 
     def store(rows, slot, va, vb, vc, area):
-        for q in range(3):
-            for d in range(2):
-                vol_pts[rows, slot + q, d] = (
-                    va[:, d] + REF_XI[q] * (vb[:, d] - va[:, d]) + REF_ETA[q] * (vc[:, d] - va[:, d])
-                )
-            vol_wts[rows, slot + q] = area / 3.0
+        for d in range(2):
+            vol_pts[rows, slot, d] = va[:, d] + ((vb[:, d] - va[:, d]) + (vc[:, d] - va[:, d])) / 3.0
+        vol_wts[rows, slot] = area
 
     def cross_area(va, vb, vc):
         cross = (vb[:, 0] - va[:, 0]) * (vc[:, 1] - va[:, 1]) - (
@@ -267,9 +271,9 @@ def _reference_cut_rules(tri_pts, phi, bvec, degen_tol):
         p_ab = va + (pa / (pa - pb))[:, None] * (vb - va)
         p_ac = va + (pa / (pa - pc))[:, None] * (vc - va)
         store(one, 0, va, p_ab, p_ac, cross_area(va, p_ab, p_ac))
-        for q in range(3, 6):
-            for d in range(2):
-                vol_pts[one, q, d] = va[:, d]
+        # the second slot has zero area at the lone vertex
+        for d in range(2):
+            vol_pts[one, 1, d] = va[:, d]
         q1[one] = p_ab
         q2[one] = p_ac
 
@@ -282,7 +286,7 @@ def _reference_cut_rules(tri_pts, phi, bvec, degen_tol):
         p_ac = va + (pa / (pa - pc))[:, None] * (vc - va)
         p_bc = vb + (pb / (pb - pc))[:, None] * (vc - vb)
         store(two, 0, va, vb, p_bc, cross_area(va, vb, p_bc))
-        store(two, 3, va, p_bc, p_ac, cross_area(va, p_bc, p_ac))
+        store(two, 1, va, p_bc, p_ac, cross_area(va, p_bc, p_ac))
         q1[two] = p_ac
         q2[two] = p_bc
 
@@ -300,11 +304,12 @@ def _reference_cut_rules(tri_pts, phi, bvec, degen_tol):
 
 
 def _reference_cut_geometry(mesh, mu):
-    """Whole-mesh construction: ghost mask over all facets, inside rules
-    point by point, active dofs by ``np.unique``.  Returns the
-    ``CutGeometry`` fields by name, next to the element-major rule arrays
-    (``vol_pts``/``vol_wts`` per active element, ``seg_pts``/``seg_wts``/
-    ``seg_normal`` per cut element)."""
+    """Whole-mesh construction: ghost mask over all facets, active dofs by
+    ``np.unique``.  Returns the ``CutGeometry`` fields by name, next to the
+    element-major rule arrays (``vol_pts``/``vol_wts`` per active element:
+    a whole triangle's area in slot 0, the sub-triangles' centroids and
+    areas on cut rows; ``seg_pts``/``seg_wts``/``seg_normal`` per cut
+    element)."""
     phi_v = level_set(mu, mesh.vertices[:, 0], mesh.vertices[:, 1])
     tri_phi = phi_v[mesh.triangles]
     n_neg = (tri_phi <= 0.0).sum(axis=1)
@@ -324,23 +329,14 @@ def _reference_cut_geometry(mesh, mu):
     cls1 = np.where(interior, elem_class[np.where(interior, ft[:, 1], 0)], OUTSIDE)
     ghost_mask = interior & ((cls0 == CUT) | (cls1 == CUT)) & (cls0 != OUTSIDE) & (cls1 != OUTSIDE)
 
-    vol_pts = np.zeros((active.size, 6, 2))
-    vol_wts = np.zeros((active.size, 6))
+    vol_pts = np.zeros((active.size, 2, 2))
+    vol_wts = np.zeros((active.size, 2))
     ins_sel = np.flatnonzero(elem_class[active] == INSIDE)
-    tri_ids = active[ins_sel]
-    p0, p1, p2 = (mesh.vertices[mesh.triangles[tri_ids, j]] for j in range(3))
-    for q in range(3):
-        for d in range(2):
-            vol_pts[ins_sel, q, d] = (
-                p0[:, d] + REF_XI[q] * (p1[:, d] - p0[:, d]) + REF_ETA[q] * (p2[:, d] - p0[:, d])
-            )
-        vol_wts[ins_sel, q] = mesh.tri_area[tri_ids] / 3.0
-    for q in range(3, 6):
-        for d in range(2):
-            vol_pts[ins_sel, q, d] = p0[:, d]
+    vol_wts[ins_sel, 0] = mesh.tri_area[active[ins_sel]]
 
     c_vol_pts, c_vol_wts, seg_pts, seg_wts, seg_nrm, degen = _reference_cut_rules(
-        mesh.vertices[mesh.triangles[cut]], tri_phi[cut], mesh.bvec[cut], DEGEN_FACTOR * mesh.h,
+        mesh.vertices[mesh.triangles[cut]], tri_phi[cut], _gradients(mesh)[cut],
+        DEGEN_FACTOR * mesh.h,
     )
     vol_pts[active_pos[cut]] = c_vol_pts
     vol_wts[active_pos[cut]] = c_vol_wts
@@ -366,14 +362,12 @@ def _assert_geometry_bitwise(mesh, mu):
         if f.name in ref and isinstance(ref[f.name], np.ndarray):
             _assert_bytes_equal(getattr(new, f.name), ref[f.name], f.name)
     assert new.degenerate_elements == ref["degenerate_elements"]
-    # the reference's element-major rules: inside rows are the mesh's
-    # whole-triangle rules, cut rows the component-major cut rule
+    # the cut rows of the reference's element-major rules are the
+    # component-major cut rule
     act, cut, rule = new.active_elements, new.cut_elements, new.cut_rule
     ins_sel = np.flatnonzero(new.elem_class[act] == INSIDE)
     cut_sel = new.active_pos[cut]
     assert ins_sel.size + cut_sel.size == act.size
-    _assert_bytes_equal(ref["vol_pts"][ins_sel], mesh.whole_pts[act[ins_sel]], "inside vol_pts")
-    _assert_bytes_equal(ref["vol_wts"][ins_sel], mesh.whole_wts[act[ins_sel]], "inside vol_wts")
     _assert_bytes_equal(ref["vol_pts"][cut_sel], rule.vol_pts.transpose(2, 1, 0), "cut vol_pts")
     _assert_bytes_equal(ref["vol_wts"][cut_sel], rule.vol_wts.T, "cut vol_wts")
     _assert_bytes_equal(ref["seg_pts"], rule.seg_pts.transpose(2, 0, 1), "seg_pts")
@@ -429,8 +423,6 @@ def test_component_table_matches_mesh_arrays():
     for a in range(3):
         assert np.array_equal(mesh.tri_comp[a], mesh.vertices[mesh.triangles[:, a], 0])
         assert np.array_equal(mesh.tri_comp[3 + a], mesh.vertices[mesh.triangles[:, a], 1])
-        assert np.array_equal(mesh.tri_comp[6 + a], mesh.bvec[:, a, 0])
-        assert np.array_equal(mesh.tri_comp[9 + a], mesh.bvec[:, a, 1])
     # the kernels read the affine origin and the inverse Jacobian from it
     p0, p1, p2 = (mesh.vertices[mesh.triangles[:, j]] for j in range(3))
     jac = np.stack([p1 - p0, p2 - p0], axis=2)
@@ -466,17 +458,18 @@ def _assert_tri_facet_map(mesh):
         assert f in tf[ta] and f in tf[tb]
 
 
-def _reference_whole_rules(mesh):
-    pts = np.empty((mesh.n_triangles, 6, 2))
-    wts = np.zeros((mesh.n_triangles, 6))
+def _reference_gradients(mesh):
+    """Hat gradients triangle by triangle: those of hats 1 and 2 are the
+    rows of the inverse Jacobian, hat 0's is minus their sum."""
+    grad = np.empty((mesh.n_triangles, 3, 2))
     for t in range(mesh.n_triangles):
         p0, p1, p2 = (mesh.vertices[mesh.triangles[t, j]] for j in range(3))
-        for q in range(3):
-            for d in range(2):
-                pts[t, q, d] = p0[d] + REF_XI[q] * (p1[d] - p0[d]) + REF_ETA[q] * (p2[d] - p0[d])
-            wts[t, q] = mesh.tri_area[t] / 3.0
-        pts[t, 3:] = p0
-    return pts, wts
+        e1, e2 = p1 - p0, p2 - p0
+        det = e1[0] * e2[1] - e1[1] * e2[0]
+        grad[t, 1] = e2[1] / det, -e2[0] / det
+        grad[t, 2] = -e1[1] / det, e1[0] / det
+        grad[t, 0] = -(grad[t, 1] + grad[t, 2])
+    return grad
 
 
 def _assert_pattern_maps(mesh):
@@ -498,9 +491,7 @@ def test_mesh_tables_match_loops(nx):
     mesh = build_background_mesh(BOX, 2.4 / nx)
     _assert_tri_facet_map(mesh)
     _assert_pattern_maps(mesh)
-    pts, wts = _reference_whole_rules(mesh)
-    assert mesh.whole_pts.shape == pts.shape and mesh.whole_pts.tobytes() == pts.tobytes()
-    assert mesh.whole_wts.shape == wts.shape and mesh.whole_wts.tobytes() == wts.tobytes()
+    _assert_bytes_equal(_gradients(mesh), _reference_gradients(mesh), "gradients")
 
 
 def test_tri_facet_map_on_an_unstructured_mesh():
@@ -517,8 +508,7 @@ def test_tri_facet_map_on_an_unstructured_mesh():
     assert (mesh.facet_tris[:, 1] >= 0).sum() == 12
     _assert_tri_facet_map(mesh)
     _assert_pattern_maps(mesh)
-    pts, wts = _reference_whole_rules(mesh)
-    assert mesh.whole_pts.tobytes() == pts.tobytes() and mesh.whole_wts.tobytes() == wts.tobytes()
+    _assert_bytes_equal(_gradients(mesh), _reference_gradients(mesh), "gradients")
     assert _assert_geometry_bitwise(mesh, ParameterPoint(0.8, 0.6)).ghost_facets.size > 0
 
 

@@ -348,6 +348,14 @@ def test_cli_fom_patch_output(tmp_path, capsys):
     assert "n/a" not in out
 
 
+def test_cli_fom_rejects_a_nan_source(tmp_path, capsys, caplog):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("[physics]\nf_const = nan\n")
+    assert cli.main(["fom", "--r", "1.1", "--theta", "1.05", "--config", str(cfg)]) != 0
+    assert "f_const must be finite" in caplog.text
+    assert "residual norm" not in capsys.readouterr().out
+
+
 def test_cli_fom_default_not_applicable(capsys):
     assert cli.main(["fom", "--r", "1.0", "--theta", "1.0"]) == 0
     out = capsys.readouterr().out
