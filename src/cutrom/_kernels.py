@@ -183,10 +183,10 @@ def penalty(w, pa, pc, lam_over_h):
     return terms[0] + terms[1]
 
 
-def ghost_penalty(gamma0, h, facet_len, ja, jc):
-    """Order-0 ghost-penalty value of patch dofs a, c on a facet, from their
+def ghost_penalty(gamma, h, facet_len, ja, jc):
+    """Ghost-penalty value of patch dofs a, c on a facet, from their
     normal-derivative jumps."""
-    return gamma0 * h * facet_len * (ja * jc)
+    return gamma * h * facet_len * (ja * jc)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,13 @@
 
 ``_ARRAYS`` lists every saved array once, with its dtype and its shape in the
 model's sizes; the manifest records the format version, the config hash and
-those sizes.  Loading raises ``ArtifactError``, naming the array or the
-manifest, on a different configuration; on an array that is missing,
+those sizes.  The hash (``Config.hash``) covers every config field but the
+sweep grid, the test count, the fit windows and the paths, so a model loads
+under any config that differs from its own only there; ``run_online_sweep``
+applies the same rule.  Loading raises ``ArtifactError``, naming the array or
+the manifest, on a format version other than ``FORMAT_VERSION`` (version 3
+hashed every field and stored ``gamma`` as a pair); on a config that
+differs in a hashed field; on an array that is missing,
 unreadable, pickled, or of the wrong dtype or shape; on union-pattern
 positions that are not strictly increasing inside the mesh's assembly
 pattern; and on an interpolation index out of range.  A save removes the old
@@ -26,7 +31,7 @@ from .assembly import EntryPlan, PhysicsParams, physics_from_config
 from .pod import PodBasis, energy_mode_count
 from .rom import packed_upper_index
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class ArtifactError(RuntimeError):

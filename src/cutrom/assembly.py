@@ -47,21 +47,22 @@ class PhysicsParams:
     """Source strength, boundary datum coefficients, and penalty parameters.
 
     The Dirichlet datum is g(x, y) = g0 + gx*x + gy*y + gxy*x*y, evaluated
-    pointwise at quadrature nodes.  ``gamma[k]`` weights the ghost-penalty
-    term of order k (jumps of (k+1)-th normal derivatives).  For P1 elements
-    only ``gamma[0]`` enters: ``gamma[1:]`` is accepted and has no effect.
+    pointwise at quadrature nodes.  ``gamma`` weights the ghost penalty on
+    the jumps of the normal derivative across ghost facets.  It is the only
+    ghost term of P1 elements: higher-order penalties weight jumps of second
+    and higher normal derivatives, which vanish identically.
     """
 
     f_const: float = 20.0
     g_coeffs: tuple = (0.5, 0.0, 0.0, 1.0)
     nitsche_lambda: float = 10.0
-    gamma: tuple = (0.1, 0.001)
+    gamma: float = 0.1
 
     def __post_init__(self):
         if not self.nitsche_lambda > 0:
             raise AssemblyError("Nitsche penalty lambda must be positive")
-        if len(self.gamma) < 1 or any(g < 0 for g in self.gamma):
-            raise AssemblyError("ghost-penalty coefficients must be non-negative")
+        if not self.gamma >= 0:
+            raise AssemblyError("ghost-penalty coefficient gamma must be non-negative")
         if len(self.g_coeffs) != 4:
             raise AssemblyError("g_coeffs must be (g0, gx, gy, gxy)")
 
@@ -110,16 +111,11 @@ def _pattern(mesh: BackgroundMesh, triangles: np.ndarray, facets: np.ndarray):
 
 
 def _ghost_values(geom: CutGeometry, phys: PhysicsParams):
-    """Ghost-penalty 4x4 blocks per ghost facet.
-
-    For P1 elements only the k = 0 jump term exists: the jumps of second and
-    higher normal derivatives vanish identically, so ``gamma[1:]`` has no
-    effect on the matrix.
-    """
+    """Ghost-penalty 4x4 blocks per ghost facet."""
     mesh = geom.mesh
     gf = geom.ghost_facets
     jv = mesh.facet_jump[gf]
-    return _kernels.ghost_penalty(phys.gamma[0], mesh.h, mesh.facet_len[gf][:, None, None],
+    return _kernels.ghost_penalty(phys.gamma, mesh.h, mesh.facet_len[gf][:, None, None],
                                   jv[:, :, None], jv[:, None, :])
 
 
@@ -289,7 +285,7 @@ class EntryPlan:
         g_aloc, g_cloc = np.divmod(slot, 4)
         jump = mesh.facet_jump[fcand]
         rng = np.arange(fcand.size)
-        self.g_vals = _kernels.ghost_penalty(phys.gamma[0], mesh.h, mesh.facet_len[fcand],
+        self.g_vals = _kernels.ghost_penalty(phys.gamma, mesh.h, mesh.facet_len[fcand],
                                              jump[rng, g_aloc], jump[rng, g_cloc])
 
         self.v_ids, cand, slot = _slot_holders(mesh.tri_pattern_pos, mesh.pattern_diag[v_ent], size)

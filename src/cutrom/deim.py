@@ -142,12 +142,13 @@ def _greedy_indices(u: np.ndarray) -> np.ndarray:
     return indices
 
 
-def build_deim_operator(snapshots: np.ndarray, eps: float, l_cap: int,
-                        kind: str = VECTOR, pattern: UnionPattern | None = None) -> DeimOperator:
+def build_deim_operator(snapshots: np.ndarray, eps: float, kind: str = VECTOR,
+                        pattern: UnionPattern | None = None) -> DeimOperator:
     """SVD-based basis with squared-singular-value energy truncation.
 
-    l = min{k : sum_{i<=k} s_i^2 / sum s_i^2 >= 1 - eps}, capped by ``l_cap``
-    and by the numerical rank.
+    l = min{k : sum_{i<=k} s_i^2 / sum s_i^2 >= 1 - eps}, capped by the
+    numerical rank (the count of s_i above ``RANK_CLAMP`` s_1), which is at
+    most the number of snapshots.
     """
     snaps = np.asarray(snapshots, dtype=float)
     if snaps.ndim != 2:
@@ -159,7 +160,7 @@ def build_deim_operator(snapshots: np.ndarray, eps: float, l_cap: int,
     cum = np.cumsum(energy) / energy.sum()
     l = int(np.searchsorted(cum, 1.0 - eps) + 1)
     rank = int(np.count_nonzero(s > RANK_CLAMP * s[0]))
-    l = max(1, min(l, int(l_cap), rank))
+    l = min(l, rank)
     u = u[:, :l].copy()
     indices = _greedy_indices(u)
     if np.unique(indices).size != l:

@@ -19,7 +19,7 @@ import csv
 import logging
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -34,7 +34,7 @@ from .assembly import (
     assemble_system,
     physics_from_config,
 )
-from .config import Config
+from .config import SWEEP_ONLY_FIELDS, Config
 from .deim import MATRIX, VECTOR, build_deim_operator, build_union_pattern, reconstruct
 from .fom import residual, solve_fom
 from .geometry import ParameterPoint, build_background_mesh, build_cut_geometry, require_inside_box
@@ -49,10 +49,6 @@ RUN4_COLUMNS = (
 )
 
 RATE_QUANTITIES = ("e_rel", "eta_2a", "eta_2b", "eta_pod", "eta_A", "eta_f")
-
-# config fields a sweep may change against its artifacts' config
-SWEEP_ONLY_FIELDS = ("n_list", "n_test", "fit_n_min_error", "fit_n_min_tail",
-                     "artifact_dir", "report_dir")
 
 
 class PipelineError(RuntimeError):
@@ -103,11 +99,9 @@ def run_offline(config: Config) -> OfflineArtifacts:
     n2 = mesh.n_vertices ** 2
     log.info("union pattern: %d positions (%.2f%% of N^2)", pattern.size, 100.0 * pattern.size / n2)
     a_snaps = np.column_stack([pattern.vectorize(r[0], r[1]) for r in results])
-    deim_a = build_deim_operator(a_snaps, config.eps_deim_a, config.effective_l_cap,
-                                 kind=MATRIX, pattern=pattern)
+    deim_a = build_deim_operator(a_snaps, config.eps_deim_a, kind=MATRIX, pattern=pattern)
     f_snaps = np.column_stack([r[2] for r in results])
-    deim_f = build_deim_operator(f_snaps, config.eps_deim_f, config.effective_l_cap,
-                                 kind=VECTOR)
+    deim_f = build_deim_operator(f_snaps, config.eps_deim_f, kind=VECTOR)
     log.info("deim: l_A=%d (cond %.3e, Lebesgue %.4g), l_f=%d (cond %.3e, Lebesgue %.4g)",
              deim_a.l, deim_a.cond, deim_a.lebesgue, deim_f.l, deim_f.cond, deim_f.lebesgue)
 
@@ -123,15 +117,29 @@ def run_offline(config: Config) -> OfflineArtifacts:
 
 @dataclass
 class SweepReport:
-    """All per-(parameter, mode) records plus derived tables."""
+    """All per-(parameter, mode) records plus the tables derived from them.
+
+    ``records`` holds one run of ``len(n_list)`` records per test parameter,
+    in sweep order."""
 
     records: list
     n_list: tuple
-    test_mu: np.ndarray
     fit_n_min_error: int
     fit_n_min_tail: int
-    mean_fom_time: float
-    mean_rom_time: float
+
+    @property
+    def test_mu(self) -> np.ndarray:
+        return np.array([(r.mu_r, r.mu_theta) for r in self.records[::len(self.n_list)]])
+
+    @property
+    def mean_fom_time(self) -> float:
+        """Mean over test parameters: the records of one parameter share its
+        full-order time."""
+        return float(np.mean([r.fom_time for r in self.records[::len(self.n_list)]]))
+
+    @property
+    def mean_rom_time(self) -> float:
+        return float(np.mean([r.rom_time for r in self.records]))
 
     @property
     def speedup(self) -> float:
@@ -206,9 +214,10 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
     and enforce the hard invariants record by record.
 
     ``config`` may differ from ``art.config`` only in the sweep and path
-    fields (``SWEEP_ONLY_FIELDS``); any other difference raises
-    ``PipelineError`` naming the field.  Raises ``GeometryError`` before any
-    solve when a test ellipse leaves the background box."""
+    fields (``SWEEP_ONLY_FIELDS``, the fields ``Config.hash`` leaves out, so
+    ``load_artifacts`` accepts the same configs); any other difference
+    raises ``PipelineError`` naming the field.  Raises ``GeometryError``
+    before any solve when a test ellipse leaves the background box."""
     for f in fields(Config):
         if f.name not in SWEEP_ONLY_FIELDS and getattr(config, f.name) != getattr(art.config, f.name):
             raise PipelineError(
@@ -289,20 +298,14 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
         return recs
 
     per_mu = [one_parameter(i) for i in range(test_mu.shape[0])]
-    records = [rec for group in per_mu for rec in group]
-    fom_times = [g[0].fom_time for g in per_mu]
-    rom_times = [rec.rom_time for rec in records]
     report = SweepReport(
-        records=records,
+        records=[rec for group in per_mu for rec in group],
         n_list=n_list,
-        test_mu=test_mu,
         fit_n_min_error=config.fit_n_min_error,
         fit_n_min_tail=config.fit_n_min_tail,
-        mean_fom_time=float(np.mean(fom_times)),
-        mean_rom_time=float(np.mean(rom_times)),
     )
     log.info("sweep: %d records, mean FOM %.2f ms, mean ROM online %.2f ms (%.1fx)",
-             len(records), 1e3 * report.mean_fom_time, 1e3 * report.mean_rom_time,
+             len(report.records), 1e3 * report.mean_fom_time, 1e3 * report.mean_rom_time,
              report.speedup)
     return report
 
@@ -359,11 +362,10 @@ def emit_report(report: SweepReport, dirpath: str) -> list:
 
     n_per_mu = len(report.n_list)
     timing_rows = []
-    for i in range(report.test_mu.shape[0]):
+    for i, first in enumerate(report.records[::n_per_mu]):
         chunk = report.records[i * n_per_mu:(i + 1) * n_per_mu]
         timing_rows.append([
-            i, report.test_mu[i, 0], report.test_mu[i, 1],
-            1e3 * chunk[0].fom_time,
+            i, first.mu_r, first.mu_theta, 1e3 * first.fom_time,
             1e3 * float(np.mean([r.rom_time for r in chunk])),
         ])
     paths.append(_write_csv(
@@ -402,23 +404,11 @@ def load_report(dirpath: str) -> SweepReport:
         n_list = tuple(int(x) for x in meta["n_list"].split(","))
     else:
         n_list = tuple(sorted({r.n for r in records}))
-    mus = []
-    seen = set()
-    for r in records:
-        key = (r.mu_r, r.mu_theta)
-        if key not in seen:
-            seen.add(key)
-            mus.append(key)
-    test_mu = np.array(mus)
-    per_mu_fom = [next(r for r in records if (r.mu_r, r.mu_theta) == m).fom_time for m in mus]
     return SweepReport(
         records=records,
         n_list=n_list,
-        test_mu=test_mu,
         fit_n_min_error=int(meta.get("fit_n_min_error", Config.fit_n_min_error)),
         fit_n_min_tail=int(meta.get("fit_n_min_tail", Config.fit_n_min_tail)),
-        mean_fom_time=float(np.mean(per_mu_fom)),
-        mean_rom_time=float(np.mean([r.rom_time for r in records])),
     )
 
 
@@ -591,10 +581,7 @@ def verify_invariants(config: Config, geometry_csv: str | None = None) -> list:
                     "volume_sum", "boundary_sum", "exact_area", "area_rel_err"),
                    [_geometry_row(mesh, mu) for mu in zero_mu])
 
-    patch_phys = PhysicsParams(
-        f_const=0.0, g_coeffs=(1.0, 2.0, 3.0, 0.0),
-        nitsche_lambda=config.nitsche_lambda, gamma=config.gamma,
-    )
+    patch_phys = replace(phys, f_const=0.0, g_coeffs=(1.0, 2.0, 3.0, 0.0))
     checks = [
         patch_check(mesh, patch_phys, patch_mu),
         zero_ghost_rows_check(mesh, phys, zero_mu),

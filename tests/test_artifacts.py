@@ -83,12 +83,14 @@ def test_artifact_roundtrip_and_hash_guard(tmp_path, small_run, small_config):
 def test_bad_version_rejected(saved, small_config):
     manifest = saved / "manifest.txt"
     text = manifest.read_text(encoding="utf-8")
-    assert "format_version = 3\n" in text
-    # format 2 saved the union pattern as row * N + col codes
-    manifest.write_text(text.replace("format_version = 3", "format_version = 2"),
-                        encoding="utf-8")
-    with pytest.raises(ArtifactError, match="manifest version '2'"):
-        load_artifacts(str(saved), small_config)
+    assert "format_version = 4\n" in text
+    # format 3 hashed the sweep and path fields too and stored gamma as a
+    # pair; format 2 saved the union pattern as row * N + col codes
+    for old in ("3", "2"):
+        manifest.write_text(text.replace("format_version = 4", f"format_version = {old}"),
+                            encoding="utf-8")
+        with pytest.raises(ArtifactError, match=f"manifest version '{old}'"):
+            load_artifacts(str(saved), small_config)
 
 
 @pytest.mark.parametrize("line, damaged", [

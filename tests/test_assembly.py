@@ -36,7 +36,7 @@ def test_physics_validation():
     with pytest.raises(AssemblyError):
         PhysicsParams(nitsche_lambda=-1.0)
     with pytest.raises(AssemblyError):
-        PhysicsParams(gamma=(0.1, -0.2))
+        PhysicsParams(gamma=-0.2)
     with pytest.raises(AssemblyError):
         PhysicsParams(g_coeffs=(1.0, 2.0))
 
@@ -99,17 +99,6 @@ def test_active_block_spd_and_coercivity(default_mesh, default_phys, mu):
     assert check.ok, check
 
 
-def test_ghost_order1_term_contributes_exact_zero(default_mesh):
-    mu = ParameterPoint(1.09, 1.17)
-    geom = build_cut_geometry(default_mesh, mu)
-    with_k1 = PhysicsParams(gamma=(0.1, 0.001))
-    without_k1 = PhysicsParams(gamma=(0.1,))
-    a1 = assemble_system(geom, with_k1).A
-    a0 = assemble_system(geom, without_k1).A
-    assert np.array_equal(a1.data, a0.data)
-    assert np.array_equal(a1.indices, a0.indices)
-
-
 @pytest.mark.parametrize("mu", MUS, ids=str)
 def test_evaluate_entries_matches_assembly_bitwise(default_mesh, default_phys, mu):
     geom = build_cut_geometry(default_mesh, mu)
@@ -132,7 +121,7 @@ def test_evaluate_entries_rejects_out_of_range(default_mesh, default_phys):
 
 # a physics with every term switched on and no default value
 EDGE_PHYS = PhysicsParams(f_const=-3.7, g_coeffs=(0.2, 1.3, -0.7, 2.1),
-                          nitsche_lambda=23.0, gamma=(0.37, 0.002))
+                          nitsche_lambda=23.0, gamma=0.37)
 _EDGE_MESHES = {nx: build_background_mesh(((-1.2, 1.2), (-1.2, 1.2)), 2.4 / nx) for nx in (7, 20, 40)}
 _FULL_PLANS = {}
 
@@ -293,7 +282,7 @@ def _reference_matrices(geom, phys):
             f_bnd[:, a] += w * (lam * (p[a] * g) - dn[a] * g)
 
     jv = mesh.facet_jump[geom.ghost_facets]
-    coef = phys.gamma[0] * mesh.h * mesh.facet_len[geom.ghost_facets]
+    coef = phys.gamma * mesh.h * mesh.facet_len[geom.ghost_facets]
     ghost = coef[:, None, None] * (jv[:, :, None] * jv[:, None, :])
     nnz, _indptr, _cols, vol_pos, ghost_pos, _used = assembly._pattern(mesh, act, geom.ghost_facets)
     cut_pos = vol_pos[geom.active_pos[cut]]
@@ -497,7 +486,7 @@ def _reference_plan(mesh, phys, matrix_entries, vector_entries):
     g_cloc = _local_index(patch_k, m_ent[fowner, 1]) if fcand.size else fcand
     jump = mesh.facet_jump[fcand]
     rng = np.arange(fcand.size)
-    out["g_vals"] = _kernels.ghost_penalty(phys.gamma[0], mesh.h, mesh.facet_len[fcand],
+    out["g_vals"] = _kernels.ghost_penalty(phys.gamma, mesh.h, mesh.facet_len[fcand],
                                            jump[rng, g_aloc], jump[rng, g_cloc])
 
     owner, cand = _gather_ranges(indptr, indices, v_ent) if v_ent.size else empty

@@ -1,6 +1,22 @@
+import re
+from dataclasses import fields, replace
+from pathlib import Path
+
 import pytest
 
-from cutrom.config import _SCHEMA, Config, ConfigError, _float, _float_list, parse_config
+from cutrom.config import (
+    _FILE_KEY,
+    _SECTIONS,
+    SWEEP_ONLY_FIELDS,
+    Config,
+    ConfigError,
+    parse_config,
+)
+
+DEFAULTS = {f.name: f.default for f in fields(Config)}
+# every key of the config file: (section, file key, config field)
+FILE_KEYS = [(section, _FILE_KEY.get(name, name), name)
+             for section, names in _SECTIONS.items() for name in names]
 
 
 def test_empty_file_gives_paper_defaults():
@@ -10,7 +26,7 @@ def test_empty_file_gives_paper_defaults():
     assert cfg.f_const == 20.0
     assert cfg.g_coeffs == (0.5, 0.0, 0.0, 1.0)
     assert cfg.nitsche_lambda == 10.0
-    assert cfg.gamma == (0.1, 0.001)
+    assert cfg.gamma == 0.1
     assert cfg.eps_safe == 1e-14
     assert cfg.n_train == 400
     assert cfg.n_test == 30
@@ -49,12 +65,12 @@ def test_overrides_parsed():
     cfg = parse_config(
         "[sampling]\nn_train = 12\nseed = 3\n"
         "[sweep]\nn_list = 1,2,3\n"
-        "[physics]\ngamma = 0.2, 0.0\n"
+        "[physics]\ngamma = 0.2\n"
     )
     assert cfg.n_train == 12
     assert cfg.seed == 3
     assert cfg.n_list == (1, 2, 3)
-    assert cfg.gamma == (0.2, 0.0)
+    assert cfg.gamma == 0.2
 
 
 def test_hash_sensitive_to_seed_and_stable():
@@ -86,8 +102,7 @@ def test_parameter_box_reaching_the_background_box_rejected():
 
 
 # every float-valued key of the config file, with its config attribute
-FLOAT_KEYS = [(section, key, attr) for section, keys in _SCHEMA.items()
-              for key, (attr, conv) in keys.items() if conv in (_float, _float_list)]
+FLOAT_KEYS = [k for k in FILE_KEYS if isinstance(DEFAULTS[k[2]], float)]
 
 
 def test_float_keys_cover_the_physics_and_tolerances():
@@ -99,6 +114,52 @@ def test_float_keys_cover_the_physics_and_tolerances():
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("section, key, attr", FLOAT_KEYS, ids=[k for _, k, _ in FLOAT_KEYS])
 def test_non_finite_value_rejected_by_name(section, key, attr, value):
-    raw = f"0.1, {value}" if attr == "gamma" else value
     with pytest.raises(ConfigError, match=f"^{attr} must be finite"):
-        parse_config(f"[{section}]\n{key} = {raw}\n")
+        parse_config(f"[{section}]\n{key} = {value}\n")
+
+
+def test_sections_set_every_field_once():
+    assert sorted(name for _, _, name in FILE_KEYS) == sorted(DEFAULTS)
+
+
+def test_ghost_penalty_pair_refused():
+    # a second ghost coefficient would weight jumps of second normal
+    # derivatives, which vanish for P1 elements
+    with pytest.raises(ConfigError, match=re.escape("physics.gamma")):
+        parse_config("[physics]\ngamma = 0.1, 0.001\n")
+
+
+def test_interpolation_cap_is_an_unknown_key():
+    with pytest.raises(ConfigError, match="unknown key 'l_cap'"):
+        parse_config("[tolerances]\nl_cap = 5\n")
+
+
+def test_lambda_is_the_only_file_key_that_is_not_its_field_name():
+    assert parse_config("[physics]\nlambda = 12\n").nitsche_lambda == 12.0
+    with pytest.raises(ConfigError, match="unknown key 'nitsche_lambda'"):
+        parse_config("[physics]\nnitsche_lambda = 12\n")
+    assert [(key, name) for _, key, name in FILE_KEYS if key != name] == [
+        ("lambda", "nitsche_lambda")]
+
+
+def _changed(value):
+    if isinstance(value, tuple):
+        return value + (99,)
+    return value + ("x" if isinstance(value, str) else 1)
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULTS))
+def test_hash_covers_every_field_but_the_sweep_and_paths(name):
+    base = Config()
+    changed = replace(base, **{name: _changed(DEFAULTS[name])})
+    assert (changed.hash() == base.hash()) == (name in SWEEP_ONLY_FIELDS)
+
+
+def test_readme_config_block_is_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.S | re.M)
+    assert len(blocks) == 1
+    text = "\n".join(line.split("#")[0].rstrip() for line in blocks[0].splitlines())
+    assert parse_config(text) == Config()
+    named = sorted(re.findall(r"^(\w+) *=", text, flags=re.M))
+    assert named == sorted(key for _, key, _ in FILE_KEYS)

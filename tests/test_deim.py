@@ -54,7 +54,7 @@ def test_empty_training_set_rejected():
 def test_rank_one_operator():
     base = np.array([0.3, -2.0, 1.1, 0.0])
     snaps = np.column_stack([base * c for c in (1.0, 2.0, -0.5)])
-    op = build_deim_operator(snaps, 1e-10, 10, kind=VECTOR)
+    op = build_deim_operator(snaps, 1e-10, kind=VECTOR)
     assert op.l == 1
     assert op.indices[0] == 1  # position of the max-abs entry of the mode
     c = deim_coefficients(op, np.array([base[1] * 2.0]))
@@ -67,7 +67,7 @@ def test_rank3_exact_reconstruction():
     basis = rng.standard_normal((5, 3))
     coeffs = rng.standard_normal((3, 7))
     snaps = basis @ coeffs
-    op = build_deim_operator(snaps, 1e-15, 10, kind=VECTOR)
+    op = build_deim_operator(snaps, 1e-15, kind=VECTOR)
     assert op.l == 3
     for j in range(snaps.shape[1]):
         c = deim_coefficients(op, snaps[op.indices, j])
@@ -77,7 +77,7 @@ def test_rank3_exact_reconstruction():
 def test_selected_position_interpolation_exact_for_any_input():
     rng = np.random.default_rng(3)
     snaps = rng.standard_normal((20, 6))
-    op = build_deim_operator(snaps, 1e-8, 4, kind=VECTOR)
+    op = build_deim_operator(snaps, 1e-8, kind=VECTOR)
     arbitrary = rng.standard_normal(20)
     c = deim_coefficients(op, arbitrary[op.indices])
     rec = reconstruct(op, c)
@@ -87,7 +87,7 @@ def test_selected_position_interpolation_exact_for_any_input():
 def test_coefficients_unit_vector_property():
     rng = np.random.default_rng(11)
     snaps = rng.standard_normal((12, 5))
-    op = build_deim_operator(snaps, 1e-12, 5, kind=VECTOR)
+    op = build_deim_operator(snaps, 1e-12, kind=VECTOR)
     pu = op.U[op.indices, :]
     for j in range(op.l):
         c = deim_coefficients(op, pu[:, j])
@@ -100,7 +100,7 @@ def test_coefficients_unit_vector_property():
 def test_training_reconstruction_matches_svd_projection():
     rng = np.random.default_rng(5)
     snaps = rng.standard_normal((30, 8))
-    op = build_deim_operator(snaps, 1e-3, 8, kind=VECTOR)
+    op = build_deim_operator(snaps, 1e-3, kind=VECTOR)
     for j in range(snaps.shape[1]):
         a = snaps[:, j]
         c = deim_coefficients(op, a[op.indices])
@@ -127,7 +127,7 @@ def test_matrix_kind_reconstruction_symmetric():
         sets.append(np.flatnonzero(keep))
     pat = build_union_pattern(MESH, sets)
     snaps = np.column_stack([pat.vectorize(pos, rng.standard_normal(pos.size)) for pos in sets])
-    op = build_deim_operator(snaps, 1e-12, 5, kind=MATRIX, pattern=pat)
+    op = build_deim_operator(snaps, 1e-12, kind=MATRIX, pattern=pat)
     for c in (deim_coefficients(op, snaps[op.indices, 2]), rng.standard_normal(op.l)):
         rec = reconstruct(op, c)
         assert abs(rec - rec.T).max() == 0.0
@@ -142,7 +142,7 @@ def test_matrix_kind_reconstruction_symmetric():
 
 def test_all_zero_snapshots_rejected():
     with pytest.raises(DeimError):
-        build_deim_operator(np.zeros((4, 3)), 1e-6, 3)
+        build_deim_operator(np.zeros((4, 3)), 1e-6)
 
 
 
@@ -162,7 +162,7 @@ def test_stored_interpolation_matrix_and_row_pointers():
     dense[rows, MESH.pattern_cols[positions]] = values
     assert np.array_equal(m.toarray(), dense)
     rng = np.random.default_rng(4)
-    op = build_deim_operator(rng.standard_normal((12, 5)), 1e-12, 5)
+    op = build_deim_operator(rng.standard_normal((12, 5)), 1e-12)
     pu = op.U[op.indices, :]
     assert op.pu.tobytes() == pu.tobytes()
     sampled = rng.standard_normal(op.l)

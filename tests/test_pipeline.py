@@ -84,7 +84,8 @@ def test_report_reemission_identical(tmp_path, small_run):
     emit_report(report, str(a))
     loaded = load_report(str(a))
     emit_report(loaded, str(b))
-    for name in ("run4.csv", "tail.csv", "rates.csv", "records.csv"):
+    for name in ("run4.csv", "tail.csv", "rates.csv", "records.csv", "timings.csv",
+                 "fig_timing.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
@@ -337,6 +338,45 @@ def test_cli_seed_mismatch_refused(tmp_path, config_file):
     ret = cli.main(["online", "--artifacts", art_dir, "--config", config_file,
                     "--report", str(tmp_path / "r"), "--seed", "9"])
     assert ret == 2
+
+
+@pytest.fixture(scope="module")
+def saved_small_model(tmp_path_factory):
+    root = tmp_path_factory.mktemp("small_model")
+    cfg = root / "small.cfg"
+    cfg.write_text(CONFIG_TEXT)
+    assert cli.main(["offline", "--config", str(cfg), "--out", str(root / "arts")]) == 0
+    return str(root / "arts")
+
+
+# (text replaced in CONFIG_TEXT, or appended when None; its replacement)
+@pytest.mark.parametrize("old, new", [
+    (None, "[paths]\nreport_dir = elsewhere\n"),
+    ("n_test = 3", "n_test = 2"),
+    ("n_list = 1,2,4", "n_list = 1,2,4\nfit_n_min_error = 2"),
+    ("n_list = 1,2,4", "n_list = 1,2"),
+], ids=["report_dir", "n_test", "fit_n_min_error", "shorter_n_list"])
+def test_cli_online_accepts_a_sweep_only_change(tmp_path, saved_small_model, old, new):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(CONFIG_TEXT + new if old is None else CONFIG_TEXT.replace(old, new))
+    assert cli.main(["online", "--artifacts", saved_small_model, "--config", str(cfg),
+                     "--report", str(tmp_path / "r")]) == 0
+    assert (tmp_path / "r" / "run4.csv").exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (None, "[physics]\nlambda = 20\n", "config hash mismatch"),
+    (None, "[tolerances]\neps_pod = 1e-4\n", "config hash mismatch"),
+    ("n_list = 1,2,4", "n_list = 1,2,4,100", "needs 100 modes but only"),
+], ids=["lambda", "eps_pod", "longer_n_list"])
+def test_cli_online_refuses_a_model_change(tmp_path, saved_small_model, caplog, old, new,
+                                           message):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(CONFIG_TEXT + new if old is None else CONFIG_TEXT.replace(old, new))
+    assert cli.main(["online", "--artifacts", saved_small_model, "--config", str(cfg),
+                     "--report", str(tmp_path / "r")]) == 2
+    assert message in caplog.text
+    assert not (tmp_path / "r").exists()
 
 
 def test_cli_fom_patch_output(tmp_path, capsys):

@@ -28,7 +28,7 @@ def test_identity_basis_matrix_projects_to_gram(default_mesh):
     pattern = UnionPattern(default_mesh, default_mesh.pattern_diag)
     # a single-mode operator whose basis matrix is the identity on the diagonal
     snaps = np.column_stack([np.ones(n), np.ones(n)])
-    op = build_deim_operator(snaps, 1e-12, 1, kind=MATRIX, pattern=pattern)
+    op = build_deim_operator(snaps, 1e-12, kind=MATRIX, pattern=pattern)
     scale = op.U[0, 0]  # normalized constant mode
     blocks_a, _ = build_rom_offline(pod, op, op)
     assert blocks_a.shape == (6, 1)
