@@ -28,7 +28,7 @@ from .config import Config
 from .deim import MATRIX, VECTOR, DeimOperator, UnionPattern, deim_operator
 from .geometry import BackgroundMesh, build_background_mesh
 from .assembly import EntryPlan, PhysicsParams, physics_from_config
-from .pod import PodBasis, energy_mode_count
+from .pod import PodBasis, truncation_rank
 from .rom import packed_upper_index
 
 FORMAT_VERSION = 4
@@ -87,13 +87,13 @@ class OfflineArtifacts:
 # ``_expected_shapes`` (an integer stands for itself)
 _ARRAYS = (
     ("pod_modes", "pod.V", np.float64, ("n", "n_max")),
-    ("pod_sigma", "pod.sigma", np.float64, ("n_train",)),
+    ("pod_sigma", "pod.sigma", np.float64, ("s_n",)),
     ("deim_a_basis", "deim_a.U", np.float64, ("pattern_size", "l_a")),
     ("deim_a_indices", "deim_a.indices", np.int64, ("l_a",)),
     ("deim_a_singular_values", "deim_a.singular_values", np.float64, ("s_a",)),
     ("deim_f_basis", "deim_f.U", np.float64, ("n", "l_f")),
     ("deim_f_indices", "deim_f.indices", np.int64, ("l_f",)),
-    ("deim_f_singular_values", "deim_f.singular_values", np.float64, ("s_f",)),
+    ("deim_f_singular_values", "deim_f.singular_values", np.float64, ("s_n",)),
     ("pattern_positions", "pattern.positions", np.int64, ("pattern_size",)),
     ("blocks_a", "blocks_a", np.float64, ("n_packed", "l_a")),  # see rom.packed_upper_index
     ("blocks_f", "blocks_f", np.float64, ("l_f", "n_max")),
@@ -104,12 +104,13 @@ _SIZES = ("n_vertices", "n_max", "l_a", "l_f", "pattern_size")
 
 def _expected_shapes(config: Config, n: int, n_max: int, l_a: int, l_f: int,
                      pattern_size: int) -> dict:
-    """Shape of each array for the manifest's sizes.  The POD spectrum has
-    one eigenvalue per training solve; each DEIM SVD of an (m, n_train)
-    snapshot matrix has min(m, n_train) singular values."""
+    """Shape of each array for the manifest's sizes.  Each thin SVD of an
+    (m, n_train) snapshot matrix has min(m, n_train) singular values: the
+    matrix DEIM's over the union pattern, and the POD's and the load DEIM's
+    over the n vertices."""
     sizes = {"n": n, "n_max": n_max, "l_a": l_a, "l_f": l_f, "pattern_size": pattern_size,
              "n_train": config.n_train, "n_packed": n_max * (n_max + 1) // 2,
-             "s_a": min(pattern_size, config.n_train), "s_f": min(n, config.n_train)}
+             "s_a": min(pattern_size, config.n_train), "s_n": min(n, config.n_train)}
     return {name: tuple(sizes.get(d, d) for d in dims) for name, _, _, dims in _ARRAYS}
 
 
@@ -198,12 +199,14 @@ def load_artifacts(dirpath: str, config: Config) -> OfflineArtifacts:
                         ("deim_a_indices", pattern_size), ("deim_f_indices", n)):
         if np.any((data[name] < 0) | (data[name] >= bound)):
             raise ArtifactError(f"{name} holds an index outside [0, {bound})")
+    if not (np.isfinite(data["pod_sigma"]).all() and (data["pod_sigma"] >= 0.0).all()):
+        raise ArtifactError("pod_sigma holds a negative or non-finite value")
     pattern = UnionPattern(mesh, data["pattern_positions"])
     pod = PodBasis(
         V=data["pod_modes"],
         sigma=data["pod_sigma"],
         n_max=n_max,
-        n_energy=energy_mode_count(data["pod_sigma"], config.eps_pod),
+        n_energy=truncation_rank(np.sqrt(data["pod_sigma"]), config.eps_pod),
     )
     deim_a = deim_operator(data["deim_a_basis"], data["deim_a_indices"],
                            data["deim_a_singular_values"], MATRIX, pattern)

@@ -76,9 +76,7 @@ def _cmd_verify(args) -> int:
     for c in checks:
         print(f"[{c.status.upper()}] {c.name}: {c.detail}")
     failed = sum(1 for c in checks if not c.ok)
-    noise = sum(1 for c in checks if c.status == "noise")
-    print(f"{len(checks) - failed}/{len(checks)} invariant checks passed"
-          + (f" ({noise} at the round-off floor)" if noise else ""))
+    print(f"{len(checks) - failed}/{len(checks)} invariant checks passed")
     return 0 if failed == 0 else 1
 
 

@@ -18,11 +18,11 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .geometry import BackgroundMesh
+from .pod import truncation_rank
 
 MATRIX = "matrix"
 VECTOR = "vector"
 
-RANK_CLAMP = 1e-14
 COND_LIMIT = 1e12
 
 # LAPACK's LU solve, called directly: ``scipy.linalg.lu_solve`` adds about
@@ -144,11 +144,10 @@ def _greedy_indices(u: np.ndarray) -> np.ndarray:
 
 def build_deim_operator(snapshots: np.ndarray, eps: float, kind: str = VECTOR,
                         pattern: UnionPattern | None = None) -> DeimOperator:
-    """SVD-based basis with squared-singular-value energy truncation.
-
-    l = min{k : sum_{i<=k} s_i^2 / sum s_i^2 >= 1 - eps}, capped by the
-    numerical rank (the count of s_i above ``RANK_CLAMP`` s_1), which is at
-    most the number of snapshots.
+    """Left singular basis of the snapshots, truncated by the rule every SVD
+    basis shares (``pod.truncation_rank``): squared-singular-value energy
+    1 - eps, capped by the numerical rank, so l is at most the number of
+    snapshots.
     """
     snaps = np.asarray(snapshots, dtype=float)
     if snaps.ndim != 2:
@@ -156,11 +155,7 @@ def build_deim_operator(snapshots: np.ndarray, eps: float, kind: str = VECTOR,
     if not np.any(snaps):
         raise DeimError("all-zero snapshot matrix")
     u, s, _vt = np.linalg.svd(snaps, full_matrices=False)
-    energy = s * s
-    cum = np.cumsum(energy) / energy.sum()
-    l = int(np.searchsorted(cum, 1.0 - eps) + 1)
-    rank = int(np.count_nonzero(s > RANK_CLAMP * s[0]))
-    l = min(l, rank)
+    l = truncation_rank(s, eps)
     u = u[:, :l].copy()
     indices = _greedy_indices(u)
     if np.unique(indices).size != l:

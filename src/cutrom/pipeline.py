@@ -429,20 +429,15 @@ def run_sweep(config: Config, artifact_dir: str | None = None, report_dir: str |
 
 @dataclass
 class CheckResult:
-    """One invariant check.  ``noise_floor`` is set when the check holds only
-    within a round-off floor above its tolerance; the check still passes, with
-    status ``noise`` instead of ``pass``."""
+    """One invariant check: its name, whether it holds, and what it measured."""
 
     name: str
     ok: bool
     detail: str
-    noise_floor: float | None = None
 
     @property
     def status(self) -> str:
-        if not self.ok:
-            return "fail"
-        return "pass" if self.noise_floor is None else "noise"
+        return "pass" if self.ok else "fail"
 
 
 def patch_check(mesh, phys: PhysicsParams, params) -> CheckResult:
@@ -496,35 +491,16 @@ def spd_coercivity_check(mesh, phys: PhysicsParams, params, a_star: float) -> Ch
 def pod_tail_check(pod, snapshots: np.ndarray, mass) -> CheckResult:
     """Mode-energy identity: the M-norm training projection error with n modes
     equals the discarded spectrum sum_{k>n} sigma_k, to 1e-8 relative, for
-    n = 2, 10 and 40 (clipped to the built modes).
-
-    n = 40 probes the spectrum tail, which the eigensolver knows only to about
-    (m - n) eps sigma_1 for m snapshots.  There a mismatch above 1e-8 but
-    within that floor, relative to the tail, is reported as noise; above the
-    floor it fails.  n = 2 and 10 take the plain 1e-8 test, also when n = 40
-    clips onto them.
-    """
-    sigma = pod.sigma
-    plain = {min(2, pod.n_max), min(10, pod.n_max)}
+    n = 2, 10 and 40 (clipped to the built modes)."""
     ok = True
-    floor_used = None
     details = []
-    for n_eff in sorted(plain | {min(40, pod.n_max)}):
-        tail = float(sigma[n_eff:].sum())
-        if tail <= 0:
+    for n_eff in sorted({min(n, pod.n_max) for n in (2, 10, 40)}):
+        if float(pod.sigma[n_eff:].sum()) <= 0:
             continue
         mismatch = projection_tail_gap(pod, snapshots, mass, n_eff)
-        detail = f"n={n_eff}: {mismatch:.2e}"
-        if mismatch > 1e-8:
-            floor = (sigma.size - n_eff) * np.finfo(float).eps * sigma[0] / tail
-            if n_eff not in plain and mismatch <= floor:
-                floor_used = floor
-                detail += f" within the eigensolver noise floor {floor:.2e}"
-            else:
-                ok = False
-        details.append(detail)
-    return CheckResult("pod_tail_identity", ok, "; ".join(details),
-                       noise_floor=floor_used if ok else None)
+        ok = ok and mismatch <= 1e-8
+        details.append(f"n={n_eff}: {mismatch:.2e}")
+    return CheckResult("pod_tail_identity", ok, "; ".join(details))
 
 
 def deim_exactness_check(art: OfflineArtifacts, params) -> CheckResult:

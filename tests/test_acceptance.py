@@ -5,13 +5,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the pass/fail lines.
 The invariant criteria (1, 2, 4, 5, 6) call the check functions that
 ``cutrom verify`` runs, so each invariant has one implementation.
 
-Five sub-criteria, under criteria 4, 8 and 10, are marked xfail(strict)
+Four sub-criteria, under criteria 8 and 10, are marked xfail(strict)
 because they cannot hold on the mandated structured background mesh; see
 notes in the repository docs:
 
-* the mode-energy identity at n = 40 (criterion 4): the retained spectrum on
-  this mesh decays below the eigensolver noise floor long before n = 40, so a
-  1e-8 relative match is unattainable there (it holds at n = 2 and 10);
 * the mean-error band at n = 40 and the strict active-effectivity inequality
   (criterion 8): rows outside the active set vanish exactly (criterion 2), so
   the restricted residual norm equals the plain one identically, and the
@@ -20,7 +17,11 @@ notes in the repository docs:
   symmetric structured mesh collapses after ~14 modes, which inverts the
   R-squared contests relative to the reference data.
 
-The sixth strict xfail of the suite, ``test_effectivity_scale_at_eight``, is
+The mode-energy identity (criterion 4) holds to 1e-8 relative at n = 2, 10
+and 40: the POD takes a thin SVD in the mass inner product, so the spectrum
+tail keeps its digits far past the collapse.
+
+The fifth strict xfail of the suite, ``test_effectivity_scale_at_eight``, is
 in ``test_sweep_properties.py``.
 """
 
@@ -106,11 +107,7 @@ def test_criterion_03_geometry_accuracy():
 
 # 4 ------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [
-    2,
-    10,
-    pytest.param(40, marks=pytest.mark.xfail(strict=True, reason=MESH_NOTE)),
-])
+@pytest.mark.parametrize("n", [2, 10, 40])
 def test_criterion_04_pod_tail_identity(default_run, n):
     mismatch = projection_tail_gap(default_run.artifacts.pod, default_run.snapshots,
                                    default_run.mass, n)

@@ -11,8 +11,10 @@ from cutrom.artifacts import (
     load_artifacts,
     save_artifacts,
 )
+from cutrom.config import Config
 from cutrom.deim import DeimError
 from cutrom.geometry import ParameterPoint, build_cut_geometry
+from cutrom.pipeline import run_offline
 from cutrom.rom import sample_entries
 
 # every saved array: its file name and where it lives on OfflineArtifacts
@@ -80,6 +82,20 @@ def test_artifact_roundtrip_and_hash_guard(tmp_path, small_run, small_config):
         load_artifacts(str(out), small_config.with_seed(small_config.seed + 5))
 
 
+def test_model_with_more_solves_than_vertices_round_trips(tmp_path):
+    """On an 81-vertex mesh with 100 training solves, the POD spectrum holds
+    min(n, n_train) = 81 values, and the saved model loads back."""
+    cfg = Config(h_target=0.3, n_train=100, n_test=2, n_list=(2, 4), seed=0).validate()
+    art = run_offline(cfg)
+    assert art.mesh.n_vertices == 81
+    assert art.pod.sigma.shape == (81,)
+    save_artifacts(str(tmp_path), art)
+    back = load_artifacts(str(tmp_path), cfg)
+    for name, attr in SAVED.items():
+        assert attrgetter(attr)(back).tobytes() == attrgetter(attr)(art).tobytes(), name
+    assert back.pod.n_energy == art.pod.n_energy
+
+
 def test_bad_version_rejected(saved, small_config):
     manifest = saved / "manifest.txt"
     text = manifest.read_text(encoding="utf-8")
@@ -139,6 +155,17 @@ def _npz_archive(path):
 def test_unreadable_array_file_rejected(saved, small_config, name, damage):
     damage(saved / f"{name}.npy")
     with pytest.raises(ArtifactError, match=f"^{name}"):
+        load_artifacts(str(saved), small_config)
+
+
+@pytest.mark.parametrize("value", [-1.0, np.nan], ids=["negative", "nan"])
+def test_invalid_pod_spectrum_rejected_on_load(saved, small_config, value):
+    def put(sigma):
+        sigma[-1] = value
+        return sigma
+
+    _rewrite(saved, "pod_sigma", put)
+    with pytest.raises(ArtifactError, match="^pod_sigma holds a negative or non-finite value"):
         load_artifacts(str(saved), small_config)
 
 

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cutrom
 from cutrom.assembly import assemble_mass_matrix, assemble_system
 from cutrom.fom import solve_fom
 from cutrom.geometry import ParameterPoint, build_cut_geometry
@@ -44,9 +49,43 @@ def test_modes_mass_orthonormal(default_mesh, small_snapshots):
 
 def test_projection_identity(default_mesh, small_snapshots):
     mass = assemble_mass_matrix(default_mesh)
-    pod = build_pod_basis(small_snapshots, mass, 1e-12, min_modes=8)
-    for n in (2, 5, 8):
+    pod = build_pod_basis(small_snapshots, mass, 1e-12, min_modes=20)
+    for n in (2, 5, 8, 12, 16, 20):
         assert projection_tail_gap(pod, small_snapshots, mass, n) <= 1e-8
+
+
+_THREAD_PROBE = """
+import sys
+import numpy as np
+from cutrom.assembly import PhysicsParams, assemble_mass_matrix, assemble_system
+from cutrom.fom import solve_fom
+from cutrom.geometry import ParameterPoint, build_background_mesh, build_cut_geometry
+from cutrom.pod import build_pod_basis
+mesh = build_background_mesh(((-1.2, 1.2), (-1.2, 1.2)), 0.125)
+mus = 1.0 + 0.2 * np.random.default_rng(7).random((100, 2))
+snaps = np.column_stack([
+    solve_fom(assemble_system(build_cut_geometry(mesh, ParameterPoint(*mu)), PhysicsParams())).u
+    for mu in mus
+])
+np.save(sys.argv[1], build_pod_basis(snaps, assemble_mass_matrix(mesh), 1e-12, min_modes=20).V)
+"""
+
+
+def test_modes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cutrom.__file__)))
+    modes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"modes_{threads}.npy"
+        subprocess.run([sys.executable, "-c", _THREAD_PROBE, str(out)], env=env, check=True,
+                       capture_output=True, text=True, timeout=300)
+        modes.append(np.load(out))
+    one, two = modes
+    assert one.shape == two.shape and one.shape[1] >= 20
+    # a mode's sign is not pinned down
+    two = two * np.sign(np.sum(one * two, axis=0))
+    assert np.abs(one - two).max() <= 1e-12 * np.abs(one).max()
 
 
 def test_min_modes_extension(default_mesh, small_snapshots):
