@@ -15,8 +15,8 @@ by its centroid and area.
 
 Each local formula exists once: the volume and boundary terms of a cut
 element (``volume_terms``, ``boundary_terms``), and the stiffness, Nitsche,
-penalty and ghost-penalty values of one (a, c) pair (``stiffness``,
-``nitsche``, ``penalty``, ``ghost_penalty``).  Full assembly applies the pair
+consistency and ghost-penalty values of one (a, c) pair (``stiffness``,
+``nitsche``, ``consistency``, ``ghost_penalty``).  Full assembly applies the pair
 formulas to whole 3x3 blocks (``volume_contribs``, ``boundary_contribs``); sampled entry
 evaluation applies them to the single local slots it needs.  Every kernel
 evaluates the same expression for every element in a fixed order, so the two
@@ -177,9 +177,11 @@ def nitsche(w, pa, pc, dna, dnc, lam_over_h):
     return terms[0] + terms[1]
 
 
-def penalty(w, pa, pc, lam_over_h):
-    """Penalty-only boundary value of hats a, c (the energy-norm term)."""
-    terms = w * (lam_over_h * (pa * pc))
+def consistency(w, pa, pc, dna, dnc):
+    """Nitsche consistency value of hats a, c over both Gauss points, the
+    energy-norm matrix minus the stiffness matrix.  Grouped like ``nitsche``,
+    so that swapping a and c commutes bitwise."""
+    terms = w * (dnc * pa + dna * pc)
     return terms[0] + terms[1]
 
 
@@ -202,10 +204,10 @@ def volume_contribs(wsum, tri):
 
 
 def boundary_contribs(w, bary, dn, lam_over_h):
-    """Nitsche blocks and penalty-only blocks (k, 9) per cut element, from
+    """Nitsche blocks and consistency blocks (k, 9) per cut element, from
     the staged segment terms."""
     pa = bary[:, :, None]
     pc = bary[:, None]
     a_nit = nitsche(w, pa, pc, dn[:, None], dn[None], lam_over_h)
-    pen = penalty(w, pa, pc, lam_over_h)
-    return a_nit.reshape(9, -1).T, pen.reshape(9, -1).T
+    cons = consistency(w, pa, pc, dn[:, None], dn[None])
+    return a_nit.reshape(9, -1).T, cons.reshape(9, -1).T

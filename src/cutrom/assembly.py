@@ -25,6 +25,10 @@ accumulate the same per-entity values in the same order as full assembly
 (volume elements, then interface segments, then ghost facets, each in
 ascending index order), so sampled entries match ``assemble_system`` bit for
 bit.
+
+The energy norm is a_h plus the Nitsche consistency term, |||v|||^2 =
+a_h(v, v) + 2 <dn v, v>_G, so ``assemble_norm_matrix`` adds the consistency
+blocks that ``assemble_system`` keeps to a copy of A: one assembly each.
 """
 
 from __future__ import annotations
@@ -50,13 +54,14 @@ class PhysicsParams:
     pointwise at quadrature nodes.  ``gamma`` weights the ghost penalty on
     the jumps of the normal derivative across ghost facets.  It is the only
     ghost term of P1 elements: higher-order penalties weight jumps of second
-    and higher normal derivatives, which vanish identically.
+    and higher normal derivatives, which vanish identically.  The defaults
+    live in ``config.Config``; ``physics_from_config`` reads them.
     """
 
-    f_const: float = 20.0
-    g_coeffs: tuple = (0.5, 0.0, 0.0, 1.0)
-    nitsche_lambda: float = 10.0
-    gamma: float = 0.1
+    f_const: float
+    g_coeffs: tuple
+    nitsche_lambda: float
+    gamma: float
 
     def __post_init__(self):
         if not self.nitsche_lambda > 0:
@@ -81,13 +86,17 @@ def physics_from_config(config) -> PhysicsParams:
 class SystemPair:
     """Stiffness matrix and load vector on background dofs, plus the active
     set.  ``pattern_pos`` is the mesh-pattern position of each stored entry
-    of ``A``, in storage order."""
+    of ``A``, in storage order.  ``consistency`` holds the cut elements'
+    (k, 9) Nitsche consistency blocks for ``assemble_norm_matrix``, and
+    ``cut_slots`` the storage index in ``A`` of each of their slots."""
 
     A: sp.csr_matrix
     f: np.ndarray
     active_dofs: np.ndarray
     geom: CutGeometry
     pattern_pos: np.ndarray
+    consistency: np.ndarray
+    cut_slots: np.ndarray
 
 
 def _pattern(mesh: BackgroundMesh, triangles: np.ndarray, facets: np.ndarray):
@@ -108,15 +117,6 @@ def _pattern(mesh: BackgroundMesh, triangles: np.ndarray, facets: np.ndarray):
     np.cumsum(used, out=rank[1:])
     return (int(rank[-1]), rank[mesh.pattern_indptr], mesh.pattern_cols[used], rank[vol],
             rank[ghost], used)
-
-
-def _ghost_values(geom: CutGeometry, phys: PhysicsParams):
-    """Ghost-penalty 4x4 blocks per ghost facet."""
-    mesh = geom.mesh
-    gf = geom.ghost_facets
-    jv = mesh.facet_jump[gf]
-    return _kernels.ghost_penalty(phys.gamma, mesh.h, mesh.facet_len[gf][:, None, None],
-                                  jv[:, :, None], jv[:, None, :])
 
 
 # rows of the per-vertex stage: barycentrics at Gauss points 0 and 1, normal
@@ -147,29 +147,6 @@ def _whole_load(area, f_const: float):
     return f_const * area / 3.0
 
 
-def _volume_rows(geom: CutGeometry, elem):
-    """Volume-weight sums (n_act,) of the active elements (a whole
-    triangle's area, the stage's sum on cut rows) and the cut rows."""
-    wsum = geom.mesh.tri_area[geom.active_elements]
-    cut_sel = geom.active_pos[geom.cut_elements]
-    wsum[cut_sel] = elem[0]
-    return wsum, cut_sel
-
-
-def _assemble_matrix(geom: CutGeometry, phys: PhysicsParams, wsum, boundary_blocks, cut_sel):
-    """The matrix and the flags of the mesh positions it stores."""
-    mesh = geom.mesh
-    n = mesh.n_vertices
-    nnz, indptr, cols, vol_pos, ghost_pos, used = _pattern(
-        mesh, geom.active_elements, geom.ghost_facets)
-    a_vol = _kernels.volume_contribs(wsum, np.take(mesh.tri_comp, geom.active_elements, axis=1))
-    values = np.zeros(nnz)
-    np.add.at(values, vol_pos.ravel(), a_vol.ravel())
-    np.add.at(values, vol_pos[cut_sel].ravel(), boundary_blocks.ravel())
-    np.add.at(values, ghost_pos.ravel(), _ghost_values(geom, phys).ravel())
-    return sp.csr_matrix((values, cols, indptr), shape=(n, n)), used
-
-
 def assemble_system(geom: CutGeometry, phys: PhysicsParams) -> SystemPair:
     """Assemble A = diffusion + Nitsche + ghost penalty, and the load vector.
 
@@ -177,30 +154,44 @@ def assemble_system(geom: CutGeometry, phys: PhysicsParams) -> SystemPair:
     f_i = int_O f phi_i - int_G (grad phi_i . n) g + (lambda/h) int_G phi_i g.
     """
     mesh = geom.mesh
-    act = geom.active_elements
+    n = mesh.n_vertices
+    act, gf = geom.active_elements, geom.ghost_facets
     vert, elem = _cut_stage(geom, phys)
-    wsum, cut_sel = _volume_rows(geom, elem)
-    a_nit, _pen = _kernels.boundary_contribs(
+    nnz, indptr, cols, vol_pos, ghost_pos, used = _pattern(mesh, act, gf)
+    # volume-weight sums: a whole triangle's area, the stage's sum on cut rows
+    wsum = mesh.tri_area[act]
+    cut_sel = geom.active_pos[geom.cut_elements]
+    wsum[cut_sel] = elem[0]
+    cut_slots = vol_pos[cut_sel]
+    a_vol = _kernels.volume_contribs(wsum, np.take(mesh.tri_comp, act, axis=1))
+    a_nit, cons = _kernels.boundary_contribs(
         elem[1], vert[_BARY], vert[_DN], phys.nitsche_lambda / mesh.h)
-    a, used = _assemble_matrix(geom, phys, wsum, a_nit, cut_sel)
+    jv = mesh.facet_jump[gf]
+    a_ghost = _kernels.ghost_penalty(phys.gamma, mesh.h, mesh.facet_len[gf][:, None, None],
+                                     jv[:, :, None], jv[:, None, :])
+    values = np.zeros(nnz)
+    np.add.at(values, vol_pos.ravel(), a_vol.ravel())
+    np.add.at(values, cut_slots.ravel(), a_nit.ravel())
+    np.add.at(values, ghost_pos.ravel(), a_ghost.ravel())
 
     f_vol = np.tile(_whole_load(mesh.tri_area[act], float(phys.f_const)), (3, 1))
     f_vol[:, cut_sel] = vert[_F_VOL]
-    f = np.zeros(mesh.n_vertices)
+    f = np.zeros(n)
     np.add.at(f, mesh.triangles[act].ravel(), f_vol.T.ravel())
     np.add.at(f, mesh.triangles[geom.cut_elements].ravel(), vert[_F_BND].T.ravel())
-    return SystemPair(A=a, f=f, active_dofs=geom.active_dofs, geom=geom,
-                      pattern_pos=np.flatnonzero(used))
+    return SystemPair(A=sp.csr_matrix((values, cols, indptr), shape=(n, n)), f=f,
+                      active_dofs=geom.active_dofs, geom=geom,
+                      pattern_pos=np.flatnonzero(used), consistency=cons, cut_slots=cut_slots)
 
 
-def assemble_norm_matrix(geom: CutGeometry, phys: PhysicsParams) -> sp.csr_matrix:
-    """Matrix of the mesh-dependent energy norm: gradient part on the physical
-    domain, scaled boundary mass, and the ghost jump terms."""
-    vert, elem = _cut_stage(geom, phys)
-    wsum, cut_sel = _volume_rows(geom, elem)
-    _a_nit, pen = _kernels.boundary_contribs(
-        elem[1], vert[_BARY], vert[_DN], phys.nitsche_lambda / geom.mesh.h)
-    return _assemble_matrix(geom, phys, wsum, pen, cut_sel)[0]
+def assemble_norm_matrix(system: SystemPair) -> sp.csr_matrix:
+    """Matrix of the mesh-dependent energy norm: the stiffness matrix plus
+    its Nitsche consistency term, |||v|||^2 = a_h(v, v) + 2 <dn v, v>_G,
+    which leaves the gradient part on the physical domain, the scaled
+    boundary mass and the ghost jump terms.  Stored on A's pattern."""
+    values = system.A.data.copy()
+    np.add.at(values, system.cut_slots.ravel(), system.consistency.ravel())
+    return sp.csr_matrix((values, system.A.indices, system.A.indptr), shape=system.A.shape)
 
 
 def assemble_mass_matrix(mesh: BackgroundMesh) -> sp.csr_matrix:

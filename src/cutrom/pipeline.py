@@ -246,7 +246,7 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
         t0 = time.perf_counter()
         system = assemble_system(geom, art.phys)
         t_asm = time.perf_counter() - t0
-        norm_mat = assemble_norm_matrix(geom, art.phys)
+        norm_mat = assemble_norm_matrix(system)
         fom_sol = solve_fom(system)
         fom_time = t_asm + fom_sol.solve_time
 
@@ -382,17 +382,22 @@ def emit_report(report: SweepReport, dirpath: str) -> list:
 
 
 def load_report(dirpath: str) -> SweepReport:
-    """Rebuild a SweepReport from records.csv and report_meta.txt."""
-    meta = {}
+    """Rebuild a SweepReport from records.csv and report_meta.txt.  Raises
+    ``PipelineError`` naming a missing file or meta key, or when the records
+    are not runs of the meta file's ``n_list``."""
     meta_path = os.path.join(dirpath, "report_meta.txt")
-    if os.path.exists(meta_path):
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                key, _, val = line.partition("=")
-                meta[key.strip()] = val.strip()
     rec_path = os.path.join(dirpath, "records.csv")
-    if not os.path.exists(rec_path):
-        raise PipelineError(f"no records.csv in {dirpath!r}")
+    for path in (meta_path, rec_path):
+        if not os.path.exists(path):
+            raise PipelineError(f"no {os.path.basename(path)} in {dirpath!r}")
+    meta = {}
+    with open(meta_path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            key, _, val = line.partition("=")
+            meta[key.strip()] = val.strip()
+    for key in ("n_list", "fit_n_min_error", "fit_n_min_tail"):
+        if not meta.get(key):
+            raise PipelineError(f"{meta_path!r} has no {key}")
     records = []
     with open(rec_path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -400,15 +405,14 @@ def load_report(dirpath: str) -> SweepReport:
             kwargs = {f: (int(row[f]) if f == "n" else float(row[f]))
                       for f in est.EstimatorRecord.FIELDS}
             records.append(est.EstimatorRecord(**kwargs))
-    if meta.get("n_list"):
-        n_list = tuple(int(x) for x in meta["n_list"].split(","))
-    else:
-        n_list = tuple(sorted({r.n for r in records}))
+    n_list = tuple(int(x) for x in meta["n_list"].split(","))
+    if [r.n for r in records] != list(n_list) * (len(records) // len(n_list)):
+        raise PipelineError(f"records.csv does not repeat the n_list {n_list} of {meta_path!r}")
     return SweepReport(
         records=records,
         n_list=n_list,
-        fit_n_min_error=int(meta.get("fit_n_min_error", Config.fit_n_min_error)),
-        fit_n_min_tail=int(meta.get("fit_n_min_tail", Config.fit_n_min_tail)),
+        fit_n_min_error=int(meta["fit_n_min_error"]),
+        fit_n_min_tail=int(meta["fit_n_min_tail"]),
     )
 
 
@@ -470,20 +474,22 @@ def zero_ghost_rows_check(mesh, phys: PhysicsParams, params) -> CheckResult:
 
 def spd_coercivity_check(mesh, phys: PhysicsParams, params, a_star: float) -> CheckResult:
     """The active block of A is SPD, and its discrete coercivity against the
-    mesh-dependent norm is at least 0.05 (``a_star`` is reported only)."""
+    mesh-dependent norm is at least 0.05 (``a_star`` is reported only).  An A
+    that is not SPD fails before the generalized eigenproblem is posed."""
     min_eig = np.inf
     min_coer = np.inf
     for mu in params:
-        geom = build_cut_geometry(mesh, mu)
-        system = assemble_system(geom, phys)
-        norm_mat = assemble_norm_matrix(geom, phys)
+        system = assemble_system(build_cut_geometry(mesh, mu), phys)
         act = system.active_dofs
         a_act = system.A[act][:, act].toarray()
-        n_act = norm_mat[act][:, act].toarray()
         min_eig = min(min_eig, float(sla.eigvalsh(a_act)[0]))
+        if not min_eig > 0.0:
+            return CheckResult("spd_coercivity", False,
+                               f"min eig {min_eig:.3e}: A is not SPD on the active dofs")
+        n_act = assemble_norm_matrix(system)[act][:, act].toarray()
         min_coer = min(min_coer, float(sla.eigh(a_act, n_act, eigvals_only=True)[0]))
     return CheckResult(
-        "spd_coercivity", (min_eig > 0.0) and (min_coer >= 0.05),
+        "spd_coercivity", min_coer >= 0.05,
         f"min eig {min_eig:.3e}, discrete coercivity {min_coer:.4f} (alpha*={a_star:.2f})",
     )
 

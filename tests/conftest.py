@@ -1,9 +1,10 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
-from cutrom.assembly import PhysicsParams, assemble_mass_matrix
+from cutrom.assembly import assemble_mass_matrix, physics_from_config
 from cutrom.config import Config
 from cutrom.geometry import build_background_mesh
 from cutrom.pipeline import emit_report, run_offline, run_online_sweep
@@ -18,12 +19,12 @@ def default_mesh():
 
 @pytest.fixture(scope="session")
 def default_phys():
-    return PhysicsParams()
+    return physics_from_config(Config())
 
 
 @pytest.fixture(scope="session")
-def patch_phys():
-    return PhysicsParams(f_const=0.0, g_coeffs=(1.0, 2.0, 3.0, 0.0))
+def patch_phys(default_phys):
+    return dataclasses.replace(default_phys, f_const=0.0, g_coeffs=(1.0, 2.0, 3.0, 0.0))
 
 
 @pytest.fixture(scope="session")

@@ -32,7 +32,6 @@ import pytest
 import scipy.linalg as sla
 
 from cutrom.artifacts import ArtifactError, load_artifacts, save_artifacts
-from cutrom.assembly import PhysicsParams
 from cutrom.estimators import alpha_star, rayleigh_ratio_check
 from cutrom.geometry import ParameterPoint, build_background_mesh, build_cut_geometry
 from cutrom.pipeline import (
@@ -62,11 +61,10 @@ def _draw(seed, count):
     return [ParameterPoint(*(1.0 + 0.2 * rng.random(2))) for _ in range(count)]
 
 
-def test_criterion_01_linear_patch(default_mesh):
-    phys = PhysicsParams(f_const=0.0, g_coeffs=(1.0, 2.0, 3.0, 0.0))
+def test_criterion_01_linear_patch(default_mesh, patch_phys):
     params = _draw(101, 5)
     t0 = time.perf_counter()
-    check = patch_check(default_mesh, phys, params)
+    check = patch_check(default_mesh, patch_phys, params)
     elapsed = time.perf_counter() - t0
     assert check.ok, check
     assert elapsed < 5.0

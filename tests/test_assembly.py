@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -14,7 +16,9 @@ from cutrom.assembly import (
     assemble_norm_matrix,
     assemble_system,
     evaluate_entries,
+    physics_from_config,
 )
+from cutrom.config import Config
 from cutrom.estimators import alpha_star
 from cutrom.geometry import (
     INSIDE,
@@ -26,6 +30,7 @@ from cutrom.geometry import (
 from cutrom.pipeline import spd_coercivity_check
 
 MUS = [ParameterPoint(1.0, 1.0), ParameterPoint(1.07, 1.13), ParameterPoint(1.2, 1.01)]
+DEFAULT_PHYS = physics_from_config(Config())
 
 
 def _inactive(mesh, active):
@@ -34,11 +39,11 @@ def _inactive(mesh, active):
 
 def test_physics_validation():
     with pytest.raises(AssemblyError):
-        PhysicsParams(nitsche_lambda=-1.0)
+        dataclasses.replace(DEFAULT_PHYS, nitsche_lambda=-1.0)
     with pytest.raises(AssemblyError):
-        PhysicsParams(gamma=-0.2)
+        dataclasses.replace(DEFAULT_PHYS, gamma=-0.2)
     with pytest.raises(AssemblyError):
-        PhysicsParams(g_coeffs=(1.0, 2.0))
+        dataclasses.replace(DEFAULT_PHYS, g_coeffs=(1.0, 2.0))
 
 
 @pytest.mark.parametrize("mu", MUS, ids=str)
@@ -71,7 +76,7 @@ def test_linear_patch_residual(default_mesh, patch_phys):
 
 def test_norm_matrix_constant_vector(default_mesh, default_phys):
     geom = build_cut_geometry(default_mesh, ParameterPoint(1.0, 1.0))
-    nm = assemble_norm_matrix(geom, default_phys)
+    nm = assemble_norm_matrix(assemble_system(geom, default_phys))
     ones = np.ones(default_mesh.n_vertices)
     quad = ones @ (nm @ ones)
     lam_over_h = default_phys.nitsche_lambda / default_mesh.h
@@ -174,7 +179,7 @@ def _gradients(mesh, rows):
 
 # the source alone: the hats sum to one, so with g = 0 the loads total
 # f |domain|, whole triangles and cut sub-triangles alike
-SOURCE_PHYS = PhysicsParams(f_const=-3.7, g_coeffs=(0.0, 0.0, 0.0, 0.0))
+SOURCE_PHYS = dataclasses.replace(DEFAULT_PHYS, f_const=-3.7, g_coeffs=(0.0, 0.0, 0.0, 0.0))
 
 
 def _assert_load_total_is_source_times_area(nx, mu):
@@ -192,22 +197,49 @@ def test_load_total_is_source_times_area(nx, r, theta):
     _assert_load_total_is_source_times_area(nx, ParameterPoint(r, theta))
 
 
-@pytest.mark.parametrize("nx", [7, 20])
-def test_load_total_is_source_times_area_on_edge_parameters(nx):
-    mesh = _EDGE_MESHES[nx]
-    # the four corners of the default parameter box
-    for mu in ((1.0, 1.0), (1.0, 1.2), (1.2, 1.0), (1.2, 1.2)):
-        _assert_load_total_is_source_times_area(nx, ParameterPoint(*mu))
-    # an ellipse within one cell of the box edge
+def _edge_parameters(mesh):
+    """The four corners of the default parameter box, an ellipse within one
+    cell of the box edge, and last a vertex exactly on phi = 0 (degenerate
+    segments)."""
+    corners = [ParameterPoint(*mu) for mu in ((1.0, 1.0), (1.0, 1.2), (1.2, 1.0), (1.2, 1.2))]
     semi = 1.2 - 0.5 * mesh.h
-    _assert_load_total_is_source_times_area(nx, ParameterPoint(semi ** 2, 1.0))
-    # a vertex exactly on phi = 0: degenerate segments
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
     off_axis = np.flatnonzero((x != 0.0) & (y != 0.0))
     v = off_axis[np.argmin(np.abs(2 * x[off_axis] ** 2 - 0.9) + np.abs(2 * y[off_axis] ** 2 - 0.9))]
     mu = ParameterPoint(2 * x[v] ** 2, 2 * y[v] ** 2)
     assert level_set(mu, x, y)[v] == 0.0
-    assert len(_assert_load_total_is_source_times_area(nx, mu).degenerate_elements) > 0
+    return corners + [ParameterPoint(semi ** 2, 1.0), mu]
+
+
+@pytest.mark.parametrize("nx", [7, 20])
+def test_load_total_is_source_times_area_on_edge_parameters(nx):
+    geoms = [_assert_load_total_is_source_times_area(nx, mu)
+             for mu in _edge_parameters(_EDGE_MESHES[nx])]
+    assert len(geoms[-1].degenerate_elements) > 0
+
+
+# v = x has dn v = n_x, so by the divergence theorem the consistency term
+# 2 int_G dn v v = 2 int_G n_x x is twice the domain's area; likewise v = y
+def _assert_norm_gap_is_twice_the_area(nx, mu):
+    geom = build_cut_geometry(_EDGE_MESHES[nx], mu)
+    sys_ = assemble_system(geom, EDGE_PHYS)
+    gap = assemble_norm_matrix(sys_) - sys_.A
+    want = 2.0 * geom.volume_weight_sum()
+    for v in geom.mesh.vertices.T:
+        assert abs(v @ (gap @ v) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("nx", [7, 20])
+@settings(max_examples=25, deadline=None)
+@given(r=st.floats(min_value=0.3, max_value=1.44), theta=st.floats(min_value=0.3, max_value=1.44))
+def test_norm_minus_stiffness_is_twice_the_area(nx, r, theta):
+    _assert_norm_gap_is_twice_the_area(nx, ParameterPoint(r, theta))
+
+
+@pytest.mark.parametrize("nx", [7, 20])
+def test_norm_minus_stiffness_is_twice_the_area_on_edge_parameters(nx):
+    for mu in _edge_parameters(_EDGE_MESHES[nx]):
+        _assert_norm_gap_is_twice_the_area(nx, mu)
 
 
 def _element_major_rules(geom):
@@ -229,9 +261,11 @@ def _element_major_rules(geom):
 
 
 def _reference_matrices(geom, phys):
-    """A, f and the norm matrix from the element-major rule arrays, slot by
-    slot, with the blockwise element formulas the kernels must reproduce.
-    A whole triangle's loads are f |T| / 3."""
+    """A, f and the norm matrix twice from the element-major rule arrays,
+    slot by slot, with the blockwise element formulas the kernels must
+    reproduce.  A whole triangle's loads are f |T| / 3.  The first norm
+    matrix is A plus the consistency blocks, added in element order; the
+    second is the direct sum of volume, penalty and ghost terms."""
     mesh = geom.mesh
     act, cut = geom.active_elements, geom.cut_elements
     vol_pts, vol_wts, seg_pts, seg_wts, seg_normal = _element_major_rules(geom)
@@ -267,6 +301,7 @@ def _reference_matrices(geom, phys):
     b = _gradients(mesh, cut)
     dn = [b[:, a, 0] * seg_normal[:, 0] + b[:, a, 1] * seg_normal[:, 1] for a in range(3)]
     a_nit = np.zeros((cut.size, 9))
+    cons = np.zeros((cut.size, 9))
     pen = np.zeros((cut.size, 9))
     f_bnd = np.zeros((cut.size, 3))
     for q in range(2):
@@ -278,6 +313,7 @@ def _reference_matrices(geom, phys):
             for c in range(3):
                 pq = lam * (p[a] * p[c])
                 a_nit[:, 3 * a + c] += w * (pq - (dn[c] * p[a] + dn[a] * p[c]))
+                cons[:, 3 * a + c] += w * (dn[c] * p[a] + dn[a] * p[c])
                 pen[:, 3 * a + c] += w * pq
             f_bnd[:, a] += w * (lam * (p[a] * g) - dn[a] * g)
 
@@ -296,7 +332,9 @@ def _reference_matrices(geom, phys):
     f = np.zeros(mesh.n_vertices)
     np.add.at(f, mesh.triangles[act].ravel(), f_vol.ravel())
     np.add.at(f, mesh.triangles[cut].ravel(), f_bnd.ravel())
-    return out[0], f, out[1]
+    norm = out[0].copy()
+    np.add.at(norm, cut_pos.ravel(), cons.ravel())
+    return out[0], f, norm, out[1]
 
 
 @pytest.mark.parametrize("nx", [7, 20])
@@ -305,12 +343,14 @@ def _reference_matrices(geom, phys):
 @example(r=1.44, theta=1.44)
 def test_assembly_matches_slotwise_reference_bitwise(nx, r, theta):
     geom = build_cut_geometry(_EDGE_MESHES[nx], ParameterPoint(r, theta))
-    for phys in (PhysicsParams(), EDGE_PHYS):
-        ref_a, ref_f, ref_norm = _reference_matrices(geom, phys)
+    for phys in (DEFAULT_PHYS, EDGE_PHYS):
+        ref_a, ref_f, ref_norm, direct_norm = _reference_matrices(geom, phys)
         sys_ = assemble_system(geom, phys)
         assert sys_.A.data.tobytes() == ref_a.tobytes()
         assert sys_.f.tobytes() == ref_f.tobytes()
-        assert assemble_norm_matrix(geom, phys).data.tobytes() == ref_norm.tobytes()
+        norm = assemble_norm_matrix(sys_).data
+        assert norm.tobytes() == ref_norm.tobytes()
+        assert np.abs(norm - direct_norm).max() <= 1e-14 * np.abs(direct_norm).max()
 
 
 def test_evaluate_entries_rejects_a_geometry_on_another_mesh(default_mesh, default_phys):
@@ -341,14 +381,14 @@ _PATTERN_MESH = build_background_mesh(((-1.2, 1.2), (-1.2, 1.2)), 0.125)
 
 def _assert_csr_equal_to_reference(mu):
     geom = build_cut_geometry(_PATTERN_MESH, mu)
-    new_sys = assemble_system(geom, PhysicsParams())
+    new_sys = assemble_system(geom, DEFAULT_PHYS)
     new = new_sys.A
-    new_norm = assemble_norm_matrix(geom, PhysicsParams())
+    new_norm = assemble_norm_matrix(new_sys)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(assembly, "_pattern", _reference_pattern)
-        ref_sys = assemble_system(geom, PhysicsParams())
+        ref_sys = assemble_system(geom, DEFAULT_PHYS)
         ref = ref_sys.A
-        ref_norm = assemble_norm_matrix(geom, PhysicsParams())
+        ref_norm = assemble_norm_matrix(ref_sys)
     assert np.array_equal(new_sys.pattern_pos, ref_sys.pattern_pos)
     # the mesh positions of A name the (row, col) of every stored entry of A
     # and of the norm matrix, which has A's pattern

@@ -177,13 +177,15 @@ def test_adversarial_mu_matches_dense_cholesky(default_phys, mu, h):
 
 _THREAD_PROBE = """
 import hashlib, numpy as np
-from cutrom.assembly import PhysicsParams, assemble_system
+from cutrom.assembly import assemble_system, physics_from_config
+from cutrom.config import Config
 from cutrom.fom import solve_fom
 from cutrom.geometry import ParameterPoint, build_background_mesh, build_cut_geometry
 mesh = build_background_mesh(((-1.2, 1.2), (-1.2, 1.2)), 0.06)
+phys = physics_from_config(Config())
 digest = hashlib.sha256()
 for mu in ((1.0, 1.0), (1.07, 1.13), (1.19, 1.02), (1.2, 1.2)):
-    system = assemble_system(build_cut_geometry(mesh, ParameterPoint(*mu)), PhysicsParams())
+    system = assemble_system(build_cut_geometry(mesh, ParameterPoint(*mu)), phys)
     digest.update(solve_fom(system).u.tobytes())
 print(digest.hexdigest())
 """

@@ -89,6 +89,46 @@ def test_report_reemission_identical(tmp_path, small_run):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def _emit_with_error_window_2(tmp_path, report):
+    out = tmp_path / "rep"
+    emit_report(dataclasses.replace(report, fit_n_min_error=2), str(out))
+    return out
+
+
+def test_load_report_refuses_a_missing_meta_file(tmp_path, small_run):
+    out = _emit_with_error_window_2(tmp_path, small_run[1])
+    assert load_report(str(out)).fit_n_min_error == 2
+    (out / "report_meta.txt").unlink()
+    rates = (out / "rates.csv").read_bytes()
+    with pytest.raises(PipelineError, match="no report_meta.txt"):
+        load_report(str(out))
+    assert cli.main(["report", "--from", str(out)]) == 2
+    assert (out / "rates.csv").read_bytes() == rates
+
+
+@pytest.mark.parametrize("key", ["n_list", "fit_n_min_error", "fit_n_min_tail"])
+def test_load_report_refuses_a_missing_meta_key(tmp_path, small_run, key):
+    out = _emit_with_error_window_2(tmp_path, small_run[1])
+    meta = out / "report_meta.txt"
+    lines = meta.read_text().splitlines(keepends=True)
+    meta.write_text("".join(line for line in lines if not line.startswith(f"{key} =")))
+    with pytest.raises(PipelineError, match=f"has no {key}$"):
+        load_report(str(out))
+    assert cli.main(["report", "--from", str(out)]) == 2
+
+
+@pytest.mark.parametrize("n_list", ["2,4", "2,6,4", "2,4,6,8"])
+def test_load_report_refuses_records_that_are_not_runs_of_the_n_list(tmp_path, small_run, n_list):
+    out = _emit_with_error_window_2(tmp_path, small_run[1])
+    meta = out / "report_meta.txt"
+    lines = meta.read_text().splitlines(keepends=True)
+    meta.write_text("".join(f"n_list = {n_list}\n" if line.startswith("n_list =") else line
+                            for line in lines))
+    with pytest.raises(PipelineError, match="does not repeat the n_list"):
+        load_report(str(out))
+    assert cli.main(["report", "--from", str(out)]) == 2
+
+
 def test_training_subset_reproduction(small_run, small_config):
     art, _ = small_run
     cfg = dataclasses.replace(small_config, n_list=(art.pod.n_max,)).validate()

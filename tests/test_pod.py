@@ -57,14 +57,16 @@ def test_projection_identity(default_mesh, small_snapshots):
 _THREAD_PROBE = """
 import sys
 import numpy as np
-from cutrom.assembly import PhysicsParams, assemble_mass_matrix, assemble_system
+from cutrom.assembly import assemble_mass_matrix, assemble_system, physics_from_config
+from cutrom.config import Config
 from cutrom.fom import solve_fom
 from cutrom.geometry import ParameterPoint, build_background_mesh, build_cut_geometry
 from cutrom.pod import build_pod_basis
 mesh = build_background_mesh(((-1.2, 1.2), (-1.2, 1.2)), 0.125)
+phys = physics_from_config(Config())
 mus = 1.0 + 0.2 * np.random.default_rng(7).random((100, 2))
 snaps = np.column_stack([
-    solve_fom(assemble_system(build_cut_geometry(mesh, ParameterPoint(*mu)), PhysicsParams())).u
+    solve_fom(assemble_system(build_cut_geometry(mesh, ParameterPoint(*mu)), phys)).u
     for mu in mus
 ])
 np.save(sys.argv[1], build_pod_basis(snaps, assemble_mass_matrix(mesh), 1e-12, min_modes=20).V)
