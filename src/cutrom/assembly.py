@@ -16,15 +16,20 @@ Per parameter, only the cut elements need new local terms.  ``_cut_stage``
 computes them once, component-major: per cut element the volume-weight sum,
 the segment weight, and per local vertex the volume load, the barycentrics at
 both Gauss points, the normal derivative and the boundary load.  Full
-assembly builds its cut rows from this stage and its inside rows in closed
-form: the weight sum of a whole triangle is its area, and each of its loads
-is f |T| / 3 (``_whole_load``).  ``EntryPlan`` stores the value of every
-inside candidate once, from the same closed forms and kernels, and
-``evaluate_entries`` picks the cut candidates' values from the stage.  Both
-accumulate the same per-entity values in the same order as full assembly
-(volume elements, then interface segments, then ghost facets, each in
-ascending index order), so sampled entries match ``assemble_system`` bit for
-bit.
+assembly gathers its inside rows from the mesh's whole-triangle stiffness
+blocks (``BackgroundMesh.tri_stiffness``) and loads f |T| / 3
+(``_whole_load``), and recomputes only its cut rows, from this stage.
+``assemble_batch`` assembles several geometries of one mesh at once: one
+stage over their joined cut rules, and one ``np.bincount`` over (parameter,
+pattern position) for A and one over (parameter, dof) for f.  A bin sums
+its terms in the order they are given, so each entry of each parameter sums
+in the order of a lone assembly; ``assemble_system`` is the batch of one.
+``EntryPlan`` gathers the value of every inside candidate from the same
+table, and ``evaluate_entries`` picks the cut candidates' values from the
+stage.  Both accumulate the same per-entity values in the same order as
+full assembly (volume elements, then interface segments, then ghost facets,
+each in ascending index order), so sampled entries match ``assemble_system``
+bit for bit.
 
 The energy norm is a_h plus the Nitsche consistency term, |||v|||^2 =
 a_h(v, v) + 2 <dn v, v>_G, so ``assemble_norm_matrix`` adds the consistency
@@ -33,13 +38,13 @@ blocks that ``assemble_system`` keeps to a copy of A: one assembly each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-from .geometry import BackgroundMesh, CutGeometry
+from .geometry import BackgroundMesh, CutGeometry, CutRule
 
 
 class AssemblyError(ValueError):
@@ -99,24 +104,29 @@ class SystemPair:
     cut_slots: np.ndarray
 
 
-def _pattern(mesh: BackgroundMesh, triangles: np.ndarray, facets: np.ndarray):
-    """Sorted row-major structural pattern and scatter positions.
+def _scatter(positions, values, size: int):
+    """Sums of ``values`` into ``size`` bins at ``positions``, and the flags
+    of the bins hit.  Each bin adds its values in the order given, as a
+    sequential ``np.add.at`` into zeros would."""
+    used = np.zeros(size, dtype=bool)
+    used[positions] = True
+    return np.bincount(positions, values, minlength=size), used
 
-    Marks the mesh-pattern positions (``BackgroundMesh._build_pattern``) of
-    the stencils of ``triangles`` and the patches of the interior ``facets``,
-    and renumbers the marked ones by a running count.  Returns (nnz, indptr,
-    cols, vol_pos, ghost_pos, used): ``used`` flags the marked mesh
-    positions, whose order is the storage order.
-    """
-    vol = mesh.tri_pattern_pos[triangles]
-    ghost = mesh.facet_pattern_pos[facets]
-    used = np.zeros(mesh.pattern_cols.size, dtype=bool)
-    used[vol] = True
-    used[ghost] = True
-    rank = np.zeros(used.size + 1, dtype=np.int64)
-    np.cumsum(used, out=rank[1:])
-    return (int(rank[-1]), rank[mesh.pattern_indptr], mesh.pattern_cols[used], rank[vol],
-            rank[ghost], used)
+
+def _flat_index(table, rows, shift):
+    """The entries of ``table`` in ``rows``, each row shifted by its
+    ``shift``, flattened: indices into the batch's flat (K, stride) bins.
+    ``take`` gathers whole rows several times faster than fancy indexing."""
+    return (table.take(rows, axis=0) + shift[:, None]).ravel()
+
+
+def _csr_on_pattern(mesh: BackgroundMesh, values, positions):
+    """The matrix with ``values`` on the mesh pattern that stores the entries
+    at ``positions`` (ascending): the storage index of a position is its
+    place among them."""
+    n = mesh.n_vertices
+    return sp.csr_matrix((values.take(positions), mesh.pattern_cols.take(positions),
+                          np.searchsorted(positions, mesh.pattern_indptr)), shape=(n, n))
 
 
 # rows of the per-vertex stage: barycentrics at Gauss points 0 and 1, normal
@@ -124,22 +134,29 @@ def _pattern(mesh: BackgroundMesh, triangles: np.ndarray, facets: np.ndarray):
 _BARY, _DN, _F_VOL, _F_BND = slice(0, 2), 2, 3, 4
 
 
-def _cut_stage(geom: CutGeometry, phys: PhysicsParams):
-    """Local terms of every cut element for one parameter, component-major:
-    per-vertex rows (5, 3, k) (see ``_BARY`` ... ``_F_BND``) and per-element
-    rows (2, k): the volume-weight sum and the segment Gauss weight."""
-    rule = geom.cut_rule
-    if rule.seg_wts.shape[0] != geom.cut_elements.size:
-        raise AssemblyError("every cut element needs a component-major cut rule")
-    mesh = geom.mesh
+def _cut_stage(geoms, phys: PhysicsParams):
+    """Local terms of the cut elements of ``geoms`` (one mesh), their rules
+    joined in order, component-major: per-vertex rows (5, 3, k) (see
+    ``_BARY`` ... ``_F_BND``), per-element rows (2, k): the volume-weight
+    sum and the segment Gauss weight, and the elements' columns (12, k) of
+    ``tri_comp``.  Every term is computed column by column, so joining rules
+    changes no value."""
+    for geom in geoms:
+        if geom.cut_rule.seg_wts.shape[0] != geom.cut_elements.size:
+            raise AssemblyError("every cut element needs a component-major cut rule")
+    if len(geoms) == 1:  # every query: no copy
+        rule = geoms[0].cut_rule
+    else:
+        rule = CutRule(*(np.concatenate([getattr(g.cut_rule, f.name) for g in geoms], axis=-1)
+                         for f in fields(CutRule)))
     g0, gx, gy, gxy = (float(c) for c in phys.g_coeffs)
     wsum, f_vol = _kernels.volume_terms(rule.vol_pts, rule.vol_wts, rule.tri, float(phys.f_const))
     bary, dn, f_bnd = _kernels.boundary_terms(
         rule.seg_pts, rule.seg_wts, rule.normal, rule.tri,
-        phys.nitsche_lambda / mesh.h, g0, gx, gy, gxy,
+        phys.nitsche_lambda / geoms[0].mesh.h, g0, gx, gy, gxy,
     )
     vert = np.concatenate([bary, dn[None], f_vol[None], f_bnd[None]])
-    return vert, np.stack([wsum, rule.seg_wts])
+    return vert, np.stack([wsum, rule.seg_wts]), rule.tri
 
 
 def _whole_load(area, f_const: float):
@@ -147,41 +164,70 @@ def _whole_load(area, f_const: float):
     return f_const * area / 3.0
 
 
-def assemble_system(geom: CutGeometry, phys: PhysicsParams) -> SystemPair:
-    """Assemble A = diffusion + Nitsche + ghost penalty, and the load vector.
+def assemble_batch(geoms, phys: PhysicsParams):
+    """Assemble A = diffusion + Nitsche + ghost penalty, and the load vector,
+    for each geometry of ``geoms`` (all on one mesh), in one cut stage and
+    one scatter each for A and f.
 
-    The load carries the source term and the Nitsche boundary data terms:
-    f_i = int_O f phi_i - int_G (grad phi_i . n) g + (lambda/h) int_G phi_i g.
+    Returns ``(values, used, loads, consistency)``: the values (K, P) of the
+    K matrices on the P positions of the mesh pattern, zero at the positions
+    a matrix does not store; the flags (K, P) of the stored ones; the loads
+    (K, N); and the (k, 9) Nitsche consistency blocks of the cut elements,
+    geometry by geometry.  Every entry sums its terms in the order of
+    ``assemble_system`` (volume elements, then interface segments, then
+    ghost facets, each ascending), so a batch reproduces its members bit for
+    bit.  The load carries the source term and the Nitsche boundary data
+    terms: f_i = int_O f phi_i - int_G (grad phi_i . n) g + (lambda/h) int_G phi_i g.
     """
-    mesh = geom.mesh
-    n = mesh.n_vertices
-    act, gf = geom.active_elements, geom.ghost_facets
-    vert, elem = _cut_stage(geom, phys)
-    nnz, indptr, cols, vol_pos, ghost_pos, used = _pattern(mesh, act, gf)
-    # volume-weight sums: a whole triangle's area, the stage's sum on cut rows
-    wsum = mesh.tri_area[act]
-    cut_sel = geom.active_pos[geom.cut_elements]
-    wsum[cut_sel] = elem[0]
-    cut_slots = vol_pos[cut_sel]
-    a_vol = _kernels.volume_contribs(wsum, np.take(mesh.tri_comp, act, axis=1))
+    mesh = geoms[0].mesh
+    if any(g.mesh is not mesh for g in geoms):
+        raise AssemblyError("a batch of geometries must share one background mesh")
+    batch = len(geoms)
+    size, n = mesh.pattern_cols.size, mesh.n_vertices
+    act = np.concatenate([g.active_elements for g in geoms])
+    cut = np.concatenate([g.cut_elements for g in geoms])
+    gf = np.concatenate([g.ghost_facets for g in geoms])
+    # the batch member of each active element, cut element and ghost facet
+    counts = np.array([(g.active_elements.size, g.cut_elements.size, g.ghost_facets.size)
+                       for g in geoms])
+    act_of, cut_of, gf_of = (np.repeat(np.arange(batch), c) for c in counts.T)
+    vert, elem, tri = _cut_stage(geoms, phys)
+    # each cut element's row among the batch's active elements
+    t = mesh.n_triangles
+    cut_sel = np.searchsorted(act_of * t + act, cut_of * t + cut)
+
+    # stiffness: whole-triangle blocks, with the cut rows from the stage
+    a_vol = mesh.tri_stiffness.take(act, axis=0)
+    a_vol[cut_sel] = _kernels.volume_contribs(elem[0], tri)
     a_nit, cons = _kernels.boundary_contribs(
         elem[1], vert[_BARY], vert[_DN], phys.nitsche_lambda / mesh.h)
-    jv = mesh.facet_jump[gf]
+    jv = mesh.facet_jump.take(gf, axis=0)
     a_ghost = _kernels.ghost_penalty(phys.gamma, mesh.h, mesh.facet_len[gf][:, None, None],
                                      jv[:, :, None], jv[:, None, :])
-    values = np.zeros(nnz)
-    np.add.at(values, vol_pos.ravel(), a_vol.ravel())
-    np.add.at(values, cut_slots.ravel(), a_nit.ravel())
-    np.add.at(values, ghost_pos.ravel(), a_ghost.ravel())
+    values, used = _scatter(
+        np.concatenate([_flat_index(mesh.tri_pattern_pos, act, act_of * size),
+                        _flat_index(mesh.tri_pattern_pos, cut, cut_of * size),
+                        _flat_index(mesh.facet_pattern_pos, gf, gf_of * size)]),
+        np.concatenate([a_vol.ravel(), a_nit.ravel(), a_ghost.ravel()]), batch * size)
 
-    f_vol = np.tile(_whole_load(mesh.tri_area[act], float(phys.f_const)), (3, 1))
-    f_vol[:, cut_sel] = vert[_F_VOL]
-    f = np.zeros(n)
-    np.add.at(f, mesh.triangles[act].ravel(), f_vol.T.ravel())
-    np.add.at(f, mesh.triangles[geom.cut_elements].ravel(), vert[_F_BND].T.ravel())
-    return SystemPair(A=sp.csr_matrix((values, cols, indptr), shape=(n, n)), f=f,
-                      active_dofs=geom.active_dofs, geom=geom,
-                      pattern_pos=np.flatnonzero(used), consistency=cons, cut_slots=cut_slots)
+    f_vol = np.repeat(_whole_load(mesh.tri_area[act], float(phys.f_const))[:, None], 3, axis=1)
+    f_vol[cut_sel] = vert[_F_VOL].T
+    loads = np.bincount(
+        np.concatenate([_flat_index(mesh.triangles, act, act_of * n),
+                        _flat_index(mesh.triangles, cut, cut_of * n)]),
+        np.concatenate([f_vol.ravel(), vert[_F_BND].T.ravel()]), minlength=batch * n)
+    return values.reshape(batch, size), used.reshape(batch, size), loads.reshape(batch, n), cons
+
+
+def assemble_system(geom: CutGeometry, phys: PhysicsParams) -> SystemPair:
+    """Assemble A = diffusion + Nitsche + ghost penalty, and the load vector,
+    of one geometry: ``assemble_batch`` of one, stored as CSR."""
+    values, used, loads, cons = assemble_batch([geom], phys)
+    pos = np.flatnonzero(used[0])
+    return SystemPair(A=_csr_on_pattern(geom.mesh, values[0], pos), f=loads[0],
+                      active_dofs=geom.active_dofs, geom=geom, pattern_pos=pos, consistency=cons,
+                      cut_slots=np.searchsorted(
+                          pos, geom.mesh.tri_pattern_pos.take(geom.cut_elements, axis=0)))
 
 
 def assemble_norm_matrix(system: SystemPair) -> sp.csr_matrix:
@@ -196,15 +242,10 @@ def assemble_norm_matrix(system: SystemPair) -> sp.csr_matrix:
 
 def assemble_mass_matrix(mesh: BackgroundMesh) -> sp.csr_matrix:
     """Standard P1 mass matrix over the whole background box (parameter-free)."""
-    n = mesh.n_vertices
-    nnz, indptr, cols, vol_pos, _, _ = _pattern(
-        mesh, np.arange(mesh.n_triangles), np.empty(0, dtype=np.int64)
-    )
     local = np.array([2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0]) / 12.0
     vals = mesh.tri_area[:, None] * local[None, :]
-    values = np.zeros(nnz)
-    np.add.at(values, vol_pos.ravel(), vals.ravel())
-    return sp.csr_matrix((values, cols, indptr), shape=(n, n))
+    values, used = _scatter(mesh.tri_pattern_pos.ravel(), vals.ravel(), mesh.pattern_cols.size)
+    return _csr_on_pattern(mesh, values, np.flatnonzero(used))
 
 
 def _slot_holders(pos_table, positions, size: int):
@@ -269,7 +310,7 @@ class EntryPlan:
         # (a_x, a_y, c_x, c_y) gradients per candidate
         self.m_grad = np.stack([gx[self.m_aloc, rng], gy[self.m_aloc, rng],
                                 gx[self.m_cloc, rng], gy[self.m_cloc, rng]])
-        self.m_whole = _kernels.stiffness(mesh.tri_area[cand], *self.m_grad)
+        self.m_whole = mesh.tri_stiffness[cand, slot]
 
         self.g_ids, fcand, slot = _slot_holders(mesh.facet_pattern_pos, m_pos, size)
         self.g_facets = fcand
@@ -304,7 +345,7 @@ def evaluate_entries(geom: CutGeometry, plan: EntryPlan):
             f"geometry mesh (vertices, triangles, h) = {shape} does not match the "
             f"plan's {plan.mesh_shape}"
         )
-    vert, elem = _cut_stage(geom, plan.phys)
+    vert, elem, _ = _cut_stage([geom], plan.phys)
     k = geom.cut_elements.size
     lam_over_h = plan.phys.nitsche_lambda / mesh.h
 

@@ -2,9 +2,10 @@
 
 The computational setup is a fixed square background mesh that never changes
 with the parameter.  The mesh builds its parameter-independent tables once:
-element areas, facets and patches, the assembly pattern, and the
-per-triangle component table ``tri_comp`` (vertex coordinates and basis
-gradients, one contiguous row per component) that the kernels read.  For
+element areas, facets and patches, the assembly pattern, the per-triangle
+component table ``tri_comp`` (vertex coordinates and basis gradients, one
+contiguous row per component) that the kernels read, and the whole
+triangles' stiffness blocks ``tri_stiffness``.  For
 each parameter the ellipse level set classifies every triangle as inside /
 cut / outside, and only the cut triangles get new quadrature: the centroid
 and area of each sub-triangle of the region where the linear interpolant of
@@ -117,6 +118,9 @@ class BackgroundMesh:
         grad[:, 2] = -e1[:, 1] / det, e1[:, 0] / det
         grad[:, 0] = -(grad[:, 1] + grad[:, 2])
         self.tri_comp = comp
+        # stiffness blocks of the whole triangles, (T, 9) row-major over
+        # local (a, c): what an inside element contributes to every parameter
+        self.tri_stiffness = np.ascontiguousarray(_kernels.volume_contribs(self.tri_area, comp))
 
     def _build_facets(self):
         tris = self.triangles

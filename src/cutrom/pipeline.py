@@ -9,8 +9,8 @@ Each record gets the full estimator set, and the hard invariants (Rayleigh
 sandwich, active-restriction ordering, combined bound) are enforced as it
 goes.
 
-Training solves and test parameters are processed one after another, in
-input order.
+Training parameters are assembled in chunks of ``TRAIN_CHUNK``; training
+solves and test parameters are processed one after another, in input order.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from . import rates
 from .artifacts import OfflineArtifacts, save_artifacts
 from .assembly import (
     PhysicsParams,
+    assemble_batch,
     assemble_mass_matrix,
     assemble_norm_matrix,
     assemble_system,
@@ -36,7 +37,7 @@ from .assembly import (
 )
 from .config import SWEEP_ONLY_FIELDS, Config
 from .deim import MATRIX, VECTOR, build_deim_operator, build_union_pattern, reconstruct
-from .fom import residual, solve_fom
+from .fom import residual, solve_active, solve_fom
 from .geometry import ParameterPoint, build_background_mesh, build_cut_geometry, require_inside_box
 from .pod import build_pod_basis, projection_tail_gap, tail_energy
 from .rom import build_rom_offline, prepare, solve
@@ -51,6 +52,10 @@ RUN4_COLUMNS = (
 RATE_QUANTITIES = ("e_rel", "eta_2a", "eta_2b", "eta_pod", "eta_A", "eta_f")
 
 
+# training parameters assembled together: one cut stage and one scatter each
+TRAIN_CHUNK = 32
+
+
 class PipelineError(RuntimeError):
     pass
 
@@ -63,31 +68,65 @@ def sample_parameters(count: int, seed: int, mu_min: float, mu_max: float) -> np
 def run_offline(config: Config) -> OfflineArtifacts:
     """Training solves, mode basis, interpolation operators, reduced blocks.
 
-    The training snapshot matrix stays on the returned artifacts (not saved)."""
+    The training parameters are assembled ``TRAIN_CHUNK`` at a time
+    (``assemble_batch``), and each is solved from the batch's values
+    (``solve_active``), with no CSR matrix made.  The training snapshot
+    matrix stays on the returned artifacts (not saved).  The last log line
+    gives the seconds of each stage."""
     t_start = time.perf_counter()
     mesh = build_background_mesh(config.box, config.h_target)
     phys = physics_from_config(config)
     train_mu = sample_parameters(config.n_train, config.seed, config.mu_min, config.mu_max)
+    n_train, size = config.n_train, mesh.pattern_cols.size
+    snapshots = np.empty((mesh.n_vertices, n_train))
+    loads = np.empty((mesh.n_vertices, n_train))
+    a_values = np.empty((size, n_train))  # every stiffness matrix on the mesh pattern
+    a_used = np.zeros(size, dtype=bool)  # the union of their stored positions
+    stages = dict.fromkeys(("geometry", "assembly", "solves", "pod", "deim", "projection"), 0.0)
+    last = t_start
 
-    def one_snapshot(i):
-        mu = ParameterPoint(*train_mu[i])
+    def lap(stage):
+        """Book the time since the last lap to ``stage`` (the mesh build to
+        the geometry)."""
+        nonlocal last
+        now = time.perf_counter()
+        stages[stage] += now - last
+        last = now
+
+    def at(i, step):
+        """``step()``, its failure raised as a ``PipelineError`` naming
+        training parameter i."""
         try:
-            geom = build_cut_geometry(mesh, mu)
-            system = assemble_system(geom, phys)
-            sol = solve_fom(system)
+            return step()
         except Exception as exc:
             raise PipelineError(f"offline failure at training mu={tuple(train_mu[i])}: {exc}") from exc
-        # keep A's positions and values and f only: holding every training
-        # geometry, or A's CSR beside its positions, until the DEIM build
-        # would add to the peak memory of the offline stage
-        return system.pattern_pos, system.A.data, system.f, sol.u
 
-    results = [one_snapshot(i) for i in range(config.n_train)]
-    snapshots = np.column_stack([r[3] for r in results])
-    t_fom = time.perf_counter() - t_start
+    for start in range(0, n_train, TRAIN_CHUNK):
+        stop = min(start + TRAIN_CHUNK, n_train)
+        chunk = range(start, stop)
+        geoms = [at(i, lambda: build_cut_geometry(mesh, ParameterPoint(*train_mu[i])))
+                 for i in chunk]
+        lap("geometry")
+        try:
+            values, used, f, _ = assemble_batch(geoms, phys)
+        except Exception:
+            # name the parameter: assemble the chunk's geometries one at a time
+            for i, geom in zip(chunk, geoms):
+                at(i, lambda: assemble_batch([geom], phys))
+            raise
+        lap("assembly")
+        for k, i in enumerate(chunk):
+            pos = np.flatnonzero(used[k])
+            snapshots[:, i] = at(i, lambda: solve_active(
+                mesh, geoms[k].active_dofs, pos, values[k, pos], f[k], geoms[k].mu)).u
+        a_values[:, start:stop] = values.T
+        a_used |= used.any(axis=0)
+        loads[:, start:stop] = f.T
+        lap("solves")
 
     mass = assemble_mass_matrix(mesh)
     pod = build_pod_basis(snapshots, mass, config.eps_pod, min_modes=max(config.n_list))
+    lap("pod")
     log.info("pod: built %d modes (energy rule keeps %d of %d), sigma_1=%.6e, tail(n_max)=%.3e",
              pod.n_max, pod.n_energy, pod.sigma.size, pod.sigma[0],
              tail_energy(pod.sigma, pod.n_max))
@@ -95,23 +134,26 @@ def run_offline(config: Config) -> OfflineArtifacts:
     log.debug("pod spectrum head (sigma_k/sigma_1): %s",
               " ".join(f"{v:.3e}" for v in head))
 
-    pattern = build_union_pattern(mesh, [r[0] for r in results])
+    pattern = build_union_pattern(mesh, [np.flatnonzero(a_used)])
     n2 = mesh.n_vertices ** 2
     log.info("union pattern: %d positions (%.2f%% of N^2)", pattern.size, 100.0 * pattern.size / n2)
-    a_snaps = np.column_stack([pattern.vectorize(r[0], r[1]) for r in results])
+    a_snaps = a_values[pattern.positions]
+    del a_values
     deim_a = build_deim_operator(a_snaps, config.eps_deim_a, kind=MATRIX, pattern=pattern)
-    f_snaps = np.column_stack([r[2] for r in results])
-    deim_f = build_deim_operator(f_snaps, config.eps_deim_f, kind=VECTOR)
+    del a_snaps
+    deim_f = build_deim_operator(loads, config.eps_deim_f, kind=VECTOR)
+    lap("deim")
     log.info("deim: l_A=%d (cond %.3e, Lebesgue %.4g), l_f=%d (cond %.3e, Lebesgue %.4g)",
              deim_a.l, deim_a.cond, deim_a.lebesgue, deim_f.l, deim_f.cond, deim_f.lebesgue)
 
     blocks_a, blocks_f = build_rom_offline(pod, deim_a, deim_f)
+    lap("projection")
     art = OfflineArtifacts(
         config=config, mesh=mesh, phys=phys, pod=pod, deim_a=deim_a, deim_f=deim_f,
         blocks_a=blocks_a, blocks_f=blocks_f, train_mu=train_mu, snapshots=snapshots,
     )
-    log.info("offline done in %.1f s (training solves %.1f s)",
-             time.perf_counter() - t_start, t_fom)
+    log.info("offline done in %.3f s: %s", time.perf_counter() - t_start,
+             ", ".join(f"{name} {sec:.3f} s" for name, sec in stages.items()))
     return art
 
 

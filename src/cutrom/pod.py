@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dtbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .fom import active_band
+from .fom import upper_band
 
 RANK_CLAMP = 1e-14  # singular values at or below RANK_CLAMP * s_1 count as zero
 
@@ -70,9 +70,11 @@ def build_pod_basis(s_mat: np.ndarray, mass: sp.csr_matrix, eps: float,
     if s_mat.ndim != 2 or s_mat.shape[1] < 1:
         raise PodError("need at least one snapshot column")
     n = mass.shape[0]
-    rcm_rank = np.empty(n, dtype=np.int64)
-    rcm_rank[reverse_cuthill_mckee(mass, symmetric_mode=True)] = np.arange(n)
-    band, pos = active_band(mass, rcm_rank, np.arange(n))
+    # every dof is active, so a dof's band position is its rank
+    pos = np.empty(n, dtype=np.int64)
+    pos[reverse_cuthill_mckee(mass, symmetric_mode=True)] = np.arange(n)
+    rows = np.repeat(np.arange(n), np.diff(mass.indptr))
+    band = upper_band(pos[rows], pos[mass.indices], mass.data, n)
     r_band = sla.cholesky_banded(band, overwrite_ab=True, check_finite=False)
     width = r_band.shape[0] - 1
     # row k of LAPACK's upper band form is the diagonal at offset width - k,

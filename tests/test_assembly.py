@@ -7,11 +7,12 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cutrom import _kernels, assembly
+from cutrom import _kernels
 from cutrom.assembly import (
     AssemblyError,
     EntryPlan,
     PhysicsParams,
+    assemble_batch,
     assemble_mass_matrix,
     assemble_norm_matrix,
     assemble_system,
@@ -320,7 +321,7 @@ def _reference_matrices(geom, phys):
     jv = mesh.facet_jump[geom.ghost_facets]
     coef = phys.gamma * mesh.h * mesh.facet_len[geom.ghost_facets]
     ghost = coef[:, None, None] * (jv[:, :, None] * jv[:, None, :])
-    nnz, _indptr, _cols, vol_pos, ghost_pos, _used = assembly._pattern(mesh, act, geom.ghost_facets)
+    nnz, _indptr, _cols, vol_pos, ghost_pos, _used = _reference_pattern(mesh, act, geom.ghost_facets)
     cut_pos = vol_pos[geom.active_pos[cut]]
     out = []
     for boundary in (a_nit, pen):
@@ -351,6 +352,54 @@ def test_assembly_matches_slotwise_reference_bitwise(nx, r, theta):
         norm = assemble_norm_matrix(sys_).data
         assert norm.tobytes() == ref_norm.tobytes()
         assert np.abs(norm - direct_norm).max() <= 1e-14 * np.abs(direct_norm).max()
+
+
+# an ellipse through the background vertex (-1.08, 0) of the meshes with h = 0.12
+VERTEX_MU = ParameterPoint(1.08 ** 2, 1.1)
+
+
+def _assert_batch_matches_its_members(mesh, mus):
+    """``assemble_batch`` of the geometries of ``mus`` against
+    ``assemble_system`` of each, byte for byte."""
+    geoms = [build_cut_geometry(mesh, mu) for mu in mus]
+    values, used, loads, cons = assemble_batch(geoms, EDGE_PHYS)
+    assert values.shape == used.shape == (len(geoms), mesh.pattern_cols.size)
+    assert loads.shape == (len(geoms), mesh.n_vertices)
+    assert cons.shape == (sum(g.cut_elements.size for g in geoms), 9)
+    first_cut = 0
+    for k, geom in enumerate(geoms):
+        sys_ = assemble_system(geom, EDGE_PHYS)
+        pos = np.flatnonzero(used[k])
+        assert pos.tobytes() == sys_.pattern_pos.tobytes()
+        assert values[k, pos].tobytes() == sys_.A.data.tobytes()
+        assert not values[k, ~used[k]].any()
+        assert loads[k].tobytes() == sys_.f.tobytes()
+        last_cut = first_cut + geom.cut_elements.size
+        assert cons[first_cut:last_cut].tobytes() == sys_.consistency.tobytes()
+        first_cut = last_cut
+        slots = (np.cumsum(used[k]) - 1)[mesh.tri_pattern_pos[geom.cut_elements]]
+        assert slots.tobytes() == sys_.cut_slots.tobytes()
+
+
+_PARAM = st.floats(min_value=0.3, max_value=1.44)
+
+
+@pytest.mark.parametrize("nx", [7, 20])
+@settings(max_examples=15, deadline=None)
+@given(drawn=st.lists(st.tuples(_PARAM, _PARAM), max_size=6), data=st.data())
+def test_batch_assembly_matches_its_members_bitwise(nx, drawn, data):
+    # the box-touching ellipse, a vertex on the interface, and last in
+    # ``_edge_parameters`` a vertex on phi = 0 that leaves degenerate segments
+    mesh = _EDGE_MESHES[nx]
+    special = [ParameterPoint(1.44, 1.44), VERTEX_MU, _edge_parameters(mesh)[-1]]
+    mus = data.draw(st.permutations(special + [ParameterPoint(*mu) for mu in drawn]))
+    _assert_batch_matches_its_members(mesh, mus)
+
+
+def test_batch_assembly_refuses_geometries_on_two_meshes():
+    geoms = [build_cut_geometry(_EDGE_MESHES[nx], ParameterPoint(1.0, 1.0)) for nx in (7, 20)]
+    with pytest.raises(AssemblyError, match="one background mesh"):
+        assemble_batch(geoms, EDGE_PHYS)
 
 
 def test_evaluate_entries_rejects_a_geometry_on_another_mesh(default_mesh, default_phys):
@@ -384,12 +433,13 @@ def _assert_csr_equal_to_reference(mu):
     new_sys = assemble_system(geom, DEFAULT_PHYS)
     new = new_sys.A
     new_norm = assemble_norm_matrix(new_sys)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(assembly, "_pattern", _reference_pattern)
-        ref_sys = assemble_system(geom, DEFAULT_PHYS)
-        ref = ref_sys.A
-        ref_norm = assemble_norm_matrix(ref_sys)
-    assert np.array_equal(new_sys.pattern_pos, ref_sys.pattern_pos)
+    n = _PATTERN_MESH.n_vertices
+    _, indptr, cols, _, _, used = _reference_pattern(_PATTERN_MESH, geom.active_elements,
+                                                     geom.ghost_facets)
+    ref_a, _, ref_norm, _ = _reference_matrices(geom, DEFAULT_PHYS)
+    ref = sp.csr_matrix((ref_a, cols, indptr), shape=(n, n))
+    ref_norm = sp.csr_matrix((ref_norm, cols, indptr), shape=(n, n))
+    assert np.array_equal(new_sys.pattern_pos, np.flatnonzero(used))
     # the mesh positions of A name the (row, col) of every stored entry of A
     # and of the norm matrix, which has A's pattern
     pos = new_sys.pattern_pos

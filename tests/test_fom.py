@@ -10,7 +10,7 @@ import scipy.linalg as sla
 
 import cutrom
 from cutrom.assembly import assemble_system
-from cutrom.fom import FomError, active_band, residual, solve_fom
+from cutrom.fom import FomError, band_positions, residual, solve_fom, upper_band
 from cutrom.geometry import (
     ParameterPoint,
     build_background_mesh,
@@ -133,7 +133,10 @@ def test_refinement_step_lowers_active_residual(default_phys):
     for mu in (ParameterPoint(1.0, 1.0), ParameterPoint(1.07, 1.13), ParameterPoint(1.19, 1.02)):
         sys_ = assemble_system(build_cut_geometry(mesh, mu), default_phys)
         act = sys_.active_dofs
-        band, pos = active_band(sys_.A, mesh.rcm_rank, act)
+        loc = band_positions(mesh.rcm_rank, act)
+        band = upper_band(loc[mesh.pattern_rows[sys_.pattern_pos]],
+                          loc[mesh.pattern_cols[sys_.pattern_pos]], sys_.A.data, act.size)
+        pos = loc[act]
         rhs = np.empty(act.size)
         rhs[pos] = sys_.f[act]
         unrefined_u = np.zeros_like(sys_.f)

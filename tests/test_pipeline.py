@@ -477,3 +477,65 @@ def test_offline_logs_deim_lebesgue_constants(caplog):
         assert op.cond == np.linalg.cond(op.pu)
         assert f"Lebesgue {op.lebesgue:.4g}" in line
         assert f"cond {op.cond:.3e}" in line
+
+
+def _offline_bytes(cfg, directory, monkeypatch):
+    """Training snapshots, the snapshot matrices of both interpolation
+    operators (stiffness values over the union pattern, and loads), and the
+    saved arrays of one offline build."""
+    from cutrom.artifacts import save_artifacts
+
+    deim_snapshots = []
+    original = pipeline.build_deim_operator
+
+    def spy(snaps, *args, **kwargs):
+        deim_snapshots.append(np.array(snaps).tobytes())
+        return original(snaps, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_deim_operator", spy)
+    art = run_offline(cfg)
+    save_artifacts(str(directory), art)
+    saved = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+    return art.snapshots.tobytes(), deim_snapshots, saved
+
+
+def test_training_chunk_size_changes_no_byte(tmp_path, monkeypatch):
+    # 40 training solves: chunks of 32 + 8, six of 7 and a last of 5, or 40 of one
+    cfg = Config(n_train=40, n_test=2, n_list=(2, 4), seed=0).validate()
+    builds = {}
+    for chunk in (1, 7, pipeline.TRAIN_CHUNK):
+        with monkeypatch.context() as mp:
+            mp.setattr(pipeline, "TRAIN_CHUNK", chunk)
+            builds[chunk] = _offline_bytes(cfg, tmp_path / f"chunk{chunk}", mp)
+    assert 40 % 7 and pipeline.TRAIN_CHUNK < 40
+    assert len(builds[1][1]) == 2
+    for chunk in (7, pipeline.TRAIN_CHUNK):
+        assert builds[chunk] == builds[1]
+
+
+def test_offline_log_names_every_stage(caplog):
+    cfg = Config(n_train=12, n_test=2, n_list=(2, 4), seed=3).validate()
+    with caplog.at_level(logging.INFO, logger="cutrom.pipeline"):
+        run_offline(cfg)
+    line = [r.getMessage() for r in caplog.records if r.name == "cutrom.pipeline"][-1]
+    assert line.startswith("offline done in ")
+    for stage in ("geometry", "assembly", "solves", "pod", "deim", "projection"):
+        assert re.search(rf"\b{stage} \d+\.\d{{3}} s\b", line), stage
+
+
+def test_offline_names_the_training_mu_whose_assembly_fails(monkeypatch):
+    cfg = Config(n_train=10, n_test=2, n_list=(2,), seed=0).validate()
+    bad = tuple(sample_parameters(cfg.n_train, cfg.seed, cfg.mu_min, cfg.mu_max)[6])
+    original = pipeline.build_cut_geometry
+
+    def broken(mesh, mu):
+        geom = original(mesh, mu)
+        if (mu.r, mu.theta) == bad:
+            rule = geom.cut_rule
+            geom.cut_rule = dataclasses.replace(rule, seg_wts=rule.seg_wts[:-1])
+        return geom
+
+    monkeypatch.setattr(pipeline, "build_cut_geometry", broken)
+    with pytest.raises(PipelineError, match=re.escape(f"offline failure at training mu={bad}: ")
+                       + "every cut element needs"):
+        run_offline(cfg)
