@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -116,52 +117,58 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
+    # one -v for the program and every subcommand, before or after its name;
+    # a suppressed default, so a subcommand cannot reset a -v given before it
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("-v", "--verbose", action="store_true", default=argparse.SUPPRESS,
+                        help="debug logging")
     parser = argparse.ArgumentParser(
         prog="cutrom",
         description="Reduced order models with certified estimators on cut meshes",
+        parents=[common],
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, parents=[common])
 
-    p = sub.add_parser("offline", help="training solves and reduced operators")
+    p = add_parser("offline", help="training solves and reduced operators")
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None, help="artifact directory")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_offline)
 
-    p = sub.add_parser("online", help="test sweep from saved artifacts")
+    p = add_parser("online", help="test sweep from saved artifacts")
     p.add_argument("--artifacts", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--report", default=None, help="report directory")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_online)
 
-    p = sub.add_parser("sweep", help="offline + online + report")
+    p = add_parser("sweep", help="offline + online + report")
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None, help="artifact directory")
     p.add_argument("--report", default=None, help="report directory")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("verify", help="run the invariant suite")
+    p = add_parser("verify", help="run the invariant suite")
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("fom", help="single full-order solve")
+    p = add_parser("fom", help="single full-order solve")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_fom)
 
-    p = sub.add_parser("report", help="re-emit tables from saved records")
+    p = add_parser("report", help="re-emit tables from saved records")
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_report)
 
     args = parser.parse_args(argv)
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=logging.DEBUG if getattr(args, "verbose", False) else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:

@@ -4,9 +4,20 @@ Matrix snapshots are vectorized over the union of the structural sparsity
 patterns seen in training, which is exact: entries off the union pattern are
 zero for every training parameter.  The union is a sorted set of positions in
 the mesh's assembly pattern (``BackgroundMesh._build_pattern``), and a
-snapshot is scattered into it by those positions.  The greedy index selection
-and the interpolation solve follow the standard algorithm, with deterministic
-tie-breaking (first maximal entry).
+snapshot is scattered into it by those positions.
+
+The stiffness matrices are symmetric, so a matrix basis is computed on the
+upper entries only (row <= col): their rows of the snapshots, with the
+off-diagonal ones weighted by sqrt(2) so the Frobenius inner product is kept,
+go through the SVD, and the basis is mirrored back to the whole union, its
+rows at an entry and its transpose equal bit for bit.  A vector basis is the
+same computation with every row its own twin.  The greedy index selection is
+LU elimination of the basis with a pivot rule (Sorensen & Embree 2016): the
+pivot is the first position whose residual is within ``TIE_RTOL`` of the
+largest, so near-ties (mirror entries, symmetric geometries) are decided by
+position, not by rounding.  It runs blocked, ``PANEL`` modes at a time, on
+the upper rows; a mirrored row loses every tie to its upper twin, which has
+the smaller position.
 """
 
 from __future__ import annotations
@@ -25,6 +36,11 @@ VECTOR = "vector"
 
 COND_LIMIT = 1e12
 
+# the greedy takes the first position whose |residual| is within TIE_RTOL
+# (relative) of the largest, and eliminates PANEL modes per block
+TIE_RTOL = 1e-8
+PANEL = 16
+
 # LAPACK's LU solve, called directly: ``scipy.linalg.lu_solve`` adds about
 # 15 us of argument handling per call, and an online query makes four calls
 _GETRS = sla.get_lapack_funcs("getrs", (np.empty(1),))
@@ -34,12 +50,24 @@ class DeimError(ValueError):
     pass
 
 
+def _upper_half(transpose: np.ndarray):
+    """The upper entries k <= transpose[k] of a vectorized symmetric matrix
+    whose entry k has its transpose at ``transpose[k]``, and for every entry
+    the row of its upper twin among them."""
+    k = np.arange(transpose.size)
+    upper = np.flatnonzero(k <= transpose)
+    return upper, np.searchsorted(upper, np.minimum(k, transpose))
+
+
 class UnionPattern:
     """Sorted union of mesh-pattern positions: entry k of a vectorized matrix
     is the entry at mesh position ``positions[k]``, and ``transpose[k]`` is
-    the entry of its transpose.  ``cols``/``indptr`` are the CSR structure of
-    the union; ``_index`` maps a mesh position to its entry, -1 outside the
-    union.  Raises ``DeimError`` when the union is not symmetric."""
+    the entry of its transpose.  ``upper`` holds the entries with row <= col
+    (positions are sorted by row, then column, so these are k <= transpose[k])
+    and ``twin[k]`` is the row of entry k's upper twin among them.
+    ``cols``/``indptr`` are the CSR structure of the union; ``_index`` maps a
+    mesh position to its entry, -1 outside the union.  Raises ``DeimError``
+    when the union is not symmetric."""
 
     def __init__(self, mesh: BackgroundMesh, positions: np.ndarray):
         self.positions = positions
@@ -52,6 +80,7 @@ class UnionPattern:
         self.transpose = self._index[mesh.pattern_transpose[positions]]
         if np.any(self.transpose < 0):
             raise DeimError("union pattern is not symmetric: an entry's transpose is missing")
+        self.upper, self.twin = _upper_half(self.transpose)
 
     def vectorize(self, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
         """The matrix with ``values`` at the mesh ``positions`` as a vector
@@ -128,39 +157,86 @@ def deim_operator(u: np.ndarray, indices: np.ndarray, singular_values: np.ndarra
                         pattern=pattern)
 
 
+def _pivot(rho: np.ndarray) -> int:
+    """The first position whose |rho| is within ``TIE_RTOL`` of the largest."""
+    size = np.abs(rho)
+    top = size.max()
+    return int(np.argmax(top - size <= TIE_RTOL * top))
+
+
 def _greedy_indices(u: np.ndarray) -> np.ndarray:
-    """Classic greedy selection: p1 = argmax |u1|; then maximize the residual
-    of interpolating each next mode at the already selected positions."""
+    """Greedy interpolation indices of the basis ``u`` (m x l): p_k is the
+    ``_pivot`` of the residual of mode k interpolated at p_1 .. p_(k-1).
+
+    This is LU elimination of Uᵀ with that pivot rule, run left-looking in
+    panels of ``PANEL`` modes: the earlier modes' multipliers are applied to
+    a panel with one unit-triangular solve at the pivot positions and one
+    GEMM, and the panel's modes are then eliminated one at a time."""
     m, l = u.shape
     indices = np.empty(l, dtype=np.int64)
-    indices[0] = int(np.argmax(np.abs(u[:, 0])))
-    for k in range(1, l):
-        sel = indices[:k]
-        coeff = np.linalg.solve(u[sel, :k], u[sel, k])
-        rho = u[:, k] - u[:, :k] @ coeff
-        indices[k] = int(np.argmax(np.abs(rho)))
+    mult = np.empty((l, m))  # row k: residual of mode k over its pivot value
+    for k0 in range(0, l, PANEL):
+        k1 = min(k0 + PANEL, l)
+        panel = u[:, k0:k1].T.copy()
+        if k0:
+            pivots = indices[:k0]
+            top = sla.solve_triangular(mult[:k0, pivots], u[pivots, k0:k1], trans="T",
+                                       unit_diagonal=True, check_finite=False)
+            panel -= top.T @ mult[:k0]
+        for j, k in enumerate(range(k0, k1)):
+            rho = panel[j]
+            indices[k] = p = _pivot(rho)
+            np.divide(rho, rho[p], out=mult[k])
+            panel[j + 1:] -= panel[j + 1:, p, None] * mult[k]
     return indices
 
 
 def build_deim_operator(snapshots: np.ndarray, eps: float, kind: str = VECTOR,
                         pattern: UnionPattern | None = None) -> DeimOperator:
-    """Left singular basis of the snapshots, truncated by the rule every SVD
-    basis shares (``pod.truncation_rank``): squared-singular-value energy
-    1 - eps, capped by the numerical rank, so l is at most the number of
-    snapshots.
+    """Interpolation operator of the snapshot columns: left singular basis,
+    truncated by the rule every SVD basis shares (``pod.truncation_rank``:
+    squared-singular-value energy 1 - eps, capped by the numerical rank, so
+    l is at most the number of snapshots), and its greedy indices.
+
+    With a ``pattern`` the snapshots are matrices over the union, and the
+    basis is that of their symmetric parts (B + Bᵀ) / 2, which for the
+    symmetric stiffness matrices are the snapshots bit for bit.  Only the
+    upper rows are decomposed, weighted by sqrt(2) off the diagonal; the
+    basis is divided by the weights and mirrored to the whole union, so it
+    stays orthonormal.  The singular values are those of the whole matrix
+    of symmetric parts (its rank is at most the number of upper rows; the
+    missing values are zero).  Without a pattern every row is its own upper
+    twin, of weight 1.  A snapshot column with a non-finite entry is refused
+    by name.
     """
     snaps = np.asarray(snapshots, dtype=float)
     if snaps.ndim != 2:
         raise DeimError("snapshots must be a 2-d array (m x n_train)")
+    bad = np.flatnonzero(~np.isfinite(snaps).all(axis=0))
+    if bad.size:
+        raise DeimError(f"snapshot column {bad[0]} has a non-finite entry")
     if not np.any(snaps):
         raise DeimError("all-zero snapshot matrix")
-    u, s, _vt = np.linalg.svd(snaps, full_matrices=False)
+    if pattern is None:
+        transpose = np.arange(snaps.shape[0])
+        upper, twin = _upper_half(transpose)
+    elif pattern.size != snaps.shape[0]:
+        raise DeimError(f"{snaps.shape[0]} snapshot rows for a union pattern of {pattern.size}")
+    else:
+        transpose, upper, twin = pattern.transpose, pattern.upper, pattern.twin
+    weight = np.where(transpose[upper] == upper, 1.0, np.sqrt(2.0))[:, None]
+    half = snaps[upper]
+    half += snaps[transpose[upper]]
+    half *= 0.5 * weight
+    u, s, _vt = np.linalg.svd(half, full_matrices=False)
     l = truncation_rank(s, eps)
-    u = u[:, :l].copy()
-    indices = _greedy_indices(u)
+    u = u[:, :l] / weight
+    indices = upper[_greedy_indices(u)]
     if np.unique(indices).size != l:
         raise DeimError("greedy selection produced duplicate indices")
-    return deim_operator(u, indices, s.copy(), kind, pattern)
+    spectrum = np.zeros(min(snaps.shape))
+    spectrum[:s.size] = s
+    return deim_operator(u[twin], indices, spectrum, kind, pattern)
 
 
 def deim_coefficients(op: DeimOperator, sampled: np.ndarray) -> np.ndarray:

@@ -77,27 +77,24 @@ def build_rom_offline(pod: PodBasis, deim_a: DeimOperator, deim_f: DeimOperator)
     ``(blocks_a, blocks_f)`` of shapes (n_max (n_max + 1) / 2, l_A) and
     (l_f, n_max).
 
-    Matrix basis elements are symmetrized before projection, by the same
-    ``UnionPattern.symmetrize`` that ``deim.reconstruct`` applies.  Each
-    projected matrix block is stored packed (``packed_upper_index``), one
-    column per basis element, so the leading n x n blocks of all elements
-    are one contiguous slab and a reduced operator unpacks exactly
-    symmetric.
+    The matrix basis is mirrored (``deim.build_deim_operator``), so each
+    basis element is a symmetric matrix as it stands.  One CSR matrix on the
+    union pattern takes each element's values in turn.  Each projected block
+    is stored packed (``packed_upper_index``), one column per basis element,
+    so the leading n x n blocks of all elements are one contiguous slab and
+    a reduced operator unpacks exactly symmetric.
     """
     if deim_a.pattern is None:
         raise RomError("matrix operator must carry the union pattern")
-    pattern = deim_a.pattern
     v = pod.V
-    n_max = pod.n_max
-    l_a = deim_a.l
-    l_f = deim_f.l
-    rows, cols = _upper_entries(n_max)
-    blocks_a = np.empty((rows.size, l_a))
-    for j in range(l_a):
-        basis_mat = pattern.matrix_from_values(pattern.symmetrize(deim_a.U[:, j]))
+    rows, cols = _upper_entries(pod.n_max)
+    basis_mat = deim_a.pattern.matrix_from_values(np.empty(deim_a.pattern.size))
+    blocks_a = np.empty((rows.size, deim_a.l))
+    for j in range(deim_a.l):
+        basis_mat.data[:] = deim_a.U[:, j]
         blocks_a[:, j] = (v.T @ (basis_mat @ v))[rows, cols]
-    blocks_f = np.empty((l_f, n_max))
-    for j in range(l_f):
+    blocks_f = np.empty((deim_f.l, pod.n_max))
+    for j in range(deim_f.l):
         blocks_f[j] = v.T @ deim_f.U[:, j]
     return blocks_a, blocks_f
 

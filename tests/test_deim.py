@@ -1,12 +1,24 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import cutrom
+from cutrom import deim, pipeline
+from cutrom.config import Config
 from cutrom.deim import (
     MATRIX,
+    TIE_RTOL,
     VECTOR,
     DeimError,
     UnionPattern,
+    _greedy_indices,
     build_deim_operator,
     build_union_pattern,
     deim_coefficients,
@@ -27,6 +39,18 @@ def test_union_pattern_diagonal():
     assert np.array_equal(pat.cols, np.arange(n))
     assert np.array_equal(pat.indptr, np.arange(n + 1))
     assert np.array_equal(pat.transpose, np.arange(n))
+    assert np.array_equal(pat.upper, np.arange(n))
+    assert np.array_equal(pat.twin, np.arange(n))
+
+
+def test_union_pattern_upper_half_and_twins():
+    pat = build_union_pattern(MESH, [np.arange(MESH.pattern_cols.size)])
+    rows = MESH.pattern_rows[pat.positions]
+    cols = MESH.pattern_cols[pat.positions]
+    assert np.array_equal(pat.upper, np.flatnonzero(rows <= cols))
+    # every entry's twin is itself if upper, else its transpose
+    k = np.arange(pat.size)
+    assert np.array_equal(pat.upper[pat.twin], np.where(rows <= cols, k, pat.transpose))
 
 
 def test_union_pattern_is_union():
@@ -169,3 +193,178 @@ def test_stored_interpolation_matrix_and_row_pointers():
     c = sla.lu_solve(op.lu, sampled)
     c = c + sla.lu_solve(op.lu, sampled - pu @ c)
     assert deim_coefficients(op, sampled).tobytes() == c.tobytes()
+
+
+def _plain_greedy(u: np.ndarray) -> np.ndarray:
+    """The documented rule as a plain loop: the residual of mode k from the
+    classic k x k solve at the positions picked so far, then the first
+    position whose |residual| is within TIE_RTOL of the largest."""
+    indices = []
+    for k in range(u.shape[1]):
+        rho = u[:, k].copy()
+        if k:
+            rho -= u[:, :k] @ np.linalg.solve(u[indices, :k], u[indices, k])
+        size = np.abs(rho)
+        indices.append(int(np.flatnonzero(size.max() - size <= TIE_RTOL * size.max())[0]))
+    return np.array(indices)
+
+
+def _orthonormal(m: int, l: int, seed: int) -> np.ndarray:
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((m, l)))[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 60), l=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+@example(m=9, l=1, seed=0)
+@example(m=5, l=5, seed=1)  # fewer positions than one panel
+@example(m=60, l=37, seed=2)  # three panels, the last one partial
+@example(m=48, l=deim.PANEL + 1, seed=3)
+def test_blocked_greedy_matches_the_plain_loop(m, l, seed):
+    u = _orthonormal(m, min(l, m), seed)
+    assert np.array_equal(_greedy_indices(u), _plain_greedy(u))
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(1, 30), extra=st.integers(1, 30), l=st.integers(1, 20),
+       seed=st.integers(0, 2**32 - 1))
+@example(m=20, extra=20, l=20, seed=0)
+def test_duplicated_rows_the_smaller_position_wins(m, extra, l, seed):
+    rng = np.random.default_rng(seed)
+    # every row of an orthonormal basis at least once, some twice or more, shuffled
+    rows = rng.permutation(np.concatenate([np.arange(m), rng.integers(0, m, extra)]))
+    u = _orthonormal(m, min(l, m), seed)[rows]
+    picked = _greedy_indices(u)
+    assert np.array_equal(picked, _plain_greedy(u))
+    first = np.array([np.flatnonzero(rows == rows[p])[0] for p in picked])
+    assert np.array_equal(picked, first)
+
+
+def test_greedy_matches_the_plain_loop_on_the_default_model(default_run):
+    art = default_run.artifacts
+    for op in (art.deim_a, art.deim_f):
+        assert np.array_equal(_greedy_indices(op.U), op.indices)
+        assert np.array_equal(_plain_greedy(op.U), op.indices)
+
+
+@pytest.mark.parametrize("panel", [1, 7, deim.PANEL])
+def test_panel_width_changes_no_index(default_run, monkeypatch, panel):
+    art = default_run.artifacts
+    monkeypatch.setattr(deim, "PANEL", panel)
+    upper = art.pattern.upper
+    assert np.array_equal(upper[_greedy_indices(art.deim_a.U[upper])], art.deim_a.indices)
+    assert np.array_equal(_greedy_indices(art.deim_f.U), art.deim_f.indices)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_snapshot_refused_by_column(value):
+    snaps = np.random.default_rng(8).standard_normal((12, 5))
+    snaps[7, 3] = value
+    with pytest.raises(DeimError, match="snapshot column 3 has a non-finite entry"):
+        build_deim_operator(snaps, 1e-12)
+
+
+def test_non_finite_matrix_snapshot_refused_by_column():
+    pat = build_union_pattern(MESH, [np.arange(MESH.pattern_cols.size)])
+    rng = np.random.default_rng(6)
+    snaps = rng.standard_normal((pat.size, 4))
+    snaps += snaps[pat.transpose]
+    # a lower entry: outside the rows the SVD decomposes
+    snaps[np.flatnonzero(np.arange(pat.size) > pat.transpose)[0], 2] = np.nan
+    with pytest.raises(DeimError, match="snapshot column 2 has a non-finite entry"):
+        build_deim_operator(snaps, 1e-12, kind=MATRIX, pattern=pat)
+
+
+def test_matrix_spectrum_has_the_whole_union_length():
+    # 40 symmetric snapshots over 57 entries, of which 33 are upper: the whole
+    # union's SVD has 40 values, the last 7 zero, and the saved format keeps 40
+    pat = build_union_pattern(MESH, [np.arange(MESH.pattern_cols.size)])
+    snaps = np.random.default_rng(12).standard_normal((pat.size, 40))
+    snaps += snaps[pat.transpose]
+    assert pat.upper.size == 33
+    op = build_deim_operator(snaps, 1e-14, kind=MATRIX, pattern=pat)
+    full = np.linalg.svd(snaps, compute_uv=False)
+    assert op.singular_values.shape == (40,)
+    assert not op.singular_values[33:].any()
+    assert np.abs(op.singular_values - full).max() <= 1e-12 * full[0]
+    assert op.l == 33
+
+
+def _build_with_matrix_snapshots(config):
+    """An offline build and the matrix-DEIM snapshot matrix it decomposed."""
+    seen = []
+    original = pipeline.build_deim_operator
+
+    def spy(snaps, *args, **kwargs):
+        if kwargs.get("kind") == MATRIX:
+            seen.append(np.array(snaps))
+        return original(snaps, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "build_deim_operator", spy)
+        art = pipeline.run_offline(config)
+    return art, seen[0]
+
+
+@pytest.fixture(scope="module", params=["default", "h0.06"])
+def built(request):
+    config = Config()
+    if request.param == "h0.06":
+        config = replace(config, h_target=0.06, n_train=200)
+    return _build_with_matrix_snapshots(config.validate())
+
+
+def test_matrix_basis_is_a_mirrored_orthonormal_half(built):
+    art, snaps = built
+    op, pattern = art.deim_a, art.pattern
+    # the stiffness snapshots are symmetric, so half the rows carry them
+    assert snaps[pattern.transpose].tobytes() == snaps.tobytes()
+    assert op.U[pattern.transpose].tobytes() == op.U.tobytes()
+    assert np.linalg.norm(op.U.T @ op.U - np.eye(op.l), 2) <= 1e-13
+    rows = art.mesh.pattern_rows[pattern.positions]
+    cols = art.mesh.pattern_cols[pattern.positions]
+    assert np.all(rows[op.indices] <= cols[op.indices])
+    assert np.isin(op.indices, pattern.upper).all()
+
+
+def test_matrix_singular_values_are_those_of_the_whole_union(built):
+    art, snaps = built
+    full = np.linalg.svd(snaps, compute_uv=False)
+    assert art.deim_a.singular_values.shape == full.shape
+    assert np.abs(art.deim_a.singular_values - full).max() <= 1e-12 * full[0]
+
+
+def test_projection_matches_the_per_column_projection_bitwise(built):
+    # reference: one CSR matrix per symmetrized basis column, as projected before
+    art, _ = built
+    v, pattern = art.pod.V, art.pattern
+    cols, rows = np.tril_indices(art.pod.n_max)
+    reference = np.empty_like(art.blocks_a)
+    for j in range(art.deim_a.l):
+        basis_mat = pattern.matrix_from_values(pattern.symmetrize(art.deim_a.U[:, j]))
+        reference[:, j] = (v.T @ (basis_mat @ v))[rows, cols]
+    assert art.blocks_a.tobytes() == reference.tobytes()
+
+
+_THREAD_PROBE = """
+import sys
+import numpy as np
+from cutrom.config import Config
+from cutrom.pipeline import run_offline
+art = run_offline(Config())
+np.savez(sys.argv[1], a=art.deim_a.indices, f=art.deim_f.indices)
+"""
+
+
+def test_indices_do_not_depend_on_the_blas_thread_count(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cutrom.__file__)))
+    picks = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"indices_{threads}.npz"
+        subprocess.run([sys.executable, "-c", _THREAD_PROBE, str(out)], env=env, check=True,
+                       capture_output=True, text=True, timeout=300)
+        picks.append(np.load(out))
+    one, two = picks
+    assert np.array_equal(one["a"], two["a"])
+    assert np.array_equal(one["f"], two["f"])

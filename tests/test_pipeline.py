@@ -3,10 +3,13 @@ import dataclasses
 import logging
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cutrom
 from cutrom import cli, pipeline
 from cutrom.assembly import assemble_mass_matrix
 from cutrom.config import Config
@@ -371,6 +374,18 @@ def test_cli_sweep_and_report(tmp_path, config_file, capsys):
     assert cli.main(["report", "--from", rep_dir, "--out", rep3]) == 0
     with open(os.path.join(rep3, "run4.csv"), "rb") as fh:
         assert fh.read() == first
+
+
+@pytest.mark.parametrize("argv, debug", [(["offline", "-v"], True), (["-v", "offline"], True),
+                                         (["offline"], False)])
+def test_cli_verbose_before_or_after_the_command(tmp_path, config_file, argv, debug):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cutrom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "cutrom", *argv, "--config", config_file,
+                          "--out", str(tmp_path / "arts")],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert ("DEBUG cutrom" in run.stderr) == debug
 
 
 def test_cli_seed_mismatch_refused(tmp_path, config_file):
