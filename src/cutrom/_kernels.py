@@ -142,13 +142,14 @@ def volume_terms(pts, wts, tri, f_const):
 
 
 def boundary_terms(seg, seg_w, nrm, tri, lam_over_h, g0, gx, gy, gxy):
-    """Interface-segment terms per cut element: the barycentrics (2, 3, k)
-    at both Gauss points, the normal derivatives (3, k) of the three hats,
-    and the Nitsche boundary loads (3, k) of the datum
-    g = g0 + gx x + gy y + gxy x y."""
-    dn = tri[GX] * nrm[0] + tri[GY] * nrm[1]
+    """Interface-segment terms per cut element, in one (3, 3, k) array: the
+    barycentrics of the three hats at Gauss points 0 and 1 (rows 0 and 1)
+    and their normal derivatives (row 2); and the Nitsche boundary loads
+    (3, k) of the datum g = g0 + gx x + gy y + gxy x y."""
+    bdn = np.empty((3, 3, seg.shape[2]))
+    bary, dn = bdn[:2], bdn[2]
+    np.add(tri[GX] * nrm[0], tri[GY] * nrm[1], out=dn)
     xi, eta = _reference_coords(seg.transpose(1, 0, 2), tri)
-    bary = np.empty((2, 3, seg.shape[2]))
     bary[:, 0] = 1.0 - xi - eta
     bary[:, 1] = xi
     bary[:, 2] = eta
@@ -156,7 +157,7 @@ def boundary_terms(seg, seg_w, nrm, tri, lam_over_h, g0, gx, gy, gxy):
     y = seg[:, 1]
     g = (g0 + gx * x + gy * y + gxy * (x * y))[:, None]
     terms = seg_w * (lam_over_h * (bary * g) - dn * g)
-    return bary, dn, terms[0] + terms[1]
+    return bdn, terms[0] + terms[1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,18 @@ model's sizes; the manifest records the format version, the config hash and
 those sizes.  The hash (``Config.hash``) covers every config field but the
 sweep grid, the test count, the fit windows and the paths, so a model loads
 under any config that differs from its own only there; ``run_online_sweep``
-applies the same rule.  Loading raises ``ArtifactError``, naming the array or
-the manifest, on a format version other than ``FORMAT_VERSION`` (version 3
-hashed every field and stored ``gamma`` as a pair); on a config that
+applies the same rule.
+
+Format 5 stores the reduced blocks in the DEIM online form: ``blocks_a`` and
+``blocks_f`` have the interpolation inverses folded in (``rom.build_rom_offline``),
+so they multiply the sampled entries directly.  Format 4 stored the same
+shapes unfolded, to multiply interpolation coefficients; read as format 5
+they would give a wrong reduced system with no error, so they are refused.
+
+Loading raises ``ArtifactError``, naming the array or
+the manifest, on a format version other than ``FORMAT_VERSION`` (version 4
+stored unfolded blocks, version 3 hashed every field and stored ``gamma`` as
+a pair); on a config that
 differs in a hashed field; on an array that is missing,
 unreadable, pickled, or of the wrong dtype or shape; on union-pattern
 positions that are not strictly increasing inside the mesh's assembly
@@ -31,7 +40,7 @@ from .assembly import EntryPlan, PhysicsParams, physics_from_config
 from .pod import PodBasis, truncation_rank
 from .rom import packed_upper_index
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 class ArtifactError(RuntimeError):
@@ -56,8 +65,8 @@ class OfflineArtifacts:
     pod: PodBasis
     deim_a: DeimOperator
     deim_f: DeimOperator
-    blocks_a: np.ndarray  # (n_max (n_max + 1) / 2, l_A), see rom.packed_upper_index
-    blocks_f: np.ndarray  # (l_f, n_max)
+    blocks_a: np.ndarray  # (n_max (n_max + 1) / 2, l_A) folded, see rom.build_rom_offline
+    blocks_f: np.ndarray  # (l_f, n_max) folded
     train_mu: np.ndarray
     snapshots: np.ndarray | None = None
     pattern: UnionPattern = field(init=False)
@@ -176,7 +185,8 @@ def load_artifacts(dirpath: str, config: Config) -> OfflineArtifacts:
     derived objects."""
     manifest = _read_manifest(dirpath)
     if manifest.get("format_version") != str(FORMAT_VERSION):
-        raise ArtifactError(f"unsupported manifest version {manifest.get('format_version')!r}")
+        raise ArtifactError(f"unsupported manifest version {manifest.get('format_version')!r}: "
+                            f"this build reads format {FORMAT_VERSION} only")
     if manifest.get("config_hash") != config.hash():
         raise ArtifactError(
             "artifact config hash mismatch: artifacts were produced by a "

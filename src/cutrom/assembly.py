@@ -14,11 +14,12 @@ it.
 
 Per parameter, only the cut elements need new local terms.  ``_cut_stage``
 computes them once, component-major: per cut element the volume-weight sum,
-the segment weight, and per local vertex the volume load, the barycentrics at
-both Gauss points, the normal derivative and the boundary load.  Full
-assembly gathers its inside rows from the mesh's whole-triangle stiffness
-blocks (``BackgroundMesh.tri_stiffness``) and loads f |T| / 3
-(``_whole_load``), and recomputes only its cut rows, from this stage.
+the segment weight, and per local vertex the barycentrics at both Gauss
+points with the normal derivative (one array), the volume load and the
+boundary load.  Full assembly gathers its inside rows from the mesh's
+whole-triangle stiffness blocks (``BackgroundMesh.tri_stiffness``) and
+loads f |T| / 3 (``_whole_load``), and recomputes only its cut rows, from
+this stage.
 ``assemble_batch`` assembles several geometries of one mesh at once: one
 stage over their joined cut rules, and one ``np.bincount`` over (parameter,
 pattern position) for A and one over (parameter, dof) for f.  A bin sums
@@ -39,12 +40,13 @@ blocks that ``assemble_system`` keeps to a copy of A: one assembly each.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-from .geometry import BackgroundMesh, CutGeometry, CutRule
+from .geometry import OUTSIDE, BackgroundMesh, CutGeometry, CutRule
 
 
 class AssemblyError(ValueError):
@@ -129,18 +131,26 @@ def _csr_on_pattern(mesh: BackgroundMesh, values, positions):
                           np.searchsorted(positions, mesh.pattern_indptr)), shape=(n, n))
 
 
-# rows of the per-vertex stage: barycentrics at Gauss points 0 and 1, normal
-# derivative, volume load, boundary load
-_BARY, _DN, _F_VOL, _F_BND = slice(0, 2), 2, 3, 4
+class _Stage(NamedTuple):
+    """Local terms of cut elements, component-major (one column per
+    element): ``bdn`` (3, 3, k) the barycentrics at Gauss points 0 and 1 and
+    the normal derivatives of the three hats (``_kernels.boundary_terms``),
+    the volume and boundary loads (3, k), the volume-weight sums and the
+    segment Gauss weights (k,), and the elements' columns (12, k) of
+    ``tri_comp``."""
+
+    bdn: np.ndarray
+    f_vol: np.ndarray
+    f_bnd: np.ndarray
+    wsum: np.ndarray
+    seg_w: np.ndarray
+    tri: np.ndarray
 
 
-def _cut_stage(geoms, phys: PhysicsParams):
+def _cut_stage(geoms, phys: PhysicsParams) -> _Stage:
     """Local terms of the cut elements of ``geoms`` (one mesh), their rules
-    joined in order, component-major: per-vertex rows (5, 3, k) (see
-    ``_BARY`` ... ``_F_BND``), per-element rows (2, k): the volume-weight
-    sum and the segment Gauss weight, and the elements' columns (12, k) of
-    ``tri_comp``.  Every term is computed column by column, so joining rules
-    changes no value."""
+    joined in order.  Every term is computed column by column, so joining
+    rules changes no value."""
     for geom in geoms:
         if geom.cut_rule.seg_wts.shape[0] != geom.cut_elements.size:
             raise AssemblyError("every cut element needs a component-major cut rule")
@@ -151,12 +161,11 @@ def _cut_stage(geoms, phys: PhysicsParams):
                          for f in fields(CutRule)))
     g0, gx, gy, gxy = (float(c) for c in phys.g_coeffs)
     wsum, f_vol = _kernels.volume_terms(rule.vol_pts, rule.vol_wts, rule.tri, float(phys.f_const))
-    bary, dn, f_bnd = _kernels.boundary_terms(
+    bdn, f_bnd = _kernels.boundary_terms(
         rule.seg_pts, rule.seg_wts, rule.normal, rule.tri,
         phys.nitsche_lambda / geoms[0].mesh.h, g0, gx, gy, gxy,
     )
-    vert = np.concatenate([bary, dn[None], f_vol[None], f_bnd[None]])
-    return vert, np.stack([wsum, rule.seg_wts]), rule.tri
+    return _Stage(bdn, f_vol, f_bnd, wsum, rule.seg_wts, rule.tri)
 
 
 def _whole_load(area, f_const: float):
@@ -191,16 +200,16 @@ def assemble_batch(geoms, phys: PhysicsParams):
     counts = np.array([(g.active_elements.size, g.cut_elements.size, g.ghost_facets.size)
                        for g in geoms])
     act_of, cut_of, gf_of = (np.repeat(np.arange(batch), c) for c in counts.T)
-    vert, elem, tri = _cut_stage(geoms, phys)
+    stage = _cut_stage(geoms, phys)
     # each cut element's row among the batch's active elements
     t = mesh.n_triangles
     cut_sel = np.searchsorted(act_of * t + act, cut_of * t + cut)
 
     # stiffness: whole-triangle blocks, with the cut rows from the stage
     a_vol = mesh.tri_stiffness.take(act, axis=0)
-    a_vol[cut_sel] = _kernels.volume_contribs(elem[0], tri)
+    a_vol[cut_sel] = _kernels.volume_contribs(stage.wsum, stage.tri)
     a_nit, cons = _kernels.boundary_contribs(
-        elem[1], vert[_BARY], vert[_DN], phys.nitsche_lambda / mesh.h)
+        stage.seg_w, stage.bdn[:2], stage.bdn[2], phys.nitsche_lambda / mesh.h)
     jv = mesh.facet_jump.take(gf, axis=0)
     a_ghost = _kernels.ghost_penalty(phys.gamma, mesh.h, mesh.facet_len[gf][:, None, None],
                                      jv[:, :, None], jv[:, None, :])
@@ -211,11 +220,11 @@ def assemble_batch(geoms, phys: PhysicsParams):
         np.concatenate([a_vol.ravel(), a_nit.ravel(), a_ghost.ravel()]), batch * size)
 
     f_vol = np.repeat(_whole_load(mesh.tri_area[act], float(phys.f_const))[:, None], 3, axis=1)
-    f_vol[cut_sel] = vert[_F_VOL].T
+    f_vol[cut_sel] = stage.f_vol.T
     loads = np.bincount(
         np.concatenate([_flat_index(mesh.triangles, act, act_of * n),
                         _flat_index(mesh.triangles, cut, cut_of * n)]),
-        np.concatenate([f_vol.ravel(), vert[_F_BND].T.ravel()]), minlength=batch * n)
+        np.concatenate([f_vol.ravel(), stage.f_bnd.T.ravel()]), minlength=batch * n)
     return values.reshape(batch, size), used.reshape(batch, size), loads.reshape(batch, n), cons
 
 
@@ -302,7 +311,9 @@ class EntryPlan:
 
         self.m_ids, cand, slot = _slot_holders(mesh.tri_pattern_pos, m_pos, size)
         self.m_elems = cand
-        self.m_aloc, self.m_cloc = np.divmod(slot, 3)
+        # local (a, c) of each candidate: row 0 a, row 1 c
+        self.m_loc = np.stack(np.divmod(slot, 3))
+        self.m_aloc, self.m_cloc = self.m_loc
         tri = np.take(mesh.tri_comp, cand, axis=1)
         rng = np.arange(cand.size)
         gx = tri[_kernels.GX]
@@ -345,38 +356,35 @@ def evaluate_entries(geom: CutGeometry, plan: EntryPlan):
             f"geometry mesh (vertices, triangles, h) = {shape} does not match the "
             f"plan's {plan.mesh_shape}"
         )
-    vert, elem, _ = _cut_stage([geom], plan.phys)
+    stage = _cut_stage([geom], plan.phys)
     k = geom.cut_elements.size
     lam_over_h = plan.phys.nitsche_lambda / mesh.h
 
     # matrix: volume values of the active candidates, Nitsche values of the
     # cut ones, then the ghost facets
-    act = geom.active_pos[plan.m_elems] >= 0
+    act = geom.elem_class[plan.m_elems] != OUTSIDE
     cpos = geom.cut_pos[plan.m_elems]
     cut = np.flatnonzero(cpos >= 0)
     cp = cpos[cut]
-    seg = vert[:3].reshape(3, 3 * k)
-    at_a = seg[:, plan.m_aloc[cut] * k + cp]
-    at_c = seg[:, plan.m_cloc[cut] * k + cp]
-    wsum, w = elem[:, cp]
+    # one gather for both hats: (barycentric 0, barycentric 1, dn) x (a, c)
+    at = stage.bdn.reshape(3, 3 * k)[:, np.take(plan.m_loc, cut, axis=1) * k + cp]
     vol = plan.m_whole.copy()
-    vol[cut] = _kernels.stiffness(wsum, *plan.m_grad[:, cut])
-    nit = _kernels.nitsche(w, at_a[_BARY], at_c[_BARY], at_a[_DN], at_c[_DN], lam_over_h)
+    vol[cut] = _kernels.stiffness(stage.wsum[cp], *plan.m_grad[:, cut])
+    nit = _kernels.nitsche(stage.seg_w[cp], at[:2, 0], at[:2, 1], at[2, 0], at[2, 1], lam_over_h)
     ghost = geom.ghost_mask[plan.g_facets]
-    out_m = np.zeros(plan.n_matrix)
-    np.add.at(out_m, np.concatenate([plan.m_ids[act], plan.m_ids[cut], plan.g_ids[ghost]]),
-              np.concatenate([vol[act], nit, plan.g_vals[ghost]]))
+    out_m = np.bincount(np.concatenate([plan.m_ids[act], plan.m_ids[cut], plan.g_ids[ghost]]),
+                        np.concatenate([vol[act], nit, plan.g_vals[ghost]]),
+                        minlength=plan.n_matrix)
 
     # vector: volume loads of the active candidates, then boundary loads of
     # the cut ones
-    act = geom.active_pos[plan.v_elems] >= 0
+    act = geom.elem_class[plan.v_elems] != OUTSIDE
     cpos = geom.cut_pos[plan.v_elems]
     cut = np.flatnonzero(cpos >= 0)
-    cp = cpos[cut]
-    loads = vert[_F_VOL:].reshape(2, 3 * k)[:, plan.v_aloc[cut] * k + cp]
+    at = plan.v_aloc[cut] * k + cpos[cut]
     vol = plan.v_whole.copy()
-    vol[cut] = loads[0]
-    out_v = np.zeros(plan.n_vector)
-    np.add.at(out_v, np.concatenate([plan.v_ids[act], plan.v_ids[cut]]),
-              np.concatenate([vol[act], loads[1]]))
+    vol[cut] = stage.f_vol.reshape(-1)[at]
+    out_v = np.bincount(np.concatenate([plan.v_ids[act], plan.v_ids[cut]]),
+                        np.concatenate([vol[act], stage.f_bnd.reshape(-1)[at]]),
+                        minlength=plan.n_vector)
     return out_m, out_v

@@ -42,7 +42,8 @@ TIE_RTOL = 1e-8
 PANEL = 16
 
 # LAPACK's LU solve, called directly: ``scipy.linalg.lu_solve`` adds about
-# 15 us of argument handling per call, and an online query makes four calls
+# 15 us of argument handling per call, and the sweep's indicators make four
+# calls per parameter
 _GETRS = sla.get_lapack_funcs("getrs", (np.empty(1),))
 
 
@@ -65,9 +66,8 @@ class UnionPattern:
     the entry of its transpose.  ``upper`` holds the entries with row <= col
     (positions are sorted by row, then column, so these are k <= transpose[k])
     and ``twin[k]`` is the row of entry k's upper twin among them.
-    ``cols``/``indptr`` are the CSR structure of the union; ``_index`` maps a
-    mesh position to its entry, -1 outside the union.  Raises ``DeimError``
-    when the union is not symmetric."""
+    ``cols``/``indptr`` are the CSR structure of the union.  Raises
+    ``DeimError`` when the union is not symmetric."""
 
     def __init__(self, mesh: BackgroundMesh, positions: np.ndarray):
         self.positions = positions
@@ -75,22 +75,13 @@ class UnionPattern:
         self.n = mesh.n_vertices
         self.cols = mesh.pattern_cols[positions]
         self.indptr = np.searchsorted(mesh.pattern_rows[positions], np.arange(self.n + 1))
-        self._index = np.full(mesh.pattern_cols.size, -1, dtype=np.int64)
-        self._index[positions] = np.arange(self.size)
-        self.transpose = self._index[mesh.pattern_transpose[positions]]
+        # each mesh position's entry in the union, -1 outside it
+        entry = np.full(mesh.pattern_cols.size, -1, dtype=np.int64)
+        entry[positions] = np.arange(self.size)
+        self.transpose = entry[mesh.pattern_transpose[positions]]
         if np.any(self.transpose < 0):
             raise DeimError("union pattern is not symmetric: an entry's transpose is missing")
         self.upper, self.twin = _upper_half(self.transpose)
-
-    def vectorize(self, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """The matrix with ``values`` at the mesh ``positions`` as a vector
-        over the union (zeros where it has no stored entry)."""
-        at = self._index[positions]
-        if np.any(at < 0):
-            raise DeimError("matrix has structural entries outside the union pattern")
-        out = np.zeros(self.size)
-        out[at] = values
-        return out
 
     def symmetrize(self, values: np.ndarray) -> np.ndarray:
         """Values of the symmetric part (B + Bᵀ) / 2 of the matrix B whose
@@ -255,7 +246,12 @@ def deim_coefficients(op: DeimOperator, sampled: np.ndarray) -> np.ndarray:
 
 def reconstruct(op: DeimOperator, coefficients: np.ndarray):
     """U c lifted back to a full vector, or to a symmetrized sparse matrix
-    through the union pattern for matrix-kind operators."""
+    through the union pattern for matrix-kind operators.
+
+    A mirrored basis has equal rows at an entry and its transpose, but the
+    BLAS product U c can still round the two differently (it does at a few
+    entries for most parameters of the default model), so the symmetrization
+    is not a no-op."""
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.shape != (op.l,):
         raise DeimError(f"expected {op.l} coefficients, got {coefficients.shape}")

@@ -2,10 +2,10 @@
 
 The computational setup is a fixed square background mesh that never changes
 with the parameter.  The mesh builds its parameter-independent tables once:
-element areas, facets and patches, the assembly pattern, the per-triangle
-component table ``tri_comp`` (vertex coordinates and basis gradients, one
-contiguous row per component) that the kernels read, and the whole
-triangles' stiffness blocks ``tri_stiffness``.  For
+element areas, facets, neighbours and patches, the assembly pattern, the
+per-triangle component table ``tri_comp`` (vertex coordinates and basis
+gradients, one contiguous row per component) that the kernels read, and the
+whole triangles' stiffness blocks ``tri_stiffness``.  For
 each parameter the ellipse level set classifies every triangle as inside /
 cut / outside, and only the cut triangles get new quadrature: the centroid
 and area of each sub-triangle of the region where the linear interpolant of
@@ -156,6 +156,12 @@ class BackgroundMesh:
         facet_tris[swap] = facet_tris[swap][:, ::-1]
         self.facets = facets
         self.facet_tris = facet_tris
+        # column k holds the triangle across local facet k, or n_triangles
+        # when there is none (a boundary facet)
+        n_t = self.n_triangles
+        across = facet_tris[self.tri_facets]
+        across = np.where(across[..., 0] == np.arange(n_t)[:, None], across[..., 1], across[..., 0])
+        self.tri_neighbors = np.where(across >= 0, across, n_t)
         verts = self.vertices
         tangent = verts[facets[:, 1]] - verts[facets[:, 0]]
         length = np.sqrt(tangent[:, 0] ** 2 + tangent[:, 1] ** 2)
@@ -300,7 +306,6 @@ class CutGeometry:
     active_dofs: np.ndarray
     cut_rule: CutRule = field(repr=False)
     cut_pos: np.ndarray  # triangle id -> position in cut_elements, -1 elsewhere
-    active_pos: np.ndarray  # triangle id -> position in active_elements, -1 elsewhere
     ghost_mask: np.ndarray  # facet id -> ghost facet flag
     degenerate_elements: list = field(default_factory=list)
 
@@ -326,24 +331,25 @@ def build_cut_geometry(mesh: BackgroundMesh, mu: ParameterPoint) -> CutGeometry:
     phi_v = level_set(mu, *mesh.vertices_t)
     vertex_in = phi_v <= 0.0
     corner_in = vertex_in.view(np.uint8)[mesh.triangles_t]
-    elem_class = _CLASS_BY_COUNT[corner_in[0] + corner_in[1] + corner_in[2]]
+    elem_class = np.take(_CLASS_BY_COUNT, corner_in[0] + corner_in[1] + corner_in[2])
 
-    active = np.flatnonzero(elem_class != OUTSIDE)
+    # activity flags with one more, False, for "no neighbour"
+    n_t = mesh.n_triangles
+    active_flag = np.empty(n_t + 1, dtype=bool)
+    np.not_equal(elem_class, OUTSIDE, out=active_flag[:n_t])
+    active_flag[n_t] = False
+    active = np.flatnonzero(active_flag)
     cut = np.flatnonzero(elem_class == CUT)
 
-    active_pos = np.full(mesh.n_triangles, -1, dtype=np.int64)
-    active_pos[active] = np.arange(active.size)
-    cut_pos = np.full(mesh.n_triangles, -1, dtype=np.int64)
+    cut_pos = np.full(n_t, -1, dtype=np.int64)
     cut_pos[cut] = np.arange(cut.size)
 
-    # ghost facets: interior facets of cut elements with both neighbours
-    # active; every ghost facet has a cut neighbour, so the cut band's facets
-    # are the only candidates
-    cand = mesh.tri_facets[cut].ravel()
-    ft = mesh.facet_tris[cand]
-    keep = (ft[:, 1] >= 0) & (elem_class[ft[:, 0]] != OUTSIDE) & (elem_class[ft[:, 1]] != OUTSIDE)
+    # ghost facets: interior facets with both neighbours active and one of
+    # them cut, so a cut element's facet is one exactly when the triangle
+    # across it is active
     ghost_mask = np.zeros(mesh.facets.shape[0], dtype=bool)
-    ghost_mask[cand[keep]] = True
+    across_active = active_flag[mesh.tri_neighbors.take(cut, axis=0)]
+    ghost_mask[mesh.tri_facets.take(cut, axis=0)[across_active]] = True
     ghost_facets = np.flatnonzero(ghost_mask)
 
     cut_vertices = mesh.triangles_t[:, cut]
@@ -368,7 +374,6 @@ def build_cut_geometry(mesh: BackgroundMesh, mu: ParameterPoint) -> CutGeometry:
         active_dofs=active_dofs,
         cut_rule=CutRule(tri=tri, vol_pts=pts, vol_wts=wts, seg_pts=seg, seg_wts=seg_w, normal=nrm),
         cut_pos=cut_pos,
-        active_pos=active_pos,
         ghost_mask=ghost_mask,
         degenerate_elements=cut[degen].tolist(),
     )

@@ -3,8 +3,9 @@
 The offline phase solves the training set, builds the mode basis and both
 interpolation operators, and precomputes the reduced blocks and the entry
 plan.  The online sweep samples the planned entries once per test parameter
-(``rom.prepare``); the same interpolation coefficients give the DEIM
-indicators and every reduced solve (``rom.solve``, once per mode count).
+(``rom.prepare``); the same samples give every reduced solve (``rom.solve``,
+once per mode count) and, outside the timed online work, the interpolation
+coefficients of the DEIM indicators.
 Each record gets the full estimator set, and the hard invariants (Rayleigh
 sandwich, active-restriction ordering, combined bound) are enforced as it
 goes.
@@ -36,11 +37,12 @@ from .assembly import (
     physics_from_config,
 )
 from .config import SWEEP_ONLY_FIELDS, Config
-from .deim import MATRIX, VECTOR, build_deim_operator, build_union_pattern, reconstruct
+from .deim import (MATRIX, VECTOR, build_deim_operator, build_union_pattern,
+                   deim_coefficients, reconstruct)
 from .fom import residual, solve_active, solve_fom
 from .geometry import ParameterPoint, build_background_mesh, build_cut_geometry, require_inside_box
 from .pod import build_pod_basis, projection_tail_gap, tail_energy
-from .rom import build_rom_offline, prepare, solve
+from .rom import build_rom_offline, prepare, sample_entries, solve
 
 log = logging.getLogger(__name__)
 
@@ -293,8 +295,8 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
         fom_time = t_asm + fom_sol.solve_time
 
         prep = prepare(art, geom)
-        a_deim = reconstruct(art.deim_a, prep.c_a)
-        f_deim = reconstruct(art.deim_f, prep.c_f)
+        a_deim = reconstruct(art.deim_a, deim_coefficients(art.deim_a, prep.a))
+        f_deim = reconstruct(art.deim_f, deim_coefficients(art.deim_f, prep.f))
         a_err_abs, eta_a = est.deim_matrix_error(system.A, a_deim)
         f_err_abs, eta_f_val = est.deim_vector_error(system.f, f_deim)
         diag = system.A.diagonal()
@@ -559,7 +561,8 @@ def deim_exactness_check(art: OfflineArtifacts, params) -> CheckResult:
     for mu in params:
         geom = build_cut_geometry(art.mesh, mu)
         system = assemble_system(geom, art.phys)
-        diff = (reconstruct(art.deim_a, prepare(art, geom).c_a) - system.A).tocsr()
+        c_a = deim_coefficients(art.deim_a, sample_entries(art, geom)[0])
+        diff = (reconstruct(art.deim_a, c_a) - system.A).tocsr()
         worst = max(worst, float(np.abs(np.asarray(diff[rows_sel, cols_sel])).max()))
     return CheckResult(
         "deim_interpolation_exactness", worst <= 1e-10, f"max |A_deim - A| at selected {worst:.3e}",

@@ -1,12 +1,19 @@
 """Reduced blocks projected offline and the sampled online solve.
 
 The blocks, the interpolation operators and the entry plan are carried by
-one offline object, ``artifacts.OfflineArtifacts``.  The online stage has
-two steps.  ``prepare`` samples the planned entries for one parameter and
-turns them into interpolation coefficients; they depend on the parameter
-only, not on the mode count.  ``solve`` then forms and solves the reduced
-system for one mode count and lifts it.  ``rom_online_solve`` is one
-standalone query: both steps at one mode count.
+one offline object, ``artifacts.OfflineArtifacts``.  The blocks are kept in
+the DEIM online form (Chaturantabut & Sorensen 2010; Negri, Manzoni &
+Amsallem 2015): the inverse of each interpolation matrix PᵀU is folded into
+them offline, so the reduced operator and load are linear in the sampled
+entries themselves, and no interpolation system is solved online.
+
+The online stage has two steps.  ``prepare`` samples the planned entries
+for one parameter; they depend on the parameter only, not on the mode
+count.  ``solve`` then forms the reduced system for one mode count (one
+product each with the matrix and the load blocks), solves it with one LU
+solve and lifts it.  ``rom_online_solve`` is one standalone query: both
+steps at one mode count.  The interpolation coefficients, which only the
+estimators need, come from ``deim.deim_coefficients`` on the same samples.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.linalg as sla
 
-from . import deim as deim_mod
 from .assembly import evaluate_entries
 from .deim import DeimOperator
 from .geometry import CutGeometry, ParameterPoint, build_cut_geometry, require_inside_box
@@ -27,25 +34,31 @@ if TYPE_CHECKING:
     from .artifacts import OfflineArtifacts
 
 
+# LAPACK's LU solve of a general system, called directly as ``deim._GETRS``
+# is: ``np.linalg.solve`` adds about 10 us of argument handling per call
+_GESV = sla.get_lapack_funcs("gesv", (np.empty(1),))
+
+
 class RomError(RuntimeError):
     pass
 
 
 @dataclass
 class OnlinePrep:
-    """Interpolation coefficients of one parameter, shared by every mode
-    count, and the time taken to sample the entries and compute them."""
+    """Sampled stiffness and load entries of one parameter (in the order of
+    the interpolation indices), shared by every mode count, and the time
+    taken to sample them."""
 
     mu: ParameterPoint
-    c_a: np.ndarray
-    c_f: np.ndarray
+    a: np.ndarray
+    f: np.ndarray
     time: float
 
 
 @dataclass
 class RomSolution:
     """Reduced coefficients, the lifted full-order vector, and online time
-    covering sampling, coefficients, reduced solve and lift only."""
+    covering sampling, reduced solve and lift only."""
 
     u_hat: np.ndarray
     u_lifted: np.ndarray
@@ -73,9 +86,9 @@ def packed_upper_index(n_max: int) -> np.ndarray:
 
 
 def build_rom_offline(pod: PodBasis, deim_a: DeimOperator, deim_f: DeimOperator):
-    """Project every interpolation basis matrix/vector onto the mode basis:
-    ``(blocks_a, blocks_f)`` of shapes (n_max (n_max + 1) / 2, l_A) and
-    (l_f, n_max).
+    """Project every interpolation basis matrix/vector onto the mode basis
+    and fold in the interpolation inverses: ``(blocks_a, blocks_f)`` of
+    shapes (n_max (n_max + 1) / 2, l_A) and (l_f, n_max).
 
     The matrix basis is mirrored (``deim.build_deim_operator``), so each
     basis element is a symmetric matrix as it stands.  One CSR matrix on the
@@ -83,6 +96,14 @@ def build_rom_offline(pod: PodBasis, deim_a: DeimOperator, deim_f: DeimOperator)
     is stored packed (``packed_upper_index``), one column per basis element,
     so the leading n x n blocks of all elements are one contiguous slab and
     a reduced operator unpacks exactly symmetric.
+
+    The projected blocks B (one column per matrix basis element) and F (one
+    row per load basis vector) are then folded with the LU factors the
+    operators hold: B (P_AᵀU_A)⁻¹ and (P_fᵀU_f)⁻ᵀ F.  Column i of the
+    folded B is the packed reduced operator of a unit sample at the i-th
+    interpolation index, so ``reduced_operator`` of the sampled entries s is
+    Vᵀ U_A (P_AᵀU_A)⁻¹ s V, the DEIM approximation, with no coefficients
+    formed; likewise for the load.
     """
     if deim_a.pattern is None:
         raise RomError("matrix operator must carry the union pattern")
@@ -96,6 +117,8 @@ def build_rom_offline(pod: PodBasis, deim_a: DeimOperator, deim_f: DeimOperator)
     blocks_f = np.empty((deim_f.l, pod.n_max))
     for j in range(deim_f.l):
         blocks_f[j] = v.T @ deim_f.U[:, j]
+    blocks_a = np.ascontiguousarray(sla.lu_solve(deim_a.lu, blocks_a.T, trans=1).T)
+    blocks_f = sla.lu_solve(deim_f.lu, blocks_f, trans=1)
     return blocks_a, blocks_f
 
 
@@ -105,39 +128,38 @@ def sample_entries(art: OfflineArtifacts, geom: CutGeometry):
 
 
 def prepare(art: OfflineArtifacts, geom: CutGeometry) -> OnlinePrep:
-    """Timed per-parameter step: (i) sample entries, (ii) interpolation
-    coefficients."""
+    """Timed per-parameter step: sample the planned entries."""
     t0 = time.perf_counter()
     a_samp, f_samp = sample_entries(art, geom)
-    c_a = deim_mod.deim_coefficients(art.deim_a, a_samp)
-    c_f = deim_mod.deim_coefficients(art.deim_f, f_samp)
-    return OnlinePrep(mu=geom.mu, c_a=c_a, c_f=c_f, time=time.perf_counter() - t0)
+    return OnlinePrep(mu=geom.mu, a=a_samp, f=f_samp, time=time.perf_counter() - t0)
 
 
-def reduced_operator(art: OfflineArtifacts, c_a: np.ndarray, n: int) -> np.ndarray:
-    """The n x n reduced operator of the matrix coefficients ``c_a``: one
-    product with the first n (n + 1) / 2 packed rows of the blocks, unpacked
-    through ``art.packed_index``, so it is exactly symmetric."""
-    return (art.blocks_a[:n * (n + 1) // 2] @ c_a)[art.packed_index[:n, :n]]
+def reduced_operator(art: OfflineArtifacts, a_samp: np.ndarray, n: int) -> np.ndarray:
+    """The n x n reduced operator of the sampled stiffness entries
+    ``a_samp``: one product with the first n (n + 1) / 2 packed rows of the
+    folded blocks, unpacked through ``art.packed_index``, so it is exactly
+    symmetric."""
+    return (art.blocks_a[:n * (n + 1) // 2] @ a_samp)[art.packed_index[:n, :n]]
 
 
 def solve(art: OfflineArtifacts, prep: OnlinePrep, n: int) -> RomSolution:
-    """Timed per-mode-count step: (iii) dense n x n solve, (iv) lift.
+    """Timed per-mode-count step: dense n x n LU solve, then the lift.
 
     The reduced operator for n modes is the leading sub-block of the
     precomputed n_max blocks, valid because mode order is fixed.  The
     solution's online time adds the time of ``prep``, so it is the cost of
-    one standalone query at n.
+    one standalone query at n.  An exactly singular reduced operator raises
+    ``RomError`` naming the parameter and n.
     """
     if not (1 <= n <= art.pod.n_max):
         raise RomError(f"mode count {n} outside [1, {art.pod.n_max}]")
     t0 = time.perf_counter()
-    a_hat = reduced_operator(art, prep.c_a, n)
-    f_hat = prep.c_f @ art.blocks_f[:, :n]
-    try:
-        u_hat = np.linalg.solve(a_hat, f_hat)
-    except np.linalg.LinAlgError as exc:
-        raise RomError(f"singular reduced system at mu={prep.mu}, n={n}: {exc}") from exc
+    a_hat = reduced_operator(art, prep.a, n)
+    f_hat = prep.f @ art.blocks_f[:, :n]
+    _lu, _piv, u_hat, info = _GESV(a_hat, f_hat, overwrite_a=True, overwrite_b=True)
+    if info != 0:
+        raise RomError(f"singular reduced system at mu={prep.mu}, n={n}: "
+                       f"an exactly zero pivot in its LU factors (gesv info {info})")
     u_lifted = art.pod.V[:, :n] @ u_hat
     dt = prep.time + (time.perf_counter() - t0)
     return RomSolution(u_hat=u_hat, u_lifted=u_lifted, n=n, online_time=dt)

@@ -6,7 +6,7 @@ import pytest
 
 from cutrom.assembly import assemble_mass_matrix, physics_from_config
 from cutrom.config import Config
-from cutrom.geometry import build_background_mesh
+from cutrom.geometry import ParameterPoint, build_background_mesh
 from cutrom.pipeline import emit_report, run_offline, run_online_sweep
 
 DEFAULT_BOX = ((-1.2, 1.2), (-1.2, 1.2))
@@ -15,6 +15,20 @@ DEFAULT_BOX = ((-1.2, 1.2), (-1.2, 1.2))
 @pytest.fixture(scope="session")
 def default_mesh():
     return build_background_mesh(DEFAULT_BOX, 0.125)
+
+
+@pytest.fixture(scope="session")
+def near_tangent_mu(default_mesh):
+    """Ellipses tangent to a grid line at a mesh vertex, and one ulp either
+    side: r = x_v^2 with x_v = 1.08 (to rounding) the vertex on the positive
+    x axis, so the ellipse touches the vertical line x = x_v at (x_v, 0);
+    then the same in theta for the vertex (0, x_v).  x_v^2 = 1.1664 lies in
+    the parameter box [1, 1.2]."""
+    x = default_mesh.vertices[:, 0]
+    x_v = x[np.argmin(np.abs(x - 1.08))]
+    on = x_v * x_v
+    values = (np.nextafter(on, 0.0), on, np.nextafter(on, 2.0))
+    return [ParameterPoint(v, 1.1) for v in values] + [ParameterPoint(1.1, v) for v in values]
 
 
 @pytest.fixture(scope="session")

@@ -99,14 +99,29 @@ def test_model_with_more_solves_than_vertices_round_trips(tmp_path):
 def test_bad_version_rejected(saved, small_config):
     manifest = saved / "manifest.txt"
     text = manifest.read_text(encoding="utf-8")
-    assert "format_version = 4\n" in text
+    assert "format_version = 5\n" in text
     # format 3 hashed the sweep and path fields too and stored gamma as a
     # pair; format 2 saved the union pattern as row * N + col codes
     for old in ("3", "2"):
-        manifest.write_text(text.replace("format_version = 4", f"format_version = {old}"),
+        manifest.write_text(text.replace("format_version = 5", f"format_version = {old}"),
                             encoding="utf-8")
         with pytest.raises(ArtifactError, match=f"manifest version '{old}'"):
             load_artifacts(str(saved), small_config)
+
+
+def test_format_4_directory_with_unfolded_blocks_refused(saved, small_run, small_config):
+    """Format 4 saved the reduced blocks of the same shapes without the
+    interpolation inverses folded in.  Such a directory would load as a
+    wrong model with no error, so its version is refused by name."""
+    art, _ = small_run
+    _rewrite(saved, "blocks_a", lambda b: b @ art.deim_a.pu)
+    _rewrite(saved, "blocks_f", lambda b: art.deim_f.pu.T @ b)
+    manifest = saved / "manifest.txt"
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(text.replace("format_version = 5", "format_version = 4"),
+                        encoding="utf-8")
+    with pytest.raises(ArtifactError, match="manifest version '4'"):
+        load_artifacts(str(saved), small_config)
 
 
 @pytest.mark.parametrize("line, damaged", [

@@ -253,7 +253,7 @@ def _element_major_rules(geom):
     vol_pts = np.zeros((act.size, 2, 2))
     vol_wts = np.zeros((act.size, 2))
     vol_wts[:, 0] = mesh.tri_area[act]
-    cut_sel = geom.active_pos[geom.cut_elements]
+    cut_sel = np.searchsorted(act, geom.cut_elements)  # each cut element's active row
     vol_pts[cut_sel] = rule.vol_pts.transpose(2, 1, 0)
     vol_wts[cut_sel] = rule.vol_wts.T
     seg_pts = rule.seg_pts.transpose(2, 0, 1)
@@ -322,7 +322,7 @@ def _reference_matrices(geom, phys):
     coef = phys.gamma * mesh.h * mesh.facet_len[geom.ghost_facets]
     ghost = coef[:, None, None] * (jv[:, :, None] * jv[:, None, :])
     nnz, _indptr, _cols, vol_pos, ghost_pos, _used = _reference_pattern(mesh, act, geom.ghost_facets)
-    cut_pos = vol_pos[geom.active_pos[cut]]
+    cut_pos = vol_pos[np.searchsorted(act, cut)]
     out = []
     for boundary in (a_nit, pen):
         values = np.zeros(nnz)

@@ -366,7 +366,7 @@ def _assert_geometry_bitwise(mesh, mu):
     # component-major cut rule
     act, cut, rule = new.active_elements, new.cut_elements, new.cut_rule
     ins_sel = np.flatnonzero(new.elem_class[act] == INSIDE)
-    cut_sel = new.active_pos[cut]
+    cut_sel = ref["active_pos"][cut]
     assert ins_sel.size + cut_sel.size == act.size
     _assert_bytes_equal(ref["vol_pts"][cut_sel], rule.vol_pts.transpose(2, 1, 0), "cut vol_pts")
     _assert_bytes_equal(ref["vol_wts"][cut_sel], rule.vol_wts.T, "cut vol_wts")
@@ -430,6 +430,19 @@ def test_component_table_matches_mesh_arrays():
     assert np.array_equal(mesh.tri_comp[[0, 3]].T, p0)
 
 
+def test_cut_geometry_matches_reference_on_near_tangent_cuts(default_mesh, near_tangent_mu):
+    x, y = default_mesh.vertices.T
+    near = np.abs(np.maximum(x, y) - 1.08) < 1e-9
+    # the vertices (x_v, 0) and (0, x_v) the two triples touch: each middle
+    # parameter puts its vertex on phi = 0, its neighbours one ulp to either side
+    for triple, v in ((near_tangent_mu[:3], np.flatnonzero(near & (y == 0.0))),
+                      (near_tangent_mu[3:], np.flatnonzero(near & (x == 0.0)))):
+        phi = [level_set(mu, x[v], y[v]).item() for mu in triple]
+        assert phi[0] > 0.0 and phi[1] == 0.0 and phi[2] < 0.0
+        for mu in triple:
+            assert _assert_geometry_bitwise(default_mesh, mu).cut_elements.size > 0
+
+
 def test_cut_geometry_matches_reference_on_degenerate_segments():
     # (1.44, 1.44) touches the box edge at the four edge midpoints, which are
     # vertices on an even grid; a one-cell mesh with its corner on the ellipse
@@ -456,6 +469,13 @@ def _assert_tri_facet_map(mesh):
     for f in np.flatnonzero(mesh.facet_tris[:, 1] >= 0):
         ta, tb = mesh.facet_tris[f]
         assert f in tf[ta] and f in tf[tb]
+    # the triangle across each local facet, n_triangles on the boundary
+    nb = mesh.tri_neighbors
+    assert nb.shape == (mesh.n_triangles, 3) and nb.dtype == np.int64
+    for t in range(mesh.n_triangles):
+        for k in range(3):
+            other = [s for s in mesh.facet_tris[tf[t, k]] if s not in (t, -1)]
+            assert nb[t, k] == (other[0] if other else mesh.n_triangles)
 
 
 def _reference_gradients(mesh):

@@ -2,9 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+from cutrom import deim
 from cutrom.config import Config
-from cutrom.deim import MATRIX, UnionPattern, build_deim_operator
+from cutrom.deim import MATRIX, UnionPattern, build_deim_operator, deim_coefficients, reconstruct
 from cutrom.geometry import GeometryError, ParameterPoint, build_background_mesh, build_cut_geometry
 from cutrom.pipeline import run_offline, sample_parameters
 from cutrom.pod import PodBasis
@@ -29,10 +31,10 @@ def test_identity_basis_matrix_projects_to_gram(default_mesh):
     # a single-mode operator whose basis matrix is the identity on the diagonal
     snaps = np.column_stack([np.ones(n), np.ones(n)])
     op = build_deim_operator(snaps, 1e-12, kind=MATRIX, pattern=pattern)
-    scale = op.U[0, 0]  # normalized constant mode
     blocks_a, _ = build_rom_offline(pod, op, op)
     assert blocks_a.shape == (6, 1)
-    assert np.abs(blocks_a[:, 0][packed_upper_index(3)] / scale - v.T @ v).max() <= 1e-10
+    # folded: a unit sample interpolates the identity, whose projection is VᵀV
+    assert np.abs(blocks_a[:, 0][packed_upper_index(3)] - v.T @ v).max() <= 1e-10
 
 
 def test_packed_index_runs_column_major_over_the_upper_triangle():
@@ -86,37 +88,82 @@ def test_truncation_uses_leading_subblock(small_run):
     mu = ParameterPoint(1.14, 1.03)
     n = min(2, art.pod.n_max)
     rs = rom_online_solve(art, mu, n)
-    # reproduce the reduced solve by hand from the plan and blocks
-    from cutrom.deim import deim_coefficients
-    from cutrom.geometry import build_cut_geometry
-    from cutrom.rom import sample_entries
-
-    geom = build_cut_geometry(art.mesh, mu)
-    a_samp, f_samp = sample_entries(art, geom)
-    c_a = deim_coefficients(art.deim_a, a_samp)
-    c_f = deim_coefficients(art.deim_f, f_samp)
-    # the leading n x n triangle is the first n (n + 1) / 2 packed rows
-    a_hat = (art.blocks_a[:n * (n + 1) // 2] @ c_a)[packed_upper_index(n)]
-    f_hat = c_f @ art.blocks_f[:, :n]
-    assert np.array_equal(np.linalg.solve(a_hat, f_hat), rs.u_hat)
+    # reproduce the reduced solve by hand from the sampled entries and the
+    # folded blocks: the leading n x n triangle is the first n (n + 1) / 2
+    # packed rows, and the LU solve is LAPACK's getrf and getrs
+    a_samp, f_samp = sample_entries(art, build_cut_geometry(art.mesh, mu))
+    a_hat = (art.blocks_a[:n * (n + 1) // 2] @ a_samp)[packed_upper_index(n)]
+    f_hat = f_samp @ art.blocks_f[:, :n]
+    assert np.array_equal(sla.lu_solve(sla.lu_factor(a_hat), f_hat), rs.u_hat)
 
 
 def test_packed_operator_matches_the_full_block_contraction(small_run, small_config):
     art, _ = small_run
     # reference: the unpacked projection V^T B_j V of every symmetrized basis
-    # matrix, contracted over the full (l_A, n, n) sub-blocks
+    # matrix, contracted with the interpolation coefficients over the full
+    # (l_A, n, n) sub-blocks
     v = art.pod.V
     full = np.empty((art.deim_a.l, art.pod.n_max, art.pod.n_max))
     for j in range(art.deim_a.l):
         basis_mat = art.pattern.matrix_from_values(art.deim_a.U[:, j])
         full[j] = v.T @ (((basis_mat + basis_mat.T) * 0.5) @ v)
     for mu in (ParameterPoint(1.0, 1.0), ParameterPoint(1.14, 1.03), ParameterPoint(1.2, 1.2)):
-        c_a = prepare(art, build_cut_geometry(art.mesh, mu)).c_a
+        a_samp = prepare(art, build_cut_geometry(art.mesh, mu)).a
+        c_a = deim_coefficients(art.deim_a, a_samp)
         for n in small_config.n_list:
-            a_hat = reduced_operator(art, c_a, n)
+            a_hat = reduced_operator(art, a_samp, n)
             ref = np.tensordot(c_a, full[:, :n, :n], axes=(0, 0))
             assert np.linalg.norm(a_hat - ref) <= 1e-13 * np.linalg.norm(ref)
             assert np.array_equal(a_hat, a_hat.T)
+
+
+def test_folded_blocks_match_the_coefficient_form(small_run, small_config):
+    """The folded blocks applied to the sampled entries give the projected
+    DEIM approximations V_nᵀ A_deim V_n and V_nᵀ f_deim, where A_deim and
+    f_deim are reconstructed from the interpolation coefficients, to 1e-13
+    relative (Frobenius and 2-norm) at every test parameter and mode count.
+    The two forms differ only in rounding: the fold solves with the same LU
+    factors as the coefficients, once offline, without their refinement
+    step."""
+    art, _ = small_run
+    test_mu = sample_parameters(small_config.n_test, small_config.seed + 1,
+                                small_config.mu_min, small_config.mu_max)
+    for mu in test_mu:
+        prep = prepare(art, build_cut_geometry(art.mesh, ParameterPoint(*mu)))
+        a_deim = reconstruct(art.deim_a, deim_coefficients(art.deim_a, prep.a))
+        f_deim = reconstruct(art.deim_f, deim_coefficients(art.deim_f, prep.f))
+        for n in small_config.n_list:
+            v = art.pod.V[:, :n]
+            ref_a = v.T @ (a_deim @ v)
+            ref_f = v.T @ f_deim
+            a_hat = reduced_operator(art, prep.a, n)
+            f_hat = prep.f @ art.blocks_f[:, :n]
+            assert np.linalg.norm(a_hat - ref_a) <= 1e-13 * np.linalg.norm(ref_a)
+            assert np.linalg.norm(f_hat - ref_f) <= 1e-13 * np.linalg.norm(ref_f)
+
+
+def test_query_solves_no_interpolation_system(small_run, monkeypatch):
+    """The online query multiplies the sampled entries by the folded blocks:
+    with the coefficient solve and its LAPACK call made to raise, it still
+    returns."""
+    art, _ = small_run
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("an interpolation system was solved in an online query")
+
+    monkeypatch.setattr(deim, "deim_coefficients", refuse)
+    monkeypatch.setattr(deim, "_GETRS", refuse)
+    sol = rom_online_solve(art, ParameterPoint(1.07, 1.13), art.pod.n_max)
+    assert np.isfinite(sol.u_lifted).all()
+
+
+def test_exactly_singular_reduced_system_named(small_run):
+    art, _ = small_run
+    mu = ParameterPoint(1.07, 1.13)
+    prep = prepare(art, build_cut_geometry(art.mesh, mu))
+    prep.a = np.zeros_like(prep.a)
+    with pytest.raises(RomError, match=r"singular reduced system at mu=.*1\.07.*, n=2"):
+        solve(art, prep, 2)
 
 
 def test_prepare_then_solve_is_bitwise_the_standalone_query(small_run, small_config):
@@ -180,5 +227,5 @@ def test_reduced_operator_is_indefinite_on_the_fine_mesh():
     art = run_offline(config)
     prep = prepare(art, build_cut_geometry(art.mesh, ParameterPoint(*mu)))
     for n in (10, 40):
-        assert np.linalg.eigvalsh(reduced_operator(art, prep.c_a, n))[0] < 0.0
+        assert np.linalg.eigvalsh(reduced_operator(art, prep.a, n))[0] < 0.0
         assert np.isfinite(solve(art, prep, n).u_lifted).all()
