@@ -34,7 +34,7 @@ from operator import attrgetter
 import numpy as np
 
 from .config import Config
-from .deim import MATRIX, VECTOR, DeimOperator, UnionPattern, deim_operator
+from .deim import DeimOperator, UnionPattern, deim_operator
 from .geometry import BackgroundMesh, build_background_mesh
 from .assembly import EntryPlan, PhysicsParams, physics_from_config
 from .pod import PodBasis, truncation_rank
@@ -219,9 +219,9 @@ def load_artifacts(dirpath: str, config: Config) -> OfflineArtifacts:
         n_energy=truncation_rank(np.sqrt(data["pod_sigma"]), config.eps_pod),
     )
     deim_a = deim_operator(data["deim_a_basis"], data["deim_a_indices"],
-                           data["deim_a_singular_values"], MATRIX, pattern)
+                           data["deim_a_singular_values"], pattern)
     deim_f = deim_operator(data["deim_f_basis"], data["deim_f_indices"],
-                           data["deim_f_singular_values"], VECTOR)
+                           data["deim_f_singular_values"])
     return OfflineArtifacts(
         config=config, mesh=mesh, phys=physics_from_config(config), pod=pod,
         deim_a=deim_a, deim_f=deim_f, blocks_a=data["blocks_a"],

@@ -18,6 +18,10 @@ largest, so near-ties (mirror entries, symmetric geometries) are decided by
 position, not by rounding.  It runs blocked, ``PANEL`` modes at a time, on
 the upper rows; a mirrored row loses every tie to its upper twin, which has
 the smaller position.
+
+An interpolant is the vector U c (``reconstruct``), over the union entries
+for the matrix, compared entry by entry with the assembled values: no
+symmetric matrix is rebuilt from it.
 """
 
 from __future__ import annotations
@@ -83,11 +87,6 @@ class UnionPattern:
             raise DeimError("union pattern is not symmetric: an entry's transpose is missing")
         self.upper, self.twin = _upper_half(self.transpose)
 
-    def symmetrize(self, values: np.ndarray) -> np.ndarray:
-        """Values of the symmetric part (B + Bᵀ) / 2 of the matrix B whose
-        values over the union are ``values``."""
-        return 0.5 * (values + values[self.transpose])
-
     def matrix_from_values(self, values: np.ndarray) -> sp.csr_matrix:
         return sp.csr_matrix((values, self.cols, self.indptr), shape=(self.n, self.n))
 
@@ -112,7 +111,6 @@ class DeimOperator:
     U: np.ndarray
     indices: np.ndarray
     singular_values: np.ndarray
-    kind: str
     pu: np.ndarray
     lu: tuple
     cond: float
@@ -134,7 +132,7 @@ def interpolation_conditioning(pu: np.ndarray):
 
 
 def deim_operator(u: np.ndarray, indices: np.ndarray, singular_values: np.ndarray,
-                  kind: str, pattern: UnionPattern | None = None) -> DeimOperator:
+                  pattern: UnionPattern | None = None) -> DeimOperator:
     """The operator of basis ``u`` interpolated at ``indices``: forms PᵀU,
     refuses it when its condition number is not finite or exceeds
     ``COND_LIMIT``, and LU-factors it.  A fresh build and a loaded model
@@ -143,9 +141,8 @@ def deim_operator(u: np.ndarray, indices: np.ndarray, singular_values: np.ndarra
     cond, lebesgue = interpolation_conditioning(pu)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise DeimError(f"interpolation matrix is numerically singular (cond={cond:.3e})")
-    return DeimOperator(U=u, indices=indices, singular_values=singular_values, kind=kind,
-                        pu=pu, lu=sla.lu_factor(pu), cond=cond, lebesgue=lebesgue,
-                        pattern=pattern)
+    return DeimOperator(U=u, indices=indices, singular_values=singular_values, pu=pu,
+                        lu=sla.lu_factor(pu), cond=cond, lebesgue=lebesgue, pattern=pattern)
 
 
 def _pivot(rho: np.ndarray) -> int:
@@ -197,9 +194,13 @@ def build_deim_operator(snapshots: np.ndarray, eps: float, kind: str = VECTOR,
     stays orthonormal.  The singular values are those of the whole matrix
     of symmetric parts (its rank is at most the number of upper rows; the
     missing values are zero).  Without a pattern every row is its own upper
-    twin, of weight 1.  A snapshot column with a non-finite entry is refused
-    by name.
+    twin, of weight 1.  ``kind`` must agree with ``pattern``: ``MATRIX``
+    with one, ``VECTOR`` without; either disagreement raises ``DeimError``.
+    A snapshot column with a non-finite entry is refused by name.
     """
+    if kind != (VECTOR if pattern is None else MATRIX):
+        raise DeimError(f"{kind!r} operator with{'out' if pattern is None else ''} a union "
+                        "pattern: a matrix-kind operator needs one, a vector-kind one none")
     snaps = np.asarray(snapshots, dtype=float)
     if snaps.ndim != 2:
         raise DeimError("snapshots must be a 2-d array (m x n_train)")
@@ -227,7 +228,7 @@ def build_deim_operator(snapshots: np.ndarray, eps: float, kind: str = VECTOR,
         raise DeimError("greedy selection produced duplicate indices")
     spectrum = np.zeros(min(snaps.shape))
     spectrum[:s.size] = s
-    return deim_operator(u[twin], indices, spectrum, kind, pattern)
+    return deim_operator(u[twin], indices, spectrum, pattern)
 
 
 def deim_coefficients(op: DeimOperator, sampled: np.ndarray) -> np.ndarray:
@@ -244,20 +245,11 @@ def deim_coefficients(op: DeimOperator, sampled: np.ndarray) -> np.ndarray:
     return c
 
 
-def reconstruct(op: DeimOperator, coefficients: np.ndarray):
-    """U c lifted back to a full vector, or to a symmetrized sparse matrix
-    through the union pattern for matrix-kind operators.
-
-    A mirrored basis has equal rows at an entry and its transpose, but the
-    BLAS product U c can still round the two differently (it does at a few
-    entries for most parameters of the default model), so the symmetrization
-    is not a no-op."""
+def reconstruct(op: DeimOperator, coefficients: np.ndarray) -> np.ndarray:
+    """The interpolant U c: for the matrix operator its values over the
+    union entries (``UnionPattern.matrix_from_values`` makes it a matrix),
+    for the load its values over the dofs."""
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.shape != (op.l,):
         raise DeimError(f"expected {op.l} coefficients, got {coefficients.shape}")
-    values = op.U @ coefficients
-    if op.kind == VECTOR:
-        return values
-    if op.pattern is None:
-        raise DeimError("matrix-kind operator needs a union pattern")
-    return op.pattern.matrix_from_values(op.pattern.symmetrize(values))
+    return op.U @ coefficients

@@ -1,9 +1,11 @@
 """A posteriori estimators, true errors, effectivity indices, and the combined bound.
 
 Naming note for the record/CSV schema: ``eta_A``/``eta_f`` are the relative
-interpolation-quality indicators of the sampled operators, ``eta_2a``/``eta_2b``
-the plain and Jacobi-weighted residual norms, ``eta_2a_active`` the residual
-norm restricted to active dofs, and ``eta_pod`` the discarded-energy fraction.
+interpolation-quality indicators of the sampled operators (``deim_error``:
+the stiffness matrix is compared as the vector of its entries, so its norm
+is the Frobenius norm), ``eta_2a``/``eta_2b`` the plain and
+Jacobi-weighted residual norms, ``eta_2a_active`` the residual norm
+restricted to active dofs, and ``eta_pod`` the discarded-energy fraction.
 Effectivities divide by the relative Euclidean error, mirroring the report
 tables; the mesh-norm error ``e_T`` is carried alongside.
 """
@@ -14,7 +16,6 @@ from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class EstimatorError(ValueError):
@@ -51,28 +52,14 @@ class EstimatorRecord:
 EstimatorRecord.FIELDS = tuple(f.name for f in fields(EstimatorRecord))
 
 
-def _frobenius(a) -> float:
-    if sp.issparse(a):
-        return float(np.sqrt((a.data * a.data).sum()))
-    return float(np.linalg.norm(np.asarray(a)))
-
-
-def deim_matrix_error(a, a_deim) -> tuple[float, float]:
-    """Absolute and relative Frobenius error of the interpolated stiffness
-    matrix."""
-    denom = _frobenius(a)
+def deim_error(exact, approx) -> tuple[float, float]:
+    """Absolute and relative Euclidean error of an interpolated vector: the
+    load, or the stiffness matrix as the vector of its entries over the
+    mesh's assembly pattern, whose Euclidean norm is the Frobenius norm."""
+    denom = float(np.linalg.norm(exact))
     if denom == 0.0:
-        raise EstimatorError("reference matrix has zero Frobenius norm")
-    err = _frobenius(a - a_deim)
-    return err, err / denom
-
-
-def deim_vector_error(f, f_deim) -> tuple[float, float]:
-    """Absolute and relative Euclidean error of the interpolated load vector."""
-    denom = float(np.linalg.norm(f))
-    if denom == 0.0:
-        raise EstimatorError("reference vector has zero norm")
-    err = float(np.linalg.norm(np.asarray(f) - np.asarray(f_deim)))
+        raise EstimatorError("reference has zero norm")
+    err = float(np.linalg.norm(np.asarray(exact) - np.asarray(approx)))
     return err, err / denom
 
 

@@ -67,6 +67,14 @@ def sample_parameters(count: int, seed: int, mu_min: float, mu_max: float) -> np
     return mu_min + (mu_max - mu_min) * rng.random((count, 2))
 
 
+def _on_mesh_pattern(mesh, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values`` at the mesh-pattern ``positions`` as a vector over the
+    whole assembly pattern, zero elsewhere."""
+    out = np.zeros(mesh.pattern_cols.size)
+    out[positions] = values
+    return out
+
+
 def run_offline(config: Config) -> OfflineArtifacts:
     """Training solves, mode basis, interpolation operators, reduced blocks.
 
@@ -260,8 +268,9 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
     ``config`` may differ from ``art.config`` only in the sweep and path
     fields (``SWEEP_ONLY_FIELDS``, the fields ``Config.hash`` leaves out, so
     ``load_artifacts`` accepts the same configs); any other difference
-    raises ``PipelineError`` naming the field.  Raises ``GeometryError``
-    before any solve when a test ellipse leaves the background box."""
+    raises ``PipelineError`` naming the field, as does an empty test set.
+    Raises ``GeometryError`` before any solve when a test ellipse leaves the
+    background box."""
     for f in fields(Config):
         if f.name not in SWEEP_ONLY_FIELDS and getattr(config, f.name) != getattr(art.config, f.name):
             raise PipelineError(
@@ -272,6 +281,8 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
         test_mu = sample_parameters(config.n_test, config.seed + 1, config.mu_min, config.mu_max)
     else:
         test_mu = np.asarray(test_params, dtype=float).reshape(-1, 2)
+    if test_mu.shape[0] == 0:
+        raise PipelineError("empty test set: the sweep needs at least one test parameter")
     test_points = [ParameterPoint(*m) for m in test_mu]
     for mu in test_points:
         require_inside_box(mu, art.config.box)
@@ -297,8 +308,10 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
         prep = prepare(art, geom)
         a_deim = reconstruct(art.deim_a, deim_coefficients(art.deim_a, prep.a))
         f_deim = reconstruct(art.deim_f, deim_coefficients(art.deim_f, prep.f))
-        a_err_abs, eta_a = est.deim_matrix_error(system.A, a_deim)
-        f_err_abs, eta_f_val = est.deim_vector_error(system.f, f_deim)
+        a_err_abs, eta_a = est.deim_error(
+            _on_mesh_pattern(art.mesh, system.pattern_pos, system.A.data),
+            _on_mesh_pattern(art.mesh, art.pattern.positions, a_deim))
+        f_err_abs, eta_f_val = est.deim_error(system.f, f_deim)
         diag = system.A.diagonal()
         d_min, d_max = est.active_diagonal_range(diag, system.active_dofs)
 
@@ -427,8 +440,8 @@ def emit_report(report: SweepReport, dirpath: str) -> list:
 
 def load_report(dirpath: str) -> SweepReport:
     """Rebuild a SweepReport from records.csv and report_meta.txt.  Raises
-    ``PipelineError`` naming a missing file or meta key, or when the records
-    are not runs of the meta file's ``n_list``."""
+    ``PipelineError`` naming a missing file or meta key, a records.csv with
+    no records, or records that are not runs of the meta file's ``n_list``."""
     meta_path = os.path.join(dirpath, "report_meta.txt")
     rec_path = os.path.join(dirpath, "records.csv")
     for path in (meta_path, rec_path):
@@ -449,6 +462,8 @@ def load_report(dirpath: str) -> SweepReport:
             kwargs = {f: (int(row[f]) if f == "n" else float(row[f]))
                       for f in est.EstimatorRecord.FIELDS}
             records.append(est.EstimatorRecord(**kwargs))
+    if not records:
+        raise PipelineError(f"{rec_path!r} holds no records: the test set is empty")
     n_list = tuple(int(x) for x in meta["n_list"].split(","))
     if [r.n for r in records] != list(n_list) * (len(records) // len(n_list)):
         raise PipelineError(f"records.csv does not repeat the n_list {n_list} of {meta_path!r}")
@@ -555,15 +570,17 @@ def pod_tail_check(pod, snapshots: np.ndarray, mass) -> CheckResult:
 
 def deim_exactness_check(art: OfflineArtifacts, params) -> CheckResult:
     """The interpolated stiffness matrix equals the assembled one to 1e-10 at
-    the selected entries (``art.matrix_sample_entries``) for each parameter."""
-    rows_sel, cols_sel = art.matrix_sample_entries.T
+    the selected entries (the interpolation indices) for each parameter."""
+    selected = art.deim_a.indices
+    sampled_pos = art.pattern.positions.take(selected)
     worst = 0.0
     for mu in params:
         geom = build_cut_geometry(art.mesh, mu)
         system = assemble_system(geom, art.phys)
         c_a = deim_coefficients(art.deim_a, sample_entries(art, geom)[0])
-        diff = (reconstruct(art.deim_a, c_a) - system.A).tocsr()
-        worst = max(worst, float(np.abs(np.asarray(diff[rows_sel, cols_sel])).max()))
+        exact = _on_mesh_pattern(art.mesh, system.pattern_pos, system.A.data).take(sampled_pos)
+        approx = reconstruct(art.deim_a, c_a).take(selected)
+        worst = max(worst, float(np.abs(approx - exact).max()))
     return CheckResult(
         "deim_interpolation_exactness", worst <= 1e-10, f"max |A_deim - A| at selected {worst:.3e}",
     )

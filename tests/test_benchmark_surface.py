@@ -15,7 +15,7 @@ HARNESS_READS = (
 )
 
 
-def test_benchmark_call_surface_exists(monkeypatch, small_run):
+def test_benchmark_call_surface_exists(monkeypatch, small_run, small_config):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import cutrom._kernels
     import cutrom.artifacts  # noqa: F401
@@ -31,3 +31,16 @@ def test_benchmark_call_surface_exists(monkeypatch, small_run):
     art, _ = small_run
     for path in HARNESS_READS:
         operator.attrgetter(path)(art)
+
+    # the traced run labels the two DEIM builds by the ``kind`` keyword
+    kinds = []
+    original = cutrom.pipeline.build_deim_operator
+
+    def spy(*args, **kwargs):
+        kinds.append(kwargs.get("kind"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cutrom.pipeline, "build_deim_operator", spy)
+    cutrom.pipeline.run_offline(small_config)
+    assert sorted(kinds) == ["matrix", "vector"]
+

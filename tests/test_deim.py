@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cutrom
-from cutrom import deim, pipeline
+from cutrom import deim, estimators, pipeline
+from cutrom.assembly import assemble_system
 from cutrom.config import Config
 from cutrom.deim import (
     MATRIX,
@@ -24,7 +25,8 @@ from cutrom.deim import (
     deim_coefficients,
     reconstruct,
 )
-from cutrom.geometry import build_background_mesh
+from cutrom.geometry import ParameterPoint, build_background_mesh, build_cut_geometry
+from cutrom.rom import prepare
 
 # 3 x 3 vertices, 8 triangles: a mesh pattern of 57 positions
 MESH = build_background_mesh(((-1.2, 1.2), (-1.2, 1.2)), 1.2)
@@ -142,8 +144,7 @@ def _union_vector(pattern, positions, values):
     return out
 
 
-def test_matrix_kind_reconstruction_symmetric():
-    # unsymmetric values on symmetric patterns, so the symmetrization matters
+def test_reconstruct_is_u_times_c_over_the_union():
     rng = np.random.default_rng(9)
     sets = []
     for _ in range(5):
@@ -156,14 +157,18 @@ def test_matrix_kind_reconstruction_symmetric():
     op = build_deim_operator(snaps, 1e-12, kind=MATRIX, pattern=pat)
     for c in (deim_coefficients(op, snaps[op.indices, 2]), rng.standard_normal(op.l)):
         rec = reconstruct(op, c)
-        assert abs(rec - rec.T).max() == 0.0
-        assert rec.toarray().tobytes() == rec.T.toarray().tobytes()
-    assert np.abs(reconstruct(op, np.zeros(op.l)).toarray()).max() == 0.0
-    ej = np.zeros(op.l)
-    ej[0] = 1.0
-    basis0 = pat.matrix_from_values(op.U[:, 0])
-    expected = (basis0 + basis0.T) * 0.5
-    assert abs(reconstruct(op, ej) - expected).max() <= 1e-15
+        assert rec.shape == (pat.size,)
+        assert rec.tobytes() == (op.U @ c).tobytes()
+    assert not reconstruct(op, np.zeros(op.l)).any()
+
+
+def test_kind_that_disagrees_with_the_pattern_refused():
+    pat = build_union_pattern(MESH, [MESH.pattern_diag])
+    snaps = np.random.default_rng(10).standard_normal((pat.size, 3))
+    with pytest.raises(DeimError, match="'matrix' operator without a union pattern"):
+        build_deim_operator(snaps, 1e-12, kind=MATRIX)
+    with pytest.raises(DeimError, match="'vector' operator with a union pattern"):
+        build_deim_operator(snaps, 1e-12, kind=VECTOR, pattern=pat)
 
 
 def test_all_zero_snapshots_rejected():
@@ -347,6 +352,47 @@ def test_projection_matches_the_per_column_projection_bitwise(built):
         reference[:, j] = (v.T @ (basis_mat @ v))[rows, cols]
     reference = sla.lu_solve(art.deim_a.lu, reference.T, trans=1).T
     assert art.blocks_a.tobytes() == reference.tobytes()
+
+
+def _symmetrized_eta_a(art, system, c_a):
+    """η_A from a sparse matrix: U c symmetrized over the union, built as a
+    CSR matrix and subtracted from A, and the Frobenius norms taken over the
+    stored values."""
+    pattern = art.pattern
+    values = art.deim_a.U @ c_a
+    diff = system.A - pattern.matrix_from_values(0.5 * (values + values[pattern.transpose]))
+    err = float(np.sqrt((diff.data * diff.data).sum()))
+    return err, err / float(np.sqrt((system.A.data * system.A.data).sum()))
+
+
+def test_indicators_on_pattern_vectors_match_the_sparse_matrix_form(built, monkeypatch):
+    """The sweep's η_A, over vectors on the mesh pattern, agrees with the
+    symmetrized sparse-matrix form to 1e-12 relative (absolute and relative
+    error) at every test parameter, and its η_f is the plain Euclidean
+    error bit for bit."""
+    art, _ = built
+    errors = []
+    original = estimators.deim_error
+
+    def spy(exact, approx):
+        errors.append(original(exact, approx))
+        return errors[-1]
+
+    monkeypatch.setattr(estimators, "deim_error", spy)
+    report = pipeline.run_online_sweep(art, art.config)
+    assert len(errors) == 2 * len(report.test_mu)
+    for i, mu in enumerate(report.test_mu):
+        geom = build_cut_geometry(art.mesh, ParameterPoint(*mu))
+        system = assemble_system(geom, art.phys)
+        prep = prepare(art, geom)
+        (a_abs, a_rel), f_errors = errors[2 * i], errors[2 * i + 1]
+        ref_abs, ref_rel = _symmetrized_eta_a(art, system, deim_coefficients(art.deim_a, prep.a))
+        assert abs(a_abs - ref_abs) <= 1e-12 * ref_abs
+        assert abs(a_rel - ref_rel) <= 1e-12 * ref_rel
+        assert report.records[i * len(report.n_list)].eta_A == a_rel
+        f_deim = reconstruct(art.deim_f, deim_coefficients(art.deim_f, prep.f))
+        f_err = float(np.linalg.norm(system.f - f_deim))
+        assert f_errors == (f_err, f_err / float(np.linalg.norm(system.f)))
 
 
 _THREAD_PROBE = """

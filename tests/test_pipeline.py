@@ -132,6 +132,28 @@ def test_load_report_refuses_records_that_are_not_runs_of_the_n_list(tmp_path, s
     assert cli.main(["report", "--from", str(out)]) == 2
 
 
+def test_load_report_refuses_a_records_file_with_no_records(tmp_path, small_run):
+    out = _emit_with_error_window_2(tmp_path, small_run[1])
+    records = out / "records.csv"
+    records.write_text(records.read_text().splitlines(keepends=True)[0])
+    rates = (out / "rates.csv").read_bytes()
+    with pytest.raises(PipelineError, match="records.csv' holds no records"):
+        load_report(str(out))
+    assert cli.main(["report", "--from", str(out)]) == 2
+    assert (out / "rates.csv").read_bytes() == rates
+
+
+def test_sweep_refuses_an_empty_test_set(small_run, small_config, monkeypatch):
+    art, _ = small_run
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a test parameter was solved")
+
+    monkeypatch.setattr(pipeline, "build_cut_geometry", refuse)
+    with pytest.raises(PipelineError, match="empty test set"):
+        run_online_sweep(art, small_config, test_params=[])
+
+
 def test_training_subset_reproduction(small_run, small_config):
     art, _ = small_run
     cfg = dataclasses.replace(small_config, n_list=(art.pod.n_max,)).validate()

@@ -99,8 +99,9 @@ def test_truncation_uses_leading_subblock(small_run):
 
 def test_packed_operator_matches_the_full_block_contraction(small_run, small_config):
     art, _ = small_run
-    # reference: the unpacked projection V^T B_j V of every symmetrized basis
-    # matrix, contracted with the interpolation coefficients over the full
+    # reference: the unpacked projection V^T B_j V of every basis matrix
+    # (taken as (B_j + B_jᵀ) / 2, which a mirrored basis leaves unchanged),
+    # contracted with the interpolation coefficients over the full
     # (l_A, n, n) sub-blocks
     v = art.pod.V
     full = np.empty((art.deim_a.l, art.pod.n_max, art.pod.n_max))
@@ -130,7 +131,8 @@ def test_folded_blocks_match_the_coefficient_form(small_run, small_config):
                                 small_config.mu_min, small_config.mu_max)
     for mu in test_mu:
         prep = prepare(art, build_cut_geometry(art.mesh, ParameterPoint(*mu)))
-        a_deim = reconstruct(art.deim_a, deim_coefficients(art.deim_a, prep.a))
+        a_deim = art.pattern.matrix_from_values(
+            reconstruct(art.deim_a, deim_coefficients(art.deim_a, prep.a)))
         f_deim = reconstruct(art.deim_f, deim_coefficients(art.deim_f, prep.f))
         for n in small_config.n_list:
             v = art.pod.V[:, :n]
