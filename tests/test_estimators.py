@@ -9,18 +9,23 @@ from hypothesis import strategies as st
 from cutrom import estimators as est
 
 
-def test_deim_error_limits():
+def test_deim_matrix_error_limits():
+    # a matrix as the vector of its entries: the error is the Frobenius error
+    a = np.array([2.0, 0.0, 0.0, 1.0])
+    assert est.deim_error(a, a) == (0.0, 0.0)
+    assert est.deim_error(a, a * 0.0) == (math.sqrt(5.0), 1.0)
+    assert est.deim_error(a, np.array([2.0, 0.5, 0.0, 1.0])) == (0.5, 0.5 / math.sqrt(5.0))
+    with pytest.raises(est.EstimatorError):
+        est.deim_error(a * 0.0, a)
+
+
+def test_deim_vector_error_limits():
     f = np.array([3.0, 4.0])
     assert est.deim_error(f, f) == (0.0, 0.0)
     assert est.deim_error(f, np.zeros(2)) == (5.0, 1.0)
     assert est.deim_error(f, np.array([3.0, 2.0])) == (2.0, 0.4)
-    # a matrix as the vector of its entries: the Frobenius error
-    a = np.array([2.0, 0.0, 0.0, 1.0])
-    assert est.deim_error(a, a * 0.0) == (math.sqrt(5.0), 1.0)
-    assert est.deim_error(a, np.array([2.0, 0.5, 0.0, 1.0])) == (0.5, 0.5 / math.sqrt(5.0))
-    for zero, other in ((np.zeros(2), f), (a * 0.0, a)):
-        with pytest.raises(est.EstimatorError):
-            est.deim_error(zero, other)
+    with pytest.raises(est.EstimatorError):
+        est.deim_error(np.zeros(2), f)
 
 
 def test_residual_norms_basic():
