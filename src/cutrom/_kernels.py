@@ -74,8 +74,9 @@ def cut_rules(tri, phi, degen_tol):
     or the only one outside) comes first, as (l, m, n).  With one vertex
     inside, the edge points run from l towards m and n, and the region is
     the triangle (l, E0, E1).  With two inside, they run from m and n
-    towards l, and the region is (m, n, E1) plus (m, E1, E0).  ``np.where``
-    only selects the inputs of the shared formulas.
+    towards l, and the region is (m, n, E1) plus (m, E1, E0).  The vertices
+    of each role are gathered by flat offsets, and ``np.copyto`` only picks
+    the inputs of the shared formulas.
 
     Returns ``pts`` (2, 2, k) by coordinate and slot, ``wts`` (2, k),
     ``seg`` (2, 2, k) by Gauss point and coordinate, the Gauss weight
@@ -88,27 +89,35 @@ def cut_rules(tri, phi, degen_tol):
 
     code = _CODE_BITS @ (phi <= 0.0).view(np.uint8)
     one = _ONE_BY_CODE[code]
-    # (role, x/y/phi, k) from corners laid out (vertex, x/y/phi, k)
-    corner = np.stack([tri[X], tri[Y], phi], axis=1)
-    vert = np.take(_ROLE_VERTEX, code, axis=1)
-    sel = np.take(corner, (vert * (3 * k))[:, None] + np.arange(3 * k).reshape(3, k))
+    # the role vertices as flat offsets into the (vertex, k) rows of tri and
+    # phi; in range by construction, so ``mode="clip"`` takes them unbuffered
+    at = np.take(_ROLE_VERTEX, code, axis=1) * k + np.arange(k)
+    xy = np.empty((2, 5, k))  # by coordinate and role
+    np.take(tri[X], at, out=xy[0], mode="clip")
+    np.take(tri[Y], at, out=xy[1], mode="clip")
+    ph = np.take(phi, at[:4])
 
-    t = sel[0:2, 2] / (sel[0:2, 2] - sel[2:4, 2])
-    base = sel[0:2, :2]
-    edge = base + t[:, None] * (sel[2:4, :2] - base)  # (edge, coordinate, k)
-    apex = base[0]  # first vertex of both sub-triangles: l, or m
-    # second and third vertex of each sub-triangle: (b1, b2, c1, c2)
-    bc = np.where(one, np.stack([edge[0], apex, edge[1], apex]),
-                  np.stack([sel[4, :2], edge[1], edge[1], edge[0]]))
-    d_b = bc[0:2] - apex
-    d_c = bc[2:4] - apex
-    cross = d_b[:, 0] * d_c[:, 1] - d_b[:, 1] * d_c[:, 0]
+    t = ph[0:2] / (ph[0:2] - ph[2:4])
+    base = xy[:, 0:2]
+    edge = base + t * (xy[:, 2:4] - base)  # (coordinate, edge, k)
+    apex = xy[:, 0]  # first vertex of both sub-triangles: l, or m
+    # second and third vertex of each sub-triangle, as (b1, b2, c2, c1):
+    # (n, E1, E0, E1) with two vertices inside, (E0, l, l, E1) with one
+    bc = np.empty((2, 4, k))
+    bc[:, 0] = xy[:, 4]
+    bc[:, 1::2] = edge[:, 1:]
+    bc[:, 2] = edge[:, 0]
+    np.copyto(bc[:, 0], edge[:, 0], where=one)
+    np.copyto(bc[:, 1:3], apex[:, None], where=one)
+    d = bc - apex[:, None]
+    d_b, d_c = d[:, :2], d[:, :1:-1]  # (b1, b2) and (c1, c2)
+    cross = d_b[0] * d_c[1] - d_b[1] * d_c[0]
     wts = 0.5 * np.abs(cross)
-    pts = (apex + (d_b + d_c) / 3.0).transpose(1, 0, 2)
+    pts = apex[:, None] + (d_b + d_c) / 3.0
 
-    d = edge[1] - edge[0]
+    d = edge[:, 1] - edge[:, 0]
     seg_len = np.sqrt(d[0] * d[0] + d[1] * d[1])
-    seg = edge[0] + GAUSS_T[:, None, None] * d
+    seg = edge[:, 0] + GAUSS_T[:, None, None] * d
     ok = seg_len >= degen_tol
     seg_w = np.where(ok, 0.5 * seg_len, 0.0)
     return pts, wts, seg, seg_w, nrm, ~ok

@@ -115,11 +115,16 @@ def _scatter(positions, values, size: int):
     return np.bincount(positions, values, minlength=size), used
 
 
-def _flat_index(table, rows, shift):
-    """The entries of ``table`` in ``rows``, each row shifted by its
-    ``shift``, flattened: indices into the batch's flat (K, stride) bins.
-    ``take`` gathers whole rows several times faster than fancy indexing."""
-    return (table.take(rows, axis=0) + shift[:, None]).ravel()
+def _flat_index(table, rows, shift, out):
+    """Write the entries of ``table`` in ``rows``, each row shifted by its
+    ``shift``, into ``out`` (flat, ``rows.size`` times the row width):
+    indices into the batch's flat (K, stride) bins.  ``take`` gathers whole
+    rows several times faster than fancy indexing; ``mode="clip"`` writes
+    straight into ``out``, where the default mode buffers a copy (the rows
+    are element and facet ids of the mesh, always in range)."""
+    out = out.reshape(rows.size, table.shape[1])
+    table.take(rows, axis=0, out=out, mode="clip")
+    out += shift[:, None]
 
 
 def _csr_on_pattern(mesh: BackgroundMesh, values, positions):
@@ -205,26 +210,37 @@ def assemble_batch(geoms, phys: PhysicsParams):
     t = mesh.n_triangles
     cut_sel = np.searchsorted(act_of * t + act, cut_of * t + cut)
 
-    # stiffness: whole-triangle blocks, with the cut rows from the stage
-    a_vol = mesh.tri_stiffness.take(act, axis=0)
-    a_vol[cut_sel] = _kernels.volume_contribs(stage.wsum, stage.tri)
-    a_nit, cons = _kernels.boundary_contribs(
-        stage.seg_w, stage.bdn[:2], stage.bdn[2], phys.nitsche_lambda / mesh.h)
-    jv = mesh.facet_jump.take(gf, axis=0)
-    a_ghost = _kernels.ghost_penalty(phys.gamma, mesh.h, mesh.facet_len[gf][:, None, None],
-                                     jv[:, :, None], jv[:, None, :])
-    values, used = _scatter(
-        np.concatenate([_flat_index(mesh.tri_pattern_pos, act, act_of * size),
-                        _flat_index(mesh.tri_pattern_pos, cut, cut_of * size),
-                        _flat_index(mesh.facet_pattern_pos, gf, gf_of * size)]),
-        np.concatenate([a_vol.ravel(), a_nit.ravel(), a_ghost.ravel()]), batch * size)
-
+    # load: whole-triangle loads with the cut rows from the stage, then the
+    # cut elements' boundary loads
     f_vol = np.repeat(_whole_load(mesh.tri_area[act], float(phys.f_const))[:, None], 3, axis=1)
     f_vol[cut_sel] = stage.f_vol.T
-    loads = np.bincount(
-        np.concatenate([_flat_index(mesh.triangles, act, act_of * n),
-                        _flat_index(mesh.triangles, cut, cut_of * n)]),
-        np.concatenate([f_vol.ravel(), stage.f_bnd.T.ravel()]), minlength=batch * n)
+    f_pos = np.empty(3 * (act.size + cut.size), dtype=np.int64)
+    _flat_index(mesh.triangles, act, act_of * n, f_pos[:3 * act.size])
+    _flat_index(mesh.triangles, cut, cut_of * n, f_pos[3 * act.size:])
+    loads = np.bincount(f_pos, np.concatenate([f_vol.ravel(), stage.f_bnd.T.ravel()]),
+                        minlength=batch * n)
+
+    # stiffness, its scatter positions and values written into one
+    # preallocated pair: whole-triangle blocks with the cut rows from the
+    # stage, then the Nitsche blocks, then the ghost blocks
+    ends = np.cumsum([9 * act.size, 9 * cut.size, 16 * gf.size])
+    a_pos = np.empty(ends[-1], dtype=np.int64)
+    a_val = np.empty(ends[-1])
+    vol_pos, nit_pos, ghost_pos = np.split(a_pos, ends[:-1])
+    vol, nit, ghost = np.split(a_val, ends[:-1])
+    _flat_index(mesh.tri_pattern_pos, act, act_of * size, vol_pos)
+    _flat_index(mesh.tri_pattern_pos, cut, cut_of * size, nit_pos)
+    _flat_index(mesh.facet_pattern_pos, gf, gf_of * size, ghost_pos)
+    vol = vol.reshape(act.size, 9)
+    mesh.tri_stiffness.take(act, axis=0, out=vol, mode="clip")
+    vol[cut_sel] = _kernels.volume_contribs(stage.wsum, stage.tri)
+    a_nit, cons = _kernels.boundary_contribs(
+        stage.seg_w, stage.bdn[:2], stage.bdn[2], phys.nitsche_lambda / mesh.h)
+    nit.reshape(cut.size, 9)[:] = a_nit
+    jv = mesh.facet_jump.take(gf, axis=0)
+    ghost.reshape(gf.size, 4, 4)[:] = _kernels.ghost_penalty(
+        phys.gamma, mesh.h, mesh.facet_len[gf][:, None, None], jv[:, :, None], jv[:, None, :])
+    values, used = _scatter(a_pos, a_val, batch * size)
     return values.reshape(batch, size), used.reshape(batch, size), loads.reshape(batch, n), cons
 
 

@@ -6,21 +6,22 @@ zero for every training parameter.  The union is a sorted set of positions in
 the mesh's assembly pattern (``BackgroundMesh._build_pattern``), and a
 snapshot is scattered into it by those positions.
 
-The stiffness matrices are symmetric, so a matrix basis is computed on the
-upper entries only (row <= col): their rows of the snapshots, with the
-off-diagonal ones weighted by sqrt(2) so the Frobenius inner product is kept,
-go through the SVD, and the basis is mirrored back to the whole union, its
-rows at an entry and its transpose equal bit for bit.  A vector basis is the
-same computation with every row its own twin.  The greedy index selection is
-LU elimination of the basis with a pivot rule (Sorensen & Embree 2016): the
-pivot is the first position whose residual is within ``TIE_RTOL`` of the
-largest, so near-ties (mirror entries, symmetric geometries) are decided by
-position, not by rounding.  It runs blocked, ``PANEL`` modes at a time, on
-the upper rows; a mirrored row loses every tie to its upper twin, which has
-the smaller position.
+The stiffness matrices are symmetric, so a matrix operator lives on the
+upper entries only (row <= col): the snapshots are given there, their
+off-diagonal rows weighted by sqrt(2) so the Frobenius inner product of the
+whole matrices is kept, and the basis U stays there.  Row k of U belongs to
+the upper entry ``pattern.upper[k]``; ``pattern.twin`` mirrors it to the
+whole union where a whole-union vector is needed (``reconstruct``,
+``rom.build_rom_offline``), and U[twin] is orthonormal.  A vector basis is
+the same computation with every row its own, of weight 1.  The greedy index
+selection is LU elimination of the basis with a pivot rule (Sorensen &
+Embree 2016): the pivot is the first position whose residual is within
+``TIE_RTOL`` of the largest, so near-ties (symmetric geometries) are decided
+by position, not by rounding.  It runs blocked, ``PANEL`` modes at a time;
+the indices it picks are union entries, all of them upper.
 
-An interpolant is the vector U c (``reconstruct``), over the union entries
-for the matrix, compared entry by entry with the assembled values: no
+An interpolant is the vector U c mirrored to the union (``reconstruct``),
+exactly symmetric, compared entry by entry with the assembled values: no
 symmetric matrix is rebuilt from it.
 """
 
@@ -55,15 +56,6 @@ class DeimError(ValueError):
     pass
 
 
-def _upper_half(transpose: np.ndarray):
-    """The upper entries k <= transpose[k] of a vectorized symmetric matrix
-    whose entry k has its transpose at ``transpose[k]``, and for every entry
-    the row of its upper twin among them."""
-    k = np.arange(transpose.size)
-    upper = np.flatnonzero(k <= transpose)
-    return upper, np.searchsorted(upper, np.minimum(k, transpose))
-
-
 class UnionPattern:
     """Sorted union of mesh-pattern positions: entry k of a vectorized matrix
     is the entry at mesh position ``positions[k]``, and ``transpose[k]`` is
@@ -85,7 +77,9 @@ class UnionPattern:
         self.transpose = entry[mesh.pattern_transpose[positions]]
         if np.any(self.transpose < 0):
             raise DeimError("union pattern is not symmetric: an entry's transpose is missing")
-        self.upper, self.twin = _upper_half(self.transpose)
+        k = np.arange(self.size)
+        self.upper = np.flatnonzero(k <= self.transpose)
+        self.twin = np.searchsorted(self.upper, np.minimum(k, self.transpose))
 
     def matrix_from_values(self, values: np.ndarray) -> sp.csr_matrix:
         return sp.csr_matrix((values, self.cols, self.indptr), shape=(self.n, self.n))
@@ -105,8 +99,11 @@ def build_union_pattern(mesh: BackgroundMesh, position_sets) -> UnionPattern:
 @dataclass
 class DeimOperator:
     """Left singular basis, greedy interpolation indices, and the
-    interpolation matrix PᵀU = U[indices] with its precomputed factorization,
-    its 2-norm condition number and its Lebesgue constant ‖(PᵀU)⁻¹‖₂."""
+    interpolation matrix PᵀU with its precomputed factorization, its 2-norm
+    condition number and its Lebesgue constant ‖(PᵀU)⁻¹‖₂.  A matrix
+    operator (one with a ``pattern``) has U on the union's upper entries and
+    its indices in the union, so PᵀU = U[pattern.twin[indices]]; a vector
+    operator's is U[indices]."""
 
     U: np.ndarray
     indices: np.ndarray
@@ -133,11 +130,12 @@ def interpolation_conditioning(pu: np.ndarray):
 
 def deim_operator(u: np.ndarray, indices: np.ndarray, singular_values: np.ndarray,
                   pattern: UnionPattern | None = None) -> DeimOperator:
-    """The operator of basis ``u`` interpolated at ``indices``: forms PᵀU,
+    """The operator of basis ``u`` interpolated at ``indices`` (union
+    entries, read on the upper rows ``u`` has with a ``pattern``): forms PᵀU,
     refuses it when its condition number is not finite or exceeds
     ``COND_LIMIT``, and LU-factors it.  A fresh build and a loaded model
     both come through here."""
-    pu = u[indices, :]
+    pu = u[indices if pattern is None else pattern.twin[indices], :]
     cond, lebesgue = interpolation_conditioning(pu)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise DeimError(f"interpolation matrix is numerically singular (cond={cond:.3e})")
@@ -186,17 +184,19 @@ def build_deim_operator(snapshots: np.ndarray, eps: float, kind: str = VECTOR,
     squared-singular-value energy 1 - eps, capped by the numerical rank, so
     l is at most the number of snapshots), and its greedy indices.
 
-    With a ``pattern`` the snapshots are matrices over the union, and the
-    basis is that of their symmetric parts (B + Bᵀ) / 2, which for the
-    symmetric stiffness matrices are the snapshots bit for bit.  Only the
-    upper rows are decomposed, weighted by sqrt(2) off the diagonal; the
-    basis is divided by the weights and mirrored to the whole union, so it
-    stays orthonormal.  The singular values are those of the whole matrix
-    of symmetric parts (its rank is at most the number of upper rows; the
-    missing values are zero).  Without a pattern every row is its own upper
-    twin, of weight 1.  ``kind`` must agree with ``pattern``: ``MATRIX``
-    with one, ``VECTOR`` without; either disagreement raises ``DeimError``.
-    A snapshot column with a non-finite entry is refused by name.
+    With a ``pattern`` the snapshots are the symmetric stiffness matrices at
+    the union's upper entries, one row per entry of ``pattern.upper``, which
+    carry them whole.  Their off-diagonal rows are weighted by sqrt(2), so
+    the SVD sees the Frobenius inner product of the whole matrices, and the
+    basis is divided by the weights again: it stays on the upper rows, and
+    mirrored through ``pattern.twin`` it is orthonormal over the union.  The
+    singular values are those of the whole union's snapshot matrix (its rank
+    is at most the number of upper rows; the missing values are zero).
+    Without a pattern every row has weight 1.  ``kind`` must agree with
+    ``pattern``: ``MATRIX`` with one, ``VECTOR`` without; either
+    disagreement raises ``DeimError``, as does a row count other than the
+    upper entries'.  A snapshot column with a non-finite entry is refused by
+    name.
     """
     if kind != (VECTOR if pattern is None else MATRIX):
         raise DeimError(f"{kind!r} operator with{'out' if pattern is None else ''} a union "
@@ -204,31 +204,32 @@ def build_deim_operator(snapshots: np.ndarray, eps: float, kind: str = VECTOR,
     snaps = np.asarray(snapshots, dtype=float)
     if snaps.ndim != 2:
         raise DeimError("snapshots must be a 2-d array (m x n_train)")
+    if pattern is not None and snaps.shape[0] != pattern.upper.size:
+        raise DeimError(f"{snaps.shape[0]} snapshot rows for the {pattern.upper.size} "
+                        "upper entries of a union pattern")
     bad = np.flatnonzero(~np.isfinite(snaps).all(axis=0))
     if bad.size:
         raise DeimError(f"snapshot column {bad[0]} has a non-finite entry")
     if not np.any(snaps):
         raise DeimError("all-zero snapshot matrix")
+    # m: the rows of the whole snapshot matrix, the union's or the vectors'
     if pattern is None:
-        transpose = np.arange(snaps.shape[0])
-        upper, twin = _upper_half(transpose)
-    elif pattern.size != snaps.shape[0]:
-        raise DeimError(f"{snaps.shape[0]} snapshot rows for a union pattern of {pattern.size}")
+        m, weight = snaps.shape[0], np.ones((snaps.shape[0], 1))
     else:
-        transpose, upper, twin = pattern.transpose, pattern.upper, pattern.twin
-    weight = np.where(transpose[upper] == upper, 1.0, np.sqrt(2.0))[:, None]
-    half = snaps[upper]
-    half += snaps[transpose[upper]]
-    half *= 0.5 * weight
-    u, s, _vt = np.linalg.svd(half, full_matrices=False)
+        m = pattern.size
+        weight = np.where(pattern.transpose[pattern.upper] == pattern.upper,
+                          1.0, np.sqrt(2.0))[:, None]
+    u, s, _vt = np.linalg.svd(snaps * weight, full_matrices=False)
     l = truncation_rank(s, eps)
     u = u[:, :l] / weight
-    indices = upper[_greedy_indices(u)]
+    indices = _greedy_indices(u)
+    if pattern is not None:
+        indices = pattern.upper[indices]
     if np.unique(indices).size != l:
         raise DeimError("greedy selection produced duplicate indices")
-    spectrum = np.zeros(min(snaps.shape))
+    spectrum = np.zeros(min(m, snaps.shape[1]))
     spectrum[:s.size] = s
-    return deim_operator(u[twin], indices, spectrum, pattern)
+    return deim_operator(u, indices, spectrum, pattern)
 
 
 def deim_coefficients(op: DeimOperator, sampled: np.ndarray) -> np.ndarray:
@@ -246,10 +247,12 @@ def deim_coefficients(op: DeimOperator, sampled: np.ndarray) -> np.ndarray:
 
 
 def reconstruct(op: DeimOperator, coefficients: np.ndarray) -> np.ndarray:
-    """The interpolant U c: for the matrix operator its values over the
-    union entries (``UnionPattern.matrix_from_values`` makes it a matrix),
-    for the load its values over the dofs."""
+    """The interpolant U c: for the load its values over the dofs; for the
+    matrix its values over the upper entries mirrored to the whole union
+    (``UnionPattern.matrix_from_values`` makes it a matrix), so an entry and
+    its transpose are equal bit for bit."""
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.shape != (op.l,):
         raise DeimError(f"expected {op.l} coefficients, got {coefficients.shape}")
-    return op.U @ coefficients
+    values = op.U @ coefficients
+    return values if op.pattern is None else values[op.pattern.twin]

@@ -230,7 +230,10 @@ class BackgroundMesh:
         interior = np.flatnonzero(self.facet_tris[:, 1] >= 0)
         patch = self.facet_patch[interior]
         facet_codes = np.repeat(patch, 4, axis=1) * n + np.tile(patch, (1, 4))
-        codes = np.unique(np.concatenate([tri_codes.ravel(), facet_codes.ravel()]))
+        # sorted, then deduplicated by neighbour: the codes of np.unique,
+        # without its hash pass
+        codes = np.sort(np.concatenate([tri_codes.ravel(), facet_codes.ravel()]))
+        codes = codes[np.concatenate([[True], codes[1:] != codes[:-1]])]
         self.pattern_rows, self.pattern_cols = np.divmod(codes, n)
         self.pattern_indptr = np.searchsorted(self.pattern_rows, np.arange(n + 1))
         self.pattern_transpose = np.searchsorted(codes, self.pattern_cols * n + self.pattern_rows)

@@ -80,9 +80,13 @@ def run_offline(config: Config) -> OfflineArtifacts:
 
     The training parameters are assembled ``TRAIN_CHUNK`` at a time
     (``assemble_batch``), and each is solved from the batch's values
-    (``solve_active``), with no CSR matrix made.  The training snapshot
-    matrix stays on the returned artifacts (not saved).  The last log line
-    gives the seconds of each stage."""
+    (``solve_active``), with no CSR matrix made.  The stiffness matrices are
+    symmetric, so each is kept on the upper positions of the mesh pattern
+    only (k <= ``pattern_transpose[k]``), the matrix DEIM's input; each
+    chunk's arrays are dropped before the next is assembled.  The training
+    snapshot matrix stays on the returned artifacts (not saved).  The last
+    log line gives the seconds of each stage and the size of the matrix
+    store."""
     t_start = time.perf_counter()
     mesh = build_background_mesh(config.box, config.h_target)
     phys = physics_from_config(config)
@@ -90,7 +94,8 @@ def run_offline(config: Config) -> OfflineArtifacts:
     n_train, size = config.n_train, mesh.pattern_cols.size
     snapshots = np.empty((mesh.n_vertices, n_train))
     loads = np.empty((mesh.n_vertices, n_train))
-    a_values = np.empty((size, n_train))  # every stiffness matrix on the mesh pattern
+    upper = np.flatnonzero(np.arange(size) <= mesh.pattern_transpose)
+    a_upper = np.empty((upper.size, n_train))  # every stiffness matrix, upper positions
     a_used = np.zeros(size, dtype=bool)  # the union of their stored positions
     stages = dict.fromkeys(("geometry", "assembly", "solves", "pod", "deim", "projection"), 0.0)
     last = t_start
@@ -118,7 +123,7 @@ def run_offline(config: Config) -> OfflineArtifacts:
                  for i in chunk]
         lap("geometry")
         try:
-            values, used, f, _ = assemble_batch(geoms, phys)
+            values, used, f = assemble_batch(geoms, phys)[:3]
         except Exception:
             # name the parameter: assemble the chunk's geometries one at a time
             for i, geom in zip(chunk, geoms):
@@ -129,9 +134,10 @@ def run_offline(config: Config) -> OfflineArtifacts:
             pos = np.flatnonzero(used[k])
             snapshots[:, i] = at(i, lambda: solve_active(
                 mesh, geoms[k].active_dofs, pos, values[k, pos], f[k], geoms[k].mu)).u
-        a_values[:, start:stop] = values.T
+        a_upper[:, start:stop] = values[:, upper].T
         a_used |= used.any(axis=0)
         loads[:, start:stop] = f.T
+        del geoms, values, used, f
         lap("solves")
 
     mass = assemble_mass_matrix(mesh)
@@ -146,9 +152,10 @@ def run_offline(config: Config) -> OfflineArtifacts:
 
     pattern = build_union_pattern(mesh, [np.flatnonzero(a_used)])
     n2 = mesh.n_vertices ** 2
-    log.info("union pattern: %d positions (%.2f%% of N^2)", pattern.size, 100.0 * pattern.size / n2)
-    a_snaps = a_values[pattern.positions]
-    del a_values
+    log.info("union pattern: %d positions (%.2f%% of N^2), %d upper", pattern.size,
+             100.0 * pattern.size / n2, pattern.upper.size)
+    a_snaps = a_upper[np.searchsorted(upper, pattern.positions[pattern.upper])]
+    del a_upper
     deim_a = build_deim_operator(a_snaps, config.eps_deim_a, kind=MATRIX, pattern=pattern)
     del a_snaps
     deim_f = build_deim_operator(loads, config.eps_deim_f, kind=VECTOR)
@@ -162,8 +169,10 @@ def run_offline(config: Config) -> OfflineArtifacts:
         config=config, mesh=mesh, phys=phys, pod=pod, deim_a=deim_a, deim_f=deim_f,
         blocks_a=blocks_a, blocks_f=blocks_f, train_mu=train_mu, snapshots=snapshots,
     )
-    log.info("offline done in %.3f s: %s", time.perf_counter() - t_start,
-             ", ".join(f"{name} {sec:.3f} s" for name, sec in stages.items()))
+    log.info("offline done in %.3f s: %s; matrix store %d x %d (%.1f MB)",
+             time.perf_counter() - t_start,
+             ", ".join(f"{name} {sec:.3f} s" for name, sec in stages.items()),
+             upper.size, n_train, upper.size * n_train * 8 / 1e6)
     return art
 
 

@@ -90,12 +90,13 @@ def build_rom_offline(pod: PodBasis, deim_a: DeimOperator, deim_f: DeimOperator)
     and fold in the interpolation inverses: ``(blocks_a, blocks_f)`` of
     shapes (n_max (n_max + 1) / 2, l_A) and (l_f, n_max).
 
-    The matrix basis is mirrored (``deim.build_deim_operator``), so each
-    basis element is a symmetric matrix as it stands.  One CSR matrix on the
-    union pattern takes each element's values in turn.  Each projected block
-    is stored packed (``packed_upper_index``), one column per basis element,
-    so the leading n x n blocks of all elements are one contiguous slab and
-    a reduced operator unpacks exactly symmetric.
+    The matrix basis lives on the union's upper entries
+    (``deim.build_deim_operator``); one CSR matrix on the union pattern takes
+    each element's values in turn, mirrored through ``pattern.twin``, so it
+    is symmetric.  Each projected block is stored packed
+    (``packed_upper_index``), one column per basis element, so the leading
+    n x n blocks of all elements are one contiguous slab and a reduced
+    operator unpacks exactly symmetric.
 
     The projected blocks B (one column per matrix basis element) and F (one
     row per load basis vector) are then folded with the LU factors the
@@ -109,10 +110,11 @@ def build_rom_offline(pod: PodBasis, deim_a: DeimOperator, deim_f: DeimOperator)
         raise RomError("matrix operator must carry the union pattern")
     v = pod.V
     rows, cols = _upper_entries(pod.n_max)
-    basis_mat = deim_a.pattern.matrix_from_values(np.empty(deim_a.pattern.size))
+    twin = deim_a.pattern.twin
+    basis_mat = deim_a.pattern.matrix_from_values(np.empty(twin.size))
     blocks_a = np.empty((rows.size, deim_a.l))
     for j in range(deim_a.l):
-        basis_mat.data[:] = deim_a.U[:, j]
+        np.take(deim_a.U[:, j], twin, out=basis_mat.data)
         blocks_a[:, j] = (v.T @ (basis_mat @ v))[rows, cols]
     blocks_f = np.empty((deim_f.l, pod.n_max))
     for j in range(deim_f.l):

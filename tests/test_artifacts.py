@@ -99,11 +99,11 @@ def test_model_with_more_solves_than_vertices_round_trips(tmp_path):
 def test_bad_version_rejected(saved, small_config):
     manifest = saved / "manifest.txt"
     text = manifest.read_text(encoding="utf-8")
-    assert "format_version = 5\n" in text
+    assert "format_version = 6\n" in text
     # format 3 hashed the sweep and path fields too and stored gamma as a
     # pair; format 2 saved the union pattern as row * N + col codes
     for old in ("3", "2"):
-        manifest.write_text(text.replace("format_version = 5", f"format_version = {old}"),
+        manifest.write_text(text.replace("format_version = 6", f"format_version = {old}"),
                             encoding="utf-8")
         with pytest.raises(ArtifactError, match=f"manifest version '{old}'"):
             load_artifacts(str(saved), small_config)
@@ -118,9 +118,27 @@ def test_format_4_directory_with_unfolded_blocks_refused(saved, small_run, small
     _rewrite(saved, "blocks_f", lambda b: art.deim_f.pu.T @ b)
     manifest = saved / "manifest.txt"
     text = manifest.read_text(encoding="utf-8")
-    manifest.write_text(text.replace("format_version = 5", "format_version = 4"),
+    manifest.write_text(text.replace("format_version = 6", "format_version = 4"),
                         encoding="utf-8")
     with pytest.raises(ArtifactError, match="manifest version '4'"):
+        load_artifacts(str(saved), small_config)
+
+
+def test_format_5_directory_with_a_whole_union_basis_refused(saved, small_run, small_config):
+    """Format 5 saved the matrix DEIM basis mirrored, one row per union
+    entry; format 6 saves its upper rows.  A format-5 directory is refused
+    by its version, before any array is read."""
+    art, _ = small_run
+    _rewrite(saved, "deim_a_basis", lambda u: u[art.pattern.twin])
+    manifest = saved / "manifest.txt"
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(text.replace("format_version = 6", "format_version = 5"),
+                        encoding="utf-8")
+    with pytest.raises(ArtifactError, match="manifest version '5'"):
+        load_artifacts(str(saved), small_config)
+    # the same directory labelled format 6 fails on the basis's shape
+    manifest.write_text(text, encoding="utf-8")
+    with pytest.raises(ArtifactError, match=rf"^deim_a_basis has shape \({art.pattern.size}, "):
         load_artifacts(str(saved), small_config)
 
 

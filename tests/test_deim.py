@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from cutrom.deim import (
     reconstruct,
 )
 from cutrom.geometry import ParameterPoint, build_background_mesh, build_cut_geometry
+from cutrom.pod import truncation_rank
 from cutrom.rom import prepare
 
 # 3 x 3 vertices, 8 triangles: a mesh pattern of 57 positions
@@ -154,11 +156,14 @@ def test_reconstruct_is_u_times_c_over_the_union():
         sets.append(np.flatnonzero(keep))
     pat = build_union_pattern(MESH, sets)
     snaps = np.column_stack([_union_vector(pat, pos, rng.standard_normal(pos.size)) for pos in sets])
-    op = build_deim_operator(snaps, 1e-12, kind=MATRIX, pattern=pat)
+    op = build_deim_operator(snaps[pat.upper], 1e-12, kind=MATRIX, pattern=pat)
+    assert op.U.shape == (pat.upper.size, op.l)
     for c in (deim_coefficients(op, snaps[op.indices, 2]), rng.standard_normal(op.l)):
         rec = reconstruct(op, c)
         assert rec.shape == (pat.size,)
-        assert rec.tobytes() == (op.U @ c).tobytes()
+        # U c on the upper rows, mirrored: an entry and its transpose agree
+        assert rec.tobytes() == (op.U @ c)[pat.twin].tobytes()
+        assert rec[pat.transpose].tobytes() == rec.tobytes()
     assert not reconstruct(op, np.zeros(op.l)).any()
 
 
@@ -248,9 +253,10 @@ def test_duplicated_rows_the_smaller_position_wins(m, extra, l, seed):
 
 def test_greedy_matches_the_plain_loop_on_the_default_model(default_run):
     art = default_run.artifacts
-    for op in (art.deim_a, art.deim_f):
-        assert np.array_equal(_greedy_indices(op.U), op.indices)
-        assert np.array_equal(_plain_greedy(op.U), op.indices)
+    # the matrix basis has a row per upper entry of the union
+    for op, entry in ((art.deim_a, art.pattern.upper), (art.deim_f, np.arange(art.mesh.n_vertices))):
+        assert np.array_equal(entry[_greedy_indices(op.U)], op.indices)
+        assert np.array_equal(entry[_plain_greedy(op.U)], op.indices)
 
 
 @pytest.mark.parametrize("panel", [1, 7, deim.PANEL])
@@ -258,7 +264,7 @@ def test_panel_width_changes_no_index(default_run, monkeypatch, panel):
     art = default_run.artifacts
     monkeypatch.setattr(deim, "PANEL", panel)
     upper = art.pattern.upper
-    assert np.array_equal(upper[_greedy_indices(art.deim_a.U[upper])], art.deim_a.indices)
+    assert np.array_equal(upper[_greedy_indices(art.deim_a.U)], art.deim_a.indices)
     assert np.array_equal(_greedy_indices(art.deim_f.U), art.deim_f.indices)
 
 
@@ -271,13 +277,21 @@ def test_non_finite_snapshot_refused_by_column(value):
 
 
 def test_non_finite_matrix_snapshot_refused_by_column():
+    # a NaN at each row the function receives, diagonal and off-diagonal
+    # upper entries alike, is refused by its column
     pat = build_union_pattern(MESH, [np.arange(MESH.pattern_cols.size)])
-    rng = np.random.default_rng(6)
-    snaps = rng.standard_normal((pat.size, 4))
-    snaps += snaps[pat.transpose]
-    # a lower entry: outside the rows the SVD decomposes
-    snaps[np.flatnonzero(np.arange(pat.size) > pat.transpose)[0], 2] = np.nan
-    with pytest.raises(DeimError, match="snapshot column 2 has a non-finite entry"):
+    clean = np.random.default_rng(6).standard_normal((pat.upper.size, 4))
+    for row in range(pat.upper.size):
+        snaps = clean.copy()
+        snaps[row, 2] = np.nan
+        with pytest.raises(DeimError, match="snapshot column 2 has a non-finite entry"):
+            build_deim_operator(snaps, 1e-12, kind=MATRIX, pattern=pat)
+
+
+def test_matrix_snapshots_off_the_upper_rows_refused():
+    pat = build_union_pattern(MESH, [np.arange(MESH.pattern_cols.size)])
+    snaps = np.random.default_rng(7).standard_normal((pat.size, 4))
+    with pytest.raises(DeimError, match="57 snapshot rows for the 33 upper entries"):
         build_deim_operator(snaps, 1e-12, kind=MATRIX, pattern=pat)
 
 
@@ -288,7 +302,7 @@ def test_matrix_spectrum_has_the_whole_union_length():
     snaps = np.random.default_rng(12).standard_normal((pat.size, 40))
     snaps += snaps[pat.transpose]
     assert pat.upper.size == 33
-    op = build_deim_operator(snaps, 1e-14, kind=MATRIX, pattern=pat)
+    op = build_deim_operator(snaps[pat.upper], 1e-14, kind=MATRIX, pattern=pat)
     full = np.linalg.svd(snaps, compute_uv=False)
     assert op.singular_values.shape == (40,)
     assert not op.singular_values[33:].any()
@@ -296,12 +310,24 @@ def test_matrix_spectrum_has_the_whole_union_length():
     assert op.l == 33
 
 
+class Built(NamedTuple):
+    """An offline build; the snapshot rows and keywords of each
+    ``build_deim_operator`` call it made, and the matrix snapshots it
+    decomposed; and its training matrices assembled one by one
+    (``assemble_system``) as vectors over the whole union."""
+
+    art: object
+    calls: list
+    snaps: np.ndarray
+    whole: np.ndarray
+
+
 def _build_with_matrix_snapshots(config):
-    """An offline build and the matrix-DEIM snapshot matrix it decomposed."""
-    seen = []
+    calls, seen = [], []
     original = pipeline.build_deim_operator
 
     def spy(snaps, *args, **kwargs):
+        calls.append((np.shape(snaps)[0], kwargs))
         if kwargs.get("kind") == MATRIX:
             seen.append(np.array(snaps))
         return original(snaps, *args, **kwargs)
@@ -309,7 +335,11 @@ def _build_with_matrix_snapshots(config):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "build_deim_operator", spy)
         art = pipeline.run_offline(config)
-    return art, seen[0]
+    whole = np.empty((art.pattern.size, config.n_train))
+    for i, mu in enumerate(art.train_mu):
+        system = assemble_system(build_cut_geometry(art.mesh, ParameterPoint(*mu)), art.phys)
+        whole[:, i] = _union_vector(art.pattern, system.pattern_pos, system.A.data)
+    return Built(art, calls, seen[0], whole)
 
 
 @pytest.fixture(scope="module", params=["default", "h0.06"])
@@ -320,35 +350,84 @@ def built(request):
     return _build_with_matrix_snapshots(config.validate())
 
 
-def test_matrix_basis_is_a_mirrored_orthonormal_half(built):
-    art, snaps = built
+def test_matrix_build_receives_the_upper_rows(built):
+    art, calls, snaps, whole = built
+    pattern = art.pattern
+    # one call per kind, ``kind`` by keyword (the benchmark tracer labels by it)
+    assert sorted(kwargs.get("kind") for _, kwargs in calls) == [MATRIX, VECTOR]
+    assert [rows for rows, kwargs in calls if kwargs["kind"] == MATRIX] == [pattern.upper.size]
+    # the assembled stiffness matrices are symmetric, so their upper rows carry them
+    assert whole[pattern.transpose].tobytes() == whole.tobytes()
+    assert snaps.tobytes() == whole[pattern.upper].tobytes()
+
+
+def _whole_union_build(snaps, pattern, eps):
+    """The matrix DEIM built from whole-union snapshots: the upper rows of
+    their symmetric parts (S + S[transpose]) / 2, weighted by sqrt(2) off the
+    diagonal, the basis divided by the weights and mirrored to the union.
+    Returns the mirrored basis, the indices, the spectrum and PᵀU."""
+    transpose, upper = pattern.transpose, pattern.upper
+    weight = np.where(transpose[upper] == upper, 1.0, np.sqrt(2.0))[:, None]
+    half = snaps[upper]
+    half += snaps[transpose[upper]]
+    half *= 0.5 * weight
+    u, s, _vt = np.linalg.svd(half, full_matrices=False)
+    u = u[:, :truncation_rank(s, eps)] / weight
+    indices = upper[_greedy_indices(u)]
+    spectrum = np.zeros(min(snaps.shape))
+    spectrum[:s.size] = s
+    u = u[pattern.twin]
+    return u, indices, spectrum, u[indices]
+
+
+def test_upper_row_build_matches_the_whole_union_build(built):
+    art, _, _, whole = built
     op, pattern = art.deim_a, art.pattern
-    # the stiffness snapshots are symmetric, so half the rows carry them
-    assert snaps[pattern.transpose].tobytes() == snaps.tobytes()
-    assert op.U[pattern.transpose].tobytes() == op.U.tobytes()
-    assert np.linalg.norm(op.U.T @ op.U - np.eye(op.l), 2) <= 1e-13
-    rows = art.mesh.pattern_rows[pattern.positions]
-    cols = art.mesh.pattern_cols[pattern.positions]
+    u, indices, spectrum, pu = _whole_union_build(whole, pattern, art.config.eps_deim_a)
+    assert op.U.tobytes() == u[pattern.upper].tobytes()
+    assert op.indices.tobytes() == indices.tobytes()
+    assert op.singular_values.tobytes() == spectrum.tobytes()
+    assert op.pu.tobytes() == pu.tobytes()
+
+
+def test_matrix_basis_is_a_mirrored_orthonormal_half(built):
+    op, pattern = built.art.deim_a, built.art.pattern
+    assert op.U.shape == (pattern.upper.size, op.l)
+    mirrored = op.U[pattern.twin]
+    assert mirrored[pattern.transpose].tobytes() == mirrored.tobytes()
+    assert np.linalg.norm(mirrored.T @ mirrored - np.eye(op.l), 2) <= 1e-13
+    rows = built.art.mesh.pattern_rows[pattern.positions]
+    cols = built.art.mesh.pattern_cols[pattern.positions]
     assert np.all(rows[op.indices] <= cols[op.indices])
     assert np.isin(op.indices, pattern.upper).all()
 
 
 def test_matrix_singular_values_are_those_of_the_whole_union(built):
-    art, snaps = built
-    full = np.linalg.svd(snaps, compute_uv=False)
-    assert art.deim_a.singular_values.shape == full.shape
-    assert np.abs(art.deim_a.singular_values - full).max() <= 1e-12 * full[0]
+    full = np.linalg.svd(built.whole, compute_uv=False)
+    assert built.art.deim_a.singular_values.shape == full.shape
+    assert np.abs(built.art.deim_a.singular_values - full).max() <= 1e-12 * full[0]
+
+
+def test_matrix_reconstruction_is_exactly_symmetric(built):
+    art = built.art
+    test_mu = pipeline.sample_parameters(art.config.n_test, art.config.seed + 1,
+                                         art.config.mu_min, art.config.mu_max)
+    for mu in test_mu:
+        a_samp = prepare(art, build_cut_geometry(art.mesh, ParameterPoint(*mu))).a
+        rec = reconstruct(art.deim_a, deim_coefficients(art.deim_a, a_samp))
+        assert rec[art.pattern.transpose].tobytes() == rec.tobytes()
 
 
 def test_projection_matches_the_per_column_projection_bitwise(built):
-    # reference: one CSR matrix per (mirrored, so symmetric) basis column,
-    # then the interpolation inverse folded in with the operator's LU factors
-    art, _ = built
+    # reference: one CSR matrix per basis column mirrored to the union (so
+    # symmetric), then the interpolation inverse folded in with the
+    # operator's LU factors
+    art = built.art
     v, pattern = art.pod.V, art.pattern
     cols, rows = np.tril_indices(art.pod.n_max)
     reference = np.empty_like(art.blocks_a)
     for j in range(art.deim_a.l):
-        basis_mat = pattern.matrix_from_values(art.deim_a.U[:, j])
+        basis_mat = pattern.matrix_from_values(art.deim_a.U[pattern.twin, j])
         reference[:, j] = (v.T @ (basis_mat @ v))[rows, cols]
     reference = sla.lu_solve(art.deim_a.lu, reference.T, trans=1).T
     assert art.blocks_a.tobytes() == reference.tobytes()
@@ -359,7 +438,7 @@ def _symmetrized_eta_a(art, system, c_a):
     CSR matrix and subtracted from A, and the Frobenius norms taken over the
     stored values."""
     pattern = art.pattern
-    values = art.deim_a.U @ c_a
+    values = art.deim_a.U[pattern.twin] @ c_a
     diff = system.A - pattern.matrix_from_values(0.5 * (values + values[pattern.transpose]))
     err = float(np.sqrt((diff.data * diff.data).sum()))
     return err, err / float(np.sqrt((system.A.data * system.A.data).sum()))
@@ -370,7 +449,7 @@ def test_indicators_on_pattern_vectors_match_the_sparse_matrix_form(built, monke
     symmetrized sparse-matrix form to 1e-12 relative (absolute and relative
     error) at every test parameter, and its η_f is the plain Euclidean
     error bit for bit."""
-    art, _ = built
+    art = built.art
     errors = []
     original = estimators.deim_error
 

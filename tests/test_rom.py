@@ -100,13 +100,13 @@ def test_truncation_uses_leading_subblock(small_run):
 def test_packed_operator_matches_the_full_block_contraction(small_run, small_config):
     art, _ = small_run
     # reference: the unpacked projection V^T B_j V of every basis matrix
-    # (taken as (B_j + B_jᵀ) / 2, which a mirrored basis leaves unchanged),
-    # contracted with the interpolation coefficients over the full
-    # (l_A, n, n) sub-blocks
+    # (its upper rows mirrored to the union, taken as (B_j + B_jᵀ) / 2,
+    # which a mirrored basis leaves unchanged), contracted with the
+    # interpolation coefficients over the full (l_A, n, n) sub-blocks
     v = art.pod.V
     full = np.empty((art.deim_a.l, art.pod.n_max, art.pod.n_max))
     for j in range(art.deim_a.l):
-        basis_mat = art.pattern.matrix_from_values(art.deim_a.U[:, j])
+        basis_mat = art.pattern.matrix_from_values(art.deim_a.U[art.pattern.twin, j])
         full[j] = v.T @ (((basis_mat + basis_mat.T) * 0.5) @ v)
     for mu in (ParameterPoint(1.0, 1.0), ParameterPoint(1.14, 1.03), ParameterPoint(1.2, 1.2)):
         a_samp = prepare(art, build_cut_geometry(art.mesh, mu)).a
