@@ -7,26 +7,28 @@ sweep grid, the test count, the fit windows and the paths, so a model loads
 under any config that differs from its own only there; ``run_online_sweep``
 applies the same rule.
 
-Format 6 stores the matrix DEIM basis ``deim_a_basis`` on the union's upper
-entries only (``UnionPattern.upper``, row <= col), as the model holds it;
-it is mirrored to the whole union on use.  Format 5 stored it mirrored,
-one row per union entry.  The reduced blocks are in the DEIM online form:
-``blocks_a`` and ``blocks_f`` have the interpolation inverses folded in
-(``rom.build_rom_offline``), so they multiply the sampled entries directly.
-Format 4 stored the same shapes unfolded, to multiply interpolation
-coefficients; read as a later format they would give a wrong reduced system
-with no error, so they are refused.
+Format 7 stores the union pattern as its upper positions
+(``pattern_positions``, row <= col), the matrix DEIM basis ``deim_a_basis``
+with one row per position, and the matrix interpolation indices
+``deim_a_indices`` as rows of that basis, in [0, ``pattern_size``).
+Format 6 stored the whole symmetric union and indexed it with the matrix
+indices; format 5 also stored the basis mirrored to it.  The reduced blocks
+are in the DEIM online form: ``blocks_a`` and ``blocks_f`` have the
+interpolation inverses folded in (``rom.build_rom_offline``), so they
+multiply the sampled entries directly.  Format 4 stored the same shapes
+unfolded, to multiply interpolation coefficients; read as a later format
+they would give a wrong reduced system with no error, so they are refused.
 
-Loading raises ``ArtifactError``, naming the array or
-the manifest, on a format version other than ``FORMAT_VERSION`` (version 5
-stored the whole-union matrix basis, version 4 unfolded blocks, version 3
-hashed every field and stored ``gamma`` as a pair); on a config that
-differs in a hashed field; on an array that is missing,
-unreadable, pickled, or of the wrong dtype or shape; on union-pattern
-positions that are not strictly increasing inside the mesh's assembly
-pattern; and on an interpolation index out of range.  A save removes the old
-manifest first and writes the new one last, so an interrupted save leaves
-nothing loadable.
+Loading raises ``ArtifactError``, naming the array or the manifest, on a
+format version other than ``FORMAT_VERSION`` (version 6 stored the whole
+union, version 5 also the mirrored basis, version 4 unfolded blocks,
+version 3 hashed every field and stored ``gamma`` as a pair); on a config
+that differs in a hashed field; on an array that is missing, unreadable,
+pickled, or of the wrong dtype or shape; on union-pattern positions that are
+not strictly increasing inside the mesh's assembly pattern or lie below its
+diagonal; and on an interpolation index out of range or repeated.  A save
+removes the old manifest first and writes the new one last, so an
+interrupted save leaves nothing loadable.
 """
 
 from __future__ import annotations
@@ -38,13 +40,13 @@ from operator import attrgetter
 import numpy as np
 
 from .config import Config
-from .deim import DeimOperator, UnionPattern, deim_operator
+from .deim import DeimError, DeimOperator, UnionPattern, deim_operator
 from .geometry import BackgroundMesh, build_background_mesh
 from .assembly import EntryPlan, PhysicsParams, physics_from_config
 from .pod import PodBasis, truncation_rank
 from .rom import packed_upper_index
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 
 class ArtifactError(RuntimeError):
@@ -101,7 +103,7 @@ class OfflineArtifacts:
 _ARRAYS = (
     ("pod_modes", "pod.V", np.float64, ("n", "n_max")),
     ("pod_sigma", "pod.sigma", np.float64, ("s_n",)),
-    ("deim_a_basis", "deim_a.U", np.float64, ("pattern_upper", "l_a")),
+    ("deim_a_basis", "deim_a.U", np.float64, ("pattern_size", "l_a")),
     ("deim_a_indices", "deim_a.indices", np.int64, ("l_a",)),
     ("deim_a_singular_values", "deim_a.singular_values", np.float64, ("s_a",)),
     ("deim_f_basis", "deim_f.U", np.float64, ("n", "l_f")),
@@ -116,15 +118,14 @@ _SIZES = ("n_vertices", "n_max", "l_a", "l_f", "pattern_size")
 
 
 def _expected_shapes(config: Config, n: int, n_max: int, l_a: int, l_f: int,
-                     pattern: UnionPattern) -> dict:
-    """Shape of each array for the manifest's sizes and the loaded union
-    pattern.  Each thin SVD of an (m, n_train) snapshot matrix has
-    min(m, n_train) singular values: the matrix DEIM's over the union
-    pattern, and the POD's and the load DEIM's over the n vertices."""
-    sizes = {"n": n, "n_max": n_max, "l_a": l_a, "l_f": l_f, "pattern_size": pattern.size,
-             "pattern_upper": pattern.upper.size,
+                     pattern_size: int) -> dict:
+    """Shape of each array for the manifest's sizes.  Each thin SVD of an
+    (m, n_train) snapshot matrix has min(m, n_train) singular values: the
+    matrix DEIM's over the union pattern, and the POD's and the load DEIM's
+    over the n vertices."""
+    sizes = {"n": n, "n_max": n_max, "l_a": l_a, "l_f": l_f, "pattern_size": pattern_size,
              "n_train": config.n_train, "n_packed": n_max * (n_max + 1) // 2,
-             "s_a": min(pattern.size, config.n_train), "s_n": min(n, config.n_train)}
+             "s_a": min(pattern_size, config.n_train), "s_n": min(n, config.n_train)}
     return {name: tuple(sizes.get(d, d) for d in dims) for name, _, _, dims in _ARRAYS}
 
 
@@ -188,6 +189,8 @@ def _load_array(dirpath: str, name: str, dtype, shape: tuple) -> np.ndarray:
 def _require_indices(name: str, indices: np.ndarray, bound: int) -> None:
     if np.any((indices < 0) | (indices >= bound)):
         raise ArtifactError(f"{name} holds an index outside [0, {bound})")
+    if np.unique(indices).size != indices.size:
+        raise ArtifactError(f"{name} holds a repeated index")
 
 
 def load_artifacts(dirpath: str, config: Config) -> OfflineArtifacts:
@@ -210,15 +213,17 @@ def load_artifacts(dirpath: str, config: Config) -> OfflineArtifacts:
     mesh = build_background_mesh(config.box, config.h_target)
     if mesh.n_vertices != n:
         raise ArtifactError("mesh size does not match manifest")
-    # the union pattern first: the matrix basis has a row per upper entry
-    positions = _load_array(dirpath, "pattern_positions", np.int64, (pattern_size,))
+    shapes = _expected_shapes(config, n, n_max, l_a, l_f, pattern_size)
+    data = {name: _load_array(dirpath, name, dtype, shapes[name])
+            for name, _, dtype, _ in _ARRAYS}
+    positions = data["pattern_positions"]
     if np.any(np.diff(positions) <= 0):
         raise ArtifactError("pattern_positions is not strictly increasing")
     _require_indices("pattern_positions", positions, mesh.pattern_cols.size)
-    pattern = UnionPattern(mesh, positions)
-    shapes = _expected_shapes(config, n, n_max, l_a, l_f, pattern)
-    data = {name: _load_array(dirpath, name, dtype, shapes[name])
-            for name, _, dtype, _ in _ARRAYS if name != "pattern_positions"}
+    try:
+        pattern = UnionPattern(mesh, positions)
+    except DeimError as exc:
+        raise ArtifactError(f"pattern_positions: {exc}") from None
     _require_indices("deim_a_indices", data["deim_a_indices"], pattern_size)
     _require_indices("deim_f_indices", data["deim_f_indices"], n)
     if not (np.isfinite(data["pod_sigma"]).all() and (data["pod_sigma"] >= 0.0).all()):

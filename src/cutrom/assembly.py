@@ -127,10 +127,11 @@ def _flat_index(table, rows, shift, out):
     out += shift[:, None]
 
 
-def _csr_on_pattern(mesh: BackgroundMesh, values, positions):
+def csr_on_pattern(mesh: BackgroundMesh, values, positions):
     """The matrix with ``values`` on the mesh pattern that stores the entries
     at ``positions`` (ascending): the storage index of a position is its
-    place among them."""
+    place among them.  The package's one builder of a CSR matrix from
+    pattern positions."""
     n = mesh.n_vertices
     return sp.csr_matrix((values.take(positions), mesh.pattern_cols.take(positions),
                           np.searchsorted(positions, mesh.pattern_indptr)), shape=(n, n))
@@ -249,7 +250,7 @@ def assemble_system(geom: CutGeometry, phys: PhysicsParams) -> SystemPair:
     of one geometry: ``assemble_batch`` of one, stored as CSR."""
     values, used, loads, cons = assemble_batch([geom], phys)
     pos = np.flatnonzero(used[0])
-    return SystemPair(A=_csr_on_pattern(geom.mesh, values[0], pos), f=loads[0],
+    return SystemPair(A=csr_on_pattern(geom.mesh, values[0], pos), f=loads[0],
                       active_dofs=geom.active_dofs, geom=geom, pattern_pos=pos, consistency=cons,
                       cut_slots=np.searchsorted(
                           pos, geom.mesh.tri_pattern_pos.take(geom.cut_elements, axis=0)))
@@ -270,7 +271,7 @@ def assemble_mass_matrix(mesh: BackgroundMesh) -> sp.csr_matrix:
     local = np.array([2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0]) / 12.0
     vals = mesh.tri_area[:, None] * local[None, :]
     values, used = _scatter(mesh.tri_pattern_pos.ravel(), vals.ravel(), mesh.pattern_cols.size)
-    return _csr_on_pattern(mesh, values, np.flatnonzero(used))
+    return csr_on_pattern(mesh, values, np.flatnonzero(used))
 
 
 def _slot_holders(pos_table, positions, size: int):

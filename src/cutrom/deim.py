@@ -2,27 +2,23 @@
 
 Matrix snapshots are vectorized over the union of the structural sparsity
 patterns seen in training, which is exact: entries off the union pattern are
-zero for every training parameter.  The union is a sorted set of positions in
-the mesh's assembly pattern (``BackgroundMesh._build_pattern``), and a
-snapshot is scattered into it by those positions.
+zero for every training parameter.  The stiffness matrices are symmetric,
+so the union pattern keeps its upper half only (row <= col): a sorted set of
+positions in the mesh's assembly pattern (``BackgroundMesh.pattern_upper``),
+which carries every training matrix whole.  The snapshots are given there,
+their off-diagonal rows weighted by sqrt(2) so the Frobenius inner product
+of the whole matrices is kept, and the basis U stays there: row k of U is
+the entry at ``pattern.positions[k]``.  A vector basis is the same
+computation with every row of weight 1.  For both kinds an interpolation
+index is a row of U, and an interpolant is U c (``reconstruct``).  The
+callers that need the whole symmetric matrix (the sweep's η_A and
+``rom.build_rom_offline``) mirror it through ``mesh.pattern_transpose``.
 
-The stiffness matrices are symmetric, so a matrix operator lives on the
-upper entries only (row <= col): the snapshots are given there, their
-off-diagonal rows weighted by sqrt(2) so the Frobenius inner product of the
-whole matrices is kept, and the basis U stays there.  Row k of U belongs to
-the upper entry ``pattern.upper[k]``; ``pattern.twin`` mirrors it to the
-whole union where a whole-union vector is needed (``reconstruct``,
-``rom.build_rom_offline``), and U[twin] is orthonormal.  A vector basis is
-the same computation with every row its own, of weight 1.  The greedy index
-selection is LU elimination of the basis with a pivot rule (Sorensen &
-Embree 2016): the pivot is the first position whose residual is within
-``TIE_RTOL`` of the largest, so near-ties (symmetric geometries) are decided
-by position, not by rounding.  It runs blocked, ``PANEL`` modes at a time;
-the indices it picks are union entries, all of them upper.
-
-An interpolant is the vector U c mirrored to the union (``reconstruct``),
-exactly symmetric, compared entry by entry with the assembled values: no
-symmetric matrix is rebuilt from it.
+The greedy index selection is LU elimination of the basis with a pivot rule
+(Sorensen & Embree 2016): the pivot is the first position whose residual is
+within ``TIE_RTOL`` of the largest, so near-ties (symmetric geometries) are
+decided by position, not by rounding.  It runs blocked, ``PANEL`` modes at
+a time.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .geometry import BackgroundMesh
 from .pod import truncation_rank
@@ -57,53 +52,45 @@ class DeimError(ValueError):
 
 
 class UnionPattern:
-    """Sorted union of mesh-pattern positions: entry k of a vectorized matrix
-    is the entry at mesh position ``positions[k]``, and ``transpose[k]`` is
-    the entry of its transpose.  ``upper`` holds the entries with row <= col
-    (positions are sorted by row, then column, so these are k <= transpose[k])
-    and ``twin[k]`` is the row of entry k's upper twin among them.
-    ``cols``/``indptr`` are the CSR structure of the union.  Raises
-    ``DeimError`` when the union is not symmetric."""
+    """The upper half of the union of the training stiffness patterns: row
+    k of a matrix snapshot or basis is the entry at mesh position
+    ``positions[k]`` (sorted, each with row <= col), and ``diagonal[k]``
+    says whether it is on the diagonal.  A position below the diagonal
+    raises ``DeimError``."""
 
     def __init__(self, mesh: BackgroundMesh, positions: np.ndarray):
+        rows, cols = mesh.pattern_rows[positions], mesh.pattern_cols[positions]
+        below = np.flatnonzero(rows > cols)
+        if below.size:
+            k = below[0]
+            raise DeimError(f"union pattern position {positions[k]} (row {rows[k]}, "
+                            f"column {cols[k]}) is below the diagonal")
         self.positions = positions
         self.size = positions.size
-        self.n = mesh.n_vertices
-        self.cols = mesh.pattern_cols[positions]
-        self.indptr = np.searchsorted(mesh.pattern_rows[positions], np.arange(self.n + 1))
-        # each mesh position's entry in the union, -1 outside it
-        entry = np.full(mesh.pattern_cols.size, -1, dtype=np.int64)
-        entry[positions] = np.arange(self.size)
-        self.transpose = entry[mesh.pattern_transpose[positions]]
-        if np.any(self.transpose < 0):
-            raise DeimError("union pattern is not symmetric: an entry's transpose is missing")
-        k = np.arange(self.size)
-        self.upper = np.flatnonzero(k <= self.transpose)
-        self.twin = np.searchsorted(self.upper, np.minimum(k, self.transpose))
-
-    def matrix_from_values(self, values: np.ndarray) -> sp.csr_matrix:
-        return sp.csr_matrix((values, self.cols, self.indptr), shape=(self.n, self.n))
+        self.diagonal = rows == cols
 
 
 def build_union_pattern(mesh: BackgroundMesh, position_sets) -> UnionPattern:
-    """Union of the stiffness matrices' structural patterns, each given by
-    its mesh-pattern positions (``assembly.SystemPair.pattern_pos``)."""
+    """The upper half (``BackgroundMesh.pattern_upper``) of the union of the
+    stiffness matrices' structural patterns, each given by its mesh-pattern
+    positions (``assembly.SystemPair.pattern_pos``).  The matrices are
+    symmetric, so their patterns are, and the upper half carries the
+    union."""
     if len(position_sets) < 1:
         raise DeimError("need at least one matrix")
     used = np.zeros(mesh.pattern_cols.size, dtype=bool)
     for positions in position_sets:
         used[positions] = True
-    return UnionPattern(mesh, np.flatnonzero(used))
+    return UnionPattern(mesh, mesh.pattern_upper[used[mesh.pattern_upper]])
 
 
 @dataclass
 class DeimOperator:
-    """Left singular basis, greedy interpolation indices, and the
-    interpolation matrix PᵀU with its precomputed factorization, its 2-norm
-    condition number and its Lebesgue constant ‖(PᵀU)⁻¹‖₂.  A matrix
-    operator (one with a ``pattern``) has U on the union's upper entries and
-    its indices in the union, so PᵀU = U[pattern.twin[indices]]; a vector
-    operator's is U[indices]."""
+    """Left singular basis, greedy interpolation indices (rows of U), and
+    the interpolation matrix PᵀU = U[indices] with its precomputed
+    factorization, its 2-norm condition number and its Lebesgue constant
+    ‖(PᵀU)⁻¹‖₂.  A matrix operator carries its union ``pattern``: row k of
+    U is the entry at ``pattern.positions[k]``."""
 
     U: np.ndarray
     indices: np.ndarray
@@ -130,12 +117,11 @@ def interpolation_conditioning(pu: np.ndarray):
 
 def deim_operator(u: np.ndarray, indices: np.ndarray, singular_values: np.ndarray,
                   pattern: UnionPattern | None = None) -> DeimOperator:
-    """The operator of basis ``u`` interpolated at ``indices`` (union
-    entries, read on the upper rows ``u`` has with a ``pattern``): forms PᵀU,
-    refuses it when its condition number is not finite or exceeds
-    ``COND_LIMIT``, and LU-factors it.  A fresh build and a loaded model
-    both come through here."""
-    pu = u[indices if pattern is None else pattern.twin[indices], :]
+    """The operator of basis ``u`` interpolated at ``indices`` (rows of
+    ``u``): forms PᵀU, refuses it when its condition number is not finite or
+    exceeds ``COND_LIMIT``, and LU-factors it.  A fresh build and a loaded
+    model both come through here."""
+    pu = u[indices, :]
     cond, lebesgue = interpolation_conditioning(pu)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise DeimError(f"interpolation matrix is numerically singular (cond={cond:.3e})")
@@ -185,18 +171,16 @@ def build_deim_operator(snapshots: np.ndarray, eps: float, kind: str = VECTOR,
     l is at most the number of snapshots), and its greedy indices.
 
     With a ``pattern`` the snapshots are the symmetric stiffness matrices at
-    the union's upper entries, one row per entry of ``pattern.upper``, which
-    carry them whole.  Their off-diagonal rows are weighted by sqrt(2), so
-    the SVD sees the Frobenius inner product of the whole matrices, and the
-    basis is divided by the weights again: it stays on the upper rows, and
-    mirrored through ``pattern.twin`` it is orthonormal over the union.  The
-    singular values are those of the whole union's snapshot matrix (its rank
-    is at most the number of upper rows; the missing values are zero).
-    Without a pattern every row has weight 1.  ``kind`` must agree with
-    ``pattern``: ``MATRIX`` with one, ``VECTOR`` without; either
-    disagreement raises ``DeimError``, as does a row count other than the
-    upper entries'.  A snapshot column with a non-finite entry is refused by
-    name.
+    the union's entries, one row per entry, which carry them whole.  Their
+    off-diagonal rows are weighted by sqrt(2), so the SVD sees the Frobenius
+    inner product of the whole matrices, and the basis is divided by the
+    weights again: mirrored to the lower entries it is orthonormal, and the
+    singular values are those of the whole matrices' snapshot matrix (up to
+    the number of entries).  Without a pattern every row has weight 1.
+    ``kind`` must agree with ``pattern``: ``MATRIX`` with one, ``VECTOR``
+    without; either disagreement raises ``DeimError``, as does a row count
+    other than the pattern's.  A snapshot column with a non-finite entry is
+    refused by name.
     """
     if kind != (VECTOR if pattern is None else MATRIX):
         raise DeimError(f"{kind!r} operator with{'out' if pattern is None else ''} a union "
@@ -204,32 +188,22 @@ def build_deim_operator(snapshots: np.ndarray, eps: float, kind: str = VECTOR,
     snaps = np.asarray(snapshots, dtype=float)
     if snaps.ndim != 2:
         raise DeimError("snapshots must be a 2-d array (m x n_train)")
-    if pattern is not None and snaps.shape[0] != pattern.upper.size:
-        raise DeimError(f"{snaps.shape[0]} snapshot rows for the {pattern.upper.size} "
+    if pattern is not None and snaps.shape[0] != pattern.size:
+        raise DeimError(f"{snaps.shape[0]} snapshot rows for the {pattern.size} "
                         "upper entries of a union pattern")
     bad = np.flatnonzero(~np.isfinite(snaps).all(axis=0))
     if bad.size:
         raise DeimError(f"snapshot column {bad[0]} has a non-finite entry")
     if not np.any(snaps):
         raise DeimError("all-zero snapshot matrix")
-    # m: the rows of the whole snapshot matrix, the union's or the vectors'
-    if pattern is None:
-        m, weight = snaps.shape[0], np.ones((snaps.shape[0], 1))
-    else:
-        m = pattern.size
-        weight = np.where(pattern.transpose[pattern.upper] == pattern.upper,
-                          1.0, np.sqrt(2.0))[:, None]
+    weight = 1.0 if pattern is None else np.where(pattern.diagonal, 1.0, np.sqrt(2.0))[:, None]
     u, s, _vt = np.linalg.svd(snaps * weight, full_matrices=False)
     l = truncation_rank(s, eps)
     u = u[:, :l] / weight
     indices = _greedy_indices(u)
-    if pattern is not None:
-        indices = pattern.upper[indices]
     if np.unique(indices).size != l:
         raise DeimError("greedy selection produced duplicate indices")
-    spectrum = np.zeros(min(m, snaps.shape[1]))
-    spectrum[:s.size] = s
-    return deim_operator(u, indices, spectrum, pattern)
+    return deim_operator(u, indices, s, pattern)
 
 
 def deim_coefficients(op: DeimOperator, sampled: np.ndarray) -> np.ndarray:
@@ -248,11 +222,9 @@ def deim_coefficients(op: DeimOperator, sampled: np.ndarray) -> np.ndarray:
 
 def reconstruct(op: DeimOperator, coefficients: np.ndarray) -> np.ndarray:
     """The interpolant U c: for the load its values over the dofs; for the
-    matrix its values over the upper entries mirrored to the whole union
-    (``UnionPattern.matrix_from_values`` makes it a matrix), so an entry and
-    its transpose are equal bit for bit."""
+    matrix its values over the union's upper entries, which a lower entry
+    mirrors."""
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.shape != (op.l,):
         raise DeimError(f"expected {op.l} coefficients, got {coefficients.shape}")
-    values = op.U @ coefficients
-    return values if op.pattern is None else values[op.pattern.twin]
+    return op.U @ coefficients

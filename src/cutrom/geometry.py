@@ -210,7 +210,9 @@ class BackgroundMesh:
         package's one sparse index; no other code forms row*N+col codes.
         Position k holds (``pattern_rows[k]``, ``pattern_cols[k]``), its
         transpose sits at ``pattern_transpose[k]`` (the pattern is
-        symmetric), and (i, i) at ``pattern_diag[i]``.
+        symmetric), and (i, i) at ``pattern_diag[i]``.  ``pattern_upper``
+        holds the positions with row <= col (k <= ``pattern_transpose[k]``),
+        which carry a symmetric matrix whole.
 
         A parameter's pattern is the subset its active triangles and ghost
         facets touch, so assembly only marks and renumbers positions.  The 9
@@ -238,6 +240,7 @@ class BackgroundMesh:
         self.pattern_indptr = np.searchsorted(self.pattern_rows, np.arange(n + 1))
         self.pattern_transpose = np.searchsorted(codes, self.pattern_cols * n + self.pattern_rows)
         self.pattern_diag = np.searchsorted(codes, np.arange(n) * (n + 1))
+        self.pattern_upper = np.flatnonzero(self.pattern_rows <= self.pattern_cols)
         graph = sp.csr_matrix((np.ones(codes.size, dtype=np.int8), self.pattern_cols,
                                self.pattern_indptr), shape=(n, n))
         self.rcm_rank = np.empty(n, dtype=np.int64)

@@ -82,7 +82,7 @@ def run_offline(config: Config) -> OfflineArtifacts:
     (``assemble_batch``), and each is solved from the batch's values
     (``solve_active``), with no CSR matrix made.  The stiffness matrices are
     symmetric, so each is kept on the upper positions of the mesh pattern
-    only (k <= ``pattern_transpose[k]``), the matrix DEIM's input; each
+    only (``BackgroundMesh.pattern_upper``), the matrix DEIM's input; each
     chunk's arrays are dropped before the next is assembled.  The training
     snapshot matrix stays on the returned artifacts (not saved).  The last
     log line gives the seconds of each stage and the size of the matrix
@@ -94,7 +94,7 @@ def run_offline(config: Config) -> OfflineArtifacts:
     n_train, size = config.n_train, mesh.pattern_cols.size
     snapshots = np.empty((mesh.n_vertices, n_train))
     loads = np.empty((mesh.n_vertices, n_train))
-    upper = np.flatnonzero(np.arange(size) <= mesh.pattern_transpose)
+    upper = mesh.pattern_upper
     a_upper = np.empty((upper.size, n_train))  # every stiffness matrix, upper positions
     a_used = np.zeros(size, dtype=bool)  # the union of their stored positions
     stages = dict.fromkeys(("geometry", "assembly", "solves", "pod", "deim", "projection"), 0.0)
@@ -151,10 +151,10 @@ def run_offline(config: Config) -> OfflineArtifacts:
               " ".join(f"{v:.3e}" for v in head))
 
     pattern = build_union_pattern(mesh, [np.flatnonzero(a_used)])
-    n2 = mesh.n_vertices ** 2
-    log.info("union pattern: %d positions (%.2f%% of N^2), %d upper", pattern.size,
-             100.0 * pattern.size / n2, pattern.upper.size)
-    a_snaps = a_upper[np.searchsorted(upper, pattern.positions[pattern.upper])]
+    whole = 2 * pattern.size - int(pattern.diagonal.sum())
+    log.info("union pattern: %d upper positions, %d with their mirrors (%.2f%% of N^2)",
+             pattern.size, whole, 100.0 * whole / mesh.n_vertices ** 2)
+    a_snaps = a_upper[np.searchsorted(upper, pattern.positions)]
     del a_upper
     deim_a = build_deim_operator(a_snaps, config.eps_deim_a, kind=MATRIX, pattern=pattern)
     del a_snaps
@@ -163,7 +163,7 @@ def run_offline(config: Config) -> OfflineArtifacts:
     log.info("deim: l_A=%d (cond %.3e, Lebesgue %.4g), l_f=%d (cond %.3e, Lebesgue %.4g)",
              deim_a.l, deim_a.cond, deim_a.lebesgue, deim_f.l, deim_f.cond, deim_f.lebesgue)
 
-    blocks_a, blocks_f = build_rom_offline(pod, deim_a, deim_f)
+    blocks_a, blocks_f = build_rom_offline(mesh, pod, deim_a, deim_f)
     lap("projection")
     art = OfflineArtifacts(
         config=config, mesh=mesh, phys=phys, pod=pod, deim_a=deim_a, deim_f=deim_f,
@@ -301,6 +301,8 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
             f"sweep needs {n_list[-1]} modes but only {art.pod.n_max} were retained"
         )
     a_star = est.alpha_star(art.config.nitsche_lambda, art.config.c_inv)
+    upper = art.pattern.positions
+    mirror = art.mesh.pattern_transpose[upper]
     vn_norm = {n: float(sla.svdvals(art.pod.V[:, :n])[0]) for n in n_list}
     tails = {n: tail_energy(art.pod.sigma, n) for n in n_list}
 
@@ -317,9 +319,10 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
         prep = prepare(art, geom)
         a_deim = reconstruct(art.deim_a, deim_coefficients(art.deim_a, prep.a))
         f_deim = reconstruct(art.deim_f, deim_coefficients(art.deim_f, prep.f))
+        a_whole = _on_mesh_pattern(art.mesh, upper, a_deim)
+        a_whole[mirror] = a_deim
         a_err_abs, eta_a = est.deim_error(
-            _on_mesh_pattern(art.mesh, system.pattern_pos, system.A.data),
-            _on_mesh_pattern(art.mesh, art.pattern.positions, a_deim))
+            _on_mesh_pattern(art.mesh, system.pattern_pos, system.A.data), a_whole)
         f_err_abs, eta_f_val = est.deim_error(system.f, f_deim)
         diag = system.A.diagonal()
         d_min, d_max = est.active_diagonal_range(diag, system.active_dofs)
@@ -620,13 +623,9 @@ def verify_invariants(config: Config, geometry_csv: str | None = None) -> list:
     """
     mesh = build_background_mesh(config.box, config.h_target)
     phys = physics_from_config(config)
-    rng = np.random.default_rng(config.seed + 10_000)
-
-    def draw(count):
-        return [ParameterPoint(*(config.mu_min + (config.mu_max - config.mu_min) * rng.random(2)))
-                for _ in range(count)]
-
-    patch_mu, zero_mu, spd_mu = draw(5), draw(30), draw(3)
+    mu = [ParameterPoint(*m) for m in sample_parameters(38, config.seed + 10_000,
+                                                        config.mu_min, config.mu_max)]
+    patch_mu, zero_mu, spd_mu = mu[:5], mu[5:35], mu[35:]
     if geometry_csv is not None:
         os.makedirs(os.path.dirname(geometry_csv) or ".", exist_ok=True)
         _write_csv(geometry_csv,

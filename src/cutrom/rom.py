@@ -5,7 +5,10 @@ one offline object, ``artifacts.OfflineArtifacts``.  The blocks are kept in
 the DEIM online form (Chaturantabut & Sorensen 2010; Negri, Manzoni &
 Amsallem 2015): the inverse of each interpolation matrix PᵀU is folded into
 them offline, so the reduced operator and load are linear in the sampled
-entries themselves, and no interpolation system is solved online.
+entries themselves, and no interpolation system is solved online.  The
+matrix basis lives on the upper half of the union pattern; the projection
+mirrors it through ``mesh.pattern_transpose``, as it needs the whole
+symmetric matrices.
 
 The online stage has two steps.  ``prepare`` samples the planned entries
 for one parameter; they depend on the parameter only, not on the mode
@@ -25,9 +28,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import evaluate_entries
+from .assembly import csr_on_pattern, evaluate_entries
 from .deim import DeimOperator
-from .geometry import CutGeometry, ParameterPoint, build_cut_geometry, require_inside_box
+from .geometry import (BackgroundMesh, CutGeometry, ParameterPoint, build_cut_geometry,
+                       require_inside_box)
 from .pod import PodBasis
 
 if TYPE_CHECKING:
@@ -85,15 +89,17 @@ def packed_upper_index(n_max: int) -> np.ndarray:
     return index
 
 
-def build_rom_offline(pod: PodBasis, deim_a: DeimOperator, deim_f: DeimOperator):
+def build_rom_offline(mesh: BackgroundMesh, pod: PodBasis, deim_a: DeimOperator,
+                      deim_f: DeimOperator):
     """Project every interpolation basis matrix/vector onto the mode basis
     and fold in the interpolation inverses: ``(blocks_a, blocks_f)`` of
     shapes (n_max (n_max + 1) / 2, l_A) and (l_f, n_max).
 
     The matrix basis lives on the union's upper entries
-    (``deim.build_deim_operator``); one CSR matrix on the union pattern takes
-    each element's values in turn, mirrored through ``pattern.twin``, so it
-    is symmetric.  Each projected block is stored packed
+    (``deim.build_deim_operator``); one CSR matrix on the whole union, the
+    upper entries and their mirrors through ``mesh.pattern_transpose``, takes
+    each element's values in turn, each entry the value of its upper twin,
+    so it is symmetric.  Each projected block is stored packed
     (``packed_upper_index``), one column per basis element, so the leading
     n x n blocks of all elements are one contiguous slab and a reduced
     operator unpacks exactly symmetric.
@@ -110,8 +116,10 @@ def build_rom_offline(pod: PodBasis, deim_a: DeimOperator, deim_f: DeimOperator)
         raise RomError("matrix operator must carry the union pattern")
     v = pod.V
     rows, cols = _upper_entries(pod.n_max)
-    twin = deim_a.pattern.twin
-    basis_mat = deim_a.pattern.matrix_from_values(np.empty(twin.size))
+    upper = deim_a.pattern.positions
+    whole = np.union1d(upper, mesh.pattern_transpose[upper])
+    twin = np.searchsorted(upper, np.minimum(whole, mesh.pattern_transpose[whole]))
+    basis_mat = csr_on_pattern(mesh, np.zeros(mesh.pattern_cols.size), whole)
     blocks_a = np.empty((rows.size, deim_a.l))
     for j in range(deim_a.l):
         np.take(deim_a.U[:, j], twin, out=basis_mat.data)

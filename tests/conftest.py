@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cutrom.assembly import assemble_mass_matrix, physics_from_config
 from cutrom.config import Config
@@ -10,6 +11,43 @@ from cutrom.geometry import ParameterPoint, build_background_mesh
 from cutrom.pipeline import emit_report, run_offline, run_online_sweep
 
 DEFAULT_BOX = ((-1.2, 1.2), (-1.2, 1.2))
+
+
+class WholeUnion:
+    """The whole symmetric union that a ``deim.UnionPattern`` is the upper
+    half of, built here as the tests' reference: its mesh ``positions``,
+    each entry's ``transpose`` among them, each entry's ``twin`` (the
+    pattern row of its upper entry), and the entry of each pattern row
+    (``upper``)."""
+
+    def __init__(self, mesh, pattern):
+        upper = pattern.positions
+        self.n = mesh.n_vertices
+        self.positions = np.union1d(upper, mesh.pattern_transpose[upper])
+        mirror = mesh.pattern_transpose[self.positions]
+        self.size = self.positions.size
+        self.transpose = np.searchsorted(self.positions, mirror)
+        self.twin = np.searchsorted(upper, np.minimum(self.positions, mirror))
+        self.upper = np.searchsorted(self.positions, upper)
+        self.cols = mesh.pattern_cols[self.positions]
+        self.indptr = np.searchsorted(mesh.pattern_rows[self.positions], np.arange(self.n + 1))
+
+    def vector(self, positions, values):
+        """The matrix with ``values`` at the mesh ``positions`` (all in the
+        union) as a vector over the whole union, zero where it stores
+        nothing."""
+        out = np.zeros(self.size)
+        out[np.searchsorted(self.positions, positions)] = values
+        return out
+
+    def matrix(self, values):
+        """The CSR matrix with ``values`` over the whole union."""
+        return sp.csr_matrix((values, self.cols, self.indptr), shape=(self.n, self.n))
+
+
+@pytest.fixture(scope="session")
+def whole_union():
+    return WholeUnion
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ from cutrom.artifacts import (
     save_artifacts,
 )
 from cutrom.config import Config
-from cutrom.deim import DeimError
 from cutrom.geometry import ParameterPoint, build_cut_geometry
 from cutrom.pipeline import run_offline
 from cutrom.rom import sample_entries
@@ -75,7 +74,7 @@ def test_artifact_roundtrip_and_hash_guard(tmp_path, small_run, small_config):
     assert back.pod.n_energy == art.pod.n_energy
     for op_back, op in ((back.deim_a, art.deim_a), (back.deim_f, art.deim_f)):
         assert op_back.pu.tobytes() == op.pu.tobytes()
-    assert back.pattern.indptr.tobytes() == art.pattern.indptr.tobytes()
+    assert back.pattern.diagonal.tobytes() == art.pattern.diagonal.tobytes()
     assert back.snapshots is None
     # a different configuration must be refused
     with pytest.raises(ArtifactError, match="hash"):
@@ -99,11 +98,11 @@ def test_model_with_more_solves_than_vertices_round_trips(tmp_path):
 def test_bad_version_rejected(saved, small_config):
     manifest = saved / "manifest.txt"
     text = manifest.read_text(encoding="utf-8")
-    assert "format_version = 6\n" in text
+    assert "format_version = 7\n" in text
     # format 3 hashed the sweep and path fields too and stored gamma as a
     # pair; format 2 saved the union pattern as row * N + col codes
     for old in ("3", "2"):
-        manifest.write_text(text.replace("format_version = 6", f"format_version = {old}"),
+        manifest.write_text(text.replace("format_version = 7", f"format_version = {old}"),
                             encoding="utf-8")
         with pytest.raises(ArtifactError, match=f"manifest version '{old}'"):
             load_artifacts(str(saved), small_config)
@@ -118,27 +117,48 @@ def test_format_4_directory_with_unfolded_blocks_refused(saved, small_run, small
     _rewrite(saved, "blocks_f", lambda b: art.deim_f.pu.T @ b)
     manifest = saved / "manifest.txt"
     text = manifest.read_text(encoding="utf-8")
-    manifest.write_text(text.replace("format_version = 6", "format_version = 4"),
+    manifest.write_text(text.replace("format_version = 7", "format_version = 4"),
                         encoding="utf-8")
     with pytest.raises(ArtifactError, match="manifest version '4'"):
         load_artifacts(str(saved), small_config)
 
 
-def test_format_5_directory_with_a_whole_union_basis_refused(saved, small_run, small_config):
-    """Format 5 saved the matrix DEIM basis mirrored, one row per union
-    entry; format 6 saves its upper rows.  A format-5 directory is refused
-    by its version, before any array is read."""
+def test_format_5_directory_with_a_whole_union_basis_refused(saved, small_run, small_config,
+                                                             whole_union):
+    """Format 5 saved the matrix DEIM basis mirrored, one row per entry of
+    the whole union; format 7 saves its upper rows.  A format-5 directory is
+    refused by its version, before any array is read."""
     art, _ = small_run
-    _rewrite(saved, "deim_a_basis", lambda u: u[art.pattern.twin])
+    union = whole_union(art.mesh, art.pattern)
+    _rewrite(saved, "deim_a_basis", lambda u: u[union.twin])
     manifest = saved / "manifest.txt"
     text = manifest.read_text(encoding="utf-8")
-    manifest.write_text(text.replace("format_version = 6", "format_version = 5"),
+    manifest.write_text(text.replace("format_version = 7", "format_version = 5"),
                         encoding="utf-8")
     with pytest.raises(ArtifactError, match="manifest version '5'"):
         load_artifacts(str(saved), small_config)
-    # the same directory labelled format 6 fails on the basis's shape
+    # the same directory labelled format 7 fails on the basis's shape
     manifest.write_text(text, encoding="utf-8")
-    with pytest.raises(ArtifactError, match=rf"^deim_a_basis has shape \({art.pattern.size}, "):
+    with pytest.raises(ArtifactError, match=rf"^deim_a_basis has shape \({union.size}, "):
+        load_artifacts(str(saved), small_config)
+
+
+def test_format_6_directory_with_a_whole_union_pattern_refused(saved, small_run, small_config,
+                                                               whole_union):
+    """Format 6 saved the whole symmetric union as ``pattern_positions``
+    and the matrix interpolation indices as entries of it; format 7 saves
+    the upper half and rows of the basis.  A format-6 directory is refused
+    by its version, before any array is read."""
+    art, _ = small_run
+    union = whole_union(art.mesh, art.pattern)
+    _rewrite(saved, "pattern_positions", lambda _: union.positions)
+    _rewrite(saved, "deim_a_indices", lambda indices: union.upper[indices])
+    manifest = saved / "manifest.txt"
+    text = manifest.read_text(encoding="utf-8")
+    text = text.replace(f"pattern_size = {art.pattern.size}\n", f"pattern_size = {union.size}\n")
+    manifest.write_text(text.replace("format_version = 7", "format_version = 6"),
+                        encoding="utf-8")
+    with pytest.raises(ArtifactError, match="manifest version '6'"):
         load_artifacts(str(saved), small_config)
 
 
@@ -203,13 +223,18 @@ def test_invalid_pod_spectrum_rejected_on_load(saved, small_config, value):
 
 
 def test_repeated_interpolation_index_rejected_on_load(saved, small_config):
+    # a repeated index would make PᵀU singular; it is refused by the array's name
     def repeat_first(indices):
         indices[1] = indices[0]
         return indices
 
-    _rewrite(saved, "deim_a_indices", repeat_first)
-    with pytest.raises(DeimError, match="singular"):
-        load_artifacts(str(saved), small_config)
+    for name in ("deim_a_indices", "deim_f_indices"):
+        original = (saved / f"{name}.npy").read_bytes()
+        _rewrite(saved, name, repeat_first)
+        with pytest.raises(ArtifactError, match=f"^{name} holds a repeated index"):
+            load_artifacts(str(saved), small_config)
+        (saved / f"{name}.npy").write_bytes(original)
+    load_artifacts(str(saved), small_config)
 
 
 @pytest.mark.parametrize("name, past_end", [("deim_a_indices", "pattern_size"),
@@ -230,12 +255,12 @@ def test_interpolation_index_out_of_range_rejected_on_load(saved, small_run, sma
 
 
 @pytest.mark.parametrize("tamper", ["swap_sampled_positions", "past_the_end", "negative",
-                                    "asymmetric"])
+                                    "below_diagonal"])
 def test_tampered_union_pattern_rejected_on_load(saved, small_run, small_config, tamper):
     art, _ = small_run
     mesh, positions = art.mesh, art.pattern.positions.copy()
     size = mesh.pattern_cols.size
-    error, message = ArtifactError, rf"^pattern_positions holds an index outside \[0, {size}\)"
+    message = rf"^pattern_positions holds an index outside \[0, {size}\)"
     if tamper == "swap_sampled_positions":
         i, j = art.deim_a.indices[:2]
         positions[[i, j]] = positions[[j, i]]
@@ -245,15 +270,15 @@ def test_tampered_union_pattern_rejected_on_load(saved, small_run, small_config,
     elif tamper == "negative":
         positions[0] = -1
     else:
-        # trade an off-diagonal entry for one outside the union: strictly
-        # increasing inside the mesh pattern, but neither entry has its
-        # transpose in the union
-        off = positions[mesh.pattern_rows[positions] != mesh.pattern_cols[positions]][0]
-        outside = np.setdiff1d(np.arange(size), positions)[0]
-        positions = np.union1d(np.setdiff1d(positions, [off]), [outside])
-        error, message = DeimError, "not symmetric"
+        # trade an off-diagonal entry for its transpose: strictly increasing
+        # inside the mesh pattern, but below the diagonal
+        off = positions[~art.pattern.diagonal][0]
+        low = mesh.pattern_transpose[off]
+        positions = np.union1d(np.setdiff1d(positions, [off]), [low])
+        message = (rf"^pattern_positions: union pattern position {low} \(row "
+                   rf"{mesh.pattern_rows[low]}, column {mesh.pattern_cols[low]}\) is below")
     _rewrite(saved, "pattern_positions", lambda _: positions)
-    with pytest.raises(error, match=message):
+    with pytest.raises(ArtifactError, match=message):
         load_artifacts(str(saved), small_config)
 
 

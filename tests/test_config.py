@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from cutrom.artifacts import FORMAT_VERSION
 from cutrom.config import (
     _FILE_KEY,
     _SECTIONS,
@@ -163,3 +164,9 @@ def test_readme_config_block_is_the_defaults():
     assert parse_config(text) == Config()
     named = sorted(re.findall(r"^(\w+) *=", text, flags=re.M))
     assert named == sorted(key for _, key, _ in FILE_KEYS)
+
+
+def test_readme_format_version_is_the_saved_one():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"format version \((\d+)\)", readme)
+    assert stated == [str(FORMAT_VERSION)]

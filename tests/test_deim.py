@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import cutrom
 from cutrom import deim, estimators, pipeline
-from cutrom.assembly import assemble_system
+from cutrom.assembly import assemble_system, csr_on_pattern
 from cutrom.config import Config
 from cutrom.deim import (
     MATRIX,
@@ -33,39 +33,46 @@ from cutrom.rom import prepare
 # 3 x 3 vertices, 8 triangles: a mesh pattern of 57 positions
 MESH = build_background_mesh(((-1.2, 1.2), (-1.2, 1.2)), 1.2)
 OFF_DIAGONAL = np.flatnonzero(MESH.pattern_rows != MESH.pattern_cols)
+LOWER = np.flatnonzero(MESH.pattern_rows > MESH.pattern_cols)
 
 
-def test_union_pattern_diagonal():
+def test_union_pattern_diagonal(whole_union):
     n = MESH.n_vertices
     pat = build_union_pattern(MESH, [MESH.pattern_diag])
     assert pat.size == n
     assert np.array_equal(pat.positions, MESH.pattern_diag)
-    assert np.array_equal(pat.cols, np.arange(n))
-    assert np.array_equal(pat.indptr, np.arange(n + 1))
-    assert np.array_equal(pat.transpose, np.arange(n))
-    assert np.array_equal(pat.upper, np.arange(n))
-    assert np.array_equal(pat.twin, np.arange(n))
+    assert pat.diagonal.all()
+    whole = whole_union(MESH, pat)
+    assert np.array_equal(whole.positions, MESH.pattern_diag)
+    for mirror in (whole.transpose, whole.twin, whole.upper):
+        assert np.array_equal(mirror, np.arange(n))
 
 
-def test_union_pattern_upper_half_and_twins():
-    pat = build_union_pattern(MESH, [np.arange(MESH.pattern_cols.size)])
-    rows = MESH.pattern_rows[pat.positions]
-    cols = MESH.pattern_cols[pat.positions]
-    assert np.array_equal(pat.upper, np.flatnonzero(rows <= cols))
-    # every entry's twin is itself if upper, else its transpose
-    k = np.arange(pat.size)
-    assert np.array_equal(pat.upper[pat.twin], np.where(rows <= cols, k, pat.transpose))
+def test_union_pattern_upper_half_and_twins(whole_union):
+    size = MESH.pattern_cols.size
+    pat = build_union_pattern(MESH, [np.arange(size)])
+    rows, cols = MESH.pattern_rows, MESH.pattern_cols
+    assert np.array_equal(pat.positions, np.flatnonzero(rows <= cols))
+    assert np.array_equal(pat.positions, MESH.pattern_upper)
+    assert np.array_equal(pat.diagonal, (rows == cols)[pat.positions])
+    # mirrored, the upper half is the whole union again: every entry's twin
+    # is itself if upper, else its transpose
+    whole = whole_union(MESH, pat)
+    assert np.array_equal(whole.positions, np.arange(size))
+    k = np.arange(size)
+    assert np.array_equal(whole.upper[whole.twin], np.where(rows <= cols, k, whole.transpose))
 
 
 def test_union_pattern_is_union():
-    size = MESH.pattern_cols.size
     diag = MESH.pattern_diag
     pat = build_union_pattern(MESH, [diag, OFF_DIAGONAL])
-    assert np.array_equal(pat.positions, np.arange(size))
+    assert np.array_equal(pat.positions, MESH.pattern_upper)
     assert np.array_equal(build_union_pattern(MESH, [diag, diag]).positions, diag)
-    # one off-diagonal entry without its transpose
-    with pytest.raises(DeimError, match="not symmetric"):
-        UnionPattern(MESH, np.union1d(diag, OFF_DIAGONAL[:1]))
+    # a position below the diagonal is refused by name
+    k = LOWER[0]
+    with pytest.raises(DeimError, match=rf"^union pattern position {k} \(row "
+                       rf"{MESH.pattern_rows[k]}, column {MESH.pattern_cols[k]}\) is below"):
+        UnionPattern(MESH, np.union1d(diag, [k]))
 
 
 def test_empty_training_set_rejected():
@@ -138,15 +145,7 @@ def test_training_reconstruction_matches_svd_projection():
     assert np.linalg.norm(reconstruct(op, c) - a) <= 1e-10
 
 
-def _union_vector(pattern, positions, values):
-    """The matrix with ``values`` at the mesh ``positions`` (all in the
-    union) as a vector over ``pattern``, zero where it stores nothing."""
-    out = np.zeros(pattern.size)
-    out[np.searchsorted(pattern.positions, positions)] = values
-    return out
-
-
-def test_reconstruct_is_u_times_c_over_the_union():
+def test_reconstruct_is_u_times_c_over_the_union(whole_union):
     rng = np.random.default_rng(9)
     sets = []
     for _ in range(5):
@@ -155,15 +154,18 @@ def test_reconstruct_is_u_times_c_over_the_union():
         keep[MESH.pattern_diag] = True
         sets.append(np.flatnonzero(keep))
     pat = build_union_pattern(MESH, sets)
-    snaps = np.column_stack([_union_vector(pat, pos, rng.standard_normal(pos.size)) for pos in sets])
-    op = build_deim_operator(snaps[pat.upper], 1e-12, kind=MATRIX, pattern=pat)
-    assert op.U.shape == (pat.upper.size, op.l)
-    for c in (deim_coefficients(op, snaps[op.indices, 2]), rng.standard_normal(op.l)):
+    whole = whole_union(MESH, pat)
+    snaps = np.column_stack([whole.vector(pos, rng.standard_normal(pos.size)) for pos in sets])
+    upper = snaps[whole.upper]
+    op = build_deim_operator(upper, 1e-12, kind=MATRIX, pattern=pat)
+    assert op.U.shape == (pat.size, op.l)
+    for c in (deim_coefficients(op, upper[op.indices, 2]), rng.standard_normal(op.l)):
         rec = reconstruct(op, c)
         assert rec.shape == (pat.size,)
-        # U c on the upper rows, mirrored: an entry and its transpose agree
-        assert rec.tobytes() == (op.U @ c)[pat.twin].tobytes()
-        assert rec[pat.transpose].tobytes() == rec.tobytes()
+        assert rec.tobytes() == (op.U @ c).tobytes()
+        # mirrored to the whole union, an entry and its transpose agree
+        mirrored = rec[whole.twin]
+        assert mirrored[whole.transpose].tobytes() == mirrored.tobytes()
     assert not reconstruct(op, np.zeros(op.l)).any()
 
 
@@ -183,19 +185,21 @@ def test_all_zero_snapshots_rejected():
 
 
 def test_stored_interpolation_matrix_and_row_pointers():
-    # P^T U and the pattern's CSR row pointers are stored once; both must
-    # give what the per-call expressions gave, bit for bit
+    # the CSR builder derives its row pointers from the mesh's, and P^T U
+    # is stored once; both must give what the per-call expressions gave,
+    # P^T U bit for bit
     # the diagonal and the first off-diagonal pair of row 0
+    n = MESH.n_vertices
     first = OFF_DIAGONAL[0]
     positions = np.union1d(MESH.pattern_diag, [first, MESH.pattern_transpose[first]])
-    pat = build_union_pattern(MESH, [positions])
     rows = MESH.pattern_rows[positions]
-    assert pat.indptr.tobytes() == np.searchsorted(rows, np.arange(pat.n + 1)).tobytes()
-    values = np.arange(1.0, positions.size + 1)
-    m = pat.matrix_from_values(values)
-    assert np.array_equal(m.indices, pat.cols)
-    dense = np.zeros((pat.n, pat.n))
-    dense[rows, MESH.pattern_cols[positions]] = values
+    values = np.zeros(MESH.pattern_cols.size)
+    values[positions] = np.arange(1.0, positions.size + 1)
+    m = csr_on_pattern(MESH, values, positions)
+    assert np.array_equal(m.indptr, np.searchsorted(rows, np.arange(n + 1)))
+    assert np.array_equal(m.indices, MESH.pattern_cols[positions])
+    dense = np.zeros((n, n))
+    dense[rows, MESH.pattern_cols[positions]] = values[positions]
     assert np.array_equal(m.toarray(), dense)
     rng = np.random.default_rng(4)
     op = build_deim_operator(rng.standard_normal((12, 5)), 1e-12)
@@ -253,18 +257,17 @@ def test_duplicated_rows_the_smaller_position_wins(m, extra, l, seed):
 
 def test_greedy_matches_the_plain_loop_on_the_default_model(default_run):
     art = default_run.artifacts
-    # the matrix basis has a row per upper entry of the union
-    for op, entry in ((art.deim_a, art.pattern.upper), (art.deim_f, np.arange(art.mesh.n_vertices))):
-        assert np.array_equal(entry[_greedy_indices(op.U)], op.indices)
-        assert np.array_equal(entry[_plain_greedy(op.U)], op.indices)
+    # for both kinds an index is a row of the basis
+    for op in (art.deim_a, art.deim_f):
+        assert np.array_equal(_greedy_indices(op.U), op.indices)
+        assert np.array_equal(_plain_greedy(op.U), op.indices)
 
 
 @pytest.mark.parametrize("panel", [1, 7, deim.PANEL])
 def test_panel_width_changes_no_index(default_run, monkeypatch, panel):
     art = default_run.artifacts
     monkeypatch.setattr(deim, "PANEL", panel)
-    upper = art.pattern.upper
-    assert np.array_equal(upper[_greedy_indices(art.deim_a.U)], art.deim_a.indices)
+    assert np.array_equal(_greedy_indices(art.deim_a.U), art.deim_a.indices)
     assert np.array_equal(_greedy_indices(art.deim_f.U), art.deim_f.indices)
 
 
@@ -280,8 +283,8 @@ def test_non_finite_matrix_snapshot_refused_by_column():
     # a NaN at each row the function receives, diagonal and off-diagonal
     # upper entries alike, is refused by its column
     pat = build_union_pattern(MESH, [np.arange(MESH.pattern_cols.size)])
-    clean = np.random.default_rng(6).standard_normal((pat.upper.size, 4))
-    for row in range(pat.upper.size):
+    clean = np.random.default_rng(6).standard_normal((pat.size, 4))
+    for row in range(pat.size):
         snaps = clean.copy()
         snaps[row, 2] = np.nan
         with pytest.raises(DeimError, match="snapshot column 2 has a non-finite entry"):
@@ -290,39 +293,43 @@ def test_non_finite_matrix_snapshot_refused_by_column():
 
 def test_matrix_snapshots_off_the_upper_rows_refused():
     pat = build_union_pattern(MESH, [np.arange(MESH.pattern_cols.size)])
-    snaps = np.random.default_rng(7).standard_normal((pat.size, 4))
+    snaps = np.random.default_rng(7).standard_normal((MESH.pattern_cols.size, 4))
     with pytest.raises(DeimError, match="57 snapshot rows for the 33 upper entries"):
         build_deim_operator(snaps, 1e-12, kind=MATRIX, pattern=pat)
 
 
-def test_matrix_spectrum_has_the_whole_union_length():
+def test_matrix_spectrum_has_one_value_per_upper_row(whole_union):
     # 40 symmetric snapshots over 57 entries, of which 33 are upper: the whole
-    # union's SVD has 40 values, the last 7 zero, and the saved format keeps 40
+    # union's SVD has 40 values, the last 7 zero, and the operator keeps the
+    # first 33
     pat = build_union_pattern(MESH, [np.arange(MESH.pattern_cols.size)])
-    snaps = np.random.default_rng(12).standard_normal((pat.size, 40))
-    snaps += snaps[pat.transpose]
-    assert pat.upper.size == 33
-    op = build_deim_operator(snaps[pat.upper], 1e-14, kind=MATRIX, pattern=pat)
+    whole = whole_union(MESH, pat)
+    snaps = np.random.default_rng(12).standard_normal((whole.size, 40))
+    snaps += snaps[whole.transpose]
+    assert pat.size == 33
+    op = build_deim_operator(snaps[whole.upper], 1e-14, kind=MATRIX, pattern=pat)
     full = np.linalg.svd(snaps, compute_uv=False)
-    assert op.singular_values.shape == (40,)
-    assert not op.singular_values[33:].any()
-    assert np.abs(op.singular_values - full).max() <= 1e-12 * full[0]
+    assert op.singular_values.shape == (33,)
+    assert np.abs(full[33:]).max() <= 1e-12 * full[0]
+    assert np.abs(op.singular_values - full[:33]).max() <= 1e-12 * full[0]
     assert op.l == 33
 
 
 class Built(NamedTuple):
     """An offline build; the snapshot rows and keywords of each
     ``build_deim_operator`` call it made, and the matrix snapshots it
-    decomposed; and its training matrices assembled one by one
-    (``assemble_system``) as vectors over the whole union."""
+    decomposed; its training matrices assembled one by one
+    (``assemble_system``) as vectors over the whole union; and that whole
+    union (``conftest.WholeUnion``)."""
 
     art: object
     calls: list
     snaps: np.ndarray
     whole: np.ndarray
+    union: object
 
 
-def _build_with_matrix_snapshots(config):
+def _build_with_matrix_snapshots(config, whole_union):
     calls, seen = [], []
     original = pipeline.build_deim_operator
 
@@ -335,38 +342,39 @@ def _build_with_matrix_snapshots(config):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "build_deim_operator", spy)
         art = pipeline.run_offline(config)
-    whole = np.empty((art.pattern.size, config.n_train))
+    union = whole_union(art.mesh, art.pattern)
+    whole = np.empty((union.size, config.n_train))
     for i, mu in enumerate(art.train_mu):
         system = assemble_system(build_cut_geometry(art.mesh, ParameterPoint(*mu)), art.phys)
-        whole[:, i] = _union_vector(art.pattern, system.pattern_pos, system.A.data)
-    return Built(art, calls, seen[0], whole)
+        whole[:, i] = union.vector(system.pattern_pos, system.A.data)
+    return Built(art, calls, seen[0], whole, union)
 
 
 @pytest.fixture(scope="module", params=["default", "h0.06"])
-def built(request):
+def built(request, whole_union):
     config = Config()
     if request.param == "h0.06":
         config = replace(config, h_target=0.06, n_train=200)
-    return _build_with_matrix_snapshots(config.validate())
+    return _build_with_matrix_snapshots(config.validate(), whole_union)
 
 
 def test_matrix_build_receives_the_upper_rows(built):
-    art, calls, snaps, whole = built
-    pattern = art.pattern
+    art, calls, snaps, whole, union = built
     # one call per kind, ``kind`` by keyword (the benchmark tracer labels by it)
     assert sorted(kwargs.get("kind") for _, kwargs in calls) == [MATRIX, VECTOR]
-    assert [rows for rows, kwargs in calls if kwargs["kind"] == MATRIX] == [pattern.upper.size]
+    assert [rows for rows, kwargs in calls if kwargs["kind"] == MATRIX] == [art.pattern.size]
     # the assembled stiffness matrices are symmetric, so their upper rows carry them
-    assert whole[pattern.transpose].tobytes() == whole.tobytes()
-    assert snaps.tobytes() == whole[pattern.upper].tobytes()
+    assert whole[union.transpose].tobytes() == whole.tobytes()
+    assert snaps.tobytes() == whole[union.upper].tobytes()
 
 
-def _whole_union_build(snaps, pattern, eps):
+def _whole_union_build(snaps, union, eps):
     """The matrix DEIM built from whole-union snapshots: the upper rows of
     their symmetric parts (S + S[transpose]) / 2, weighted by sqrt(2) off the
     diagonal, the basis divided by the weights and mirrored to the union.
-    Returns the mirrored basis, the indices, the spectrum and PᵀU."""
-    transpose, upper = pattern.transpose, pattern.upper
+    Returns the mirrored basis, the indices (whole-union entries), the
+    spectrum and PᵀU."""
+    transpose, upper = union.transpose, union.upper
     weight = np.where(transpose[upper] == upper, 1.0, np.sqrt(2.0))[:, None]
     half = snaps[upper]
     half += snaps[transpose[upper]]
@@ -376,30 +384,28 @@ def _whole_union_build(snaps, pattern, eps):
     indices = upper[_greedy_indices(u)]
     spectrum = np.zeros(min(snaps.shape))
     spectrum[:s.size] = s
-    u = u[pattern.twin]
+    u = u[union.twin]
     return u, indices, spectrum, u[indices]
 
 
 def test_upper_row_build_matches_the_whole_union_build(built):
-    art, _, _, whole = built
-    op, pattern = art.deim_a, art.pattern
-    u, indices, spectrum, pu = _whole_union_build(whole, pattern, art.config.eps_deim_a)
-    assert op.U.tobytes() == u[pattern.upper].tobytes()
-    assert op.indices.tobytes() == indices.tobytes()
+    art, _, _, whole, union = built
+    op = art.deim_a
+    u, indices, spectrum, pu = _whole_union_build(whole, union, art.config.eps_deim_a)
+    assert op.U.tobytes() == u[union.upper].tobytes()
+    assert union.upper[op.indices].tobytes() == indices.tobytes()
     assert op.singular_values.tobytes() == spectrum.tobytes()
     assert op.pu.tobytes() == pu.tobytes()
 
 
 def test_matrix_basis_is_a_mirrored_orthonormal_half(built):
-    op, pattern = built.art.deim_a, built.art.pattern
-    assert op.U.shape == (pattern.upper.size, op.l)
-    mirrored = op.U[pattern.twin]
-    assert mirrored[pattern.transpose].tobytes() == mirrored.tobytes()
+    op, pattern, union = built.art.deim_a, built.art.pattern, built.union
+    assert op.U.shape == (pattern.size, op.l)
+    mirrored = op.U[union.twin]
+    assert mirrored[union.transpose].tobytes() == mirrored.tobytes()
     assert np.linalg.norm(mirrored.T @ mirrored - np.eye(op.l), 2) <= 1e-13
-    rows = built.art.mesh.pattern_rows[pattern.positions]
-    cols = built.art.mesh.pattern_cols[pattern.positions]
-    assert np.all(rows[op.indices] <= cols[op.indices])
-    assert np.isin(op.indices, pattern.upper).all()
+    sampled = pattern.positions[op.indices]
+    assert np.all(built.art.mesh.pattern_rows[sampled] <= built.art.mesh.pattern_cols[sampled])
 
 
 def test_matrix_singular_values_are_those_of_the_whole_union(built):
@@ -408,38 +414,51 @@ def test_matrix_singular_values_are_those_of_the_whole_union(built):
     assert np.abs(built.art.deim_a.singular_values - full).max() <= 1e-12 * full[0]
 
 
-def test_matrix_reconstruction_is_exactly_symmetric(built):
+def test_matrix_reconstruction_is_exactly_symmetric(built, monkeypatch):
+    # the sweep's η_A compares the whole matrices: its interpolant, mirrored
+    # over the mesh pattern, is exactly symmetric and U c on the upper entries
     art = built.art
-    test_mu = pipeline.sample_parameters(art.config.n_test, art.config.seed + 1,
-                                         art.config.mu_min, art.config.mu_max)
-    for mu in test_mu:
+    approx = []
+    original = estimators.deim_error
+
+    def spy(exact, approximation):
+        approx.append(approximation)
+        return original(exact, approximation)
+
+    monkeypatch.setattr(estimators, "deim_error", spy)
+    report = pipeline.run_online_sweep(art, art.config)
+    transpose = art.mesh.pattern_transpose
+    for i, mu in enumerate(report.test_mu):
         a_samp = prepare(art, build_cut_geometry(art.mesh, ParameterPoint(*mu))).a
         rec = reconstruct(art.deim_a, deim_coefficients(art.deim_a, a_samp))
-        assert rec[art.pattern.transpose].tobytes() == rec.tobytes()
+        a_whole = approx[2 * i]
+        assert a_whole[transpose].tobytes() == a_whole.tobytes()
+        assert a_whole[art.pattern.positions].tobytes() == rec.tobytes()
+        assert not np.delete(a_whole, np.union1d(art.pattern.positions,
+                                                 transpose[art.pattern.positions])).any()
 
 
 def test_projection_matches_the_per_column_projection_bitwise(built):
     # reference: one CSR matrix per basis column mirrored to the union (so
     # symmetric), then the interpolation inverse folded in with the
     # operator's LU factors
-    art = built.art
-    v, pattern = art.pod.V, art.pattern
+    art, union = built.art, built.union
+    v = art.pod.V
     cols, rows = np.tril_indices(art.pod.n_max)
     reference = np.empty_like(art.blocks_a)
     for j in range(art.deim_a.l):
-        basis_mat = pattern.matrix_from_values(art.deim_a.U[pattern.twin, j])
+        basis_mat = union.matrix(art.deim_a.U[union.twin, j])
         reference[:, j] = (v.T @ (basis_mat @ v))[rows, cols]
     reference = sla.lu_solve(art.deim_a.lu, reference.T, trans=1).T
     assert art.blocks_a.tobytes() == reference.tobytes()
 
 
-def _symmetrized_eta_a(art, system, c_a):
-    """η_A from a sparse matrix: U c symmetrized over the union, built as a
-    CSR matrix and subtracted from A, and the Frobenius norms taken over the
-    stored values."""
-    pattern = art.pattern
-    values = art.deim_a.U[pattern.twin] @ c_a
-    diff = system.A - pattern.matrix_from_values(0.5 * (values + values[pattern.transpose]))
+def _symmetrized_eta_a(art, union, system, c_a):
+    """η_A from a sparse matrix: U c mirrored to the whole union and
+    symmetrized, built as a CSR matrix and subtracted from A, and the
+    Frobenius norms taken over the stored values."""
+    values = art.deim_a.U[union.twin] @ c_a
+    diff = system.A - union.matrix(0.5 * (values + values[union.transpose]))
     err = float(np.sqrt((diff.data * diff.data).sum()))
     return err, err / float(np.sqrt((system.A.data * system.A.data).sum()))
 
@@ -465,7 +484,8 @@ def test_indicators_on_pattern_vectors_match_the_sparse_matrix_form(built, monke
         system = assemble_system(geom, art.phys)
         prep = prepare(art, geom)
         (a_abs, a_rel), f_errors = errors[2 * i], errors[2 * i + 1]
-        ref_abs, ref_rel = _symmetrized_eta_a(art, system, deim_coefficients(art.deim_a, prep.a))
+        ref_abs, ref_rel = _symmetrized_eta_a(art, built.union, system,
+                                              deim_coefficients(art.deim_a, prep.a))
         assert abs(a_abs - ref_abs) <= 1e-12 * ref_abs
         assert abs(a_rel - ref_rel) <= 1e-12 * ref_rel
         assert report.records[i * len(report.n_list)].eta_A == a_rel

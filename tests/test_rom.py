@@ -31,7 +31,7 @@ def test_identity_basis_matrix_projects_to_gram(default_mesh):
     # a single-mode operator whose basis matrix is the identity on the diagonal
     snaps = np.column_stack([np.ones(n), np.ones(n)])
     op = build_deim_operator(snaps, 1e-12, kind=MATRIX, pattern=pattern)
-    blocks_a, _ = build_rom_offline(pod, op, op)
+    blocks_a, _ = build_rom_offline(default_mesh, pod, op, op)
     assert blocks_a.shape == (6, 1)
     # folded: a unit sample interpolates the identity, whose projection is VᵀV
     assert np.abs(blocks_a[:, 0][packed_upper_index(3)] - v.T @ v).max() <= 1e-10
@@ -97,16 +97,18 @@ def test_truncation_uses_leading_subblock(small_run):
     assert np.array_equal(sla.lu_solve(sla.lu_factor(a_hat), f_hat), rs.u_hat)
 
 
-def test_packed_operator_matches_the_full_block_contraction(small_run, small_config):
+def test_packed_operator_matches_the_full_block_contraction(small_run, small_config,
+                                                            whole_union):
     art, _ = small_run
     # reference: the unpacked projection V^T B_j V of every basis matrix
-    # (its upper rows mirrored to the union, taken as (B_j + B_jᵀ) / 2,
+    # (its upper rows mirrored to the whole union, taken as (B_j + B_jᵀ) / 2,
     # which a mirrored basis leaves unchanged), contracted with the
     # interpolation coefficients over the full (l_A, n, n) sub-blocks
     v = art.pod.V
+    union = whole_union(art.mesh, art.pattern)
     full = np.empty((art.deim_a.l, art.pod.n_max, art.pod.n_max))
     for j in range(art.deim_a.l):
-        basis_mat = art.pattern.matrix_from_values(art.deim_a.U[art.pattern.twin, j])
+        basis_mat = union.matrix(art.deim_a.U[union.twin, j])
         full[j] = v.T @ (((basis_mat + basis_mat.T) * 0.5) @ v)
     for mu in (ParameterPoint(1.0, 1.0), ParameterPoint(1.14, 1.03), ParameterPoint(1.2, 1.2)):
         a_samp = prepare(art, build_cut_geometry(art.mesh, mu)).a
@@ -118,7 +120,7 @@ def test_packed_operator_matches_the_full_block_contraction(small_run, small_con
             assert np.array_equal(a_hat, a_hat.T)
 
 
-def test_folded_blocks_match_the_coefficient_form(small_run, small_config):
+def test_folded_blocks_match_the_coefficient_form(small_run, small_config, whole_union):
     """The folded blocks applied to the sampled entries give the projected
     DEIM approximations V_nᵀ A_deim V_n and V_nᵀ f_deim, where A_deim and
     f_deim are reconstructed from the interpolation coefficients, to 1e-13
@@ -127,12 +129,13 @@ def test_folded_blocks_match_the_coefficient_form(small_run, small_config):
     factors as the coefficients, once offline, without their refinement
     step."""
     art, _ = small_run
+    union = whole_union(art.mesh, art.pattern)
     test_mu = sample_parameters(small_config.n_test, small_config.seed + 1,
                                 small_config.mu_min, small_config.mu_max)
     for mu in test_mu:
         prep = prepare(art, build_cut_geometry(art.mesh, ParameterPoint(*mu)))
-        a_deim = art.pattern.matrix_from_values(
-            reconstruct(art.deim_a, deim_coefficients(art.deim_a, prep.a)))
+        a_deim = union.matrix(
+            reconstruct(art.deim_a, deim_coefficients(art.deim_a, prep.a))[union.twin])
         f_deim = reconstruct(art.deim_f, deim_coefficients(art.deim_f, prep.f))
         for n in small_config.n_list:
             v = art.pod.V[:, :n]
