@@ -16,11 +16,13 @@ by its centroid and area.
 Each local formula exists once: the volume and boundary terms of a cut
 element (``volume_terms``, ``boundary_terms``), and the stiffness, Nitsche,
 consistency and ghost-penalty values of one (a, c) pair (``stiffness``,
-``nitsche``, ``consistency``, ``ghost_penalty``).  Full assembly applies the pair
-formulas to whole 3x3 blocks (``volume_contribs``, ``boundary_contribs``); sampled entry
-evaluation applies them to the single local slots it needs.  Every kernel
-evaluates the same expression for every element in a fixed order, so the two
-agree bit for bit and results are bit-reproducible.
+``nitsche``, ``consistency``, ``ghost_penalty``).  Assembly applies the pair
+formulas to whole 3x3 blocks: ``volume_contribs``, and ``boundary_contribs``
+on the whole mesh or ``nitsche_contribs`` (no consistency blocks) on the
+piece of it that sampled entries need.  Every
+kernel evaluates the same expression for every element, column by column,
+so an element's values do not depend on which others share the call, and
+results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -213,11 +215,15 @@ def volume_contribs(wsum, tri):
     return blocks.reshape(9, -1).T
 
 
+def nitsche_contribs(w, bary, dn, lam_over_h):
+    """Nitsche blocks (k, 9) per cut element, from the staged segment
+    terms."""
+    a_nit = nitsche(w, bary[:, :, None], bary[:, None], dn[:, None], dn[None], lam_over_h)
+    return a_nit.reshape(9, -1).T
+
+
 def boundary_contribs(w, bary, dn, lam_over_h):
     """Nitsche blocks and consistency blocks (k, 9) per cut element, from
     the staged segment terms."""
-    pa = bary[:, :, None]
-    pc = bary[:, None]
-    a_nit = nitsche(w, pa, pc, dn[:, None], dn[None], lam_over_h)
-    cons = consistency(w, pa, pc, dn[:, None], dn[None])
-    return a_nit.reshape(9, -1).T, cons.reshape(9, -1).T
+    cons = consistency(w, bary[:, :, None], bary[:, None], dn[:, None], dn[None])
+    return nitsche_contribs(w, bary, dn, lam_over_h), cons.reshape(9, -1).T

@@ -24,7 +24,9 @@ format version other than ``FORMAT_VERSION`` (version 6 stored the whole
 union, version 5 also the mirrored basis, version 4 unfolded blocks,
 version 3 hashed every field and stored ``gamma`` as a pair); on a config
 that differs in a hashed field; on an array that is missing, unreadable,
-pickled, or of the wrong dtype or shape; on union-pattern positions that are
+pickled, or of the wrong dtype or shape; on a float array that holds a
+NaN or an infinity (it would give a non-finite online solution and no
+error); on a negative POD spectrum value; on union-pattern positions that are
 not strictly increasing inside the mesh's assembly pattern or lie below its
 diagonal; and on an interpolation index out of range or repeated.  A save
 removes the old manifest first and writes the new one last, so an
@@ -183,6 +185,8 @@ def _load_array(dirpath: str, name: str, dtype, shape: tuple) -> np.ndarray:
     if arr.shape != shape:
         raise ArtifactError(f"{name} has shape {arr.shape}, but the manifest "
                             f"and the mesh give {shape}")
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise ArtifactError(f"{name} holds a non-finite value")
     return arr
 
 
@@ -226,8 +230,8 @@ def load_artifacts(dirpath: str, config: Config) -> OfflineArtifacts:
         raise ArtifactError(f"pattern_positions: {exc}") from None
     _require_indices("deim_a_indices", data["deim_a_indices"], pattern_size)
     _require_indices("deim_f_indices", data["deim_f_indices"], n)
-    if not (np.isfinite(data["pod_sigma"]).all() and (data["pod_sigma"] >= 0.0).all()):
-        raise ArtifactError("pod_sigma holds a negative or non-finite value")
+    if not (data["pod_sigma"] >= 0.0).all():
+        raise ArtifactError("pod_sigma holds a negative value")
     pod = PodBasis(
         V=data["pod_modes"],
         sigma=data["pod_sigma"],

@@ -8,29 +8,26 @@ index of the package: a ``SystemPair`` carries the position of each stored
 entry of its matrix, and an ``EntryPlan`` takes its matrix entries as
 positions.  The mesh's slot tables (``tri_pattern_pos``,
 ``facet_pattern_pos``) say where each local slot of each triangle and facet
-lands in that pattern; full assembly scatters through them, and an
-``EntryPlan``'s candidates for an entry are the entities whose slots land on
-it.
+lands in that pattern; full assembly scatters through them.
 
 Per parameter, only the cut elements need new local terms.  ``_cut_stage``
-computes them once, component-major: per cut element the volume-weight sum,
-the segment weight, and per local vertex the barycentrics at both Gauss
-points with the normal derivative (one array), the volume load and the
-boundary load.  Full assembly gathers its inside rows from the mesh's
-whole-triangle stiffness blocks (``BackgroundMesh.tri_stiffness``) and
-loads f |T| / 3 (``_whole_load``), and recomputes only its cut rows, from
-this stage.
+computes them once, component-major, from a cut rule: per cut element the
+volume-weight sum, the segment weight, and per local vertex the
+barycentrics at both Gauss points with the normal derivative (one array),
+the volume load and the boundary load.  Full assembly gathers its inside
+rows from the mesh's whole-triangle stiffness blocks
+(``BackgroundMesh.tri_stiffness``) and loads f |T| / 3 (``_whole_load``),
+and recomputes only its cut rows, from this stage.
 ``assemble_batch`` assembles several geometries of one mesh at once: one
 stage over their joined cut rules, and one ``np.bincount`` over (parameter,
 pattern position) for A and one over (parameter, dof) for f.  A bin sums
 its terms in the order they are given, so each entry of each parameter sums
 in the order of a lone assembly; ``assemble_system`` is the batch of one.
-``EntryPlan`` gathers the value of every inside candidate from the same
-table, and ``evaluate_entries`` picks the cut candidates' values from the
-stage.  Both accumulate the same per-entity values in the same order as
-full assembly (volume elements, then interface segments, then ghost facets,
-each in ascending index order), so sampled entries match ``assemble_system``
-bit for bit.
+Sampled entries are the same assembly restricted to a piece of the mesh:
+an ``EntryPlan`` holds the triangles and facets whose slots land on the
+requested entries, and ``evaluate_entries`` stages only their cut elements
+and sums their blocks, in full assembly's order, into one bin per
+requested entry, so sampled entries match ``assemble_system`` bit for bit.
 
 The energy norm is a_h plus the Nitsche consistency term, |||v|||^2 =
 a_h(v, v) + 2 <dn v, v>_G, so ``assemble_norm_matrix`` adds the consistency
@@ -153,23 +150,23 @@ class _Stage(NamedTuple):
     tri: np.ndarray
 
 
-def _cut_stage(geoms, phys: PhysicsParams) -> _Stage:
-    """Local terms of the cut elements of ``geoms`` (one mesh), their rules
-    joined in order.  Every term is computed column by column, so joining
-    rules changes no value."""
-    for geom in geoms:
-        if geom.cut_rule.seg_wts.shape[0] != geom.cut_elements.size:
-            raise AssemblyError("every cut element needs a component-major cut rule")
-    if len(geoms) == 1:  # every query: no copy
-        rule = geoms[0].cut_rule
-    else:
-        rule = CutRule(*(np.concatenate([getattr(g.cut_rule, f.name) for g in geoms], axis=-1)
-                         for f in fields(CutRule)))
+def _checked_rule(geom: CutGeometry) -> CutRule:
+    """The cut rule of ``geom``, refused unless it has one column per cut
+    element."""
+    if geom.cut_rule.seg_wts.shape[0] != geom.cut_elements.size:
+        raise AssemblyError("every cut element needs a component-major cut rule")
+    return geom.cut_rule
+
+
+def _cut_stage(rule: CutRule, phys: PhysicsParams, h: float) -> _Stage:
+    """Local terms of the cut elements of ``rule``, on a mesh of size ``h``.
+    Every term is computed column by column, so joining rules or taking
+    some of their columns changes no value."""
     g0, gx, gy, gxy = (float(c) for c in phys.g_coeffs)
     wsum, f_vol = _kernels.volume_terms(rule.vol_pts, rule.vol_wts, rule.tri, float(phys.f_const))
     bdn, f_bnd = _kernels.boundary_terms(
         rule.seg_pts, rule.seg_wts, rule.normal, rule.tri,
-        phys.nitsche_lambda / geoms[0].mesh.h, g0, gx, gy, gxy,
+        phys.nitsche_lambda / h, g0, gx, gy, gxy,
     )
     return _Stage(bdn, f_vol, f_bnd, wsum, rule.seg_wts, rule.tri)
 
@@ -177,6 +174,13 @@ def _cut_stage(geoms, phys: PhysicsParams) -> _Stage:
 def _whole_load(area, f_const: float):
     """Source load of each hat on whole triangles of ``area``."""
     return f_const * area / 3.0
+
+
+def _ghost_blocks(mesh: BackgroundMesh, gamma: float, facets):
+    """Ghost-penalty blocks (F, 4, 4) of the interior ``facets``."""
+    jv = mesh.facet_jump.take(facets, axis=0)
+    return _kernels.ghost_penalty(gamma, mesh.h, mesh.facet_len[facets][:, None, None],
+                                  jv[:, :, None], jv[:, None, :])
 
 
 def assemble_batch(geoms, phys: PhysicsParams):
@@ -206,7 +210,13 @@ def assemble_batch(geoms, phys: PhysicsParams):
     counts = np.array([(g.active_elements.size, g.cut_elements.size, g.ghost_facets.size)
                        for g in geoms])
     act_of, cut_of, gf_of = (np.repeat(np.arange(batch), c) for c in counts.T)
-    stage = _cut_stage(geoms, phys)
+    rules = [_checked_rule(g) for g in geoms]
+    if batch == 1:  # a lone assembly: no copy
+        rule = rules[0]
+    else:
+        rule = CutRule(*(np.concatenate([getattr(r, f.name) for r in rules], axis=-1)
+                         for f in fields(CutRule)))
+    stage = _cut_stage(rule, phys, mesh.h)
     # each cut element's row among the batch's active elements
     t = mesh.n_triangles
     cut_sel = np.searchsorted(act_of * t + act, cut_of * t + cut)
@@ -238,9 +248,7 @@ def assemble_batch(geoms, phys: PhysicsParams):
     a_nit, cons = _kernels.boundary_contribs(
         stage.seg_w, stage.bdn[:2], stage.bdn[2], phys.nitsche_lambda / mesh.h)
     nit.reshape(cut.size, 9)[:] = a_nit
-    jv = mesh.facet_jump.take(gf, axis=0)
-    ghost.reshape(gf.size, 4, 4)[:] = _kernels.ghost_penalty(
-        phys.gamma, mesh.h, mesh.facet_len[gf][:, None, None], jv[:, :, None], jv[:, None, :])
+    ghost.reshape(gf.size, 4, 4)[:] = _ghost_blocks(mesh, phys.gamma, gf)
     values, used = _scatter(a_pos, a_val, batch * size)
     return values.reshape(batch, size), used.reshape(batch, size), loads.reshape(batch, n), cons
 
@@ -274,43 +282,25 @@ def assemble_mass_matrix(mesh: BackgroundMesh) -> sp.csr_matrix:
     return csr_on_pattern(mesh, values, np.flatnonzero(used))
 
 
-def _slot_holders(pos_table, positions, size: int):
-    """The (entity, slot) pairs of ``pos_table`` that hold each requested
-    position of a pattern of ``size`` positions, as flat arrays (request,
-    entity, slot): request-major, entities ascending within a request, as
-    full assembly visits them."""
-    flat = pos_table.ravel()
-    wanted = np.zeros(size + 1, dtype=bool)  # an unused slot (-1) reads the last, unset flag
-    wanted[positions] = True
-    hit = np.flatnonzero(wanted[flat])
-    hit = hit[np.argsort(flat[hit], kind="stable")]
-    hit_pos = flat[hit]
-    lo = np.searchsorted(hit_pos, positions, side="left")
-    counts = np.searchsorted(hit_pos, positions, side="right") - lo
-    request = np.repeat(np.arange(positions.size), counts)
-    first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    entity, slot = np.divmod(hit[np.arange(request.size) + first], pos_table.shape[1])
-    return request, entity, slot
-
-
 class EntryPlan:
-    """A sampled-entry request for one physics: the elements and facets that
-    contribute to each requested entry, with local slot indices, and every
-    parameter-independent value precomputed.
+    """A sampled-entry request for one physics: the piece of the mesh that
+    holds the requested entries, with its parameter-independent values.
 
     Matrix entries are requested by their mesh-pattern position, vector
-    entries by dof; a vector entry i is the diagonal position
-    (``BackgroundMesh.pattern_diag``).  The candidates of a position are the
-    triangles and interior facets whose stencil slots land on it
+    entries by dof.  The plan's triangles ``tris`` and interior facets
+    ``facets``, ascending, are those whose slots in the mesh's tables
     (``BackgroundMesh.tri_pattern_pos``/``facet_pattern_pos``, the tables
-    full assembly scatters through).  Candidates are ordered entry-major
-    with ascending entity indices, the same relative order full assembly
-    uses, so replaying them reproduces the assembled values bit for bit.
-    The plan stores the value of every candidate as a whole triangle (what
-    it contributes while inside) and every ghost value; a parameter
-    enters only through the activity masks and the cut elements' stage.
-    The reduced model builds its plan once, beside the sample entries it
-    describes.
+    full assembly scatters through) land on a requested position, or on
+    the diagonal position (``BackgroundMesh.pattern_diag``) of a requested
+    dof.  Its bin tables give the bin of every slot of them:
+    ``stiffness_bins`` (T_c, 9), ``ghost_bins`` (F_c, 16) and ``load_bins``
+    (T_c, 3).  There is one bin per distinct requested entry and a last one
+    for the slots no request reads; ``n_bins`` counts them for A and for f.
+    ``take_matrix`` and ``take_vector`` map the bins to the requests in
+    their order, repeats included.  The plan stores the whole triangles'
+    stiffness rows and loads and the ghost blocks; a parameter enters only
+    through the activity masks and the cut elements' stage.  The reduced
+    model builds its plan once, beside the sample entries it describes.
     """
 
     def __init__(self, mesh: BackgroundMesh, phys: PhysicsParams, matrix_positions, vector_entries):
@@ -323,46 +313,41 @@ class EntryPlan:
             raise AssemblyError("vector entry index out of range")
         self.phys = phys
         self.mesh_shape = (mesh.n_vertices, mesh.n_triangles, mesh.h)
-        self.n_matrix = m_pos.size
-        self.n_vector = v_ent.size
-
-        self.m_ids, cand, slot = _slot_holders(mesh.tri_pattern_pos, m_pos, size)
-        self.m_elems = cand
-        # local (a, c) of each candidate: row 0 a, row 1 c
-        self.m_loc = np.stack(np.divmod(slot, 3))
-        self.m_aloc, self.m_cloc = self.m_loc
-        tri = np.take(mesh.tri_comp, cand, axis=1)
-        rng = np.arange(cand.size)
-        gx = tri[_kernels.GX]
-        gy = tri[_kernels.GY]
-        # (a_x, a_y, c_x, c_y) gradients per candidate
-        self.m_grad = np.stack([gx[self.m_aloc, rng], gy[self.m_aloc, rng],
-                                gx[self.m_cloc, rng], gy[self.m_cloc, rng]])
-        self.m_whole = mesh.tri_stiffness[cand, slot]
-
-        self.g_ids, fcand, slot = _slot_holders(mesh.facet_pattern_pos, m_pos, size)
-        self.g_facets = fcand
-        g_aloc, g_cloc = np.divmod(slot, 4)
-        jump = mesh.facet_jump[fcand]
-        rng = np.arange(fcand.size)
-        self.g_vals = _kernels.ghost_penalty(phys.gamma, mesh.h, mesh.facet_len[fcand],
-                                             jump[rng, g_aloc], jump[rng, g_cloc])
-
-        self.v_ids, cand, slot = _slot_holders(mesh.tri_pattern_pos, mesh.pattern_diag[v_ent], size)
-        self.v_elems = cand
-        self.v_aloc = slot // 3
-        self.v_whole = _whole_load(mesh.tri_area[cand], float(phys.f_const))
+        positions, self.take_matrix = np.unique(m_pos, return_inverse=True)
+        dofs, self.take_vector = np.unique(v_ent, return_inverse=True)
+        self.n_bins = (positions.size + 1, dofs.size + 1)
+        # the bin of each pattern position, and of an unused facet slot (-1)
+        a_bin = np.full(size + 1, positions.size)
+        a_bin[positions] = np.arange(positions.size)
+        f_bin = np.full(mesh.n_vertices, dofs.size)
+        f_bin[dofs] = np.arange(dofs.size)
+        tri_bins = a_bin[mesh.tri_pattern_pos]
+        load_bins = f_bin[mesh.triangles]
+        facet_bins = a_bin[mesh.facet_pattern_pos]
+        self.tris = np.flatnonzero((tri_bins < positions.size).any(axis=1)
+                                   | (load_bins < dofs.size).any(axis=1))
+        self.facets = np.flatnonzero((facet_bins < positions.size).any(axis=1))
+        self.stiffness_bins = tri_bins[self.tris]
+        self.load_bins = load_bins[self.tris]
+        self.ghost_bins = facet_bins[self.facets]
+        self.stiffness = mesh.tri_stiffness[self.tris]
+        self.loads = np.repeat(_whole_load(mesh.tri_area[self.tris], float(phys.f_const))[:, None],
+                               3, axis=1)
+        self.ghost = _ghost_blocks(mesh, phys.gamma, self.facets).reshape(-1, 16)
 
 
 def evaluate_entries(geom: CutGeometry, plan: EntryPlan):
     """Evaluate the entries of A and f that ``plan`` requests, for the
-    plan's physics, by local assembly only.
+    plan's physics: full assembly restricted to the plan's piece of the
+    mesh.
 
-    Each requested value is accumulated over exactly the entities whose
-    supports contain the involved dofs, in the same order as full assembly,
-    and therefore matches ``assemble_system`` bit for bit.  Inside candidates
-    take the plan's stored values; cut candidates pick theirs from the cut
-    elements' stage with 1-D gathers.  ``geom`` may live on any mesh
+    The plan's active triangles, cut triangles and ghost facets at ``geom``
+    form their blocks as ``assemble_batch`` does (whole-triangle rows with
+    the cut rows recomputed, then the Nitsche blocks, then the ghost
+    blocks), from a cut stage over the plan's cut elements only, and one
+    ``np.bincount`` each for A and f sums them into the plan's bins.  Every
+    requested entry thus sums the terms of full assembly in its order, and
+    matches ``assemble_system`` bit for bit.  ``geom`` may live on any mesh
     identical to the one the plan was built on; a mesh of another vertex
     count, triangle count or ``h`` raises ``AssemblyError``.
     """
@@ -373,35 +358,30 @@ def evaluate_entries(geom: CutGeometry, plan: EntryPlan):
             f"geometry mesh (vertices, triangles, h) = {shape} does not match the "
             f"plan's {plan.mesh_shape}"
         )
-    stage = _cut_stage([geom], plan.phys)
-    k = geom.cut_elements.size
-    lam_over_h = plan.phys.nitsche_lambda / mesh.h
+    rule = _checked_rule(geom)
+    act = np.flatnonzero(geom.elem_class[plan.tris] != OUTSIDE)
+    cols = geom.cut_pos[plan.tris.take(act)]
+    cut = np.flatnonzero(cols >= 0)  # the cut rows among the active ones
+    cols = cols[cut]
+    stage = _cut_stage(CutRule(*(getattr(rule, f.name).take(cols, axis=-1)
+                                 for f in fields(CutRule))), plan.phys, mesh.h)
+    ghost = np.flatnonzero(geom.ghost_mask[plan.facets])
 
-    # matrix: volume values of the active candidates, Nitsche values of the
-    # cut ones, then the ghost facets
-    act = geom.elem_class[plan.m_elems] != OUTSIDE
-    cpos = geom.cut_pos[plan.m_elems]
-    cut = np.flatnonzero(cpos >= 0)
-    cp = cpos[cut]
-    # one gather for both hats: (barycentric 0, barycentric 1, dn) x (a, c)
-    at = stage.bdn.reshape(3, 3 * k)[:, np.take(plan.m_loc, cut, axis=1) * k + cp]
-    vol = plan.m_whole.copy()
-    vol[cut] = _kernels.stiffness(stage.wsum[cp], *plan.m_grad[:, cut])
-    nit = _kernels.nitsche(stage.seg_w[cp], at[:2, 0], at[:2, 1], at[2, 0], at[2, 1], lam_over_h)
-    ghost = geom.ghost_mask[plan.g_facets]
-    out_m = np.bincount(np.concatenate([plan.m_ids[act], plan.m_ids[cut], plan.g_ids[ghost]]),
-                        np.concatenate([vol[act], nit, plan.g_vals[ghost]]),
-                        minlength=plan.n_matrix)
+    load = plan.loads.take(act, axis=0)
+    load[cut] = stage.f_vol.T
+    bins = plan.load_bins.take(act, axis=0)
+    f = np.bincount(np.concatenate([bins.ravel(), bins.take(cut, axis=0).ravel()]),
+                    np.concatenate([load.ravel(), stage.f_bnd.T.ravel()]),
+                    minlength=plan.n_bins[1])
 
-    # vector: volume loads of the active candidates, then boundary loads of
-    # the cut ones
-    act = geom.elem_class[plan.v_elems] != OUTSIDE
-    cpos = geom.cut_pos[plan.v_elems]
-    cut = np.flatnonzero(cpos >= 0)
-    at = plan.v_aloc[cut] * k + cpos[cut]
-    vol = plan.v_whole.copy()
-    vol[cut] = stage.f_vol.reshape(-1)[at]
-    out_v = np.bincount(np.concatenate([plan.v_ids[act], plan.v_ids[cut]]),
-                        np.concatenate([vol[act], stage.f_bnd.reshape(-1)[at]]),
-                        minlength=plan.n_vector)
-    return out_m, out_v
+    vol = plan.stiffness.take(act, axis=0)
+    vol[cut] = _kernels.volume_contribs(stage.wsum, stage.tri)
+    nit = _kernels.nitsche_contribs(stage.seg_w, stage.bdn[:2], stage.bdn[2],
+                                    plan.phys.nitsche_lambda / mesh.h)
+    bins = plan.stiffness_bins.take(act, axis=0)
+    a = np.bincount(np.concatenate([bins.ravel(), bins.take(cut, axis=0).ravel(),
+                                    plan.ghost_bins.take(ghost, axis=0).ravel()]),
+                    np.concatenate([vol.ravel(), nit.ravel(),
+                                    plan.ghost.take(ghost, axis=0).ravel()]),
+                    minlength=plan.n_bins[0])
+    return a.take(plan.take_matrix), f.take(plan.take_vector)

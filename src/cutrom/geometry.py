@@ -219,7 +219,7 @@ class BackgroundMesh:
         (16) positions run row-major over the local vertices (patch slots),
         the order in which the element kernels emit their blocks.  The same
         slot tables tell ``assembly.EntryPlan`` which triangles and facets
-        contribute to a sampled entry, and at which local slots.
+        contribute to a sampled entry: its piece of the mesh.
 
         ``rcm_rank`` is each vertex's place in a reverse Cuthill-McKee order
         of this pattern's graph (Cuthill & McKee 1969; George 1971).  The

@@ -11,8 +11,9 @@ mirrors it through ``mesh.pattern_transpose``, as it needs the whole
 symmetric matrices.
 
 The online stage has two steps.  ``prepare`` samples the planned entries
-for one parameter; they depend on the parameter only, not on the mode
-count.  ``solve`` then forms the reduced system for one mode count (one
+for one parameter, by full assembly on the entry plan's piece of the mesh
+(``assembly.evaluate_entries``); they depend on the parameter only, not on
+the mode count.  ``solve`` then forms the reduced system for one mode count (one
 product each with the matrix and the load blocks), solves it with one LU
 solve and lifts it.  ``rom_online_solve`` is one standalone query: both
 steps at one mode count.  The interpolation coefficients, which only the

@@ -211,15 +211,33 @@ def test_unreadable_array_file_rejected(saved, small_config, name, damage):
         load_artifacts(str(saved), small_config)
 
 
-@pytest.mark.parametrize("value", [-1.0, np.nan], ids=["negative", "nan"])
-def test_invalid_pod_spectrum_rejected_on_load(saved, small_config, value):
+@pytest.mark.parametrize("value, message", [(-1.0, "negative"), (np.nan, "non-finite")],
+                         ids=["negative", "nan"])
+def test_invalid_pod_spectrum_rejected_on_load(saved, small_config, value, message):
     def put(sigma):
         sigma[-1] = value
         return sigma
 
     _rewrite(saved, "pod_sigma", put)
-    with pytest.raises(ArtifactError, match="^pod_sigma holds a negative or non-finite value"):
+    with pytest.raises(ArtifactError, match=f"^pod_sigma holds a {message} value"):
         load_artifacts(str(saved), small_config)
+
+
+FLOAT_ARRAYS = ("pod_modes", "pod_sigma", "deim_a_basis", "deim_a_singular_values",
+                "deim_f_basis", "deim_f_singular_values", "blocks_a", "blocks_f", "train_mu")
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", FLOAT_ARRAYS)
+def test_non_finite_array_rejected_on_load(saved, small_config, name, value):
+    def put(arr):
+        arr.flat[arr.size // 2] = value
+        return arr
+
+    _rewrite(saved, name, put)
+    with pytest.raises(ArtifactError, match=f"^{name} holds a non-finite value"):
+        load_artifacts(str(saved), small_config)
+
 
 
 def test_repeated_interpolation_index_rejected_on_load(saved, small_config):

@@ -23,6 +23,7 @@ from cutrom.config import Config
 from cutrom.estimators import alpha_star
 from cutrom.geometry import (
     INSIDE,
+    CutRule,
     ParameterPoint,
     build_background_mesh,
     build_cut_geometry,
@@ -530,78 +531,50 @@ def _gather_ranges(indptr, indices, keys):
     return owner, vals
 
 
-def _local_index(rows, targets):
-    return np.argmax(rows == targets[:, None], axis=1)
-
-
-def _reference_plan(mesh, phys, matrix_entries, vector_entries):
-    """The 13 plan arrays from vertex adjacency lists: the triangles (interior
-    facets) around i whose vertices (patch) also hold j, with local indices
-    found by search."""
+def _reference_plan(mesh, matrix_entries, vector_entries):
+    """The plan's triangles and interior facets from vertex adjacency lists:
+    the triangles (interior facets) around i whose vertices (patch) also
+    hold j, and the triangles around each requested dof."""
     m_ent = np.asarray(matrix_entries, dtype=np.int64).reshape(-1, 2)
     v_ent = np.asarray(vector_entries, dtype=np.int64).reshape(-1)
     empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    f_const = float(phys.f_const)
-    out = {}
     indptr, indices = _vertex_tri_adjacency(mesh)
     owner, cand = _gather_ranges(indptr, indices, m_ent[:, 0]) if m_ent.size else empty
     if cand.size:
         jrep = m_ent[owner, 1]
         tri_v = mesh.triangles[cand]
-        has_j = (tri_v[:, 0] == jrep) | (tri_v[:, 1] == jrep) | (tri_v[:, 2] == jrep)
-        owner, cand = owner[has_j], cand[has_j]
-    out["m_ids"], out["m_elems"] = owner, cand
-    tri_rows = mesh.triangles[cand]
-    aloc = _local_index(tri_rows, m_ent[owner, 0]) if cand.size else cand
-    cloc = _local_index(tri_rows, m_ent[owner, 1]) if cand.size else cand
-    out["m_aloc"], out["m_cloc"] = aloc, cloc
-    tri = np.take(mesh.tri_comp, cand, axis=1)
-    rng = np.arange(cand.size)
-    gx = tri[_kernels.GX]
-    gy = tri[_kernels.GY]
-    out["m_grad"] = np.stack([gx[aloc, rng], gy[aloc, rng], gx[cloc, rng], gy[cloc, rng]])
-    out["m_whole"] = _kernels.stiffness(mesh.tri_area[cand], *out["m_grad"])
+        cand = cand[(tri_v[:, 0] == jrep) | (tri_v[:, 1] == jrep) | (tri_v[:, 2] == jrep)]
+    _, v_cand = _gather_ranges(indptr, indices, v_ent) if v_ent.size else empty
 
     f_indptr, f_indices = _vertex_facet_adjacency(mesh)
     fowner, fcand = _gather_ranges(f_indptr, f_indices, m_ent[:, 0]) if m_ent.size else empty
     if fcand.size:
         jrep = m_ent[fowner, 1]
         patch = mesh.facet_patch[fcand]
-        has_j = ((patch[:, 0] == jrep) | (patch[:, 1] == jrep)
-                 | (patch[:, 2] == jrep) | (patch[:, 3] == jrep))
-        fowner, fcand = fowner[has_j], fcand[has_j]
-    out["g_ids"], out["g_facets"] = fowner, fcand
-    patch_k = mesh.facet_patch[fcand]
-    g_aloc = _local_index(patch_k, m_ent[fowner, 0]) if fcand.size else fcand
-    g_cloc = _local_index(patch_k, m_ent[fowner, 1]) if fcand.size else fcand
-    jump = mesh.facet_jump[fcand]
-    rng = np.arange(fcand.size)
-    out["g_vals"] = _kernels.ghost_penalty(phys.gamma, mesh.h, mesh.facet_len[fcand],
-                                           jump[rng, g_aloc], jump[rng, g_cloc])
-
-    owner, cand = _gather_ranges(indptr, indices, v_ent) if v_ent.size else empty
-    out["v_ids"], out["v_elems"] = owner, cand
-    aloc = _local_index(mesh.triangles[cand], v_ent[owner]) if cand.size else cand
-    out["v_aloc"] = aloc
-    out["v_whole"] = f_const * mesh.tri_area[cand] / 3.0
-    return out
+        fcand = fcand[(patch[:, 0] == jrep) | (patch[:, 1] == jrep)
+                      | (patch[:, 2] == jrep) | (patch[:, 3] == jrep)]
+    return np.union1d(cand, v_cand), np.unique(fcand)
 
 
 _PLAN_MESHES = {nx: build_background_mesh(((-1.2, 1.2), (-1.2, 1.2)), 2.4 / nx)
                 for nx in (2, 3, 7, 20)}
+_PLAN_MU = ParameterPoint(0.93, 1.17)
 
 
 def _assert_plan_matches_reference(mesh, matrix_positions, vector_entries):
+    """The plan's piece of the mesh is the adjacency reference's, and its
+    entries are those of full assembly, bit for bit."""
     plan = EntryPlan(mesh, EDGE_PHYS, matrix_positions, vector_entries)
     pos = np.asarray(matrix_positions, dtype=np.int64)
-    entries = np.column_stack([mesh.pattern_rows[pos], mesh.pattern_cols[pos]])
-    ref = _reference_plan(mesh, EDGE_PHYS, entries, vector_entries)
-    assert len(ref) == 13
-    for name, want in ref.items():
-        got = getattr(plan, name)
-        assert got.dtype == want.dtype, name
-        assert got.shape == want.shape, name
-        assert got.tobytes() == want.tobytes(), name
+    rows, cols = mesh.pattern_rows[pos], mesh.pattern_cols[pos]
+    tris, facets = _reference_plan(mesh, np.column_stack([rows, cols]), vector_entries)
+    assert np.array_equal(plan.tris, tris)
+    assert np.array_equal(plan.facets, facets)
+    geom = build_cut_geometry(mesh, _PLAN_MU)
+    sys_ = assemble_system(geom, EDGE_PHYS)
+    vals_m, vals_v = evaluate_entries(geom, plan)
+    assert vals_m.tobytes() == sys_.A.toarray()[rows, cols].tobytes()
+    assert vals_v.tobytes() == sys_.f[np.asarray(vector_entries, dtype=np.int64)].tobytes()
 
 
 @pytest.mark.parametrize("nx", sorted(_PLAN_MESHES))
@@ -629,3 +602,36 @@ def _small_requests(mesh):
 def test_entry_plan_matches_adjacency_reference_on_small_requests(nx, name):
     mesh = _PLAN_MESHES[nx]
     _assert_plan_matches_reference(mesh, *_small_requests(mesh)[name])
+
+
+def test_entries_stage_only_the_plans_cut_elements(small_run, monkeypatch):
+    art, _ = small_run
+    geom = build_cut_geometry(art.mesh, ParameterPoint(1.07, 1.13))
+    widths = []
+    original = _kernels.volume_terms
+
+    def spy(pts, wts, tri, f_const):
+        widths.append(wts.shape[-1])
+        return original(pts, wts, tri, f_const)
+
+    monkeypatch.setattr(_kernels, "volume_terms", spy)
+    evaluate_entries(geom, art.plan)
+    planned_cut = int((geom.cut_pos[art.plan.tris] >= 0).sum())
+    assert widths == [planned_cut]
+    assert 0 < planned_cut < geom.cut_elements.size
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["one-too-many", "one-too-few"])
+def test_both_paths_refuse_a_cut_rule_of_the_wrong_width(default_mesh, default_phys, extra):
+    geom = build_cut_geometry(default_mesh, ParameterPoint(1.07, 1.13))
+    k = geom.cut_elements.size
+    cols = np.arange(k + extra) % k
+    rule = CutRule(*(getattr(geom.cut_rule, f.name).take(cols, axis=-1)
+                     for f in dataclasses.fields(CutRule)))
+    bad = dataclasses.replace(geom, cut_rule=rule)
+    plan = EntryPlan(default_mesh, default_phys, np.arange(default_mesh.pattern_cols.size),
+                     np.arange(default_mesh.n_vertices))
+    with pytest.raises(AssemblyError, match="component-major cut rule"):
+        assemble_system(bad, default_phys)
+    with pytest.raises(AssemblyError, match="component-major cut rule"):
+        evaluate_entries(bad, plan)
