@@ -17,9 +17,9 @@ Each local formula exists once: the volume and boundary terms of a cut
 element (``volume_terms``, ``boundary_terms``), and the stiffness, Nitsche,
 consistency and ghost-penalty values of one (a, c) pair (``stiffness``,
 ``nitsche``, ``consistency``, ``ghost_penalty``).  Assembly applies the pair
-formulas to whole 3x3 blocks: ``volume_contribs``, and ``boundary_contribs``
-on the whole mesh or ``nitsche_contribs`` (no consistency blocks) on the
-piece of it that sampled entries need.  Every
+formulas to whole 3x3 blocks: ``volume_contribs`` and ``boundary_contribs``
+(the Nitsche blocks), for full assembly and sampled entries alike; only the
+energy-norm matrix applies ``consistency``, to the same staged terms.  Every
 kernel evaluates the same expression for every element, column by column,
 so an element's values do not depend on which others share the call, and
 results are bit-reproducible.
@@ -215,15 +215,8 @@ def volume_contribs(wsum, tri):
     return blocks.reshape(9, -1).T
 
 
-def nitsche_contribs(w, bary, dn, lam_over_h):
+def boundary_contribs(w, bary, dn, lam_over_h):
     """Nitsche blocks (k, 9) per cut element, from the staged segment
     terms."""
     a_nit = nitsche(w, bary[:, :, None], bary[:, None], dn[:, None], dn[None], lam_over_h)
     return a_nit.reshape(9, -1).T
-
-
-def boundary_contribs(w, bary, dn, lam_over_h):
-    """Nitsche blocks and consistency blocks (k, 9) per cut element, from
-    the staged segment terms."""
-    cons = consistency(w, bary[:, :, None], bary[:, None], dn[:, None], dn[None])
-    return nitsche_contribs(w, bary, dn, lam_over_h), cons.reshape(9, -1).T

@@ -11,13 +11,13 @@ positions.  The mesh's slot tables (``tri_pattern_pos``,
 lands in that pattern; full assembly scatters through them.
 
 Per parameter, only the cut elements need new local terms.  ``_cut_stage``
-computes them once, component-major, from a cut rule: per cut element the
-volume-weight sum, the segment weight, and per local vertex the
-barycentrics at both Gauss points with the normal derivative (one array),
-the volume load and the boundary load.  Full assembly gathers its inside
-rows from the mesh's whole-triangle stiffness blocks
+forms them once, from a cut rule: per cut element its volume block and its
+Nitsche block (k, 9), its volume and boundary loads (3, k), and the segment
+terms the energy norm reads (the barycentrics at both Gauss points with the
+normal derivatives, and the Gauss weights).  Full assembly gathers its
+inside rows from the mesh's whole-triangle stiffness blocks
 (``BackgroundMesh.tri_stiffness``) and loads f |T| / 3 (``_whole_load``),
-and recomputes only its cut rows, from this stage.
+and only places the stage's blocks and loads at its cut rows.
 ``assemble_batch`` assembles several geometries of one mesh at once: one
 stage over their joined cut rules, and one ``np.bincount`` over (parameter,
 pattern position) for A and one over (parameter, dof) for f.  A bin sums
@@ -30,8 +30,8 @@ and sums their blocks, in full assembly's order, into one bin per
 requested entry, so sampled entries match ``assemble_system`` bit for bit.
 
 The energy norm is a_h plus the Nitsche consistency term, |||v|||^2 =
-a_h(v, v) + 2 <dn v, v>_G, so ``assemble_norm_matrix`` adds the consistency
-blocks that ``assemble_system`` keeps to a copy of A: one assembly each.
+a_h(v, v) + 2 <dn v, v>_G.  Only ``assemble_norm_matrix`` forms that term,
+from the stage a ``SystemPair`` keeps, and adds it to a copy of A.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-from .geometry import OUTSIDE, BackgroundMesh, CutGeometry, CutRule
+from .geometry import CUT, OUTSIDE, BackgroundMesh, CutGeometry, CutRule
 
 
 class AssemblyError(ValueError):
@@ -90,17 +90,15 @@ def physics_from_config(config) -> PhysicsParams:
 class SystemPair:
     """Stiffness matrix and load vector on background dofs, plus the active
     set.  ``pattern_pos`` is the mesh-pattern position of each stored entry
-    of ``A``, in storage order.  ``consistency`` holds the cut elements'
-    (k, 9) Nitsche consistency blocks for ``assemble_norm_matrix``, and
-    ``cut_slots`` the storage index in ``A`` of each of their slots."""
+    of ``A``, in storage order; ``stage`` the local terms assembly formed for
+    the cut elements of ``geom``, which ``assemble_norm_matrix`` reads."""
 
     A: sp.csr_matrix
     f: np.ndarray
     active_dofs: np.ndarray
     geom: CutGeometry
     pattern_pos: np.ndarray
-    consistency: np.ndarray
-    cut_slots: np.ndarray
+    stage: _Stage
 
 
 def _scatter(positions, values, size: int):
@@ -114,14 +112,15 @@ def _scatter(positions, values, size: int):
 
 def _flat_index(table, rows, shift, out):
     """Write the entries of ``table`` in ``rows``, each row shifted by its
-    ``shift``, into ``out`` (flat, ``rows.size`` times the row width):
-    indices into the batch's flat (K, stride) bins.  ``take`` gathers whole
-    rows several times faster than fancy indexing; ``mode="clip"`` writes
-    straight into ``out``, where the default mode buffers a copy (the rows
-    are element and facet ids of the mesh, always in range)."""
+    ``shift``, into ``out`` (flat, ``rows.size`` times the row width) and
+    return it by rows: indices into the batch's flat (K, stride) bins.
+    ``take`` gathers whole rows several times faster than fancy indexing;
+    ``mode="clip"`` writes into ``out`` with no buffered copy (the rows are
+    element and facet ids of the mesh, always in range)."""
     out = out.reshape(rows.size, table.shape[1])
     table.take(rows, axis=0, out=out, mode="clip")
     out += shift[:, None]
+    return out
 
 
 def csr_on_pattern(mesh: BackgroundMesh, values, positions):
@@ -135,19 +134,17 @@ def csr_on_pattern(mesh: BackgroundMesh, values, positions):
 
 
 class _Stage(NamedTuple):
-    """Local terms of cut elements, component-major (one column per
-    element): ``bdn`` (3, 3, k) the barycentrics at Gauss points 0 and 1 and
-    the normal derivatives of the three hats (``_kernels.boundary_terms``),
-    the volume and boundary loads (3, k), the volume-weight sums and the
-    segment Gauss weights (k,), and the elements' columns (12, k) of
-    ``tri_comp``."""
+    """Local terms of cut elements: the volume and Nitsche blocks (k, 9),
+    the volume and boundary loads (3, k), and for the energy norm ``bdn``
+    (3, 3, k), the barycentrics at both Gauss points and the hats' normal
+    derivatives (``_kernels.boundary_terms``), and the Gauss weights (k,)."""
 
-    bdn: np.ndarray
+    vol: np.ndarray
+    nit: np.ndarray
     f_vol: np.ndarray
     f_bnd: np.ndarray
-    wsum: np.ndarray
+    bdn: np.ndarray
     seg_w: np.ndarray
-    tri: np.ndarray
 
 
 def _checked_rule(geom: CutGeometry) -> CutRule:
@@ -163,12 +160,14 @@ def _cut_stage(rule: CutRule, phys: PhysicsParams, h: float) -> _Stage:
     Every term is computed column by column, so joining rules or taking
     some of their columns changes no value."""
     g0, gx, gy, gxy = (float(c) for c in phys.g_coeffs)
+    lam_over_h = phys.nitsche_lambda / h
     wsum, f_vol = _kernels.volume_terms(rule.vol_pts, rule.vol_wts, rule.tri, float(phys.f_const))
     bdn, f_bnd = _kernels.boundary_terms(
-        rule.seg_pts, rule.seg_wts, rule.normal, rule.tri,
-        phys.nitsche_lambda / h, g0, gx, gy, gxy,
+        rule.seg_pts, rule.seg_wts, rule.normal, rule.tri, lam_over_h, g0, gx, gy, gxy,
     )
-    return _Stage(bdn, f_vol, f_bnd, wsum, rule.seg_wts, rule.tri)
+    return _Stage(_kernels.volume_contribs(wsum, rule.tri),
+                  _kernels.boundary_contribs(rule.seg_wts, bdn[:2], bdn[2], lam_over_h),
+                  f_vol, f_bnd, bdn, rule.seg_wts)
 
 
 def _whole_load(area, f_const: float):
@@ -188,89 +187,92 @@ def assemble_batch(geoms, phys: PhysicsParams):
     for each geometry of ``geoms`` (all on one mesh), in one cut stage and
     one scatter each for A and f.
 
-    Returns ``(values, used, loads, consistency)``: the values (K, P) of the
-    K matrices on the P positions of the mesh pattern, zero at the positions
-    a matrix does not store; the flags (K, P) of the stored ones; the loads
-    (K, N); and the (k, 9) Nitsche consistency blocks of the cut elements,
-    geometry by geometry.  Every entry sums its terms in the order of
-    ``assemble_system`` (volume elements, then interface segments, then
-    ghost facets, each ascending), so a batch reproduces its members bit for
-    bit.  The load carries the source term and the Nitsche boundary data
-    terms: f_i = int_O f phi_i - int_G (grad phi_i . n) g + (lambda/h) int_G phi_i g.
+    Returns ``(values, used, loads)``: the values (K, P) of the K matrices on
+    the P positions of the mesh pattern, zero at the positions a matrix does
+    not store; the flags (K, P) of the stored ones; and the loads (K, N).
+    Every entry sums its terms in the order of ``assemble_system`` (volume
+    elements, then interface segments, then ghost facets, each ascending),
+    so a batch reproduces its members bit for bit.  The load carries the
+    source term and the Nitsche boundary data terms:
+    f_i = int_O f phi_i - int_G (grad phi_i . n) g + (lambda/h) int_G phi_i g.
     """
     mesh = geoms[0].mesh
     if any(g.mesh is not mesh for g in geoms):
         raise AssemblyError("a batch of geometries must share one background mesh")
+    rules = [_checked_rule(g) for g in geoms]
+    rule = CutRule(*(np.concatenate([getattr(r, f.name) for r in rules], axis=-1)
+                     for f in fields(CutRule)))
+    return _place(geoms, phys, _cut_stage(rule, phys, mesh.h))
+
+
+def _place(geoms, phys: PhysicsParams, stage: _Stage):
+    """``assemble_batch`` of ``geoms`` with ``stage``, the cut stage of
+    their joined cut rules, placed at their cut rows."""
+    mesh = geoms[0].mesh
     batch = len(geoms)
     size, n = mesh.pattern_cols.size, mesh.n_vertices
     act = np.concatenate([g.active_elements for g in geoms])
-    cut = np.concatenate([g.cut_elements for g in geoms])
     gf = np.concatenate([g.ghost_facets for g in geoms])
-    # the batch member of each active element, cut element and ghost facet
-    counts = np.array([(g.active_elements.size, g.cut_elements.size, g.ghost_facets.size)
-                       for g in geoms])
-    act_of, cut_of, gf_of = (np.repeat(np.arange(batch), c) for c in counts.T)
-    rules = [_checked_rule(g) for g in geoms]
-    if batch == 1:  # a lone assembly: no copy
-        rule = rules[0]
-    else:
-        rule = CutRule(*(np.concatenate([getattr(r, f.name) for r in rules], axis=-1)
-                         for f in fields(CutRule)))
-    stage = _cut_stage(rule, phys, mesh.h)
-    # each cut element's row among the batch's active elements
-    t = mesh.n_triangles
-    cut_sel = np.searchsorted(act_of * t + act, cut_of * t + cut)
+    # the batch member of each active element and ghost facet, and the rows
+    # of the cut elements among the active ones (in stage order)
+    counts = np.array([(g.active_elements.size, g.ghost_facets.size) for g in geoms])
+    act_of, gf_of = (np.repeat(np.arange(batch), c) for c in counts.T)
+    cut = np.flatnonzero(np.concatenate([g.elem_class.take(g.active_elements) for g in geoms])
+                         == CUT)
+    na, nc = act.size, cut.size
 
     # load: whole-triangle loads with the cut rows from the stage, then the
-    # cut elements' boundary loads
+    # cut elements' boundary loads at their rows' dofs
     f_vol = np.repeat(_whole_load(mesh.tri_area[act], float(phys.f_const))[:, None], 3, axis=1)
-    f_vol[cut_sel] = stage.f_vol.T
-    f_pos = np.empty(3 * (act.size + cut.size), dtype=np.int64)
-    _flat_index(mesh.triangles, act, act_of * n, f_pos[:3 * act.size])
-    _flat_index(mesh.triangles, cut, cut_of * n, f_pos[3 * act.size:])
+    f_vol[cut] = stage.f_vol.T
+    f_pos = np.empty(3 * (na + nc), dtype=np.int64)
+    tri_pos = _flat_index(mesh.triangles, act, act_of * n, f_pos[:3 * na])
+    tri_pos.take(cut, axis=0, out=f_pos[3 * na:].reshape(nc, 3), mode="clip")
     loads = np.bincount(f_pos, np.concatenate([f_vol.ravel(), stage.f_bnd.T.ravel()]),
                         minlength=batch * n)
 
     # stiffness, its scatter positions and values written into one
-    # preallocated pair: whole-triangle blocks with the cut rows from the
-    # stage, then the Nitsche blocks, then the ghost blocks
-    ends = np.cumsum([9 * act.size, 9 * cut.size, 16 * gf.size])
-    a_pos = np.empty(ends[-1], dtype=np.int64)
-    a_val = np.empty(ends[-1])
-    vol_pos, nit_pos, ghost_pos = np.split(a_pos, ends[:-1])
-    vol, nit, ghost = np.split(a_val, ends[:-1])
-    _flat_index(mesh.tri_pattern_pos, act, act_of * size, vol_pos)
-    _flat_index(mesh.tri_pattern_pos, cut, cut_of * size, nit_pos)
-    _flat_index(mesh.facet_pattern_pos, gf, gf_of * size, ghost_pos)
-    vol = vol.reshape(act.size, 9)
+    # preallocated pair: whole-triangle blocks with the stage's at the cut
+    # rows, then its Nitsche blocks at those rows' positions, then the ghosts'
+    vol_end, nit_end = 9 * na, 9 * (na + nc)
+    a_pos = np.empty(nit_end + 16 * gf.size, dtype=np.int64)
+    a_val = np.empty(a_pos.size)
+    tri_pos = _flat_index(mesh.tri_pattern_pos, act, act_of * size, a_pos[:vol_end])
+    tri_pos.take(cut, axis=0, out=a_pos[vol_end:nit_end].reshape(nc, 9), mode="clip")
+    _flat_index(mesh.facet_pattern_pos, gf, gf_of * size, a_pos[nit_end:])
+    vol = a_val[:vol_end].reshape(na, 9)
     mesh.tri_stiffness.take(act, axis=0, out=vol, mode="clip")
-    vol[cut_sel] = _kernels.volume_contribs(stage.wsum, stage.tri)
-    a_nit, cons = _kernels.boundary_contribs(
-        stage.seg_w, stage.bdn[:2], stage.bdn[2], phys.nitsche_lambda / mesh.h)
-    nit.reshape(cut.size, 9)[:] = a_nit
-    ghost.reshape(gf.size, 4, 4)[:] = _ghost_blocks(mesh, phys.gamma, gf)
+    vol[cut] = stage.vol
+    a_val[vol_end:nit_end].reshape(nc, 9)[:] = stage.nit
+    a_val[nit_end:].reshape(gf.size, 4, 4)[:] = _ghost_blocks(mesh, phys.gamma, gf)
     values, used = _scatter(a_pos, a_val, batch * size)
-    return values.reshape(batch, size), used.reshape(batch, size), loads.reshape(batch, n), cons
+    return values.reshape(batch, size), used.reshape(batch, size), loads.reshape(batch, n)
 
 
 def assemble_system(geom: CutGeometry, phys: PhysicsParams) -> SystemPair:
     """Assemble A = diffusion + Nitsche + ghost penalty, and the load vector,
-    of one geometry: ``assemble_batch`` of one, stored as CSR."""
-    values, used, loads, cons = assemble_batch([geom], phys)
+    of one geometry: ``assemble_batch`` of one, as CSR, with its cut stage."""
+    stage = _cut_stage(_checked_rule(geom), phys, geom.mesh.h)
+    values, used, loads = _place([geom], phys, stage)
     pos = np.flatnonzero(used[0])
     return SystemPair(A=csr_on_pattern(geom.mesh, values[0], pos), f=loads[0],
-                      active_dofs=geom.active_dofs, geom=geom, pattern_pos=pos, consistency=cons,
-                      cut_slots=np.searchsorted(
-                          pos, geom.mesh.tri_pattern_pos.take(geom.cut_elements, axis=0)))
+                      active_dofs=geom.active_dofs, geom=geom, pattern_pos=pos, stage=stage)
 
 
 def assemble_norm_matrix(system: SystemPair) -> sp.csr_matrix:
     """Matrix of the mesh-dependent energy norm: the stiffness matrix plus
     its Nitsche consistency term, |||v|||^2 = a_h(v, v) + 2 <dn v, v>_G,
     which leaves the gradient part on the physical domain, the scaled
-    boundary mass and the ghost jump terms.  Stored on A's pattern."""
+    boundary mass and the ghost jump terms.  Stored on A's pattern: the cut
+    elements' consistency blocks, formed from the system's stage, are added
+    to a copy of A's values, element by element."""
+    stage, geom = system.stage, system.geom
+    bary, dn = stage.bdn[:2], stage.bdn[2]
+    cons = _kernels.consistency(stage.seg_w, bary[:, :, None], bary[:, None], dn[:, None], dn[None])
+    slots = np.searchsorted(system.pattern_pos,
+                            geom.mesh.tri_pattern_pos.take(geom.cut_elements, axis=0))
     values = system.A.data.copy()
-    np.add.at(values, system.cut_slots.ravel(), system.consistency.ravel())
+    np.add.at(values, slots.ravel(), cons.reshape(9, -1).T.ravel())
     return sp.csr_matrix((values, system.A.indices, system.A.indptr), shape=system.A.shape)
 
 
@@ -312,7 +314,7 @@ class EntryPlan:
         if v_ent.size and not ((v_ent >= 0).all() and (v_ent < mesh.n_vertices).all()):
             raise AssemblyError("vector entry index out of range")
         self.phys = phys
-        self.mesh_shape = (mesh.n_vertices, mesh.n_triangles, mesh.h)
+        self.mesh_shape = (mesh.n_vertices, mesh.n_triangles, mesh.h, mesh.box)
         positions, self.take_matrix = np.unique(m_pos, return_inverse=True)
         dofs, self.take_vector = np.unique(v_ent, return_inverse=True)
         self.n_bins = (positions.size + 1, dofs.size + 1)
@@ -321,15 +323,22 @@ class EntryPlan:
         a_bin[positions] = np.arange(positions.size)
         f_bin = np.full(mesh.n_vertices, dofs.size)
         f_bin[dofs] = np.arange(dofs.size)
-        tri_bins = a_bin[mesh.tri_pattern_pos]
-        load_bins = f_bin[mesh.triangles]
-        facet_bins = a_bin[mesh.facet_pattern_pos]
-        self.tris = np.flatnonzero((tri_bins < positions.size).any(axis=1)
-                                   | (load_bins < dofs.size).any(axis=1))
-        self.facets = np.flatnonzero((facet_bins < positions.size).any(axis=1))
-        self.stiffness_bins = tri_bins[self.tris]
-        self.load_bins = load_bins[self.tris]
-        self.ghost_bins = facet_bins[self.facets]
+        # every slot on a requested entry has its row's vertex, so the piece
+        # is among the triangles at those vertices and the facets of them
+        at_vertex = f_bin < dofs.size
+        at_vertex[mesh.pattern_rows[positions]] = True
+        tris = np.flatnonzero(np.logical_or.reduce(at_vertex[mesh.triangles_t]))
+        of_tris = np.zeros(mesh.facets.shape[0], dtype=bool)
+        of_tris[mesh.tri_facets.take(tris, axis=0)] = True
+        facets = np.flatnonzero(of_tris)
+        tri_bins = a_bin[mesh.tri_pattern_pos.take(tris, axis=0)]
+        load_bins = f_bin[mesh.triangles.take(tris, axis=0)]
+        facet_bins = a_bin[mesh.facet_pattern_pos.take(facets, axis=0)]
+        keep = (tri_bins < positions.size).any(axis=1) | (load_bins < dofs.size).any(axis=1)
+        hit = (facet_bins < positions.size).any(axis=1)
+        self.tris, self.facets = tris[keep], facets[hit]
+        self.stiffness_bins, self.load_bins = tri_bins[keep], load_bins[keep]
+        self.ghost_bins = facet_bins[hit]
         self.stiffness = mesh.tri_stiffness[self.tris]
         self.loads = np.repeat(_whole_load(mesh.tri_area[self.tris], float(phys.f_const))[:, None],
                                3, axis=1)
@@ -342,20 +351,20 @@ def evaluate_entries(geom: CutGeometry, plan: EntryPlan):
     mesh.
 
     The plan's active triangles, cut triangles and ghost facets at ``geom``
-    form their blocks as ``assemble_batch`` does (whole-triangle rows with
-    the cut rows recomputed, then the Nitsche blocks, then the ghost
-    blocks), from a cut stage over the plan's cut elements only, and one
-    ``np.bincount`` each for A and f sums them into the plan's bins.  Every
-    requested entry thus sums the terms of full assembly in its order, and
-    matches ``assemble_system`` bit for bit.  ``geom`` may live on any mesh
-    identical to the one the plan was built on; a mesh of another vertex
-    count, triangle count or ``h`` raises ``AssemblyError``.
+    place their blocks as ``assemble_batch`` does (whole-triangle rows with
+    the stage's volume blocks at the cut rows, then its Nitsche blocks, then
+    the ghost blocks), from a cut stage over the plan's cut elements only,
+    and one ``np.bincount`` each for A and f sums them into the plan's bins.
+    Every requested entry thus sums the terms of full assembly in its order,
+    and matches ``assemble_system`` bit for bit.  ``geom`` may live on any
+    mesh identical to the one the plan was built on; a mesh of another
+    vertex count, triangle count, ``h`` or box raises ``AssemblyError``.
     """
     mesh = geom.mesh
-    shape = (mesh.n_vertices, mesh.n_triangles, mesh.h)
+    shape = (mesh.n_vertices, mesh.n_triangles, mesh.h, mesh.box)
     if shape != plan.mesh_shape:
         raise AssemblyError(
-            f"geometry mesh (vertices, triangles, h) = {shape} does not match the "
+            f"geometry mesh (vertices, triangles, h, box) = {shape} does not match the "
             f"plan's {plan.mesh_shape}"
         )
     rule = _checked_rule(geom)
@@ -375,13 +384,11 @@ def evaluate_entries(geom: CutGeometry, plan: EntryPlan):
                     minlength=plan.n_bins[1])
 
     vol = plan.stiffness.take(act, axis=0)
-    vol[cut] = _kernels.volume_contribs(stage.wsum, stage.tri)
-    nit = _kernels.nitsche_contribs(stage.seg_w, stage.bdn[:2], stage.bdn[2],
-                                    plan.phys.nitsche_lambda / mesh.h)
+    vol[cut] = stage.vol
     bins = plan.stiffness_bins.take(act, axis=0)
     a = np.bincount(np.concatenate([bins.ravel(), bins.take(cut, axis=0).ravel(),
                                     plan.ghost_bins.take(ghost, axis=0).ravel()]),
-                    np.concatenate([vol.ravel(), nit.ravel(),
+                    np.concatenate([vol.ravel(), stage.nit.ravel(),
                                     plan.ghost.take(ghost, axis=0).ravel()]),
                     minlength=plan.n_bins[0])
     return a.take(plan.take_matrix), f.take(plan.take_vector)

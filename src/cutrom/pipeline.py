@@ -123,7 +123,7 @@ def run_offline(config: Config) -> OfflineArtifacts:
                  for i in chunk]
         lap("geometry")
         try:
-            values, used, f = assemble_batch(geoms, phys)[:3]
+            values, used, f = assemble_batch(geoms, phys)
         except Exception:
             # name the parameter: assemble the chunk's geometries one at a time
             for i, geom in zip(chunk, geoms):

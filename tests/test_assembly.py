@@ -21,6 +21,7 @@ from cutrom.assembly import (
 )
 from cutrom.config import Config
 from cutrom.estimators import alpha_star
+from cutrom.fom import solve_fom
 from cutrom.geometry import (
     INSIDE,
     CutRule,
@@ -363,11 +364,9 @@ def _assert_batch_matches_its_members(mesh, mus):
     """``assemble_batch`` of the geometries of ``mus`` against
     ``assemble_system`` of each, byte for byte."""
     geoms = [build_cut_geometry(mesh, mu) for mu in mus]
-    values, used, loads, cons = assemble_batch(geoms, EDGE_PHYS)
+    values, used, loads = assemble_batch(geoms, EDGE_PHYS)
     assert values.shape == used.shape == (len(geoms), mesh.pattern_cols.size)
     assert loads.shape == (len(geoms), mesh.n_vertices)
-    assert cons.shape == (sum(g.cut_elements.size for g in geoms), 9)
-    first_cut = 0
     for k, geom in enumerate(geoms):
         sys_ = assemble_system(geom, EDGE_PHYS)
         pos = np.flatnonzero(used[k])
@@ -375,11 +374,6 @@ def _assert_batch_matches_its_members(mesh, mus):
         assert values[k, pos].tobytes() == sys_.A.data.tobytes()
         assert not values[k, ~used[k]].any()
         assert loads[k].tobytes() == sys_.f.tobytes()
-        last_cut = first_cut + geom.cut_elements.size
-        assert cons[first_cut:last_cut].tobytes() == sys_.consistency.tobytes()
-        first_cut = last_cut
-        slots = (np.cumsum(used[k]) - 1)[mesh.tri_pattern_pos[geom.cut_elements]]
-        assert slots.tobytes() == sys_.cut_slots.tobytes()
 
 
 _PARAM = st.floats(min_value=0.3, max_value=1.44)
@@ -401,6 +395,27 @@ def test_batch_assembly_refuses_geometries_on_two_meshes():
     geoms = [build_cut_geometry(_EDGE_MESHES[nx], ParameterPoint(1.0, 1.0)) for nx in (7, 20)]
     with pytest.raises(AssemblyError, match="one background mesh"):
         assemble_batch(geoms, EDGE_PHYS)
+
+
+def test_only_the_norm_matrix_forms_consistency_blocks(monkeypatch):
+    # training chunks and full-order solves never read the consistency term
+    mesh = _EDGE_MESHES[20]
+    geoms = [build_cut_geometry(mesh, mu) for mu in MUS]
+    calls = []
+    original = _kernels.consistency
+
+    def spy(*args):
+        calls.append(args[0].size)
+        return original(*args)
+
+    monkeypatch.setattr(_kernels, "consistency", spy)
+    assemble_batch(geoms, EDGE_PHYS)
+    assert calls == []
+    sys_ = assemble_system(geoms[1], EDGE_PHYS)
+    solve_fom(sys_)
+    assert calls == []
+    assemble_norm_matrix(sys_)
+    assert calls == [geoms[1].cut_elements.size]
 
 
 def test_evaluate_entries_rejects_a_geometry_on_another_mesh(default_mesh, default_phys):

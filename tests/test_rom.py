@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 from cutrom import deim
+from cutrom.assembly import AssemblyError
 from cutrom.config import Config
 from cutrom.deim import MATRIX, UnionPattern, build_deim_operator, deim_coefficients, reconstruct
 from cutrom.geometry import GeometryError, ParameterPoint, build_background_mesh, build_cut_geometry
@@ -193,6 +194,17 @@ def test_plan_serves_geometry_on_an_identical_mesh(small_run, small_config):
     other = sample_entries(art, build_cut_geometry(twin, mu))
     assert np.array_equal(own[0], other[0])
     assert np.array_equal(own[1], other[1])
+
+
+def test_query_rejects_a_geometry_on_a_shifted_box(small_run, small_config):
+    # the model's vertex count, triangle count and h, on a box moved by 0.2
+    art, _ = small_run
+    mu = ParameterPoint(1.1, 1.1)
+    shifted = build_background_mesh(((-1.0, 1.4), (-1.0, 1.4)), small_config.h_target)
+    size = (art.mesh.n_vertices, art.mesh.n_triangles, art.mesh.h)
+    assert (shifted.n_vertices, shifted.n_triangles, shifted.h) == size
+    with pytest.raises(AssemblyError, match="does not match"):
+        rom_online_solve(art, mu, 4, geom=build_cut_geometry(shifted, mu))
 
 
 def test_query_rejects_a_geometry_of_another_parameter(small_run):
