@@ -8,26 +8,22 @@ index of the package: a ``SystemPair`` carries the position of each stored
 entry of its matrix, and an ``EntryPlan`` takes its matrix entries as
 positions.  The mesh's slot tables (``tri_pattern_pos``,
 ``facet_pattern_pos``) say where each local slot of each triangle and facet
-lands in that pattern; full assembly scatters through them.
+lands in that pattern; full assembly sums through them.
 
 Per parameter, only the cut elements need new local terms.  ``_cut_stage``
 forms them once, from a cut rule: per cut element its volume block and its
 Nitsche block (k, 9), its volume and boundary loads (3, k), and the segment
 terms the energy norm reads (the barycentrics at both Gauss points with the
-normal derivatives, and the Gauss weights).  Full assembly gathers its
-inside rows from the mesh's whole-triangle stiffness blocks
-(``BackgroundMesh.tri_stiffness``) and loads f |T| / 3 (``_whole_load``),
-and only places the stage's blocks and loads at its cut rows.
-``assemble_batch`` assembles several geometries of one mesh at once: one
-stage over their joined cut rules, and one ``np.bincount`` over (parameter,
-pattern position) for A and one over (parameter, dof) for f.  A bin sums
-its terms in the order they are given, so each entry of each parameter sums
-in the order of a lone assembly; ``assemble_system`` is the batch of one.
-Sampled entries are the same assembly restricted to a piece of the mesh:
-an ``EntryPlan`` holds the triangles and facets whose slots land on the
-requested entries, and ``evaluate_entries`` stages only their cut elements
-and sums their blocks, in full assembly's order, into one bin per
-requested entry, so sampled entries match ``assemble_system`` bit for bit.
+normal derivatives, and the Gauss weights).  ``_sum_piece`` is the one
+routine that places and sums assembly's terms: on a piece of the mesh
+(``_Piece``), in one fixed order, with one ``np.bincount`` for A and one
+for f.  Full assembly is that sum on the whole mesh, the piece whose bins
+are the pattern positions and the dofs.  ``assemble_batch`` sums several
+geometries of one mesh at once, from one stage over their joined cut
+rules, with member k's bins shifted by k P and k N; ``assemble_system`` is
+the batch of one.  Sampled entries are the same sum on the piece of an
+``EntryPlan``, whose compact bins are the requested entries, so they match
+``assemble_system`` bit for bit.
 
 The energy norm is a_h plus the Nitsche consistency term, |||v|||^2 =
 a_h(v, v) + 2 <dn v, v>_G.  Only ``assemble_norm_matrix`` forms that term,
@@ -90,8 +86,9 @@ def physics_from_config(config) -> PhysicsParams:
 class SystemPair:
     """Stiffness matrix and load vector on background dofs, plus the active
     set.  ``pattern_pos`` is the mesh-pattern position of each stored entry
-    of ``A``, in storage order; ``stage`` the local terms assembly formed for
-    the cut elements of ``geom``, which ``assemble_norm_matrix`` reads."""
+    of ``A``, in storage order, the bins ``_sum_piece`` hit on the whole
+    mesh; ``stage`` the local terms assembly formed for the cut elements of
+    ``geom``, which ``assemble_norm_matrix`` reads."""
 
     A: sp.csr_matrix
     f: np.ndarray
@@ -101,25 +98,24 @@ class SystemPair:
     stage: _Stage
 
 
-def _scatter(positions, values, size: int):
-    """Sums of ``values`` into ``size`` bins at ``positions``, and the flags
-    of the bins hit.  Each bin adds its values in the order given, as a
-    sequential ``np.add.at`` into zeros would."""
+def _used(positions, size: int):
+    """The flags of the ``size`` bins that ``positions`` hit."""
     used = np.zeros(size, dtype=bool)
     used[positions] = True
-    return np.bincount(positions, values, minlength=size), used
+    return used
 
 
-def _flat_index(table, rows, shift, out):
-    """Write the entries of ``table`` in ``rows``, each row shifted by its
-    ``shift``, into ``out`` (flat, ``rows.size`` times the row width) and
-    return it by rows: indices into the batch's flat (K, stride) bins.
-    ``take`` gathers whole rows several times faster than fancy indexing;
-    ``mode="clip"`` writes into ``out`` with no buffered copy (the rows are
-    element and facet ids of the mesh, always in range)."""
+def _flat_index(table, rows, member, n_bins: int, out):
+    """Write the rows ``rows`` of a piece's bin table ``table`` into the
+    contiguous ``out`` (``rows.size`` times the row width) and return it by
+    rows: the bins of the rows' terms, each row's shifted by ``n_bins``
+    times its ``member`` unless that is None.  ``take`` gathers whole rows
+    several times faster than fancy indexing; ``mode="clip"`` writes into
+    ``out`` with no buffered copy (the rows are in range)."""
     out = out.reshape(rows.size, table.shape[1])
     table.take(rows, axis=0, out=out, mode="clip")
-    out += shift[:, None]
+    if member is not None:
+        out += (member * n_bins)[:, None]
     return out
 
 
@@ -182,80 +178,116 @@ def _ghost_blocks(mesh: BackgroundMesh, gamma: float, facets):
                                   jv[:, :, None], jv[:, None, :])
 
 
-def assemble_batch(geoms, phys: PhysicsParams):
-    """Assemble A = diffusion + Nitsche + ghost penalty, and the load vector,
-    for each geometry of ``geoms`` (all on one mesh), in one cut stage and
-    one scatter each for A and f.
+class _Piece(NamedTuple):
+    """A piece of the mesh as ``_sum_piece`` reads it: per triangle the bins
+    of its stiffness slots (T, 9) and load slots (T, 3) and its
+    whole-triangle stiffness block (T, 9), per interior facet the bins of
+    its ghost slots (F, 16), and the bin counts of A and f of one member.
+    The whole mesh is the piece whose bins are the pattern positions and the
+    dofs; an ``EntryPlan`` holds a piece with compact bins."""
 
-    Returns ``(values, used, loads)``: the values (K, P) of the K matrices on
-    the P positions of the mesh pattern, zero at the positions a matrix does
-    not store; the flags (K, P) of the stored ones; and the loads (K, N).
-    Every entry sums its terms in the order of ``assemble_system`` (volume
-    elements, then interface segments, then ghost facets, each ascending),
-    so a batch reproduces its members bit for bit.  The load carries the
-    source term and the Nitsche boundary data terms:
-    f_i = int_O f phi_i - int_G (grad phi_i . n) g + (lambda/h) int_G phi_i g.
+    stiffness_bins: np.ndarray
+    load_bins: np.ndarray
+    stiffness: np.ndarray
+    ghost_bins: np.ndarray
+    n_bins: tuple
+
+
+def _sum_piece(piece, stage: _Stage, act, cut, loads, ghost, ghost_blocks, members=None):
+    """Sum the terms of ``piece`` into its bins: the one place where
+    assembly orders and sums its terms.
+
+    ``act`` are the piece's active triangle rows, ``cut`` the rows among
+    them of the cut elements of ``stage`` (in its order), ``loads`` the
+    whole-triangle load of each active row, ``ghost`` the piece's ghost
+    facet rows and ``ghost_blocks`` (G, 4, 4) their blocks.  A
+    sums, in this order, the whole-triangle blocks with the stage's volume
+    blocks at the cut rows, the Nitsche blocks at the cut rows, and the
+    ghost blocks; f the whole loads with the stage's volume loads at the cut
+    rows, then the boundary loads at the cut rows.  ``np.bincount`` adds
+    each bin's terms in the order given, so every bin sums the terms of
+    full assembly in its order.  ``members`` is None for one member, or
+    (K, the member of each active row, the member of each ghost row): the
+    bins of member k are then shifted by k times the piece's bin counts.
+
+    Returns A's sums (K * n_bins[0]), f's sums (K * n_bins[1]) and the bin
+    of each of A's terms.
     """
+    (n_a, n_f), (na, nc, ng) = piece.n_bins, (act.size, cut.size, ghost.size)
+    batch, act_of, ghost_of = members or (1, None, None)
+    f_pos = np.empty((na + nc, 3), dtype=np.int64)
+    f_val = np.empty((na + nc, 3))
+    _flat_index(piece.load_bins, act, act_of, n_f, f_pos[:na])
+    f_pos[:na].take(cut, axis=0, out=f_pos[na:], mode="clip")
+    f_val[:na] = loads[:, None]
+    f_val[cut] = stage.f_vol.T
+    f_val[na:] = stage.f_bnd.T
+
+    vol_end, nit_end = 9 * na, 9 * (na + nc)
+    a_pos = np.empty(nit_end + 16 * ng, dtype=np.int64)
+    a_val = np.empty(a_pos.size)
+    rows = _flat_index(piece.stiffness_bins, act, act_of, n_a, a_pos[:vol_end])
+    rows.take(cut, axis=0, out=a_pos[vol_end:nit_end].reshape(nc, 9), mode="clip")
+    _flat_index(piece.ghost_bins, ghost, ghost_of, n_a, a_pos[nit_end:])
+    vol = a_val[:vol_end].reshape(na, 9)
+    piece.stiffness.take(act, axis=0, out=vol, mode="clip")
+    vol[cut] = stage.vol
+    a_val[vol_end:nit_end].reshape(nc, 9)[:] = stage.nit
+    a_val[nit_end:] = ghost_blocks.reshape(-1)
+    return (np.bincount(a_pos, a_val, minlength=batch * n_a),
+            np.bincount(f_pos.reshape(-1), f_val.reshape(-1), minlength=batch * n_f), a_pos)
+
+
+def _assemble_mesh(geoms, phys: PhysicsParams):
+    """Full assembly of ``geoms``: one cut stage over their joined cut
+    rules, and ``_sum_piece`` on the whole mesh, the piece whose bins are
+    the pattern positions and the dofs.  Returns the stage and
+    ``_sum_piece``'s sums and bins, member k's at k P + position and
+    k N + dof."""
     mesh = geoms[0].mesh
     if any(g.mesh is not mesh for g in geoms):
         raise AssemblyError("a batch of geometries must share one background mesh")
     rules = [_checked_rule(g) for g in geoms]
-    rule = CutRule(*(np.concatenate([getattr(r, f.name) for r in rules], axis=-1)
-                     for f in fields(CutRule)))
-    return _place(geoms, phys, _cut_stage(rule, phys, mesh.h))
-
-
-def _place(geoms, phys: PhysicsParams, stage: _Stage):
-    """``assemble_batch`` of ``geoms`` with ``stage``, the cut stage of
-    their joined cut rules, placed at their cut rows."""
-    mesh = geoms[0].mesh
-    batch = len(geoms)
-    size, n = mesh.pattern_cols.size, mesh.n_vertices
+    rule = rules[0] if len(rules) == 1 else CutRule(
+        *(np.concatenate([getattr(r, f.name) for r in rules], axis=-1) for f in fields(CutRule)))
+    stage = _cut_stage(rule, phys, mesh.h)
     act = np.concatenate([g.active_elements for g in geoms])
-    gf = np.concatenate([g.ghost_facets for g in geoms])
-    # the batch member of each active element and ghost facet, and the rows
-    # of the cut elements among the active ones (in stage order)
+    ghost = np.concatenate([g.ghost_facets for g in geoms])
+    cut = np.flatnonzero(np.concatenate([g.elem_class[g.active_elements] for g in geoms]) == CUT)
+    k = len(geoms)
     counts = np.array([(g.active_elements.size, g.ghost_facets.size) for g in geoms])
-    act_of, gf_of = (np.repeat(np.arange(batch), c) for c in counts.T)
-    cut = np.flatnonzero(np.concatenate([g.elem_class.take(g.active_elements) for g in geoms])
-                         == CUT)
-    na, nc = act.size, cut.size
+    members = (k, *(np.repeat(np.arange(k), c) for c in counts.T)) if k > 1 else None
+    piece = _Piece(mesh.tri_pattern_pos, mesh.triangles, mesh.tri_stiffness,
+                   mesh.facet_pattern_pos, (mesh.pattern_cols.size, mesh.n_vertices))
+    loads = _whole_load(mesh.tri_area[act], float(phys.f_const))
+    return stage, _sum_piece(piece, stage, act, cut, loads, ghost,
+                             _ghost_blocks(mesh, phys.gamma, ghost), members)
 
-    # load: whole-triangle loads with the cut rows from the stage, then the
-    # cut elements' boundary loads at their rows' dofs
-    f_vol = np.repeat(_whole_load(mesh.tri_area[act], float(phys.f_const))[:, None], 3, axis=1)
-    f_vol[cut] = stage.f_vol.T
-    f_pos = np.empty(3 * (na + nc), dtype=np.int64)
-    tri_pos = _flat_index(mesh.triangles, act, act_of * n, f_pos[:3 * na])
-    tri_pos.take(cut, axis=0, out=f_pos[3 * na:].reshape(nc, 3), mode="clip")
-    loads = np.bincount(f_pos, np.concatenate([f_vol.ravel(), stage.f_bnd.T.ravel()]),
-                        minlength=batch * n)
 
-    # stiffness, its scatter positions and values written into one
-    # preallocated pair: whole-triangle blocks with the stage's at the cut
-    # rows, then its Nitsche blocks at those rows' positions, then the ghosts'
-    vol_end, nit_end = 9 * na, 9 * (na + nc)
-    a_pos = np.empty(nit_end + 16 * gf.size, dtype=np.int64)
-    a_val = np.empty(a_pos.size)
-    tri_pos = _flat_index(mesh.tri_pattern_pos, act, act_of * size, a_pos[:vol_end])
-    tri_pos.take(cut, axis=0, out=a_pos[vol_end:nit_end].reshape(nc, 9), mode="clip")
-    _flat_index(mesh.facet_pattern_pos, gf, gf_of * size, a_pos[nit_end:])
-    vol = a_val[:vol_end].reshape(na, 9)
-    mesh.tri_stiffness.take(act, axis=0, out=vol, mode="clip")
-    vol[cut] = stage.vol
-    a_val[vol_end:nit_end].reshape(nc, 9)[:] = stage.nit
-    a_val[nit_end:].reshape(gf.size, 4, 4)[:] = _ghost_blocks(mesh, phys.gamma, gf)
-    values, used = _scatter(a_pos, a_val, batch * size)
-    return values.reshape(batch, size), used.reshape(batch, size), loads.reshape(batch, n)
+def assemble_batch(geoms, phys: PhysicsParams):
+    """Assemble A = diffusion + Nitsche + ghost penalty, and the load vector,
+    for each geometry of ``geoms`` (all on one mesh), in one cut stage and
+    one ``_sum_piece`` over the whole mesh.
+
+    Returns ``(values, used, loads)``: the values (K, P) of the K matrices on
+    the P positions of the mesh pattern, zero at the positions a matrix does
+    not store; the flags (K, P) of the stored ones; and the loads (K, N).
+    Every entry sums its terms in the order of ``assemble_system``, so a
+    batch reproduces its members bit for bit.  The load carries the source
+    term and the Nitsche boundary data terms:
+    f_i = int_O f phi_i - int_G (grad phi_i . n) g + (lambda/h) int_G phi_i g.
+    """
+    _, (values, loads, pos) = _assemble_mesh(geoms, phys)
+    k = len(geoms)
+    return values.reshape(k, -1), _used(pos, values.size).reshape(k, -1), loads.reshape(k, -1)
 
 
 def assemble_system(geom: CutGeometry, phys: PhysicsParams) -> SystemPair:
     """Assemble A = diffusion + Nitsche + ghost penalty, and the load vector,
-    of one geometry: ``assemble_batch`` of one, as CSR, with its cut stage."""
-    stage = _cut_stage(_checked_rule(geom), phys, geom.mesh.h)
-    values, used, loads = _place([geom], phys, stage)
-    pos = np.flatnonzero(used[0])
-    return SystemPair(A=csr_on_pattern(geom.mesh, values[0], pos), f=loads[0],
+    of one geometry: the batch of one, as CSR, with its cut stage."""
+    stage, (values, loads, pos) = _assemble_mesh([geom], phys)
+    pos = np.flatnonzero(_used(pos, values.size))
+    return SystemPair(A=csr_on_pattern(geom.mesh, values, pos), f=loads,
                       active_dofs=geom.active_dofs, geom=geom, pattern_pos=pos, stage=stage)
 
 
@@ -269,8 +301,9 @@ def assemble_norm_matrix(system: SystemPair) -> sp.csr_matrix:
     stage, geom = system.stage, system.geom
     bary, dn = stage.bdn[:2], stage.bdn[2]
     cons = _kernels.consistency(stage.seg_w, bary[:, :, None], bary[:, None], dn[:, None], dn[None])
-    slots = np.searchsorted(system.pattern_pos,
-                            geom.mesh.tri_pattern_pos.take(geom.cut_elements, axis=0))
+    rank = np.empty(geom.mesh.pattern_cols.size, dtype=np.int64)
+    rank[system.pattern_pos] = np.arange(system.pattern_pos.size)
+    slots = rank.take(geom.mesh.tri_pattern_pos.take(geom.cut_elements, axis=0))
     values = system.A.data.copy()
     np.add.at(values, slots.ravel(), cons.reshape(9, -1).T.ravel())
     return sp.csr_matrix((values, system.A.indices, system.A.indptr), shape=system.A.shape)
@@ -279,30 +312,31 @@ def assemble_norm_matrix(system: SystemPair) -> sp.csr_matrix:
 def assemble_mass_matrix(mesh: BackgroundMesh) -> sp.csr_matrix:
     """Standard P1 mass matrix over the whole background box (parameter-free)."""
     local = np.array([2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0]) / 12.0
-    vals = mesh.tri_area[:, None] * local[None, :]
-    values, used = _scatter(mesh.tri_pattern_pos.ravel(), vals.ravel(), mesh.pattern_cols.size)
-    return csr_on_pattern(mesh, values, np.flatnonzero(used))
+    pos, size = mesh.tri_pattern_pos.ravel(), mesh.pattern_cols.size
+    values = np.bincount(pos, (mesh.tri_area[:, None] * local).ravel(), minlength=size)
+    return csr_on_pattern(mesh, values, np.flatnonzero(_used(pos, values.size)))
 
 
 class EntryPlan:
     """A sampled-entry request for one physics: the piece of the mesh that
-    holds the requested entries, with its parameter-independent values.
+    holds the requested entries, with compact bins, and its
+    parameter-independent values.
 
     Matrix entries are requested by their mesh-pattern position, vector
     entries by dof.  The plan's triangles ``tris`` and interior facets
     ``facets``, ascending, are those whose slots in the mesh's tables
     (``BackgroundMesh.tri_pattern_pos``/``facet_pattern_pos``, the tables
-    full assembly scatters through) land on a requested position, or on
+    full assembly sums through) land on a requested position, or on
     the diagonal position (``BackgroundMesh.pattern_diag``) of a requested
-    dof.  Its bin tables give the bin of every slot of them:
-    ``stiffness_bins`` (T_c, 9), ``ghost_bins`` (F_c, 16) and ``load_bins``
-    (T_c, 3).  There is one bin per distinct requested entry and a last one
-    for the slots no request reads; ``n_bins`` counts them for A and for f.
-    ``take_matrix`` and ``take_vector`` map the bins to the requests in
-    their order, repeats included.  The plan stores the whole triangles'
-    stiffness rows and loads and the ghost blocks; a parameter enters only
-    through the activity masks and the cut elements' stage.  The reduced
-    model builds its plan once, beside the sample entries it describes.
+    dof.  ``piece`` (a ``_Piece``) gives the bin of every slot of them and
+    their ``tri_stiffness`` rows; there is one bin per distinct requested
+    entry and a last one for the slots no request reads.  ``take_matrix``
+    and ``take_vector`` map the bins to the requests in their order,
+    repeats included.  The plan also stores the whole triangles' loads
+    ``loads`` (T_c,) and the ghost blocks ``ghost`` (F_c, 4, 4); a
+    parameter enters only through the activity masks and the cut elements'
+    stage.  The reduced model builds its plan once, beside the sample
+    entries it describes.
     """
 
     def __init__(self, mesh: BackgroundMesh, phys: PhysicsParams, matrix_positions, vector_entries):
@@ -317,7 +351,6 @@ class EntryPlan:
         self.mesh_shape = (mesh.n_vertices, mesh.n_triangles, mesh.h, mesh.box)
         positions, self.take_matrix = np.unique(m_pos, return_inverse=True)
         dofs, self.take_vector = np.unique(v_ent, return_inverse=True)
-        self.n_bins = (positions.size + 1, dofs.size + 1)
         # the bin of each pattern position, and of an unused facet slot (-1)
         a_bin = np.full(size + 1, positions.size)
         a_bin[positions] = np.arange(positions.size)
@@ -337,12 +370,10 @@ class EntryPlan:
         keep = (tri_bins < positions.size).any(axis=1) | (load_bins < dofs.size).any(axis=1)
         hit = (facet_bins < positions.size).any(axis=1)
         self.tris, self.facets = tris[keep], facets[hit]
-        self.stiffness_bins, self.load_bins = tri_bins[keep], load_bins[keep]
-        self.ghost_bins = facet_bins[hit]
-        self.stiffness = mesh.tri_stiffness[self.tris]
-        self.loads = np.repeat(_whole_load(mesh.tri_area[self.tris], float(phys.f_const))[:, None],
-                               3, axis=1)
-        self.ghost = _ghost_blocks(mesh, phys.gamma, self.facets).reshape(-1, 16)
+        self.piece = _Piece(tri_bins[keep], load_bins[keep], mesh.tri_stiffness[self.tris],
+                            facet_bins[hit], (positions.size + 1, dofs.size + 1))
+        self.loads = _whole_load(mesh.tri_area[self.tris], float(phys.f_const))
+        self.ghost = _ghost_blocks(mesh, phys.gamma, self.facets)
 
 
 def evaluate_entries(geom: CutGeometry, plan: EntryPlan):
@@ -350,15 +381,14 @@ def evaluate_entries(geom: CutGeometry, plan: EntryPlan):
     plan's physics: full assembly restricted to the plan's piece of the
     mesh.
 
-    The plan's active triangles, cut triangles and ghost facets at ``geom``
-    place their blocks as ``assemble_batch`` does (whole-triangle rows with
-    the stage's volume blocks at the cut rows, then its Nitsche blocks, then
-    the ghost blocks), from a cut stage over the plan's cut elements only,
-    and one ``np.bincount`` each for A and f sums them into the plan's bins.
-    Every requested entry thus sums the terms of full assembly in its order,
-    and matches ``assemble_system`` bit for bit.  ``geom`` may live on any
-    mesh identical to the one the plan was built on; a mesh of another
-    vertex count, triangle count, ``h`` or box raises ``AssemblyError``.
+    It selects the plan's active triangles, cut triangles and ghost facets
+    at ``geom``, stages the plan's cut elements only, and sums their terms
+    into the plan's bins with ``_sum_piece``, the routine full assembly
+    sums through.  Every requested entry thus sums the terms of full
+    assembly in its order, and matches ``assemble_system`` bit for bit.
+    ``geom`` may live on any mesh identical to the one the plan was built
+    on; a mesh of another vertex count, triangle count, ``h`` or box
+    raises ``AssemblyError``.
     """
     mesh = geom.mesh
     shape = (mesh.n_vertices, mesh.n_triangles, mesh.h, mesh.box)
@@ -375,20 +405,6 @@ def evaluate_entries(geom: CutGeometry, plan: EntryPlan):
     stage = _cut_stage(CutRule(*(getattr(rule, f.name).take(cols, axis=-1)
                                  for f in fields(CutRule))), plan.phys, mesh.h)
     ghost = np.flatnonzero(geom.ghost_mask[plan.facets])
-
-    load = plan.loads.take(act, axis=0)
-    load[cut] = stage.f_vol.T
-    bins = plan.load_bins.take(act, axis=0)
-    f = np.bincount(np.concatenate([bins.ravel(), bins.take(cut, axis=0).ravel()]),
-                    np.concatenate([load.ravel(), stage.f_bnd.T.ravel()]),
-                    minlength=plan.n_bins[1])
-
-    vol = plan.stiffness.take(act, axis=0)
-    vol[cut] = stage.vol
-    bins = plan.stiffness_bins.take(act, axis=0)
-    a = np.bincount(np.concatenate([bins.ravel(), bins.take(cut, axis=0).ravel(),
-                                    plan.ghost_bins.take(ghost, axis=0).ravel()]),
-                    np.concatenate([vol.ravel(), stage.nit.ravel(),
-                                    plan.ghost.take(ghost, axis=0).ravel()]),
-                    minlength=plan.n_bins[0])
+    a, f, _ = _sum_piece(plan.piece, stage, act, cut, plan.loads.take(act), ghost,
+                         plan.ghost.take(ghost, axis=0))
     return a.take(plan.take_matrix), f.take(plan.take_vector)

@@ -54,7 +54,7 @@ RUN4_COLUMNS = (
 RATE_QUANTITIES = ("e_rel", "eta_2a", "eta_2b", "eta_pod", "eta_A", "eta_f")
 
 
-# training parameters assembled together: one cut stage and one scatter each
+# training parameters assembled together: one cut stage and one bincount each for A and f
 TRAIN_CHUNK = 32
 
 

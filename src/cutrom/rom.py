@@ -11,11 +11,12 @@ mirrors it through ``mesh.pattern_transpose``, as it needs the whole
 symmetric matrices.
 
 The online stage has two steps.  ``prepare`` samples the planned entries
-for one parameter, by full assembly on the entry plan's piece of the mesh
-(``assembly.evaluate_entries``); they depend on the parameter only, not on
-the mode count.  ``solve`` then forms the reduced system for one mode count (one
-product each with the matrix and the load blocks), solves it with one LU
-solve and lifts it.  ``rom_online_solve`` is one standalone query: both
+for one parameter (``assembly.evaluate_entries``): the entry plan's piece
+of the mesh summed through the same routine as full assembly, so the
+samples are entries of the assembled operator bit for bit; they depend on
+the parameter only, not on the mode count.  ``solve`` then forms the
+reduced system for one mode count (one product each with the matrix and
+the load blocks), solves it with one LU solve and lifts it.  ``rom_online_solve`` is one standalone query: both
 steps at one mode count.  The interpolation coefficients, which only the
 estimators need, come from ``deim.deim_coefficients`` on the same samples.
 """
@@ -134,7 +135,8 @@ def build_rom_offline(mesh: BackgroundMesh, pod: PodBasis, deim_a: DeimOperator,
 
 
 def sample_entries(art: OfflineArtifacts, geom: CutGeometry):
-    """Evaluate the planned stiffness/load entries for one parameter."""
+    """Evaluate the planned stiffness/load entries for one parameter, as
+    full assembly sums them, on the plan's piece of the mesh."""
     return evaluate_entries(geom, art.plan)
 
 

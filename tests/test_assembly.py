@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cutrom import _kernels
+from cutrom import _kernels, assembly
 from cutrom.assembly import (
     AssemblyError,
     EntryPlan,
@@ -416,6 +416,29 @@ def test_only_the_norm_matrix_forms_consistency_blocks(monkeypatch):
     assert calls == []
     assemble_norm_matrix(sys_)
     assert calls == [geoms[1].cut_elements.size]
+
+
+def test_every_path_sums_through_one_routine(monkeypatch):
+    # full assembly, a training chunk and sampled entries each place and sum
+    # their terms in one call of the shared routine
+    mesh = _EDGE_MESHES[20]
+    geoms = [build_cut_geometry(mesh, mu) for mu in MUS]
+    plan = EntryPlan(mesh, EDGE_PHYS, np.arange(mesh.pattern_cols.size),
+                     np.arange(mesh.n_vertices))
+    calls = []
+    original = assembly._sum_piece
+
+    def spy(piece, *args, **kwargs):
+        calls.append(piece)
+        return original(piece, *args, **kwargs)
+
+    monkeypatch.setattr(assembly, "_sum_piece", spy)
+    assemble_system(geoms[0], EDGE_PHYS)
+    assert len(calls) == 1
+    assemble_batch(geoms, EDGE_PHYS)
+    assert len(calls) == 2
+    evaluate_entries(geoms[0], plan)
+    assert len(calls) == 3 and calls[2] is plan.piece
 
 
 def test_evaluate_entries_rejects_a_geometry_on_another_mesh(default_mesh, default_phys):
