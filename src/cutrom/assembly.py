@@ -253,7 +253,7 @@ def _assemble_mesh(geoms, phys: PhysicsParams):
     stage = _cut_stage(rule, phys, mesh.h)
     act = np.concatenate([g.active_elements for g in geoms])
     ghost = np.concatenate([g.ghost_facets for g in geoms])
-    cut = np.flatnonzero(np.concatenate([g.elem_class[g.active_elements] for g in geoms]) == CUT)
+    cut = np.flatnonzero(np.concatenate([g.elem_class.take(g.active_elements) for g in geoms]) == CUT)
     k = len(geoms)
     counts = np.array([(g.active_elements.size, g.ghost_facets.size) for g in geoms])
     members = (k, *(np.repeat(np.arange(k), c) for c in counts.T)) if k > 1 else None
