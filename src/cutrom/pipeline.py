@@ -2,13 +2,18 @@
 
 The offline phase solves the training set, builds the mode basis and both
 interpolation operators, and precomputes the reduced blocks and the entry
-plan.  The online sweep samples the planned entries once per test parameter
-(``rom.prepare``); the same samples give every reduced solve (``rom.solve``,
-once per mode count) and, outside the timed online work, the interpolation
-coefficients of the DEIM indicators.
-Each record gets the full estimator set, and the hard invariants (Rayleigh
-sandwich, active-restriction ordering, combined bound) are enforced as it
-goes.
+plan.  The online sweep takes two steps per test parameter.
+``parameter_state`` does the work every mode count of the parameter shares:
+the geometry, the assembled system and its norm matrix, the timed
+full-order solve, the sampled entries (``rom.prepare``, once per parameter)
+and, outside the timed online work, both interpolants with the errors of
+the DEIM indicators.  ``parameter_record`` turns that state and one mode
+count into an ``EstimatorRecord``: the reduced solve (``rom.solve``), the
+full estimator set, and the hard invariants (Rayleigh sandwich,
+active-restriction ordering, combined bound), each raising on violation.
+``run_online_sweep`` only validates its input and loops over both.
+``deim_exactness_check`` in the invariant suite reads the interpolant and
+the assembled matrix from the same ``parameter_state``.
 
 Training parameters are assembled in chunks of ``TRAIN_CHUNK``; training
 solves and test parameters are processed one after another, in input order.
@@ -24,12 +29,14 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from . import estimators as est
 from . import rates
 from .artifacts import OfflineArtifacts, save_artifacts
 from .assembly import (
     PhysicsParams,
+    SystemPair,
     assemble_batch,
     assemble_mass_matrix,
     assemble_norm_matrix,
@@ -39,10 +46,10 @@ from .assembly import (
 from .config import SWEEP_ONLY_FIELDS, Config
 from .deim import (MATRIX, VECTOR, build_deim_operator, build_union_pattern,
                    deim_coefficients, reconstruct)
-from .fom import residual, solve_active, solve_fom
+from .fom import FomSolution, residual, solve_active, solve_fom
 from .geometry import ParameterPoint, build_background_mesh, build_cut_geometry, require_inside_box
 from .pod import build_pod_basis, projection_tail_gap, tail_energy
-from .rom import build_rom_offline, prepare, sample_entries, solve
+from .rom import OnlinePrep, build_rom_offline, prepare, solve
 
 log = logging.getLogger(__name__)
 
@@ -52,6 +59,7 @@ RUN4_COLUMNS = (
 )
 
 RATE_QUANTITIES = ("e_rel", "eta_2a", "eta_2b", "eta_pod", "eta_A", "eta_f")
+RATE_COLUMNS = ("quantity", "alpha", "r2_alg", "beta", "r2_exp", "best", "formula")
 
 
 # training parameters assembled together: one cut stage and one bincount each for A and f
@@ -221,58 +229,138 @@ class SweepReport:
         return rows
 
     def fit_table(self):
-        """One row per estimator quantity, mirroring the rate-fit report."""
+        """One row per estimator quantity, mirroring the rate-fit report: a
+        dict over ``RATE_COLUMNS``."""
         means = self.mean_rows()
-        series = {name: [(r["n"], r[name]) for r in means] for name in RATE_QUANTITIES}
-        windows = {
-            "e_rel": self.fit_n_min_error,
-            "eta_2a": self.fit_n_min_error,
-            "eta_2b": self.fit_n_min_error,
-            "eta_pod": self.fit_n_min_tail,
-            "eta_A": 1,
-            "eta_f": 1,
-        }
+        windows = dict.fromkeys(RATE_QUANTITIES, self.fit_n_min_error)
+        windows.update(eta_pod=self.fit_n_min_tail, eta_A=1, eta_f=1)
+        nan = float("nan")
         table = []
         for name in RATE_QUANTITIES:
+            series = [(r["n"], r[name]) for r in means]
             try:
-                alg = rates.fit_algebraic(series[name], windows[name])
-                exp = rates.fit_exponential(series[name], windows[name])
+                alg = rates.fit_algebraic(series, windows[name])
+                exp = rates.fit_exponential(series, windows[name])
             except rates.FitError:
                 # sweep grid too short for this fit window
-                table.append({
-                    "quantity": name, "alpha": float("nan"), "r2_alg": float("nan"),
-                    "beta": float("nan"), "r2_exp": float("nan"), "best": "n/a",
-                    "formula": "n/a (too few points in fit window)",
-                })
-                continue
-            best = rates.select_model(alg, exp)
-            if best == rates.NONE:
-                value = series[name][0][1]
-                table.append({
-                    "quantity": name, "alpha": 0.0, "r2_alg": float("nan"),
-                    "beta": 0.0, "r2_exp": float("nan"), "best": "const",
-                    "formula": f"{value:.17g} (const)",
-                })
-                continue
-            if best == rates.ALGEBRAIC:
-                formula = f"{alg.prefactor:.17g} * n^-{alg.rate:.17g}"
+                values = (nan, nan, nan, nan, "n/a", "n/a (too few points in fit window)")
             else:
-                formula = f"{exp.prefactor:.17g} * exp(-{exp.rate:.17g} n)"
-            table.append({
-                "quantity": name,
-                "alpha": alg.rate,
-                "r2_alg": alg.r_squared if alg.r_squared is not None else float("nan"),
-                "beta": exp.rate,
-                "r2_exp": exp.r_squared if exp.r_squared is not None else float("nan"),
-                "best": best,
-                "formula": formula,
-            })
+                best = rates.select_model(alg, exp)
+                fits = (alg.rate, nan if alg.r_squared is None else alg.r_squared,
+                        exp.rate, nan if exp.r_squared is None else exp.r_squared)
+                if best == rates.NONE:
+                    values = (0.0, nan, 0.0, nan, "const", f"{series[0][1]:.17g} (const)")
+                elif best == rates.ALGEBRAIC:
+                    values = (*fits, best, f"{alg.prefactor:.17g} * n^-{alg.rate:.17g}")
+                else:
+                    values = (*fits, best, f"{exp.prefactor:.17g} * exp(-{exp.rate:.17g} n)")
+            table.append(dict(zip(RATE_COLUMNS, (name, *values))))
         return table
+
+
+@dataclass
+class ParameterState:
+    """What every record of one test parameter shares (``parameter_state``);
+    the parameter itself is ``prep.mu``.
+
+    ``fom_time`` is assembly plus solve.  ``a_deim`` is the matrix
+    interpolant over the union's upper entries and ``a_exact`` the assembled
+    A over the whole mesh pattern; ``a_err`` and ``f_err`` are the absolute
+    and relative interpolation errors of A and f (``est.deim_error``), and
+    ``d_min``, ``d_max`` the range of A's diagonal over the active dofs."""
+
+    system: SystemPair
+    norm_mat: sp.csr_matrix
+    fom: FomSolution
+    fom_time: float
+    prep: OnlinePrep
+    a_deim: np.ndarray
+    a_exact: np.ndarray
+    a_err: tuple[float, float]
+    f_err: tuple[float, float]
+    diag: np.ndarray
+    d_min: float
+    d_max: float
+
+
+def parameter_state(art: OfflineArtifacts, mu: ParameterPoint) -> ParameterState:
+    """The per-parameter work of the sweep: geometry, system, norm matrix,
+    timed full-order solve, sampled entries (``rom.prepare``), and both
+    interpolants with their errors, A's before f's.  The matrix interpolant
+    is mirrored over the mesh pattern, so it is compared with A whole."""
+    geom = build_cut_geometry(art.mesh, mu)
+    t0 = time.perf_counter()
+    system = assemble_system(geom, art.phys)
+    t_asm = time.perf_counter() - t0
+    norm_mat = assemble_norm_matrix(system)
+    fom = solve_fom(system)
+    prep = prepare(art, geom)
+    a_deim = reconstruct(art.deim_a, deim_coefficients(art.deim_a, prep.a))
+    f_deim = reconstruct(art.deim_f, deim_coefficients(art.deim_f, prep.f))
+    upper = art.pattern.positions
+    a_whole = _on_mesh_pattern(art.mesh, upper, a_deim)
+    a_whole[art.mesh.pattern_transpose[upper]] = a_deim
+    a_exact = _on_mesh_pattern(art.mesh, system.pattern_pos, system.A.data)
+    a_err = est.deim_error(a_exact, a_whole)
+    f_err = est.deim_error(system.f, f_deim)
+    diag = system.A.diagonal()
+    d_min, d_max = est.active_diagonal_range(diag, system.active_dofs)
+    return ParameterState(
+        system=system, norm_mat=norm_mat, fom=fom, fom_time=t_asm + fom.solve_time,
+        prep=prep, a_deim=a_deim, a_exact=a_exact, a_err=a_err, f_err=f_err,
+        diag=diag, d_min=d_min, d_max=d_max,
+    )
+
+
+def parameter_record(art: OfflineArtifacts, state: ParameterState, n: int,
+                     vn_norm: float, eta_pod: float) -> est.EstimatorRecord:
+    """The record of one parameter's ``state`` at n modes: the reduced solve,
+    the residual estimators, the true errors and the combined bound.
+    ``vn_norm``, the spectral norm of the first n modes, and ``eta_pod``,
+    their discarded-energy fraction (``pod.tail_energy``), are the same for
+    every parameter, so the sweep computes them once per n.  Raises
+    ``PipelineError`` naming the parameter and n when the Rayleigh sandwich,
+    the active <= plain ordering or the combined bound fails."""
+    system, mu = state.system, state.prep.mu
+    at = f"mu=({mu.r:.17g}, {mu.theta:.17g}), n={n}"
+    rom_sol = solve(art, state.prep, n)
+    r = residual(system, rom_sol.u_lifted)
+    eta_2a = est.residual_norm_plain(r)
+    eta_2b = est.residual_norm_jacobi(r, state.diag, art.config.eps_safe)
+    eta_2a_act = est.residual_norm_active(r, system.active_dofs)
+    e_rel, e_t = est.true_errors(state.fom.u, rom_sol.u_lifted, state.norm_mat)
+    check = est.rayleigh_ratio_check(eta_2a, eta_2b, state.d_min, state.d_max)
+    if not check.ok:
+        raise PipelineError(
+            f"Rayleigh sandwich violated at {at}: "
+            f"ratio={check.ratio:.17g} not in [{check.lower:.17g}, {check.upper:.17g}]"
+        )
+    if eta_2a_act > eta_2a * (1.0 + 1e-12):
+        raise PipelineError(f"active residual norm exceeds plain norm at {at}")
+    bound = est.combined_error_bound(
+        eta_2a_act, state.a_err[0], state.f_err[0], float(np.linalg.norm(rom_sol.u_lifted)),
+        vn_norm, est.alpha_star(art.config.nitsche_lambda, art.config.c_inv),
+    )
+    if e_t > bound:
+        raise PipelineError(
+            f"combined bound violated at {at}: e_T={e_t:.17g} > bound={bound:.17g}"
+        )
+    return est.EstimatorRecord(
+        mu_r=float(mu.r), mu_theta=float(mu.theta), n=n,
+        eta_A=state.a_err[1], eta_f=state.f_err[1], eta_2a=eta_2a, eta_2b=eta_2b,
+        eta_2a_active=eta_2a_act, eta_pod=eta_pod, e_rel=e_rel, e_T=e_t,
+        theta_2a=est.effectivity(eta_2a, e_rel),
+        theta_2b=est.effectivity(eta_2b, e_rel),
+        theta_2a_active=est.effectivity(eta_2a_act, e_rel),
+        bound=bound, d_min=state.d_min, d_max=state.d_max,
+        fom_time=state.fom_time, rom_time=rom_sol.online_time,
+    )
 
 
 def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) -> SweepReport:
     """Solve FOM and ROM over the test set, evaluate every estimator record,
-    and enforce the hard invariants record by record.
+    and enforce the hard invariants record by record: ``parameter_state``
+    once per test parameter, then ``parameter_record`` once per mode count.
 
     ``config`` may differ from ``art.config`` only in the sweep and path
     fields (``SWEEP_ONLY_FIELDS``, the fields ``Config.hash`` leaves out, so
@@ -300,75 +388,14 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
         raise PipelineError(
             f"sweep needs {n_list[-1]} modes but only {art.pod.n_max} were retained"
         )
-    a_star = est.alpha_star(art.config.nitsche_lambda, art.config.c_inv)
-    upper = art.pattern.positions
-    mirror = art.mesh.pattern_transpose[upper]
     vn_norm = {n: float(sla.svdvals(art.pod.V[:, :n])[0]) for n in n_list}
     tails = {n: tail_energy(art.pod.sigma, n) for n in n_list}
-
-    def one_parameter(i):
-        at = f"mu=({test_mu[i, 0]:.17g}, {test_mu[i, 1]:.17g})"
-        geom = build_cut_geometry(art.mesh, test_points[i])
-        t0 = time.perf_counter()
-        system = assemble_system(geom, art.phys)
-        t_asm = time.perf_counter() - t0
-        norm_mat = assemble_norm_matrix(system)
-        fom_sol = solve_fom(system)
-        fom_time = t_asm + fom_sol.solve_time
-
-        prep = prepare(art, geom)
-        a_deim = reconstruct(art.deim_a, deim_coefficients(art.deim_a, prep.a))
-        f_deim = reconstruct(art.deim_f, deim_coefficients(art.deim_f, prep.f))
-        a_whole = _on_mesh_pattern(art.mesh, upper, a_deim)
-        a_whole[mirror] = a_deim
-        a_err_abs, eta_a = est.deim_error(
-            _on_mesh_pattern(art.mesh, system.pattern_pos, system.A.data), a_whole)
-        f_err_abs, eta_f_val = est.deim_error(system.f, f_deim)
-        diag = system.A.diagonal()
-        d_min, d_max = est.active_diagonal_range(diag, system.active_dofs)
-
-        recs = []
-        for n in n_list:
-            rom_sol = solve(art, prep, n)
-            r = residual(system, rom_sol.u_lifted)
-            eta_2a = est.residual_norm_plain(r)
-            eta_2b = est.residual_norm_jacobi(r, diag, art.config.eps_safe)
-            eta_2a_act = est.residual_norm_active(r, system.active_dofs)
-            e_rel, e_t = est.true_errors(fom_sol.u, rom_sol.u_lifted, norm_mat)
-            check = est.rayleigh_ratio_check(eta_2a, eta_2b, d_min, d_max)
-            if not check.ok:
-                raise PipelineError(
-                    f"Rayleigh sandwich violated at {at}, n={n}: "
-                    f"ratio={check.ratio:.17g} not in [{check.lower:.17g}, {check.upper:.17g}]"
-                )
-            if eta_2a_act > eta_2a * (1.0 + 1e-12):
-                raise PipelineError(
-                    f"active residual norm exceeds plain norm at {at}, n={n}"
-                )
-            bound = est.combined_error_bound(
-                eta_2a_act, a_err_abs, f_err_abs,
-                float(np.linalg.norm(rom_sol.u_lifted)), vn_norm[n], a_star,
-            )
-            if e_t > bound:
-                raise PipelineError(
-                    f"combined bound violated at {at}, n={n}: "
-                    f"e_T={e_t:.17g} > bound={bound:.17g}"
-                )
-            recs.append(est.EstimatorRecord(
-                mu_r=float(test_mu[i, 0]), mu_theta=float(test_mu[i, 1]), n=n,
-                eta_A=eta_a, eta_f=eta_f_val, eta_2a=eta_2a, eta_2b=eta_2b,
-                eta_2a_active=eta_2a_act, eta_pod=tails[n], e_rel=e_rel, e_T=e_t,
-                theta_2a=est.effectivity(eta_2a, e_rel),
-                theta_2b=est.effectivity(eta_2b, e_rel),
-                theta_2a_active=est.effectivity(eta_2a_act, e_rel),
-                bound=bound, d_min=d_min, d_max=d_max,
-                fom_time=fom_time, rom_time=rom_sol.online_time,
-            ))
-        return recs
-
-    per_mu = [one_parameter(i) for i in range(test_mu.shape[0])]
+    records = []
+    for mu in test_points:
+        state = parameter_state(art, mu)
+        records.extend(parameter_record(art, state, n, vn_norm[n], tails[n]) for n in n_list)
     report = SweepReport(
-        records=[rec for group in per_mu for rec in group],
+        records=records,
         n_list=n_list,
         fit_n_min_error=config.fit_n_min_error,
         fit_n_min_tail=config.fit_n_min_tail,
@@ -411,12 +438,10 @@ def emit_report(report: SweepReport, dirpath: str) -> list:
         ("n", "eta_pod"),
         [[row["n"], row["eta_pod"]] for row in means],
     ))
-    fit_rows = report.fit_table()
     paths.append(_write_csv(
         os.path.join(dirpath, "rates.csv"),
-        ("quantity", "alpha", "r2_alg", "beta", "r2_exp", "best", "formula"),
-        [[r["quantity"], r["alpha"], r["r2_alg"], r["beta"], r["r2_exp"], r["best"], r["formula"]]
-         for r in fit_rows],
+        RATE_COLUMNS,
+        [[r[c] for c in RATE_COLUMNS] for r in report.fit_table()],
     ))
     paths.append(_write_csv(
         os.path.join(dirpath, "timings.csv"),
@@ -452,8 +477,10 @@ def emit_report(report: SweepReport, dirpath: str) -> list:
 
 def load_report(dirpath: str) -> SweepReport:
     """Rebuild a SweepReport from records.csv and report_meta.txt.  Raises
-    ``PipelineError`` naming a missing file or meta key, a records.csv with
-    no records, or records that are not runs of the meta file's ``n_list``."""
+    ``PipelineError`` naming a missing file or meta key, a records.csv
+    column that is missing, a records.csv line that does not hold one value
+    per column, a records.csv with no records, or records that are not runs
+    of the meta file's ``n_list``."""
     meta_path = os.path.join(dirpath, "report_meta.txt")
     rec_path = os.path.join(dirpath, "records.csv")
     for path in (meta_path, rec_path):
@@ -470,7 +497,15 @@ def load_report(dirpath: str) -> SweepReport:
     records = []
     with open(rec_path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
+        missing = [f for f in est.EstimatorRecord.FIELDS if f not in (reader.fieldnames or ())]
+        if missing:
+            raise PipelineError(f"{rec_path!r} has no {missing[0]} column")
         for row in reader:
+            # DictReader keys a long row's extra values by None, and gives a
+            # short row's missing ones the value None
+            if None in row or None in row.values():
+                raise PipelineError(f"{rec_path!r} line {reader.line_num} does not hold "
+                                    "one value per column")
             kwargs = {f: (int(row[f]) if f == "n" else float(row[f]))
                       for f in est.EstimatorRecord.FIELDS}
             records.append(est.EstimatorRecord(**kwargs))
@@ -582,17 +617,15 @@ def pod_tail_check(pod, snapshots: np.ndarray, mass) -> CheckResult:
 
 def deim_exactness_check(art: OfflineArtifacts, params) -> CheckResult:
     """The interpolated stiffness matrix equals the assembled one to 1e-10 at
-    the selected entries (the interpolation indices) for each parameter."""
+    the selected entries (the interpolation indices) for each parameter,
+    both as the sweep's ``parameter_state`` holds them."""
     selected = art.deim_a.indices
     sampled_pos = art.pattern.positions.take(selected)
     worst = 0.0
     for mu in params:
-        geom = build_cut_geometry(art.mesh, mu)
-        system = assemble_system(geom, art.phys)
-        c_a = deim_coefficients(art.deim_a, sample_entries(art, geom)[0])
-        exact = _on_mesh_pattern(art.mesh, system.pattern_pos, system.A.data).take(sampled_pos)
-        approx = reconstruct(art.deim_a, c_a).take(selected)
-        worst = max(worst, float(np.abs(approx - exact).max()))
+        state = parameter_state(art, mu)
+        gap = state.a_deim.take(selected) - state.a_exact.take(sampled_pos)
+        worst = max(worst, float(np.abs(gap).max()))
     return CheckResult(
         "deim_interpolation_exactness", worst <= 1e-10, f"max |A_deim - A| at selected {worst:.3e}",
     )

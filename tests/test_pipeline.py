@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import logging
 import os
 import re
@@ -8,18 +9,23 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import cutrom
 from cutrom import cli, pipeline
+from cutrom.estimators import EstimatorRecord
 from cutrom.assembly import assemble_mass_matrix
 from cutrom.config import Config
 from cutrom.geometry import GeometryError, ParameterPoint
+from cutrom.pod import tail_energy
 from cutrom.pipeline import (
     RUN4_COLUMNS,
     PipelineError,
     deim_exactness_check,
     emit_report,
     load_report,
+    parameter_record,
+    parameter_state,
     patch_check,
     pod_tail_check,
     run_offline,
@@ -138,6 +144,32 @@ def test_load_report_refuses_a_records_file_with_no_records(tmp_path, small_run)
     records.write_text(records.read_text().splitlines(keepends=True)[0])
     rates = (out / "rates.csv").read_bytes()
     with pytest.raises(PipelineError, match="records.csv' holds no records"):
+        load_report(str(out))
+    assert cli.main(["report", "--from", str(out)]) == 2
+    assert (out / "rates.csv").read_bytes() == rates
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("column", "records.csv' has no eta_A column$"),
+    ("short", "records.csv' line 3 does not hold one value per column$"),
+    ("long", "records.csv' line 3 does not hold one value per column$"),
+])
+def test_load_report_names_a_broken_records_file(tmp_path, small_run, edit, message):
+    out = _emit_with_error_window_2(tmp_path, small_run[1])
+    records = out / "records.csv"
+    with open(records, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if edit == "column":
+        k = rows[0].index("eta_A")
+        rows = [row[:k] + row[k + 1:] for row in rows]
+    elif edit == "short":
+        rows[2] = rows[2][:-1]
+    else:
+        rows[2] = rows[2] + ["1.0"]
+    with open(records, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    rates = (out / "rates.csv").read_bytes()
+    with pytest.raises(PipelineError, match=message):
         load_report(str(out))
     assert cli.main(["report", "--from", str(out)]) == 2
     assert (out / "rates.csv").read_bytes() == rates
@@ -398,6 +430,40 @@ def test_cli_sweep_and_report(tmp_path, config_file, capsys):
         assert fh.read() == first
 
 
+# SHA-256 of the report tables ``cutrom sweep`` writes with one BLAS thread,
+# as the README quotes them: the small config above and the default config
+QUOTED_DIGESTS = {
+    "small": (CONFIG_TEXT, {
+        "run4.csv": "c1ede4433c68d6d9e092e23176e05ea7d18874c3a3df8043d095a8e75157b7f4",
+        "tail.csv": "ba3707247a8aec46c48094900fe07a4623fedf3b317658d18a53e2641431901a",
+        "rates.csv": "b60d1b07bdc943da5f0f1b5891da73ea8775982fdae0e71c16398f50f10a90d1",
+    }),
+    "default": ("", {
+        "run4.csv": "9699020249d3821e6117a743fa759cc0359d0bff688c9e6f7dab4595bdd38671",
+        "tail.csv": "78373e4ed91f87f976b7d11749a5f977a93742f948ce39a71d98a7603e161600",
+        "rates.csv": "b6a7aeae0a137bbda6bbe6e38f961b5eb4b91ac947e3c0e48faaff724326a0ac",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTED_DIGESTS))
+def test_cli_sweep_writes_the_quoted_digests(tmp_path, name):
+    """A change that moves any number in the report tables fails here.  The
+    digests are those of numpy's bundled OpenBLAS on x86-64; another BLAS
+    build may round the DEIM's SVD differently."""
+    text, digests = QUOTED_DIGESTS[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cutrom.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "cutrom", "sweep", "--config", str(cfg),
+                    "--out", str(tmp_path / "arts"), "--report", str(tmp_path / "rep")],
+                   env=env, check=True, capture_output=True, text=True, timeout=300)
+    for file, digest in digests.items():
+        assert hashlib.sha256((tmp_path / "rep" / file).read_bytes()).hexdigest() == digest, file
+
+
 @pytest.mark.parametrize("argv, debug", [(["offline", "-v"], True), (["-v", "offline"], True),
                                          (["offline"], False)])
 def test_cli_verbose_before_or_after_the_command(tmp_path, config_file, argv, debug):
@@ -501,6 +567,22 @@ def test_sweep_samples_entries_once_per_parameter(small_run, small_config, monke
     monkeypatch.setattr(rom, "evaluate_entries", counting)
     run_online_sweep(art, small_config)
     assert len(calls) == small_config.n_test
+
+
+def test_parameter_record_reproduces_the_sweep_record(small_run):
+    # the sweep is parameter_state once per test parameter, then
+    # parameter_record per mode count: called directly, they give the
+    # sweep's record bit for bit in every field but the two timings
+    art, report = small_run
+    state = parameter_state(art, ParameterPoint(*report.test_mu[0]))
+    for k, n in enumerate(report.n_list):
+        record = parameter_record(art, state, n, float(sla.svdvals(art.pod.V[:, :n])[0]),
+                                  tail_energy(art.pod.sigma, n))
+        swept = report.records[k]
+        for name in EstimatorRecord.FIELDS:
+            if name not in ("fom_time", "rom_time"):
+                mine, theirs = np.float64(getattr(record, name)), np.float64(getattr(swept, name))
+                assert mine.tobytes() == theirs.tobytes(), (n, name)
 
 
 def test_offline_logs_deim_lebesgue_constants(caplog):
