@@ -157,16 +157,12 @@ def save_artifacts(dirpath: str, art: OfflineArtifacts) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_manifest(dirpath: str) -> dict:
-    path = os.path.join(dirpath, "manifest.txt")
-    if not os.path.exists(path):
-        raise ArtifactError(f"no manifest in {dirpath!r}")
+def read_key_values(path: str) -> dict:
+    """The ``key = value`` lines of a text file, key and value stripped: the
+    manifest here, and the report's ``report_meta.txt``."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
             key, _, val = line.partition("=")
             out[key.strip()] = val.strip()
     return out
@@ -200,7 +196,10 @@ def _require_indices(name: str, indices: np.ndarray, bound: int) -> None:
 def load_artifacts(dirpath: str, config: Config) -> OfflineArtifacts:
     """Load and check the arrays, verify the config hash, and rebuild the
     derived objects."""
-    manifest = _read_manifest(dirpath)
+    path = os.path.join(dirpath, "manifest.txt")
+    if not os.path.exists(path):
+        raise ArtifactError(f"no manifest in {dirpath!r}")
+    manifest = read_key_values(path)
     if manifest.get("format_version") != str(FORMAT_VERSION):
         raise ArtifactError(f"unsupported manifest version {manifest.get('format_version')!r}: "
                             f"this build reads format {FORMAT_VERSION} only")

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .assembly import AssemblyError, physics_from_config
+from .estimators import alpha_star
 from .geometry import GeometryError, ParameterPoint, require_inside_box
 
 
@@ -83,6 +84,10 @@ class Config:
                 raise ConfigError(f"{name} must be positive")
         if not self.c_inv > 0:
             raise ConfigError("c_inv must be positive")
+        # the coercivity constant alpha* = min(1 - 2 c_inv^2 / nitsche_lambda, 1/2)
+        # of the estimators' bound must be positive
+        if not alpha_star(self.nitsche_lambda, self.c_inv) > 0:
+            raise ConfigError(f"nitsche_lambda must exceed 2 c_inv^2 = {2 * self.c_inv ** 2:g}")
         if len(self.n_list) < 1 or any(n < 1 for n in self.n_list):
             raise ConfigError("n_list entries must be positive")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):

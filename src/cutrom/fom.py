@@ -18,7 +18,6 @@ the factorization: LAPACK would pass it into the solution.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +37,10 @@ class FomError(RuntimeError):
 
 @dataclass
 class FomSolution:
-    """Full-order solution vector (zero at inactive dofs), its solve time,
-    and the bandwidth of the factored active block."""
+    """Full-order solution vector (zero at inactive dofs) and the bandwidth
+    of the factored active block."""
 
     u: np.ndarray
-    solve_time: float
     bandwidth: int
 
 
@@ -85,7 +83,6 @@ def solve_active(mesh, active_dofs: np.ndarray, positions: np.ndarray, values: n
     """
     if active_dofs.size == 0:
         raise FomError("empty active dof set")
-    t0 = time.perf_counter()
     if not np.isfinite(values).all():
         raise FomError(f"non-finite entry in the active block at mu={mu}")
     if not np.isfinite(f).all():
@@ -104,7 +101,7 @@ def solve_active(mesh, active_dofs: np.ndarray, positions: np.ndarray, values: n
     x = x + _PBTRS(factor, rhs - np.bincount(row, values * x[col], minlength=rhs.size))[0]
     u = np.zeros(f.shape[0])
     u[active_dofs] = x[pos]
-    return FomSolution(u=u, solve_time=time.perf_counter() - t0, bandwidth=band.shape[0] - 1)
+    return FomSolution(u=u, bandwidth=band.shape[0] - 1)
 
 
 def solve_fom(sys: SystemPair) -> FomSolution:

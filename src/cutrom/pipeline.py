@@ -4,16 +4,22 @@ The offline phase solves the training set, builds the mode basis and both
 interpolation operators, and precomputes the reduced blocks and the entry
 plan.  The online sweep takes two steps per test parameter.
 ``parameter_state`` does the work every mode count of the parameter shares:
-the geometry, the assembled system and its norm matrix, the timed
-full-order solve, the sampled entries (``rom.prepare``, once per parameter)
-and, outside the timed online work, both interpolants with the errors of
-the DEIM indicators.  ``parameter_record`` turns that state and one mode
-count into an ``EstimatorRecord``: the reduced solve (``rom.solve``), the
-full estimator set, and the hard invariants (Rayleigh sandwich,
-active-restriction ordering, combined bound), each raising on violation.
+the geometry, the assembled system and its full-order solve, the sampled
+entries (``rom.sample_entries``, once per parameter), the norm matrix, and
+both interpolants with the errors of the DEIM indicators.
+``parameter_record`` turns that state and one mode count into an
+``EstimatorRecord``: the reduced solve (``rom.solve``), the full estimator
+set, and the hard invariants (Rayleigh sandwich, active-restriction
+ordering, combined bound), each raising on violation.
 ``run_online_sweep`` only validates its input and loops over both.
 ``deim_exactness_check`` in the invariant suite reads the interpolant and
 the assembled matrix from the same ``parameter_state``.
+
+The two steps hold every clock read of a record's timings; the modules they
+call are untimed.  A record's ``fom_time`` is assembly plus the full-order
+solve, and its ``rom_time`` is sampling plus the reduced solve and lift.
+The geometry, the norm matrix and the interpolation coefficients are in
+neither.
 
 Training parameters are assembled in chunks of ``TRAIN_CHUNK``; training
 solves and test parameters are processed one after another, in input order.
@@ -33,7 +39,7 @@ import scipy.sparse as sp
 
 from . import estimators as est
 from . import rates
-from .artifacts import OfflineArtifacts, save_artifacts
+from .artifacts import OfflineArtifacts, read_key_values, save_artifacts
 from .assembly import (
     PhysicsParams,
     SystemPair,
@@ -49,7 +55,7 @@ from .deim import (MATRIX, VECTOR, build_deim_operator, build_union_pattern,
 from .fom import FomSolution, residual, solve_active, solve_fom
 from .geometry import ParameterPoint, build_background_mesh, build_cut_geometry, require_inside_box
 from .pod import build_pod_basis, projection_tail_gap, tail_energy
-from .rom import OnlinePrep, build_rom_offline, prepare, solve
+from .rom import build_rom_offline, sample_entries, solve
 
 log = logging.getLogger(__name__)
 
@@ -260,20 +266,25 @@ class SweepReport:
 
 @dataclass
 class ParameterState:
-    """What every record of one test parameter shares (``parameter_state``);
-    the parameter itself is ``prep.mu``.
+    """What every record of one test parameter ``mu`` shares
+    (``parameter_state``).
 
-    ``fom_time`` is assembly plus solve.  ``a_deim`` is the matrix
-    interpolant over the union's upper entries and ``a_exact`` the assembled
-    A over the whole mesh pattern; ``a_err`` and ``f_err`` are the absolute
-    and relative interpolation errors of A and f (``est.deim_error``), and
-    ``d_min``, ``d_max`` the range of A's diagonal over the active dofs."""
+    ``fom_time`` is assembly plus solve.  ``a_samp`` and ``f_samp`` are the
+    sampled entries (``rom.sample_entries``) and ``sample_time`` the time
+    taken to sample them.  ``a_deim`` is the matrix interpolant over the
+    union's upper entries and ``a_exact`` the assembled A over the whole
+    mesh pattern; ``a_err`` and ``f_err`` are the absolute and relative
+    interpolation errors of A and f (``est.deim_error``), and ``d_min``,
+    ``d_max`` the range of A's diagonal over the active dofs."""
 
+    mu: ParameterPoint
     system: SystemPair
     norm_mat: sp.csr_matrix
     fom: FomSolution
     fom_time: float
-    prep: OnlinePrep
+    a_samp: np.ndarray
+    f_samp: np.ndarray
+    sample_time: float
     a_deim: np.ndarray
     a_exact: np.ndarray
     a_err: tuple[float, float]
@@ -284,19 +295,21 @@ class ParameterState:
 
 
 def parameter_state(art: OfflineArtifacts, mu: ParameterPoint) -> ParameterState:
-    """The per-parameter work of the sweep: geometry, system, norm matrix,
-    timed full-order solve, sampled entries (``rom.prepare``), and both
-    interpolants with their errors, A's before f's.  The matrix interpolant
-    is mirrored over the mesh pattern, so it is compared with A whole."""
+    """The per-parameter work of the sweep: geometry, system and full-order
+    solve (timed together), sampled entries (``rom.sample_entries``, timed
+    alone), norm matrix, and both interpolants with their errors, A's before
+    f's.  The matrix interpolant is mirrored over the mesh pattern, so it is
+    compared with A whole."""
     geom = build_cut_geometry(art.mesh, mu)
     t0 = time.perf_counter()
     system = assemble_system(geom, art.phys)
-    t_asm = time.perf_counter() - t0
-    norm_mat = assemble_norm_matrix(system)
     fom = solve_fom(system)
-    prep = prepare(art, geom)
-    a_deim = reconstruct(art.deim_a, deim_coefficients(art.deim_a, prep.a))
-    f_deim = reconstruct(art.deim_f, deim_coefficients(art.deim_f, prep.f))
+    t1 = time.perf_counter()
+    a_samp, f_samp = sample_entries(art, geom)
+    t2 = time.perf_counter()
+    norm_mat = assemble_norm_matrix(system)
+    a_deim = reconstruct(art.deim_a, deim_coefficients(art.deim_a, a_samp))
+    f_deim = reconstruct(art.deim_f, deim_coefficients(art.deim_f, f_samp))
     upper = art.pattern.positions
     a_whole = _on_mesh_pattern(art.mesh, upper, a_deim)
     a_whole[art.mesh.pattern_transpose[upper]] = a_deim
@@ -306,24 +319,28 @@ def parameter_state(art: OfflineArtifacts, mu: ParameterPoint) -> ParameterState
     diag = system.A.diagonal()
     d_min, d_max = est.active_diagonal_range(diag, system.active_dofs)
     return ParameterState(
-        system=system, norm_mat=norm_mat, fom=fom, fom_time=t_asm + fom.solve_time,
-        prep=prep, a_deim=a_deim, a_exact=a_exact, a_err=a_err, f_err=f_err,
-        diag=diag, d_min=d_min, d_max=d_max,
+        mu=mu, system=system, norm_mat=norm_mat, fom=fom, fom_time=t1 - t0,
+        a_samp=a_samp, f_samp=f_samp, sample_time=t2 - t1, a_deim=a_deim, a_exact=a_exact,
+        a_err=a_err, f_err=f_err, diag=diag, d_min=d_min, d_max=d_max,
     )
 
 
 def parameter_record(art: OfflineArtifacts, state: ParameterState, n: int,
                      vn_norm: float, eta_pod: float) -> est.EstimatorRecord:
     """The record of one parameter's ``state`` at n modes: the reduced solve,
-    the residual estimators, the true errors and the combined bound.
+    the residual estimators, the true errors and the combined bound.  Its
+    ``rom_time`` is the state's ``sample_time`` plus the timed reduced solve
+    and lift, the cost of one standalone query at n.
     ``vn_norm``, the spectral norm of the first n modes, and ``eta_pod``,
     their discarded-energy fraction (``pod.tail_energy``), are the same for
     every parameter, so the sweep computes them once per n.  Raises
     ``PipelineError`` naming the parameter and n when the Rayleigh sandwich,
     the active <= plain ordering or the combined bound fails."""
-    system, mu = state.system, state.prep.mu
+    system, mu = state.system, state.mu
     at = f"mu=({mu.r:.17g}, {mu.theta:.17g}), n={n}"
-    rom_sol = solve(art, state.prep, n)
+    t0 = time.perf_counter()
+    rom_sol = solve(art, mu, state.a_samp, state.f_samp, n)
+    rom_time = state.sample_time + (time.perf_counter() - t0)
     r = residual(system, rom_sol.u_lifted)
     eta_2a = est.residual_norm_plain(r)
     eta_2b = est.residual_norm_jacobi(r, state.diag, art.config.eps_safe)
@@ -353,7 +370,7 @@ def parameter_record(art: OfflineArtifacts, state: ParameterState, n: int,
         theta_2b=est.effectivity(eta_2b, e_rel),
         theta_2a_active=est.effectivity(eta_2a_act, e_rel),
         bound=bound, d_min=state.d_min, d_max=state.d_max,
-        fom_time=state.fom_time, rom_time=rom_sol.online_time,
+        fom_time=state.fom_time, rom_time=rom_time,
     )
 
 
@@ -475,25 +492,34 @@ def emit_report(report: SweepReport, dirpath: str) -> list:
     return paths
 
 
+def _number(kind, text: str, where: str):
+    """``kind(text)`` for a number type ``kind``; a ``text`` that does not
+    parse as one raises ``PipelineError`` naming ``where``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise PipelineError(f"{where} does not parse as {kind.__name__}: {text!r}") from None
+
+
 def load_report(dirpath: str) -> SweepReport:
     """Rebuild a SweepReport from records.csv and report_meta.txt.  Raises
-    ``PipelineError`` naming a missing file or meta key, a records.csv
-    column that is missing, a records.csv line that does not hold one value
-    per column, a records.csv with no records, or records that are not runs
-    of the meta file's ``n_list``."""
+    ``PipelineError`` naming a missing file or meta key, a meta value that
+    is not an integer (by key), a records.csv column that is missing, a
+    records.csv line that does not hold one value per column, a records.csv
+    value that is not a number (by line and column), a records.csv with no
+    records, or records that are not runs of the meta file's ``n_list``."""
     meta_path = os.path.join(dirpath, "report_meta.txt")
     rec_path = os.path.join(dirpath, "records.csv")
     for path in (meta_path, rec_path):
         if not os.path.exists(path):
             raise PipelineError(f"no {os.path.basename(path)} in {dirpath!r}")
-    meta = {}
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            key, _, val = line.partition("=")
-            meta[key.strip()] = val.strip()
+    meta = read_key_values(meta_path)
     for key in ("n_list", "fit_n_min_error", "fit_n_min_tail"):
         if not meta.get(key):
             raise PipelineError(f"{meta_path!r} has no {key}")
+    n_list = tuple(_number(int, x, f"{meta_path!r} n_list") for x in meta["n_list"].split(","))
+    fit_error, fit_tail = (_number(int, meta[key], f"{meta_path!r} {key}")
+                           for key in ("fit_n_min_error", "fit_n_min_tail"))
     records = []
     with open(rec_path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -501,24 +527,23 @@ def load_report(dirpath: str) -> SweepReport:
         if missing:
             raise PipelineError(f"{rec_path!r} has no {missing[0]} column")
         for row in reader:
+            at = f"{rec_path!r} line {reader.line_num}"
             # DictReader keys a long row's extra values by None, and gives a
             # short row's missing ones the value None
             if None in row or None in row.values():
-                raise PipelineError(f"{rec_path!r} line {reader.line_num} does not hold "
-                                    "one value per column")
-            kwargs = {f: (int(row[f]) if f == "n" else float(row[f]))
+                raise PipelineError(f"{at} does not hold one value per column")
+            kwargs = {f: _number(int if f == "n" else float, row[f], f"{at} column {f}")
                       for f in est.EstimatorRecord.FIELDS}
             records.append(est.EstimatorRecord(**kwargs))
     if not records:
         raise PipelineError(f"{rec_path!r} holds no records: the test set is empty")
-    n_list = tuple(int(x) for x in meta["n_list"].split(","))
     if [r.n for r in records] != list(n_list) * (len(records) // len(n_list)):
         raise PipelineError(f"records.csv does not repeat the n_list {n_list} of {meta_path!r}")
     return SweepReport(
         records=records,
         n_list=n_list,
-        fit_n_min_error=int(meta["fit_n_min_error"]),
-        fit_n_min_tail=int(meta["fit_n_min_tail"]),
+        fit_n_min_error=fit_error,
+        fit_n_min_tail=fit_tail,
     )
 
 

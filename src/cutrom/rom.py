@@ -10,20 +10,22 @@ matrix basis lives on the upper half of the union pattern; the projection
 mirrors it through ``mesh.pattern_transpose``, as it needs the whole
 symmetric matrices.
 
-The online stage has two steps.  ``prepare`` samples the planned entries
-for one parameter (``assembly.evaluate_entries``): the entry plan's piece
-of the mesh summed through the same routine as full assembly, so the
+The online stage has two steps.  ``sample_entries`` samples the planned
+entries for one parameter (``assembly.evaluate_entries``): the entry plan's
+piece of the mesh summed through the same routine as full assembly, so the
 samples are entries of the assembled operator bit for bit; they depend on
 the parameter only, not on the mode count.  ``solve`` then forms the
 reduced system for one mode count (one product each with the matrix and
-the load blocks), solves it with one LU solve and lifts it.  ``rom_online_solve`` is one standalone query: both
-steps at one mode count.  The interpolation coefficients, which only the
-estimators need, come from ``deim.deim_coefficients`` on the same samples.
+the load blocks), solves it with one LU solve and lifts it.
+``rom_online_solve`` is one standalone query: both steps at one mode
+count.  The interpolation coefficients, which only the estimators need,
+come from ``deim.deim_coefficients`` on the same samples.  Neither step
+reads the clock: the sweep times them (``pipeline.parameter_state`` and
+``pipeline.parameter_record``).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -50,26 +52,12 @@ class RomError(RuntimeError):
 
 
 @dataclass
-class OnlinePrep:
-    """Sampled stiffness and load entries of one parameter (in the order of
-    the interpolation indices), shared by every mode count, and the time
-    taken to sample them."""
-
-    mu: ParameterPoint
-    a: np.ndarray
-    f: np.ndarray
-    time: float
-
-
-@dataclass
 class RomSolution:
-    """Reduced coefficients, the lifted full-order vector, and online time
-    covering sampling, reduced solve and lift only."""
+    """Reduced coefficients and the lifted full-order vector at n modes."""
 
     u_hat: np.ndarray
     u_lifted: np.ndarray
     n: int
-    online_time: float
 
 
 def _upper_entries(n_max: int):
@@ -136,15 +124,10 @@ def build_rom_offline(mesh: BackgroundMesh, pod: PodBasis, deim_a: DeimOperator,
 
 def sample_entries(art: OfflineArtifacts, geom: CutGeometry):
     """Evaluate the planned stiffness/load entries for one parameter, as
-    full assembly sums them, on the plan's piece of the mesh."""
+    full assembly sums them, on the plan's piece of the mesh: the sampled
+    ``(a_samp, f_samp)`` in the order of the interpolation indices, shared
+    by every mode count."""
     return evaluate_entries(geom, art.plan)
-
-
-def prepare(art: OfflineArtifacts, geom: CutGeometry) -> OnlinePrep:
-    """Timed per-parameter step: sample the planned entries."""
-    t0 = time.perf_counter()
-    a_samp, f_samp = sample_entries(art, geom)
-    return OnlinePrep(mu=geom.mu, a=a_samp, f=f_samp, time=time.perf_counter() - t0)
 
 
 def reduced_operator(art: OfflineArtifacts, a_samp: np.ndarray, n: int) -> np.ndarray:
@@ -155,32 +138,31 @@ def reduced_operator(art: OfflineArtifacts, a_samp: np.ndarray, n: int) -> np.nd
     return (art.blocks_a[:n * (n + 1) // 2] @ a_samp)[art.packed_index[:n, :n]]
 
 
-def solve(art: OfflineArtifacts, prep: OnlinePrep, n: int) -> RomSolution:
-    """Timed per-mode-count step: dense n x n LU solve, then the lift.
+def solve(art: OfflineArtifacts, mu: ParameterPoint, a_samp: np.ndarray, f_samp: np.ndarray,
+          n: int) -> RomSolution:
+    """Per-mode-count step on the sampled entries of ``mu``: dense n x n LU
+    solve, then the lift.
 
     The reduced operator for n modes is the leading sub-block of the
-    precomputed n_max blocks, valid because mode order is fixed.  The
-    solution's online time adds the time of ``prep``, so it is the cost of
-    one standalone query at n.  An exactly singular reduced operator raises
-    ``RomError`` naming the parameter and n.
+    precomputed n_max blocks, valid because mode order is fixed.  An exactly
+    singular reduced operator raises ``RomError`` naming ``mu`` and n.
     """
     if not (1 <= n <= art.pod.n_max):
         raise RomError(f"mode count {n} outside [1, {art.pod.n_max}]")
-    t0 = time.perf_counter()
-    a_hat = reduced_operator(art, prep.a, n)
-    f_hat = prep.f @ art.blocks_f[:, :n]
+    a_hat = reduced_operator(art, a_samp, n)
+    f_hat = f_samp @ art.blocks_f[:, :n]
     _lu, _piv, u_hat, info = _GESV(a_hat, f_hat, overwrite_a=True, overwrite_b=True)
     if info != 0:
-        raise RomError(f"singular reduced system at mu={prep.mu}, n={n}: "
+        raise RomError(f"singular reduced system at mu={mu}, n={n}: "
                        f"an exactly zero pivot in its LU factors (gesv info {info})")
     u_lifted = art.pod.V[:, :n] @ u_hat
-    dt = prep.time + (time.perf_counter() - t0)
-    return RomSolution(u_hat=u_hat, u_lifted=u_lifted, n=n, online_time=dt)
+    return RomSolution(u_hat=u_hat, u_lifted=u_lifted, n=n)
 
 
 def rom_online_solve(art: OfflineArtifacts, mu: ParameterPoint, n: int,
                      geom: CutGeometry | None = None) -> RomSolution:
-    """One standalone online query: ``prepare`` and ``solve`` at n modes.
+    """One standalone online query: ``sample_entries`` and ``solve`` at n
+    modes.
 
     Raises ``GeometryError`` for an ellipse that leaves the background box.
     A ``geom`` passed in must be the geometry of ``mu``."""
@@ -189,4 +171,4 @@ def rom_online_solve(art: OfflineArtifacts, mu: ParameterPoint, n: int,
         geom = build_cut_geometry(art.mesh, mu)
     elif geom.mu != mu:
         raise RomError(f"geometry was built for mu={geom.mu}, not for the queried mu={mu}")
-    return solve(art, prepare(art, geom), n)
+    return solve(art, mu, *sample_entries(art, geom), n)

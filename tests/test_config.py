@@ -91,6 +91,18 @@ def test_tolerance_validation():
         Config(n_test=0).validate()
 
 
+def test_non_positive_coercivity_constant_rejected():
+    # alpha* = min(1 - 2 c_inv^2 / lambda, 1/2) divides the combined bound:
+    # it must be positive, so lambda must exceed 2 c_inv^2
+    with pytest.raises(ConfigError, match=r"nitsche_lambda must exceed 2 c_inv\^2 = 18$"):
+        Config(c_inv=3.0).validate()
+    with pytest.raises(ConfigError, match="nitsche_lambda"):
+        Config(nitsche_lambda=2.0).validate()
+    with pytest.raises(ConfigError, match="nitsche_lambda"):
+        parse_config("[physics]\nlambda = 1.5\n")
+    assert Config(nitsche_lambda=2.5).validate().nitsche_lambda == 2.5
+
+
 def test_parameter_box_reaching_the_background_box_rejected():
     # sqrt(mu_max) must stay below the half-width 1.2 of the default box
     with pytest.raises(ConfigError, match="mu_max"):

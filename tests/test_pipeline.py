@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import hashlib
@@ -6,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -153,6 +155,7 @@ def test_load_report_refuses_a_records_file_with_no_records(tmp_path, small_run)
     ("column", "records.csv' has no eta_A column$"),
     ("short", "records.csv' line 3 does not hold one value per column$"),
     ("long", "records.csv' line 3 does not hold one value per column$"),
+    ("value", "records.csv' line 3 column e_rel does not parse as float: 'abc'$"),
 ])
 def test_load_report_names_a_broken_records_file(tmp_path, small_run, edit, message):
     out = _emit_with_error_window_2(tmp_path, small_run[1])
@@ -164,12 +167,28 @@ def test_load_report_names_a_broken_records_file(tmp_path, small_run, edit, mess
         rows = [row[:k] + row[k + 1:] for row in rows]
     elif edit == "short":
         rows[2] = rows[2][:-1]
+    elif edit == "value":
+        rows[2][rows[0].index("e_rel")] = "abc"
     else:
         rows[2] = rows[2] + ["1.0"]
     with open(records, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
     rates = (out / "rates.csv").read_bytes()
     with pytest.raises(PipelineError, match=message):
+        load_report(str(out))
+    assert cli.main(["report", "--from", str(out)]) == 2
+    assert (out / "rates.csv").read_bytes() == rates
+
+
+@pytest.mark.parametrize("key, value", [("fit_n_min_error", "five"), ("n_list", "2,four,6")])
+def test_load_report_names_a_meta_value_that_is_not_an_integer(tmp_path, small_run, key, value):
+    out = _emit_with_error_window_2(tmp_path, small_run[1])
+    meta = out / "report_meta.txt"
+    lines = meta.read_text().splitlines(keepends=True)
+    meta.write_text("".join(f"{key} = {value}\n" if line.startswith(f"{key} =") else line
+                            for line in lines))
+    rates = (out / "rates.csv").read_bytes()
+    with pytest.raises(PipelineError, match=f"report_meta.txt' {key} does not parse as int: "):
         load_report(str(out))
     assert cli.main(["report", "--from", str(out)]) == 2
     assert (out / "rates.csv").read_bytes() == rates
@@ -658,3 +677,49 @@ def test_offline_names_the_training_mu_whose_assembly_fails(monkeypatch):
     with pytest.raises(PipelineError, match=re.escape(f"offline failure at training mu={bad}: ")
                        + "every cut element needs"):
         run_offline(cfg)
+
+
+def test_sweep_timings_hold_exactly_their_stages(small_run, small_config, monkeypatch):
+    """With a fake clock that only the per-parameter stages advance, each by
+    its own power of two, every record's ``fom_time`` is assembly plus the
+    full-order solve and its ``rom_time`` sampling plus the reduced solve:
+    the geometry, the norm matrix and the interpolation coefficients are in
+    neither window."""
+    art, _ = small_run
+    clock = types.SimpleNamespace(now=0.0)
+    monkeypatch.setattr(pipeline, "time", types.SimpleNamespace(perf_counter=lambda: clock.now))
+    steps = {"build_cut_geometry": 1, "assemble_system": 2, "solve_fom": 4, "sample_entries": 8,
+             "solve": 16, "assemble_norm_matrix": 32, "deim_coefficients": 64}
+    for name, step in steps.items():
+        def advancing(*args, _stage=getattr(pipeline, name), _step=step, **kwargs):
+            clock.now += _step
+            return _stage(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, advancing)
+    records = run_online_sweep(art, small_config).records
+    assert [(r.fom_time, r.rom_time) for r in records] == [(2 + 4, 8 + 16)] * len(records)
+
+
+def _reads_the_clock(tree) -> bool:
+    """Whether a module imports ``time`` (either way) or names ``perf_counter``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name == "time" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "time":
+            return True
+        if isinstance(node, (ast.Attribute, ast.Name)) and "perf_counter" in (
+                getattr(node, "attr", None), getattr(node, "id", None)):
+            return True
+    return False
+
+
+def test_only_the_pipeline_and_the_cli_read_the_clock():
+    # the sweep's timing windows and the fom command's are each defined in
+    # one place; every other module is untimed
+    package = os.path.dirname(cutrom.__file__)
+    readers = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                if _reads_the_clock(ast.parse(fh.read())):
+                    readers.add(name)
+    assert readers == {"cli.py", "pipeline.py"}

@@ -15,7 +15,6 @@ from cutrom.rom import (
     RomError,
     build_rom_offline,
     packed_upper_index,
-    prepare,
     reduced_operator,
     rom_online_solve,
     sample_entries,
@@ -112,7 +111,7 @@ def test_packed_operator_matches_the_full_block_contraction(small_run, small_con
         basis_mat = union.matrix(art.deim_a.U[union.twin, j])
         full[j] = v.T @ (((basis_mat + basis_mat.T) * 0.5) @ v)
     for mu in (ParameterPoint(1.0, 1.0), ParameterPoint(1.14, 1.03), ParameterPoint(1.2, 1.2)):
-        a_samp = prepare(art, build_cut_geometry(art.mesh, mu)).a
+        a_samp = sample_entries(art, build_cut_geometry(art.mesh, mu))[0]
         c_a = deim_coefficients(art.deim_a, a_samp)
         for n in small_config.n_list:
             a_hat = reduced_operator(art, a_samp, n)
@@ -134,16 +133,16 @@ def test_folded_blocks_match_the_coefficient_form(small_run, small_config, whole
     test_mu = sample_parameters(small_config.n_test, small_config.seed + 1,
                                 small_config.mu_min, small_config.mu_max)
     for mu in test_mu:
-        prep = prepare(art, build_cut_geometry(art.mesh, ParameterPoint(*mu)))
+        a_samp, f_samp = sample_entries(art, build_cut_geometry(art.mesh, ParameterPoint(*mu)))
         a_deim = union.matrix(
-            reconstruct(art.deim_a, deim_coefficients(art.deim_a, prep.a))[union.twin])
-        f_deim = reconstruct(art.deim_f, deim_coefficients(art.deim_f, prep.f))
+            reconstruct(art.deim_a, deim_coefficients(art.deim_a, a_samp))[union.twin])
+        f_deim = reconstruct(art.deim_f, deim_coefficients(art.deim_f, f_samp))
         for n in small_config.n_list:
             v = art.pod.V[:, :n]
             ref_a = v.T @ (a_deim @ v)
             ref_f = v.T @ f_deim
-            a_hat = reduced_operator(art, prep.a, n)
-            f_hat = prep.f @ art.blocks_f[:, :n]
+            a_hat = reduced_operator(art, a_samp, n)
+            f_hat = f_samp @ art.blocks_f[:, :n]
             assert np.linalg.norm(a_hat - ref_a) <= 1e-13 * np.linalg.norm(ref_a)
             assert np.linalg.norm(f_hat - ref_f) <= 1e-13 * np.linalg.norm(ref_f)
 
@@ -166,23 +165,21 @@ def test_query_solves_no_interpolation_system(small_run, monkeypatch):
 def test_exactly_singular_reduced_system_named(small_run):
     art, _ = small_run
     mu = ParameterPoint(1.07, 1.13)
-    prep = prepare(art, build_cut_geometry(art.mesh, mu))
-    prep.a = np.zeros_like(prep.a)
+    a_samp, f_samp = sample_entries(art, build_cut_geometry(art.mesh, mu))
     with pytest.raises(RomError, match=r"singular reduced system at mu=.*1\.07.*, n=2"):
-        solve(art, prep, 2)
+        solve(art, mu, np.zeros_like(a_samp), f_samp, 2)
 
 
-def test_prepare_then_solve_is_bitwise_the_standalone_query(small_run, small_config):
+def test_sample_then_solve_is_bitwise_the_standalone_query(small_run, small_config):
     art, _ = small_run
     mu = ParameterPoint(1.08, 1.16)
     geom = build_cut_geometry(art.mesh, mu)
-    prep = prepare(art, geom)
+    a_samp, f_samp = sample_entries(art, geom)
     for n in small_config.n_list:
-        split = solve(art, prep, n)
+        split = solve(art, mu, a_samp, f_samp, n)
         alone = rom_online_solve(art, mu, n, geom=geom)
         assert np.array_equal(split.u_lifted, alone.u_lifted)
         assert np.array_equal(split.u_hat, alone.u_hat)
-        assert split.online_time >= prep.time
 
 
 def test_plan_serves_geometry_on_an_identical_mesh(small_run, small_config):
@@ -242,7 +239,8 @@ def test_reduced_operator_is_indefinite_on_the_fine_mesh():
     draw = sample_parameters(10, config.seed + 1, config.mu_min, config.mu_max)
     assert mu in [tuple(m) for m in draw.tolist()]
     art = run_offline(config)
-    prep = prepare(art, build_cut_geometry(art.mesh, ParameterPoint(*mu)))
+    mu = ParameterPoint(*mu)
+    a_samp, f_samp = sample_entries(art, build_cut_geometry(art.mesh, mu))
     for n in (10, 40):
-        assert np.linalg.eigvalsh(reduced_operator(art, prep.a, n))[0] < 0.0
-        assert np.isfinite(solve(art, prep, n).u_lifted).all()
+        assert np.linalg.eigvalsh(reduced_operator(art, a_samp, n))[0] < 0.0
+        assert np.isfinite(solve(art, mu, a_samp, f_samp, n).u_lifted).all()
