@@ -11,7 +11,9 @@ Volume integrals are in closed form: the source is constant and the hats are
 linear, so on a straight-sided region S the stiffness weight is |S| and the
 load of hat i is f |S| phi_i(centroid of S).  A whole triangle needs only
 its area; a cut element's region is one or two sub-triangles, each carried
-by its centroid and area.
+by its centroid and area.  ``cut_rules`` computes them, with the interface
+segment's Gauss rule; its one caller is ``geometry.cut_rule``, which each
+consumer calls on exactly the cut elements it sums.
 
 Each local formula exists once: the volume and boundary terms of a cut
 element (``volume_terms``, ``boundary_terms``), and the stiffness, Nitsche,

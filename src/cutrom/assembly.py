@@ -10,19 +10,23 @@ positions.  The mesh's slot tables (``tri_pattern_pos``,
 ``facet_pattern_pos``) say where each local slot of each triangle and facet
 lands in that pattern; full assembly sums through them.
 
-Per parameter, only the cut elements need new local terms.  ``_cut_stage``
-forms them once, from a cut rule: per cut element its volume block and its
-Nitsche block (k, 9), its volume and boundary loads (3, k), and the segment
-terms the energy norm reads (the barycentrics at both Gauss points with the
+Per parameter, only the cut elements need new local terms.  Each path
+makes the cut rule (``geometry.cut_rule``) of exactly the cut elements it
+sums, from the geometry's level set, and ``_cut_stage`` forms the terms
+once, from that rule: per cut element its volume block and its Nitsche
+block (k, 9), its volume and boundary loads (3, k), and the segment terms
+the energy norm reads (the barycentrics at both Gauss points with the
 normal derivatives, and the Gauss weights).  ``_sum_piece`` is the one
 routine that places and sums assembly's terms: on a piece of the mesh
 (``_Piece``), in one fixed order, with one ``np.bincount`` for A and one
 for f.  Full assembly is that sum on the whole mesh, the piece whose bins
 are the pattern positions and the dofs.  ``assemble_batch`` sums several
-geometries of one mesh at once, from one stage over their joined cut
-rules, with member k's bins shifted by k P and k N; ``assemble_system`` is
-the batch of one.  Sampled entries are the same sum on the piece of an
-``EntryPlan``, whose compact bins are the requested entries, so they match
+geometries of one mesh at once, from one rule and one stage over their
+joined cut elements, with member k's bins shifted by k P and k N;
+``assemble_system`` is the batch of one.  Sampled entries are the same sum
+on the piece of an ``EntryPlan``, whose compact bins are the requested
+entries, over the rule of the piece's cut elements only.  Every kernel
+computes each element's column on its own, so they match
 ``assemble_system`` bit for bit.
 
 The energy norm is a_h plus the Nitsche consistency term, |||v|||^2 =
@@ -32,14 +36,14 @@ from the stage a ``SystemPair`` keeps, and adds it to a copy of A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-from .geometry import CUT, OUTSIDE, BackgroundMesh, CutGeometry, CutRule
+from .geometry import CUT, OUTSIDE, BackgroundMesh, CutGeometry, CutRule, cut_rule
 
 
 class AssemblyError(ValueError):
@@ -143,12 +147,12 @@ class _Stage(NamedTuple):
     seg_w: np.ndarray
 
 
-def _checked_rule(geom: CutGeometry) -> CutRule:
-    """The cut rule of ``geom``, refused unless it has one column per cut
-    element."""
-    if geom.cut_rule.seg_wts.shape[0] != geom.cut_elements.size:
-        raise AssemblyError("every cut element needs a component-major cut rule")
-    return geom.cut_rule
+def _corner_phi(geom: CutGeometry, tris):
+    """The level set of ``geom`` at the vertices of the triangles ``tris``,
+    (3, k), refused unless ``geom`` holds one value per mesh vertex."""
+    if geom.phi.shape != (geom.mesh.n_vertices,):
+        raise AssemblyError("a geometry needs one level-set value per mesh vertex")
+    return geom.phi[geom.mesh.triangles_t[:, tris]]
 
 
 def _cut_stage(rule: CutRule, phys: PhysicsParams, h: float) -> _Stage:
@@ -239,18 +243,17 @@ def _sum_piece(piece, stage: _Stage, act, cut, loads, ghost, ghost_blocks, membe
 
 
 def _assemble_mesh(geoms, phys: PhysicsParams):
-    """Full assembly of ``geoms``: one cut stage over their joined cut
-    rules, and ``_sum_piece`` on the whole mesh, the piece whose bins are
-    the pattern positions and the dofs.  Returns the stage and
-    ``_sum_piece``'s sums and bins, member k's at k P + position and
-    k N + dof."""
+    """Full assembly of ``geoms``: one cut rule and one cut stage over
+    their joined cut elements (a lone geometry's are used as they are), and
+    ``_sum_piece`` on the whole mesh, the piece whose bins are the pattern
+    positions and the dofs.  Returns the stage and ``_sum_piece``'s sums and
+    bins, member k's at k P + position and k N + dof."""
     mesh = geoms[0].mesh
     if any(g.mesh is not mesh for g in geoms):
         raise AssemblyError("a batch of geometries must share one background mesh")
-    rules = [_checked_rule(g) for g in geoms]
-    rule = rules[0] if len(rules) == 1 else CutRule(
-        *(np.concatenate([getattr(r, f.name) for r in rules], axis=-1) for f in fields(CutRule)))
-    stage = _cut_stage(rule, phys, mesh.h)
+    cuts = [(g.cut_elements, _corner_phi(g, g.cut_elements)) for g in geoms]
+    tris, phi = cuts[0] if len(geoms) == 1 else (np.concatenate(c, axis=-1) for c in zip(*cuts))
+    stage = _cut_stage(cut_rule(mesh, tris, phi), phys, mesh.h)
     act = np.concatenate([g.active_elements for g in geoms])
     ghost = np.concatenate([g.ghost_facets for g in geoms])
     cut = np.flatnonzero(np.concatenate([g.elem_class.take(g.active_elements) for g in geoms]) == CUT)
@@ -266,8 +269,8 @@ def _assemble_mesh(geoms, phys: PhysicsParams):
 
 def assemble_batch(geoms, phys: PhysicsParams):
     """Assemble A = diffusion + Nitsche + ghost penalty, and the load vector,
-    for each geometry of ``geoms`` (all on one mesh), in one cut stage and
-    one ``_sum_piece`` over the whole mesh.
+    for each geometry of ``geoms`` (all on one mesh), in one cut rule, one
+    cut stage and one ``_sum_piece`` over the whole mesh.
 
     Returns ``(values, used, loads)``: the values (K, P) of the K matrices on
     the P positions of the mesh pattern, zero at the positions a matrix does
@@ -382,13 +385,15 @@ def evaluate_entries(geom: CutGeometry, plan: EntryPlan):
     mesh.
 
     It selects the plan's active triangles, cut triangles and ghost facets
-    at ``geom``, stages the plan's cut elements only, and sums their terms
-    into the plan's bins with ``_sum_piece``, the routine full assembly
-    sums through.  Every requested entry thus sums the terms of full
+    at ``geom`` from its classification, makes the cut rule of exactly the
+    plan's cut triangles and stages them, and sums their terms into the
+    plan's bins with ``_sum_piece``, the routine full assembly sums
+    through.  Every requested entry thus sums the terms of full
     assembly in its order, and matches ``assemble_system`` bit for bit.
     ``geom`` may live on any mesh identical to the one the plan was built
-    on; a mesh of another vertex count, triangle count, ``h`` or box
-    raises ``AssemblyError``.
+    on; a mesh of another vertex count, triangle count, ``h`` or box, or a
+    level set of another width than the vertex count, raises
+    ``AssemblyError``.
     """
     mesh = geom.mesh
     shape = (mesh.n_vertices, mesh.n_triangles, mesh.h, mesh.box)
@@ -397,13 +402,11 @@ def evaluate_entries(geom: CutGeometry, plan: EntryPlan):
             f"geometry mesh (vertices, triangles, h, box) = {shape} does not match the "
             f"plan's {plan.mesh_shape}"
         )
-    rule = _checked_rule(geom)
-    act = np.flatnonzero(geom.elem_class[plan.tris] != OUTSIDE)
-    cols = geom.cut_pos[plan.tris.take(act)]
-    cut = np.flatnonzero(cols >= 0)  # the cut rows among the active ones
-    cols = cols[cut]
-    stage = _cut_stage(CutRule(*(getattr(rule, f.name).take(cols, axis=-1)
-                                 for f in fields(CutRule))), plan.phys, mesh.h)
+    cls = geom.elem_class.take(plan.tris)
+    act = np.flatnonzero(cls != OUTSIDE)
+    cut = np.flatnonzero(cls.take(act) == CUT)  # the cut rows among the active ones
+    tris = plan.tris.take(act.take(cut))
+    stage = _cut_stage(cut_rule(mesh, tris, _corner_phi(geom, tris)), plan.phys, mesh.h)
     ghost = np.flatnonzero(geom.ghost_mask[plan.facets])
     a, f, _ = _sum_piece(plan.piece, stage, act, cut, plan.loads.take(act), ghost,
                          plan.ghost.take(ghost, axis=0))

@@ -6,18 +6,20 @@ element areas, facets, neighbours and patches, the assembly pattern, the
 per-triangle component table ``tri_comp`` (vertex coordinates and basis
 gradients, one contiguous row per component) that the kernels read, and the
 whole triangles' stiffness blocks ``tri_stiffness``.  For
-each parameter the ellipse level set classifies every triangle as inside /
-cut / outside, and only the cut triangles get new quadrature: the centroid
-and area of each sub-triangle of the region where the linear interpolant of
-the level set is non-positive, plus a 2-point Gauss rule on the straight
-interface segment.  ``CutRule`` holds them component-major, the layout
-assembly reads; an inside element needs only its area, and an outside
-element has none.
+each parameter, ``build_cut_geometry`` evaluates the ellipse level set at
+the vertices and classifies every triangle as inside / cut / outside; the
+``CutGeometry`` keeps that level set and carries no quadrature.  Only the
+cut triangles need new quadrature: the centroid and area of each
+sub-triangle of the region where the linear interpolant of the level set is
+non-positive, plus a 2-point Gauss rule on the straight interface segment.
+``cut_rule`` makes it, component-major as ``CutRule``, for exactly the cut
+triangles its caller sums (assembly, sampled entries, a training batch); an
+inside element needs only its area, and an outside element has none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -280,12 +282,12 @@ def build_background_mesh(box, h_target: float) -> BackgroundMesh:
 
 @dataclass
 class CutRule:
-    """The cut elements' quadrature in the component-major layout of
+    """The quadrature of some cut elements in the component-major layout of
     ``_kernels`` (one row per component, one column per cut element), with
     the elements' columns of ``BackgroundMesh.tri_comp``.  The volume has
     one slot per sub-triangle, its centroid and area (a zero-area second
     slot when the region is one triangle); a degenerate segment has zero
-    weight."""
+    weight and its ``degenerate`` flag set.  ``cut_rule`` makes every one."""
 
     tri: np.ndarray  # (12, k) per-triangle table columns
     vol_pts: np.ndarray  # (2, 2, k) centroids by coordinate and slot
@@ -293,62 +295,77 @@ class CutRule:
     seg_pts: np.ndarray  # (2, 2, k) by Gauss point and coordinate
     seg_wts: np.ndarray  # (k,) weight of each of the two Gauss points
     normal: np.ndarray  # (2, k)
+    degenerate: np.ndarray  # (k,) flags of the segments shorter than DEGEN_FACTOR * h
+
+
+def cut_rule(mesh: BackgroundMesh, tris, phi) -> CutRule:
+    """The cut rule of the cut triangles ``tris`` of ``mesh``, where ``phi``
+    (3, k) holds the level set at their vertices: the package's one producer
+    of cut quadrature.  The kernel computes each triangle's column on its
+    own, so the rule of some cut triangles, or of several geometries' cut
+    triangles joined, equals those columns of the rules of each."""
+    tri = np.take(mesh.tri_comp, tris, axis=1)
+    return CutRule(tri, *_kernels.cut_rules(tri, phi, DEGEN_FACTOR * mesh.h))
 
 
 @dataclass
 class CutGeometry:
-    """Per-parameter classification and quadrature on the background mesh.
+    """Per-parameter classification on the background mesh, with the level
+    set ``phi`` at every mesh vertex.
 
-    ``cut_rule`` is the only per-parameter quadrature, one column per entry
-    of ``cut_elements``; inside elements need only ``BackgroundMesh.tri_area``.
+    It carries no quadrature: the consumer of a cut rule makes it with
+    ``cut_rule``, on exactly the cut elements it sums.  Inside elements need
+    only ``BackgroundMesh.tri_area``.
     """
 
     mu: ParameterPoint
     mesh: BackgroundMesh
+    phi: np.ndarray  # (N,) level set at the mesh vertices
     elem_class: np.ndarray
     active_elements: np.ndarray
     cut_elements: np.ndarray
     ghost_facets: np.ndarray
     active_dofs: np.ndarray
-    cut_rule: CutRule = field(repr=False)
-    cut_pos: np.ndarray  # triangle id -> position in cut_elements, -1 elsewhere
     ghost_mask: np.ndarray  # facet id -> ghost facet flag
-    degenerate_elements: list = field(default_factory=list)
+
+    def _cut_rule(self) -> CutRule:
+        """The cut rule of all the cut elements."""
+        cut = self.cut_elements
+        return cut_rule(self.mesh, cut, self.phi[self.mesh.triangles_t[:, cut]])
+
+    @property
+    def degenerate_elements(self) -> list:
+        """The cut elements whose interface segment is degenerate."""
+        return self.cut_elements[self._cut_rule().degenerate].tolist()
 
     def volume_weight_sum(self) -> float:
         """Area of the domain: the inside elements' areas plus the cut
         elements' sub-triangle areas."""
         inside = self.elem_class == INSIDE
-        return float(self.mesh.tri_area[inside].sum() + self.cut_rule.vol_wts.sum())
+        return float(self.mesh.tri_area[inside].sum() + self._cut_rule().vol_wts.sum())
 
     def boundary_weight_sum(self) -> float:
         """Quadrature length of the interface: both Gauss points of a
         segment carry its ``seg_wts`` entry."""
-        return float(2.0 * self.cut_rule.seg_wts.sum())
+        return float(2.0 * self._cut_rule().seg_wts.sum())
 
 
 def build_cut_geometry(mesh: BackgroundMesh, mu: ParameterPoint) -> CutGeometry:
-    """Classify elements by vertex signs of the level set and build quadrature.
+    """Classify elements by vertex signs of the level set.
 
     A vertex with phi <= 0 counts as inside; all-inside elements are
     integrated whole, mixed elements are cut, all-outside elements carry no
     quadrature and are excluded from the active set.
     """
-    phi_v = level_set(mu, *mesh.vertices_t)
-    vertex_in = phi_v <= 0.0
+    phi = level_set(mu, *mesh.vertices_t)
+    vertex_in = phi <= 0.0
     corner_in = vertex_in.view(np.uint8)[mesh.triangles_t]
     elem_class = np.take(_CLASS_BY_COUNT, corner_in[0] + corner_in[1] + corner_in[2])
 
     # activity flags with one more, False, for "no neighbour"
-    n_t = mesh.n_triangles
-    active_flag = np.empty(n_t + 1, dtype=bool)
-    np.not_equal(elem_class, OUTSIDE, out=active_flag[:n_t])
-    active_flag[n_t] = False
+    active_flag = np.append(elem_class != OUTSIDE, False)
     active = np.flatnonzero(active_flag)
     cut = np.flatnonzero(elem_class == CUT)
-
-    cut_pos = np.full(n_t, -1, dtype=np.int64)
-    cut_pos[cut] = np.arange(cut.size)
 
     # ghost facets: interior facets with both neighbours active and one of
     # them cut, so a cut element's facet is one exactly when the triangle
@@ -358,28 +375,20 @@ def build_cut_geometry(mesh: BackgroundMesh, mu: ParameterPoint) -> CutGeometry:
     ghost_mask[mesh.tri_facets.take(cut, axis=0)[across_active]] = True
     ghost_facets = np.flatnonzero(ghost_mask)
 
-    cut_vertices = mesh.triangles_t[:, cut]
-    tri = np.take(mesh.tri_comp, cut, axis=1)
-    pts, wts, seg, seg_w, nrm, degen = _kernels.cut_rules(
-        tri, phi_v[cut_vertices], DEGEN_FACTOR * mesh.h,
-    )
-
     # a vertex with phi <= 0 makes all its triangles active (every vertex
     # has one); any other active vertex belongs to a cut triangle
     dof_mark = vertex_in.copy()
-    dof_mark[cut_vertices] = True
+    dof_mark[mesh.triangles_t[:, cut]] = True
     active_dofs = np.flatnonzero(dof_mark)
 
     return CutGeometry(
         mu=mu,
         mesh=mesh,
+        phi=phi,
         elem_class=elem_class,
         active_elements=active,
         cut_elements=cut,
         ghost_facets=ghost_facets,
         active_dofs=active_dofs,
-        cut_rule=CutRule(tri=tri, vol_pts=pts, vol_wts=wts, seg_pts=seg, seg_wts=seg_w, normal=nrm),
-        cut_pos=cut_pos,
         ghost_mask=ghost_mask,
-        degenerate_elements=cut[degen].tolist(),
     )

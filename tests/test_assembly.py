@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cutrom
 from cutrom import _kernels, assembly
 from cutrom.assembly import (
     AssemblyError,
@@ -23,14 +26,15 @@ from cutrom.config import Config
 from cutrom.estimators import alpha_star
 from cutrom.fom import solve_fom
 from cutrom.geometry import (
+    CUT,
     INSIDE,
-    CutRule,
     ParameterPoint,
     build_background_mesh,
     build_cut_geometry,
+    cut_rule,
     level_set,
 )
-from cutrom.pipeline import spd_coercivity_check
+from cutrom.pipeline import TRAIN_CHUNK, sample_parameters, spd_coercivity_check
 
 MUS = [ParameterPoint(1.0, 1.0), ParameterPoint(1.07, 1.13), ParameterPoint(1.2, 1.01)]
 DEFAULT_PHYS = physics_from_config(Config())
@@ -250,12 +254,12 @@ def _element_major_rules(geom):
     whole triangle's area in slot 0 and the cut rule's sub-triangles
     (centroid, area) on cut rows, and the interface rule per cut element and
     Gauss point."""
-    mesh, rule = geom.mesh, geom.cut_rule
-    act = geom.active_elements
+    mesh, act, cut = geom.mesh, geom.active_elements, geom.cut_elements
+    rule = cut_rule(mesh, cut, geom.phi[mesh.triangles_t[:, cut]])
     vol_pts = np.zeros((act.size, 2, 2))
     vol_wts = np.zeros((act.size, 2))
     vol_wts[:, 0] = mesh.tri_area[act]
-    cut_sel = np.searchsorted(act, geom.cut_elements)  # each cut element's active row
+    cut_sel = np.searchsorted(act, cut)  # each cut element's active row
     vol_pts[cut_sel] = rule.vol_pts.transpose(2, 1, 0)
     vol_wts[cut_sel] = rule.vol_wts.T
     seg_pts = rule.seg_pts.transpose(2, 0, 1)
@@ -439,6 +443,63 @@ def test_every_path_sums_through_one_routine(monkeypatch):
     assert len(calls) == 2
     evaluate_entries(geoms[0], plan)
     assert len(calls) == 3 and calls[2] is plan.piece
+
+
+def test_each_consumer_makes_the_cut_rule_it_sums(small_run, monkeypatch):
+    # the geometry carries no quadrature; full assembly, a training chunk
+    # and sampled entries each make one rule, of exactly the cut elements
+    # they sum
+    art, _ = small_run
+    cfg = Config()
+    geoms = [build_cut_geometry(art.mesh, ParameterPoint(*mu))
+             for mu in sample_parameters(TRAIN_CHUNK, 7, cfg.mu_min, cfg.mu_max)]
+    widths = []
+    original = _kernels.cut_rules
+
+    def spy(tri, phi, degen_tol):
+        widths.append(phi.shape[1])
+        return original(tri, phi, degen_tol)
+
+    monkeypatch.setattr(_kernels, "cut_rules", spy)
+    geom = build_cut_geometry(art.mesh, ParameterPoint(1.07, 1.13))
+    assert widths == []
+    assemble_system(geom, art.phys)
+    assert widths == [geom.cut_elements.size]
+    assemble_batch(geoms, art.phys)
+    assert widths[1:] == [sum(g.cut_elements.size for g in geoms)]
+    evaluate_entries(geom, art.plan)
+    planned_cut = int((geom.elem_class[art.plan.tris] == CUT).sum())
+    assert widths[2:] == [planned_cut]
+    assert 0 < planned_cut < geom.cut_elements.size
+
+
+def _cut_rules_callers(tree, module):
+    """(module, innermost enclosing function or None) of every name of
+    ``cut_rules`` in ``tree``."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if "cut_rules" in (getattr(node, "attr", None), getattr(node, "id", None)) or (
+                isinstance(node, ast.alias) and node.name == "cut_rules"):
+            found.add((module, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_geometry_cut_rule_calls_the_cut_rule_kernel():
+    # one producer of cut quadrature
+    package = os.path.dirname(cutrom.__file__)
+    callers = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                callers |= _cut_rules_callers(ast.parse(fh.read()), name)
+    assert callers == {("geometry.py", "cut_rule")}
 
 
 def test_evaluate_entries_rejects_a_geometry_on_another_mesh(default_mesh, default_phys):
@@ -654,22 +715,23 @@ def test_entries_stage_only_the_plans_cut_elements(small_run, monkeypatch):
 
     monkeypatch.setattr(_kernels, "volume_terms", spy)
     evaluate_entries(geom, art.plan)
-    planned_cut = int((geom.cut_pos[art.plan.tris] >= 0).sum())
+    planned_cut = int((geom.elem_class[art.plan.tris] == CUT).sum())
     assert widths == [planned_cut]
     assert 0 < planned_cut < geom.cut_elements.size
 
 
 @pytest.mark.parametrize("extra", [1, -1], ids=["one-too-many", "one-too-few"])
 def test_both_paths_refuse_a_cut_rule_of_the_wrong_width(default_mesh, default_phys, extra):
+    # the cut rules are made from the geometry's level set, so a level set
+    # of the wrong width is refused before a rule is made from it
     geom = build_cut_geometry(default_mesh, ParameterPoint(1.07, 1.13))
-    k = geom.cut_elements.size
-    cols = np.arange(k + extra) % k
-    rule = CutRule(*(getattr(geom.cut_rule, f.name).take(cols, axis=-1)
-                     for f in dataclasses.fields(CutRule)))
-    bad = dataclasses.replace(geom, cut_rule=rule)
+    n = default_mesh.n_vertices
+    bad = dataclasses.replace(geom, phi=geom.phi.take(np.arange(n + extra) % n))
     plan = EntryPlan(default_mesh, default_phys, np.arange(default_mesh.pattern_cols.size),
-                     np.arange(default_mesh.n_vertices))
-    with pytest.raises(AssemblyError, match="component-major cut rule"):
+                     np.arange(n))
+    with pytest.raises(AssemblyError, match="one level-set value per mesh vertex"):
         assemble_system(bad, default_phys)
-    with pytest.raises(AssemblyError, match="component-major cut rule"):
+    with pytest.raises(AssemblyError, match="one level-set value per mesh vertex"):
         evaluate_entries(bad, plan)
+    with pytest.raises(AssemblyError, match="one level-set value per mesh vertex"):
+        assemble_batch([geom, bad], default_phys)

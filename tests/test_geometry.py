@@ -17,12 +17,19 @@ from cutrom.geometry import (
     ParameterPoint,
     build_background_mesh,
     build_cut_geometry,
+    cut_rule,
     level_set,
 )
 
 BOX = ((-1.2, 1.2), (-1.2, 1.2))
 
 mu_values = st.floats(min_value=1.0, max_value=1.2)
+
+
+def _all_cut_rule(geom):
+    """The cut rule of every cut element of ``geom``."""
+    cut = geom.cut_elements
+    return cut_rule(geom.mesh, cut, geom.phi[geom.mesh.triangles_t[:, cut]])
 
 
 def test_mesh_counts_default():
@@ -91,7 +98,7 @@ def test_outside_elements_have_no_quadrature(default_mesh):
     outside = np.flatnonzero(geom.elem_class == OUTSIDE)
     assert np.intersect1d(outside, geom.active_elements).size == 0
     # per-parameter weights live on the cut rule only, one column per cut element
-    rule = geom.cut_rule
+    rule = _all_cut_rule(geom)
     assert rule.vol_wts.shape[1] == rule.seg_wts.shape[0] == geom.cut_elements.size
     assert np.intersect1d(outside, geom.cut_elements).size == 0
 
@@ -129,7 +136,7 @@ def test_ghost_facets_interior_to_active(r, theta):
 @given(r=mu_values, theta=mu_values)
 def test_boundary_normals_unit(r, theta):
     geom = build_cut_geometry(_MESH, ParameterPoint(r, theta))
-    norms = np.hypot(*geom.cut_rule.normal)
+    norms = np.hypot(*_all_cut_rule(geom).normal)
     assert np.abs(norms - 1.0).max() < 1e-12
 
 
@@ -149,8 +156,9 @@ def test_deterministic_rebuild(default_mesh):
     mu = ParameterPoint(1.083, 1.127)
     g1 = build_cut_geometry(default_mesh, mu)
     g2 = build_cut_geometry(default_mesh, mu)
-    for f in dataclasses.fields(g1.cut_rule):
-        assert np.array_equal(getattr(g1.cut_rule, f.name), getattr(g2.cut_rule, f.name)), f.name
+    r1, r2 = _all_cut_rule(g1), _all_cut_rule(g2)
+    for f in dataclasses.fields(r1):
+        assert np.array_equal(getattr(r1, f.name), getattr(r2, f.name)), f.name
     assert np.array_equal(g1.elem_class, g2.elem_class)
     assert np.array_equal(g1.ghost_facets, g2.ghost_facets)
 
@@ -162,7 +170,7 @@ def test_degenerate_cut_reported_and_skipped():
     geom = build_cut_geometry(mesh, ParameterPoint(2.0, 2.0))
     assert (geom.elem_class == CUT).all()
     assert geom.degenerate_elements == [0, 1]
-    assert geom.cut_rule.seg_wts.sum() == 0.0
+    assert _all_cut_rule(geom).seg_wts.sum() == 0.0
     assert geom.volume_weight_sum() == 0.0
 
 
@@ -320,8 +328,6 @@ def _reference_cut_geometry(mesh, mu):
     cut = np.flatnonzero(elem_class == CUT)
     active_pos = np.full(mesh.n_triangles, -1, dtype=np.int64)
     active_pos[active] = np.arange(active.size)
-    cut_pos = np.full(mesh.n_triangles, -1, dtype=np.int64)
-    cut_pos[cut] = np.arange(cut.size)
 
     ft = mesh.facet_tris
     interior = ft[:, 1] >= 0
@@ -344,7 +350,7 @@ def _reference_cut_geometry(mesh, mu):
         elem_class=elem_class, active_elements=active, cut_elements=cut,
         ghost_facets=np.flatnonzero(ghost_mask),
         active_dofs=np.unique(mesh.triangles[active].ravel()),
-        cut_pos=cut_pos, active_pos=active_pos, ghost_mask=ghost_mask,
+        phi=phi_v, active_pos=active_pos, ghost_mask=ghost_mask,
         degenerate_elements=[int(cut[i]) for i in np.flatnonzero(degen)],
         vol_pts=vol_pts, vol_wts=vol_wts, seg_pts=seg_pts, seg_wts=seg_wts, seg_normal=seg_nrm,
     )
@@ -364,7 +370,7 @@ def _assert_geometry_bitwise(mesh, mu):
     assert new.degenerate_elements == ref["degenerate_elements"]
     # the cut rows of the reference's element-major rules are the
     # component-major cut rule
-    act, cut, rule = new.active_elements, new.cut_elements, new.cut_rule
+    act, cut, rule = new.active_elements, new.cut_elements, _all_cut_rule(new)
     ins_sel = np.flatnonzero(new.elem_class[act] == INSIDE)
     cut_sel = ref["active_pos"][cut]
     assert ins_sel.size + cut_sel.size == act.size

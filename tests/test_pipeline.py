@@ -669,13 +669,12 @@ def test_offline_names_the_training_mu_whose_assembly_fails(monkeypatch):
     def broken(mesh, mu):
         geom = original(mesh, mu)
         if (mu.r, mu.theta) == bad:
-            rule = geom.cut_rule
-            geom.cut_rule = dataclasses.replace(rule, seg_wts=rule.seg_wts[:-1])
+            geom.phi = geom.phi[:-1]
         return geom
 
     monkeypatch.setattr(pipeline, "build_cut_geometry", broken)
     with pytest.raises(PipelineError, match=re.escape(f"offline failure at training mu={bad}: ")
-                       + "every cut element needs"):
+                       + "a geometry needs one level-set value per mesh vertex"):
         run_offline(cfg)
 
 
