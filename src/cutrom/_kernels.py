@@ -13,10 +13,15 @@ load of hat i is f |S| phi_i(centroid of S).  A whole triangle needs only
 its area; a cut element's region is one or two sub-triangles, each carried
 by its centroid and area.  ``cut_rules`` computes them, with the interface
 segment's Gauss rule; its one caller is ``geometry.cut_rule``, which each
-consumer calls on exactly the cut elements it sums.
+consumer calls on exactly the cut elements it sums.  A rule's four points
+(two centroids, two Gauss points) are one (2, 4, k) array, so the
+reference coordinates of all of them are one pass of ``cut_terms``.  The
+kernels are sized for few elements, where each numpy call costs about the
+same whatever its width: they stack what the same arithmetic applies to,
+and take no extra pass.
 
 Each local formula exists once: the volume and boundary terms of a cut
-element (``volume_terms``, ``boundary_terms``), and the stiffness, Nitsche,
+element (``cut_terms``), and the stiffness, Nitsche,
 consistency and ghost-penalty values of one (a, c) pair (``stiffness``,
 ``nitsche``, ``consistency``, ``ghost_penalty``).  Assembly applies the pair
 formulas to whole 3x3 blocks: ``volume_contribs`` and ``boundary_contribs``
@@ -42,8 +47,11 @@ GAUSS_T = np.array([0.5 * (1.0 - 1.0 / np.sqrt(3.0)), 0.5 * (1.0 + 1.0 / np.sqrt
 X, Y, GX, GY = slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 12)
 N_COMP = 12
 # local vertex 0 is the affine origin, and the gradients of hats 1 and 2 are
-# the rows of the inverse Jacobian: (xi, eta) = J_x (x - x0) + J_y (y - y0)
-ORIGIN, JX, JY = slice(0, 4, 3), slice(7, 9), slice(10, 12)
+# the rows of the inverse Jacobian: (xi, eta) = G_x (x - x0) + G_y (y - y0)
+ORIGIN = slice(0, 4, 3)
+# points of a cut rule: the centroids of sub-triangle slots 0 and 1, then
+# Gauss points 0 and 1 of the interface segment
+VOL, SEG = slice(0, 2), slice(2, 4)
 
 # corner roles in ``cut_rules``, by the code b0 + 2 b1 + 4 b2 of the inside
 # bits of a cut triangle's vertices: whether exactly one vertex is inside,
@@ -56,6 +64,18 @@ _LONE_BY_CODE = np.array([0, 0, 1, 2, 2, 1, 0, 0])
 _ONE_BY_CODE = np.array([False, True, True, False, True, False, False, False])
 _ROLE_VERTEX = (_LONE_BY_CODE + np.where(
     _ONE_BY_CODE, np.array([0, 0, 1, 2, 2])[:, None], np.array([1, 2, 0, 0, 2])[:, None])) % 3
+# the second and third vertices of the sub-triangles, (b1, b2, c2, c1), as
+# x rows of the points of ``cut_rules`` (the roles' x in rows 0-4, their y
+# in 5-9, the edge points' x in 10-11 and y in 12-13): (n, E1, E0, E1)
+# with two vertices inside, (E0, l, l, E1) with one (l is role 0)
+_SUB_X = np.where(_ONE_BY_CODE, np.array([10, 0, 0, 11])[:, None],
+                  np.array([4, 11, 10, 11])[:, None])
+# the row of every coordinate ``cut_rules`` gathers, by code: the roles' x
+# and y in the triangle table (a role's vertex in the x rows, 3 rows
+# further in the y rows), then the sub-triangle vertices' x and y in its
+# points
+_GATHER_ROW = np.concatenate([_ROLE_VERTEX + X.start, _ROLE_VERTEX + Y.start,
+                              _SUB_X, _SUB_X + np.where(_SUB_X < 10, 5, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -65,122 +85,110 @@ _ROLE_VERTEX = (_LONE_BY_CODE + np.where(
 def cut_rules(tri, phi, degen_tol):
     """Quadrature rules on the cut triangles, in one pass over all of them.
 
-    ``tri`` is the (12, k) table of the cut triangles and ``phi`` the (3, k)
-    level-set values at their vertices.  The sub-region {phi_lin <= 0} is
-    split into one or two sub-triangles, each carried by its centroid and
-    area (slots 0 and 1; a zero-area slot at the lone vertex when there is
-    one), and the straight interface segment {phi_lin = 0} carries a
-    2-point Gauss rule with the outward unit normal
-    grad(phi_lin)/|grad(phi_lin)|.  Segments shorter than ``degen_tol`` are flagged degenerate and get zero
-    weights.
+    ``tri`` is the (12, k) table of the cut triangles and ``phi`` the
+    (3, k) level-set values at their vertices.  The sub-region
+    {phi_lin <= 0} is split into one or two sub-triangles, each carried by
+    its centroid and area (slots 0 and 1; a zero-area slot at the lone
+    vertex when there is one), and the straight interface segment
+    {phi_lin = 0} carries a 2-point Gauss rule with the outward unit normal
+    grad(phi_lin)/|grad(phi_lin)|.  Segments shorter than ``degen_tol`` are
+    flagged degenerate and get zero weights.
 
     Each triangle is rotated so that its lone vertex (the only one inside,
     or the only one outside) comes first, as (l, m, n).  With one vertex
     inside, the edge points run from l towards m and n, and the region is
     the triangle (l, E0, E1).  With two inside, they run from m and n
-    towards l, and the region is (m, n, E1) plus (m, E1, E0).  The vertices
-    of each role are gathered by flat offsets, and ``np.copyto`` only picks
-    the inputs of the shared formulas.
+    towards l, and the region is (m, n, E1) plus (m, E1, E0).  The
+    coordinates of each role are gathered by flat offsets in one take, and
+    those of the sub-triangles' other vertices, roles or edge points, in
+    one more, so every element runs the same formulas.  The level-set
+    gradient and the segment vector sit side by side, so one pass gives
+    both lengths.
 
-    Returns ``pts`` (2, 2, k) by coordinate and slot, ``wts`` (2, k),
-    ``seg`` (2, 2, k) by Gauss point and coordinate, the Gauss weight
-    ``seg_w`` (k,), the normal ``nrm`` (2, k) and the degenerate flags.
+    Returns ``pts`` (2, 4, k) by coordinate and point (the centroids of
+    slots 0 and 1, then Gauss points 0 and 1: ``VOL`` and ``SEG``), the
+    areas ``wts`` (2, k), the Gauss weight ``seg_w`` (k,), the normal
+    ``nrm`` (2, k) and the degenerate flags.
     """
     k = phi.shape[1]
-    grad = tri[GX.start:GY.stop].reshape(2, 3, k) * phi
-    grad = grad[:, 0] + grad[:, 1] + grad[:, 2]
-    nrm = grad / np.sqrt(grad[0] * grad[0] + grad[1] * grad[1])
+    vec = np.empty((2, 2, k))  # by coordinate: the gradient, the segment
+    np.add.reduce(tri[GX.start:GY.stop].reshape(2, 3, k) * phi, axis=1, out=vec[:, 0])
 
     code = _CODE_BITS @ (phi <= 0.0).view(np.uint8)
-    one = _ONE_BY_CODE[code]
-    # the role vertices as flat offsets into the (vertex, k) rows of tri and
-    # phi; in range by construction, so ``mode="clip"`` takes them unbuffered
-    at = np.take(_ROLE_VERTEX, code, axis=1) * k + np.arange(k)
-    xy = np.empty((2, 5, k))  # by coordinate and role
-    np.take(tri[X], at, out=xy[0], mode="clip")
-    np.take(tri[Y], at, out=xy[1], mode="clip")
-    ph = np.take(phi, at[:4])
+    # flat offsets of the gathered coordinates into their (row, k) tables,
+    # in range by construction; those of the roles' x rows index phi too
+    at = _GATHER_ROW.take(code, axis=1) * k + np.arange(k)
+    p = np.empty((14, k))  # the roles' x and y, then the edge points' x and y
+    tri.take(at[:10], out=p[:10], mode="clip")
+    xy, edge = p[:10].reshape(2, 5, k), p[10:].reshape(2, 2, k)  # (coordinate, point, k)
+    ph = phi.take(at[:4], mode="clip")
 
     t = ph[0:2] / (ph[0:2] - ph[2:4])
     base = xy[:, 0:2]
-    edge = base + t * (xy[:, 2:4] - base)  # (coordinate, edge, k)
+    np.add(base, t * (xy[:, 2:4] - base), out=edge)
     apex = xy[:, 0]  # first vertex of both sub-triangles: l, or m
-    # second and third vertex of each sub-triangle, as (b1, b2, c2, c1):
-    # (n, E1, E0, E1) with two vertices inside, (E0, l, l, E1) with one
-    bc = np.empty((2, 4, k))
-    bc[:, 0] = xy[:, 4]
-    bc[:, 1::2] = edge[:, 1:]
-    bc[:, 2] = edge[:, 0]
-    np.copyto(bc[:, 0], edge[:, 0], where=one)
-    np.copyto(bc[:, 1:3], apex[:, None], where=one)
-    d = bc - apex[:, None]
+    d = p.take(at[10:], mode="clip").reshape(2, 4, k) - apex[:, None]
     d_b, d_c = d[:, :2], d[:, :1:-1]  # (b1, b2) and (c1, c2)
-    cross = d_b[0] * d_c[1] - d_b[1] * d_c[0]
-    wts = 0.5 * np.abs(cross)
-    pts = apex[:, None] + (d_b + d_c) / 3.0
+    cross = d_b * d_c[::-1]  # x_b y_c and y_b x_c
+    wts = 0.5 * np.abs(cross[0] - cross[1])
+    pts = np.empty((2, 4, k))
+    np.add(apex[:, None], (d_b + d_c) / 3.0, out=pts[:, VOL])
 
-    d = edge[:, 1] - edge[:, 0]
-    seg_len = np.sqrt(d[0] * d[0] + d[1] * d[1])
-    seg = edge[:, 0] + GAUSS_T[:, None, None] * d
-    ok = seg_len >= degen_tol
-    seg_w = np.where(ok, 0.5 * seg_len, 0.0)
-    return pts, wts, seg, seg_w, nrm, ~ok
+    np.subtract(edge[:, 1], edge[:, 0], out=vec[:, 1])
+    np.add(edge[:, 0, None], GAUSS_T[:, None] * vec[:, 1, None], out=pts[:, SEG])
+    sq = vec * vec
+    length = np.sqrt(sq[0] + sq[1])  # of the gradient, of the segment
+    ok = length[1] >= degen_tol
+    seg_w = np.where(ok, 0.5 * length[1], 0.0)
+    return pts, wts, seg_w, vec[:, 0] / length[0], ~ok
 
 
 # ---------------------------------------------------------------------------
 # per-element terms of a rule
 # ---------------------------------------------------------------------------
 
-def _reference_coords(pts, tri):
-    """(xi, eta) of points ``pts`` (2, ..., k) in each element's reference
-    frame, stacked as (2, ..., k): xi = G1 . (p - v0), eta = G2 . (p - v0)."""
-    shape = (2,) + (1,) * (pts.ndim - 2) + (-1,)
-    d = pts - tri[ORIGIN].reshape(shape)
-    return tri[JX].reshape(shape) * d[0] + tri[JY].reshape(shape) * d[1]
+def cut_terms(pts, wts, seg_w, nrm, tri, f_const, lam_over_h, g0, gx, gy, gxy):
+    """Volume and boundary terms of the cut elements of a rule (``pts``
+    (2, 4, k), ``wts`` (2, k), ``seg_w`` (k,) and ``nrm`` (2, k), as
+    ``cut_rules`` returns them).  One product of the three hats' gradients
+    with the four points' offsets from the affine origin v0 and the normal,
+    summed over the coordinates, gives the reference coordinates of every
+    point, xi = G1 . (p - v0) and eta = G2 . (p - v0), and the hats' normal
+    derivatives G . n.
 
+    Returns the weight sum (k,) and the source loads (3, k) of the cut
+    regions, the Nitsche boundary loads (3, k) of the datum
+    g = g0 + gx x + gy y + gxy x y, and ``bdn`` (3, 3, k): the barycentrics
+    of the three hats at Gauss points 0 and 1 (rows 0 and 1) and their
+    normal derivatives (row 2)."""
+    k = wts.shape[1]
+    v = np.empty((2, 5, k))  # by coordinate: the four points' offsets, the normal
+    np.subtract(pts, tri[ORIGIN][:, None], out=v[:, :4])
+    v[:, 4] = nrm
+    prod = tri[GX.start:GY.stop].reshape(2, 3, 1, k) * v[:, None]
+    bary = np.add(prod[0], prod[1])  # by hat and point (the normal last)
+    # hat 0 at the four points is 1 - xi - eta, not the product's G0 . (p - v0)
+    np.subtract(1.0, bary[1, :4], out=bary[0, :4])
+    bary[0, :4] -= bary[2, :4]
 
-def volume_terms(pts, wts, tri, f_const):
-    """Weight sum (k,) and source loads (3, k) of the cut regions: ``pts``
-    (2, 2, k) sub-triangle centroids by coordinate and slot, ``wts`` (2, k)
-    their areas."""
-    xi, eta = _reference_coords(pts, tri)
-    wf = wts * f_const
-    terms = np.empty((4,) + wts.shape)
-    terms[0] = wts
-    terms[1] = wf * (1.0 - xi - eta)
-    terms[2] = wf * xi
-    terms[3] = wf * eta
-    acc = terms[:, 0] + terms[:, 1]
-    return acc[0], acc[1:]
-
-
-def boundary_terms(seg, seg_w, nrm, tri, lam_over_h, g0, gx, gy, gxy):
-    """Interface-segment terms per cut element, in one (3, 3, k) array: the
-    barycentrics of the three hats at Gauss points 0 and 1 (rows 0 and 1)
-    and their normal derivatives (row 2); and the Nitsche boundary loads
-    (3, k) of the datum g = g0 + gx x + gy y + gxy x y."""
-    bdn = np.empty((3, 3, seg.shape[2]))
-    bary, dn = bdn[:2], bdn[2]
-    np.add(tri[GX] * nrm[0], tri[GY] * nrm[1], out=dn)
-    xi, eta = _reference_coords(seg.transpose(1, 0, 2), tri)
-    bary[:, 0] = 1.0 - xi - eta
-    bary[:, 1] = xi
-    bary[:, 2] = eta
-    x = seg[:, 0]
-    y = seg[:, 1]
-    g = (g0 + gx * x + gy * y + gxy * (x * y))[:, None]
-    terms = seg_w * (lam_over_h * (bary * g) - dn * g)
-    return bdn, terms[0] + terms[1]
+    loads = np.empty((2, 3, 2, k))  # volume, boundary; by hat and slot or Gauss point
+    np.multiply(bary[:, VOL], wts * f_const, out=loads[0])
+    x, y = pts[0, SEG], pts[1, SEG]
+    g = g0 + gx * x + gy * y + gxy * (x * y)
+    np.multiply(seg_w, lam_over_h * (bary[:, SEG] * g) - bary[:, 4, None] * g, out=loads[1])
+    f = loads[..., 0, :] + loads[..., 1, :]
+    return wts[0] + wts[1], f[0], f[1], bary[:, 2:].transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------
 # values of one (a, c) pair
 # ---------------------------------------------------------------------------
 
-def stiffness(wsum, ax, ay, cx, cy):
-    """Diffusion value of hats a, c (constant gradients) on a rule of
-    total weight ``wsum``."""
-    return wsum * (ax * cx + ay * cy)
+def stiffness(wsum, a, c):
+    """Diffusion value of hats a, c (constant gradients, stacked by
+    coordinate) on a rule of total weight ``wsum``."""
+    prod = a * c
+    return wsum * (prod[0] + prod[1])
 
 
 def nitsche(w, pa, pc, dna, dnc, lam_over_h):
@@ -211,10 +219,8 @@ def ghost_penalty(gamma, h, facet_len, ja, jc):
 
 def volume_contribs(wsum, tri):
     """Diffusion blocks (k, 9), row-major over local (a, c)."""
-    bx = tri[GX]
-    by = tri[GY]
-    blocks = stiffness(wsum, bx[:, None], by[:, None], bx[None], by[None])
-    return blocks.reshape(9, -1).T
+    grad = tri[GX.start:GY.stop].reshape(2, 3, 1, -1)
+    return stiffness(wsum, grad, grad.transpose(0, 2, 1, 3)).reshape(9, -1).T
 
 
 def boundary_contribs(w, bary, dn, lam_over_h):

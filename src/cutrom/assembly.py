@@ -13,21 +13,29 @@ lands in that pattern; full assembly sums through them.
 Per parameter, only the cut elements need new local terms.  Each path
 makes the cut rule (``geometry.cut_rule``) of exactly the cut elements it
 sums, from the geometry's level set, and ``_cut_stage`` forms the terms
-once, from that rule: per cut element its volume block and its Nitsche
-block (k, 9), its volume and boundary loads (3, k), and the segment terms
-the energy norm reads (the barycentrics at both Gauss points with the
-normal derivatives, and the Gauss weights).  ``_sum_piece`` is the one
+once, from that rule (``_kernels.cut_terms``, then the blocks): per cut
+element its volume block and its Nitsche block (k, 9), its volume and
+boundary loads (3, k), and the segment terms the energy norm reads (the
+barycentrics at both Gauss points with the normal derivatives, and the
+Gauss weights).  ``_sum_piece`` is the one
 routine that places and sums assembly's terms: on a piece of the mesh
 (``_Piece``), in one fixed order, with one ``np.bincount`` for A and one
 for f.  Full assembly is that sum on the whole mesh, the piece whose bins
 are the pattern positions and the dofs.  ``assemble_batch`` sums several
 geometries of one mesh at once, from one rule and one stage over their
 joined cut elements, with member k's bins shifted by k P and k N;
-``assemble_system`` is the batch of one.  Sampled entries are the same sum
-on the piece of an ``EntryPlan``, whose compact bins are the requested
-entries, over the rule of the piece's cut elements only.  Every kernel
-computes each element's column on its own, so they match
-``assemble_system`` bit for bit.
+``assemble_system`` is the batch of one; full assembly reads the whole-mesh
+sets of each geometry (active and cut elements, ghost facets, active
+dofs), which the geometry derives on that first read.  Sampled entries are
+the same sum on the piece of an ``EntryPlan``, whose compact bins are the
+requested entries, over the rule of the piece's cut elements only.  They
+read the geometry's level set and classes on the piece alone: the plan
+keeps the neighbour pairs of its facets, and the vertex ids and
+``tri_comp`` columns of its triangles, so a query gathers its cut
+elements' inputs and applies the ghost rule (``geometry.is_ghost``) by
+plan row, and no whole-mesh set is derived.  Every kernel computes each
+element's column on its own, so they match ``assemble_system`` bit for
+bit.
 
 The energy norm is a_h plus the Nitsche consistency term, |||v|||^2 =
 a_h(v, v) + 2 <dn v, v>_G.  Only ``assemble_norm_matrix`` forms that term,
@@ -43,7 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-from .geometry import CUT, OUTSIDE, BackgroundMesh, CutGeometry, CutRule, cut_rule
+from .geometry import CUT, OUTSIDE, BackgroundMesh, CutGeometry, CutRule, cut_rule, is_ghost
 
 
 class AssemblyError(ValueError):
@@ -137,7 +145,7 @@ class _Stage(NamedTuple):
     """Local terms of cut elements: the volume and Nitsche blocks (k, 9),
     the volume and boundary loads (3, k), and for the energy norm ``bdn``
     (3, 3, k), the barycentrics at both Gauss points and the hats' normal
-    derivatives (``_kernels.boundary_terms``), and the Gauss weights (k,)."""
+    derivatives (``_kernels.cut_terms``), and the Gauss weights (k,)."""
 
     vol: np.ndarray
     nit: np.ndarray
@@ -147,23 +155,24 @@ class _Stage(NamedTuple):
     seg_w: np.ndarray
 
 
-def _corner_phi(geom: CutGeometry, tris):
-    """The level set of ``geom`` at the vertices of the triangles ``tris``,
-    (3, k), refused unless ``geom`` holds one value per mesh vertex."""
+def _corner_phi(geom: CutGeometry, vertices):
+    """The level set of ``geom`` at the vertex ids ``vertices`` (3, k) of
+    some triangles, refused unless ``geom`` holds one value per mesh
+    vertex."""
     if geom.phi.shape != (geom.mesh.n_vertices,):
         raise AssemblyError("a geometry needs one level-set value per mesh vertex")
-    return geom.phi[geom.mesh.triangles_t[:, tris]]
+    return geom.phi.take(vertices)
 
 
 def _cut_stage(rule: CutRule, phys: PhysicsParams, h: float) -> _Stage:
     """Local terms of the cut elements of ``rule``, on a mesh of size ``h``.
     Every term is computed column by column, so joining rules or taking
     some of their columns changes no value."""
-    g0, gx, gy, gxy = (float(c) for c in phys.g_coeffs)
+    g0, gx, gy, gxy = map(float, phys.g_coeffs)
     lam_over_h = phys.nitsche_lambda / h
-    wsum, f_vol = _kernels.volume_terms(rule.vol_pts, rule.vol_wts, rule.tri, float(phys.f_const))
-    bdn, f_bnd = _kernels.boundary_terms(
-        rule.seg_pts, rule.seg_wts, rule.normal, rule.tri, lam_over_h, g0, gx, gy, gxy,
+    wsum, f_vol, f_bnd, bdn = _kernels.cut_terms(
+        rule.pts, rule.vol_wts, rule.seg_wts, rule.normal, rule.tri, float(phys.f_const),
+        lam_over_h, g0, gx, gy, gxy,
     )
     return _Stage(_kernels.volume_contribs(wsum, rule.tri),
                   _kernels.boundary_contribs(rule.seg_wts, bdn[:2], bdn[2], lam_over_h),
@@ -251,9 +260,10 @@ def _assemble_mesh(geoms, phys: PhysicsParams):
     mesh = geoms[0].mesh
     if any(g.mesh is not mesh for g in geoms):
         raise AssemblyError("a batch of geometries must share one background mesh")
-    cuts = [(g.cut_elements, _corner_phi(g, g.cut_elements)) for g in geoms]
+    cuts = [(g.cut_elements, _corner_phi(g, mesh.triangles_t.take(g.cut_elements, axis=1)))
+            for g in geoms]
     tris, phi = cuts[0] if len(geoms) == 1 else (np.concatenate(c, axis=-1) for c in zip(*cuts))
-    stage = _cut_stage(cut_rule(mesh, tris, phi), phys, mesh.h)
+    stage = _cut_stage(cut_rule(mesh.tri_comp.take(tris, axis=1), phi, mesh.h), phys, mesh.h)
     act = np.concatenate([g.active_elements for g in geoms])
     ghost = np.concatenate([g.ghost_facets for g in geoms])
     cut = np.flatnonzero(np.concatenate([g.elem_class.take(g.active_elements) for g in geoms]) == CUT)
@@ -336,10 +346,13 @@ class EntryPlan:
     entry and a last one for the slots no request reads.  ``take_matrix``
     and ``take_vector`` map the bins to the requests in their order,
     repeats included.  The plan also stores the whole triangles' loads
-    ``loads`` (T_c,) and the ghost blocks ``ghost`` (F_c, 4, 4); a
-    parameter enters only through the activity masks and the cut elements'
-    stage.  The reduced model builds its plan once, beside the sample
-    entries it describes.
+    ``loads`` (T_c,) and the ghost blocks ``ghost`` (F_c, 4, 4), and the
+    tables a query gathers from by plan row: the neighbour pairs of its
+    facets ``facet_pairs`` (2, F_c), and the vertex ids ``tri_vertices``
+    (3, T_c) and ``tri_comp`` columns (12, T_c) of its triangles.  A
+    parameter enters only through the classes of the piece's triangles and
+    of its facets' neighbours, and the cut elements' stage.  The reduced
+    model builds its plan once, beside the sample entries it describes.
     """
 
     def __init__(self, mesh: BackgroundMesh, phys: PhysicsParams, matrix_positions, vector_entries):
@@ -377,6 +390,14 @@ class EntryPlan:
                             facet_bins[hit], (positions.size + 1, dofs.size + 1))
         self.loads = _whole_load(mesh.tri_area[self.tris], float(phys.f_const))
         self.ghost = _ghost_blocks(mesh, phys.gamma, self.facets)
+        self.facet_pairs = np.ascontiguousarray(mesh.facet_tris.take(self.facets, axis=0).T)
+        self.tri_vertices = mesh.triangles_t.take(self.tris, axis=1)
+        self.tri_comp = mesh.tri_comp.take(self.tris, axis=1)
+
+    def ghost_flags(self, geom: CutGeometry):
+        """The ghost flags of the plan's facets at ``geom``: the ghost rule
+        (``geometry.is_ghost``) on the classes of their neighbour pairs."""
+        return is_ghost(*geom.elem_class.take(self.facet_pairs))
 
 
 def evaluate_entries(geom: CutGeometry, plan: EntryPlan):
@@ -385,11 +406,13 @@ def evaluate_entries(geom: CutGeometry, plan: EntryPlan):
     mesh.
 
     It selects the plan's active triangles, cut triangles and ghost facets
-    at ``geom`` from its classification, makes the cut rule of exactly the
-    plan's cut triangles and stages them, and sums their terms into the
-    plan's bins with ``_sum_piece``, the routine full assembly sums
-    through.  Every requested entry thus sums the terms of full
-    assembly in its order, and matches ``assemble_system`` bit for bit.
+    at ``geom`` from its classification, by plan row (``ghost_flags``),
+    makes the cut rule of exactly the plan's cut triangles from the plan's
+    tables and stages them, and sums their terms into the plan's bins with
+    ``_sum_piece``, the routine full assembly sums through.  It reads no
+    whole-mesh set of ``geom``, so none is derived.  Every requested entry
+    thus sums the terms of full assembly in its order, and matches
+    ``assemble_system`` bit for bit.
     ``geom`` may live on any mesh identical to the one the plan was built
     on; a mesh of another vertex count, triangle count, ``h`` or box, or a
     level set of another width than the vertex count, raises
@@ -402,12 +425,16 @@ def evaluate_entries(geom: CutGeometry, plan: EntryPlan):
             f"geometry mesh (vertices, triangles, h, box) = {shape} does not match the "
             f"plan's {plan.mesh_shape}"
         )
+    # ``nonzero`` as a method: ``np.flatnonzero`` adds two Python-level
+    # calls, about 1 us each
     cls = geom.elem_class.take(plan.tris)
-    act = np.flatnonzero(cls != OUTSIDE)
-    cut = np.flatnonzero(cls.take(act) == CUT)  # the cut rows among the active ones
-    tris = plan.tris.take(act.take(cut))
-    stage = _cut_stage(cut_rule(mesh, tris, _corner_phi(geom, tris)), plan.phys, mesh.h)
-    ghost = np.flatnonzero(geom.ghost_mask[plan.facets])
+    act = (cls != OUTSIDE).nonzero()[0]
+    rows = (cls == CUT).nonzero()[0]  # the plan rows of the cut triangles
+    cut = act.searchsorted(rows)  # their rows among the active ones
+    rule = cut_rule(plan.tri_comp.take(rows, axis=1),
+                    _corner_phi(geom, plan.tri_vertices.take(rows, axis=1)), mesh.h)
+    stage = _cut_stage(rule, plan.phys, mesh.h)
+    ghost = plan.ghost_flags(geom).nonzero()[0]
     a, f, _ = _sum_piece(plan.piece, stage, act, cut, plan.loads.take(act), ghost,
                          plan.ghost.take(ghost, axis=0))
     return a.take(plan.take_matrix), f.take(plan.take_vector)

@@ -7,10 +7,16 @@ per-triangle component table ``tri_comp`` (vertex coordinates and basis
 gradients, one contiguous row per component) that the kernels read, and the
 whole triangles' stiffness blocks ``tri_stiffness``.  For
 each parameter, ``build_cut_geometry`` evaluates the ellipse level set at
-the vertices and classifies every triangle as inside / cut / outside; the
-``CutGeometry`` keeps that level set and carries no quadrature.  Only the
-cut triangles need new quadrature: the centroid and area of each
-sub-triangle of the region where the linear interpolant of the level set is
+the vertices and classifies every triangle as inside / cut / outside, and
+does nothing more: a ``CutGeometry`` is that classification.  The
+whole-mesh sets (active and cut elements, ghost facets, active dofs) are
+derived from it when first read and kept on the geometry, so full assembly
+pays for them once and a sampled-entry query, which reads the
+classification on its plan's piece of the mesh only, never does.  The
+ghost-facet rule is written once, ``is_ghost``: the geometry applies it to
+the cut elements' facets, an entry plan to its own facets.  Only the cut
+triangles need new quadrature: the centroid and area of each sub-triangle
+of the region where the linear interpolant of the level set is
 non-positive, plus a 2-point Gauss rule on the straight interface segment.
 ``cut_rule`` makes it, component-major as ``CutRule``, for exactly the cut
 triangles its caller sums (assembly, sampled entries, a training batch); an
@@ -20,6 +26,7 @@ inside element needs only its area, and an outside element has none.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -290,64 +297,105 @@ class CutRule:
     weight and its ``degenerate`` flag set.  ``cut_rule`` makes every one."""
 
     tri: np.ndarray  # (12, k) per-triangle table columns
-    vol_pts: np.ndarray  # (2, 2, k) centroids by coordinate and slot
+    pts: np.ndarray  # (2, 4, k) by coordinate: centroids of slots 0, 1, Gauss points 0, 1
     vol_wts: np.ndarray  # (2, k) areas
-    seg_pts: np.ndarray  # (2, 2, k) by Gauss point and coordinate
     seg_wts: np.ndarray  # (k,) weight of each of the two Gauss points
     normal: np.ndarray  # (2, k)
     degenerate: np.ndarray  # (k,) flags of the segments shorter than DEGEN_FACTOR * h
 
 
-def cut_rule(mesh: BackgroundMesh, tris, phi) -> CutRule:
-    """The cut rule of the cut triangles ``tris`` of ``mesh``, where ``phi``
-    (3, k) holds the level set at their vertices: the package's one producer
-    of cut quadrature.  The kernel computes each triangle's column on its
-    own, so the rule of some cut triangles, or of several geometries' cut
+def cut_rule(tri, phi, h: float) -> CutRule:
+    """The cut rule of the cut triangles whose ``BackgroundMesh.tri_comp``
+    columns are ``tri`` (12, k), where ``phi`` (3, k) holds the level set at
+    their vertices, on a mesh of size ``h``: the package's one producer of
+    cut quadrature.  The kernel computes each triangle's column on its own,
+    so the rule of some cut triangles, or of several geometries' cut
     triangles joined, equals those columns of the rules of each."""
-    tri = np.take(mesh.tri_comp, tris, axis=1)
-    return CutRule(tri, *_kernels.cut_rules(tri, phi, DEGEN_FACTOR * mesh.h))
+    return CutRule(tri, *_kernels.cut_rules(tri, phi, DEGEN_FACTOR * h))
+
+
+def is_ghost(cls_a, cls_b):
+    """The ghost-facet rule on the classes of a facet's two neighbours, a
+    missing neighbour counting as OUTSIDE: the facet is interior, both
+    neighbours are active and one of them is cut.  With
+    INSIDE < CUT < OUTSIDE, that is the larger class being CUT."""
+    return np.maximum(cls_a, cls_b) == CUT
 
 
 @dataclass
 class CutGeometry:
-    """Per-parameter classification on the background mesh, with the level
-    set ``phi`` at every mesh vertex.
+    """Per-parameter classification on the background mesh: the level set
+    ``phi`` at every mesh vertex and the class of every triangle.
 
-    It carries no quadrature: the consumer of a cut rule makes it with
-    ``cut_rule``, on exactly the cut elements it sums.  Inside elements need
-    only ``BackgroundMesh.tri_area``.
+    Every other per-parameter set is derived from these two on first
+    access and kept on the geometry: the active and cut elements, the ghost
+    facets (``ghost_mask`` by facet id, ``is_ghost`` applied to the cut
+    elements' facets), the active dofs, and the cut rule of all the cut
+    elements that the weight sums and the degenerate list read.  Full
+    assembly derives the sets it reads; a sampled-entry query reads only
+    ``phi`` and ``elem_class``, on the plan's piece of the mesh.  The
+    geometry carries no quadrature for assembly: each consumer of a cut
+    rule makes it with ``cut_rule``, on exactly the cut elements it sums.
     """
 
     mu: ParameterPoint
     mesh: BackgroundMesh
     phi: np.ndarray  # (N,) level set at the mesh vertices
-    elem_class: np.ndarray
-    active_elements: np.ndarray
-    cut_elements: np.ndarray
-    ghost_facets: np.ndarray
-    active_dofs: np.ndarray
-    ghost_mask: np.ndarray  # facet id -> ghost facet flag
+    elem_class: np.ndarray  # (T,) INSIDE, CUT or OUTSIDE
 
+    @cached_property
+    def active_elements(self) -> np.ndarray:
+        return np.flatnonzero(self.elem_class != OUTSIDE)
+
+    @cached_property
+    def cut_elements(self) -> np.ndarray:
+        return np.flatnonzero(self.elem_class == CUT)
+
+    @cached_property
+    def ghost_mask(self) -> np.ndarray:
+        """Facet id -> ghost facet flag.  Every ghost facet is a facet of a
+        cut element, so the rule is applied to those only, a cut element on
+        one side and the triangle across (OUTSIDE for none) on the other."""
+        mesh, cut = self.mesh, self.cut_elements
+        across = np.append(self.elem_class, OUTSIDE)[mesh.tri_neighbors.take(cut, axis=0)]
+        mask = np.zeros(mesh.facets.shape[0], dtype=bool)
+        mask[mesh.tri_facets.take(cut, axis=0)[is_ghost(CUT, across)]] = True
+        return mask
+
+    @cached_property
+    def ghost_facets(self) -> np.ndarray:
+        return np.flatnonzero(self.ghost_mask)
+
+    @cached_property
+    def active_dofs(self) -> np.ndarray:
+        """A vertex with phi <= 0 makes all its triangles active (every
+        vertex has one); any other active vertex belongs to a cut triangle."""
+        mark = self.phi <= 0.0
+        mark[self.mesh.triangles_t.take(self.cut_elements, axis=1)] = True
+        return np.flatnonzero(mark)
+
+    @cached_property
     def _cut_rule(self) -> CutRule:
         """The cut rule of all the cut elements."""
-        cut = self.cut_elements
-        return cut_rule(self.mesh, cut, self.phi[self.mesh.triangles_t[:, cut]])
+        mesh, cut = self.mesh, self.cut_elements
+        return cut_rule(mesh.tri_comp.take(cut, axis=1),
+                        self.phi.take(mesh.triangles_t.take(cut, axis=1)), mesh.h)
 
     @property
     def degenerate_elements(self) -> list:
         """The cut elements whose interface segment is degenerate."""
-        return self.cut_elements[self._cut_rule().degenerate].tolist()
+        return self.cut_elements[self._cut_rule.degenerate].tolist()
 
     def volume_weight_sum(self) -> float:
         """Area of the domain: the inside elements' areas plus the cut
         elements' sub-triangle areas."""
         inside = self.elem_class == INSIDE
-        return float(self.mesh.tri_area[inside].sum() + self._cut_rule().vol_wts.sum())
+        return float(self.mesh.tri_area[inside].sum() + self._cut_rule.vol_wts.sum())
 
     def boundary_weight_sum(self) -> float:
         """Quadrature length of the interface: both Gauss points of a
         segment carry its ``seg_wts`` entry."""
-        return float(2.0 * self._cut_rule().seg_wts.sum())
+        return float(2.0 * self._cut_rule.seg_wts.sum())
 
 
 def build_cut_geometry(mesh: BackgroundMesh, mu: ParameterPoint) -> CutGeometry:
@@ -355,40 +403,11 @@ def build_cut_geometry(mesh: BackgroundMesh, mu: ParameterPoint) -> CutGeometry:
 
     A vertex with phi <= 0 counts as inside; all-inside elements are
     integrated whole, mixed elements are cut, all-outside elements carry no
-    quadrature and are excluded from the active set.
+    quadrature and are excluded from the active set.  Nothing else is
+    computed here: the sets ``CutGeometry`` derives are made when first
+    read.
     """
     phi = level_set(mu, *mesh.vertices_t)
-    vertex_in = phi <= 0.0
-    corner_in = vertex_in.view(np.uint8)[mesh.triangles_t]
-    elem_class = np.take(_CLASS_BY_COUNT, corner_in[0] + corner_in[1] + corner_in[2])
-
-    # activity flags with one more, False, for "no neighbour"
-    active_flag = np.append(elem_class != OUTSIDE, False)
-    active = np.flatnonzero(active_flag)
-    cut = np.flatnonzero(elem_class == CUT)
-
-    # ghost facets: interior facets with both neighbours active and one of
-    # them cut, so a cut element's facet is one exactly when the triangle
-    # across it is active
-    ghost_mask = np.zeros(mesh.facets.shape[0], dtype=bool)
-    across_active = active_flag[mesh.tri_neighbors.take(cut, axis=0)]
-    ghost_mask[mesh.tri_facets.take(cut, axis=0)[across_active]] = True
-    ghost_facets = np.flatnonzero(ghost_mask)
-
-    # a vertex with phi <= 0 makes all its triangles active (every vertex
-    # has one); any other active vertex belongs to a cut triangle
-    dof_mark = vertex_in.copy()
-    dof_mark[mesh.triangles_t[:, cut]] = True
-    active_dofs = np.flatnonzero(dof_mark)
-
-    return CutGeometry(
-        mu=mu,
-        mesh=mesh,
-        phi=phi,
-        elem_class=elem_class,
-        active_elements=active,
-        cut_elements=cut,
-        ghost_facets=ghost_facets,
-        active_dofs=active_dofs,
-        ghost_mask=ghost_mask,
-    )
+    corner_in = (phi <= 0.0).view(np.uint8).take(mesh.triangles_t)
+    elem_class = _CLASS_BY_COUNT.take(corner_in[0] + corner_in[1] + corner_in[2])
+    return CutGeometry(mu=mu, mesh=mesh, phi=phi, elem_class=elem_class)

@@ -255,14 +255,14 @@ def _element_major_rules(geom):
     (centroid, area) on cut rows, and the interface rule per cut element and
     Gauss point."""
     mesh, act, cut = geom.mesh, geom.active_elements, geom.cut_elements
-    rule = cut_rule(mesh, cut, geom.phi[mesh.triangles_t[:, cut]])
+    rule = cut_rule(mesh.tri_comp[:, cut], geom.phi[mesh.triangles_t[:, cut]], mesh.h)
     vol_pts = np.zeros((act.size, 2, 2))
     vol_wts = np.zeros((act.size, 2))
     vol_wts[:, 0] = mesh.tri_area[act]
     cut_sel = np.searchsorted(act, cut)  # each cut element's active row
-    vol_pts[cut_sel] = rule.vol_pts.transpose(2, 1, 0)
+    vol_pts[cut_sel] = rule.pts[:, :2].transpose(2, 1, 0)
     vol_wts[cut_sel] = rule.vol_wts.T
-    seg_pts = rule.seg_pts.transpose(2, 0, 1)
+    seg_pts = rule.pts[:, 2:].transpose(2, 1, 0)
     seg_wts = np.repeat(rule.seg_wts[:, None], 2, axis=1)
     return vol_pts, vol_wts, seg_pts, seg_wts, rule.normal.T
 
@@ -707,13 +707,13 @@ def test_entries_stage_only_the_plans_cut_elements(small_run, monkeypatch):
     art, _ = small_run
     geom = build_cut_geometry(art.mesh, ParameterPoint(1.07, 1.13))
     widths = []
-    original = _kernels.volume_terms
+    original = _kernels.cut_terms
 
-    def spy(pts, wts, tri, f_const):
+    def spy(pts, wts, *args):
         widths.append(wts.shape[-1])
-        return original(pts, wts, tri, f_const)
+        return original(pts, wts, *args)
 
-    monkeypatch.setattr(_kernels, "volume_terms", spy)
+    monkeypatch.setattr(_kernels, "cut_terms", spy)
     evaluate_entries(geom, art.plan)
     planned_cut = int((geom.elem_class[art.plan.tris] == CUT).sum())
     assert widths == [planned_cut]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cutrom import _kernels
 from cutrom._kernels import GAUSS_T
 from cutrom.geometry import (
     CUT,
@@ -12,7 +13,6 @@ from cutrom.geometry import (
     INSIDE,
     OUTSIDE,
     BackgroundMesh,
-    CutGeometry,
     GeometryError,
     ParameterPoint,
     build_background_mesh,
@@ -22,14 +22,16 @@ from cutrom.geometry import (
 )
 
 BOX = ((-1.2, 1.2), (-1.2, 1.2))
+# the whole-mesh sets a CutGeometry derives from its classification
+DERIVED = ("active_elements", "cut_elements", "ghost_mask", "ghost_facets", "active_dofs")
 
 mu_values = st.floats(min_value=1.0, max_value=1.2)
 
 
 def _all_cut_rule(geom):
     """The cut rule of every cut element of ``geom``."""
-    cut = geom.cut_elements
-    return cut_rule(geom.mesh, cut, geom.phi[geom.mesh.triangles_t[:, cut]])
+    mesh, cut = geom.mesh, geom.cut_elements
+    return cut_rule(mesh.tri_comp[:, cut], geom.phi[mesh.triangles_t[:, cut]], mesh.h)
 
 
 def test_mesh_counts_default():
@@ -122,14 +124,23 @@ def test_classification_partition(r, theta):
 
 @settings(max_examples=25, deadline=None)
 @given(r=mu_values, theta=mu_values)
-def test_ghost_facets_interior_to_active(r, theta):
-    mesh = _MESH
-    geom = build_cut_geometry(mesh, ParameterPoint(r, theta))
-    for f in geom.ghost_facets:
-        ta, tb = mesh.facet_tris[f]
-        assert ta >= 0 and tb >= 0
-        assert geom.elem_class[ta] != OUTSIDE and geom.elem_class[tb] != OUTSIDE
-        assert geom.elem_class[ta] == CUT or geom.elem_class[tb] == CUT
+def test_ghost_facets_interior_to_active(small_run, near_tangent_mu, r, theta):
+    # the ghost facets are exactly the interior facets with both neighbours
+    # active and one of them cut, on the whole mesh and on a plan's piece
+    art, _ = small_run
+    mesh = art.mesh
+    interior = np.flatnonzero(mesh.facet_tris[:, 1] >= 0)
+    for mu in [ParameterPoint(r, theta), *near_tangent_mu]:
+        geom = build_cut_geometry(mesh, mu)
+        for f in geom.ghost_facets:
+            ta, tb = mesh.facet_tris[f]
+            assert ta >= 0 and tb >= 0
+            assert geom.elem_class[ta] != OUTSIDE and geom.elem_class[tb] != OUTSIDE
+            assert geom.elem_class[ta] == CUT or geom.elem_class[tb] == CUT
+        cls = geom.elem_class[mesh.facet_tris[interior]]
+        meets = (cls != OUTSIDE).all(axis=1) & (cls == CUT).any(axis=1)
+        assert geom.ghost_mask[interior[meets]].all()
+        assert np.array_equal(art.plan.ghost_flags(geom), geom.ghost_mask[art.plan.facets])
 
 
 @settings(max_examples=20, deadline=None)
@@ -172,6 +183,24 @@ def test_degenerate_cut_reported_and_skipped():
     assert geom.degenerate_elements == [0, 1]
     assert _all_cut_rule(geom).seg_wts.sum() == 0.0
     assert geom.volume_weight_sum() == 0.0
+
+
+def test_weight_sums_and_degenerate_list_share_one_cut_rule(default_mesh, monkeypatch):
+    # the rule of all cut elements is derived once per geometry, like the
+    # whole-mesh sets, however often the sums and the list are read
+    widths = []
+    original = _kernels.cut_rules
+
+    def spy(tri, phi, degen_tol):
+        widths.append(phi.shape[1])
+        return original(tri, phi, degen_tol)
+
+    monkeypatch.setattr(_kernels, "cut_rules", spy)
+    geom = build_cut_geometry(default_mesh, ParameterPoint(1.07, 1.13))
+    assert widths == []
+    sums = [geom.volume_weight_sum(), geom.boundary_weight_sum(), geom.volume_weight_sum()]
+    assert sums[0] == sums[2] and geom.degenerate_elements == []
+    assert widths == [geom.cut_elements.size]
 
 
 _MESH = build_background_mesh(BOX, 0.125)
@@ -364,9 +393,8 @@ def _assert_bytes_equal(a, b, name):
 def _assert_geometry_bitwise(mesh, mu):
     new = build_cut_geometry(mesh, mu)
     ref = _reference_cut_geometry(mesh, mu)
-    for f in dataclasses.fields(CutGeometry):
-        if f.name in ref and isinstance(ref[f.name], np.ndarray):
-            _assert_bytes_equal(getattr(new, f.name), ref[f.name], f.name)
+    for name in ("phi", "elem_class", *DERIVED):
+        _assert_bytes_equal(getattr(new, name), ref[name], name)
     assert new.degenerate_elements == ref["degenerate_elements"]
     # the cut rows of the reference's element-major rules are the
     # component-major cut rule
@@ -374,9 +402,9 @@ def _assert_geometry_bitwise(mesh, mu):
     ins_sel = np.flatnonzero(new.elem_class[act] == INSIDE)
     cut_sel = ref["active_pos"][cut]
     assert ins_sel.size + cut_sel.size == act.size
-    _assert_bytes_equal(ref["vol_pts"][cut_sel], rule.vol_pts.transpose(2, 1, 0), "cut vol_pts")
+    _assert_bytes_equal(ref["vol_pts"][cut_sel], rule.pts[:, :2].transpose(2, 1, 0), "cut vol_pts")
     _assert_bytes_equal(ref["vol_wts"][cut_sel], rule.vol_wts.T, "cut vol_wts")
-    _assert_bytes_equal(ref["seg_pts"], rule.seg_pts.transpose(2, 0, 1), "seg_pts")
+    _assert_bytes_equal(ref["seg_pts"], rule.pts[:, 2:].transpose(2, 1, 0), "seg_pts")
     for q in range(2):
         _assert_bytes_equal(ref["seg_wts"][:, q], rule.seg_wts, "seg_wts")
     _assert_bytes_equal(ref["seg_normal"], rule.normal.T, "seg_normal")

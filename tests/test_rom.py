@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 from cutrom import deim
-from cutrom.assembly import AssemblyError
+from cutrom.assembly import AssemblyError, assemble_system
 from cutrom.config import Config
 from cutrom.deim import MATRIX, UnionPattern, build_deim_operator, deim_coefficients, reconstruct
 from cutrom.geometry import GeometryError, ParameterPoint, build_background_mesh, build_cut_geometry
@@ -160,6 +160,20 @@ def test_query_solves_no_interpolation_system(small_run, monkeypatch):
     monkeypatch.setattr(deim, "_GETRS", refuse)
     sol = rom_online_solve(art, ParameterPoint(1.07, 1.13), art.pod.n_max)
     assert np.isfinite(sol.u_lifted).all()
+
+
+def test_a_query_derives_none_of_the_whole_mesh_sets(small_run):
+    # a query reads the classification on the plan's piece only; full
+    # assembly derives every set it reads, once per geometry
+    art, _ = small_run
+    mu = ParameterPoint(1.07, 1.13)
+    geom = build_cut_geometry(art.mesh, mu)
+    rom_online_solve(art, mu, art.pod.n_max, geom=geom)
+    derived = ("active_elements", "cut_elements", "ghost_mask", "ghost_facets", "active_dofs")
+    assert not set(derived) & set(vars(geom))
+    sys_ = assemble_system(geom, art.phys)
+    assert set(derived) <= set(vars(geom))
+    assert sys_.active_dofs is geom.active_dofs
 
 
 def test_exactly_singular_reduced_system_named(small_run):
