@@ -60,16 +60,17 @@ class OfflineArtifacts:
     """The offline model: everything the online stage needs, and what it is
     saved and rebuilt from.
 
-    The union pattern (the matrix operator's), the sample entries and their
-    plan are derived from the interpolation indices here, so a freshly built
-    and a loaded model get them one way.  ``snapshots`` holds the training
-    solutions of a fresh build, for the mode-energy check; it is never saved,
-    and is None after loading.
+    The physics is derived from ``config``, so it cannot disagree with the
+    config whose hash names the model.  The union pattern (the matrix
+    operator's), the sample entries and their plan are derived from the
+    interpolation indices here, so a freshly built and a loaded model get
+    them one way.  ``snapshots`` holds the training solutions of a fresh
+    build, for the mode-energy check; it is never saved, and is None after
+    loading.
     """
 
     config: Config
     mesh: BackgroundMesh
-    phys: PhysicsParams
     pod: PodBasis
     deim_a: DeimOperator
     deim_f: DeimOperator
@@ -77,6 +78,7 @@ class OfflineArtifacts:
     blocks_f: np.ndarray  # (l_f, n_max) folded
     train_mu: np.ndarray
     snapshots: np.ndarray | None = None
+    phys: PhysicsParams = field(init=False)
     pattern: UnionPattern = field(init=False)
     matrix_sample_entries: np.ndarray = field(init=False)  # (l_A, 2) dof pairs
     vector_sample_entries: np.ndarray = field(init=False)  # (l_f,) dof indices
@@ -84,6 +86,7 @@ class OfflineArtifacts:
     packed_index: np.ndarray = field(init=False)  # (n_max, n_max) rows of blocks_a
 
     def __post_init__(self):
+        self.phys = physics_from_config(self.config)
         self.pattern = self.deim_a.pattern
         sampled = self.pattern.positions[self.deim_a.indices]
         self.matrix_sample_entries = np.column_stack(
@@ -242,7 +245,6 @@ def load_artifacts(dirpath: str, config: Config) -> OfflineArtifacts:
     deim_f = deim_operator(data["deim_f_basis"], data["deim_f_indices"],
                            data["deim_f_singular_values"])
     return OfflineArtifacts(
-        config=config, mesh=mesh, phys=physics_from_config(config), pod=pod,
-        deim_a=deim_a, deim_f=deim_f, blocks_a=data["blocks_a"],
-        blocks_f=data["blocks_f"], train_mu=data["train_mu"],
+        config=config, mesh=mesh, pod=pod, deim_a=deim_a, deim_f=deim_f,
+        blocks_a=data["blocks_a"], blocks_f=data["blocks_f"], train_mu=data["train_mu"],
     )

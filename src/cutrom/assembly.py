@@ -16,26 +16,27 @@ sums, from the geometry's level set, and ``_cut_stage`` forms the terms
 once, from that rule (``_kernels.cut_terms``, then the blocks): per cut
 element its volume block and its Nitsche block (k, 9), its volume and
 boundary loads (3, k), and the segment terms the energy norm reads (the
-barycentrics at both Gauss points with the normal derivatives, and the
-Gauss weights).  ``_sum_piece`` is the one
-routine that places and sums assembly's terms: on a piece of the mesh
-(``_Piece``), in one fixed order, with one ``np.bincount`` for A and one
-for f.  Full assembly is that sum on the whole mesh, the piece whose bins
-are the pattern positions and the dofs.  ``assemble_batch`` sums several
-geometries of one mesh at once, from one rule and one stage over their
-joined cut elements, with member k's bins shifted by k P and k N;
-``assemble_system`` is the batch of one; full assembly reads the whole-mesh
-sets of each geometry (active and cut elements, ghost facets, active
-dofs), which the geometry derives on that first read.  Sampled entries are
-the same sum on the piece of an ``EntryPlan``, whose compact bins are the
-requested entries, over the rule of the piece's cut elements only.  They
-read the geometry's level set and classes on the piece alone: the plan
-keeps the neighbour pairs of its facets, and the vertex ids and
-``tri_comp`` columns of its triangles, so a query gathers its cut
-elements' inputs and applies the ghost rule (``geometry.is_ghost``) by
-plan row, and no whole-mesh set is derived.  Every kernel computes each
-element's column on its own, so they match ``assemble_system`` bit for
-bit.
+barycentrics at both Gauss points with the normal derivatives).  The
+stage keeps the rule itself: the energy norm reads its Gauss weights, and
+the invariant suite the domain's area and interface length from it.
+``_sum_piece`` is the one routine that places and sums assembly's terms:
+on a piece of the mesh (``_Piece``), in one fixed order, with one
+``np.bincount`` for A and one for f.  Full assembly is that sum on the
+whole mesh, the piece whose bins are the pattern positions and the dofs.
+``assemble_batch`` sums several geometries of one mesh at once, from one
+rule and one stage over their joined cut elements, with member k's bins
+shifted by k P and k N; ``assemble_system`` is the batch of one; full
+assembly reads the whole-mesh sets of each geometry (active and cut
+elements, ghost facets, active dofs), which the geometry derives on that
+first read.  Sampled entries are the same sum on the piece of an
+``EntryPlan``, whose compact bins are the requested entries, over the rule
+of the piece's cut elements only.  They read the geometry's level set and
+classes on the piece alone: the plan keeps the neighbour pairs of its
+facets, and the vertex ids and ``tri_comp`` columns of its triangles, so a
+query gathers its cut elements' inputs and applies the ghost rule
+(``geometry.is_ghost``) by plan row, and no whole-mesh set is derived.
+Every kernel computes each element's column on its own, so they match
+``assemble_system`` bit for bit.
 
 The energy norm is a_h plus the Nitsche consistency term, |||v|||^2 =
 a_h(v, v) + 2 <dn v, v>_G.  Only ``assemble_norm_matrix`` forms that term,
@@ -100,7 +101,8 @@ class SystemPair:
     set.  ``pattern_pos`` is the mesh-pattern position of each stored entry
     of ``A``, in storage order, the bins ``_sum_piece`` hit on the whole
     mesh; ``stage`` the local terms assembly formed for the cut elements of
-    ``geom``, which ``assemble_norm_matrix`` reads."""
+    ``geom``, which ``assemble_norm_matrix`` reads, with their cut rule
+    (``stage.rule``)."""
 
     A: sp.csr_matrix
     f: np.ndarray
@@ -145,14 +147,15 @@ class _Stage(NamedTuple):
     """Local terms of cut elements: the volume and Nitsche blocks (k, 9),
     the volume and boundary loads (3, k), and for the energy norm ``bdn``
     (3, 3, k), the barycentrics at both Gauss points and the hats' normal
-    derivatives (``_kernels.cut_terms``), and the Gauss weights (k,)."""
+    derivatives (``_kernels.cut_terms``); and the ``CutRule`` they were
+    formed from, whose Gauss weights the energy norm also reads."""
 
     vol: np.ndarray
     nit: np.ndarray
     f_vol: np.ndarray
     f_bnd: np.ndarray
     bdn: np.ndarray
-    seg_w: np.ndarray
+    rule: CutRule
 
 
 def _corner_phi(geom: CutGeometry, vertices):
@@ -176,7 +179,7 @@ def _cut_stage(rule: CutRule, phys: PhysicsParams, h: float) -> _Stage:
     )
     return _Stage(_kernels.volume_contribs(wsum, rule.tri),
                   _kernels.boundary_contribs(rule.seg_wts, bdn[:2], bdn[2], lam_over_h),
-                  f_vol, f_bnd, bdn, rule.seg_wts)
+                  f_vol, f_bnd, bdn, rule)
 
 
 def _whole_load(area, f_const: float):
@@ -313,7 +316,8 @@ def assemble_norm_matrix(system: SystemPair) -> sp.csr_matrix:
     to a copy of A's values, element by element."""
     stage, geom = system.stage, system.geom
     bary, dn = stage.bdn[:2], stage.bdn[2]
-    cons = _kernels.consistency(stage.seg_w, bary[:, :, None], bary[:, None], dn[:, None], dn[None])
+    cons = _kernels.consistency(stage.rule.seg_wts, bary[:, :, None], bary[:, None],
+                                dn[:, None], dn[None])
     rank = np.empty(geom.mesh.pattern_cols.size, dtype=np.int64)
     rank[system.pattern_pos] = np.arange(system.pattern_pos.size)
     slots = rank.take(geom.mesh.tri_pattern_pos.take(geom.cut_elements, axis=0))

@@ -27,7 +27,6 @@ from .pipeline import (
     patch_check,
     run_offline,
     run_online_sweep,
-    run_sweep,
     verify_invariants,
 )
 
@@ -64,7 +63,9 @@ def _cmd_sweep(args) -> int:
     config = _load(args)
     art_dir = args.out or config.artifact_dir
     rep_dir = args.report or config.report_dir
-    run_sweep(config, artifact_dir=art_dir, report_dir=rep_dir)
+    art = run_offline(config)
+    save_artifacts(art_dir, art)
+    emit_report(run_online_sweep(art, config), rep_dir)
     log.info("artifacts in %s, report in %s", art_dir, rep_dir)
     return 0
 

@@ -12,7 +12,8 @@ the entry at ``pattern.positions[k]``.  A vector basis is the same
 computation with every row of weight 1.  For both kinds an interpolation
 index is a row of U, and an interpolant is U c (``reconstruct``).  The
 callers that need the whole symmetric matrix (the sweep's η_A and
-``rom.build_rom_offline``) mirror it through ``mesh.pattern_transpose``.
+``rom.build_rom_offline``) mirror it with the pattern's ``whole`` positions
+and their ``twin`` rows.
 
 The greedy index selection is LU elimination of the basis with a pivot rule
 (Sorensen & Embree 2016): the pivot is the first position whose residual is
@@ -56,7 +57,13 @@ class UnionPattern:
     k of a matrix snapshot or basis is the entry at mesh position
     ``positions[k]`` (sorted, each with row <= col), and ``diagonal[k]``
     says whether it is on the diagonal.  A position below the diagonal
-    raises ``DeimError``."""
+    raises ``DeimError``.
+
+    The whole symmetric union is written here once: ``whole`` holds its
+    mesh positions, sorted (the upper ones and their mirrors through
+    ``mesh.pattern_transpose``), and ``twin`` the row of each one's upper
+    entry, so ``values.take(twin)`` mirrors values over the rows to the
+    whole union."""
 
     def __init__(self, mesh: BackgroundMesh, positions: np.ndarray):
         rows, cols = mesh.pattern_rows[positions], mesh.pattern_cols[positions]
@@ -68,6 +75,9 @@ class UnionPattern:
         self.positions = positions
         self.size = positions.size
         self.diagonal = rows == cols
+        self.whole = np.union1d(positions, mesh.pattern_transpose[positions])
+        self.twin = np.searchsorted(positions,
+                                    np.minimum(self.whole, mesh.pattern_transpose[self.whole]))
 
 
 def build_union_pattern(mesh: BackgroundMesh, position_sets) -> UnionPattern:

@@ -330,12 +330,13 @@ class CutGeometry:
     Every other per-parameter set is derived from these two on first
     access and kept on the geometry: the active and cut elements, the ghost
     facets (``ghost_mask`` by facet id, ``is_ghost`` applied to the cut
-    elements' facets), the active dofs, and the cut rule of all the cut
-    elements that the weight sums and the degenerate list read.  Full
-    assembly derives the sets it reads; a sampled-entry query reads only
-    ``phi`` and ``elem_class``, on the plan's piece of the mesh.  The
-    geometry carries no quadrature for assembly: each consumer of a cut
-    rule makes it with ``cut_rule``, on exactly the cut elements it sums.
+    elements' facets) and the active dofs.  Full assembly derives the sets
+    it reads; a sampled-entry query reads only ``phi`` and ``elem_class``,
+    on the plan's piece of the mesh.  The geometry carries no quadrature:
+    each consumer of a cut rule makes it with ``cut_rule``, on exactly the
+    cut elements it sums, and a full assembly keeps its rule on its stage
+    (``assembly.SystemPair.stage``), where the area, the interface length
+    and the degenerate segments of a geometry are read.
     """
 
     mu: ParameterPoint
@@ -373,29 +374,6 @@ class CutGeometry:
         mark = self.phi <= 0.0
         mark[self.mesh.triangles_t.take(self.cut_elements, axis=1)] = True
         return np.flatnonzero(mark)
-
-    @cached_property
-    def _cut_rule(self) -> CutRule:
-        """The cut rule of all the cut elements."""
-        mesh, cut = self.mesh, self.cut_elements
-        return cut_rule(mesh.tri_comp.take(cut, axis=1),
-                        self.phi.take(mesh.triangles_t.take(cut, axis=1)), mesh.h)
-
-    @property
-    def degenerate_elements(self) -> list:
-        """The cut elements whose interface segment is degenerate."""
-        return self.cut_elements[self._cut_rule.degenerate].tolist()
-
-    def volume_weight_sum(self) -> float:
-        """Area of the domain: the inside elements' areas plus the cut
-        elements' sub-triangle areas."""
-        inside = self.elem_class == INSIDE
-        return float(self.mesh.tri_area[inside].sum() + self._cut_rule.vol_wts.sum())
-
-    def boundary_weight_sum(self) -> float:
-        """Quadrature length of the interface: both Gauss points of a
-        segment carry its ``seg_wts`` entry."""
-        return float(2.0 * self._cut_rule.seg_wts.sum())
 
 
 def build_cut_geometry(mesh: BackgroundMesh, mu: ParameterPoint) -> CutGeometry:

@@ -6,14 +6,15 @@ plan.  The online sweep takes two steps per test parameter.
 ``parameter_state`` does the work every mode count of the parameter shares:
 the geometry, the assembled system and its full-order solve, the sampled
 entries (``rom.sample_entries``, once per parameter), the norm matrix, and
-both interpolants with the errors of the DEIM indicators.
+both interpolants with the errors of the DEIM indicators; it enforces the
+interpolation exactness of the matrix interpolant at its own indices.
 ``parameter_record`` turns that state and one mode count into an
 ``EstimatorRecord``: the reduced solve (``rom.solve``), the full estimator
-set, and the hard invariants (Rayleigh sandwich, active-restriction
-ordering, combined bound), each raising on violation.
-``run_online_sweep`` only validates its input and loops over both.
-``deim_exactness_check`` in the invariant suite reads the interpolant and
-the assembled matrix from the same ``parameter_state``.
+set, and the per-record invariants (Rayleigh sandwich, active-restriction
+ordering, combined bound).  Each hard invariant raises ``PipelineError`` on
+violation.  ``run_online_sweep`` only validates its input and loops over
+both, and the invariant suite (``verify_invariants``) reads its completed
+sweep as one check.
 
 The two steps hold every clock read of a record's timings; the modules they
 call are untimed.  A record's ``fom_time`` is assembly plus the full-order
@@ -39,7 +40,7 @@ import scipy.sparse as sp
 
 from . import estimators as est
 from . import rates
-from .artifacts import OfflineArtifacts, read_key_values, save_artifacts
+from .artifacts import OfflineArtifacts, read_key_values
 from .assembly import (
     PhysicsParams,
     SystemPair,
@@ -53,7 +54,8 @@ from .config import SWEEP_ONLY_FIELDS, Config
 from .deim import (MATRIX, VECTOR, build_deim_operator, build_union_pattern,
                    deim_coefficients, reconstruct)
 from .fom import FomSolution, residual, solve_active, solve_fom
-from .geometry import ParameterPoint, build_background_mesh, build_cut_geometry, require_inside_box
+from .geometry import (INSIDE, ParameterPoint, build_background_mesh, build_cut_geometry,
+                       require_inside_box)
 from .pod import build_pod_basis, projection_tail_gap, tail_energy
 from .rom import build_rom_offline, sample_entries, solve
 
@@ -180,7 +182,7 @@ def run_offline(config: Config) -> OfflineArtifacts:
     blocks_a, blocks_f = build_rom_offline(mesh, pod, deim_a, deim_f)
     lap("projection")
     art = OfflineArtifacts(
-        config=config, mesh=mesh, phys=phys, pod=pod, deim_a=deim_a, deim_f=deim_f,
+        config=config, mesh=mesh, pod=pod, deim_a=deim_a, deim_f=deim_f,
         blocks_a=blocks_a, blocks_f=blocks_f, train_mu=train_mu, snapshots=snapshots,
     )
     log.info("offline done in %.3f s: %s; matrix store %d x %d (%.1f MB)",
@@ -271,11 +273,9 @@ class ParameterState:
 
     ``fom_time`` is assembly plus solve.  ``a_samp`` and ``f_samp`` are the
     sampled entries (``rom.sample_entries``) and ``sample_time`` the time
-    taken to sample them.  ``a_deim`` is the matrix interpolant over the
-    union's upper entries and ``a_exact`` the assembled A over the whole
-    mesh pattern; ``a_err`` and ``f_err`` are the absolute and relative
-    interpolation errors of A and f (``est.deim_error``), and ``d_min``,
-    ``d_max`` the range of A's diagonal over the active dofs."""
+    taken to sample them.  ``a_err`` and ``f_err`` are the absolute and
+    relative interpolation errors of A and f (``est.deim_error``), and
+    ``d_min``, ``d_max`` the range of A's diagonal over the active dofs."""
 
     mu: ParameterPoint
     system: SystemPair
@@ -285,8 +285,6 @@ class ParameterState:
     a_samp: np.ndarray
     f_samp: np.ndarray
     sample_time: float
-    a_deim: np.ndarray
-    a_exact: np.ndarray
     a_err: tuple[float, float]
     f_err: tuple[float, float]
     diag: np.ndarray
@@ -298,8 +296,13 @@ def parameter_state(art: OfflineArtifacts, mu: ParameterPoint) -> ParameterState
     """The per-parameter work of the sweep: geometry, system and full-order
     solve (timed together), sampled entries (``rom.sample_entries``, timed
     alone), norm matrix, and both interpolants with their errors, A's before
-    f's.  The matrix interpolant is mirrored over the mesh pattern, so it is
-    compared with A whole."""
+    f's.  The matrix interpolant is mirrored to the whole union
+    (``UnionPattern.whole``), so it is compared with A whole.
+
+    Raises ``PipelineError`` naming ``mu`` when the matrix interpolant
+    misses the assembled A by more than 1e-10 at the selected entries, its
+    own interpolation indices, where the two agree to rounding (Chaturantabut
+    & Sorensen 2010)."""
     geom = build_cut_geometry(art.mesh, mu)
     t0 = time.perf_counter()
     system = assemble_system(geom, art.phys)
@@ -310,18 +313,22 @@ def parameter_state(art: OfflineArtifacts, mu: ParameterPoint) -> ParameterState
     norm_mat = assemble_norm_matrix(system)
     a_deim = reconstruct(art.deim_a, deim_coefficients(art.deim_a, a_samp))
     f_deim = reconstruct(art.deim_f, deim_coefficients(art.deim_f, f_samp))
-    upper = art.pattern.positions
-    a_whole = _on_mesh_pattern(art.mesh, upper, a_deim)
-    a_whole[art.mesh.pattern_transpose[upper]] = a_deim
+    pattern, selected = art.pattern, art.deim_a.indices
     a_exact = _on_mesh_pattern(art.mesh, system.pattern_pos, system.A.data)
+    gap = float(np.abs(a_deim.take(selected)
+                       - a_exact.take(pattern.positions.take(selected))).max())
+    if not gap <= 1e-10:
+        raise PipelineError(f"matrix interpolant inexact at mu=({mu.r:.17g}, {mu.theta:.17g}): "
+                            f"max |A_deim - A| at the selected entries {gap:.3e} > 1e-10")
+    a_whole = _on_mesh_pattern(art.mesh, pattern.whole, a_deim.take(pattern.twin))
     a_err = est.deim_error(a_exact, a_whole)
     f_err = est.deim_error(system.f, f_deim)
     diag = system.A.diagonal()
     d_min, d_max = est.active_diagonal_range(diag, system.active_dofs)
     return ParameterState(
         mu=mu, system=system, norm_mat=norm_mat, fom=fom, fom_time=t1 - t0,
-        a_samp=a_samp, f_samp=f_samp, sample_time=t2 - t1, a_deim=a_deim, a_exact=a_exact,
-        a_err=a_err, f_err=f_err, diag=diag, d_min=d_min, d_max=d_max,
+        a_samp=a_samp, f_samp=f_samp, sample_time=t2 - t1, a_err=a_err, f_err=f_err,
+        diag=diag, d_min=d_min, d_max=d_max,
     )
 
 
@@ -376,8 +383,9 @@ def parameter_record(art: OfflineArtifacts, state: ParameterState, n: int,
 
 def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) -> SweepReport:
     """Solve FOM and ROM over the test set, evaluate every estimator record,
-    and enforce the hard invariants record by record: ``parameter_state``
-    once per test parameter, then ``parameter_record`` once per mode count.
+    and enforce the hard invariants parameter by parameter and record by
+    record: ``parameter_state`` once per test parameter, then
+    ``parameter_record`` once per mode count.
 
     ``config`` may differ from ``art.config`` only in the sweep and path
     fields (``SWEEP_ONLY_FIELDS``, the fields ``Config.hash`` leaves out, so
@@ -547,17 +555,6 @@ def load_report(dirpath: str) -> SweepReport:
     )
 
 
-def run_sweep(config: Config, artifact_dir: str | None = None, report_dir: str | None = None):
-    """Offline + online + report emission in one call."""
-    art = run_offline(config)
-    if artifact_dir:
-        save_artifacts(artifact_dir, art)
-    report = run_online_sweep(art, config)
-    if report_dir:
-        emit_report(report, report_dir)
-    return art, report
-
-
 # ---------------------------------------------------------------------------
 # invariant suite
 # ---------------------------------------------------------------------------
@@ -592,12 +589,12 @@ def patch_check(mesh, phys: PhysicsParams, params) -> CheckResult:
     return CheckResult("patch_test", worst <= 1e-10, f"max dof error {worst:.3e}")
 
 
-def zero_ghost_rows_check(mesh, phys: PhysicsParams, params) -> CheckResult:
-    """Rows of A and entries of f outside the active dofs are exactly 0.0."""
+def zero_ghost_rows_check(systems) -> CheckResult:
+    """Rows of A and entries of f outside the active dofs are exactly 0.0
+    in each assembled system of ``systems``."""
     worst = 0.0
-    for mu in params:
-        system = assemble_system(build_cut_geometry(mesh, mu), phys)
-        inactive = np.setdiff1d(np.arange(mesh.n_vertices), system.active_dofs)
+    for system in systems:
+        inactive = np.setdiff1d(np.arange(system.f.size), system.active_dofs)
         row_mass = np.abs(system.A[inactive]).sum(axis=1).max() if inactive.size else 0.0
         worst = max(worst, float(row_mass), float(np.abs(system.f[inactive]).max(initial=0.0)))
     return CheckResult("zero_ghost_rows", worst == 0.0, f"max inactive magnitude {worst:.3e}")
@@ -640,72 +637,59 @@ def pod_tail_check(pod, snapshots: np.ndarray, mass) -> CheckResult:
     return CheckResult("pod_tail_identity", ok, "; ".join(details))
 
 
-def deim_exactness_check(art: OfflineArtifacts, params) -> CheckResult:
-    """The interpolated stiffness matrix equals the assembled one to 1e-10 at
-    the selected entries (the interpolation indices) for each parameter,
-    both as the sweep's ``parameter_state`` holds them."""
-    selected = art.deim_a.indices
-    sampled_pos = art.pattern.positions.take(selected)
-    worst = 0.0
-    for mu in params:
-        state = parameter_state(art, mu)
-        gap = state.a_deim.take(selected) - state.a_exact.take(sampled_pos)
-        worst = max(worst, float(np.abs(gap).max()))
-    return CheckResult(
-        "deim_interpolation_exactness", worst <= 1e-10, f"max |A_deim - A| at selected {worst:.3e}",
-    )
-
-
-def _geometry_row(mesh, mu: ParameterPoint) -> list:
-    """Class counts and area/perimeter estimates of one parameter's geometry."""
-    geom = build_cut_geometry(mesh, mu)
+def _geometry_row(system: SystemPair) -> list:
+    """Class counts and area/perimeter estimates of one parameter's
+    geometry, the cut elements' weights read from the rule its assembly
+    made (``stage.rule``)."""
+    geom, rule = system.geom, system.stage.rule
+    mu = geom.mu
     exact_area = np.pi * np.sqrt(mu.r * mu.theta)
     counts = [int((geom.elem_class == c).sum()) for c in (0, 1, 2)]
-    return [
-        mu.r, mu.theta, *counts,
-        geom.volume_weight_sum(), geom.boundary_weight_sum(), exact_area,
-        abs(geom.volume_weight_sum() - exact_area) / exact_area,
-    ]
+    area = float(geom.mesh.tri_area[geom.elem_class == INSIDE].sum() + rule.vol_wts.sum())
+    return [mu.r, mu.theta, *counts, area, float(2.0 * rule.seg_wts.sum()), exact_area,
+            abs(area - exact_area) / exact_area]
 
 
 def verify_invariants(config: Config, geometry_csv: str | None = None) -> list:
     """Run the full invariant suite for a configuration.
 
-    Covers: linear patch test, exact zero ghost rows, SPD / discrete
-    coercivity, the mode-energy identity, interpolation exactness at selected
-    positions, and one check for the per-record sweep invariants (Rayleigh
-    sandwich, active <= plain, combined bound), which the sweep enforces.
-    When ``geometry_csv`` is given, a per-parameter geometry summary (class
-    counts, area/perimeter estimates) of the zero-row parameters is written
-    there.
+    Builds the offline model first, and runs every check on its mesh and
+    physics: linear patch test, exact zero ghost rows, SPD / discrete
+    coercivity, the mode-energy identity, and one check for the invariants
+    the sweep enforces (interpolation exactness at the selected entries per
+    parameter; Rayleigh sandwich, active <= plain and combined bound per
+    record), which reads the completed sweep.  Each zero-row parameter is
+    assembled once; when ``geometry_csv`` is given, a per-parameter geometry
+    summary (class counts, area/perimeter estimates) of those systems is
+    written there.
     """
-    mesh = build_background_mesh(config.box, config.h_target)
-    phys = physics_from_config(config)
+    art = run_offline(config)
+    mesh, phys = art.mesh, art.phys
     mu = [ParameterPoint(*m) for m in sample_parameters(38, config.seed + 10_000,
                                                         config.mu_min, config.mu_max)]
     patch_mu, zero_mu, spd_mu = mu[:5], mu[5:35], mu[35:]
+    zero_systems = [assemble_system(build_cut_geometry(mesh, m), phys) for m in zero_mu]
     if geometry_csv is not None:
         os.makedirs(os.path.dirname(geometry_csv) or ".", exist_ok=True)
         _write_csv(geometry_csv,
                    ("mu_r", "mu_theta", "n_inside", "n_cut", "n_outside",
                     "volume_sum", "boundary_sum", "exact_area", "area_rel_err"),
-                   [_geometry_row(mesh, mu) for mu in zero_mu])
+                   [_geometry_row(system) for system in zero_systems])
 
     patch_phys = replace(phys, f_const=0.0, g_coeffs=(1.0, 2.0, 3.0, 0.0))
     checks = [
         patch_check(mesh, patch_phys, patch_mu),
-        zero_ghost_rows_check(mesh, phys, zero_mu),
+        zero_ghost_rows_check(zero_systems),
         spd_coercivity_check(mesh, phys, spd_mu, est.alpha_star(config.nitsche_lambda, config.c_inv)),
+        pod_tail_check(art.pod, art.snapshots, assemble_mass_matrix(mesh)),
     ]
-    # the remaining checks need the offline build
-    art = run_offline(config)
-    checks.append(pod_tail_check(art.pod, art.snapshots, assemble_mass_matrix(mesh)))
-    test_mu = sample_parameters(config.n_test, config.seed + 1, config.mu_min, config.mu_max)
-    checks.append(deim_exactness_check(art, [ParameterPoint(*m) for m in test_mu]))
-    # per-record sweep invariants: run_online_sweep raises on the first violation
+    # the sweep raises on the first violation of any invariant it enforces
     try:
         report = run_online_sweep(art, config)
-        checks.append(CheckResult("sweep_invariants", True, f"{len(report.records)} records"))
+        checks.append(CheckResult(
+            "sweep_invariants", True,
+            f"{len(report.records)} records: interpolation exactness at the selected entries, "
+            "Rayleigh sandwich, active <= plain, combined bound"))
     except PipelineError as exc:
         checks.append(CheckResult("sweep_invariants", False, str(exc)))
     return checks

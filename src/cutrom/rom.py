@@ -7,8 +7,8 @@ Amsallem 2015): the inverse of each interpolation matrix PᵀU is folded into
 them offline, so the reduced operator and load are linear in the sampled
 entries themselves, and no interpolation system is solved online.  The
 matrix basis lives on the upper half of the union pattern; the projection
-mirrors it through ``mesh.pattern_transpose``, as it needs the whole
-symmetric matrices.
+mirrors it to the whole union (``deim.UnionPattern.whole``), as it needs
+the whole symmetric matrices.
 
 The online stage has two steps.  ``sample_entries`` samples the planned
 entries for one parameter (``assembly.evaluate_entries``): the entry plan's
@@ -89,13 +89,12 @@ def build_rom_offline(mesh: BackgroundMesh, pod: PodBasis, deim_a: DeimOperator,
     shapes (n_max (n_max + 1) / 2, l_A) and (l_f, n_max).
 
     The matrix basis lives on the union's upper entries
-    (``deim.build_deim_operator``); one CSR matrix on the whole union, the
-    upper entries and their mirrors through ``mesh.pattern_transpose``, takes
-    each element's values in turn, each entry the value of its upper twin,
-    so it is symmetric.  Each projected block is stored packed
-    (``packed_upper_index``), one column per basis element, so the leading
-    n x n blocks of all elements are one contiguous slab and a reduced
-    operator unpacks exactly symmetric.
+    (``deim.build_deim_operator``); one CSR matrix on the whole union
+    (``UnionPattern.whole``) takes each element's values in turn, each entry
+    the value of its upper ``twin``, so it is symmetric.  Each projected
+    block is stored packed (``packed_upper_index``), one column per basis
+    element, so the leading n x n blocks of all elements are one contiguous
+    slab and a reduced operator unpacks exactly symmetric.
 
     The projected blocks B (one column per matrix basis element) and F (one
     row per load basis vector) are then folded with the LU factors the
@@ -109,13 +108,11 @@ def build_rom_offline(mesh: BackgroundMesh, pod: PodBasis, deim_a: DeimOperator,
         raise RomError("matrix operator must carry the union pattern")
     v = pod.V
     rows, cols = _upper_entries(pod.n_max)
-    upper = deim_a.pattern.positions
-    whole = np.union1d(upper, mesh.pattern_transpose[upper])
-    twin = np.searchsorted(upper, np.minimum(whole, mesh.pattern_transpose[whole]))
-    basis_mat = csr_on_pattern(mesh, np.zeros(mesh.pattern_cols.size), whole)
+    pattern = deim_a.pattern
+    basis_mat = csr_on_pattern(mesh, np.zeros(mesh.pattern_cols.size), pattern.whole)
     blocks_a = np.empty((rows.size, deim_a.l))
     for j in range(deim_a.l):
-        np.take(deim_a.U[:, j], twin, out=basis_mat.data)
+        np.take(deim_a.U[:, j], pattern.twin, out=basis_mat.data)
         blocks_a[:, j] = (v.T @ (basis_mat @ v))[rows, cols]
     blocks_f = np.empty((deim_f.l, pod.n_max))
     for j in range(deim_f.l):

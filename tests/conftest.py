@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from cutrom.assembly import assemble_mass_matrix, physics_from_config
 from cutrom.config import Config
-from cutrom.geometry import ParameterPoint, build_background_mesh
+from cutrom.geometry import INSIDE, ParameterPoint, build_background_mesh
 from cutrom.pipeline import emit_report, run_offline, run_online_sweep
 
 DEFAULT_BOX = ((-1.2, 1.2), (-1.2, 1.2))
@@ -48,6 +48,18 @@ class WholeUnion:
 @pytest.fixture(scope="session")
 def whole_union():
     return WholeUnion
+
+
+def _domain_area(geom, rule):
+    """Area of the domain of ``geom``: its inside elements' areas plus the
+    sub-triangle areas of ``rule``, a cut rule of all its cut elements
+    (``geometry.cut_rule``, or the ``stage.rule`` of its assembly)."""
+    return float(geom.mesh.tri_area[geom.elem_class == INSIDE].sum() + rule.vol_wts.sum())
+
+
+@pytest.fixture(scope="session")
+def domain_area():
+    return _domain_area
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the pass/fail lines.
 
-The invariant criteria (1, 2, 4, 5, 6) call the check functions that
-``cutrom verify`` runs, so each invariant has one implementation.
+The invariant criteria (1, 2, 4, 6) call the check functions that
+``cutrom verify`` runs, so each invariant has one implementation; criterion
+5 reads the completed sweep, which enforces interpolation exactness itself.
 
 Four sub-criteria, under criteria 8 and 10, are marked xfail(strict)
 because they cannot hold on the mandated structured background mesh; see
@@ -32,10 +33,10 @@ import pytest
 import scipy.linalg as sla
 
 from cutrom.artifacts import ArtifactError, load_artifacts, save_artifacts
+from cutrom.assembly import assemble_system
 from cutrom.estimators import alpha_star, rayleigh_ratio_check
 from cutrom.geometry import ParameterPoint, build_background_mesh, build_cut_geometry
 from cutrom.pipeline import (
-    deim_exactness_check,
     emit_report,
     patch_check,
     run_offline,
@@ -74,14 +75,20 @@ def test_criterion_01_linear_patch(default_mesh, patch_phys):
 # 2 ------------------------------------------------------------------------
 
 def test_criterion_02_zero_ghost_rows(default_mesh, default_phys):
-    check = zero_ghost_rows_check(default_mesh, default_phys, _draw(202, 30))
+    systems = [assemble_system(build_cut_geometry(default_mesh, mu), default_phys)
+               for mu in _draw(202, 30)]
+    check = zero_ghost_rows_check(systems)
     assert check.ok, check
     _line(2, "rows and loads outside the active set are exactly 0.0 for 30 parameters")
 
 
 # 3 ------------------------------------------------------------------------
 
-def test_criterion_03_geometry_accuracy():
+def test_criterion_03_geometry_accuracy(default_phys, domain_area):
+    def area(mesh, mu):
+        system = assemble_system(build_cut_geometry(mesh, mu), default_phys)
+        return domain_area(system.geom, system.stage.rule)
+
     rng = np.random.default_rng(303)
     mesh_h = build_background_mesh(BOX, 0.125)
     assert mesh_h.h == pytest.approx(0.12, abs=1e-15)
@@ -89,15 +96,11 @@ def test_criterion_03_geometry_accuracy():
     for _ in range(5):
         mu = ParameterPoint(*(1.0 + 0.2 * rng.random(2)))
         exact = np.pi * np.sqrt(mu.r * mu.theta)
-        geom = build_cut_geometry(mesh_h, mu)
-        worst = max(worst, abs(geom.volume_weight_sum() - exact) / exact)
+        worst = max(worst, abs(area(mesh_h, mu) - exact) / exact)
     assert worst <= 0.02
     mu = ParameterPoint(1.07, 1.13)
     exact = np.pi * np.sqrt(mu.r * mu.theta)
-    errs = []
-    for h in (0.125, 0.0625):
-        geom = build_cut_geometry(build_background_mesh(BOX, h), mu)
-        errs.append(abs(geom.volume_weight_sum() - exact))
+    errs = [abs(area(build_background_mesh(BOX, h), mu) - exact) for h in (0.125, 0.0625)]
     ratio = errs[0] / errs[1]
     assert 3.0 <= ratio <= 5.0
     _line(3, f"area error {worst:.2%} at h=0.12, halving ratio {ratio:.2f}")
@@ -116,16 +119,18 @@ def test_criterion_04_pod_tail_identity(default_run, n):
 # 5 ------------------------------------------------------------------------
 
 def test_criterion_05_deim_interpolation_exactness(default_run):
+    # the sweep raises unless the matrix interpolant equals the assembled A
+    # to 1e-10 at its selected entries, parameter by parameter: the
+    # completed sweep holds it for every test parameter
     report = default_run.report
-    check = deim_exactness_check(default_run.artifacts,
-                                 [ParameterPoint(*m) for m in report.test_mu])
-    assert check.ok, check
+    assert len(report.test_mu) == default_run.config.n_test
     for n in report.n_list:
         recs = report.records_for_n(n)
         base = report.records_for_n(report.n_list[0])
         assert [r.eta_A for r in recs] == [r.eta_A for r in base]
         assert [r.eta_f for r in recs] == [r.eta_f for r in base]
-    _line(5, f"{check.detail}; eta_A/eta_f bit-identical across the sweep")
+    _line(5, f"interpolant exact to 1e-10 at the selected entries for {len(report.test_mu)} "
+             "parameters; eta_A/eta_f bit-identical across the sweep")
 
 
 # 6 ------------------------------------------------------------------------

@@ -83,13 +83,14 @@ def test_linear_patch_residual(default_mesh, patch_phys):
 
 def test_norm_matrix_constant_vector(default_mesh, default_phys):
     geom = build_cut_geometry(default_mesh, ParameterPoint(1.0, 1.0))
-    nm = assemble_norm_matrix(assemble_system(geom, default_phys))
+    sys_ = assemble_system(geom, default_phys)
+    nm = assemble_norm_matrix(sys_)
     ones = np.ones(default_mesh.n_vertices)
     quad = ones @ (nm @ ones)
     lam_over_h = default_phys.nitsche_lambda / default_mesh.h
     assert quad == pytest.approx(lam_over_h * 2 * np.pi, rel=0.02)
     # consistency with the assembled boundary measure is much tighter
-    assert quad == pytest.approx(lam_over_h * geom.boundary_weight_sum(), rel=1e-12)
+    assert quad == pytest.approx(lam_over_h * 2.0 * sys_.stage.rule.seg_wts.sum(), rel=1e-12)
     assert np.zeros_like(ones) @ (nm @ np.zeros_like(ones)) == 0.0
     assert abs(nm - nm.T).max() <= 1e-12 * abs(nm).max()
 
@@ -189,19 +190,18 @@ def _gradients(mesh, rows):
 SOURCE_PHYS = dataclasses.replace(DEFAULT_PHYS, f_const=-3.7, g_coeffs=(0.0, 0.0, 0.0, 0.0))
 
 
-def _assert_load_total_is_source_times_area(nx, mu):
-    geom = build_cut_geometry(_EDGE_MESHES[nx], mu)
-    total = assemble_system(geom, SOURCE_PHYS).f.sum()
-    want = SOURCE_PHYS.f_const * geom.volume_weight_sum()
-    assert abs(total - want) <= 1e-13 * abs(want)
-    return geom
+def _assert_load_total_is_source_times_area(domain_area, nx, mu):
+    sys_ = assemble_system(build_cut_geometry(_EDGE_MESHES[nx], mu), SOURCE_PHYS)
+    want = SOURCE_PHYS.f_const * domain_area(sys_.geom, sys_.stage.rule)
+    assert abs(sys_.f.sum() - want) <= 1e-13 * abs(want)
+    return sys_
 
 
 @pytest.mark.parametrize("nx", [7, 20])
 @settings(max_examples=25, deadline=None)
 @given(r=st.floats(min_value=0.3, max_value=1.44), theta=st.floats(min_value=0.3, max_value=1.44))
-def test_load_total_is_source_times_area(nx, r, theta):
-    _assert_load_total_is_source_times_area(nx, ParameterPoint(r, theta))
+def test_load_total_is_source_times_area(domain_area, nx, r, theta):
+    _assert_load_total_is_source_times_area(domain_area, nx, ParameterPoint(r, theta))
 
 
 def _edge_parameters(mesh):
@@ -219,19 +219,19 @@ def _edge_parameters(mesh):
 
 
 @pytest.mark.parametrize("nx", [7, 20])
-def test_load_total_is_source_times_area_on_edge_parameters(nx):
-    geoms = [_assert_load_total_is_source_times_area(nx, mu)
-             for mu in _edge_parameters(_EDGE_MESHES[nx])]
-    assert len(geoms[-1].degenerate_elements) > 0
+def test_load_total_is_source_times_area_on_edge_parameters(domain_area, nx):
+    systems = [_assert_load_total_is_source_times_area(domain_area, nx, mu)
+               for mu in _edge_parameters(_EDGE_MESHES[nx])]
+    assert np.count_nonzero(systems[-1].stage.rule.degenerate) > 0
 
 
 # v = x has dn v = n_x, so by the divergence theorem the consistency term
 # 2 int_G dn v v = 2 int_G n_x x is twice the domain's area; likewise v = y
-def _assert_norm_gap_is_twice_the_area(nx, mu):
+def _assert_norm_gap_is_twice_the_area(domain_area, nx, mu):
     geom = build_cut_geometry(_EDGE_MESHES[nx], mu)
     sys_ = assemble_system(geom, EDGE_PHYS)
     gap = assemble_norm_matrix(sys_) - sys_.A
-    want = 2.0 * geom.volume_weight_sum()
+    want = 2.0 * domain_area(geom, sys_.stage.rule)
     for v in geom.mesh.vertices.T:
         assert abs(v @ (gap @ v) - want) <= 1e-12 * want
 
@@ -239,14 +239,14 @@ def _assert_norm_gap_is_twice_the_area(nx, mu):
 @pytest.mark.parametrize("nx", [7, 20])
 @settings(max_examples=25, deadline=None)
 @given(r=st.floats(min_value=0.3, max_value=1.44), theta=st.floats(min_value=0.3, max_value=1.44))
-def test_norm_minus_stiffness_is_twice_the_area(nx, r, theta):
-    _assert_norm_gap_is_twice_the_area(nx, ParameterPoint(r, theta))
+def test_norm_minus_stiffness_is_twice_the_area(domain_area, nx, r, theta):
+    _assert_norm_gap_is_twice_the_area(domain_area, nx, ParameterPoint(r, theta))
 
 
 @pytest.mark.parametrize("nx", [7, 20])
-def test_norm_minus_stiffness_is_twice_the_area_on_edge_parameters(nx):
+def test_norm_minus_stiffness_is_twice_the_area_on_edge_parameters(domain_area, nx):
     for mu in _edge_parameters(_EDGE_MESHES[nx]):
-        _assert_norm_gap_is_twice_the_area(nx, mu)
+        _assert_norm_gap_is_twice_the_area(domain_area, nx, mu)
 
 
 def _element_major_rules(geom):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cutrom import _kernels
 from cutrom._kernels import GAUSS_T
 from cutrom.geometry import (
     CUT,
@@ -32,6 +31,11 @@ def _all_cut_rule(geom):
     """The cut rule of every cut element of ``geom``."""
     mesh, cut = geom.mesh, geom.cut_elements
     return cut_rule(mesh.tri_comp[:, cut], geom.phi[mesh.triangles_t[:, cut]], mesh.h)
+
+
+def _degenerate_elements(geom):
+    """The cut elements of ``geom`` whose interface segment is degenerate."""
+    return geom.cut_elements[_all_cut_rule(geom).degenerate].tolist()
 
 
 def test_mesh_counts_default():
@@ -89,10 +93,11 @@ def test_parameter_validation():
         ParameterPoint(1.0, -0.5)
 
 
-def test_circle_area_and_perimeter(default_mesh):
+def test_circle_area_and_perimeter(default_mesh, domain_area):
     geom = build_cut_geometry(default_mesh, ParameterPoint(1.0, 1.0))
-    assert geom.volume_weight_sum() == pytest.approx(np.pi, rel=0.02)
-    assert geom.boundary_weight_sum() == pytest.approx(2 * np.pi, rel=0.02)
+    rule = _all_cut_rule(geom)
+    assert domain_area(geom, rule) == pytest.approx(np.pi, rel=0.02)
+    assert 2.0 * rule.seg_wts.sum() == pytest.approx(2 * np.pi, rel=0.02)
 
 
 def test_outside_elements_have_no_quadrature(default_mesh):
@@ -107,7 +112,7 @@ def test_outside_elements_have_no_quadrature(default_mesh):
 
 @settings(max_examples=25, deadline=None)
 @given(r=mu_values, theta=mu_values)
-def test_classification_partition(r, theta):
+def test_classification_partition(domain_area, r, theta):
     mesh = _MESH
     geom = build_cut_geometry(mesh, ParameterPoint(r, theta))
     counts = [(geom.elem_class == c).sum() for c in (INSIDE, CUT, OUTSIDE)]
@@ -119,7 +124,7 @@ def test_classification_partition(r, theta):
         ])),
         geom.active_elements,
     )
-    assert 0.0 < geom.volume_weight_sum() < 5.76
+    assert 0.0 < domain_area(geom, _all_cut_rule(geom)) < 5.76
 
 
 @settings(max_examples=25, deadline=None)
@@ -151,14 +156,14 @@ def test_boundary_normals_unit(r, theta):
     assert np.abs(norms - 1.0).max() < 1e-12
 
 
-def test_area_accuracy_and_convergence():
+def test_area_accuracy_and_convergence(domain_area):
     mu = ParameterPoint(1.07, 1.13)
     exact = np.pi * np.sqrt(mu.r * mu.theta)
     errs = []
     for h in (0.125, 0.0625):
         mesh = build_background_mesh(BOX, h)
         geom = build_cut_geometry(mesh, mu)
-        errs.append(abs(geom.volume_weight_sum() - exact))
+        errs.append(abs(domain_area(geom, _all_cut_rule(geom)) - exact))
     assert errs[0] / exact <= 0.02
     assert 3.0 <= errs[0] / errs[1] <= 5.0
 
@@ -174,33 +179,15 @@ def test_deterministic_rebuild(default_mesh):
     assert np.array_equal(g1.ghost_facets, g2.ghost_facets)
 
 
-def test_degenerate_cut_reported_and_skipped():
+def test_degenerate_cut_reported_and_skipped(domain_area):
     # vertex (1,1) sits exactly on the ellipse for mu=(2,2); both triangles
     # classify as cut with a zero-length interface segment
     mesh = build_background_mesh(((1.0, 3.0), (1.0, 3.0)), 2.0)
     geom = build_cut_geometry(mesh, ParameterPoint(2.0, 2.0))
     assert (geom.elem_class == CUT).all()
-    assert geom.degenerate_elements == [0, 1]
+    assert _degenerate_elements(geom) == [0, 1]
     assert _all_cut_rule(geom).seg_wts.sum() == 0.0
-    assert geom.volume_weight_sum() == 0.0
-
-
-def test_weight_sums_and_degenerate_list_share_one_cut_rule(default_mesh, monkeypatch):
-    # the rule of all cut elements is derived once per geometry, like the
-    # whole-mesh sets, however often the sums and the list are read
-    widths = []
-    original = _kernels.cut_rules
-
-    def spy(tri, phi, degen_tol):
-        widths.append(phi.shape[1])
-        return original(tri, phi, degen_tol)
-
-    monkeypatch.setattr(_kernels, "cut_rules", spy)
-    geom = build_cut_geometry(default_mesh, ParameterPoint(1.07, 1.13))
-    assert widths == []
-    sums = [geom.volume_weight_sum(), geom.boundary_weight_sum(), geom.volume_weight_sum()]
-    assert sums[0] == sums[2] and geom.degenerate_elements == []
-    assert widths == [geom.cut_elements.size]
+    assert domain_area(geom, _all_cut_rule(geom)) == 0.0
 
 
 _MESH = build_background_mesh(BOX, 0.125)
@@ -395,10 +382,10 @@ def _assert_geometry_bitwise(mesh, mu):
     ref = _reference_cut_geometry(mesh, mu)
     for name in ("phi", "elem_class", *DERIVED):
         _assert_bytes_equal(getattr(new, name), ref[name], name)
-    assert new.degenerate_elements == ref["degenerate_elements"]
     # the cut rows of the reference's element-major rules are the
     # component-major cut rule
     act, cut, rule = new.active_elements, new.cut_elements, _all_cut_rule(new)
+    assert cut[rule.degenerate].tolist() == ref["degenerate_elements"]
     ins_sel = np.flatnonzero(new.elem_class[act] == INSIDE)
     cut_sel = ref["active_pos"][cut]
     assert ins_sel.size + cut_sel.size == act.size
@@ -442,13 +429,14 @@ def test_cut_geometry_matches_reference_with_a_vertex_on_the_interface(nx):
 @settings(max_examples=10, deadline=None)
 @given(r=st.floats(min_value=0.3, max_value=1.44), theta=st.floats(min_value=0.3, max_value=1.44))
 @example(r=1.44, theta=1.44)
-def test_weight_sums_match_element_major_reference(nx, r, theta):
+def test_weight_sums_match_element_major_reference(domain_area, nx, r, theta):
     mesh = _LADDER[nx]
     mu = ParameterPoint(r, theta)
     geom = build_cut_geometry(mesh, mu)
+    rule = _all_cut_rule(geom)
     ref = _reference_cut_geometry(mesh, mu)
-    for got, want in ((geom.volume_weight_sum(), ref["vol_wts"].sum()),
-                      (geom.boundary_weight_sum(), ref["seg_wts"].sum())):
+    for got, want in ((domain_area(geom, rule), ref["vol_wts"].sum()),
+                      (2.0 * rule.seg_wts.sum(), ref["seg_wts"].sum())):
         assert abs(got - want) <= 1e-14 * abs(want)
 
 
@@ -481,10 +469,10 @@ def test_cut_geometry_matches_reference_on_degenerate_segments():
     # (1.44, 1.44) touches the box edge at the four edge midpoints, which are
     # vertices on an even grid; a one-cell mesh with its corner on the ellipse
     geom = _assert_geometry_bitwise(_LADDER[20], ParameterPoint(1.44, 1.44))
-    assert len(geom.degenerate_elements) > 0
+    assert len(_degenerate_elements(geom)) > 0
     corner = build_background_mesh(((1.0, 3.0), (1.0, 3.0)), 2.0)
     geom = _assert_geometry_bitwise(corner, ParameterPoint(2.0, 2.0))
-    assert geom.degenerate_elements == [0, 1]
+    assert _degenerate_elements(geom) == [0, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import ast
+import collections
 import csv
 import dataclasses
 import hashlib
@@ -16,14 +17,13 @@ import scipy.linalg as sla
 import cutrom
 from cutrom import cli, pipeline
 from cutrom.estimators import EstimatorRecord
-from cutrom.assembly import assemble_mass_matrix
+from cutrom.assembly import assemble_mass_matrix, assemble_system
 from cutrom.config import Config
-from cutrom.geometry import GeometryError, ParameterPoint
+from cutrom.geometry import GeometryError, ParameterPoint, build_cut_geometry
 from cutrom.pod import tail_energy
 from cutrom.pipeline import (
     RUN4_COLUMNS,
     PipelineError,
-    deim_exactness_check,
     emit_report,
     load_report,
     parameter_record,
@@ -39,7 +39,7 @@ from cutrom.pipeline import (
 )
 
 CHECK_NAMES = ["patch_test", "zero_ghost_rows", "spd_coercivity", "pod_tail_identity",
-               "deim_interpolation_exactness", "sweep_invariants"]
+               "sweep_invariants"]
 
 
 def test_record_count_and_order(small_run, small_config):
@@ -277,6 +277,32 @@ def test_verify_suite_on_small_config(tmp_path):
     assert all(float(r[-1]) <= 0.02 for r in rows[1:])
 
 
+def test_verify_builds_each_geometry_once(monkeypatch):
+    # verify checks the objects the pipeline builds: every parameter's
+    # geometry is built once, and the sweep's per-parameter step runs once
+    # per test parameter
+    cfg = Config(n_train=25, n_test=4, n_list=(2, 4), seed=0).validate()
+    built, states = collections.Counter(), collections.Counter()
+    build, state = pipeline.build_cut_geometry, pipeline.parameter_state
+
+    def counted_build(mesh, mu):
+        built[mu] += 1
+        return build(mesh, mu)
+
+    def counted_state(art, mu):
+        states[mu] += 1
+        return state(art, mu)
+
+    monkeypatch.setattr(pipeline, "build_cut_geometry", counted_build)
+    monkeypatch.setattr(pipeline, "parameter_state", counted_state)
+    assert all(c.ok for c in verify_invariants(cfg))
+    train, test = (sample_parameters(count, seed, cfg.mu_min, cfg.mu_max)
+                   for count, seed in ((cfg.n_train, cfg.seed), (cfg.n_test, cfg.seed + 1)))
+    assert states == collections.Counter(ParameterPoint(*m) for m in test)
+    assert {ParameterPoint(*m) for m in (*train, *test)} <= set(built)
+    assert set(built.values()) == {1}
+
+
 def test_pod_tail_check_fails_on_corrupted_spectrum(small_run, default_run):
     """Scaling the spectrum past the built modes by 1 + 1e-6 fails the check.
     On the default run that is the far tail, sigma[40:]."""
@@ -359,9 +385,10 @@ def _patched_assembly(monkeypatch, edit):
 CHECK_MUS = [ParameterPoint(1.0, 1.0), ParameterPoint(1.07, 1.13)]
 
 
-def test_zero_ghost_rows_check_fails_on_a_tiny_inactive_load(default_mesh, default_phys,
-                                                             monkeypatch):
-    assert zero_ghost_rows_check(default_mesh, default_phys, CHECK_MUS).ok
+def test_zero_ghost_rows_check_fails_on_a_tiny_inactive_load(default_mesh, default_phys):
+    systems = [assemble_system(build_cut_geometry(default_mesh, mu), default_phys)
+               for mu in CHECK_MUS]
+    assert zero_ghost_rows_check(systems).ok
 
     def tiny_load(system):
         inactive = np.setdiff1d(np.arange(system.f.size), system.active_dofs)
@@ -369,8 +396,7 @@ def test_zero_ghost_rows_check_fails_on_a_tiny_inactive_load(default_mesh, defau
         f[inactive[0]] = 1e-300
         return dataclasses.replace(system, f=f)
 
-    _patched_assembly(monkeypatch, tiny_load)
-    bad = zero_ghost_rows_check(default_mesh, default_phys, CHECK_MUS)
+    bad = zero_ghost_rows_check([tiny_load(system) for system in systems])
     assert bad.status == "fail", bad
 
 
@@ -400,15 +426,16 @@ def test_spd_coercivity_check_fails_on_a_negated_matrix(default_mesh, default_ph
     assert bad.status == "fail", bad
 
 
-def test_deim_exactness_check_fails_on_a_scaled_matrix(small_run, monkeypatch):
+def test_sweep_raises_on_an_inexact_matrix_interpolant(small_run, small_config, monkeypatch):
+    # the sampled entries are left alone, so the interpolant at its own
+    # indices misses the scaled assembled matrix by about 1e-8 |A|
     art, report = small_run
-    params = [ParameterPoint(*m) for m in report.test_mu]
-    intact = deim_exactness_check(art, params)
-    assert intact.status == "pass", intact
     _patched_assembly(monkeypatch,
                       lambda system: dataclasses.replace(system, A=system.A * (1.0 + 1e-8)))
-    bad = deim_exactness_check(art, params)
-    assert bad.status == "fail", bad
+    mu = report.test_mu[0]
+    site = re.escape(f"matrix interpolant inexact at mu=({mu[0]:.17g}, {mu[1]:.17g}): ")
+    with pytest.raises(PipelineError, match=site + r"max \|A_deim - A\| at the selected entries"):
+        run_online_sweep(art, small_config)
 
 
 CONFIG_TEXT = """
@@ -463,6 +490,19 @@ QUOTED_DIGESTS = {
         "rates.csv": "b6a7aeae0a137bbda6bbe6e38f961b5eb4b91ac947e3c0e48faaff724326a0ac",
     }),
 }
+
+
+# SHA-256 of the geometry summary ``cutrom verify`` writes for the default
+# config: class counts and area/perimeter estimates of its zero-row parameters
+GEOMETRY_SUMMARY_DIGEST = "e203ea41e9be47e3f3c82276836355728aa7bba70d1609500c0205a29ad7d62b"
+
+
+def test_cli_verify_writes_the_quoted_geometry_summary(tmp_path):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(f"[paths]\nreport_dir = {tmp_path / 'rep'}\n")
+    assert cli.main(["verify", "--config", str(cfg)]) == 0
+    summary = (tmp_path / "rep" / "geometry_summary.csv").read_bytes()
+    assert hashlib.sha256(summary).hexdigest() == GEOMETRY_SUMMARY_DIGEST
 
 
 @pytest.mark.parametrize("name", sorted(QUOTED_DIGESTS))
