@@ -10,33 +10,37 @@ positions.  The mesh's slot tables (``tri_pattern_pos``,
 ``facet_pattern_pos``) say where each local slot of each triangle and facet
 lands in that pattern; full assembly sums through them.
 
-Per parameter, only the cut elements need new local terms.  Each path
-makes the cut rule (``geometry.cut_rule``) of exactly the cut elements it
-sums, from the geometry's level set, and ``_cut_stage`` forms the terms
-once, from that rule (``_kernels.cut_terms``, then the blocks): per cut
-element its volume block and its Nitsche block (k, 9), its volume and
-boundary loads (3, k), and the segment terms the energy norm reads (the
-barycentrics at both Gauss points with the normal derivatives).  The
-stage keeps the rule itself: the energy norm reads its Gauss weights, and
-the invariant suite the domain's area and interface length from it.
+Per parameter, the terms a piece of the mesh sums are selected from the
+geometry's classification by one rule, ``_select``: the active triangles,
+the cut triangles among them, and the ghost facets, the interior facets
+whose two neighbours are active, one of them cut (Burman & Hansbo 2012).
+It reads the classes of the piece's triangles and of its facets'
+neighbour pairs, so full assembly, each member of a training batch and a
+sampled-entry query all select through it; no other code decides which
+terms a parameter sums.  Only the cut elements need new local terms.
+Each path gathers the inputs of exactly the cut elements it sums from the
+mesh tables by triangle id (``_cut_inputs``: their ``tri_comp`` columns
+and the level set at their vertices), makes their cut rule
+(``geometry.cut_rule``), and ``_cut_stage`` forms the terms once, from
+that rule (``_kernels.cut_terms``, then the blocks): per cut element its
+volume block and its Nitsche block (k, 9), its volume and boundary loads
+(3, k), and the segment terms the energy norm reads (the barycentrics at
+both Gauss points with the normal derivatives).  The stage keeps the rule
+itself: the energy norm reads its Gauss weights, and the invariant suite
+the domain's area and interface length from it.
 ``_sum_piece`` is the one routine that places and sums assembly's terms:
 on a piece of the mesh (``_Piece``), in one fixed order, with one
 ``np.bincount`` for A and one for f.  Full assembly is that sum on the
-whole mesh, the piece whose bins are the pattern positions and the dofs.
-``assemble_batch`` sums several geometries of one mesh at once, from one
-rule and one stage over their joined cut elements, with member k's bins
-shifted by k P and k N; ``assemble_system`` is the batch of one; full
-assembly reads the whole-mesh sets of each geometry (active and cut
-elements, ghost facets, active dofs), which the geometry derives on that
-first read.  Sampled entries are the same sum on the piece of an
-``EntryPlan``, whose compact bins are the requested entries, over the rule
-of the piece's cut elements only.  They read the geometry's level set and
-classes on the piece alone: the plan keeps the neighbour pairs of its
-facets, and the vertex ids and ``tri_comp`` columns of its triangles, so a
-query gathers its cut elements' inputs and applies the ghost rule
-(``geometry.is_ghost``) by plan row, and no whole-mesh set is derived.
-Every kernel computes each element's column on its own, so they match
-``assemble_system`` bit for bit.
+whole mesh, the piece whose rows are the triangle and facet ids and whose
+bins are the pattern positions and the dofs.  ``assemble_batch`` sums
+several geometries of one mesh at once, from one rule and one stage over
+their joined cut elements, with member k's bins shifted by k P and k N;
+``assemble_system`` is the batch of one.  Sampled entries are the same sum
+on the piece of an ``EntryPlan``, whose compact bins are the requested
+entries, over the rule of the piece's cut elements only.  A query reads
+the geometry's level set and classes on the piece alone, so no whole-mesh
+set of the geometry is derived.  Every kernel computes each element's
+column on its own, so they match ``assemble_system`` bit for bit.
 
 The energy norm is a_h plus the Nitsche consistency term, |||v|||^2 =
 a_h(v, v) + 2 <dn v, v>_G.  Only ``assemble_norm_matrix`` forms that term,
@@ -52,7 +56,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-from .geometry import CUT, OUTSIDE, BackgroundMesh, CutGeometry, CutRule, cut_rule, is_ghost
+from .geometry import CUT, OUTSIDE, BackgroundMesh, CutGeometry, CutRule, cut_rule
 
 
 class AssemblyError(ValueError):
@@ -158,13 +162,44 @@ class _Stage(NamedTuple):
     rule: CutRule
 
 
-def _corner_phi(geom: CutGeometry, vertices):
-    """The level set of ``geom`` at the vertex ids ``vertices`` (3, k) of
-    some triangles, refused unless ``geom`` holds one value per mesh
-    vertex."""
-    if geom.phi.shape != (geom.mesh.n_vertices,):
+def _cut_inputs(geom: CutGeometry, tris):
+    """The inputs of the cut rule of the triangles ``tris`` (ids on the
+    mesh of ``geom``): their ``tri_comp`` columns (12, k) and the level set
+    of ``geom`` at their vertices (3, k).  Refused unless ``geom`` holds one
+    level-set value per mesh vertex."""
+    mesh = geom.mesh
+    if geom.phi.shape != (mesh.n_vertices,):
         raise AssemblyError("a geometry needs one level-set value per mesh vertex")
-    return geom.phi.take(vertices)
+    return mesh.tri_comp.take(tris, axis=1), geom.phi.take(mesh.triangles_t.take(tris, axis=1))
+
+
+def _select(cls, pair_cls):
+    """The terms a piece of the mesh sums at one parameter, from the
+    classes ``cls`` of its triangles and ``pair_cls`` (2, F) of its facets'
+    neighbour pairs, a missing neighbour counting as OUTSIDE: the one
+    selection rule of every assembly.
+
+    Returns the active triangle rows, the cut rows, the cut rows' places
+    among the active ones, and the ghost facet rows.  A facet is a ghost
+    facet when it is interior, both neighbours are active and one of them
+    is cut; with INSIDE < CUT < OUTSIDE, that is the larger class being
+    CUT.
+    """
+    # ``nonzero`` as a method: ``np.flatnonzero`` adds two Python-level
+    # calls, about 1 us each
+    act = (cls != OUTSIDE).nonzero()[0]
+    rows = (cls == CUT).nonzero()[0]
+    ghost = (np.maximum(*pair_cls) == CUT).nonzero()[0]
+    return act, rows, act.searchsorted(rows), ghost
+
+
+def _select_mesh(geom: CutGeometry):
+    """``_select`` on the whole mesh of ``geom``, whose rows are the
+    triangle and facet ids; the missing neighbour of a boundary facet (-1 in
+    ``facet_tris``) reads the OUTSIDE appended to the classes."""
+    cls = geom.elem_class
+    # a uint8 OUTSIDE keeps the gathered classes uint8, as the classes are
+    return _select(cls, np.append(cls, np.uint8(OUTSIDE))[geom.mesh.facet_tris.T])
 
 
 def _cut_stage(rule: CutRule, phys: PhysicsParams, h: float) -> _Stage:
@@ -255,24 +290,28 @@ def _sum_piece(piece, stage: _Stage, act, cut, loads, ghost, ghost_blocks, membe
 
 
 def _assemble_mesh(geoms, phys: PhysicsParams):
-    """Full assembly of ``geoms``: one cut rule and one cut stage over
-    their joined cut elements (a lone geometry's are used as they are), and
+    """Full assembly of ``geoms``: each member's terms selected on the
+    whole mesh (``_select_mesh``), one cut rule and one cut stage over their
+    joined cut elements (a lone geometry's rows and inputs are used as they
+    are, with no batch bookkeeping), and
     ``_sum_piece`` on the whole mesh, the piece whose bins are the pattern
     positions and the dofs.  Returns the stage and ``_sum_piece``'s sums and
     bins, member k's at k P + position and k N + dof."""
-    mesh = geoms[0].mesh
+    mesh, k = geoms[0].mesh, len(geoms)
     if any(g.mesh is not mesh for g in geoms):
         raise AssemblyError("a batch of geometries must share one background mesh")
-    cuts = [(g.cut_elements, _corner_phi(g, mesh.triangles_t.take(g.cut_elements, axis=1)))
-            for g in geoms]
-    tris, phi = cuts[0] if len(geoms) == 1 else (np.concatenate(c, axis=-1) for c in zip(*cuts))
-    stage = _cut_stage(cut_rule(mesh.tri_comp.take(tris, axis=1), phi, mesh.h), phys, mesh.h)
-    act = np.concatenate([g.active_elements for g in geoms])
-    ghost = np.concatenate([g.ghost_facets for g in geoms])
-    cut = np.flatnonzero(np.concatenate([g.elem_class.take(g.active_elements) for g in geoms]) == CUT)
-    k = len(geoms)
-    counts = np.array([(g.active_elements.size, g.ghost_facets.size) for g in geoms])
-    members = (k, *(np.repeat(np.arange(k), c) for c in counts.T)) if k > 1 else None
+    picks = [_select_mesh(g) for g in geoms]
+    cuts = [_cut_inputs(g, rows) for g, (_, rows, _, _) in zip(geoms, picks)]
+    tri, phi = cuts[0] if k == 1 else (np.concatenate(c, axis=-1) for c in zip(*cuts))
+    stage = _cut_stage(cut_rule(tri, phi, mesh.h), phys, mesh.h)
+    if k == 1:
+        (act, _, cut, ghost), members = picks[0], None
+    else:
+        counts = np.array([(act.size, ghost.size) for act, _, _, ghost in picks])
+        start = np.cumsum(counts[:, 0]) - counts[:, 0]  # each member's first active row
+        act, ghost = (np.concatenate([p[i] for p in picks]) for i in (0, 3))
+        cut = np.concatenate([p[2] + s for p, s in zip(picks, start)])
+        members = (k, *(np.repeat(np.arange(k), c) for c in counts.T))
     piece = _Piece(mesh.tri_pattern_pos, mesh.triangles, mesh.tri_stiffness,
                    mesh.facet_pattern_pos, (mesh.pattern_cols.size, mesh.n_vertices))
     loads = _whole_load(mesh.tri_area[act], float(phys.f_const))
@@ -351,12 +390,12 @@ class EntryPlan:
     and ``take_vector`` map the bins to the requests in their order,
     repeats included.  The plan also stores the whole triangles' loads
     ``loads`` (T_c,) and the ghost blocks ``ghost`` (F_c, 4, 4), and the
-    tables a query gathers from by plan row: the neighbour pairs of its
-    facets ``facet_pairs`` (2, F_c), and the vertex ids ``tri_vertices``
-    (3, T_c) and ``tri_comp`` columns (12, T_c) of its triangles.  A
-    parameter enters only through the classes of the piece's triangles and
-    of its facets' neighbours, and the cut elements' stage.  The reduced
-    model builds its plan once, beside the sample entries it describes.
+    neighbour pairs of its facets ``facet_pairs`` (2, F_c).  A parameter
+    enters only through the classes of the piece's triangles and of its
+    facets' neighbours, from which ``_select`` picks the terms by plan row,
+    and the stage of the piece's cut elements, whose inputs a query gathers
+    from the mesh tables by triangle id.  The reduced model builds its plan
+    once, beside the sample entries it describes.
     """
 
     def __init__(self, mesh: BackgroundMesh, phys: PhysicsParams, matrix_positions, vector_entries):
@@ -395,13 +434,6 @@ class EntryPlan:
         self.loads = _whole_load(mesh.tri_area[self.tris], float(phys.f_const))
         self.ghost = _ghost_blocks(mesh, phys.gamma, self.facets)
         self.facet_pairs = np.ascontiguousarray(mesh.facet_tris.take(self.facets, axis=0).T)
-        self.tri_vertices = mesh.triangles_t.take(self.tris, axis=1)
-        self.tri_comp = mesh.tri_comp.take(self.tris, axis=1)
-
-    def ghost_flags(self, geom: CutGeometry):
-        """The ghost flags of the plan's facets at ``geom``: the ghost rule
-        (``geometry.is_ghost``) on the classes of their neighbour pairs."""
-        return is_ghost(*geom.elem_class.take(self.facet_pairs))
 
 
 def evaluate_entries(geom: CutGeometry, plan: EntryPlan):
@@ -410,13 +442,14 @@ def evaluate_entries(geom: CutGeometry, plan: EntryPlan):
     mesh.
 
     It selects the plan's active triangles, cut triangles and ghost facets
-    at ``geom`` from its classification, by plan row (``ghost_flags``),
-    makes the cut rule of exactly the plan's cut triangles from the plan's
-    tables and stages them, and sums their terms into the plan's bins with
-    ``_sum_piece``, the routine full assembly sums through.  It reads no
-    whole-mesh set of ``geom``, so none is derived.  Every requested entry
-    thus sums the terms of full assembly in its order, and matches
-    ``assemble_system`` bit for bit.
+    at ``geom`` by plan row with ``_select``, the rule full assembly selects
+    by, from the classes of the plan's triangles and of its facets'
+    neighbour pairs; makes the cut rule of exactly the plan's cut triangles
+    from the mesh tables (``_cut_inputs``) and stages them; and sums their
+    terms into the plan's bins with ``_sum_piece``, the routine full
+    assembly sums through.  It reads no whole-mesh set of ``geom``, so none
+    is derived.  Every requested entry thus sums the terms of full assembly
+    in its order, and matches ``assemble_system`` bit for bit.
     ``geom`` may live on any mesh identical to the one the plan was built
     on; a mesh of another vertex count, triangle count, ``h`` or box, or a
     level set of another width than the vertex count, raises
@@ -429,16 +462,10 @@ def evaluate_entries(geom: CutGeometry, plan: EntryPlan):
             f"geometry mesh (vertices, triangles, h, box) = {shape} does not match the "
             f"plan's {plan.mesh_shape}"
         )
-    # ``nonzero`` as a method: ``np.flatnonzero`` adds two Python-level
-    # calls, about 1 us each
-    cls = geom.elem_class.take(plan.tris)
-    act = (cls != OUTSIDE).nonzero()[0]
-    rows = (cls == CUT).nonzero()[0]  # the plan rows of the cut triangles
-    cut = act.searchsorted(rows)  # their rows among the active ones
-    rule = cut_rule(plan.tri_comp.take(rows, axis=1),
-                    _corner_phi(geom, plan.tri_vertices.take(rows, axis=1)), mesh.h)
+    cls = geom.elem_class
+    act, rows, cut, ghost = _select(cls.take(plan.tris), cls.take(plan.facet_pairs))
+    rule = cut_rule(*_cut_inputs(geom, plan.tris.take(rows)), mesh.h)
     stage = _cut_stage(rule, plan.phys, mesh.h)
-    ghost = plan.ghost_flags(geom).nonzero()[0]
     a, f, _ = _sum_piece(plan.piece, stage, act, cut, plan.loads.take(act), ghost,
                          plan.ghost.take(ghost, axis=0))
     return a.take(plan.take_matrix), f.take(plan.take_vector)

@@ -129,8 +129,6 @@ class RayleighCheck:
     ratio: float
     lower: float
     upper: float
-    lower_margin: float
-    upper_margin: float
 
 
 def rayleigh_ratio_check(eta_2a: float, eta_2b: float, d_min: float, d_max: float,
@@ -153,8 +151,6 @@ def rayleigh_ratio_check(eta_2a: float, eta_2b: float, d_min: float, d_max: floa
         ratio=float(ratio),
         lower=float(lower),
         upper=float(upper),
-        lower_margin=float(ratio - lower),
-        upper_margin=float(upper - ratio),
     )
 
 

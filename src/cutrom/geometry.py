@@ -2,19 +2,19 @@
 
 The computational setup is a fixed square background mesh that never changes
 with the parameter.  The mesh builds its parameter-independent tables once:
-element areas, facets, neighbours and patches, the assembly pattern, the
-per-triangle component table ``tri_comp`` (vertex coordinates and basis
-gradients, one contiguous row per component) that the kernels read, and the
-whole triangles' stiffness blocks ``tri_stiffness``.  For
-each parameter, ``build_cut_geometry`` evaluates the ellipse level set at
+element areas, facets with the triangles on either side and their patches,
+the assembly pattern, the per-triangle component table ``tri_comp`` (vertex
+coordinates and basis gradients, one contiguous row per component) that the
+kernels read, and the whole triangles' stiffness blocks ``tri_stiffness``.
+For each parameter, ``build_cut_geometry`` evaluates the ellipse level set at
 the vertices and classifies every triangle as inside / cut / outside, and
-does nothing more: a ``CutGeometry`` is that classification.  The
-whole-mesh sets (active and cut elements, ghost facets, active dofs) are
-derived from it when first read and kept on the geometry, so full assembly
-pays for them once and a sampled-entry query, which reads the
-classification on its plan's piece of the mesh only, never does.  The
-ghost-facet rule is written once, ``is_ghost``: the geometry applies it to
-the cut elements' facets, an entry plan to its own facets.  Only the cut
+does nothing more: a ``CutGeometry`` is that classification.  The terms a
+parameter sums (active and cut elements, ghost facets) are selected from
+it by assembly, on whatever piece of the mesh it sums
+(``assembly._select``), and are not kept.  The geometry derives only the
+two sets several consumers read, the cut elements and the active dofs,
+when first read, so a sampled-entry query, which reads the classification
+on its plan's piece of the mesh only, never derives them.  Only the cut
 triangles need new quadrature: the centroid and area of each sub-triangle
 of the region where the linear interpolant of the level set is
 non-positive, plus a 2-point Gauss rule on the straight interface segment.
@@ -165,12 +165,6 @@ class BackgroundMesh:
         facet_tris[swap] = facet_tris[swap][:, ::-1]
         self.facets = facets
         self.facet_tris = facet_tris
-        # column k holds the triangle across local facet k, or n_triangles
-        # when there is none (a boundary facet)
-        n_t = self.n_triangles
-        across = facet_tris[self.tri_facets]
-        across = np.where(across[..., 0] == np.arange(n_t)[:, None], across[..., 1], across[..., 0])
-        self.tri_neighbors = np.where(across >= 0, across, n_t)
         verts = self.vertices
         tangent = verts[facets[:, 1]] - verts[facets[:, 0]]
         length = np.sqrt(tangent[:, 0] ** 2 + tangent[:, 1] ** 2)
@@ -314,27 +308,21 @@ def cut_rule(tri, phi, h: float) -> CutRule:
     return CutRule(tri, *_kernels.cut_rules(tri, phi, DEGEN_FACTOR * h))
 
 
-def is_ghost(cls_a, cls_b):
-    """The ghost-facet rule on the classes of a facet's two neighbours, a
-    missing neighbour counting as OUTSIDE: the facet is interior, both
-    neighbours are active and one of them is cut.  With
-    INSIDE < CUT < OUTSIDE, that is the larger class being CUT."""
-    return np.maximum(cls_a, cls_b) == CUT
-
-
 @dataclass
 class CutGeometry:
     """Per-parameter classification on the background mesh: the level set
     ``phi`` at every mesh vertex and the class of every triangle.
 
-    Every other per-parameter set is derived from these two on first
-    access and kept on the geometry: the active and cut elements, the ghost
-    facets (``ghost_mask`` by facet id, ``is_ghost`` applied to the cut
-    elements' facets) and the active dofs.  Full assembly derives the sets
-    it reads; a sampled-entry query reads only ``phi`` and ``elem_class``,
-    on the plan's piece of the mesh.  The geometry carries no quadrature:
-    each consumer of a cut rule makes it with ``cut_rule``, on exactly the
-    cut elements it sums, and a full assembly keeps its rule on its stage
+    Two per-parameter sets are derived from these on first access and kept
+    on the geometry, because several consumers read them: the cut elements
+    (read by the active dofs and the energy-norm matrix) and the active dofs
+    (read by the full-order solves, the estimators and the checks).  The
+    terms an assembly sums are selected from the classes by
+    ``assembly._select``, on the piece of the mesh it sums, and are not kept
+    here; a sampled-entry query reads only ``phi`` and ``elem_class``, on
+    the plan's piece of the mesh.  The geometry carries no quadrature: each
+    consumer of a cut rule makes it with ``cut_rule``, on exactly the cut
+    elements it sums, and a full assembly keeps its rule on its stage
     (``assembly.SystemPair.stage``), where the area, the interface length
     and the degenerate segments of a geometry are read.
     """
@@ -345,27 +333,8 @@ class CutGeometry:
     elem_class: np.ndarray  # (T,) INSIDE, CUT or OUTSIDE
 
     @cached_property
-    def active_elements(self) -> np.ndarray:
-        return np.flatnonzero(self.elem_class != OUTSIDE)
-
-    @cached_property
     def cut_elements(self) -> np.ndarray:
         return np.flatnonzero(self.elem_class == CUT)
-
-    @cached_property
-    def ghost_mask(self) -> np.ndarray:
-        """Facet id -> ghost facet flag.  Every ghost facet is a facet of a
-        cut element, so the rule is applied to those only, a cut element on
-        one side and the triangle across (OUTSIDE for none) on the other."""
-        mesh, cut = self.mesh, self.cut_elements
-        across = np.append(self.elem_class, OUTSIDE)[mesh.tri_neighbors.take(cut, axis=0)]
-        mask = np.zeros(mesh.facets.shape[0], dtype=bool)
-        mask[mesh.tri_facets.take(cut, axis=0)[is_ghost(CUT, across)]] = True
-        return mask
-
-    @cached_property
-    def ghost_facets(self) -> np.ndarray:
-        return np.flatnonzero(self.ghost_mask)
 
     @cached_property
     def active_dofs(self) -> np.ndarray:
@@ -382,7 +351,7 @@ def build_cut_geometry(mesh: BackgroundMesh, mu: ParameterPoint) -> CutGeometry:
     A vertex with phi <= 0 counts as inside; all-inside elements are
     integrated whole, mixed elements are cut, all-outside elements carry no
     quadrature and are excluded from the active set.  Nothing else is
-    computed here: the sets ``CutGeometry`` derives are made when first
+    computed here: the two sets ``CutGeometry`` derives are made when first
     read.
     """
     phi = level_set(mu, *mesh.vertices_t)

@@ -12,12 +12,12 @@ the whole symmetric matrices.
 
 The online stage has two steps.  ``sample_entries`` samples the planned
 entries for one parameter (``assembly.evaluate_entries``): the entry plan's
-piece of the mesh summed through the same routine as full assembly, so the
-samples are entries of the assembled operator bit for bit; they depend on
-the parameter only, not on the mode count.  A query reads the geometry's
-level set and element classes on that piece only, and derives none of the
-whole-mesh sets (active elements, ghost facets, active dofs) that full
-assembly reads.  ``solve`` then forms the
+piece of the mesh, its terms selected by the same rule and summed through
+the same routine as full assembly, so the samples are entries of the
+assembled operator bit for bit; they depend on the parameter only, not on
+the mode count.  A query reads the geometry's level set and element
+classes on that piece only, and derives neither of the whole-mesh sets the
+geometry keeps (cut elements, active dofs).  ``solve`` then forms the
 reduced system for one mode count (one product each with the matrix and
 the load blocks), solves it with one LU solve and lifts it.
 ``rom_online_solve`` is one standalone query: both steps at one mode

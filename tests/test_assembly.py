@@ -180,6 +180,29 @@ def test_sampled_entries_match_assembly_with_a_vertex_on_the_interface(nx):
     assert _assert_entries_bitwise(nx, mu).cut_elements.size > 0
 
 
+def test_every_assembly_selects_its_terms_through_one_rule(small_run, monkeypatch):
+    # full assembly, each member of a batch and a sampled-entry query pick
+    # their terms with ``_select``: the whole mesh's rows, then the plan's
+    art, _ = small_run
+    original, pieces = assembly._select, []
+
+    def spy(cls, pair_cls):
+        pieces.append((cls.size, pair_cls.shape))
+        return original(cls, pair_cls)
+
+    monkeypatch.setattr(assembly, "_select", spy)
+    mesh, plan = art.mesh, art.plan
+    whole = (mesh.n_triangles, (2, mesh.facets.shape[0]))
+    geoms = [build_cut_geometry(mesh, mu) for mu in MUS]
+    assemble_system(geoms[0], art.phys)
+    assert pieces == [whole]
+    assemble_batch(geoms, art.phys)
+    assert pieces == [whole] * (1 + len(geoms))
+    evaluate_entries(geoms[0], plan)
+    assert pieces[-1] == (plan.tris.size, (2, plan.facets.size))
+    assert len(pieces) == 2 + len(geoms)
+
+
 def _gradients(mesh, rows):
     """Hat gradients (len(rows), 3, 2) by local vertex and coordinate."""
     return mesh.tri_comp[6:12, rows].reshape(2, 3, -1).transpose(2, 1, 0)
@@ -254,7 +277,7 @@ def _element_major_rules(geom):
     whole triangle's area in slot 0 and the cut rule's sub-triangles
     (centroid, area) on cut rows, and the interface rule per cut element and
     Gauss point."""
-    mesh, act, cut = geom.mesh, geom.active_elements, geom.cut_elements
+    mesh, (act, cut, _, _) = geom.mesh, assembly._select_mesh(geom)
     rule = cut_rule(mesh.tri_comp[:, cut], geom.phi[mesh.triangles_t[:, cut]], mesh.h)
     vol_pts = np.zeros((act.size, 2, 2))
     vol_wts = np.zeros((act.size, 2))
@@ -274,7 +297,7 @@ def _reference_matrices(geom, phys):
     matrix is A plus the consistency blocks, added in element order; the
     second is the direct sum of volume, penalty and ghost terms."""
     mesh = geom.mesh
-    act, cut = geom.active_elements, geom.cut_elements
+    act, cut, _, ghost_facets = assembly._select_mesh(geom)
     vol_pts, vol_wts, seg_pts, seg_wts, seg_normal = _element_major_rules(geom)
     lam = phys.nitsche_lambda / mesh.h
     g0, gx, gy, gxy = phys.g_coeffs
@@ -324,10 +347,10 @@ def _reference_matrices(geom, phys):
                 pen[:, 3 * a + c] += w * pq
             f_bnd[:, a] += w * (lam * (p[a] * g) - dn[a] * g)
 
-    jv = mesh.facet_jump[geom.ghost_facets]
-    coef = phys.gamma * mesh.h * mesh.facet_len[geom.ghost_facets]
+    jv = mesh.facet_jump[ghost_facets]
+    coef = phys.gamma * mesh.h * mesh.facet_len[ghost_facets]
     ghost = coef[:, None, None] * (jv[:, :, None] * jv[:, None, :])
-    nnz, _indptr, _cols, vol_pos, ghost_pos, _used = _reference_pattern(mesh, act, geom.ghost_facets)
+    nnz, _indptr, _cols, vol_pos, ghost_pos, _used = _reference_pattern(mesh, act, ghost_facets)
     cut_pos = vol_pos[np.searchsorted(act, cut)]
     out = []
     for boundary in (a_nit, pen):
@@ -534,8 +557,8 @@ def _assert_csr_equal_to_reference(mu):
     new = new_sys.A
     new_norm = assemble_norm_matrix(new_sys)
     n = _PATTERN_MESH.n_vertices
-    _, indptr, cols, _, _, used = _reference_pattern(_PATTERN_MESH, geom.active_elements,
-                                                     geom.ghost_facets)
+    act, _, _, ghost_facets = assembly._select_mesh(geom)
+    _, indptr, cols, _, _, used = _reference_pattern(_PATTERN_MESH, act, ghost_facets)
     ref_a, _, ref_norm, _ = _reference_matrices(geom, DEFAULT_PHYS)
     ref = sp.csr_matrix((ref_a, cols, indptr), shape=(n, n))
     ref_norm = sp.csr_matrix((ref_norm, cols, indptr), shape=(n, n))

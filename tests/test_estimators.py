@@ -44,7 +44,7 @@ def test_jacobi_concentration_attains_upper_bound():
     assert eta_2b / eta_2a == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
     check = est.rayleigh_ratio_check(eta_2a, eta_2b, d.min(), d.max())
     assert check.ok
-    assert check.upper_margin == pytest.approx(0.0, abs=1e-15)
+    assert check.ratio == pytest.approx(check.upper, abs=1e-15)
 
 
 def test_safeguard_clamps_small_diagonals():

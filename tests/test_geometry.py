@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutrom._kernels import GAUSS_T
+from cutrom.assembly import _select, _select_mesh
 from cutrom.geometry import (
     CUT,
     DEGEN_FACTOR,
@@ -22,9 +23,16 @@ from cutrom.geometry import (
 
 BOX = ((-1.2, 1.2), (-1.2, 1.2))
 # the whole-mesh sets a CutGeometry derives from its classification
-DERIVED = ("active_elements", "cut_elements", "ghost_mask", "ghost_facets", "active_dofs")
+DERIVED = ("cut_elements", "active_dofs")
 
 mu_values = st.floats(min_value=1.0, max_value=1.2)
+
+
+def _selection(geom):
+    """The terms assembly selects on the whole mesh at ``geom``
+    (``assembly._select``), by the names of the reference's sets."""
+    act, cut, _, ghost = _select_mesh(geom)
+    return dict(active_elements=act, cut_elements=cut, ghost_facets=ghost)
 
 
 def _all_cut_rule(geom):
@@ -103,7 +111,7 @@ def test_circle_area_and_perimeter(default_mesh, domain_area):
 def test_outside_elements_have_no_quadrature(default_mesh):
     geom = build_cut_geometry(default_mesh, ParameterPoint(1.0, 1.0))
     outside = np.flatnonzero(geom.elem_class == OUTSIDE)
-    assert np.intersect1d(outside, geom.active_elements).size == 0
+    assert np.intersect1d(outside, _selection(geom)["active_elements"]).size == 0
     # per-parameter weights live on the cut rule only, one column per cut element
     rule = _all_cut_rule(geom)
     assert rule.vol_wts.shape[1] == rule.seg_wts.shape[0] == geom.cut_elements.size
@@ -122,7 +130,7 @@ def test_classification_partition(domain_area, r, theta):
             np.flatnonzero(geom.elem_class == INSIDE),
             np.flatnonzero(geom.elem_class == CUT),
         ])),
-        geom.active_elements,
+        _selection(geom)["active_elements"],
     )
     assert 0.0 < domain_area(geom, _all_cut_rule(geom)) < 5.76
 
@@ -133,19 +141,26 @@ def test_ghost_facets_interior_to_active(small_run, near_tangent_mu, r, theta):
     # the ghost facets are exactly the interior facets with both neighbours
     # active and one of them cut, on the whole mesh and on a plan's piece
     art, _ = small_run
-    mesh = art.mesh
+    mesh, plan = art.mesh, art.plan
     interior = np.flatnonzero(mesh.facet_tris[:, 1] >= 0)
     for mu in [ParameterPoint(r, theta), *near_tangent_mu]:
         geom = build_cut_geometry(mesh, mu)
-        for f in geom.ghost_facets:
+        act, cut, _, ghost = _select_mesh(geom)
+        for f in ghost:
             ta, tb = mesh.facet_tris[f]
             assert ta >= 0 and tb >= 0
             assert geom.elem_class[ta] != OUTSIDE and geom.elem_class[tb] != OUTSIDE
             assert geom.elem_class[ta] == CUT or geom.elem_class[tb] == CUT
         cls = geom.elem_class[mesh.facet_tris[interior]]
         meets = (cls != OUTSIDE).all(axis=1) & (cls == CUT).any(axis=1)
-        assert geom.ghost_mask[interior[meets]].all()
-        assert np.array_equal(art.plan.ghost_flags(geom), geom.ghost_mask[art.plan.facets])
+        assert np.array_equal(ghost, interior[meets])
+        # the plan's selection is the whole mesh's on every plan triangle and facet
+        p_act, p_cut, p_place, p_ghost = _select(geom.elem_class[plan.tris],
+                                                 geom.elem_class[plan.facet_pairs])
+        assert np.array_equal(plan.tris[p_act], np.intersect1d(act, plan.tris))
+        assert np.array_equal(plan.tris[p_cut], np.intersect1d(cut, plan.tris))
+        assert np.array_equal(p_act[p_place], p_cut)
+        assert np.array_equal(plan.facets[p_ghost], np.intersect1d(ghost, plan.facets))
 
 
 @settings(max_examples=20, deadline=None)
@@ -176,7 +191,7 @@ def test_deterministic_rebuild(default_mesh):
     for f in dataclasses.fields(r1):
         assert np.array_equal(getattr(r1, f.name), getattr(r2, f.name)), f.name
     assert np.array_equal(g1.elem_class, g2.elem_class)
-    assert np.array_equal(g1.ghost_facets, g2.ghost_facets)
+    assert np.array_equal(_selection(g1)["ghost_facets"], _selection(g2)["ghost_facets"])
 
 
 def test_degenerate_cut_reported_and_skipped(domain_area):
@@ -329,7 +344,8 @@ def _reference_cut_rules(tri_pts, phi, grad, degen_tol):
 
 def _reference_cut_geometry(mesh, mu):
     """Whole-mesh construction: ghost mask over all facets, active dofs by
-    ``np.unique``.  Returns the ``CutGeometry`` fields by name, next to the
+    ``np.unique``.  Returns the ``CutGeometry`` fields and the sets of the
+    whole-mesh selection (``_selection``) by name, next to the
     element-major rule arrays (``vol_pts``/``vol_wts`` per active element:
     a whole triangle's area in slot 0, the sub-triangles' centroids and
     areas on cut rows; ``seg_pts``/``seg_wts``/``seg_normal`` per cut
@@ -382,9 +398,15 @@ def _assert_geometry_bitwise(mesh, mu):
     ref = _reference_cut_geometry(mesh, mu)
     for name in ("phi", "elem_class", *DERIVED):
         _assert_bytes_equal(getattr(new, name), ref[name], name)
+    selected = _selection(new)
+    for name, got in selected.items():
+        _assert_bytes_equal(got, ref[name], name)
+    ghost_mask = np.zeros(mesh.facets.shape[0], dtype=bool)
+    ghost_mask[selected["ghost_facets"]] = True
+    _assert_bytes_equal(ghost_mask, ref["ghost_mask"], "ghost_mask")
     # the cut rows of the reference's element-major rules are the
     # component-major cut rule
-    act, cut, rule = new.active_elements, new.cut_elements, _all_cut_rule(new)
+    act, cut, rule = selected["active_elements"], new.cut_elements, _all_cut_rule(new)
     assert cut[rule.degenerate].tolist() == ref["degenerate_elements"]
     ins_sel = np.flatnonzero(new.elem_class[act] == INSIDE)
     cut_sel = ref["active_pos"][cut]
@@ -491,13 +513,6 @@ def _assert_tri_facet_map(mesh):
     for f in np.flatnonzero(mesh.facet_tris[:, 1] >= 0):
         ta, tb = mesh.facet_tris[f]
         assert f in tf[ta] and f in tf[tb]
-    # the triangle across each local facet, n_triangles on the boundary
-    nb = mesh.tri_neighbors
-    assert nb.shape == (mesh.n_triangles, 3) and nb.dtype == np.int64
-    for t in range(mesh.n_triangles):
-        for k in range(3):
-            other = [s for s in mesh.facet_tris[tf[t, k]] if s not in (t, -1)]
-            assert nb[t, k] == (other[0] if other else mesh.n_triangles)
 
 
 def _reference_gradients(mesh):
@@ -551,7 +566,8 @@ def test_tri_facet_map_on_an_unstructured_mesh():
     _assert_tri_facet_map(mesh)
     _assert_pattern_maps(mesh)
     _assert_bytes_equal(_gradients(mesh), _reference_gradients(mesh), "gradients")
-    assert _assert_geometry_bitwise(mesh, ParameterPoint(0.8, 0.6)).ghost_facets.size > 0
+    geom = _assert_geometry_bitwise(mesh, ParameterPoint(0.8, 0.6))
+    assert _selection(geom)["ghost_facets"].size > 0
 
 
 def test_mesh_with_a_vertex_outside_every_triangle_rejected():

@@ -591,6 +591,26 @@ def test_cli_fom_patch_output(tmp_path, capsys):
     assert "n/a" not in out
 
 
+def test_cli_fom_solves_the_patch_system_once(tmp_path, capsys, monkeypatch, default_mesh,
+                                             patch_phys):
+    # the patch error is read off the system the command has already solved
+    cfg = tmp_path / "patch.cfg"
+    cfg.write_text("[physics]\nf_const = 0\ng0 = 1\ngx = 2\ngy = 3\ngxy = 0\n")
+    original, solved = cli.solve_fom, []
+
+    def spy(system):
+        solved.append(system.geom.mu)
+        return original(system)
+
+    monkeypatch.setattr(cli, "solve_fom", spy)
+    monkeypatch.setattr(pipeline, "solve_fom", spy)
+    mu = ParameterPoint(1.1, 1.05)
+    assert cli.main(["fom", "--r", "1.1", "--theta", "1.05", "--config", str(cfg)]) == 0
+    assert solved == [mu]
+    check = patch_check(default_mesh, patch_phys, [mu])  # the config's physics
+    assert f"error vs interpolated boundary datum: {check.detail} (max norm)" in capsys.readouterr().out
+
+
 def test_cli_fom_rejects_a_nan_source(tmp_path, capsys, caplog):
     cfg = tmp_path / "nan.cfg"
     cfg.write_text("[physics]\nf_const = nan\n")

@@ -164,12 +164,12 @@ def test_query_solves_no_interpolation_system(small_run, monkeypatch):
 
 def test_a_query_derives_none_of_the_whole_mesh_sets(small_run):
     # a query reads the classification on the plan's piece only; full
-    # assembly derives every set it reads, once per geometry
+    # assembly derives the geometry's two kept sets, once per geometry
     art, _ = small_run
     mu = ParameterPoint(1.07, 1.13)
     geom = build_cut_geometry(art.mesh, mu)
     rom_online_solve(art, mu, art.pod.n_max, geom=geom)
-    derived = ("active_elements", "cut_elements", "ghost_mask", "ghost_facets", "active_dofs")
+    derived = ("cut_elements", "active_dofs")
     assert not set(derived) & set(vars(geom))
     sys_ = assemble_system(geom, art.phys)
     assert set(derived) <= set(vars(geom))
