@@ -7,23 +7,19 @@ sweep grid, the test count, the fit windows and the paths, so a model loads
 under any config that differs from its own only there; ``run_online_sweep``
 applies the same rule.
 
-Format 7 stores the union pattern as its upper positions
-(``pattern_positions``, row <= col), the matrix DEIM basis ``deim_a_basis``
-with one row per position, and the matrix interpolation indices
-``deim_a_indices`` as rows of that basis, in [0, ``pattern_size``).
-Format 6 stored the whole symmetric union and indexed it with the matrix
-indices; format 5 also stored the basis mirrored to it.  The reduced blocks
-are in the DEIM online form: ``blocks_a`` and ``blocks_f`` have the
-interpolation inverses folded in (``rom.build_rom_offline``), so they
-multiply the sampled entries directly.  Format 4 stored the same shapes
-unfolded, to multiply interpolation coefficients; read as a later format
-they would give a wrong reduced system with no error, so they are refused.
+The format is 7 (``FORMAT_VERSION``).  It stores the union pattern as its
+upper positions (``pattern_positions``, row <= col), the matrix DEIM basis
+``deim_a_basis`` with one row per position, and the matrix interpolation
+indices ``deim_a_indices`` as rows of that basis, in [0,
+``pattern_size``).  The reduced blocks are in the DEIM online form:
+``blocks_a`` and ``blocks_f`` have the interpolation inverses folded in
+(``rom.build_rom_offline``), so they multiply the sampled entries directly.
 
-Loading raises ``ArtifactError``, naming the array or the manifest, on a
-format version other than ``FORMAT_VERSION`` (version 6 stored the whole
-union, version 5 also the mirrored basis, version 4 unfolded blocks,
-version 3 hashed every field and stored ``gamma`` as a pair); on a config
-that differs in a hashed field; on an array that is missing, unreadable,
+Loading raises ``ArtifactError``, naming the array or the manifest, on any
+format version other than 7, by its number, before any array is read: a
+format 4 model holds unfolded blocks of format 7's shapes, which would give
+a wrong reduced system with no error.  It also raises on a config that
+differs in a hashed field; on an array that is missing, unreadable,
 pickled, or of the wrong dtype or shape; on a float array that holds a
 NaN or an infinity (it would give a non-finite online solution and no
 error); on a negative POD spectrum value; on union-pattern positions that are
@@ -197,8 +193,9 @@ def _require_indices(name: str, indices: np.ndarray, bound: int) -> None:
 
 
 def load_artifacts(dirpath: str, config: Config) -> OfflineArtifacts:
-    """Load and check the arrays, verify the config hash, and rebuild the
-    derived objects."""
+    """Load the model saved in ``dirpath``: refuse a format version other
+    than 7 by its number, verify the config hash, check the arrays, and
+    rebuild the derived objects."""
     path = os.path.join(dirpath, "manifest.txt")
     if not os.path.exists(path):
         raise ArtifactError(f"no manifest in {dirpath!r}")

@@ -141,28 +141,24 @@ class BackgroundMesh:
         lo = np.minimum(edges[:, 0], edges[:, 1])
         hi = np.maximum(edges[:, 0], edges[:, 1])
         code = lo.astype(np.int64) * nv + hi
-        order = np.argsort(code, kind="stable")
+        # edges by facet, and a facet's triangles in ascending index order
+        order = np.lexsort((owner, code))
         code_s = code[order]
         owner_s = owner[order]
-        uniq, start = np.unique(code_s, return_index=True)
-        # column k holds the facet of local edge (k, k+1 mod 3)
-        self.tri_facets = np.ascontiguousarray(
-            np.searchsorted(uniq, code).reshape(3, self.n_triangles).T
-        )
-        n_f = uniq.shape[0]
-        facets = np.empty((n_f, 2), dtype=np.int64)
-        facets[:, 0] = uniq // nv
-        facets[:, 1] = uniq % nv
-        facet_tris = np.full((n_f, 2), -1, dtype=np.int64)
-        counts = np.diff(np.append(start, code_s.shape[0]))
-        if np.any(counts > 2):
+        # each facet's first edge, by neighbour as in _build_pattern; any
+        # other edge is its second side
+        first = np.concatenate([[True], code_s[1:] != code_s[:-1]])
+        if np.any(~first[1:] & ~first[:-1]):
             raise GeometryError("facet shared by more than two triangles")
-        facet_tris[:, 0] = owner_s[start]
-        two = counts == 2
-        facet_tris[two, 1] = owner_s[start[two] + 1]
-        # adjacent triangles in ascending index order
-        swap = two & (facet_tris[:, 0] > facet_tris[:, 1])
-        facet_tris[swap] = facet_tris[swap][:, ::-1]
+        facet_of = np.cumsum(first) - 1
+        # column k holds the facet of local edge (k, k+1 mod 3)
+        tri_facets = np.empty_like(facet_of)
+        tri_facets[order] = facet_of
+        self.tri_facets = np.ascontiguousarray(tri_facets.reshape(3, self.n_triangles).T)
+        facets = np.column_stack(np.divmod(code_s[first], nv))
+        facet_tris = np.full((facets.shape[0], 2), -1, dtype=np.int64)
+        facet_tris[:, 0] = owner_s[first]
+        facet_tris[facet_of[~first], 1] = owner_s[~first]
         self.facets = facets
         self.facet_tris = facet_tris
         verts = self.vertices

@@ -98,7 +98,9 @@ def run_offline(config: Config) -> OfflineArtifacts:
     (``assemble_batch``), and each is solved from the batch's values
     (``solve_active``), with no CSR matrix made.  The stiffness matrices are
     symmetric, so each is kept on the upper positions of the mesh pattern
-    only (``BackgroundMesh.pattern_upper``), the matrix DEIM's input; each
+    only (``BackgroundMesh.pattern_upper``), and the union of their
+    structural patterns is marked on those rows of the store: the rows it
+    marks are the union pattern and the matrix DEIM's snapshots.  Each
     chunk's arrays are dropped before the next is assembled.  The training
     snapshot matrix stays on the returned artifacts (not saved).  The last
     log line gives the seconds of each stage and the size of the matrix
@@ -107,12 +109,12 @@ def run_offline(config: Config) -> OfflineArtifacts:
     mesh = build_background_mesh(config.box, config.h_target)
     phys = physics_from_config(config)
     train_mu = sample_parameters(config.n_train, config.seed, config.mu_min, config.mu_max)
-    n_train, size = config.n_train, mesh.pattern_cols.size
+    n_train = config.n_train
     snapshots = np.empty((mesh.n_vertices, n_train))
     loads = np.empty((mesh.n_vertices, n_train))
     upper = mesh.pattern_upper
     a_upper = np.empty((upper.size, n_train))  # every stiffness matrix, upper positions
-    a_used = np.zeros(size, dtype=bool)  # the union of their stored positions
+    stored = np.zeros(upper.size, dtype=bool)  # the union of their structural patterns there
     stages = dict.fromkeys(("geometry", "assembly", "solves", "pod", "deim", "projection"), 0.0)
     last = t_start
 
@@ -151,7 +153,7 @@ def run_offline(config: Config) -> OfflineArtifacts:
             snapshots[:, i] = at(i, lambda: solve_active(
                 mesh, geoms[k].active_dofs, pos, values[k, pos], f[k], geoms[k].mu)).u
         a_upper[:, start:stop] = values[:, upper].T
-        a_used |= used.any(axis=0)
+        stored |= used.any(axis=0)[upper]
         loads[:, start:stop] = f.T
         del geoms, values, used, f
         lap("solves")
@@ -166,11 +168,11 @@ def run_offline(config: Config) -> OfflineArtifacts:
     log.debug("pod spectrum head (sigma_k/sigma_1): %s",
               " ".join(f"{v:.3e}" for v in head))
 
-    pattern = build_union_pattern(mesh, [np.flatnonzero(a_used)])
-    whole = 2 * pattern.size - int(pattern.diagonal.sum())
+    rows = np.flatnonzero(stored)
+    pattern = build_union_pattern(mesh, [upper[rows]])
     log.info("union pattern: %d upper positions, %d with their mirrors (%.2f%% of N^2)",
-             pattern.size, whole, 100.0 * whole / mesh.n_vertices ** 2)
-    a_snaps = a_upper[np.searchsorted(upper, pattern.positions)]
+             pattern.size, pattern.whole.size, 100.0 * pattern.whole.size / mesh.n_vertices ** 2)
+    a_snaps = a_upper[rows]
     del a_upper
     deim_a = build_deim_operator(a_snaps, config.eps_deim_a, kind=MATRIX, pattern=pattern)
     del a_snaps
@@ -197,26 +199,42 @@ class SweepReport:
     """All per-(parameter, mode) records plus the tables derived from them.
 
     ``records`` holds one run of ``len(n_list)`` records per test parameter,
-    in sweep order."""
+    in sweep order, so each record field is a (test parameter, mode count)
+    grid (``column``).  Construction raises ``PipelineError`` when there are
+    no records or they are not runs of ``n_list``; the message says what
+    the records lack, with no subject, so ``load_report`` can put the file
+    in front.  Every mean is a 1-D mean over a column, a row or the whole
+    grid, in record order."""
 
     records: list
     n_list: tuple
     fit_n_min_error: int
     fit_n_min_tail: int
 
+    def __post_init__(self):
+        if not self.records:
+            raise PipelineError("holds no records: the test set is empty")
+        ns = [r.n for r in self.records]
+        if ns != list(self.n_list) * (len(ns) // len(self.n_list)):
+            raise PipelineError(f"does not repeat the n_list {self.n_list}")
+
+    def column(self, name: str) -> np.ndarray:
+        """The record field ``name`` as a (test parameter, mode count) array."""
+        return np.array([getattr(r, name) for r in self.records]).reshape(-1, len(self.n_list))
+
     @property
     def test_mu(self) -> np.ndarray:
-        return np.array([(r.mu_r, r.mu_theta) for r in self.records[::len(self.n_list)]])
+        return np.column_stack([self.column("mu_r")[:, 0], self.column("mu_theta")[:, 0]])
 
     @property
     def mean_fom_time(self) -> float:
         """Mean over test parameters: the records of one parameter share its
         full-order time."""
-        return float(np.mean([r.fom_time for r in self.records[::len(self.n_list)]]))
+        return float(np.mean(self.column("fom_time")[:, 0]))
 
     @property
     def mean_rom_time(self) -> float:
-        return float(np.mean([r.rom_time for r in self.records]))
+        return float(np.mean(self.column("rom_time")))
 
     @property
     def speedup(self) -> float:
@@ -226,15 +244,11 @@ class SweepReport:
         return [r for r in self.records if r.n == n]
 
     def mean_rows(self):
-        rows = []
-        for n in self.n_list:
-            recs = self.records_for_n(n)
-            row = {"n": n}
-            for name in RUN4_COLUMNS[1:]:
-                row[name] = float(np.mean([getattr(r, name) for r in recs]))
-            row["eta_pod"] = recs[0].eta_pod
-            rows.append(row)
-        return rows
+        """One row per mode count: the ``RUN4_COLUMNS`` means over the test
+        parameters, and the mode count's ``eta_pod``."""
+        grids = {name: self.column(name) for name in (*RUN4_COLUMNS[1:], "eta_pod")}
+        return [{"n": n, **{name: float(np.mean(grids[name][:, j])) for name in RUN4_COLUMNS[1:]},
+                 "eta_pod": float(grids["eta_pod"][0, j])} for j, n in enumerate(self.n_list)]
 
     def fit_table(self):
         """One row per estimator quantity, mirroring the rate-fit report: a
@@ -479,18 +493,12 @@ def emit_report(report: SweepReport, dirpath: str) -> list:
         [[getattr(r, f) for f in est.EstimatorRecord.FIELDS] for r in report.records],
     ))
 
-    n_per_mu = len(report.n_list)
-    timing_rows = []
-    for i, first in enumerate(report.records[::n_per_mu]):
-        chunk = report.records[i * n_per_mu:(i + 1) * n_per_mu]
-        timing_rows.append([
-            i, first.mu_r, first.mu_theta, 1e3 * first.fom_time,
-            1e3 * float(np.mean([r.rom_time for r in chunk])),
-        ])
+    fom_time, rom_time = report.column("fom_time")[:, 0], report.column("rom_time")
     paths.append(_write_csv(
         os.path.join(dirpath, "fig_timing.csv"),
         ("test_index", "mu_r", "mu_theta", "fom_ms", "rom_online_ms"),
-        timing_rows,
+        [[i, *mu, 1e3 * fom, 1e3 * float(np.mean(rom))]
+         for i, (mu, fom, rom) in enumerate(zip(report.test_mu, fom_time, rom_time))],
     ))
     with open(os.path.join(dirpath, "report_meta.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"n_list = {','.join(str(n) for n in report.n_list)}\n")
@@ -514,7 +522,8 @@ def load_report(dirpath: str) -> SweepReport:
     ``PipelineError`` naming a missing file or meta key, a meta value that
     is not an integer (by key), a records.csv column that is missing, a
     records.csv line that does not hold one value per column, a records.csv
-    value that is not a number (by line and column), a records.csv with no
+    value that is not a number (by line and column), and, with the
+    records.csv path in front, the ``SweepReport`` layout errors: no
     records, or records that are not runs of the meta file's ``n_list``."""
     meta_path = os.path.join(dirpath, "report_meta.txt")
     rec_path = os.path.join(dirpath, "records.csv")
@@ -543,16 +552,10 @@ def load_report(dirpath: str) -> SweepReport:
             kwargs = {f: _number(int if f == "n" else float, row[f], f"{at} column {f}")
                       for f in est.EstimatorRecord.FIELDS}
             records.append(est.EstimatorRecord(**kwargs))
-    if not records:
-        raise PipelineError(f"{rec_path!r} holds no records: the test set is empty")
-    if [r.n for r in records] != list(n_list) * (len(records) // len(n_list)):
-        raise PipelineError(f"records.csv does not repeat the n_list {n_list} of {meta_path!r}")
-    return SweepReport(
-        records=records,
-        n_list=n_list,
-        fit_n_min_error=fit_error,
-        fit_n_min_tail=fit_tail,
-    )
+    try:
+        return SweepReport(records, n_list, fit_error, fit_tail)
+    except PipelineError as exc:
+        raise PipelineError(f"{rec_path!r} {exc}") from None
 
 
 # ---------------------------------------------------------------------------

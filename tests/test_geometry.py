@@ -570,6 +570,14 @@ def test_tri_facet_map_on_an_unstructured_mesh():
     assert _selection(geom)["ghost_facets"].size > 0
 
 
+def test_mesh_with_a_facet_of_three_triangles_rejected():
+    # three counter-clockwise triangles on the edge (0, 1)
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+    tris = np.array([(0, 1, 2), (1, 0, 3), (0, 1, 4)], dtype=np.int64)
+    with pytest.raises(GeometryError, match="more than two triangles"):
+        BackgroundMesh(vertices, tris, 1, (0.0, 1.0))
+
+
 def test_mesh_with_a_vertex_outside_every_triangle_rejected():
     # the active-dof marking counts every vertex with phi <= 0 as active
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.2, 0.2]])

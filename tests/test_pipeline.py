@@ -100,6 +100,49 @@ def test_report_reemission_identical(tmp_path, small_run):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_a_report_whose_records_are_not_runs_of_its_n_list_is_refused(small_run):
+    _, report = small_run
+    with pytest.raises(PipelineError, match="does not repeat the n_list"):
+        dataclasses.replace(report, n_list=(2, 4))
+    with pytest.raises(PipelineError, match="holds no records"):
+        dataclasses.replace(report, records=[])
+
+
+def test_report_columns_hold_the_records_in_sweep_order(small_run):
+    _, report = small_run
+    for name in EstimatorRecord.FIELDS:
+        column = report.column(name)
+        assert column.shape == (len(report.records) // len(report.n_list), len(report.n_list))
+        assert column.ravel().tolist() == [getattr(r, name) for r in report.records]
+
+
+def test_report_means_equal_the_record_loops_bit_for_bit(tmp_path, small_run):
+    # the per-n means and the per-parameter timing rows, as loops over the
+    # records themselves
+    _, report = small_run
+    k = len(report.n_list)
+    for n, row in zip(report.n_list, report.mean_rows()):
+        recs = [r for r in report.records if r.n == n]
+        assert row["n"] == n
+        for name in RUN4_COLUMNS[1:]:
+            expected = float(np.mean([getattr(r, name) for r in recs]))
+            assert np.float64(row[name]).tobytes() == np.float64(expected).tobytes(), (n, name)
+        assert row["eta_pod"] == recs[0].eta_pod
+    expected_rows = []
+    for i, first in enumerate(report.records[::k]):
+        chunk = report.records[i * k:(i + 1) * k]
+        expected_rows.append([i, first.mu_r, first.mu_theta, 1e3 * first.fom_time,
+                              1e3 * float(np.mean([r.rom_time for r in chunk]))])
+    emit_report(report, str(tmp_path))
+    with open(tmp_path / "fig_timing.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows == [[pipeline._g17(v) for v in row] for row in expected_rows]
+    assert report.test_mu.tobytes() == np.array(
+        [(r.mu_r, r.mu_theta) for r in report.records[::k]]).tobytes()
+    assert report.mean_fom_time == float(np.mean([r.fom_time for r in report.records[::k]]))
+    assert report.mean_rom_time == float(np.mean([r.rom_time for r in report.records]))
+
+
 def _emit_with_error_window_2(tmp_path, report):
     out = tmp_path / "rep"
     emit_report(dataclasses.replace(report, fit_n_min_error=2), str(out))
