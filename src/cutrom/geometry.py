@@ -132,6 +132,11 @@ class BackgroundMesh:
         self.tri_stiffness = np.ascontiguousarray(_kernels.volume_contribs(self.tri_area, comp))
 
     def _build_facets(self):
+        """Facets with the triangles on either side, the local edges' facets
+        ``tri_facets``, and per interior facet the 4 patch dofs and the
+        normal-derivative jump of each patch hat (both sides are P1, so the
+        jump vector is parameter-independent), all read off one sort of the
+        edges.  Boundary facets keep -1 patch slots 2-3 and a zero jump."""
         tris = self.triangles
         nv = self.n_vertices
         edges = np.concatenate(
@@ -144,7 +149,8 @@ class BackgroundMesh:
         # edges by facet, and a facet's triangles in ascending index order
         order = np.lexsort((owner, code))
         code_s = code[order]
-        owner_s = owner[order]
+        # each sorted edge's local edge (k, k+1 mod 3) and its triangle
+        local_s, owner_s = np.divmod(order, self.n_triangles)
         # each facet's first edge, by neighbour as in _build_pattern; any
         # other edge is its second side
         first = np.concatenate([[True], code_s[1:] != code_s[:-1]])
@@ -167,38 +173,26 @@ class BackgroundMesh:
         normal = np.column_stack([tangent[:, 1], -tangent[:, 0]]) / length[:, None]
         self.facet_len = length
         self.facet_normal = normal
-        self._build_facet_patches()
-
-    def _build_facet_patches(self):
-        """Per interior facet: the 4 patch dofs and the normal-derivative jump
-        of each patch hat function (both sides are P1, so the jump vector is
-        parameter-independent).  Boundary facets keep -1 patch slots 2-3 and
-        a zero jump."""
-        facets = self.facets
-        n_f = facets.shape[0]
-        patch = np.full((n_f, 4), -1, dtype=np.int64)
-        jump = np.zeros((n_f, 4))
-        patch[:, 0] = facets[:, 0]
-        patch[:, 1] = facets[:, 1]
-        idx = np.flatnonzero(self.facet_tris[:, 1] >= 0)
-        tri_pair = self.facet_tris[idx]
-        fa = facets[idx, 0:1]
-        fb = facets[idx, 1:2]
-        rows = np.arange(idx.size)
-        for side in (0, 1):
-            tv = self.triangles[tri_pair[:, side]]
-            patch[idx, 2 + side] = tv[rows, np.argmax((tv != fa) & (tv != fb), axis=1)]
-        nrm = self.facet_normal[idx]
+        # side s of an interior facet is its (s+1)-th sorted edge
+        interior = facet_of[~first]
+        patch = np.full((facets.shape[0], 4), -1, dtype=np.int64)
+        patch[:, :2] = facets
+        nrm = normal[interior]
         grad_x = self.tri_comp[_kernels.GX]
         grad_y = self.tri_comp[_kernels.GY]
-        dn = []
-        for side in (0, 1):
-            ts = tri_pair[:, side]
-            hit = self.triangles[ts][:, None, :] == patch[idx][:, :, None]
-            at = (np.argmax(hit, axis=2), ts[:, None])
-            d = grad_x[at] * nrm[:, 0:1] + grad_y[at] * nrm[:, 1:2]
-            dn.append(np.where(hit.any(axis=2), d, 0.0))
-        jump[idx] = dn[0] - dn[1]
+        dn = np.zeros((2, interior.size, 4))
+        for side, e in enumerate((np.flatnonzero(first)[interior], np.flatnonzero(~first))):
+            k, t = local_s[e], owner_s[e]
+            k1, k2 = (k + 1) % 3, (k + 2) % 3
+            patch[interior, 2 + side] = tris[t, k2]
+            # the local hats of slots 0-1 (the facet's vertices, ascending)
+            # and of this side's opposite vertex; the other side's has no
+            # hat in t
+            swap = tris[t, k] > tris[t, k1]
+            at = (np.column_stack([np.where(swap, k1, k), np.where(swap, k, k1), k2]), t[:, None])
+            dn[side][:, [0, 1, 2 + side]] = grad_x[at] * nrm[:, 0:1] + grad_y[at] * nrm[:, 1:2]
+        jump = np.zeros((facets.shape[0], 4))
+        jump[interior] = dn[0] - dn[1]
         self.facet_patch = patch
         self.facet_jump = jump
 

@@ -240,9 +240,6 @@ class SweepReport:
     def speedup(self) -> float:
         return self.mean_fom_time / self.mean_rom_time if self.mean_rom_time > 0 else float("inf")
 
-    def records_for_n(self, n: int):
-        return [r for r in self.records if r.n == n]
-
     def mean_rows(self):
         """One row per mode count: the ``RUN4_COLUMNS`` means over the test
         parameters, and the mode count's ``eta_pod``."""
@@ -250,10 +247,10 @@ class SweepReport:
         return [{"n": n, **{name: float(np.mean(grids[name][:, j])) for name in RUN4_COLUMNS[1:]},
                  "eta_pod": float(grids["eta_pod"][0, j])} for j, n in enumerate(self.n_list)]
 
-    def fit_table(self):
+    def fit_table(self, means):
         """One row per estimator quantity, mirroring the rate-fit report: a
-        dict over ``RATE_COLUMNS``."""
-        means = self.mean_rows()
+        dict over ``RATE_COLUMNS``, fitted to ``means``, the report's
+        ``mean_rows()``."""
         windows = dict.fromkeys(RATE_QUANTITIES, self.fit_n_min_error)
         windows.update(eta_pod=self.fit_n_min_tail, eta_A=1, eta_f=1)
         nan = float("nan")
@@ -480,7 +477,7 @@ def emit_report(report: SweepReport, dirpath: str) -> list:
     paths.append(_write_csv(
         os.path.join(dirpath, "rates.csv"),
         RATE_COLUMNS,
-        [[r[c] for c in RATE_COLUMNS] for r in report.fit_table()],
+        [[r[c] for c in RATE_COLUMNS] for r in report.fit_table(means)],
     ))
     paths.append(_write_csv(
         os.path.join(dirpath, "timings.csv"),

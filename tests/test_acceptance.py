@@ -124,11 +124,10 @@ def test_criterion_05_deim_interpolation_exactness(default_run):
     # completed sweep holds it for every test parameter
     report = default_run.report
     assert len(report.test_mu) == default_run.config.n_test
-    for n in report.n_list:
-        recs = report.records_for_n(n)
-        base = report.records_for_n(report.n_list[0])
-        assert [r.eta_A for r in recs] == [r.eta_A for r in base]
-        assert [r.eta_f for r in recs] == [r.eta_f for r in base]
+    eta_a, eta_f = report.column("eta_A"), report.column("eta_f")
+    for j in range(len(report.n_list)):
+        assert eta_a[:, j].tolist() == eta_a[:, 0].tolist()
+        assert eta_f[:, j].tolist() == eta_f[:, 0].tolist()
     _line(5, f"interpolant exact to 1e-10 at the selected entries for {len(report.test_mu)} "
              "parameters; eta_A/eta_f bit-identical across the sweep")
 
@@ -160,7 +159,7 @@ def test_criterion_07_combined_bound(default_run):
 # 8 ------------------------------------------------------------------------
 
 def _mean(report, n, field):
-    return float(np.mean([getattr(r, field) for r in report.records_for_n(n)]))
+    return float(np.mean(report.column(field)[:, report.n_list.index(n)]))
 
 
 def test_criterion_08_mean_error_band_n2(default_run):
@@ -182,7 +181,7 @@ def test_criterion_08_deim_quality_bands(default_run):
     assert all(v <= 1e-3 for v in eta_a)
     assert all(v <= 1e-3 for v in eta_f)
     # constant in n: identical value sets per mode count
-    per_n = [{r.eta_A for r in report.records_for_n(n)} for n in report.n_list]
+    per_n = [set(report.column("eta_A")[:, j].tolist()) for j in range(len(report.n_list))]
     assert all(s == per_n[0] for s in per_n)
     _line(8, f"eta_A <= {max(eta_a):.2e}, eta_f <= {max(eta_f):.2e}, constant in n")
 
@@ -225,7 +224,8 @@ def test_criterion_09_rate_fit_oracles():
 # 10 -----------------------------------------------------------------------
 
 def _fit_rows(default_run):
-    return {row["quantity"]: row for row in default_run.report.fit_table()}
+    report = default_run.report
+    return {row["quantity"]: row for row in report.fit_table(report.mean_rows())}
 
 
 @pytest.mark.xfail(strict=True, reason=MESH_NOTE)

@@ -551,17 +551,52 @@ def test_mesh_tables_match_loops(nx):
     _assert_bytes_equal(_gradients(mesh), _reference_gradients(mesh), "gradients")
 
 
-def test_tri_facet_map_on_an_unstructured_mesh():
-    # a hexagon fan around an off-centre hub, then one ring of outer
-    # triangles: not a criss grid, and vertex valences differ
+def _hexagon_fan_mesh():
+    """A hexagon fan around an off-centre hub, then one ring of outer
+    triangles: not a criss grid, and vertex valences differ."""
     ang = np.arange(6) * np.pi / 3.0
     ring = np.column_stack([np.cos(ang), np.sin(ang)])
     outer = 2.0 * np.column_stack([np.cos(ang + np.pi / 6), np.sin(ang + np.pi / 6)])
     vertices = np.vstack([[0.1, -0.05], ring, outer])
     fan = [(0, 1 + i, 1 + (i + 1) % 6) for i in range(6)]
     caps = [(1 + i, 7 + i, 1 + (i + 1) % 6) for i in range(6)]
-    tris = np.array(fan + caps, dtype=np.int64)
-    mesh = BackgroundMesh(vertices, tris, 2, (-2.0, 2.0))
+    return BackgroundMesh(vertices, np.array(fan + caps, dtype=np.int64), 2, (-2.0, 2.0))
+
+
+def _relabelled_grid_mesh(nx, seed):
+    """The criss grid with its vertices renumbered by a seeded random
+    permutation and each triangle's vertex list rotated (still
+    counter-clockwise)."""
+    grid = build_background_mesh(BOX, 2.4 / nx)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(grid.n_vertices)
+    vertices = np.empty_like(grid.vertices)
+    vertices[perm] = grid.vertices
+    shift = rng.integers(0, 3, size=grid.n_triangles)[:, None]
+    tris = np.take_along_axis(perm[grid.triangles], (np.arange(3) + shift) % 3, axis=1)
+    return BackgroundMesh(vertices, tris, nx, grid.box)
+
+
+@pytest.mark.parametrize("make", [_hexagon_fan_mesh, lambda: _relabelled_grid_mesh(4, 7)],
+                         ids=["hexagon_fan", "relabelled_grid"])
+def test_facet_patches_match_loops_on_unstructured_meshes(make):
+    mesh = make()
+    # on each side, some facets list their vertices in ascending local
+    # order and some in descending
+    interior = np.flatnonzero(mesh.facet_tris[:, 1] >= 0)
+    for side in (0, 1):
+        tv = mesh.triangles[mesh.facet_tris[interior, side]]
+        lo = mesh.facets[interior, 0]
+        at = np.argmax(tv == lo[:, None], axis=1)
+        ascending = tv[np.arange(interior.size), (at + 1) % 3] == mesh.facets[interior, 1]
+        assert ascending.any() and not ascending.all()
+    patch, jump = _reference_facet_patches(mesh)
+    assert mesh.facet_patch.tobytes() == patch.tobytes()
+    assert mesh.facet_jump.tobytes() == jump.tobytes()
+
+
+def test_tri_facet_map_on_an_unstructured_mesh():
+    mesh = _hexagon_fan_mesh()
     assert (mesh.facet_tris[:, 1] >= 0).sum() == 12
     _assert_tri_facet_map(mesh)
     _assert_pattern_maps(mesh)

@@ -143,6 +143,16 @@ def test_report_means_equal_the_record_loops_bit_for_bit(tmp_path, small_run):
     assert report.mean_rom_time == float(np.mean([r.rom_time for r in report.records]))
 
 
+def test_emit_report_builds_the_mean_rows_once(tmp_path, small_run, monkeypatch):
+    # run4.csv, tail.csv and rates.csv share one pass over the records
+    calls = []
+    mean_rows = pipeline.SweepReport.mean_rows
+    monkeypatch.setattr(pipeline.SweepReport, "mean_rows",
+                        lambda self: calls.append(1) or mean_rows(self))
+    emit_report(small_run[1], str(tmp_path))
+    assert len(calls) == 1
+
+
 def _emit_with_error_window_2(tmp_path, report):
     out = tmp_path / "rep"
     emit_report(dataclasses.replace(report, fit_n_min_error=2), str(out))

@@ -32,15 +32,16 @@ def test_errors_positive_below_full_mode_count(default_run):
 
 def test_mean_error_decreases_from_first_to_last_mode_count(default_run):
     report = default_run.report
-    first = np.mean([r.e_rel for r in report.records_for_n(report.n_list[0])])
-    last = np.mean([r.e_rel for r in report.records_for_n(report.n_list[-1])])
+    first = np.mean(report.column("e_rel")[:, 0])
+    last = np.mean(report.column("e_rel")[:, -1])
     assert last < first
 
 
 def test_online_time_roughly_constant_in_n(default_run):
     # medians per mode count: robust against isolated scheduler stalls
     report = default_run.report
-    meds = [np.median([r.rom_time for r in report.records_for_n(n)]) for n in report.n_list]
+    rom_time = report.column("rom_time")
+    meds = [np.median(rom_time[:, j]) for j in range(len(report.n_list))]
     assert max(meds) / min(meds) <= 3.0
 
 
@@ -63,12 +64,14 @@ def test_tail_energy_at_two_in_reference_band(default_run):
 
 
 def test_mean_plain_residual_at_two_in_reference_band(default_run):
-    vals = [r.eta_2a for r in default_run.report.records_for_n(2)]
+    report = default_run.report
+    vals = report.column("eta_2a")[:, report.n_list.index(2)]
     assert 3.0 <= np.mean(vals) <= 50.0
 
 
 def test_effectivity_scale_before_spectrum_cliff(default_run):
-    vals = [r.theta_2a for r in default_run.report.records_for_n(2)]
+    report = default_run.report
+    vals = report.column("theta_2a")[:, report.n_list.index(2)]
     assert 50.0 <= np.mean(vals) <= 2000.0
 
 
@@ -76,7 +79,8 @@ def test_effectivity_scale_before_spectrum_cliff(default_run):
     "the snapshot spectrum on the symmetric structured mesh collapses after "
     "~14 modes, so effectivities fall with the error instead of plateauing"))
 def test_effectivity_scale_at_eight(default_run):
-    vals = [r.theta_2a for r in default_run.report.records_for_n(8)]
+    report = default_run.report
+    vals = report.column("theta_2a")[:, report.n_list.index(8)]
     assert 50.0 <= np.mean(vals) <= 2000.0
 
 
