@@ -415,20 +415,12 @@ class EntryPlan:
         a_bin[positions] = np.arange(positions.size)
         f_bin = np.full(mesh.n_vertices, dofs.size)
         f_bin[dofs] = np.arange(dofs.size)
-        # every slot on a requested entry has its row's vertex, so the piece
-        # is among the triangles at those vertices and the facets of them
-        at_vertex = f_bin < dofs.size
-        at_vertex[mesh.pattern_rows[positions]] = True
-        tris = np.flatnonzero(np.logical_or.reduce(at_vertex[mesh.triangles_t]))
-        of_tris = np.zeros(mesh.facets.shape[0], dtype=bool)
-        of_tris[mesh.tri_facets.take(tris, axis=0)] = True
-        facets = np.flatnonzero(of_tris)
-        tri_bins = a_bin[mesh.tri_pattern_pos.take(tris, axis=0)]
-        load_bins = f_bin[mesh.triangles.take(tris, axis=0)]
-        facet_bins = a_bin[mesh.facet_pattern_pos.take(facets, axis=0)]
+        tri_bins = a_bin[mesh.tri_pattern_pos]
+        load_bins = f_bin[mesh.triangles]
+        facet_bins = a_bin[mesh.facet_pattern_pos]
         keep = (tri_bins < positions.size).any(axis=1) | (load_bins < dofs.size).any(axis=1)
         hit = (facet_bins < positions.size).any(axis=1)
-        self.tris, self.facets = tris[keep], facets[hit]
+        self.tris, self.facets = np.flatnonzero(keep), np.flatnonzero(hit)
         self.piece = _Piece(tri_bins[keep], load_bins[keep], mesh.tri_stiffness[self.tris],
                             facet_bins[hit], (positions.size + 1, dofs.size + 1))
         self.loads = _whole_load(mesh.tri_area[self.tris], float(phys.f_const))

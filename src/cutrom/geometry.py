@@ -136,7 +136,9 @@ class BackgroundMesh:
         ``tri_facets``, and per interior facet the 4 patch dofs and the
         normal-derivative jump of each patch hat (both sides are P1, so the
         jump vector is parameter-independent), all read off one sort of the
-        edges.  Boundary facets keep -1 patch slots 2-3 and a zero jump."""
+        edges.  Boundary facets keep -1 patch slots 2-3 and a zero jump.
+        Raises ``GeometryError`` on a facet of more than two triangles and on
+        two triangles that lie on the same side of their shared facet."""
         tris = self.triangles
         nv = self.n_vertices
         edges = np.concatenate(
@@ -181,6 +183,7 @@ class BackgroundMesh:
         grad_x = self.tri_comp[_kernels.GX]
         grad_y = self.tri_comp[_kernels.GY]
         dn = np.zeros((2, interior.size, 4))
+        swaps = np.empty((2, interior.size), dtype=bool)
         for side, e in enumerate((np.flatnonzero(first)[interior], np.flatnonzero(~first))):
             k, t = local_s[e], owner_s[e]
             k1, k2 = (k + 1) % 3, (k + 2) % 3
@@ -188,9 +191,15 @@ class BackgroundMesh:
             # the local hats of slots 0-1 (the facet's vertices, ascending)
             # and of this side's opposite vertex; the other side's has no
             # hat in t
-            swap = tris[t, k] > tris[t, k1]
+            swaps[side] = swap = tris[t, k] > tris[t, k1]
             at = (np.column_stack([np.where(swap, k1, k), np.where(swap, k, k1), k2]), t[:, None])
             dn[side][:, [0, 1, 2 + side]] = grad_x[at] * nrm[:, 0:1] + grad_y[at] * nrm[:, 1:2]
+        # counter-clockwise triangles on opposite sides of a facet traverse
+        # it in opposite directions
+        same = interior[swaps[0] == swaps[1]]
+        if same.size:
+            raise GeometryError(f"triangles {facet_tris[same[0]].tolist()} overlap: both lie on "
+                                f"one side of their facet {facets[same[0]].tolist()}")
         jump = np.zeros((facets.shape[0], 4))
         jump[interior] = dn[0] - dn[1]
         self.facet_patch = patch

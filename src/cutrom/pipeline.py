@@ -2,25 +2,23 @@
 
 The offline phase solves the training set, builds the mode basis and both
 interpolation operators, and precomputes the reduced blocks and the entry
-plan.  The online sweep takes two steps per test parameter.
-``parameter_state`` does the work every mode count of the parameter shares:
-the geometry, the assembled system and its full-order solve, the sampled
-entries (``rom.sample_entries``, once per parameter), the norm matrix, and
-both interpolants with the errors of the DEIM indicators; it enforces the
-interpolation exactness of the matrix interpolant at its own indices.
-``parameter_record`` turns that state and one mode count into an
-``EstimatorRecord``: the reduced solve (``rom.solve``), the full estimator
-set, and the per-record invariants (Rayleigh sandwich, active-restriction
-ordering, combined bound).  Each hard invariant raises ``PipelineError`` on
-violation.  ``run_online_sweep`` only validates its input and loops over
-both, and the invariant suite (``verify_invariants``) reads its completed
-sweep as one check.
+plan.  The online sweep takes one step per test parameter,
+``parameter_records``.  It first does the work every mode count of the
+parameter shares: the geometry, the assembled system and its full-order
+solve, the sampled entries (``rom.sample_entries``, once per parameter), the
+norm matrix, and both interpolants with the errors of the DEIM indicators;
+it enforces the interpolation exactness of the matrix interpolant at its own
+indices.  Then each mode count gets its ``EstimatorRecord``: the reduced
+solve (``rom.solve``), the full estimator set, and the per-record invariants
+(Rayleigh sandwich, active-restriction ordering, combined bound).  Each hard
+invariant raises ``PipelineError`` on violation.  ``run_online_sweep`` only
+validates its input and loops over the step, and the invariant suite
+(``verify_invariants``) reads its completed sweep as one check.
 
-The two steps hold every clock read of a record's timings; the modules they
-call are untimed.  A record's ``fom_time`` is assembly plus the full-order
-solve, and its ``rom_time`` is sampling plus the reduced solve and lift.
-The geometry, the norm matrix and the interpolation coefficients are in
-neither.
+The step holds every clock read of a record's timings; the modules it calls
+are untimed.  A record's ``fom_time`` is assembly plus the full-order solve,
+and its ``rom_time`` is sampling plus the reduced solve and lift.  The
+geometry, the norm matrix and the interpolation coefficients are in neither.
 
 Training parameters are assembled in chunks of ``TRAIN_CHUNK``; training
 solves and test parameters are processed one after another, in input order.
@@ -36,7 +34,6 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from . import estimators as est
 from . import rates
@@ -53,7 +50,7 @@ from .assembly import (
 from .config import SWEEP_ONLY_FIELDS, Config
 from .deim import (MATRIX, VECTOR, build_deim_operator, build_union_pattern,
                    deim_coefficients, reconstruct)
-from .fom import FomSolution, residual, solve_active, solve_fom
+from .fom import residual, solve_active, solve_fom
 from .geometry import (INSIDE, ParameterPoint, build_background_mesh, build_cut_geometry,
                        require_inside_box)
 from .pod import build_pod_basis, projection_tail_gap, tail_energy
@@ -277,43 +274,27 @@ class SweepReport:
         return table
 
 
-@dataclass
-class ParameterState:
-    """What every record of one test parameter ``mu`` shares
-    (``parameter_state``).
+def parameter_records(art: OfflineArtifacts, mu: ParameterPoint, n_list, vn_norm: dict,
+                      tails: dict) -> list:
+    """The records of one test parameter ``mu``, one per mode count of
+    ``n_list``, in its order.  The work every mode count shares is done once:
+    geometry, system and full-order solve (timed together, the records'
+    ``fom_time``), sampled entries (``rom.sample_entries``, timed alone),
+    norm matrix, and both interpolants with their errors, A's before f's.
+    The matrix interpolant is mirrored to the whole union
+    (``UnionPattern.whole``), so it is compared with A whole.  Each mode
+    count n then takes the reduced solve, the residual estimators, the true
+    errors and the combined bound; its ``rom_time`` is the sampling time plus
+    the timed reduced solve and lift, the cost of one standalone query at n.
+    ``vn_norm[n]``, the spectral norm of the first n modes, and ``tails[n]``,
+    their discarded-energy fraction (``pod.tail_energy``), are the same for
+    every parameter, so the sweep computes them once.
 
-    ``fom_time`` is assembly plus solve.  ``a_samp`` and ``f_samp`` are the
-    sampled entries (``rom.sample_entries``) and ``sample_time`` the time
-    taken to sample them.  ``a_err`` and ``f_err`` are the absolute and
-    relative interpolation errors of A and f (``est.deim_error``), and
-    ``d_min``, ``d_max`` the range of A's diagonal over the active dofs."""
-
-    mu: ParameterPoint
-    system: SystemPair
-    norm_mat: sp.csr_matrix
-    fom: FomSolution
-    fom_time: float
-    a_samp: np.ndarray
-    f_samp: np.ndarray
-    sample_time: float
-    a_err: tuple[float, float]
-    f_err: tuple[float, float]
-    diag: np.ndarray
-    d_min: float
-    d_max: float
-
-
-def parameter_state(art: OfflineArtifacts, mu: ParameterPoint) -> ParameterState:
-    """The per-parameter work of the sweep: geometry, system and full-order
-    solve (timed together), sampled entries (``rom.sample_entries``, timed
-    alone), norm matrix, and both interpolants with their errors, A's before
-    f's.  The matrix interpolant is mirrored to the whole union
-    (``UnionPattern.whole``), so it is compared with A whole.
-
-    Raises ``PipelineError`` naming ``mu`` when the matrix interpolant
-    misses the assembled A by more than 1e-10 at the selected entries, its
-    own interpolation indices, where the two agree to rounding (Chaturantabut
-    & Sorensen 2010)."""
+    Raises ``PipelineError`` naming ``mu`` when the matrix interpolant misses
+    the assembled A by more than 1e-10 at the selected entries, its own
+    interpolation indices, where the two agree to rounding (Chaturantabut &
+    Sorensen 2010), and naming ``mu`` and n when the Rayleigh sandwich, the
+    active <= plain ordering or the combined bound fails."""
     geom = build_cut_geometry(art.mesh, mu)
     t0 = time.perf_counter()
     system = assemble_system(geom, art.phys)
@@ -336,72 +317,57 @@ def parameter_state(art: OfflineArtifacts, mu: ParameterPoint) -> ParameterState
     f_err = est.deim_error(system.f, f_deim)
     diag = system.A.diagonal()
     d_min, d_max = est.active_diagonal_range(diag, system.active_dofs)
-    return ParameterState(
-        mu=mu, system=system, norm_mat=norm_mat, fom=fom, fom_time=t1 - t0,
-        a_samp=a_samp, f_samp=f_samp, sample_time=t2 - t1, a_err=a_err, f_err=f_err,
-        diag=diag, d_min=d_min, d_max=d_max,
-    )
-
-
-def parameter_record(art: OfflineArtifacts, state: ParameterState, n: int,
-                     vn_norm: float, eta_pod: float) -> est.EstimatorRecord:
-    """The record of one parameter's ``state`` at n modes: the reduced solve,
-    the residual estimators, the true errors and the combined bound.  Its
-    ``rom_time`` is the state's ``sample_time`` plus the timed reduced solve
-    and lift, the cost of one standalone query at n.
-    ``vn_norm``, the spectral norm of the first n modes, and ``eta_pod``,
-    their discarded-energy fraction (``pod.tail_energy``), are the same for
-    every parameter, so the sweep computes them once per n.  Raises
-    ``PipelineError`` naming the parameter and n when the Rayleigh sandwich,
-    the active <= plain ordering or the combined bound fails."""
-    system, mu = state.system, state.mu
-    at = f"mu=({mu.r:.17g}, {mu.theta:.17g}), n={n}"
-    t0 = time.perf_counter()
-    rom_sol = solve(art, mu, state.a_samp, state.f_samp, n)
-    rom_time = state.sample_time + (time.perf_counter() - t0)
-    r = residual(system, rom_sol.u_lifted)
-    eta_2a = est.residual_norm_plain(r)
-    eta_2b = est.residual_norm_jacobi(r, state.diag, art.config.eps_safe)
-    eta_2a_act = est.residual_norm_active(r, system.active_dofs)
-    e_rel, e_t = est.true_errors(state.fom.u, rom_sol.u_lifted, state.norm_mat)
-    check = est.rayleigh_ratio_check(eta_2a, eta_2b, state.d_min, state.d_max)
-    if not check.ok:
-        raise PipelineError(
-            f"Rayleigh sandwich violated at {at}: "
-            f"ratio={check.ratio:.17g} not in [{check.lower:.17g}, {check.upper:.17g}]"
+    a_star = est.alpha_star(art.config.nitsche_lambda, art.config.c_inv)
+    records = []
+    for n in n_list:
+        at = f"mu=({mu.r:.17g}, {mu.theta:.17g}), n={n}"
+        t3 = time.perf_counter()
+        rom_sol = solve(art, mu, a_samp, f_samp, n)
+        rom_time = (t2 - t1) + (time.perf_counter() - t3)
+        r = residual(system, rom_sol.u_lifted)
+        eta_2a = est.residual_norm_plain(r)
+        eta_2b = est.residual_norm_jacobi(r, diag, art.config.eps_safe)
+        eta_2a_act = est.residual_norm_active(r, system.active_dofs)
+        e_rel, e_t = est.true_errors(fom.u, rom_sol.u_lifted, norm_mat)
+        check = est.rayleigh_ratio_check(eta_2a, eta_2b, d_min, d_max)
+        if not check.ok:
+            raise PipelineError(
+                f"Rayleigh sandwich violated at {at}: "
+                f"ratio={check.ratio:.17g} not in [{check.lower:.17g}, {check.upper:.17g}]"
+            )
+        if eta_2a_act > eta_2a * (1.0 + 1e-12):
+            raise PipelineError(f"active residual norm exceeds plain norm at {at}")
+        bound = est.combined_error_bound(
+            eta_2a_act, a_err[0], f_err[0], float(np.linalg.norm(rom_sol.u_lifted)),
+            vn_norm[n], a_star,
         )
-    if eta_2a_act > eta_2a * (1.0 + 1e-12):
-        raise PipelineError(f"active residual norm exceeds plain norm at {at}")
-    bound = est.combined_error_bound(
-        eta_2a_act, state.a_err[0], state.f_err[0], float(np.linalg.norm(rom_sol.u_lifted)),
-        vn_norm, est.alpha_star(art.config.nitsche_lambda, art.config.c_inv),
-    )
-    if e_t > bound:
-        raise PipelineError(
-            f"combined bound violated at {at}: e_T={e_t:.17g} > bound={bound:.17g}"
-        )
-    return est.EstimatorRecord(
-        mu_r=float(mu.r), mu_theta=float(mu.theta), n=n,
-        eta_A=state.a_err[1], eta_f=state.f_err[1], eta_2a=eta_2a, eta_2b=eta_2b,
-        eta_2a_active=eta_2a_act, eta_pod=eta_pod, e_rel=e_rel, e_T=e_t,
-        theta_2a=est.effectivity(eta_2a, e_rel),
-        theta_2b=est.effectivity(eta_2b, e_rel),
-        theta_2a_active=est.effectivity(eta_2a_act, e_rel),
-        bound=bound, d_min=state.d_min, d_max=state.d_max,
-        fom_time=state.fom_time, rom_time=rom_time,
-    )
+        if e_t > bound:
+            raise PipelineError(
+                f"combined bound violated at {at}: e_T={e_t:.17g} > bound={bound:.17g}"
+            )
+        records.append(est.EstimatorRecord(
+            mu_r=float(mu.r), mu_theta=float(mu.theta), n=n,
+            eta_A=a_err[1], eta_f=f_err[1], eta_2a=eta_2a, eta_2b=eta_2b,
+            eta_2a_active=eta_2a_act, eta_pod=tails[n], e_rel=e_rel, e_T=e_t,
+            theta_2a=est.effectivity(eta_2a, e_rel),
+            theta_2b=est.effectivity(eta_2b, e_rel),
+            theta_2a_active=est.effectivity(eta_2a_act, e_rel),
+            bound=bound, d_min=d_min, d_max=d_max,
+            fom_time=t1 - t0, rom_time=rom_time,
+        ))
+    return records
 
 
 def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) -> SweepReport:
     """Solve FOM and ROM over the test set, evaluate every estimator record,
     and enforce the hard invariants parameter by parameter and record by
-    record: ``parameter_state`` once per test parameter, then
-    ``parameter_record`` once per mode count.
+    record: ``parameter_records`` once per test parameter.
 
     ``config`` may differ from ``art.config`` only in the sweep and path
     fields (``SWEEP_ONLY_FIELDS``, the fields ``Config.hash`` leaves out, so
     ``load_artifacts`` accepts the same configs); any other difference
-    raises ``PipelineError`` naming the field, as does an empty test set.
+    raises ``PipelineError`` naming the field.  So do an empty test set and
+    ``test_params`` that are not (count, 2) pairs, by shape.
     Raises ``GeometryError`` before any solve when a test ellipse leaves the
     background box."""
     for f in fields(Config):
@@ -413,9 +379,11 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
     if test_params is None:
         test_mu = sample_parameters(config.n_test, config.seed + 1, config.mu_min, config.mu_max)
     else:
-        test_mu = np.asarray(test_params, dtype=float).reshape(-1, 2)
-    if test_mu.shape[0] == 0:
+        test_mu = np.asarray(test_params, dtype=float)
+    if test_mu.size == 0:
         raise PipelineError("empty test set: the sweep needs at least one test parameter")
+    if test_mu.ndim != 2 or test_mu.shape[1] != 2:
+        raise PipelineError(f"test parameters of shape {test_mu.shape} are not (count, 2) pairs")
     test_points = [ParameterPoint(*m) for m in test_mu]
     for mu in test_points:
         require_inside_box(mu, art.config.box)
@@ -428,8 +396,7 @@ def run_online_sweep(art: OfflineArtifacts, config: Config, test_params=None) ->
     tails = {n: tail_energy(art.pod.sigma, n) for n in n_list}
     records = []
     for mu in test_points:
-        state = parameter_state(art, mu)
-        records.extend(parameter_record(art, state, n, vn_norm[n], tails[n]) for n in n_list)
+        records.extend(parameter_records(art, mu, n_list, vn_norm, tails))
     report = SweepReport(
         records=records,
         n_list=n_list,

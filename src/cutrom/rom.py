@@ -23,8 +23,8 @@ the load blocks), solves it with one LU solve and lifts it.
 ``rom_online_solve`` is one standalone query: both steps at one mode
 count.  The interpolation coefficients, which only the estimators need,
 come from ``deim.deim_coefficients`` on the same samples.  Neither step
-reads the clock: the sweep times them (``pipeline.parameter_state`` and
-``pipeline.parameter_record``).
+reads the clock: the sweep's per-parameter step times them
+(``pipeline.parameter_records``).
 """
 
 from __future__ import annotations

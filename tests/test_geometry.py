@@ -613,6 +613,17 @@ def test_mesh_with_a_facet_of_three_triangles_rejected():
         BackgroundMesh(vertices, tris, 1, (0.0, 1.0))
 
 
+@pytest.mark.parametrize("tris", [[[0, 1, 2], [1, 2, 0]], [[0, 1, 2], [0, 1, 2]],
+                                  [[0, 1, 2], [0, 1, 3]]],
+                         ids=["relisted", "repeated", "folded"])
+def test_mesh_with_overlapping_triangles_rejected(tris):
+    # both counter-clockwise triangles lie on one side of a facet they share
+    tris = np.array(tris, dtype=np.int64)
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])[: tris.max() + 1]
+    with pytest.raises(GeometryError, match=r"triangles \[0, 1\] overlap"):
+        BackgroundMesh(vertices, tris, 1, (0.0, 1.0))
+
+
 def test_mesh_with_a_vertex_outside_every_triangle_rejected():
     # the active-dof marking counts every vertex with phi <= 0 as active
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.2, 0.2]])

@@ -26,8 +26,7 @@ from cutrom.pipeline import (
     PipelineError,
     emit_report,
     load_report,
-    parameter_record,
-    parameter_state,
+    parameter_records,
     patch_check,
     pod_tail_check,
     run_offline,
@@ -258,6 +257,24 @@ def test_sweep_refuses_an_empty_test_set(small_run, small_config, monkeypatch):
         run_online_sweep(art, small_config, test_params=[])
 
 
+@pytest.mark.parametrize("params", [
+    [[1.0, 1.1, 1.2], [1.05, 1.15, 1.19]],  # two rows of three: once read as three pairs
+    [1.1, 1.1],  # one bare pair
+    [[[1.1, 1.1]]],
+], ids=["two_rows_of_three", "bare_pair", "nested"])
+def test_sweep_refuses_test_parameters_that_are_not_pairs(small_run, small_config, params,
+                                                         monkeypatch):
+    art, _ = small_run
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a test parameter was solved")
+
+    monkeypatch.setattr(pipeline, "build_cut_geometry", refuse)
+    shape = re.escape(str(np.shape(params)))
+    with pytest.raises(PipelineError, match=f"shape {shape} are not \\(count, 2\\) pairs"):
+        run_online_sweep(art, small_config, test_params=params)
+
+
 def test_training_subset_reproduction(small_run, small_config):
     art, _ = small_run
     cfg = dataclasses.replace(small_config, n_list=(art.pod.n_max,)).validate()
@@ -336,18 +353,18 @@ def test_verify_builds_each_geometry_once(monkeypatch):
     # per test parameter
     cfg = Config(n_train=25, n_test=4, n_list=(2, 4), seed=0).validate()
     built, states = collections.Counter(), collections.Counter()
-    build, state = pipeline.build_cut_geometry, pipeline.parameter_state
+    build, step = pipeline.build_cut_geometry, pipeline.parameter_records
 
     def counted_build(mesh, mu):
         built[mu] += 1
         return build(mesh, mu)
 
-    def counted_state(art, mu):
+    def counted_step(art, mu, *args):
         states[mu] += 1
-        return state(art, mu)
+        return step(art, mu, *args)
 
     monkeypatch.setattr(pipeline, "build_cut_geometry", counted_build)
-    monkeypatch.setattr(pipeline, "parameter_state", counted_state)
+    monkeypatch.setattr(pipeline, "parameter_records", counted_step)
     assert all(c.ok for c in verify_invariants(cfg))
     train, test = (sample_parameters(count, seed, cfg.mu_min, cfg.mu_max)
                    for count, seed in ((cfg.n_train, cfg.seed), (cfg.n_test, cfg.seed + 1)))
@@ -701,20 +718,22 @@ def test_sweep_samples_entries_once_per_parameter(small_run, small_config, monke
     assert len(calls) == small_config.n_test
 
 
-def test_parameter_record_reproduces_the_sweep_record(small_run):
-    # the sweep is parameter_state once per test parameter, then
-    # parameter_record per mode count: called directly, they give the
-    # sweep's record bit for bit in every field but the two timings
+def test_parameter_records_reproduce_the_sweep_records(small_run):
+    # the sweep is parameter_records once per test parameter: called
+    # directly, it gives the sweep's records bit for bit in every field but
+    # the two timings
     art, report = small_run
-    state = parameter_state(art, ParameterPoint(*report.test_mu[0]))
-    for k, n in enumerate(report.n_list):
-        record = parameter_record(art, state, n, float(sla.svdvals(art.pod.V[:, :n])[0]),
-                                  tail_energy(art.pod.sigma, n))
-        swept = report.records[k]
+    n_list = report.n_list
+    records = parameter_records(
+        art, ParameterPoint(*report.test_mu[0]), n_list,
+        {n: float(sla.svdvals(art.pod.V[:, :n])[0]) for n in n_list},
+        {n: tail_energy(art.pod.sigma, n) for n in n_list})
+    assert [r.n for r in records] == list(n_list)
+    for record, swept in zip(records, report.records):
         for name in EstimatorRecord.FIELDS:
             if name not in ("fom_time", "rom_time"):
                 mine, theirs = np.float64(getattr(record, name)), np.float64(getattr(swept, name))
-                assert mine.tobytes() == theirs.tobytes(), (n, name)
+                assert mine.tobytes() == theirs.tobytes(), (record.n, name)
 
 
 def test_offline_logs_deim_lebesgue_constants(caplog):
