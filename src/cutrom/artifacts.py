@@ -2,7 +2,8 @@
 
 ``_ARRAYS`` lists every saved array once, with its dtype and its shape in the
 model's sizes; the manifest records the format version, the config hash and
-those sizes.  The hash (``Config.hash``) covers every config field but the
+those sizes.  A load reads only those arrays: other files in the directory
+are ignored.  The hash (``Config.hash``) covers every config field but the
 sweep grid, the test count, the fit windows and the paths, so a model loads
 under any config that differs from its own only there; ``run_online_sweep``
 applies the same rule.
@@ -72,7 +73,6 @@ class OfflineArtifacts:
     deim_f: DeimOperator
     blocks_a: np.ndarray  # (n_max (n_max + 1) / 2, l_A) folded, see rom.build_rom_offline
     blocks_f: np.ndarray  # (l_f, n_max) folded
-    train_mu: np.ndarray
     snapshots: np.ndarray | None = None
     phys: PhysicsParams = field(init=False)
     pattern: UnionPattern = field(init=False)
@@ -106,27 +106,22 @@ _ARRAYS = (
     ("pod_sigma", "pod.sigma", np.float64, ("s_n",)),
     ("deim_a_basis", "deim_a.U", np.float64, ("pattern_size", "l_a")),
     ("deim_a_indices", "deim_a.indices", np.int64, ("l_a",)),
-    ("deim_a_singular_values", "deim_a.singular_values", np.float64, ("s_a",)),
     ("deim_f_basis", "deim_f.U", np.float64, ("n", "l_f")),
     ("deim_f_indices", "deim_f.indices", np.int64, ("l_f",)),
-    ("deim_f_singular_values", "deim_f.singular_values", np.float64, ("s_n",)),
     ("pattern_positions", "pattern.positions", np.int64, ("pattern_size",)),
     ("blocks_a", "blocks_a", np.float64, ("n_packed", "l_a")),  # see rom.packed_upper_index
     ("blocks_f", "blocks_f", np.float64, ("l_f", "n_max")),
-    ("train_mu", "train_mu", np.float64, ("n_train", 2)),
 )
 _SIZES = ("n_vertices", "n_max", "l_a", "l_f", "pattern_size")
 
 
 def _expected_shapes(config: Config, n: int, n_max: int, l_a: int, l_f: int,
                      pattern_size: int) -> dict:
-    """Shape of each array for the manifest's sizes.  Each thin SVD of an
-    (m, n_train) snapshot matrix has min(m, n_train) singular values: the
-    matrix DEIM's over the union pattern, and the POD's and the load DEIM's
-    over the n vertices."""
+    """Shape of each array for the manifest's sizes.  The POD spectrum is
+    that of the thin SVD of the (n, n_train) snapshot matrix: min(n,
+    n_train) values."""
     sizes = {"n": n, "n_max": n_max, "l_a": l_a, "l_f": l_f, "pattern_size": pattern_size,
-             "n_train": config.n_train, "n_packed": n_max * (n_max + 1) // 2,
-             "s_a": min(pattern_size, config.n_train), "s_n": min(n, config.n_train)}
+             "n_packed": n_max * (n_max + 1) // 2, "s_n": min(n, config.n_train)}
     return {name: tuple(sizes.get(d, d) for d in dims) for name, _, _, dims in _ARRAYS}
 
 
@@ -237,11 +232,9 @@ def load_artifacts(dirpath: str, config: Config) -> OfflineArtifacts:
         n_max=n_max,
         n_energy=truncation_rank(np.sqrt(data["pod_sigma"]), config.eps_pod),
     )
-    deim_a = deim_operator(data["deim_a_basis"], data["deim_a_indices"],
-                           data["deim_a_singular_values"], pattern)
-    deim_f = deim_operator(data["deim_f_basis"], data["deim_f_indices"],
-                           data["deim_f_singular_values"])
+    deim_a = deim_operator(data["deim_a_basis"], data["deim_a_indices"], pattern)
+    deim_f = deim_operator(data["deim_f_basis"], data["deim_f_indices"])
     return OfflineArtifacts(
         config=config, mesh=mesh, pod=pod, deim_a=deim_a, deim_f=deim_f,
-        blocks_a=data["blocks_a"], blocks_f=data["blocks_f"], train_mu=data["train_mu"],
+        blocks_a=data["blocks_a"], blocks_f=data["blocks_f"],
     )

@@ -379,12 +379,13 @@ class EntryPlan:
     parameter-independent values.
 
     Matrix entries are requested by their mesh-pattern position, vector
-    entries by dof.  The plan's triangles ``tris`` and interior facets
-    ``facets``, ascending, are those whose slots in the mesh's tables
-    (``BackgroundMesh.tri_pattern_pos``/``facet_pattern_pos``, the tables
-    full assembly sums through) land on a requested position, or on
-    the diagonal position (``BackgroundMesh.pattern_diag``) of a requested
-    dof.  ``piece`` (a ``_Piece``) gives the bin of every slot of them and
+    entries by dof.  The bins are gathered over the whole mesh's slot
+    tables (``BackgroundMesh.tri_pattern_pos``/``facet_pattern_pos``, the
+    tables full assembly sums through, and ``triangles`` for the load).
+    The plan's triangles ``tris``, ascending, are those with a stiffness
+    slot on a requested position or a vertex at a requested dof; its
+    interior facets ``facets``, ascending, those with a slot on a requested
+    position.  ``piece`` (a ``_Piece``) gives the bin of every slot of them and
     their ``tri_stiffness`` rows; there is one bin per distinct requested
     entry and a last one for the slots no request reads.  ``take_matrix``
     and ``take_vector`` map the bins to the requests in their order,

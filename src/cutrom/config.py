@@ -73,6 +73,8 @@ class Config:
             raise ConfigError(str(exc)) from exc
         if self.n_train < 1 or self.n_test < 1:
             raise ConfigError("n_train and n_test must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not (0 < self.mu_min < self.mu_max):
             raise ConfigError("parameter box must satisfy 0 < mu_min < mu_max")
         try:
@@ -153,7 +155,9 @@ def load_config(path: str) -> Config:
 
 
 def parse_config(text: str) -> Config:
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header names the empty default section, so a [DEFAULT] section is
+    # read as an unknown section, not applied inside every other one
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_file(io.StringIO(text))
     except configparser.Error as exc:

@@ -104,7 +104,6 @@ class DeimOperator:
 
     U: np.ndarray
     indices: np.ndarray
-    singular_values: np.ndarray
     pu: np.ndarray
     lu: tuple
     cond: float
@@ -125,7 +124,7 @@ def interpolation_conditioning(pu: np.ndarray):
         return float(s[0] / s[-1]), float(1.0 / s[-1])
 
 
-def deim_operator(u: np.ndarray, indices: np.ndarray, singular_values: np.ndarray,
+def deim_operator(u: np.ndarray, indices: np.ndarray,
                   pattern: UnionPattern | None = None) -> DeimOperator:
     """The operator of basis ``u`` interpolated at ``indices`` (rows of
     ``u``): forms PᵀU, refuses it when its condition number is not finite or
@@ -135,8 +134,8 @@ def deim_operator(u: np.ndarray, indices: np.ndarray, singular_values: np.ndarra
     cond, lebesgue = interpolation_conditioning(pu)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise DeimError(f"interpolation matrix is numerically singular (cond={cond:.3e})")
-    return DeimOperator(U=u, indices=indices, singular_values=singular_values, pu=pu,
-                        lu=sla.lu_factor(pu), cond=cond, lebesgue=lebesgue, pattern=pattern)
+    return DeimOperator(U=u, indices=indices, pu=pu, lu=sla.lu_factor(pu), cond=cond,
+                        lebesgue=lebesgue, pattern=pattern)
 
 
 def _pivot(rho: np.ndarray) -> int:
@@ -182,15 +181,14 @@ def build_deim_operator(snapshots: np.ndarray, eps: float, kind: str = VECTOR,
 
     With a ``pattern`` the snapshots are the symmetric stiffness matrices at
     the union's entries, one row per entry, which carry them whole.  Their
-    off-diagonal rows are weighted by sqrt(2), so the SVD sees the Frobenius
-    inner product of the whole matrices, and the basis is divided by the
-    weights again: mirrored to the lower entries it is orthonormal, and the
-    singular values are those of the whole matrices' snapshot matrix (up to
-    the number of entries).  Without a pattern every row has weight 1.
-    ``kind`` must agree with ``pattern``: ``MATRIX`` with one, ``VECTOR``
-    without; either disagreement raises ``DeimError``, as does a row count
-    other than the pattern's.  A snapshot column with a non-finite entry is
-    refused by name.
+    off-diagonal rows are weighted by sqrt(2): the SVD sees the Frobenius
+    inner product of the whole matrices, and the truncation their spectrum,
+    which is not kept.  The basis is divided by the weights again: mirrored
+    to the lower entries it is orthonormal.  Without a pattern every row has
+    weight 1.  ``kind`` must agree with ``pattern``: ``MATRIX`` with one,
+    ``VECTOR`` without; either disagreement raises ``DeimError``, as does a
+    row count other than the pattern's.  A snapshot column with a non-finite
+    entry is refused by name.
     """
     if kind != (VECTOR if pattern is None else MATRIX):
         raise DeimError(f"{kind!r} operator with{'out' if pattern is None else ''} a union "
@@ -213,7 +211,7 @@ def build_deim_operator(snapshots: np.ndarray, eps: float, kind: str = VECTOR,
     indices = _greedy_indices(u)
     if np.unique(indices).size != l:
         raise DeimError("greedy selection produced duplicate indices")
-    return deim_operator(u, indices, s, pattern)
+    return deim_operator(u, indices, pattern)
 
 
 def deim_coefficients(op: DeimOperator, sampled: np.ndarray) -> np.ndarray:

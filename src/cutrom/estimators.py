@@ -118,9 +118,13 @@ def combined_error_bound(res_active: float, a_err_frob: float, f_err_l2: float,
     return term1 + term2 + term3
 
 
-def alpha_star(nitsche_lambda: float, c_inv: float = 1.0) -> float:
-    """Coercivity constant min(1 - 2 C_inv^2 / lambda, 1/2, 1)."""
-    return min(1.0 - 2.0 * c_inv ** 2 / nitsche_lambda, 0.5, 1.0)
+def alpha_star(nitsche_lambda: float, c_inv: float) -> float:
+    """Coercivity constant min(1 - 2 C_inv^2 / lambda, 1/2)."""
+    return min(1.0 - 2.0 * c_inv ** 2 / nitsche_lambda, 0.5)
+
+
+# absolute slack of the Rayleigh ratio check's two bounds
+RAYLEIGH_SLACK = 1e-12
 
 
 @dataclass
@@ -131,12 +135,12 @@ class RayleighCheck:
     upper: float
 
 
-def rayleigh_ratio_check(eta_2a: float, eta_2b: float, d_min: float, d_max: float,
-                         slack: float = 1e-12) -> RayleighCheck:
+def rayleigh_ratio_check(eta_2a: float, eta_2b: float, d_min: float,
+                         d_max: float) -> RayleighCheck:
     """Exact algebra check 1/sqrt(d_max) <= eta_2b/eta_2a <= 1/sqrt(d_min).
 
-    A violation beyond the slack indicates an implementation bug; callers
-    treat it as a hard failure.
+    A violation beyond ``RAYLEIGH_SLACK`` indicates an implementation bug;
+    callers treat it as a hard failure.
     """
     if eta_2a <= 0.0:
         raise EstimatorError("plain residual norm must be positive for the ratio check")
@@ -145,7 +149,7 @@ def rayleigh_ratio_check(eta_2a: float, eta_2b: float, d_min: float, d_max: floa
     ratio = eta_2b / eta_2a
     lower = 1.0 / np.sqrt(d_max)
     upper = 1.0 / np.sqrt(d_min)
-    ok = (lower - slack) <= ratio <= (upper + slack)
+    ok = (lower - RAYLEIGH_SLACK) <= ratio <= (upper + RAYLEIGH_SLACK)
     return RayleighCheck(
         ok=bool(ok),
         ratio=float(ratio),

@@ -132,13 +132,13 @@ class BackgroundMesh:
         self.tri_stiffness = np.ascontiguousarray(_kernels.volume_contribs(self.tri_area, comp))
 
     def _build_facets(self):
-        """Facets with the triangles on either side, the local edges' facets
-        ``tri_facets``, and per interior facet the 4 patch dofs and the
-        normal-derivative jump of each patch hat (both sides are P1, so the
-        jump vector is parameter-independent), all read off one sort of the
-        edges.  Boundary facets keep -1 patch slots 2-3 and a zero jump.
-        Raises ``GeometryError`` on a facet of more than two triangles and on
-        two triangles that lie on the same side of their shared facet."""
+        """Facets with the triangles on either side and their lengths, and
+        per interior facet the 4 patch dofs and the normal-derivative jump of
+        each patch hat (both sides are P1, so the jump vector is
+        parameter-independent), all read off one sort of the edges.
+        Boundary facets keep -1 patch slots 2-3 and a zero jump.  Raises
+        ``GeometryError`` on a facet of more than two triangles and on two
+        triangles that lie on the same side of their shared facet."""
         tris = self.triangles
         nv = self.n_vertices
         edges = np.concatenate(
@@ -159,10 +159,6 @@ class BackgroundMesh:
         if np.any(~first[1:] & ~first[:-1]):
             raise GeometryError("facet shared by more than two triangles")
         facet_of = np.cumsum(first) - 1
-        # column k holds the facet of local edge (k, k+1 mod 3)
-        tri_facets = np.empty_like(facet_of)
-        tri_facets[order] = facet_of
-        self.tri_facets = np.ascontiguousarray(tri_facets.reshape(3, self.n_triangles).T)
         facets = np.column_stack(np.divmod(code_s[first], nv))
         facet_tris = np.full((facets.shape[0], 2), -1, dtype=np.int64)
         facet_tris[:, 0] = owner_s[first]
@@ -174,7 +170,6 @@ class BackgroundMesh:
         length = np.sqrt(tangent[:, 0] ** 2 + tangent[:, 1] ** 2)
         normal = np.column_stack([tangent[:, 1], -tangent[:, 0]]) / length[:, None]
         self.facet_len = length
-        self.facet_normal = normal
         # side s of an interior facet is its (s+1)-th sorted edge
         interior = facet_of[~first]
         patch = np.full((facets.shape[0], 4), -1, dtype=np.int64)
@@ -212,9 +207,9 @@ class BackgroundMesh:
         package's one sparse index; no other code forms row*N+col codes.
         Position k holds (``pattern_rows[k]``, ``pattern_cols[k]``), its
         transpose sits at ``pattern_transpose[k]`` (the pattern is
-        symmetric), and (i, i) at ``pattern_diag[i]``.  ``pattern_upper``
-        holds the positions with row <= col (k <= ``pattern_transpose[k]``),
-        which carry a symmetric matrix whole.
+        symmetric), and ``pattern_upper`` holds the positions with row <= col
+        (k <= ``pattern_transpose[k]``), which carry a symmetric matrix
+        whole.
 
         A parameter's pattern is the subset its active triangles and ghost
         facets touch, so assembly only marks and renumbers positions.  The 9
@@ -241,7 +236,6 @@ class BackgroundMesh:
         self.pattern_rows, self.pattern_cols = np.divmod(codes, n)
         self.pattern_indptr = np.searchsorted(self.pattern_rows, np.arange(n + 1))
         self.pattern_transpose = np.searchsorted(codes, self.pattern_cols * n + self.pattern_rows)
-        self.pattern_diag = np.searchsorted(codes, np.arange(n) * (n + 1))
         self.pattern_upper = np.flatnonzero(self.pattern_rows <= self.pattern_cols)
         graph = sp.csr_matrix((np.ones(codes.size, dtype=np.int8), self.pattern_cols,
                                self.pattern_indptr), shape=(n, n))

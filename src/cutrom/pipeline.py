@@ -182,7 +182,7 @@ def run_offline(config: Config) -> OfflineArtifacts:
     lap("projection")
     art = OfflineArtifacts(
         config=config, mesh=mesh, pod=pod, deim_a=deim_a, deim_f=deim_f,
-        blocks_a=blocks_a, blocks_f=blocks_f, train_mu=train_mu, snapshots=snapshots,
+        blocks_a=blocks_a, blocks_f=blocks_f, snapshots=snapshots,
     )
     log.info("offline done in %.3f s: %s; matrix store %d x %d (%.1f MB)",
              time.perf_counter() - t_start,

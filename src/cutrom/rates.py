@@ -67,7 +67,7 @@ def _ols(x, y):
     return slope, intercept, 1.0 - ss_res / syy
 
 
-def fit_algebraic(points, n_min: int = 1) -> FitResult:
+def fit_algebraic(points, n_min: int) -> FitResult:
     """OLS of log(value) on log(n); rate is minus the slope."""
     n, v = _prepare(points, n_min)
     slope, intercept, r2 = _ols(np.log(n), np.log(v))
@@ -75,7 +75,7 @@ def fit_algebraic(points, n_min: int = 1) -> FitResult:
                      r_squared=r2, n_min=n_min, points_used=n.size)
 
 
-def fit_exponential(points, n_min: int = 1) -> FitResult:
+def fit_exponential(points, n_min: int) -> FitResult:
     """OLS of log(value) on n; rate is minus the slope."""
     n, v = _prepare(points, n_min)
     slope, intercept, r2 = _ols(n, np.log(v))

@@ -22,14 +22,11 @@ SAVED = {
     "pod_sigma": "pod.sigma",
     "deim_a_basis": "deim_a.U",
     "deim_a_indices": "deim_a.indices",
-    "deim_a_singular_values": "deim_a.singular_values",
     "deim_f_basis": "deim_f.U",
     "deim_f_indices": "deim_f.indices",
-    "deim_f_singular_values": "deim_f.singular_values",
     "pattern_positions": "pattern.positions",
     "blocks_a": "blocks_a",
     "blocks_f": "blocks_f",
-    "train_mu": "train_mu",
 }
 
 
@@ -79,6 +76,23 @@ def test_artifact_roundtrip_and_hash_guard(tmp_path, small_run, small_config):
     # a different configuration must be refused
     with pytest.raises(ArtifactError, match="hash"):
         load_artifacts(str(out), small_config.with_seed(small_config.seed + 5))
+
+
+def test_files_of_arrays_no_longer_saved_are_ignored_on_load(saved, small_run, small_config):
+    """Earlier saves of format 7 also wrote the training parameters and the
+    two DEIM spectra.  Files of those names, whatever they hold, do not
+    change what loads."""
+    art, _ = small_run
+    for name in ("train_mu", "deim_a_singular_values", "deim_f_singular_values"):
+        np.save(saved / f"{name}.npy", np.array([np.nan, -1.0, np.inf]))
+    back = load_artifacts(str(saved), small_config)
+    for name, attr in SAVED.items():
+        loaded, built = attrgetter(attr)(back), attrgetter(attr)(art)
+        assert loaded.dtype == built.dtype, name
+        assert loaded.shape == built.shape, name
+        assert loaded.tobytes() == built.tobytes(), name
+    for op_back, op in ((back.deim_a, art.deim_a), (back.deim_f, art.deim_f)):
+        assert op_back.pu.tobytes() == op.pu.tobytes()
 
 
 def test_model_with_more_solves_than_vertices_round_trips(tmp_path):
@@ -198,7 +212,7 @@ def _npz_archive(path):
 
 
 @pytest.mark.parametrize("name, damage", [
-    ("train_mu", lambda path: path.unlink()),
+    ("deim_f_basis", lambda path: path.unlink()),
     ("blocks_a", _truncate),
     ("blocks_f", lambda path: path.write_bytes(b"")),
     ("pattern_positions", _old_container),
@@ -223,8 +237,8 @@ def test_invalid_pod_spectrum_rejected_on_load(saved, small_config, value, messa
         load_artifacts(str(saved), small_config)
 
 
-FLOAT_ARRAYS = ("pod_modes", "pod_sigma", "deim_a_basis", "deim_a_singular_values",
-                "deim_f_basis", "deim_f_singular_values", "blocks_a", "blocks_f", "train_mu")
+FLOAT_ARRAYS = ("pod_modes", "pod_sigma", "deim_a_basis", "deim_f_basis", "blocks_a",
+                "blocks_f")
 
 
 @pytest.mark.parametrize("value", [np.nan, -np.inf], ids=["nan", "inf"])
@@ -307,13 +321,9 @@ def test_tampered_union_pattern_rejected_on_load(saved, small_run, small_config,
     ("deim_a_basis", np.s_[:-1]),
     ("deim_f_basis", np.s_[:, :-1]),
     ("pod_sigma", np.s_[:-1]),
-    ("deim_a_singular_values", np.s_[:-1]),
-    ("deim_f_singular_values", np.s_[:-1]),
     ("pattern_positions", np.s_[:-1]),
-    ("train_mu", np.s_[:, :1]),
 ], ids=["blocks_f_row", "blocks_a_modes", "pod_modes_column", "deim_a_basis_row",
-        "deim_f_basis_column", "pod_sigma_entry", "deim_a_singular_values_entry",
-        "deim_f_singular_values_entry", "pattern_positions_entry", "train_mu_column"])
+        "deim_f_basis_column", "pod_sigma_entry", "pattern_positions_entry"])
 def test_array_of_the_wrong_shape_rejected_on_load(saved, small_config, name, cut):
     _rewrite(saved, name, lambda a: a[cut])
     with pytest.raises(ArtifactError, match=f"^{name} has shape"):

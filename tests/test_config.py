@@ -52,6 +52,23 @@ def test_unknown_section_rejected():
         parse_config("[physic]\nlambda = 10\n")
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nh_target = 0.06\n",
+    "[DEFAULT]\nh_target = 0.06\n[geometry]\nbox_min = -1.2\n",
+    "[geometry]\nbox_min = -1.2\n[DEFAULT]\nlambda = 20\n",
+], ids=["alone", "before_a_section", "after_a_section"])
+def test_default_section_rejected_by_name(text):
+    # configparser would apply its keys inside every other section, or not at all
+    with pytest.raises(ConfigError, match=r"^unknown config section \[DEFAULT\]$"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("text", ["[sampling]\nseed = -1\n", None], ids=["file", "with_seed"])
+def test_negative_seed_rejected_by_name(text):
+    with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
+        parse_config(text) if text else Config().with_seed(-1)
+
+
 def test_bad_value_rejected():
     with pytest.raises(ConfigError):
         parse_config("[sampling]\nn_train = many\n")

@@ -278,7 +278,8 @@ def test_sweep_refuses_test_parameters_that_are_not_pairs(small_run, small_confi
 def test_training_subset_reproduction(small_run, small_config):
     art, _ = small_run
     cfg = dataclasses.replace(small_config, n_list=(art.pod.n_max,)).validate()
-    report = run_online_sweep(art, cfg, test_params=art.train_mu[:4])
+    train_mu = sample_parameters(cfg.n_train, cfg.seed, cfg.mu_min, cfg.mu_max)
+    report = run_online_sweep(art, cfg, test_params=train_mu[:4])
     mean_e = np.mean([r.e_rel for r in report.records])
     assert mean_e <= 1e-2
 

@@ -27,7 +27,8 @@ def test_identity_basis_matrix_projects_to_gram(default_mesh):
     rng = np.random.default_rng(2)
     v = rng.standard_normal((n, 3))
     pod = PodBasis(V=v, sigma=np.ones(3), n_max=3, n_energy=3)
-    pattern = UnionPattern(default_mesh, default_mesh.pattern_diag)
+    diagonal = np.flatnonzero(default_mesh.pattern_rows == default_mesh.pattern_cols)
+    pattern = UnionPattern(default_mesh, diagonal)
     # a single-mode operator whose basis matrix is the identity on the diagonal
     snaps = np.column_stack([np.ones(n), np.ones(n)])
     op = build_deim_operator(snaps, 1e-12, kind=MATRIX, pattern=pattern)
@@ -49,7 +50,8 @@ def test_online_solve_matches_fom_at_training_parameter(small_run):
     from cutrom.fom import solve_fom
     from cutrom.geometry import build_cut_geometry
 
-    mu = ParameterPoint(*art.train_mu[0])
+    cfg = art.config
+    mu = ParameterPoint(*sample_parameters(cfg.n_train, cfg.seed, cfg.mu_min, cfg.mu_max)[0])
     geom = build_cut_geometry(art.mesh, mu)
     fom = solve_fom(assemble_system(geom, art.phys))
     rs = rom_online_solve(art, mu, art.pod.n_max, geom=geom)
