@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .geometry import BackgroundMesh
-from .pod import truncation_rank
+from .pod import thin_svd, truncation_rank
 
 MATRIX = "matrix"
 VECTOR = "vector"
@@ -188,7 +188,12 @@ def build_deim_operator(snapshots: np.ndarray, eps: float, kind: str = VECTOR,
     weight 1.  ``kind`` must agree with ``pattern``: ``MATRIX`` with one,
     ``VECTOR`` without; either disagreement raises ``DeimError``, as does a
     row count other than the pattern's.  A snapshot column with a non-finite
-    entry is refused by name.
+    entry is refused by name, as is a failed SVD.
+
+    The weighted copy of the snapshots is the SVD's work array
+    (``pod.thin_svd``): Fortran-ordered snapshots, such as the transposed
+    parameter-major stores of ``pipeline.run_offline``, are decomposed with
+    no other copy.  The kept basis is C-ordered.
     """
     if kind != (VECTOR if pattern is None else MATRIX):
         raise DeimError(f"{kind!r} operator with{'out' if pattern is None else ''} a union "
@@ -199,15 +204,12 @@ def build_deim_operator(snapshots: np.ndarray, eps: float, kind: str = VECTOR,
     if pattern is not None and snaps.shape[0] != pattern.size:
         raise DeimError(f"{snaps.shape[0]} snapshot rows for the {pattern.size} "
                         "upper entries of a union pattern")
-    bad = np.flatnonzero(~np.isfinite(snaps).all(axis=0))
-    if bad.size:
-        raise DeimError(f"snapshot column {bad[0]} has a non-finite entry")
     if not np.any(snaps):
         raise DeimError("all-zero snapshot matrix")
     weight = 1.0 if pattern is None else np.where(pattern.diagonal, 1.0, np.sqrt(2.0))[:, None]
-    u, s, _vt = np.linalg.svd(snaps * weight, full_matrices=False)
+    u, s = thin_svd(np.asfortranarray(snaps * weight), DeimError)
     l = truncation_rank(s, eps)
-    u = u[:, :l] / weight
+    u = np.ascontiguousarray(u[:, :l] / weight)
     indices = _greedy_indices(u)
     if np.unique(indices).size != l:
         raise DeimError("greedy selection produced duplicate indices")

@@ -67,8 +67,9 @@ RATE_QUANTITIES = ("e_rel", "eta_2a", "eta_2b", "eta_pod", "eta_A", "eta_f")
 RATE_COLUMNS = ("quantity", "alpha", "r2_alg", "beta", "r2_exp", "best", "formula")
 
 
-# training parameters assembled together: one cut stage and one bincount each for A and f
-TRAIN_CHUNK = 32
+# training parameters assembled together: one cut stage and one bincount each for A and f;
+# the batch's dense (TRAIN_CHUNK x pattern) arrays are part of the offline peak memory
+TRAIN_CHUNK = 16
 
 
 class PipelineError(RuntimeError):
@@ -97,20 +98,23 @@ def run_offline(config: Config) -> OfflineArtifacts:
     symmetric, so each is kept on the upper positions of the mesh pattern
     only (``BackgroundMesh.pattern_upper``), and the union of their
     structural patterns is marked on those rows of the store: the rows it
-    marks are the union pattern and the matrix DEIM's snapshots.  Each
-    chunk's arrays are dropped before the next is assembled.  The training
-    snapshot matrix stays on the returned artifacts (not saved).  The last
-    log line gives the seconds of each stage and the size of the matrix
-    store."""
+    marks are the union pattern and the matrix DEIM's snapshots.  The
+    matrix and load stores are parameter-major, one row per training
+    parameter: each chunk fills contiguous rows, and their transposes are
+    the Fortran-ordered snapshot matrices the interpolation operators
+    decompose in place (``pod.thin_svd``).  Each chunk's arrays are dropped
+    before the next is assembled.  The training snapshot matrix stays on the
+    returned artifacts (not saved).  The last log line gives the seconds of
+    each stage and the size of the matrix store."""
     t_start = time.perf_counter()
     mesh = build_background_mesh(config.box, config.h_target)
     phys = physics_from_config(config)
     train_mu = sample_parameters(config.n_train, config.seed, config.mu_min, config.mu_max)
     n_train = config.n_train
     snapshots = np.empty((mesh.n_vertices, n_train))
-    loads = np.empty((mesh.n_vertices, n_train))
+    loads = np.empty((n_train, mesh.n_vertices))
     upper = mesh.pattern_upper
-    a_upper = np.empty((upper.size, n_train))  # every stiffness matrix, upper positions
+    a_upper = np.empty((n_train, upper.size))  # every stiffness matrix, upper positions
     stored = np.zeros(upper.size, dtype=bool)  # the union of their structural patterns there
     stages = dict.fromkeys(("geometry", "assembly", "solves", "pod", "deim", "projection"), 0.0)
     last = t_start
@@ -149,9 +153,9 @@ def run_offline(config: Config) -> OfflineArtifacts:
             pos = np.flatnonzero(used[k])
             snapshots[:, i] = at(i, lambda: solve_active(
                 mesh, geoms[k].active_dofs, pos, values[k, pos], f[k], geoms[k].mu)).u
-        a_upper[:, start:stop] = values[:, upper].T
+        values.take(upper, axis=1, out=a_upper[start:stop])
         stored |= used.any(axis=0)[upper]
-        loads[:, start:stop] = f.T
+        loads[start:stop] = f
         del geoms, values, used, f
         lap("solves")
 
@@ -169,11 +173,11 @@ def run_offline(config: Config) -> OfflineArtifacts:
     pattern = build_union_pattern(mesh, [upper[rows]])
     log.info("union pattern: %d upper positions, %d with their mirrors (%.2f%% of N^2)",
              pattern.size, pattern.whole.size, 100.0 * pattern.whole.size / mesh.n_vertices ** 2)
-    a_snaps = a_upper[rows]
+    a_snaps = a_upper.take(rows, axis=1).T
     del a_upper
     deim_a = build_deim_operator(a_snaps, config.eps_deim_a, kind=MATRIX, pattern=pattern)
     del a_snaps
-    deim_f = build_deim_operator(loads, config.eps_deim_f, kind=VECTOR)
+    deim_f = build_deim_operator(loads.T, config.eps_deim_f, kind=VECTOR)
     lap("deim")
     log.info("deim: l_A=%d (cond %.3e, Lebesgue %.4g), l_f=%d (cond %.3e, Lebesgue %.4g)",
              deim_a.l, deim_a.cond, deim_a.lebesgue, deim_f.l, deim_f.cond, deim_f.lebesgue)

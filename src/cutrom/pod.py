@@ -5,7 +5,10 @@ M-orthonormal POD modes of the snapshots S are R⁻¹W for the thin SVD
 R S = W diag(s) Yᵀ, with spectrum sigma = s² (Kunisch & Volkwein 2002).
 This never forms SᵀMS, whose eigendecomposition (the method of snapshots)
 squares the condition number and leaves the spectrum tail with few correct
-digits.
+digits.  Every SVD basis of the package (the POD here and both DEIM
+operators) takes its thin SVD from ``thin_svd``, one LAPACK call that works
+in the caller's Fortran-ordered array, and truncates it by
+``truncation_rank``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,11 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from .fom import upper_band
 
 RANK_CLAMP = 1e-14  # singular values at or below RANK_CLAMP * s_1 count as zero
+
+# LAPACK's divide-and-conquer SVD, called directly so it works in the
+# caller's array: ``np.linalg.svd`` copies a C-ordered input to Fortran
+# order and copies both factors out again
+_GESDD = sla.get_lapack_funcs("gesdd", (np.empty(1),))
 
 
 class PodError(ValueError):
@@ -58,14 +66,31 @@ def truncation_rank(s: np.ndarray, eps: float) -> int:
     return min(k, int(np.count_nonzero(s > RANK_CLAMP * s[0])))
 
 
+def thin_svd(a: np.ndarray, error: type[Exception]):
+    """U and s of the thin SVD a = U diag(s) Vᵀ, for every SVD basis (POD and
+    both DEIM operators), by one in-place LAPACK ``gesdd``: ``a`` must be an
+    owned, Fortran-ordered float64 array, and is overwritten; U is
+    Fortran-ordered.  The caller's ``error`` names the first column of ``a``
+    with a non-finite entry (LAPACK would refuse a NaN as an illegal argument
+    and return NaN singular values for an inf), and a LAPACK failure."""
+    bad = np.flatnonzero(~np.isfinite(a).all(axis=0))
+    if bad.size:
+        raise error(f"snapshot column {bad[0]} has a non-finite entry")
+    u, s, _vt, info = _GESDD(a, compute_uv=1, full_matrices=0, overwrite_a=1)
+    if info:
+        raise error(f"SVD of the snapshot matrix failed (LAPACK gesdd info={info})")
+    return u, s
+
+
 def build_pod_basis(s_mat: np.ndarray, mass: sp.csr_matrix, eps: float,
                     min_modes: int = 0) -> PodBasis:
     """M-orthonormal modes of the snapshot columns S (full-order solutions,
     zero outside each parameter's active set) from the thin SVD of R S, where
     M = RᵀR.  Singular values at or below ``RANK_CLAMP`` s_1 are set to zero
-    before sigma = s² is formed.  ``min_modes`` forces extra well-defined
-    modes beyond the energy cutoff so a sweep can request more modes than the
-    tolerance alone would retain.
+    before sigma = s² is formed.  A snapshot column with a non-finite entry
+    is refused by name, as is a failed SVD.  ``min_modes`` forces extra
+    well-defined modes beyond the energy cutoff so a sweep can request more
+    modes than the tolerance alone would retain.
     """
     if s_mat.ndim != 2 or s_mat.shape[1] < 1:
         raise PodError("need at least one snapshot column")
@@ -82,7 +107,7 @@ def build_pod_basis(s_mat: np.ndarray, mass: sp.csr_matrix, eps: float,
     r_mat = sp.dia_matrix((r_band, width - np.arange(width + 1)), shape=(n, n)).tocsr()
     s_perm = np.empty_like(s_mat, dtype=float)
     s_perm[pos] = s_mat
-    w, s, _yt = np.linalg.svd(r_mat @ s_perm, full_matrices=False)
+    w, s = thin_svd(np.asfortranarray(r_mat @ s_perm), PodError)
     if s[0] <= 0.0:
         raise PodError("all-zero snapshot matrix")
     s[s <= RANK_CLAMP * s[0]] = 0.0

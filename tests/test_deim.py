@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cutrom
-from cutrom import deim, estimators, pipeline
+from cutrom import deim, estimators, pipeline, pod
 from cutrom.assembly import assemble_system, csr_on_pattern
 from cutrom.config import Config
 from cutrom.deim import (
@@ -28,7 +28,7 @@ from cutrom.deim import (
 )
 from cutrom.geometry import ParameterPoint, build_background_mesh, build_cut_geometry
 from cutrom.pipeline import sample_parameters
-from cutrom.pod import truncation_rank
+from cutrom.pod import thin_svd, truncation_rank
 from cutrom.rom import sample_entries
 
 # 3 x 3 vertices, 8 triangles: a mesh pattern of 57 positions
@@ -293,6 +293,16 @@ def test_non_finite_matrix_snapshot_refused_by_column():
             build_deim_operator(snaps, 1e-12, kind=MATRIX, pattern=pat)
 
 
+@pytest.mark.parametrize("kind", [VECTOR, MATRIX])
+def test_a_failed_svd_is_refused_by_name(kind, monkeypatch):
+    pat = build_union_pattern(MESH, [DIAGONAL]) if kind == MATRIX else None
+    snaps = np.random.default_rng(9).standard_normal((DIAGONAL.size, 4))
+    monkeypatch.setattr(pod, "_GESDD", lambda a, **kwargs: (a, a[0], a, 2))
+    with pytest.raises(DeimError,
+                       match=r"SVD of the snapshot matrix failed \(LAPACK gesdd info=2\)"):
+        build_deim_operator(snaps, 1e-12, kind=kind, pattern=pat)
+
+
 def test_matrix_snapshots_off_the_upper_rows_refused():
     pat = build_union_pattern(MESH, [np.arange(MESH.pattern_cols.size)])
     snaps = np.random.default_rng(7).standard_normal((MESH.pattern_cols.size, 4))
@@ -359,13 +369,14 @@ def _whole_union_build(snaps, union, eps):
     their symmetric parts (S + S[transpose]) / 2, weighted by sqrt(2) off the
     diagonal, the basis divided by the weights and mirrored to the union.
     Returns the mirrored basis, the indices (whole-union entries) and
-    PᵀU."""
+    PᵀU.  The SVD is the package's own (``pod.thin_svd``): numpy's bundled
+    OpenBLAS and scipy's round it differently at two BLAS threads."""
     transpose, upper = union.transpose, union.upper
     weight = np.where(transpose[upper] == upper, 1.0, np.sqrt(2.0))[:, None]
     half = snaps[upper]
     half += snaps[transpose[upper]]
     half *= 0.5 * weight
-    u, s, _vt = np.linalg.svd(half, full_matrices=False)
+    u, s = thin_svd(np.asfortranarray(half), DeimError)
     u = u[:, :truncation_rank(s, eps)] / weight
     indices = upper[_greedy_indices(u)]
     u = u[union.twin]

@@ -15,7 +15,7 @@ import pytest
 import scipy.linalg as sla
 
 import cutrom
-from cutrom import cli, pipeline
+from cutrom import cli, pipeline, pod
 from cutrom.estimators import EstimatorRecord
 from cutrom.assembly import assemble_mass_matrix, assemble_system
 from cutrom.config import Config
@@ -782,6 +782,30 @@ def test_training_chunk_size_changes_no_byte(tmp_path, monkeypatch):
     assert len(builds[1][1]) == 2
     for chunk in (7, pipeline.TRAIN_CHUNK):
         assert builds[chunk] == builds[1]
+
+
+def test_every_svd_works_in_place_on_an_owned_fortran_array(small_config, monkeypatch):
+    # the POD, the matrix DEIM and the load DEIM, in that order, each hand
+    # LAPACK one array that it overwrites: no layout copy on the way
+    calls = []
+    original = pod._GESDD
+
+    def spy(a, **kwargs):
+        before = a.copy()
+        out = original(a, **kwargs)
+        calls.append((a.shape, a.flags.f_contiguous, a.flags.owndata,
+                      not np.array_equal(a, before)))
+        return out
+
+    monkeypatch.setattr(pod, "_GESDD", spy)
+    art = run_offline(small_config)
+    n, n_train = art.mesh.n_vertices, small_config.n_train
+    assert calls == [((n, n_train), True, True, True),
+                     ((art.pattern.size, n_train), True, True, True),
+                     ((n, n_train), True, True, True)]
+    # the kept bases are C-ordered: the saved headers and the rounding of
+    # ``reconstruct`` depend on it
+    assert art.deim_a.U.flags.c_contiguous and art.deim_f.U.flags.c_contiguous
 
 
 def test_offline_log_names_every_stage(caplog):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cutrom
+from cutrom import pod
 from cutrom.assembly import assemble_mass_matrix, assemble_system
 from cutrom.fom import solve_fom
 from cutrom.geometry import ParameterPoint, build_cut_geometry
@@ -105,6 +106,23 @@ def test_all_zero_snapshots_rejected(default_mesh):
     mass = assemble_mass_matrix(default_mesh)
     with pytest.raises(PodError):
         build_pod_basis(np.zeros((default_mesh.n_vertices, 3)), mass, 1e-6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_snapshot_is_refused_by_its_column(default_mesh, small_snapshots, bad):
+    # LAPACK alone would not say: gesdd refuses NaN as an illegal argument
+    # and returns NaN singular values for inf
+    snaps = small_snapshots.copy()
+    snaps[17, 5] = bad
+    with pytest.raises(PodError, match="snapshot column 5 has a non-finite entry"):
+        build_pod_basis(snaps, assemble_mass_matrix(default_mesh), 1e-6)
+
+
+def test_a_failed_svd_is_refused_by_name(default_mesh, small_snapshots, monkeypatch):
+    monkeypatch.setattr(pod, "_GESDD", lambda a, **kwargs: (a, a[0], a, 3))
+    with pytest.raises(PodError,
+                       match=r"SVD of the snapshot matrix failed \(LAPACK gesdd info=3\)"):
+        build_pod_basis(small_snapshots, assemble_mass_matrix(default_mesh), 1e-6)
 
 
 def test_tail_energy_endpoints():
