@@ -191,9 +191,11 @@ def build_deim_operator(snapshots: np.ndarray, eps: float, kind: str = VECTOR,
     entry is refused by name, as is a failed SVD.
 
     The weighted copy of the snapshots is the SVD's work array
-    (``pod.thin_svd``): Fortran-ordered snapshots, such as the transposed
-    parameter-major stores of ``pipeline.run_offline``, are decomposed with
-    no other copy.  The kept basis is C-ordered.
+    (``pod.thin_svd``): Fortran-ordered snapshots, such as the stores of
+    ``pipeline.run_offline``, are decomposed with no other copy.  The
+    references to ``snapshots`` are dropped once that copy exists, so
+    snapshots handed in as a temporary are freed before the SVD starts, and
+    the work array once it ends.  The kept basis is one C-ordered array.
     """
     if kind != (VECTOR if pattern is None else MATRIX):
         raise DeimError(f"{kind!r} operator with{'out' if pattern is None else ''} a union "
@@ -207,9 +209,12 @@ def build_deim_operator(snapshots: np.ndarray, eps: float, kind: str = VECTOR,
     if not np.any(snaps):
         raise DeimError("all-zero snapshot matrix")
     weight = 1.0 if pattern is None else np.where(pattern.diagonal, 1.0, np.sqrt(2.0))[:, None]
-    u, s = thin_svd(np.asfortranarray(snaps * weight), DeimError)
+    work = np.asfortranarray(snaps * weight)
+    del snapshots, snaps  # a caller's temporary is freed before the SVD
+    u, s = thin_svd(work, DeimError)
+    del work
     l = truncation_rank(s, eps)
-    u = np.ascontiguousarray(u[:, :l] / weight)
+    u = np.divide(u[:, :l], weight, order="C")
     indices = _greedy_indices(u)
     if np.unique(indices).size != l:
         raise DeimError("greedy selection produced duplicate indices")

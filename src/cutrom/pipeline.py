@@ -89,6 +89,19 @@ def _on_mesh_pattern(mesh, positions: np.ndarray, values: np.ndarray) -> np.ndar
     return out
 
 
+def _union_store(blocks: list, rows: np.ndarray, n_train: int) -> np.ndarray:
+    """The matrix DEIM's snapshots: the chunks' ``blocks`` (training
+    parameters, upper columns, their values) scattered into one zero-filled,
+    Fortran-ordered store with a row per union position (``rows``, sorted)
+    and a column per training parameter.  The list is emptied as it is
+    read, so no block outlives the scatter."""
+    store = np.zeros((rows.size, n_train), order="F")
+    while blocks:
+        chunk, cols, block = blocks.pop()
+        store[np.searchsorted(rows, cols), chunk] = block.T
+    return store
+
+
 def run_offline(config: Config) -> OfflineArtifacts:
     """Training solves, mode basis, interpolation operators, reduced blocks.
 
@@ -96,16 +109,18 @@ def run_offline(config: Config) -> OfflineArtifacts:
     (``assemble_batch``), and each is solved from the batch's values
     (``solve_active``), with no CSR matrix made.  The stiffness matrices are
     symmetric, so each is kept on the upper positions of the mesh pattern
-    only (``BackgroundMesh.pattern_upper``), and the union of their
-    structural patterns is marked on those rows of the store: the rows it
-    marks are the union pattern and the matrix DEIM's snapshots.  The
-    matrix and load stores are parameter-major, one row per training
-    parameter: each chunk fills contiguous rows, and their transposes are
-    the Fortran-ordered snapshot matrices the interpolation operators
-    decompose in place (``pod.thin_svd``).  Each chunk's arrays are dropped
-    before the next is assembled.  The training snapshot matrix stays on the
-    returned artifacts (not saved).  The last log line gives the seconds of
-    each stage and the size of the matrix store."""
+    only (``BackgroundMesh.pattern_upper``).  Each chunk keeps the columns
+    of those positions that some member stores, as one parameter-major
+    block, and marks them: the marked positions are the union pattern.
+    After the last chunk the blocks are scattered into the matrix DEIM's
+    snapshots (``_union_store``), the one copy of them that is alive from
+    then on; it is handed to ``build_deim_operator`` as a temporary, which
+    frees it before its SVD.  The load store is parameter-major too, and its
+    transpose is the Fortran-ordered snapshot matrix of the load DEIM.  Each
+    chunk's arrays are dropped before the next is assembled.  The training
+    snapshot matrix stays on the returned artifacts (not saved).  The last
+    log line gives the seconds of each stage and the size of the matrix
+    store (union rows x training parameters)."""
     t_start = time.perf_counter()
     mesh = build_background_mesh(config.box, config.h_target)
     phys = physics_from_config(config)
@@ -114,8 +129,8 @@ def run_offline(config: Config) -> OfflineArtifacts:
     snapshots = np.empty((mesh.n_vertices, n_train))
     loads = np.empty((n_train, mesh.n_vertices))
     upper = mesh.pattern_upper
-    a_upper = np.empty((n_train, upper.size))  # every stiffness matrix, upper positions
-    stored = np.zeros(upper.size, dtype=bool)  # the union of their structural patterns there
+    blocks = []  # per chunk: its parameters, the upper columns its members store, their values
+    stored = np.zeros(upper.size, dtype=bool)  # the union of the structural patterns there
     stages = dict.fromkeys(("geometry", "assembly", "solves", "pod", "deim", "projection"), 0.0)
     last = t_start
 
@@ -153,8 +168,9 @@ def run_offline(config: Config) -> OfflineArtifacts:
             pos = np.flatnonzero(used[k])
             snapshots[:, i] = at(i, lambda: solve_active(
                 mesh, geoms[k].active_dofs, pos, values[k, pos], f[k], geoms[k].mu)).u
-        values.take(upper, axis=1, out=a_upper[start:stop])
-        stored |= used.any(axis=0)[upper]
+        cols = np.flatnonzero(used.any(axis=0)[upper])
+        blocks.append((slice(start, stop), cols, values.take(upper[cols], axis=1)))
+        stored[cols] = True
         loads[start:stop] = f
         del geoms, values, used, f
         lap("solves")
@@ -173,10 +189,8 @@ def run_offline(config: Config) -> OfflineArtifacts:
     pattern = build_union_pattern(mesh, [upper[rows]])
     log.info("union pattern: %d upper positions, %d with their mirrors (%.2f%% of N^2)",
              pattern.size, pattern.whole.size, 100.0 * pattern.whole.size / mesh.n_vertices ** 2)
-    a_snaps = a_upper.take(rows, axis=1).T
-    del a_upper
-    deim_a = build_deim_operator(a_snaps, config.eps_deim_a, kind=MATRIX, pattern=pattern)
-    del a_snaps
+    deim_a = build_deim_operator(_union_store(blocks, rows, n_train), config.eps_deim_a,
+                                 kind=MATRIX, pattern=pattern)
     deim_f = build_deim_operator(loads.T, config.eps_deim_f, kind=VECTOR)
     lap("deim")
     log.info("deim: l_A=%d (cond %.3e, Lebesgue %.4g), l_f=%d (cond %.3e, Lebesgue %.4g)",
@@ -191,7 +205,7 @@ def run_offline(config: Config) -> OfflineArtifacts:
     log.info("offline done in %.3f s: %s; matrix store %d x %d (%.1f MB)",
              time.perf_counter() - t_start,
              ", ".join(f"{name} {sec:.3f} s" for name, sec in stages.items()),
-             upper.size, n_train, upper.size * n_train * 8 / 1e6)
+             pattern.size, n_train, pattern.size * n_train * 8 / 1e6)
     return art
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -301,6 +302,28 @@ def test_a_failed_svd_is_refused_by_name(kind, monkeypatch):
     with pytest.raises(DeimError,
                        match=r"SVD of the snapshot matrix failed \(LAPACK gesdd info=2\)"):
         build_deim_operator(snaps, 1e-12, kind=kind, pattern=pat)
+
+
+@pytest.mark.parametrize("kind", [VECTOR, MATRIX])
+def test_snapshots_handed_in_as_a_temporary_are_freed_before_the_svd(kind, monkeypatch):
+    # ``pipeline.run_offline`` hands the matrix store over this way: the
+    # weighted work array must be its only copy alive through the SVD
+    pat = build_union_pattern(MESH, [np.arange(MESH.pattern_cols.size)]) if kind == MATRIX else None
+    refs, alive = [], []
+
+    def snapshots():
+        snaps = np.random.default_rng(4).standard_normal((5, MESH.pattern_upper.size)).T
+        refs.append(weakref.ref(snaps))
+        return snaps
+
+    def spy(a, error):
+        alive.append(refs[0]() is not None)
+        return thin_svd(a, error)
+
+    monkeypatch.setattr(deim, "thin_svd", spy)
+    op = build_deim_operator(snapshots(), 1e-12, kind=kind, pattern=pat)
+    assert alive == [False]
+    assert op.l == 5 and op.U.flags.c_contiguous
 
 
 def test_matrix_snapshots_off_the_upper_rows_refused():

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -811,11 +812,32 @@ def test_every_svd_works_in_place_on_an_owned_fortran_array(small_config, monkey
 def test_offline_log_names_every_stage(caplog):
     cfg = Config(n_train=12, n_test=2, n_list=(2, 4), seed=3).validate()
     with caplog.at_level(logging.INFO, logger="cutrom.pipeline"):
-        run_offline(cfg)
+        art = run_offline(cfg)
     line = [r.getMessage() for r in caplog.records if r.name == "cutrom.pipeline"][-1]
     assert line.startswith("offline done in ")
     for stage in ("geometry", "assembly", "solves", "pod", "deim", "projection"):
         assert re.search(rf"\b{stage} \d+\.\d{{3}} s\b", line), stage
+    # the store the build holds: one row per union position, one column per parameter
+    rows, cols, mb = re.search(r"; matrix store (\d+) x (\d+) \((\d+\.\d) MB\)$", line).groups()
+    assert (int(rows), int(cols)) == (art.pattern.size, cfg.n_train)
+    assert mb == f"{art.pattern.size * cfg.n_train * 8 / 1e6:.1f}"
+
+
+def test_offline_peak_memory_is_a_few_union_stores():
+    # tracemalloc peak of the default build over the bytes of its matrix
+    # store (1533 x 400 float64, 4.91 MB): 25.0 MB (5.1x) when a full
+    # upper-position store and its union-row copy were alive together and
+    # the DEIM held its input through the SVD, 20.1 MB (4.1x) with the
+    # union store as the only copy, freed before the SVD
+    cfg = Config().validate()
+    tracemalloc.start()
+    try:
+        art = run_offline(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    store = art.pattern.size * cfg.n_train * 8
+    assert peak < 4.6 * store, (peak / 1e6, store / 1e6)
 
 
 def test_offline_names_the_training_mu_whose_assembly_fails(monkeypatch):
